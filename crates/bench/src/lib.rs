@@ -2,8 +2,11 @@
 //!
 //! Each `fig*` binary regenerates one table/figure of the paper's
 //! evaluation (§5) and prints the series the paper reports, plus the
-//! paper's own numbers for comparison. All latencies are **virtual time**
-//! from the TEE cost model (see `DESIGN.md` §4), so runs are deterministic.
+//! paper's own numbers for comparison. Latencies in these bins are
+//! **virtual time** from the TEE cost model (see `DESIGN.md` §4), so runs
+//! are deterministic; only the `kernels` and `crypto` bins read a wall
+//! clock. The repo's wall-clock end-to-end benchmark is `e2e`, in its own
+//! workspace under `e2ebench/` (declared by `BENCHMARK.json`).
 
 pub mod report;
 

@@ -19,6 +19,7 @@ use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, RegionId, Sim
 use securetf_tensor::tensor::Tensor;
 use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::model::LiteModel;
+use securetf_tflite::LiteError;
 use std::sync::Arc;
 
 /// A deployed, attested classification service.
@@ -177,10 +178,42 @@ impl SecureClassifier {
     ///
     /// Returns [`SecureTfError::Lite`] on execution failure.
     pub fn classify(&mut self, input: &Tensor) -> Result<(usize, u64), SecureTfError> {
+        let (out, ns) = self.charged_run(input)?;
+        self.inferences += 1;
+        Ok((out.argmax().unwrap_or(0), ns))
+    }
+
+    /// Classifies a stacked `[batch, …]` input in one pass, returning one
+    /// label per row plus the batch's virtual latency.
+    ///
+    /// Per-row labels are bit-identical to calling [`classify`] on each
+    /// row alone: every kernel computes an output row from its own input
+    /// row with a fixed reduction order, so batch composition cannot leak
+    /// into results. The win is amortization — the shielded ingress
+    /// syscalls and the model/workspace memory passes are charged once
+    /// per batch rather than once per request.
+    ///
+    /// [`classify`]: SecureClassifier::classify
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SecureTfError::Lite`] on execution failure.
+    pub fn classify_batch(&mut self, batch: &Tensor) -> Result<(Vec<usize>, u64), SecureTfError> {
+        let (out, ns) = self.charged_run(batch)?;
+        let labels = out.argmax_rows().map_err(LiteError::Exec)?;
+        self.inferences += labels.len() as u64;
+        Ok((labels, ns))
+    }
+
+    /// Runs the interpreter on `input` (one row or a stacked batch) with
+    /// the profile's full cost charged once, returning the output tensor
+    /// and the virtual latency in ns.
+    fn charged_run(&mut self, input: &Tensor) -> Result<(Tensor, u64), SecureTfError> {
         let clock = self.platform.clock().clone();
         let t0 = clock.now_ns();
 
-        // Input arrives via the (shielded) network/file system.
+        // Input arrives via the (shielded) network/file system, the whole
+        // batch in one ingress round.
         for _ in 0..self.profile.syscalls_per_inference {
             match self.profile.threading {
                 ThreadingModel::UserLevel => self.enclave.charge_syscall(),
@@ -201,79 +234,22 @@ impl SecureClassifier {
         // Real inference math (reduced extent), charged at declared FLOPs
         // along the kernel critical path.
         let before = self.interpreter.stats();
-        let label = self.interpreter.classify(input)?;
+        let out = self.interpreter.run(input)?;
         let delta = self.interpreter.stats().since(&before);
         self.enclave.charge_parallel_compute(delta.flops, delta.critical_flops);
         crate::attribute_kernel_flops(&self.enclave, &delta);
-        self.replay_workspace_writes()?;
 
-        self.inferences += 1;
-        Ok((label, clock.now_ns() - t0))
-    }
-
-    /// Charges workspace EPC traffic. Planned single-pass runtimes
-    /// replay the arena slot writes the interpreter actually performed —
-    /// so a fused graph, which writes fewer intermediates, faults fewer
-    /// workspace pages. Unplanned runs fall back to a full sweep.
-    fn replay_workspace_writes(&mut self) -> Result<(), SecureTfError> {
+        // Single-pass runtimes replay the arena slot writes the
+        // interpreter actually performed as workspace EPC traffic — so a
+        // fused graph, which writes fewer intermediates, faults fewer
+        // workspace pages.
         let writes = self.interpreter.take_slot_writes();
-        if self.profile.memory_passes != 1 {
-            return Ok(());
-        }
-        if writes.is_empty() {
-            self.enclave.touch_all(self.workspace_region)?;
-            return Ok(());
-        }
-        for w in writes {
-            self.enclave.touch(self.workspace_region, w.offset, w.bytes)?;
-        }
-        Ok(())
-    }
-
-    /// Classifies a stacked `[batch, …]` input in one pass, returning one
-    /// label per row plus the batch's virtual latency.
-    ///
-    /// Per-row labels are bit-identical to calling [`classify`] on each
-    /// row alone: every kernel computes an output row from its own input
-    /// row with a fixed reduction order, so batch composition cannot leak
-    /// into results. The win is amortization — the shielded ingress
-    /// syscalls and the model/workspace memory passes are charged once
-    /// per batch rather than once per request.
-    ///
-    /// [`classify`]: SecureClassifier::classify
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SecureTfError::Lite`] on execution failure.
-    pub fn classify_batch(&mut self, batch: &Tensor) -> Result<(Vec<usize>, u64), SecureTfError> {
-        let clock = self.platform.clock().clone();
-        let t0 = clock.now_ns();
-
-        // The whole batch arrives in one shielded ingress round.
-        for _ in 0..self.profile.syscalls_per_inference {
-            match self.profile.threading {
-                ThreadingModel::UserLevel => self.enclave.charge_syscall(),
-                ThreadingModel::OsThreads => self.enclave.charge_transition(),
+        if self.profile.memory_passes == 1 {
+            for w in writes {
+                self.enclave.touch(self.workspace_region, w.offset, w.bytes)?;
             }
         }
-
-        self.ensure_workspace_rows(batch.shape().first().copied().unwrap_or(1))?;
-        for _ in 0..self.profile.memory_passes {
-            self.enclave.touch_all(self.model_region)?;
-            if self.profile.memory_passes != 1 {
-                self.enclave.touch_all(self.workspace_region)?;
-            }
-        }
-
-        let before = self.interpreter.stats();
-        let labels = self.interpreter.classify_batch(batch)?;
-        let delta = self.interpreter.stats().since(&before);
-        self.enclave.charge_parallel_compute(delta.flops, delta.critical_flops);
-        crate::attribute_kernel_flops(&self.enclave, &delta);
-        self.replay_workspace_writes()?;
-
-        self.inferences += labels.len() as u64;
-        Ok((labels, clock.now_ns() - t0))
+        Ok((out, clock.now_ns() - t0))
     }
 
     /// Grows the planned workspace when a batch needs more rows than any

@@ -13,7 +13,6 @@ use securetf_tee::{Enclave, RegionId};
 use securetf_tensor::freeze;
 use securetf_tensor::graph::NodeId;
 use securetf_tensor::layers::Classifier;
-use securetf_tensor::memory::MemoryMode;
 use securetf_tensor::optimizer::Optimizer;
 use securetf_tensor::session::Session;
 use securetf_tensor::tensor::Tensor;
@@ -59,20 +58,6 @@ impl SecureSession {
         self.session.set_worker_pool(pool);
     }
 
-    /// Selects planned-arena (the default) or legacy per-tensor
-    /// activation accounting. Results are bit-identical either way;
-    /// only the EPC paging profile changes.
-    pub fn set_memory_mode(&mut self, mode: MemoryMode) {
-        self.session.set_memory_mode(mode);
-    }
-
-    /// Enables or disables the graph-compiler pass pipeline (on by
-    /// default). Results are bit-identical either way; disabling exists
-    /// for A/B benchmarking and determinism audits.
-    pub fn set_graph_optimize(&mut self, on: bool) {
-        self.session.set_optimize(on);
-    }
-
     /// Records the compiler's work on telemetry: `compiler.*` counters
     /// plus one span per executed pass, charged with the pass's
     /// *deterministic* virtual time (derived from node counts, never
@@ -113,37 +98,26 @@ impl SecureSession {
         self.enclave.charge_parallel_compute(stats.flops, stats.critical_flops);
         crate::attribute_kernel_flops(&self.enclave, &stats);
         self.enclave.touch_all(self.params_region)?;
+        // One persistent region sized to the planned arena peak:
+        // resident pages survive across steps, so steady-state
+        // training faults only when the plan (and the region) grows.
         let mem = self.session.memory_stats();
-        if self.session.memory_mode() == MemoryMode::Planned && mem.planned_peak_bytes > 0 {
-            // One persistent region sized to the planned arena peak:
-            // resident pages survive across steps, so steady-state
-            // training faults only when the plan (and the region) grows.
-            let peak = mem.planned_peak_bytes.max(1);
-            if peak != self.activations_bytes {
-                self.enclave.free(self.activations_region)?;
-                self.activations_region = self.enclave.alloc("activations", peak);
-                self.activations_bytes = peak;
-            }
-            for w in self.session.take_slot_writes() {
-                self.enclave.touch(self.activations_region, w.offset, w.bytes)?;
-            }
-            let telemetry = self.enclave.telemetry();
-            telemetry
-                .gauge("memory.peak_planned_bytes")
-                .set(mem.planned_peak_bytes as i64);
-            telemetry
-                .gauge("memory.arena_bytes_in_use")
-                .set(mem.peak_resident_bytes as i64);
-        } else {
-            // Legacy accounting: a fresh region the size of everything
-            // produced this step, touched end to end — every page
-            // faults in again on each call.
-            let act = stats.activation_bytes.max(1);
+        let peak = mem.planned_peak_bytes.max(1);
+        if peak != self.activations_bytes {
             self.enclave.free(self.activations_region)?;
-            self.activations_region = self.enclave.alloc("activations", act);
-            self.activations_bytes = act;
-            self.enclave.touch_all(self.activations_region)?;
+            self.activations_region = self.enclave.alloc("activations", peak);
+            self.activations_bytes = peak;
         }
+        for w in self.session.take_slot_writes() {
+            self.enclave.touch(self.activations_region, w.offset, w.bytes)?;
+        }
+        let telemetry = self.enclave.telemetry();
+        telemetry
+            .gauge("memory.peak_planned_bytes")
+            .set(mem.planned_peak_bytes as i64);
+        telemetry
+            .gauge("memory.arena_bytes_in_use")
+            .set(mem.peak_resident_bytes as i64);
         Ok(())
     }
 

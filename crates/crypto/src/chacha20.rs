@@ -18,9 +18,10 @@
 //! The RFC's block counter is 32 bits: a single (key, nonce) stream is
 //! good for 2³² · 64 B = 256 GiB of keystream. Advancing past that wraps
 //! the counter back onto already-emitted keystream — silent catastrophic
-//! reuse — so debug builds **panic** on counter wrap-around; release
-//! builds keep the RFC's wrapping behavior, and callers are expected to
-//! re-nonce long before the limit (the shields chunk at 64 KiB).
+//! reuse — so every build, release included, **panics** on counter
+//! wrap-around (inside an enclave, aborting is the safe answer); callers
+//! are expected to re-nonce long before the limit (the shields chunk at
+//! 64 KiB).
 //!
 //! # Examples
 //!
@@ -348,12 +349,17 @@ impl ChaCha20 {
         ChaCha20 { state }
     }
 
-    /// Advances the block counter by `blocks`, panicking in debug builds
-    /// if the 32-bit counter wraps (keystream reuse past 256 GiB).
+    /// Advances the block counter by `blocks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics — in release builds too — if the 32-bit counter wraps:
+    /// continuing would reuse keystream (>256 GiB under one nonce), and
+    /// aborting is the safe answer inside an enclave.
     #[inline(always)]
     fn advance_counter(&mut self, blocks: u32) {
         let (next, wrapped) = self.state[12].overflowing_add(blocks);
-        debug_assert!(
+        assert!(
             !wrapped,
             "ChaCha20 32-bit block counter wrapped: >256 GiB of keystream \
              requested under a single nonce (keystream reuse)"
@@ -362,6 +368,11 @@ impl ChaCha20 {
     }
 
     /// Produces the next 64-byte keystream block and advances the counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if advancing wraps the 32-bit block counter (keystream
+    /// reuse), in every build profile.
     pub fn next_block(&mut self) -> [u8; 64] {
         let mut working = self.state;
         for _ in 0..10 {
@@ -440,6 +451,11 @@ impl ChaCha20 {
     /// tail falls back to single blocks so short records never pay for
     /// keystream they do not consume. Output is bit-identical to
     /// [`ChaCha20::apply_keystream_reference`] for every input length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` runs the 32-bit block counter past its end
+    /// (keystream reuse), in every build profile.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
         let data = if std::arch::is_x86_feature_detected!("avx2") {
@@ -621,29 +637,27 @@ offer you only one tip for the future, sunscreen would be it."
         c.apply_keystream(&mut data);
     }
 
-    // ...but producing keystream past it must fail loudly in debug builds
-    // instead of silently reusing the stream (>256 GiB single-nonce).
+    // ...but producing keystream past it must fail loudly, in release
+    // builds too, instead of silently reusing the stream (>256 GiB
+    // single-nonce).
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "block counter wrapped")]
-    fn counter_wrap_panics_in_debug() {
+    fn counter_wrap_panics() {
         let mut c = ChaCha20::new(&[1u8; 32], &[1u8; 12], u32::MAX);
         let _ = c.next_block(); // uses counter MAX, then wraps advancing
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "block counter wrapped")]
-    fn multi_block_counter_wrap_panics_in_debug() {
+    fn multi_block_counter_wrap_panics() {
         let mut c = ChaCha20::new(&[1u8; 32], &[1u8; 12], u32::MAX - 2);
         let mut data = [0u8; 4 * 64]; // needs counters MAX-2..MAX+1: wraps
         c.apply_keystream(&mut data);
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "block counter wrapped")]
-    fn eight_block_counter_wrap_panics_in_debug() {
+    fn eight_block_counter_wrap_panics() {
         let mut c = ChaCha20::new(&[1u8; 32], &[1u8; 12], u32::MAX - 6);
         let mut data = [0u8; 8 * 64]; // needs counters MAX-6..MAX+1: wraps
         c.apply_keystream(&mut data);

@@ -1,8 +1,12 @@
 //! Graph execution: forward evaluation and reverse-mode differentiation.
 //!
 //! The executor walks the graph in topological order (node order), then —
-//! for training — propagates gradients in reverse. Gradients are verified
-//! against numerical differentiation in this module's tests.
+//! for training — propagates gradients in reverse. Both passes run against
+//! a memory plan ([`crate::memory::PlannedExecutor`] is the only entry
+//! point): kernel outputs draw buffers from the session arena, shape-only
+//! operands are read from the plan instead of keeping tensors alive, and
+//! each value is recycled the moment its planned lifetime ends. Gradients
+//! are verified against numerical differentiation in this module's tests.
 
 use crate::graph::{Graph, NodeId, Op};
 use crate::kernels::{self, KernelCost, TakeBuffer, WorkerPool, Workspace};
@@ -117,21 +121,6 @@ impl RunStats {
     }
 }
 
-/// The result of a forward pass.
-#[derive(Debug)]
-pub struct Forward {
-    values: Vec<Option<Tensor>>,
-    /// Resource usage of the pass.
-    pub stats: RunStats,
-}
-
-impl Forward {
-    /// The computed value of `id`, if it was needed by the pass.
-    pub fn value(&self, id: NodeId) -> Option<&Tensor> {
-        self.values.get(id.0).and_then(Option::as_ref)
-    }
-}
-
 pub(crate) fn needed_set(graph: &Graph, targets: &[NodeId]) -> Result<Vec<bool>, TensorError> {
     let mut needed = vec![false; graph.len()];
     let mut stack: Vec<NodeId> = targets.to_vec();
@@ -156,417 +145,18 @@ pub(crate) fn feed_matches_template(template: &[usize], shape: &[usize]) -> bool
             .all(|(&t, &s)| t == 0 || t == s)
 }
 
-/// Evaluates `targets` given placeholder `feeds` and variable values.
+/// Evaluates every `needed` node given placeholder `feeds` and variable
+/// values, executing into planned arena slots. `values` must be cleared
+/// and resized to `graph.len()` by the caller; results land there so the
+/// backward pass (and fetch cloning) can read them.
 ///
 /// # Errors
 ///
-/// * [`TensorError::UnknownNode`] for ids outside the graph.
 /// * [`TensorError::BadFeed`] for missing or mis-shaped placeholder feeds.
 /// * [`TensorError::ShapeMismatch`] for incompatible operand shapes.
 /// * [`TensorError::InvalidGraph`] for a variable with no session value.
-pub fn forward(
-    graph: &Graph,
-    feeds: &HashMap<NodeId, Tensor>,
-    vars: &HashMap<NodeId, Tensor>,
-    targets: &[NodeId],
-) -> Result<Forward, TensorError> {
-    forward_with(graph, feeds, vars, targets, &WorkerPool::serial())
-}
-
-/// [`forward`] with an explicit worker pool for the matmul/conv kernels.
-///
-/// Results are bit-identical to the serial pass for any worker count
-/// (the kernels' determinism guarantee); only [`RunStats::critical_flops`]
-/// changes.
-///
-/// # Errors
-///
-/// Same conditions as [`forward`].
-pub fn forward_with(
-    graph: &Graph,
-    feeds: &HashMap<NodeId, Tensor>,
-    vars: &HashMap<NodeId, Tensor>,
-    targets: &[NodeId],
-    pool: &WorkerPool,
-) -> Result<Forward, TensorError> {
-    let needed = needed_set(graph, targets)?;
-    let mut values: Vec<Option<Tensor>> = vec![None; graph.len()];
-    let mut stats = RunStats::default();
-
-    for (index, node) in graph.nodes().iter().enumerate() {
-        if !needed[index] {
-            continue;
-        }
-        let id = NodeId(index);
-        let get = |nid: NodeId| -> &Tensor {
-            values[nid.0]
-                .as_ref()
-                .expect("inputs precede node in topological order")
-        };
-        let value = match &node.op {
-            Op::Placeholder { shape } => {
-                let fed = feeds.get(&id).ok_or_else(|| {
-                    TensorError::BadFeed(format!("placeholder '{}' not fed", node.name))
-                })?;
-                if !feed_matches_template(shape, fed.shape()) {
-                    return Err(TensorError::BadFeed(format!(
-                        "placeholder '{}' expects {:?}, fed {:?}",
-                        node.name,
-                        shape,
-                        fed.shape()
-                    )));
-                }
-                fed.clone()
-            }
-            Op::Variable { .. } => vars
-                .get(&id)
-                .cloned()
-                .ok_or(TensorError::InvalidGraph("variable without session value"))?,
-            Op::Constant(t) => t.clone(),
-            Op::MatMul(a, b) => {
-                let (ta, tb) = (get(*a), get(*b));
-                let (out, cost) = kernels::matmul(pool, ta, tb)?;
-                stats.charge_matmul(cost);
-                out
-            }
-            Op::AddBias(x, bias) => {
-                let (tx, tb) = (get(*x), get(*bias));
-                add_bias(tx, tb)?
-            }
-            Op::Add(a, b) => {
-                stats.charge_serial(get(*a).len() as f64);
-                get(*a).zip(get(*b), |x, y| x + y)?
-            }
-            Op::Mul(a, b) => {
-                stats.charge_serial(get(*a).len() as f64);
-                get(*a).zip(get(*b), |x, y| x * y)?
-            }
-            Op::Relu(x) => {
-                stats.charge_serial(get(*x).len() as f64);
-                get(*x).map(|v| v.max(0.0))
-            }
-            Op::Softmax(x) => {
-                let t = get(*x);
-                stats.charge_serial(5.0 * t.len() as f64);
-                softmax(t)?
-            }
-            Op::Conv2d {
-                input,
-                filter,
-                padding,
-            } => {
-                let (ti, tf) = (get(*input), get(*filter));
-                let (out, cost) = kernels::conv2d(pool, ti, tf, *padding)?;
-                stats.charge_conv(cost);
-                out
-            }
-            Op::MaxPool2(x) => {
-                stats.charge_serial(get(*x).len() as f64);
-                max_pool2(get(*x))?.0
-            }
-            Op::Flatten(x) => {
-                let t = get(*x);
-                let batch = *t.shape().first().unwrap_or(&1);
-                let rest = t.len() / batch.max(1);
-                t.reshape(&[batch, rest])?
-            }
-            Op::Reshape(x, shape) => get(*x).reshape(shape)?,
-            Op::SoftmaxCrossEntropy { logits, labels } => {
-                let (tl, ty) = (get(*logits), get(*labels));
-                stats.charge_serial(8.0 * tl.len() as f64);
-                softmax_cross_entropy(tl, ty)?
-            }
-            Op::MseLoss(p, t) => {
-                let (tp, tt) = (get(*p), get(*t));
-                stats.charge_serial(3.0 * tp.len() as f64);
-                let diff = tp.zip(tt, |a, b| a - b)?;
-                Tensor::scalar(diff.data().iter().map(|d| d * d).sum::<f32>() / tp.len() as f32)
-            }
-            Op::Sub(a, b) => {
-                stats.charge_serial(get(*a).len() as f64);
-                get(*a).zip(get(*b), |x, y| x - y)?
-            }
-            Op::Scale(x, factor) => {
-                let f = *factor;
-                stats.charge_serial(get(*x).len() as f64);
-                get(*x).map(|v| v * f)
-            }
-            Op::Sigmoid(x) => {
-                stats.charge_serial(4.0 * get(*x).len() as f64);
-                get(*x).map(|v| 1.0 / (1.0 + (-v).exp()))
-            }
-            Op::Tanh(x) => {
-                stats.charge_serial(4.0 * get(*x).len() as f64);
-                get(*x).map(f32::tanh)
-            }
-            Op::AvgPool2(x) => {
-                stats.charge_serial(get(*x).len() as f64);
-                avg_pool2(get(*x))?
-            }
-            Op::ConcatCols(a, b) => concat_cols(get(*a), get(*b))?,
-            Op::FusedMatMul {
-                lhs,
-                rhs,
-                bias,
-                relu,
-            } => {
-                let (tl, tr, tb) = (get(*lhs), get(*rhs), get(*bias));
-                let (out, cost) = kernels::matmul_bias_relu(pool, tl, tr, tb, *relu)?;
-                stats.charge_matmul(cost);
-                out
-            }
-            Op::FusedConv2d {
-                input,
-                filter,
-                bias,
-                padding,
-                relu,
-            } => {
-                let (ti, tf, tb) = (get(*input), get(*filter), get(*bias));
-                let (out, cost) = kernels::conv2d_bias_relu(pool, ti, tf, tb, *padding, *relu)?;
-                stats.charge_conv(cost);
-                out
-            }
-        };
-        stats.activation_bytes += value.byte_len();
-        values[index] = Some(value);
-    }
-    Ok(Forward { values, stats })
-}
-
-/// Computes gradients of the scalar `loss` with respect to every needed
-/// node, given a completed forward pass.
-///
-/// # Errors
-///
-/// * [`TensorError::InvalidGraph`] if `loss` is not a scalar or was not
-///   computed by `fwd`.
-pub fn backward(
-    graph: &Graph,
-    fwd: &Forward,
-    loss: NodeId,
-) -> Result<HashMap<NodeId, Tensor>, TensorError> {
-    backward_with(graph, fwd, loss, &WorkerPool::serial())
-}
-
-/// [`backward`] with an explicit worker pool for the matmul/conv kernels.
-/// Gradients are bit-identical to the serial pass for any worker count.
-///
-/// # Errors
-///
-/// Same conditions as [`backward`].
-pub fn backward_with(
-    graph: &Graph,
-    fwd: &Forward,
-    loss: NodeId,
-    pool: &WorkerPool,
-) -> Result<HashMap<NodeId, Tensor>, TensorError> {
-    let loss_value = fwd
-        .value(loss)
-        .ok_or(TensorError::InvalidGraph("loss not computed by forward"))?;
-    if loss_value.len() != 1 {
-        return Err(TensorError::InvalidGraph("loss must be scalar"));
-    }
-    let mut grads: HashMap<NodeId, Tensor> = HashMap::new();
-    grads.insert(loss, Tensor::full(loss_value.shape(), 1.0));
-
-    for index in (0..=loss.0).rev() {
-        let id = NodeId(index);
-        let Some(grad) = grads.get(&id).cloned() else {
-            continue;
-        };
-        let node = graph.node(id)?;
-        let value_of = |nid: NodeId| -> Result<&Tensor, TensorError> {
-            fwd.value(nid)
-                .ok_or(TensorError::InvalidGraph("missing forward value"))
-        };
-        let accumulate = |grads: &mut HashMap<NodeId, Tensor>,
-                              nid: NodeId,
-                              g: Tensor|
-         -> Result<(), TensorError> {
-            match grads.get_mut(&nid) {
-                Some(existing) => {
-                    *existing = existing.zip(&g, |a, b| a + b)?;
-                }
-                None => {
-                    grads.insert(nid, g);
-                }
-            }
-            Ok(())
-        };
-        match &node.op {
-            Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => {}
-            Op::MatMul(a, b) => {
-                let (ta, tb) = (value_of(*a)?, value_of(*b)?);
-                let ga = kernels::matmul(pool, &grad, &tb.transpose()?)?.0;
-                let gb = kernels::matmul(pool, &ta.transpose()?, &grad)?.0;
-                accumulate(&mut grads, *a, ga)?;
-                accumulate(&mut grads, *b, gb)?;
-            }
-            Op::AddBias(x, bias) => {
-                let tb = value_of(*bias)?;
-                accumulate(&mut grads, *x, grad.clone())?;
-                accumulate(&mut grads, *bias, column_sum(&grad, tb.shape())?)?;
-            }
-            Op::Add(a, b) => {
-                accumulate(&mut grads, *a, grad.clone())?;
-                accumulate(&mut grads, *b, grad)?;
-            }
-            Op::Mul(a, b) => {
-                let (ta, tb) = (value_of(*a)?.clone(), value_of(*b)?.clone());
-                accumulate(&mut grads, *a, grad.zip(&tb, |g, v| g * v)?)?;
-                accumulate(&mut grads, *b, grad.zip(&ta, |g, v| g * v)?)?;
-            }
-            Op::Relu(x) => {
-                let tx = value_of(*x)?;
-                let gx = grad.zip(tx, |g, v| if v > 0.0 { g } else { 0.0 })?;
-                accumulate(&mut grads, *x, gx)?;
-            }
-            Op::Softmax(x) => {
-                let s = fwd
-                    .value(id)
-                    .ok_or(TensorError::InvalidGraph("missing softmax value"))?;
-                accumulate(&mut grads, *x, softmax_grad(s, &grad)?)?;
-            }
-            Op::Conv2d {
-                input,
-                filter,
-                padding,
-            } => {
-                let (ti, tf) = (value_of(*input)?, value_of(*filter)?);
-                let (gi, gf, _) = kernels::conv2d_grad(pool, ti, tf, &grad, *padding)?;
-                accumulate(&mut grads, *input, gi)?;
-                accumulate(&mut grads, *filter, gf)?;
-            }
-            Op::MaxPool2(x) => {
-                let tx = value_of(*x)?;
-                let (_, indices) = max_pool2(tx)?;
-                let mut gx = Tensor::zeros(tx.shape());
-                for (out_idx, &src_idx) in indices.iter().enumerate() {
-                    gx.data_mut()[src_idx] += grad.data()[out_idx];
-                }
-                accumulate(&mut grads, *x, gx)?;
-            }
-            Op::Flatten(x) | Op::Reshape(x, _) => {
-                let tx = value_of(*x)?;
-                accumulate(&mut grads, *x, grad.reshape(tx.shape())?)?;
-            }
-            Op::SoftmaxCrossEntropy { logits, labels } => {
-                let (tl, ty) = (value_of(*logits)?, value_of(*labels)?);
-                let batch = tl.shape()[0] as f32;
-                let probs = softmax(tl)?;
-                let scale = grad.data()[0] / batch;
-                let gl = probs.zip(ty, |p, y| (p - y) * scale)?;
-                accumulate(&mut grads, *logits, gl)?;
-            }
-            Op::MseLoss(p, t) => {
-                let (tp, tt) = (value_of(*p)?, value_of(*t)?);
-                let n = tp.len() as f32;
-                let scale = 2.0 * grad.data()[0] / n;
-                let gp = tp.zip(tt, |a, b| (a - b) * scale)?;
-                accumulate(&mut grads, *p, gp)?;
-            }
-            Op::Sub(a, b) => {
-                accumulate(&mut grads, *a, grad.clone())?;
-                accumulate(&mut grads, *b, grad.map(|g| -g))?;
-            }
-            Op::Scale(x, factor) => {
-                let f = *factor;
-                accumulate(&mut grads, *x, grad.map(|g| g * f))?;
-            }
-            Op::Sigmoid(x) => {
-                let s = fwd
-                    .value(id)
-                    .ok_or(TensorError::InvalidGraph("missing sigmoid value"))?;
-                let gx = grad.zip(s, |g, sv| g * sv * (1.0 - sv))?;
-                accumulate(&mut grads, *x, gx)?;
-            }
-            Op::Tanh(x) => {
-                let t = fwd
-                    .value(id)
-                    .ok_or(TensorError::InvalidGraph("missing tanh value"))?;
-                let gx = grad.zip(t, |g, tv| g * (1.0 - tv * tv))?;
-                accumulate(&mut grads, *x, gx)?;
-            }
-            Op::AvgPool2(x) => {
-                let tx = value_of(*x)?;
-                accumulate(&mut grads, *x, avg_pool2_grad(tx.shape(), &grad)?)?;
-            }
-            Op::ConcatCols(a, b) => {
-                let (ta, tb) = (value_of(*a)?, value_of(*b)?);
-                let (ga, gb) = concat_cols_grad(ta.shape(), tb.shape(), &grad)?;
-                accumulate(&mut grads, *a, ga)?;
-                accumulate(&mut grads, *b, gb)?;
-            }
-            Op::FusedMatMul {
-                lhs,
-                rhs,
-                bias,
-                relu,
-            } => {
-                // `relu(pre) > 0 ⟺ pre > 0`, so masking on the fused
-                // output is bit-identical to the unfused relu backward's
-                // mask on the never-materialized pre-activation.
-                let dpre = if *relu {
-                    let y = fwd
-                        .value(id)
-                        .ok_or(TensorError::InvalidGraph("missing fused value"))?;
-                    grad.zip(y, |g, v| if v > 0.0 { g } else { 0.0 })?
-                } else {
-                    grad.clone()
-                };
-                let (tl, tr, tb) = (value_of(*lhs)?, value_of(*rhs)?, value_of(*bias)?);
-                let gbias = column_sum(&dpre, tb.shape())?;
-                let ga = kernels::matmul(pool, &dpre, &tr.transpose()?)?.0;
-                let gb = kernels::matmul(pool, &tl.transpose()?, &dpre)?.0;
-                // Unfused order: add_bias's bias grad lands before the
-                // matmul grads, so aliased inputs accumulate identically.
-                accumulate(&mut grads, *bias, gbias)?;
-                accumulate(&mut grads, *lhs, ga)?;
-                accumulate(&mut grads, *rhs, gb)?;
-            }
-            Op::FusedConv2d {
-                input,
-                filter,
-                bias,
-                padding,
-                relu,
-            } => {
-                let dpre = if *relu {
-                    let y = fwd
-                        .value(id)
-                        .ok_or(TensorError::InvalidGraph("missing fused value"))?;
-                    grad.zip(y, |g, v| if v > 0.0 { g } else { 0.0 })?
-                } else {
-                    grad.clone()
-                };
-                let (ti, tf, tb) = (value_of(*input)?, value_of(*filter)?, value_of(*bias)?);
-                let gbias = column_sum(&dpre, tb.shape())?;
-                let (gi, gf, _) = kernels::conv2d_grad(pool, ti, tf, &dpre, *padding)?;
-                accumulate(&mut grads, *bias, gbias)?;
-                accumulate(&mut grads, *input, gi)?;
-                accumulate(&mut grads, *filter, gf)?;
-            }
-        }
-    }
-    Ok(grads)
-}
-
-// ---- planned execution -----------------------------------------------------
-//
-// The planned forward/backward passes mirror `forward_with`/`backward_with`
-// arm for arm — same kernels, same reduction orders, same stats charges —
-// but draw kernel output buffers from the session arena
-// ([`crate::memory::ExecMemory`]), reuse the kernel [`Workspace`], read
-// shape-only operands from the plan instead of keeping the tensors alive,
-// and recycle each value the moment its planned lifetime ends. The memory
-// proptests assert bit-identity between the two pairs.
-
-/// [`forward_with`] executing into planned arena slots. `values` must be
-/// cleared and resized to `graph.len()` by the caller; results land there
-/// so the backward pass (and fetch cloning) can read them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_planned(
+pub(crate) fn forward(
     graph: &Graph,
     feeds: &HashMap<NodeId, Tensor>,
     vars: &HashMap<NodeId, Tensor>,
@@ -647,7 +237,7 @@ pub(crate) fn forward_planned(
             }
             Op::MaxPool2(x) => {
                 stats.charge_serial(get(*x).len() as f64);
-                max_pool2_with(get(*x), &mut ws.pool_indices, &mut |len| mem.take(len))?
+                max_pool2(get(*x), &mut ws.pool_indices, &mut |len| mem.take(len))?
             }
             Op::Flatten(x) => {
                 let t = get(*x);
@@ -734,9 +324,8 @@ pub(crate) fn forward_planned(
 }
 
 /// Accumulates gradient `g` into `nid`'s entry: in-place add on merge
-/// (value-identical to `backward_with`'s `zip(a + b)`, recycling `g`'s
-/// buffer), arena bookkeeping on first insert.
-fn accumulate_planned(
+/// (recycling `g`'s buffer), arena bookkeeping on first insert.
+fn accumulate(
     grads: &mut HashMap<NodeId, Tensor>,
     mem: &mut ExecMemory,
     nid: NodeId,
@@ -763,13 +352,18 @@ fn accumulate_planned(
     Ok(())
 }
 
-/// [`backward_with`] over a planned forward pass: gradients draw buffers
-/// from the arena, shape-only operands come from the plan, forward values
-/// are recycled at their last backward reader, and non-variable gradients
-/// are recycled right after their node's rule fires. Returns exactly the
-/// variable gradients (what the optimizer consumes), each bit-identical
-/// to the unplanned pass.
-pub(crate) fn backward_planned(
+/// Computes gradients of the scalar `loss` over a completed forward pass:
+/// gradients draw buffers from the arena, shape-only operands come from
+/// the plan, forward values are recycled at their last backward reader,
+/// and non-variable gradients are recycled right after their node's rule
+/// fires. Returns exactly the variable gradients (what the optimizer
+/// consumes).
+///
+/// # Errors
+///
+/// * [`TensorError::InvalidGraph`] if `loss` is not a scalar or was not
+///   computed by the forward pass.
+pub(crate) fn backward(
     graph: &Graph,
     values: &mut [Option<Tensor>],
     loss: NodeId,
@@ -816,27 +410,27 @@ pub(crate) fn backward_planned(
                     let gb = kernels::matmul_with(pool, &tat, &grad, &mut |len| mem.take(len))?.0;
                     mem.recycle(tat);
                     mem.recycle(tbt);
-                    accumulate_planned(&mut grads, mem, *a, ga)?;
-                    accumulate_planned(&mut grads, mem, *b, gb)?;
+                    accumulate(&mut grads, mem, *a, ga)?;
+                    accumulate(&mut grads, mem, *b, gb)?;
                 }
                 Op::AddBias(x, bias) => {
                     let bias_shape = mem.plan().shape(bias.0).to_vec();
-                    accumulate_planned(&mut grads, mem, *x, grad.clone())?;
-                    accumulate_planned(&mut grads, mem, *bias, column_sum(&grad, &bias_shape)?)?;
+                    accumulate(&mut grads, mem, *x, grad.clone())?;
+                    accumulate(&mut grads, mem, *bias, column_sum(&grad, &bias_shape)?)?;
                 }
                 Op::Add(a, b) => {
-                    accumulate_planned(&mut grads, mem, *a, grad.clone())?;
-                    accumulate_planned(&mut grads, mem, *b, grad.clone())?;
+                    accumulate(&mut grads, mem, *a, grad.clone())?;
+                    accumulate(&mut grads, mem, *b, grad.clone())?;
                 }
                 Op::Mul(a, b) => {
                     let ga = grad.zip(value_of(*b)?, |g, v| g * v)?;
                     let gb = grad.zip(value_of(*a)?, |g, v| g * v)?;
-                    accumulate_planned(&mut grads, mem, *a, ga)?;
-                    accumulate_planned(&mut grads, mem, *b, gb)?;
+                    accumulate(&mut grads, mem, *a, ga)?;
+                    accumulate(&mut grads, mem, *b, gb)?;
                 }
                 Op::Relu(x) => {
                     let gx = grad.zip(value_of(*x)?, |g, v| if v > 0.0 { g } else { 0.0 })?;
-                    accumulate_planned(&mut grads, mem, *x, gx)?;
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Softmax(x) => {
                     let s = values
@@ -844,7 +438,7 @@ pub(crate) fn backward_planned(
                         .and_then(Option::as_ref)
                         .ok_or(TensorError::InvalidGraph("missing softmax value"))?;
                     let gx = softmax_grad(s, &grad)?;
-                    accumulate_planned(&mut grads, mem, *x, gx)?;
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Conv2d {
                     input,
@@ -856,23 +450,23 @@ pub(crate) fn backward_planned(
                         kernels::conv2d_grad_with(pool, ws, ti, tf, &grad, *padding, &mut |len| {
                             mem.take(len)
                         })?;
-                    accumulate_planned(&mut grads, mem, *input, gi)?;
-                    accumulate_planned(&mut grads, mem, *filter, gf)?;
+                    accumulate(&mut grads, mem, *input, gi)?;
+                    accumulate(&mut grads, mem, *filter, gf)?;
                 }
                 Op::MaxPool2(x) => {
                     let tx = value_of(*x)?;
                     let routed =
-                        max_pool2_with(tx, &mut ws.pool_indices, &mut |len| mem.take(len))?;
+                        max_pool2(tx, &mut ws.pool_indices, &mut |len| mem.take(len))?;
                     let mut gx = Tensor::from_vec(tx.shape(), mem.take(tx.len()))?;
                     for (out_idx, &src_idx) in ws.pool_indices.iter().enumerate() {
                         gx.data_mut()[src_idx] += grad.data()[out_idx];
                     }
                     mem.recycle(routed);
-                    accumulate_planned(&mut grads, mem, *x, gx)?;
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Flatten(x) | Op::Reshape(x, _) => {
                     let x_shape = mem.plan().shape(x.0).to_vec();
-                    accumulate_planned(&mut grads, mem, *x, grad.reshape(&x_shape)?)?;
+                    accumulate(&mut grads, mem, *x, grad.reshape(&x_shape)?)?;
                 }
                 Op::SoftmaxCrossEntropy { logits, labels } => {
                     let (tl, ty) = (value_of(*logits)?, value_of(*labels)?);
@@ -881,22 +475,22 @@ pub(crate) fn backward_planned(
                     let scale = grad.data()[0] / batch;
                     let gl = probs.zip(ty, |p, y| (p - y) * scale)?;
                     mem.recycle(probs);
-                    accumulate_planned(&mut grads, mem, *logits, gl)?;
+                    accumulate(&mut grads, mem, *logits, gl)?;
                 }
                 Op::MseLoss(p, t) => {
                     let (tp, tt) = (value_of(*p)?, value_of(*t)?);
                     let n = tp.len() as f32;
                     let scale = 2.0 * grad.data()[0] / n;
                     let gp = tp.zip(tt, |a, b| (a - b) * scale)?;
-                    accumulate_planned(&mut grads, mem, *p, gp)?;
+                    accumulate(&mut grads, mem, *p, gp)?;
                 }
                 Op::Sub(a, b) => {
-                    accumulate_planned(&mut grads, mem, *a, grad.clone())?;
-                    accumulate_planned(&mut grads, mem, *b, grad.map(|g| -g))?;
+                    accumulate(&mut grads, mem, *a, grad.clone())?;
+                    accumulate(&mut grads, mem, *b, grad.map(|g| -g))?;
                 }
                 Op::Scale(x, factor) => {
                     let f = *factor;
-                    accumulate_planned(&mut grads, mem, *x, grad.map(|g| g * f))?;
+                    accumulate(&mut grads, mem, *x, grad.map(|g| g * f))?;
                 }
                 Op::Sigmoid(x) => {
                     let s = values
@@ -904,7 +498,7 @@ pub(crate) fn backward_planned(
                         .and_then(Option::as_ref)
                         .ok_or(TensorError::InvalidGraph("missing sigmoid value"))?;
                     let gx = grad.zip(s, |g, sv| g * sv * (1.0 - sv))?;
-                    accumulate_planned(&mut grads, mem, *x, gx)?;
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Tanh(x) => {
                     let t = values
@@ -912,18 +506,18 @@ pub(crate) fn backward_planned(
                         .and_then(Option::as_ref)
                         .ok_or(TensorError::InvalidGraph("missing tanh value"))?;
                     let gx = grad.zip(t, |g, tv| g * (1.0 - tv * tv))?;
-                    accumulate_planned(&mut grads, mem, *x, gx)?;
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::AvgPool2(x) => {
                     let x_shape = mem.plan().shape(x.0).to_vec();
-                    accumulate_planned(&mut grads, mem, *x, avg_pool2_grad(&x_shape, &grad)?)?;
+                    accumulate(&mut grads, mem, *x, avg_pool2_grad(&x_shape, &grad)?)?;
                 }
                 Op::ConcatCols(a, b) => {
                     let a_shape = mem.plan().shape(a.0).to_vec();
                     let b_shape = mem.plan().shape(b.0).to_vec();
                     let (ga, gb) = concat_cols_grad(&a_shape, &b_shape, &grad)?;
-                    accumulate_planned(&mut grads, mem, *a, ga)?;
-                    accumulate_planned(&mut grads, mem, *b, gb)?;
+                    accumulate(&mut grads, mem, *a, ga)?;
+                    accumulate(&mut grads, mem, *b, gb)?;
                 }
                 Op::FusedMatMul {
                     lhs,
@@ -931,6 +525,9 @@ pub(crate) fn backward_planned(
                     bias,
                     relu,
                 } => {
+                    // `relu(pre) > 0 ⟺ pre > 0`, so masking on the fused
+                    // output is bit-identical to the unfused relu backward's
+                    // mask on the never-materialized pre-activation.
                     let dpre = if *relu {
                         let y = values
                             .get(index)
@@ -950,9 +547,11 @@ pub(crate) fn backward_planned(
                     mem.recycle(tlt);
                     mem.recycle(trt);
                     mem.recycle(dpre);
-                    accumulate_planned(&mut grads, mem, *bias, gbias)?;
-                    accumulate_planned(&mut grads, mem, *lhs, ga)?;
-                    accumulate_planned(&mut grads, mem, *rhs, gb)?;
+                    // Unfused order: add_bias's bias grad lands before the
+                    // matmul grads, so aliased inputs accumulate identically.
+                    accumulate(&mut grads, mem, *bias, gbias)?;
+                    accumulate(&mut grads, mem, *lhs, ga)?;
+                    accumulate(&mut grads, mem, *rhs, gb)?;
                 }
                 Op::FusedConv2d {
                     input,
@@ -978,9 +577,9 @@ pub(crate) fn backward_planned(
                             mem.take(len)
                         })?;
                     mem.recycle(dpre);
-                    accumulate_planned(&mut grads, mem, *bias, gbias)?;
-                    accumulate_planned(&mut grads, mem, *input, gi)?;
-                    accumulate_planned(&mut grads, mem, *filter, gf)?;
+                    accumulate(&mut grads, mem, *bias, gbias)?;
+                    accumulate(&mut grads, mem, *input, gi)?;
+                    accumulate(&mut grads, mem, *filter, gf)?;
                 }
             }
             mem.release_grad(index, grad);
@@ -1193,16 +792,10 @@ fn concat_cols_grad(
     Ok((ga, gb))
 }
 
-fn max_pool2(x: &Tensor) -> Result<(Tensor, Vec<usize>), TensorError> {
-    let mut indices = Vec::new();
-    let out = max_pool2_with(x, &mut indices, &mut |len| vec![0.0f32; len])?;
-    Ok((out, indices))
-}
-
-/// [`max_pool2`] writing the output into a `take`-provided buffer and the
-/// argmax routing indices into a caller-owned, reusable `indices` vector
-/// (resized here). Bit-identical to [`max_pool2`].
-fn max_pool2_with(
+/// 2×2 max pooling writing the output into a `take`-provided buffer and
+/// the argmax routing indices into a caller-owned, reusable `indices`
+/// vector (resized here).
+fn max_pool2(
     x: &Tensor,
     indices: &mut Vec<usize>,
     take: TakeBuffer<'_>,
@@ -1250,6 +843,17 @@ fn max_pool2_with(
 mod tests {
     use super::*;
     use crate::graph::{Graph, Padding};
+    use crate::memory::PlannedExecutor;
+
+    /// Evaluates `targets` on a fresh executor with serial kernels.
+    fn run(
+        graph: &Graph,
+        feeds: &HashMap<NodeId, Tensor>,
+        vars: &HashMap<NodeId, Tensor>,
+        targets: &[NodeId],
+    ) -> Result<(Vec<Tensor>, RunStats), TensorError> {
+        PlannedExecutor::new().run(graph, feeds, vars, targets, &WorkerPool::serial())
+    }
 
     fn feeds(pairs: &[(NodeId, Tensor)]) -> HashMap<NodeId, Tensor> {
         pairs.iter().cloned().collect()
@@ -1268,16 +872,35 @@ mod tests {
             .collect()
     }
 
-    /// Numerically checks d(loss)/d(var) for every variable element.
+    /// Numerically checks d(loss)/d(var) for every variable element, with
+    /// serial and with pooled kernels.
     fn gradient_check(
+        graph: &Graph,
+        feeds: &HashMap<NodeId, Tensor>,
+        vars: HashMap<NodeId, Tensor>,
+        loss: NodeId,
+        tolerance: f32,
+    ) {
+        for pool in [WorkerPool::serial(), WorkerPool::new(3)] {
+            gradient_check_on(&pool, graph, feeds, vars.clone(), loss, tolerance);
+        }
+    }
+
+    fn gradient_check_on(
+        pool: &WorkerPool,
         graph: &Graph,
         feeds: &HashMap<NodeId, Tensor>,
         mut vars: HashMap<NodeId, Tensor>,
         loss: NodeId,
         tolerance: f32,
     ) {
-        let fwd = forward(graph, feeds, &vars, &[loss]).unwrap();
-        let grads = backward(graph, &fwd, loss).unwrap();
+        let (_, grads, _) = PlannedExecutor::new()
+            .train(graph, feeds, &vars, loss, pool)
+            .unwrap();
+        let mut executor = PlannedExecutor::new();
+        let mut loss_at = |vars: &HashMap<NodeId, Tensor>| {
+            executor.run(graph, feeds, vars, &[loss], pool).unwrap().0[0].data()[0]
+        };
         let eps = 1e-3f32;
         for var in graph.variables() {
             let analytic = grads.get(&var).cloned().unwrap_or_else(|| {
@@ -1286,15 +909,9 @@ mod tests {
             for i in 0..vars[&var].len() {
                 let orig = vars[&var].data()[i];
                 vars.get_mut(&var).unwrap().data_mut()[i] = orig + eps;
-                let up = forward(graph, feeds, &vars, &[loss]).unwrap()
-                    .value(loss)
-                    .unwrap()
-                    .data()[0];
+                let up = loss_at(&vars);
                 vars.get_mut(&var).unwrap().data_mut()[i] = orig - eps;
-                let down = forward(graph, feeds, &vars, &[loss]).unwrap()
-                    .value(loss)
-                    .unwrap()
-                    .data()[0];
+                let down = loss_at(&vars);
                 vars.get_mut(&var).unwrap().data_mut()[i] = orig;
                 let numeric = (up - down) / (2.0 * eps);
                 let a = analytic.data()[i];
@@ -1316,7 +933,7 @@ mod tests {
         let biased = g.add_bias(mm, b).unwrap();
         let y = g.relu(biased).unwrap();
         let vars = vars_of(&g);
-        let fwd = forward(
+        let (out, stats) = run(
             &g,
             &feeds(&[(x, Tensor::from_vec(&[1, 2], vec![1.0, 2.0]).unwrap())]),
             &vars,
@@ -1324,8 +941,8 @@ mod tests {
         )
         .unwrap();
         // x·W = [1*1+2*0.5, 1*-1+2*2] = [2, 3]; +b = [2.1, 2.8]; relu same.
-        assert_eq!(fwd.value(y).unwrap().data(), &[2.1, 2.8]);
-        assert!(fwd.stats.flops > 0.0);
+        assert_eq!(out[0].data(), &[2.1, 2.8]);
+        assert!(stats.flops > 0.0);
     }
 
     #[test]
@@ -1334,7 +951,7 @@ mod tests {
         let x = g.placeholder("x", &[0, 2]);
         let y = g.relu(x).unwrap();
         assert!(matches!(
-            forward(&g, &HashMap::new(), &HashMap::new(), &[y]),
+            run(&g, &HashMap::new(), &HashMap::new(), &[y]),
             Err(TensorError::BadFeed(_))
         ));
     }
@@ -1344,7 +961,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.placeholder("x", &[0, 2]);
         let y = g.relu(x).unwrap();
-        let result = forward(
+        let result = run(
             &g,
             &feeds(&[(x, Tensor::zeros(&[1, 3]))]),
             &HashMap::new(),
@@ -1358,8 +975,8 @@ mod tests {
         let mut g = Graph::new();
         let _unused = g.placeholder("unused", &[1]);
         let c = g.constant("c", Tensor::scalar(3.0));
-        let fwd = forward(&g, &HashMap::new(), &HashMap::new(), &[c]).unwrap();
-        assert_eq!(fwd.value(c).unwrap().data(), &[3.0]);
+        let (out, _) = run(&g, &HashMap::new(), &HashMap::new(), &[c]).unwrap();
+        assert_eq!(out[0].data(), &[3.0]);
     }
 
     #[test]
@@ -1536,7 +1153,8 @@ mod tests {
             vec![1.0, 5.0, 3.0, 2.0],
         )
         .unwrap();
-        let (out, idx) = max_pool2(&x).unwrap();
+        let mut idx = Vec::new();
+        let out = max_pool2(&x, &mut idx, &mut |len| vec![0.0; len]).unwrap();
         assert_eq!(out.shape(), &[1, 1, 1, 1]);
         assert_eq!(out.data(), &[5.0]);
         assert_eq!(idx, vec![1]);
@@ -1547,17 +1165,14 @@ mod tests {
         let mut g = Graph::new();
         let x = g.placeholder("x", &[0, 2]);
         let y = g.relu(x).unwrap();
-        let fwd = forward(
+        let result = PlannedExecutor::new().train(
             &g,
             &feeds(&[(x, Tensor::zeros(&[1, 2]))]),
             &HashMap::new(),
-            &[y],
-        )
-        .unwrap();
-        assert!(matches!(
-            backward(&g, &fwd, y),
-            Err(TensorError::InvalidGraph(_))
-        ));
+            y,
+            &WorkerPool::serial(),
+        );
+        assert!(matches!(result, Err(TensorError::InvalidGraph(_))));
     }
 
     #[test]
@@ -1642,14 +1257,14 @@ mod tests {
         let mut g = Graph::new();
         let x = g.placeholder("x", &[0, 3]);
         let s = g.sigmoid(x).unwrap();
-        let fwd = forward(
+        let (out, _) = run(
             &g,
             &feeds(&[(x, Tensor::from_vec(&[1, 3], vec![-100.0, 0.0, 100.0]).unwrap())]),
             &HashMap::new(),
             &[s],
         )
         .unwrap();
-        let v = fwd.value(s).unwrap().data();
+        let v = out[0].data();
         assert!(v[0] < 1e-6);
         assert!((v[1] - 0.5).abs() < 1e-6);
         assert!(v[2] > 1.0 - 1e-6);
@@ -1674,14 +1289,15 @@ mod tests {
         let double = g.add(a, a).unwrap();
         let loss = g.mse_loss(double, t).unwrap();
         let vars = vars_of(&g);
-        let fwd = forward(
-            &g,
-            &feeds(&[(t, Tensor::from_vec(&[1, 1], vec![0.0]).unwrap())]),
-            &vars,
-            &[loss],
-        )
-        .unwrap();
-        let grads = backward(&g, &fwd, loss).unwrap();
+        let (_, grads, _) = PlannedExecutor::new()
+            .train(
+                &g,
+                &feeds(&[(t, Tensor::from_vec(&[1, 1], vec![0.0]).unwrap())]),
+                &vars,
+                loss,
+                &WorkerPool::serial(),
+            )
+            .unwrap();
         // loss = (2a)^2, d/da = 8a = 8.
         assert!((grads[&a].data()[0] - 8.0).abs() < 1e-5);
     }

@@ -185,32 +185,14 @@ pub fn matmul_bias_relu_with(
     Ok((out, cost))
 }
 
-/// Fused `conv2d + bias[ → relu]`: [`conv2d`]'s im2col + GEMM followed by
-/// an in-buffer per-channel bias/relu epilogue. Bit-identical to the
-/// unfused `conv2d → add_bias → relu` op sequence for any worker count.
+/// Fused `conv2d + bias[ → relu]` with caller-provided scratch and output
+/// buffer: [`conv2d_with`]'s im2col + GEMM followed by an in-buffer
+/// per-channel bias/relu epilogue. Bit-identical to the unfused
+/// `conv2d → add_bias → relu` op sequence for any worker count.
 ///
 /// # Errors
 ///
 /// Same conditions as [`conv2d`], plus a bias shape check (`[cout]`).
-pub fn conv2d_bias_relu(
-    pool: &WorkerPool,
-    input: &Tensor,
-    filter: &Tensor,
-    bias: &Tensor,
-    padding: Padding,
-    relu: bool,
-) -> Result<(Tensor, KernelCost), TensorError> {
-    let mut ws = Workspace::new();
-    conv2d_bias_relu_with(pool, &mut ws, input, filter, bias, padding, relu, &mut |len| {
-        vec![0.0f32; len]
-    })
-}
-
-/// [`conv2d_bias_relu`] with caller-provided scratch and output buffer.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_bias_relu`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_bias_relu_with(
     pool: &WorkerPool,

@@ -22,10 +22,11 @@
 //!   sees planned execution touch strictly fewer pages than the
 //!   size-of-everything baseline.
 //!
-//! Planning never changes results: planned execution is bit-for-bit
-//! identical to the unplanned pass (property-tested), and when a graph
-//! cannot be planned (e.g. a placeholder fed with exotic shapes mid-run)
-//! the executor silently falls back to unplanned execution.
+//! Planning never changes results: buffers are owned, zero-filled on
+//! `take`, and a value dropped too early surfaces as a typed error, never
+//! as a different number. A graph that cannot be planned (missing feed,
+//! operand shape mismatch) cannot be executed either, so the planner's
+//! typed error is returned to the caller.
 
 use crate::autodiff::{self, RunStats};
 use crate::graph::{Graph, NodeId, Op, Padding};
@@ -33,19 +34,6 @@ use crate::kernels::{WorkerPool, Workspace};
 use crate::tensor::Tensor;
 use crate::TensorError;
 use std::collections::HashMap;
-
-/// Execution memory strategy of a [`crate::session::Session`] (or a
-/// tflite interpreter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoryMode {
-    /// Per-node `Vec` allocation; every intermediate lives to the end of
-    /// the run. The pre-planning baseline, kept for A/B benchmarks.
-    Unplanned,
-    /// Liveness-planned arena execution (the default): bit-identical
-    /// results, bounded resident set, recycled buffers.
-    #[default]
-    Planned,
-}
 
 /// One planned buffer: an offset range in the arena plus the half-open
 /// lifetime interval (in unified timeline steps) during which it is live.
@@ -63,7 +51,7 @@ pub struct Slot {
 
 /// A complete memory plan for one graph execution (inference or one
 /// training step).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemoryPlan {
     /// Size of the arena: the high-water mark of the first-fit layout.
     /// Every live set fits below this offset at every step.
@@ -115,15 +103,56 @@ fn bytes_of(shape: &[usize]) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns the same classes of error the executor would raise (missing
-/// feeds, operand rank/shape mismatches); callers treat any error as
-/// "not plannable" and fall back to unplanned execution, which re-raises
-/// the executor's own error for the user.
+/// Returns the same [`TensorError`] variants the executor raises for the
+/// same condition:
+///
+/// * [`TensorError::BadFeed`] for missing or mis-shaped placeholder feeds.
+/// * [`TensorError::InvalidGraph`] for a variable with no session value.
+/// * [`TensorError::ShapeMismatch`] for incompatible operand shapes.
 pub fn infer_shapes(
     graph: &Graph,
     needed: &[bool],
     feeds: &HashMap<NodeId, Tensor>,
     vars: &HashMap<NodeId, Tensor>,
+) -> Result<Vec<Vec<usize>>, TensorError> {
+    infer_shapes_from_leaves(
+        graph,
+        needed,
+        |id, name, template| {
+            let fed = feeds
+                .get(&id)
+                .ok_or_else(|| TensorError::BadFeed(format!("placeholder '{name}' not fed")))?;
+            if !autodiff::feed_matches_template(template, fed.shape()) {
+                return Err(TensorError::BadFeed(format!(
+                    "placeholder '{name}' expects {template:?}, fed {:?}",
+                    fed.shape()
+                )));
+            }
+            Ok(fed.shape().to_vec())
+        },
+        |id, _init| {
+            vars.get(&id)
+                .map(|value| value.shape().to_vec())
+                .ok_or(TensorError::InvalidGraph("variable without session value"))
+        },
+    )
+}
+
+/// [`infer_shapes`] with the leaf shapes supplied by the caller:
+/// `placeholder(id, name, template)` and `variable(id, init)` return the
+/// concrete shape of each needed placeholder and variable; every other
+/// node's shape follows from its op's shape rule. This is the one place
+/// the per-op shape rules are written down.
+///
+/// # Errors
+///
+/// Propagates leaf errors; [`TensorError::ShapeMismatch`] for
+/// incompatible operand shapes.
+pub fn infer_shapes_from_leaves(
+    graph: &Graph,
+    needed: &[bool],
+    placeholder: impl Fn(NodeId, &str, &[usize]) -> Result<Vec<usize>, TensorError>,
+    variable: impl Fn(NodeId, &Tensor) -> Result<Vec<usize>, TensorError>,
 ) -> Result<Vec<Vec<usize>>, TensorError> {
     let mut shapes: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
     for (index, node) in graph.nodes().iter().enumerate() {
@@ -137,25 +166,8 @@ pub fn infer_shapes(
             detail,
         };
         let shape = match &node.op {
-            Op::Placeholder { shape } => {
-                let fed = feeds
-                    .get(&id)
-                    .ok_or_else(|| TensorError::BadFeed(format!("placeholder '{}' not fed", node.name)))?;
-                if !autodiff::feed_matches_template(shape, fed.shape()) {
-                    return Err(TensorError::BadFeed(format!(
-                        "placeholder '{}' expects {:?}, fed {:?}",
-                        node.name,
-                        shape,
-                        fed.shape()
-                    )));
-                }
-                fed.shape().to_vec()
-            }
-            Op::Variable { .. } => vars
-                .get(&id)
-                .ok_or(TensorError::InvalidGraph("variable without session value"))?
-                .shape()
-                .to_vec(),
+            Op::Placeholder { shape } => placeholder(id, &node.name, shape)?,
+            Op::Variable { init } => variable(id, init)?,
             Op::Constant(t) => t.shape().to_vec(),
             Op::MatMul(a, b) => {
                 let (sa, sb) = (of(a), of(b));
@@ -167,7 +179,21 @@ pub fn infer_shapes(
                 }
                 vec![m, n]
             }
-            Op::AddBias(x, _) | Op::Relu(x) | Op::Softmax(x) | Op::Sigmoid(x) | Op::Tanh(x) => of(x),
+            Op::AddBias(x, bias) => {
+                let (sx, sb) = (of(x), of(bias));
+                if sx.last().is_none_or(|&n| sb != [n]) {
+                    return Err(mismatch(format!("add_bias x {sx:?} bias {sb:?}")));
+                }
+                sx
+            }
+            Op::Softmax(x) => {
+                let sx = of(x);
+                if sx.len() != 2 {
+                    return Err(mismatch(format!("softmax {sx:?} (need rank 2)")));
+                }
+                sx
+            }
+            Op::Relu(x) | Op::Sigmoid(x) | Op::Tanh(x) => of(x),
             Op::Add(a, b) | Op::Mul(a, b) | Op::Sub(a, b) => {
                 let (sa, sb) = (of(a), of(b));
                 if sa != sb {
@@ -649,7 +675,7 @@ pub struct SlotWrite {
 /// Point-in-time memory statistics of a planned executor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// Arena size the current plan requires (0 when unplanned).
+    /// Arena size the current plan requires (0 before the first run).
     pub planned_peak_bytes: u64,
     /// Sum of all planned buffer sizes — the no-sharing baseline.
     pub unshared_bytes: u64,
@@ -661,7 +687,7 @@ pub struct MemoryStats {
 
 /// Runtime state of one planned execution: the plan, the backing arena,
 /// resident accounting, and the slot-write log.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecMemory {
     plan: MemoryPlan,
     arena: Arena,
@@ -674,10 +700,7 @@ impl ExecMemory {
     fn new(plan: MemoryPlan) -> ExecMemory {
         ExecMemory {
             plan,
-            arena: Arena::default(),
-            resident_bytes: 0,
-            peak_resident_bytes: 0,
-            writes: Vec::new(),
+            ..ExecMemory::default()
         }
     }
 
@@ -766,14 +789,6 @@ impl ExecMemory {
     }
 }
 
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    key: u64,
-    /// `None` records "this configuration is not plannable" so the
-    /// fallback path does not re-run inference every step.
-    mem: Option<ExecMemory>,
-}
-
 /// Fingerprint of everything the plan depends on: graph structure, feed
 /// and variable shapes, targets, and the training flag.
 fn plan_key(
@@ -819,15 +834,17 @@ fn plan_key(
     hash
 }
 
-/// A reusable planned-execution engine: caches the memory plan, the
-/// arena, and the values vector across runs of the same configuration
-/// (shape change → transparent replan; unplannable graph → transparent
-/// fallback to unplanned execution).
+/// The graph executor: caches the memory plan, the arena, and the values
+/// vector across runs of the same configuration (shape change →
+/// transparent replan). This is the only way a graph reaches
+/// [`crate::kernels`].
 #[derive(Debug, Clone, Default)]
 pub struct PlannedExecutor {
     ws: Workspace,
     values: Vec<Option<Tensor>>,
-    cached: Option<CachedPlan>,
+    /// [`plan_key`] of the configuration `mem` was planned for.
+    key: Option<u64>,
+    mem: ExecMemory,
 }
 
 impl PlannedExecutor {
@@ -836,37 +853,28 @@ impl PlannedExecutor {
         PlannedExecutor::default()
     }
 
-    /// The plan size of the current cached plan, if any.
+    /// The arena size of the current plan, if any run has planned.
     pub fn planned_peak_bytes(&self) -> Option<u64> {
-        self.cached
-            .as_ref()
-            .and_then(|c| c.mem.as_ref())
-            .map(|m| m.plan.peak_bytes)
+        self.key.map(|_| self.mem.plan.peak_bytes)
     }
 
-    /// Current memory statistics (zeros when running unplanned).
+    /// Current memory statistics (zeros before the first run).
     pub fn memory_stats(&self) -> MemoryStats {
-        match self.cached.as_ref().and_then(|c| c.mem.as_ref()) {
-            Some(mem) => MemoryStats {
-                planned_peak_bytes: mem.plan.peak_bytes,
-                unshared_bytes: mem.plan.unshared_bytes,
-                resident_bytes: mem.resident_bytes,
-                peak_resident_bytes: mem.peak_resident_bytes,
-            },
-            None => MemoryStats::default(),
+        MemoryStats {
+            planned_peak_bytes: self.mem.plan.peak_bytes,
+            unshared_bytes: self.mem.plan.unshared_bytes,
+            resident_bytes: self.mem.resident_bytes,
+            peak_resident_bytes: self.mem.peak_resident_bytes,
         }
     }
 
-    /// Drains the arena slot writes recorded by runs since the last call
-    /// (empty when running unplanned).
+    /// Drains the arena slot writes recorded by runs since the last call.
     pub fn take_slot_writes(&mut self) -> Vec<SlotWrite> {
-        self.cached
-            .as_mut()
-            .and_then(|c| c.mem.as_mut())
-            .map(ExecMemory::take_writes)
-            .unwrap_or_default()
+        self.mem.take_writes()
     }
 
+    /// Replans when the configuration differs from the cached one. A
+    /// configuration that cannot be planned leaves the cache as it was.
     fn ensure_plan(
         &mut self,
         graph: &Graph,
@@ -875,29 +883,29 @@ impl PlannedExecutor {
         needed: &[bool],
         targets: &[NodeId],
         loss: Option<NodeId>,
-    ) {
+    ) -> Result<(), TensorError> {
         let key = plan_key(graph, feeds, vars, targets, loss.is_some());
-        if let Some(cached) = &self.cached {
-            if cached.key == key {
-                return;
-            }
+        if self.key != Some(key) {
+            let shapes = infer_shapes(graph, needed, feeds, vars)?;
+            let plan = match loss {
+                Some(loss) => plan_training(graph, shapes, needed, loss)?,
+                None => plan_inference(graph, shapes, needed, targets)?,
+            };
+            self.mem = ExecMemory::new(plan);
+            self.key = Some(key);
         }
-        let plan = infer_shapes(graph, needed, feeds, vars).and_then(|shapes| match loss {
-            Some(loss) => plan_training(graph, shapes, needed, loss),
-            None => plan_inference(graph, shapes, needed, targets),
-        });
-        self.cached = Some(CachedPlan {
-            key,
-            mem: plan.ok().map(ExecMemory::new),
-        });
+        Ok(())
     }
 
-    /// Evaluates `targets`, preferring planned execution. Results and
-    /// [`RunStats`] are bit-identical to [`autodiff::forward_with`].
+    /// Evaluates `targets`. Results and [`RunStats`] are bit-identical for
+    /// every worker count.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`autodiff::forward_with`].
+    /// * [`TensorError::UnknownNode`] for ids outside the graph.
+    /// * [`TensorError::BadFeed`] for missing or mis-shaped placeholder feeds.
+    /// * [`TensorError::ShapeMismatch`] for incompatible operand shapes.
+    /// * [`TensorError::InvalidGraph`] for a variable with no session value.
     pub fn run(
         &mut self,
         graph: &Graph,
@@ -907,19 +915,12 @@ impl PlannedExecutor {
         pool: &WorkerPool,
     ) -> Result<(Vec<Tensor>, RunStats), TensorError> {
         let needed = autodiff::needed_set(graph, targets)?;
-        self.ensure_plan(graph, feeds, vars, &needed, targets, None);
-        let Some(mem) = self.cached.as_mut().and_then(|c| c.mem.as_mut()) else {
-            let fwd = autodiff::forward_with(graph, feeds, vars, targets, pool)?;
-            let outs = targets
-                .iter()
-                .map(|&id| fwd.value(id).cloned().ok_or(TensorError::UnknownNode))
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok((outs, fwd.stats));
-        };
+        self.ensure_plan(graph, feeds, vars, &needed, targets, None)?;
+        let mem = &mut self.mem;
         mem.begin_run();
         self.values.clear();
         self.values.resize(graph.len(), None);
-        let stats = autodiff::forward_planned(
+        let result = autodiff::forward(
             graph,
             feeds,
             vars,
@@ -928,31 +929,25 @@ impl PlannedExecutor {
             &mut self.ws,
             mem,
             &mut self.values,
-        );
-        let stats = match stats {
-            Ok(stats) => stats,
-            Err(e) => {
-                mem.end_run(&mut self.values);
-                return Err(e);
-            }
-        };
-        let outs = targets
-            .iter()
-            .map(|&id| self.values[id.0].clone().ok_or(TensorError::UnknownNode))
-            .collect::<Result<Vec<_>, _>>();
+        )
+        .and_then(|stats| {
+            let outs = targets
+                .iter()
+                .map(|&id| self.values[id.0].clone().ok_or(TensorError::UnknownNode))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((outs, stats))
+        });
         mem.end_run(&mut self.values);
-        Ok((outs?, stats))
+        result
     }
 
-    /// Runs forward + backward for one training step, preferring planned
-    /// execution. Returns the loss value, the gradients of every
-    /// variable, and the forward-pass stats — all bit-identical to the
-    /// unplanned `forward_with` + `backward_with` pair.
+    /// Runs forward + backward for one training step. Returns the loss
+    /// value, the gradients of every variable, and the forward-pass stats.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`autodiff::forward_with`] and
-    /// [`autodiff::backward_with`].
+    /// Same conditions as [`PlannedExecutor::run`]; additionally
+    /// [`TensorError::InvalidGraph`] if `loss` is not a scalar.
     pub fn train(
         &mut self,
         graph: &Graph,
@@ -963,22 +958,12 @@ impl PlannedExecutor {
     ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
         let targets = [loss];
         let needed = autodiff::needed_set(graph, &targets)?;
-        self.ensure_plan(graph, feeds, vars, &needed, &targets, Some(loss));
-        let Some(mem) = self.cached.as_mut().and_then(|c| c.mem.as_mut()) else {
-            let fwd = autodiff::forward_with(graph, feeds, vars, &targets, pool)?;
-            let loss_value = fwd.value(loss).ok_or(TensorError::UnknownNode)?.data()[0];
-            let grads = autodiff::backward_with(graph, &fwd, loss, pool)?;
-            let var_grads = graph
-                .variables()
-                .into_iter()
-                .filter_map(|v| grads.get(&v).map(|g| (v, g.clone())))
-                .collect();
-            return Ok((loss_value, var_grads, fwd.stats));
-        };
+        self.ensure_plan(graph, feeds, vars, &needed, &targets, Some(loss))?;
+        let mem = &mut self.mem;
         mem.begin_run();
         self.values.clear();
         self.values.resize(graph.len(), None);
-        let result = autodiff::forward_planned(
+        let result = autodiff::forward(
             graph,
             feeds,
             vars,
@@ -993,14 +978,8 @@ impl PlannedExecutor {
                 .as_ref()
                 .ok_or(TensorError::UnknownNode)?
                 .data()[0];
-            let grads = autodiff::backward_planned(
-                graph,
-                &mut self.values,
-                loss,
-                pool,
-                &mut self.ws,
-                mem,
-            )?;
+            let grads =
+                autodiff::backward(graph, &mut self.values, loss, pool, &mut self.ws, mem)?;
             Ok((loss_value, grads, stats))
         });
         mem.end_run(&mut self.values);

@@ -1,8 +1,9 @@
 //! Constant folding: bake operations whose inputs are all constants.
 
 use super::{Pass, PassOutcome};
-use crate::autodiff;
 use crate::graph::{Graph, Node, Op};
+use crate::kernels::WorkerPool;
+use crate::memory::PlannedExecutor;
 use crate::tensor::Tensor;
 use crate::TensorError;
 use std::collections::HashMap;
@@ -18,7 +19,7 @@ use std::collections::HashMap;
 /// the runtime would have computed exactly. Constants receive no
 /// gradients, and an op folds only when *no* placeholder or variable
 /// feeds it, so the backward pass is unaffected.
-pub fn fold_graph(graph: &mut Graph) -> usize {
+fn fold_graph(graph: &mut Graph) -> usize {
     let mut known: HashMap<usize, Tensor> = graph
         .nodes()
         .iter()
@@ -29,6 +30,8 @@ pub fn fold_graph(graph: &mut Graph) -> usize {
         })
         .collect();
     let mut folded = 0usize;
+    let mut executor = PlannedExecutor::new();
+    let (no_feeds, no_vars) = (HashMap::new(), HashMap::new());
     for index in 0..graph.len() {
         let node = &graph.nodes()[index];
         if matches!(
@@ -54,11 +57,12 @@ pub fn fold_graph(graph: &mut Graph) -> usize {
         let Ok(target) = scratch.append_node(Node { op, name }) else {
             continue;
         };
-        let Ok(fwd) = autodiff::forward(&scratch, &HashMap::new(), &HashMap::new(), &[target])
+        let Ok((mut values, _)) =
+            executor.run(&scratch, &no_feeds, &no_vars, &[target], &WorkerPool::serial())
         else {
             continue;
         };
-        let Some(value) = fwd.value(target).cloned() else {
+        let Some(value) = values.pop() else {
             continue;
         };
         let id = graph.node_id(index).expect("in range");
@@ -71,8 +75,8 @@ pub fn fold_graph(graph: &mut Graph) -> usize {
     folded
 }
 
-/// The [`fold_graph`] rewrite as a pipeline [`Pass`] (identity remap:
-/// folded nodes keep their ids, only their op changes).
+/// Constant folding as a pipeline [`Pass`] (identity remap: folded nodes
+/// keep their ids, only their op changes).
 pub struct ConstantFolding;
 
 impl Pass for ConstantFolding {

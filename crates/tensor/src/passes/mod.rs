@@ -16,8 +16,8 @@
 //!
 //! **Bit-identity is the contract.** Every pipeline output must evaluate
 //! bit-for-bit identically to the input graph — forward values,
-//! gradients, and whole training trajectories — for every worker count
-//! and [`crate::memory::MemoryMode`]. The per-pass arguments:
+//! gradients, and whole training trajectories — for every worker count.
+//! The per-pass arguments:
 //!
 //! * DCE only removes nodes the executor's own needed-set walk would
 //!   never run, so results *and* run statistics are untouched.
@@ -47,7 +47,7 @@ mod fuse;
 
 pub use cse::CommonSubexpressionElimination;
 pub use dce::DeadCodeElimination;
-pub use fold::{fold_graph, ConstantFolding};
+pub use fold::ConstantFolding;
 pub use fuse::OperatorFusion;
 
 use crate::graph::{Graph, NodeId};

@@ -1,9 +1,9 @@
 //! Sessions: stateful graph execution (TensorFlow's `tf.Session`).
 
-use crate::autodiff::{backward_with, forward_with, RunStats};
+use crate::autodiff::RunStats;
 use crate::graph::{Graph, NodeId, Op, Padding};
 use crate::kernels::WorkerPool;
-use crate::memory::{MemoryMode, MemoryStats, PlannedExecutor, SlotWrite};
+use crate::memory::{MemoryStats, PlannedExecutor, SlotWrite};
 use crate::optimizer::Optimizer;
 use crate::passes::{Pipeline, PipelineReport};
 use crate::tensor::Tensor;
@@ -18,6 +18,21 @@ struct CompiledGraph {
     /// Original-id → optimized-id map; `None` for eliminated nodes.
     remap: Vec<Option<NodeId>>,
     report: PipelineReport,
+}
+
+impl CompiledGraph {
+    /// The compiled id of `original`, if the node survived lowering.
+    fn target(&self, original: NodeId) -> Option<NodeId> {
+        self.remap.get(original.index()).copied().flatten()
+    }
+
+    /// `feeds` keyed by compiled ids; feeds of eliminated nodes drop out.
+    fn translate_feeds(&self, feeds: &[(NodeId, Tensor)]) -> HashMap<NodeId, Tensor> {
+        feeds
+            .iter()
+            .filter_map(|(id, t)| self.target(*id).map(|new_id| (new_id, t.clone())))
+            .collect()
+    }
 }
 
 /// Structural fingerprint of a compilation request (FNV-1a). Covers
@@ -103,9 +118,7 @@ pub struct Session {
     vars: HashMap<NodeId, Tensor>,
     stats: RunStats,
     pool: WorkerPool,
-    mode: MemoryMode,
     planner: PlannedExecutor,
-    optimize: bool,
     compiled: HashMap<u64, CompiledGraph>,
     last_key: Option<u64>,
     fresh_reports: Vec<PipelineReport>,
@@ -126,25 +139,11 @@ impl Session {
             vars,
             stats: RunStats::default(),
             pool: WorkerPool::serial(),
-            mode: MemoryMode::default(),
             planner: PlannedExecutor::new(),
-            optimize: true,
             compiled: HashMap::new(),
             last_key: None,
             fresh_reports: Vec::new(),
         }
-    }
-
-    /// Enables or disables the graph-compiler pass pipeline. Optimized
-    /// execution is bit-identical to unoptimized — this switch exists
-    /// for A/B verification and cost benchmarking.
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = on;
-    }
-
-    /// Whether the pass pipeline is applied before execution.
-    pub fn optimize_enabled(&self) -> bool {
-        self.optimize
     }
 
     /// The pipeline report of the most recently used compiled graph,
@@ -243,25 +242,13 @@ impl Session {
         self.pool
     }
 
-    /// Selects planned-arena or legacy per-node-`Vec` execution. Results
-    /// are bit-identical either way; only allocation behaviour (and the
-    /// EPC traffic the TEE layer derives from it) changes.
-    pub fn set_memory_mode(&mut self, mode: MemoryMode) {
-        self.mode = mode;
-    }
-
-    /// The session's current memory mode.
-    pub fn memory_mode(&self) -> MemoryMode {
-        self.mode
-    }
-
-    /// Arena size required by the current execution plan, if the last
-    /// run was planned.
+    /// Arena size required by the current execution plan, if any run
+    /// has planned.
     pub fn planned_peak_bytes(&self) -> Option<u64> {
         self.planner.planned_peak_bytes()
     }
 
-    /// Memory-planner statistics (zeros when running unplanned).
+    /// Memory-planner statistics (zeros before the first run).
     pub fn memory_stats(&self) -> MemoryStats {
         self.planner.memory_stats()
     }
@@ -276,7 +263,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::autodiff::forward`] errors.
+    /// Propagates [`PlannedExecutor::run`] errors.
     pub fn run(
         &mut self,
         graph: &Graph,
@@ -286,68 +273,21 @@ impl Session {
         for &fetch in fetches {
             graph.node(fetch)?;
         }
-        if self.optimize {
-            let key = self.ensure_compiled(graph, fetches, false)?;
-            let compiled = self.compiled.get(&key).expect("just compiled");
-            let feed_map: HashMap<NodeId, Tensor> = feeds
-                .iter()
-                .filter_map(|(id, t)| {
-                    compiled
-                        .remap
-                        .get(id.index())
-                        .copied()
-                        .flatten()
-                        .map(|new_id| (new_id, t.clone()))
-                })
-                .collect();
-            let new_fetches: Vec<NodeId> = fetches
-                .iter()
-                .map(|&f| {
-                    compiled
-                        .remap
-                        .get(f.index())
-                        .copied()
-                        .flatten()
-                        .ok_or(TensorError::UnknownNode)
-                })
-                .collect::<Result<_, _>>()?;
-            let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
-            let result = if self.mode == MemoryMode::Planned {
-                self.planner
-                    .run(&compiled.graph, &feed_map, &tvars, &new_fetches, &self.pool)
-            } else {
-                forward_with(&compiled.graph, &feed_map, &tvars, &new_fetches, &self.pool)
-                    .and_then(|fwd| {
-                        let outs = new_fetches
-                            .iter()
-                            .map(|&id| fwd.value(id).cloned().ok_or(TensorError::UnknownNode))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        Ok((outs, fwd.stats))
-                    })
-            };
-            Self::restore_vars(&mut self.vars, &mut tvars, &back);
-            let (outs, stats) = result?;
-            self.stats.merge(stats);
-            return Ok(outs);
-        }
-        let feed_map: HashMap<NodeId, Tensor> = feeds.iter().cloned().collect();
-        if self.mode == MemoryMode::Planned {
-            let (outs, stats) =
-                self.planner
-                    .run(graph, &feed_map, &self.vars, fetches, &self.pool)?;
-            self.stats.merge(stats);
-            return Ok(outs);
-        }
-        let fwd = forward_with(graph, &feed_map, &self.vars, fetches, &self.pool)?;
-        self.stats.merge(fwd.stats);
-        fetches
+        let key = self.ensure_compiled(graph, fetches, false)?;
+        let compiled = self.compiled.get(&key).expect("just compiled");
+        let feed_map = compiled.translate_feeds(feeds);
+        let new_fetches: Vec<NodeId> = fetches
             .iter()
-            .map(|&id| {
-                fwd.value(id)
-                    .cloned()
-                    .ok_or(TensorError::UnknownNode)
-            })
-            .collect()
+            .map(|&f| compiled.target(f).ok_or(TensorError::UnknownNode))
+            .collect::<Result<_, _>>()?;
+        let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
+        let result = self
+            .planner
+            .run(&compiled.graph, &feed_map, &tvars, &new_fetches, &self.pool);
+        Self::restore_vars(&mut self.vars, &mut tvars, &back);
+        let (outs, stats) = result?;
+        self.stats.merge(stats);
+        Ok(outs)
     }
 
     /// Runs one training step: forward, backward, optimizer update.
@@ -364,8 +304,7 @@ impl Session {
         loss: NodeId,
         optimizer: &mut dyn Optimizer,
     ) -> Result<f32, TensorError> {
-        let feed_map: HashMap<NodeId, Tensor> = feeds.iter().cloned().collect();
-        let (loss_value, grads, fwd_stats) = self.forward_backward(graph, &feed_map, loss)?;
+        let (loss_value, grads, fwd_stats) = self.forward_backward(graph, feeds, loss)?;
         // Backward costs roughly 2x forward compute.
         let mut stats = fwd_stats;
         stats.scale_compute(3.0);
@@ -383,92 +322,32 @@ impl Session {
         Ok(loss_value)
     }
 
-    /// Forward + backward via the mode-selected executor. Returns the
-    /// loss value, the gradient of every variable, and the forward stats.
+    /// Forward + backward on the compiled graph. Returns the loss value,
+    /// the gradient of every variable, and the forward stats.
     fn forward_backward(
         &mut self,
         graph: &Graph,
-        feed_map: &HashMap<NodeId, Tensor>,
+        feeds: &[(NodeId, Tensor)],
         loss: NodeId,
     ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
         graph.node(loss)?;
-        if self.optimize {
-            let key = self.ensure_compiled(graph, &[loss], true)?;
-            let compiled = self.compiled.get(&key).expect("just compiled");
-            let new_loss = compiled
-                .remap
-                .get(loss.index())
-                .copied()
-                .flatten()
-                .ok_or(TensorError::UnknownNode)?;
-            let new_feeds: HashMap<NodeId, Tensor> = feed_map
-                .iter()
-                .filter_map(|(id, t)| {
-                    compiled
-                        .remap
-                        .get(id.index())
-                        .copied()
-                        .flatten()
-                        .map(|new_id| (new_id, t.clone()))
-                })
-                .collect();
-            let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
-            let result = Self::executor_forward_backward(
-                &mut self.planner,
-                self.mode,
-                &compiled.graph,
-                &new_feeds,
-                &tvars,
-                new_loss,
-                &self.pool,
-            );
-            Self::restore_vars(&mut self.vars, &mut tvars, &back);
-            let (loss_value, mut grads, stats) = result?;
-            // Gradients come back in the optimized id space; translate
-            // to the caller's original variable ids.
-            let var_grads = back
-                .iter()
-                .filter_map(|&(new_id, old)| grads.remove(&new_id).map(|g| (old, g)))
-                .collect();
-            return Ok((loss_value, var_grads, stats));
-        }
-        Self::executor_forward_backward(
-            &mut self.planner,
-            self.mode,
-            graph,
-            feed_map,
-            &self.vars,
-            loss,
-            &self.pool,
-        )
-    }
-
-    /// Forward + backward on an already-translated graph, via the
-    /// mode-selected executor.
-    fn executor_forward_backward(
-        planner: &mut PlannedExecutor,
-        mode: MemoryMode,
-        graph: &Graph,
-        feed_map: &HashMap<NodeId, Tensor>,
-        vars: &HashMap<NodeId, Tensor>,
-        loss: NodeId,
-        pool: &WorkerPool,
-    ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
-        if mode == MemoryMode::Planned {
-            return planner.train(graph, feed_map, vars, loss, pool);
-        }
-        let fwd = forward_with(graph, feed_map, vars, &[loss], pool)?;
-        let loss_value = fwd
-            .value(loss)
-            .ok_or(TensorError::UnknownNode)?
-            .data()[0];
-        let grads = backward_with(graph, &fwd, loss, pool)?;
-        let var_grads = graph
-            .variables()
-            .into_iter()
-            .filter_map(|v| grads.get(&v).map(|g| (v, g.clone())))
+        let key = self.ensure_compiled(graph, &[loss], true)?;
+        let compiled = self.compiled.get(&key).expect("just compiled");
+        let new_loss = compiled.target(loss).ok_or(TensorError::UnknownNode)?;
+        let new_feeds = compiled.translate_feeds(feeds);
+        let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
+        let result = self
+            .planner
+            .train(&compiled.graph, &new_feeds, &tvars, new_loss, &self.pool);
+        Self::restore_vars(&mut self.vars, &mut tvars, &back);
+        let (loss_value, mut grads, stats) = result?;
+        // Gradients come back in the optimized id space; translate
+        // to the caller's original variable ids.
+        let var_grads = back
+            .iter()
+            .filter_map(|&(new_id, old)| grads.remove(&new_id).map(|g| (old, g)))
             .collect();
-        Ok((loss_value, var_grads, fwd.stats))
+        Ok((loss_value, var_grads, stats))
     }
 
     /// Computes gradients without applying them (used by the
@@ -483,8 +362,7 @@ impl Session {
         feeds: &[(NodeId, Tensor)],
         loss: NodeId,
     ) -> Result<(f32, HashMap<NodeId, Tensor>), TensorError> {
-        let feed_map: HashMap<NodeId, Tensor> = feeds.iter().cloned().collect();
-        let (loss_value, var_grads, fwd_stats) = self.forward_backward(graph, &feed_map, loss)?;
+        let (loss_value, var_grads, fwd_stats) = self.forward_backward(graph, feeds, loss)?;
         let mut stats = fwd_stats;
         stats.scale_compute(3.0);
         stats.activation_bytes *= 2;
@@ -729,6 +607,99 @@ mod tests {
         assert_eq!(oa[0].data(), ob[0].data());
         assert_eq!(serial.stats().flops, pooled.stats().flops);
         assert!(pooled.stats().critical_flops <= serial.stats().critical_flops);
+    }
+
+    #[test]
+    fn execution_errors_are_typed_and_leave_the_session_usable() {
+        // `a` accepts any [rows, cols], so a feed can reach the matmul
+        // with the wrong inner dimension.
+        let mut g = Graph::new();
+        let a = g.placeholder("a", &[0, 0]);
+        let t = g.placeholder("t", &[0, 2]);
+        let w = g.variable("w", Tensor::full(&[3, 2], 0.1));
+        let y = g.matmul(a, w).unwrap();
+        let loss = g.mse_loss(y, t).unwrap();
+        let mut session = Session::new(&g);
+        // The graph grows a variable the session never saw.
+        let mut grown = g.clone();
+        let late = grown.variable("late", Tensor::zeros(&[3, 2]));
+        let late_y = grown.matmul(a, late).unwrap();
+        let late_loss = grown.mse_loss(late_y, t).unwrap();
+
+        let good = [(a, Tensor::full(&[4, 3], 0.5)), (t, Tensor::full(&[4, 2], 1.0))];
+        // (what, graph, fetch, loss, feeds, an error of the expected variant)
+        let bad_feed = TensorError::BadFeed(String::new());
+        let shape_mismatch = TensorError::ShapeMismatch { op: "", detail: String::new() };
+        let cases = [
+            ("missing feed", &g, y, loss, vec![good[1].clone()], bad_feed.clone()),
+            (
+                "mis-shaped feed",
+                &g,
+                y,
+                loss,
+                vec![(a, Tensor::zeros(&[4, 3, 1])), good[1].clone()],
+                bad_feed,
+            ),
+            (
+                "variable without value",
+                &grown,
+                late_y,
+                late_loss,
+                good.to_vec(),
+                TensorError::InvalidGraph(""),
+            ),
+            (
+                "operand shape mismatch",
+                &g,
+                y,
+                loss,
+                vec![(a, Tensor::zeros(&[4, 5])), good[1].clone()],
+                shape_mismatch,
+            ),
+        ];
+        let variant = std::mem::discriminant::<TensorError>;
+        let mut sgd = Sgd::new(0.1);
+        for (what, graph, fetch, loss_node, feeds, like) in cases {
+            let err = session.run(graph, &feeds, &[fetch]).unwrap_err();
+            assert_eq!(variant(&err), variant(&like), "run, {what}: {err:?}");
+            session.run(&g, &good, &[y]).unwrap();
+            assert_eq!(session.memory_stats().resident_bytes, 0, "run, {what}");
+
+            let err = session
+                .train_step(graph, &feeds, loss_node, &mut sgd)
+                .unwrap_err();
+            assert_eq!(variant(&err), variant(&like), "train_step, {what}: {err:?}");
+            session.train_step(&g, &good, loss, &mut sgd).unwrap();
+            assert_eq!(session.memory_stats().resident_bytes, 0, "train_step, {what}");
+        }
+    }
+
+    #[test]
+    fn new_batch_size_replans_and_matches_a_fresh_session() {
+        let (g, x, labels, logits, loss) = xor_setup();
+        let batch_of = |rows: usize| {
+            let x = Tensor::from_vec(&[rows, 2], (0..rows * 2).map(|i| (i % 5) as f32 * 0.3).collect());
+            let mut y = vec![0.0f32; rows * 2];
+            for row in 0..rows {
+                y[row * 2 + row % 2] = 1.0;
+            }
+            (x.unwrap(), Tensor::from_vec(&[rows, 2], y).unwrap())
+        };
+        let observe = |session: &mut Session, rows: usize| {
+            let (xd, yd) = batch_of(rows);
+            let out = session.run(&g, &[(x, xd.clone())], &[logits]).unwrap();
+            let run_peak = session.planned_peak_bytes();
+            let (loss_value, grads) = session.gradients(&g, &[(x, xd), (labels, yd)], loss).unwrap();
+            let mut grads: Vec<_> = grads.into_iter().collect();
+            grads.sort_by_key(|(id, _)| *id);
+            (out, run_peak, loss_value.to_bits(), grads)
+        };
+        let mut long_lived = Session::new(&g);
+        let small = observe(&mut long_lived, 4);
+        let large = observe(&mut long_lived, 7);
+        assert!(large.1 > small.1, "plan did not grow with the batch");
+        assert_eq!(large, observe(&mut Session::new(&g), 7));
+        assert_eq!(small, observe(&mut long_lived, 4));
     }
 
     #[test]

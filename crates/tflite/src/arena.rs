@@ -11,28 +11,17 @@
 //! * [`plan_memory`] — liveness analysis + first-fit offset assignment,
 //!   producing the peak activation footprint.
 //!
-//! Since the unified memory-planning refactor, the liveness analysis and
-//! first-fit layout live in [`securetf_tensor::memory`], shared with the
-//! training executor; this module keeps the Lite-flavoured static shape
-//! checks and the [`ArenaPlan`] surface.
+//! The per-op shape rules, the liveness analysis and the first-fit layout
+//! live in [`securetf_tensor::memory`], shared with the training executor;
+//! this module resolves a Lite graph's leaf shapes for a batch size and
+//! keeps the [`ArenaPlan`] surface.
 
 use crate::model::LiteModel;
 use crate::LiteError;
-use securetf_tensor::graph::{Graph, NodeId, Op, Padding};
+use securetf_tensor::graph::Graph;
 use securetf_tensor::memory;
 
-/// One planned activation buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot {
-    /// Byte offset within the arena.
-    pub offset: u64,
-    /// Buffer size in bytes.
-    pub bytes: u64,
-    /// First node index at which the buffer is live.
-    pub live_from: usize,
-    /// Last node index at which the buffer is live.
-    pub live_to: usize,
-}
+pub use securetf_tensor::memory::Slot;
 
 /// The outcome of memory planning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,144 +34,29 @@ pub struct ArenaPlan {
     pub slots: Vec<Option<Slot>>,
 }
 
-/// Infers the output shape of every node for the given batch size.
+/// Infers the output shape of every node for the given batch size: each
+/// placeholder's `0` (batch) dimensions become `batch`, variables take
+/// their initial value's shape.
 ///
 /// # Errors
 ///
-/// Returns [`LiteError::Exec`]-style shape errors wrapped as
-/// [`LiteError::MalformedModel`] descriptions when operands are
-/// incompatible — this is the static analogue of runtime shape checks.
+/// Returns [`LiteError::Exec`] carrying the
+/// [`securetf_tensor::TensorError::ShapeMismatch`] the executor would
+/// raise when operands are incompatible — this is the static analogue of
+/// runtime shape checks.
 pub fn infer_shapes(graph: &Graph, batch: usize) -> Result<Vec<Vec<usize>>, LiteError> {
-    let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(graph.len());
-    let get = |shapes: &Vec<Vec<usize>>, id: NodeId| shapes[id.index()].clone();
-    for node in graph.nodes() {
-        let shape = match &node.op {
-            Op::Placeholder { shape } => shape
+    let every_node = vec![true; graph.len()];
+    Ok(memory::infer_shapes_from_leaves(
+        graph,
+        &every_node,
+        |_, _, template| {
+            Ok(template
                 .iter()
                 .map(|&d| if d == 0 { batch } else { d })
-                .collect(),
-            Op::Variable { init } => init.shape().to_vec(),
-            Op::Constant(t) => t.shape().to_vec(),
-            Op::MatMul(a, b) => {
-                let (sa, sb) = (get(&shapes, *a), get(&shapes, *b));
-                if sa.len() != 2 || sb.len() != 2 || sa[1] != sb[0] {
-                    return Err(LiteError::MalformedModel("matmul shape mismatch"));
-                }
-                vec![sa[0], sb[1]]
-            }
-            Op::AddBias(x, bias) => {
-                let (sx, sb) = (get(&shapes, *x), get(&shapes, *bias));
-                if sb.len() != 1 || sx.last() != sb.first() {
-                    return Err(LiteError::MalformedModel("add_bias shape mismatch"));
-                }
-                sx
-            }
-            Op::Add(a, b) | Op::Mul(a, b) | Op::Sub(a, b) => {
-                let (sa, sb) = (get(&shapes, *a), get(&shapes, *b));
-                if sa != sb {
-                    return Err(LiteError::MalformedModel("elementwise shape mismatch"));
-                }
-                sa
-            }
-            Op::Relu(x) | Op::Sigmoid(x) | Op::Tanh(x) | Op::Scale(x, _) => get(&shapes, *x),
-            Op::Softmax(x) => {
-                let sx = get(&shapes, *x);
-                if sx.len() != 2 {
-                    return Err(LiteError::MalformedModel("softmax needs rank 2"));
-                }
-                sx
-            }
-            Op::Conv2d {
-                input,
-                filter,
-                padding,
-            } => {
-                let (si, sf) = (get(&shapes, *input), get(&shapes, *filter));
-                if si.len() != 4 || sf.len() != 4 || si[3] != sf[2] {
-                    return Err(LiteError::MalformedModel("conv2d shape mismatch"));
-                }
-                let (oh, ow) = match padding {
-                    Padding::Same => (si[1], si[2]),
-                    Padding::Valid => {
-                        if si[1] < sf[0] || si[2] < sf[1] {
-                            return Err(LiteError::MalformedModel("conv2d input too small"));
-                        }
-                        (si[1] - sf[0] + 1, si[2] - sf[1] + 1)
-                    }
-                };
-                vec![si[0], oh, ow, sf[3]]
-            }
-            Op::MaxPool2(x) | Op::AvgPool2(x) => {
-                let sx = get(&shapes, *x);
-                if sx.len() != 4 {
-                    return Err(LiteError::MalformedModel("pool needs NHWC"));
-                }
-                vec![sx[0], sx[1] / 2, sx[2] / 2, sx[3]]
-            }
-            Op::Flatten(x) => {
-                let sx = get(&shapes, *x);
-                let batch = *sx.first().unwrap_or(&1);
-                let rest: usize = sx.iter().skip(1).product();
-                vec![batch, rest]
-            }
-            Op::Reshape(x, target) => {
-                let sx = get(&shapes, *x);
-                if sx.iter().product::<usize>() != target.iter().product::<usize>() {
-                    return Err(LiteError::MalformedModel("reshape element mismatch"));
-                }
-                target.clone()
-            }
-            Op::ConcatCols(a, b) => {
-                let (sa, sb) = (get(&shapes, *a), get(&shapes, *b));
-                if sa.len() != 2 || sb.len() != 2 || sa[0] != sb[0] {
-                    return Err(LiteError::MalformedModel("concat shape mismatch"));
-                }
-                vec![sa[0], sa[1] + sb[1]]
-            }
-            Op::FusedMatMul { lhs, rhs, bias, .. } => {
-                let (sa, sb, sc) = (get(&shapes, *lhs), get(&shapes, *rhs), get(&shapes, *bias));
-                if sa.len() != 2 || sb.len() != 2 || sa[1] != sb[0] {
-                    return Err(LiteError::MalformedModel("fused_matmul shape mismatch"));
-                }
-                if sc.len() != 1 || sc[0] != sb[1] {
-                    return Err(LiteError::MalformedModel("fused_matmul bias mismatch"));
-                }
-                vec![sa[0], sb[1]]
-            }
-            Op::FusedConv2d {
-                input,
-                filter,
-                bias,
-                padding,
-                ..
-            } => {
-                let (si, sf, sc) = (
-                    get(&shapes, *input),
-                    get(&shapes, *filter),
-                    get(&shapes, *bias),
-                );
-                if si.len() != 4 || sf.len() != 4 || si[3] != sf[2] {
-                    return Err(LiteError::MalformedModel("fused_conv2d shape mismatch"));
-                }
-                if sc.len() != 1 || sc[0] != sf[3] {
-                    return Err(LiteError::MalformedModel("fused_conv2d bias mismatch"));
-                }
-                let (oh, ow) = match padding {
-                    Padding::Same => (si[1], si[2]),
-                    Padding::Valid => {
-                        if si[1] < sf[0] || si[2] < sf[1] {
-                            return Err(LiteError::MalformedModel("fused_conv2d input too small"));
-                        }
-                        (si[1] - sf[0] + 1, si[2] - sf[1] + 1)
-                    }
-                };
-                vec![si[0], oh, ow, sf[3]]
-            }
-            Op::SoftmaxCrossEntropy { .. } | Op::MseLoss(..) => vec![],
-        };
-        shapes.push(shape);
-    }
-    Ok(shapes)
+                .collect())
+        },
+        |_, init| Ok(init.shape().to_vec()),
+    )?)
 }
 
 /// Plans the activation arena for one inference of `model` at `batch`.
@@ -199,17 +73,9 @@ pub fn plan_memory(model: &LiteModel, batch: usize) -> Result<ArenaPlan, LiteErr
     // Lite models plan every node: the converter already pruned the graph
     // to the output's ancestors.
     let needed = vec![true; graph.len()];
-    let plan = memory::plan_inference(graph, shapes, &needed, &[model.output()])
-        .map_err(|_| LiteError::MalformedModel("memory planning failed"))?;
+    let plan = memory::plan_inference(graph, shapes, &needed, &[model.output()])?;
     let slots = (0..graph.len())
-        .map(|index| {
-            plan.value_slot(index).map(|s| Slot {
-                offset: s.offset,
-                bytes: s.bytes,
-                live_from: s.live_from,
-                live_to: s.live_to,
-            })
-        })
+        .map(|index| plan.value_slot(index).copied())
         .collect();
     Ok(ArenaPlan {
         peak_bytes: plan.peak_bytes,
@@ -221,7 +87,9 @@ pub fn plan_memory(model: &LiteModel, batch: usize) -> Result<ArenaPlan, LiteErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use securetf_tensor::graph::{Op, Padding};
     use securetf_tensor::tensor::Tensor;
+    use securetf_tensor::TensorError;
 
     fn chain_model(layers: usize) -> LiteModel {
         let mut g = Graph::new();
@@ -259,7 +127,7 @@ mod tests {
         g.matmul(a, w).unwrap();
         assert!(matches!(
             infer_shapes(&g, 1),
-            Err(LiteError::MalformedModel(_))
+            Err(LiteError::Exec(TensorError::ShapeMismatch { .. }))
         ));
     }
 
@@ -304,6 +172,32 @@ mod tests {
         let small = plan_memory(&model, 1).unwrap();
         let large = plan_memory(&model, 16).unwrap();
         assert_eq!(large.peak_bytes, 16 * small.peak_bytes);
+    }
+
+    #[test]
+    fn paper_model_plans_are_pinned() {
+        // (peak_bytes, unshared_bytes) of the un-lowered paper models as
+        // planned before shape inference moved to `tensor::memory`.
+        use crate::models::{self, DENSENET, INCEPTION_V4};
+        let plan_of = |model: &LiteModel, batch| {
+            let plan = plan_memory(model, batch).unwrap();
+            (plan.peak_bytes, plan.unshared_bytes)
+        };
+        let densenet = models::build(DENSENET);
+        assert_eq!(plan_of(&densenet, 1), (8_192, 132_988));
+        assert_eq!(plan_of(&densenet, 8), (65_536, 1_063_904));
+        let inception = models::build(INCEPTION_V4);
+        assert_eq!(plan_of(&inception, 1), (8_192, 504_340));
+        assert_eq!(plan_of(&inception, 8), (65_536, 4_034_720));
+
+        // What the serving enclave plans is the lowered graph: strictly
+        // fewer nodes, so strictly fewer buffers to place.
+        let (lowered, report) = crate::optimize::optimize_for_inference(&inception).unwrap();
+        assert!(report.nodes_after() < report.nodes_before());
+        assert_eq!(lowered.graph().len(), report.nodes_after());
+        let lowered_plan = plan_memory(&lowered, 1).unwrap();
+        assert!(lowered_plan.unshared_bytes < 504_340);
+        assert!(lowered_plan.peak_bytes <= 8_192);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 use crate::model::LiteModel;
 use crate::optimize::optimize_for_inference;
 use crate::LiteError;
-use securetf_tensor::autodiff::{forward_with, RunStats};
+use securetf_tensor::autodiff::RunStats;
 use securetf_tensor::kernels::WorkerPool;
-use securetf_tensor::memory::{MemoryMode, MemoryStats, PlannedExecutor};
+use securetf_tensor::memory::{MemoryStats, PlannedExecutor};
 use securetf_tensor::passes::PipelineReport;
 use securetf_tensor::tensor::Tensor;
 use std::collections::HashMap;
@@ -16,11 +16,12 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct Interpreter {
     model: LiteModel,
-    report: Option<PipelineReport>,
+    /// The construction-time lowering: its report, or why the pipeline
+    /// rejected the model (every `run` then returns that error).
+    lowering: Result<PipelineReport, LiteError>,
     stats: RunStats,
     runs: u64,
     pool: WorkerPool,
-    mode: MemoryMode,
     planner: PlannedExecutor,
 }
 
@@ -35,44 +36,35 @@ impl Interpreter {
     ///
     /// The model is lowered through the shared inference pipeline
     /// (DCE → CSE → fold → fuse) once, at construction; every run then
-    /// executes the optimized graph. Outputs are bit-identical to the
-    /// unoptimized model ([`Interpreter::unoptimized`] for A/B checks).
+    /// executes the lowered graph, whose outputs are bit-identical to the
+    /// model as given.
+    ///
+    /// Construction is infallible: if the pipeline rejects the model the
+    /// rejection is stored and returned by every [`Interpreter::run`] —
+    /// an un-lowered graph is never executed. No [`LiteModel`] that the
+    /// public API can build is rejected today (`convert`, `rebound` and
+    /// `from_bytes` all validate the input/output bindings and the op
+    /// set, which is everything the pipeline checks), so this is a guard
+    /// for future passes rather than a reachable path.
     pub fn with_pool(model: LiteModel, pool: WorkerPool) -> Self {
-        let (model, report) = match optimize_for_inference(&model) {
-            Ok((optimized, report)) => (optimized, Some(report)),
-            // A graph the pipeline rejects still runs unoptimized.
-            Err(_) => (model, None),
+        let (model, lowering) = match optimize_for_inference(&model) {
+            Ok((lowered, report)) => (lowered, Ok(report)),
+            Err(rejection) => (model, Err(rejection)),
         };
         Interpreter {
             model,
-            report,
+            lowering,
             stats: RunStats::default(),
             runs: 0,
             pool,
-            mode: MemoryMode::default(),
-            planner: PlannedExecutor::new(),
-        }
-    }
-
-    /// Creates an interpreter that executes `model` exactly as given —
-    /// no compiler passes. Exists for bit-identity verification and
-    /// optimized-vs-baseline cost benchmarking.
-    pub fn unoptimized(model: LiteModel) -> Self {
-        Interpreter {
-            model,
-            report: None,
-            stats: RunStats::default(),
-            runs: 0,
-            pool: WorkerPool::serial(),
-            mode: MemoryMode::default(),
             planner: PlannedExecutor::new(),
         }
     }
 
     /// The pass-pipeline report of the construction-time lowering
-    /// (`None` for [`Interpreter::unoptimized`] or rejected graphs).
+    /// (`None` if the pipeline rejected the model).
     pub fn pipeline_report(&self) -> Option<&PipelineReport> {
-        self.report.as_ref()
+        self.lowering.as_ref().ok()
     }
 
     /// Replaces the worker pool used by subsequent runs.
@@ -80,24 +72,18 @@ impl Interpreter {
         self.pool = pool;
     }
 
-    /// Selects planned-arena (the default) or legacy per-node-`Vec`
-    /// execution. Outputs are bit-identical either way.
-    pub fn set_memory_mode(&mut self, mode: MemoryMode) {
-        self.mode = mode;
-    }
-
-    /// Arena size required by the current execution plan, if the last
-    /// run was planned.
+    /// Arena size required by the current execution plan, if any run
+    /// has planned.
     pub fn planned_peak_bytes(&self) -> Option<u64> {
         self.planner.planned_peak_bytes()
     }
 
-    /// Memory-planner statistics (zeros when running unplanned).
+    /// Memory-planner statistics (zeros before the first run).
     pub fn memory_stats(&self) -> MemoryStats {
         self.planner.memory_stats()
     }
 
-    /// Drains the arena slot writes of the last planned run, for EPC
+    /// Drains the arena slot writes of the last run, for EPC
     /// page-touch replay by a hosting enclave.
     pub fn take_slot_writes(&mut self) -> Vec<securetf_tensor::memory::SlotWrite> {
         self.planner.take_slot_writes()
@@ -107,37 +93,25 @@ impl Interpreter {
     ///
     /// # Errors
     ///
-    /// Returns [`LiteError::Exec`] on shape or graph errors.
+    /// Returns [`LiteError::Exec`] on shape or graph errors, and the
+    /// stored rejection if the pipeline could not lower the model.
     pub fn run(&mut self, input: &Tensor) -> Result<Tensor, LiteError> {
+        if let Err(rejection) = &self.lowering {
+            return Err(rejection.clone());
+        }
         let mut feeds = HashMap::new();
         feeds.insert(self.model.input(), input.clone());
         let vars = HashMap::new();
-        let (out, mut stats) = if self.mode == MemoryMode::Planned {
-            let (mut outs, stats) = self.planner.run(
-                self.model.graph(),
-                &feeds,
-                &vars,
-                &[self.model.output()],
-                &self.pool,
-            )?;
-            let out = outs
-                .pop()
-                .ok_or(LiteError::MalformedModel("output not computed"))?;
-            (out, stats)
-        } else {
-            let fwd = forward_with(
-                self.model.graph(),
-                &feeds,
-                &vars,
-                &[self.model.output()],
-                &self.pool,
-            )?;
-            let out = fwd
-                .value(self.model.output())
-                .cloned()
-                .ok_or(LiteError::MalformedModel("output not computed"))?;
-            (out, fwd.stats)
-        };
+        let (mut outs, mut stats) = self.planner.run(
+            self.model.graph(),
+            &feeds,
+            &vars,
+            &[self.model.output()],
+            &self.pool,
+        )?;
+        let out = outs
+            .pop()
+            .ok_or(LiteError::MalformedModel("output not computed"))?;
         if self.model.declared_flops() > 0.0 {
             // Synthetic stand-ins execute a reduced spatial extent; charge
             // the original model's declared compute instead.
@@ -201,6 +175,7 @@ impl Interpreter {
 mod tests {
     use super::*;
     use securetf_tensor::graph::Graph;
+    use securetf_tensor::TensorError;
 
     fn tiny_model(declared: f64) -> LiteModel {
         let mut g = Graph::new();
@@ -265,8 +240,29 @@ mod tests {
         let mut interp = Interpreter::new(tiny_model(0.0));
         assert!(matches!(
             interp.run(&Tensor::zeros(&[1, 5])),
-            Err(LiteError::Exec(_))
+            Err(LiteError::Exec(TensorError::BadFeed(_)))
         ));
+        // The failed run leaves the interpreter usable and nothing resident.
+        interp.run(&Tensor::zeros(&[1, 4])).unwrap();
+        assert_eq!(interp.memory_stats().resident_bytes, 0);
+    }
+
+    #[test]
+    fn operand_shape_mismatch_errors() {
+        // The graph builder does not check shapes: 4 columns meet 5 rows.
+        let mut g = Graph::new();
+        let x = g.placeholder("input", &[0, 4]);
+        let w = g.constant("w", Tensor::full(&[5, 2], 0.1));
+        let out = g.matmul(x, w).unwrap();
+        let name = g.nodes()[out.index()].name.clone();
+        let mut interp = Interpreter::new(LiteModel::convert(&g, "input", &name).unwrap());
+        for _ in 0..2 {
+            assert!(matches!(
+                interp.run(&Tensor::zeros(&[1, 4])),
+                Err(LiteError::Exec(TensorError::ShapeMismatch { .. }))
+            ));
+            assert_eq!(interp.memory_stats().resident_bytes, 0);
+        }
     }
 
     #[test]

@@ -1,24 +1,26 @@
-//! Model optimization: pruning, quantization, dead-node elimination
+//! Model optimization: pruning, quantization, compiler lowering
 //! (paper §7.2).
 //!
 //! The paper's planned extension "leverag\[es\] pruning and quantization
 //! tools, such as Intel OpenVINO" to shrink models — which matters twice
 //! inside an enclave: smaller models mean less EPC pressure *and* faster
-//! provisioning. This module implements the three classic passes:
+//! provisioning. This module implements the three classic tools:
 //!
 //! * [`prune_magnitude`] — zero the smallest-magnitude fraction of each
 //!   weight tensor (the model keeps its shape; sparse kernels and
 //!   compressed storage benefit),
-//! * [`strip_unreachable`] — remove graph nodes that do not contribute to
-//!   the output (e.g. a training head left in an exported graph),
+//! * [`optimize_for_inference`] — lower through the shared compiler
+//!   pipeline, which removes nodes that do not contribute to the output
+//!   (e.g. a training head left in an exported graph), folds constant
+//!   subgraphs and fuses kernel chains,
 //! * [`quantize`] / [`QuantizedModel`] — 8-bit affine quantization of
 //!   weight tensors with per-tensor scales, giving a ~4× smaller
 //!   artifact that dequantizes on load.
 
 use crate::model::LiteModel;
 use crate::LiteError;
-use securetf_tensor::graph::{Graph, Node, NodeId, Op};
-use securetf_tensor::passes::{self, Pipeline, PipelineReport};
+use securetf_tensor::graph::{Graph, Op};
+use securetf_tensor::passes::{Pipeline, PipelineReport};
 use securetf_tensor::tensor::Tensor;
 
 /// Outcome of a pruning pass.
@@ -89,57 +91,6 @@ pub fn prune_magnitude(model: &LiteModel, fraction: f32) -> (LiteModel, PruneRep
     (pruned_model, PruneReport { zeroed, total })
 }
 
-/// Removes every node not needed to compute the model output (dead
-/// training heads, unused branches). Node ids are compacted.
-pub fn strip_unreachable(model: &LiteModel) -> LiteModel {
-    let graph = model.graph();
-    let mut needed = vec![false; graph.len()];
-    let mut stack = vec![model.output(), model.input()];
-    while let Some(id) = stack.pop() {
-        if needed[id.index()] {
-            continue;
-        }
-        needed[id.index()] = true;
-        stack.extend(graph.nodes()[id.index()].op.inputs());
-    }
-    let mut remap: Vec<Option<NodeId>> = vec![None; graph.len()];
-    let mut out = Graph::new();
-    for (index, node) in graph.nodes().iter().enumerate() {
-        if !needed[index] {
-            continue;
-        }
-        let op = node.op.map_inputs(|old| {
-            remap[old.index()].expect("inputs precede node in topological order")
-        });
-        let new_id = out
-            .append_node(Node {
-                op,
-                name: node.name.clone(),
-            })
-            .expect("remapped inputs exist");
-        remap[index] = Some(new_id);
-    }
-    let input = remap[model.input().index()].expect("input is a strip root");
-    let output = remap[model.output().index()].expect("output is a strip root");
-    model
-        .rebound(out, input, output)
-        .expect("subgraph of a valid lite model")
-}
-
-/// Folds every operation whose inputs are all constants into a constant
-/// (the paper's §7.2 graph optimization: "pruning unnecessary edges and
-/// nodes"). A thin wrapper over the shared compiler pass
-/// [`securetf_tensor::passes::fold_graph`] — the training and Lite
-/// engines fold with the same code. Combine with [`strip_unreachable`]
-/// to drop the now-dead input constants.
-///
-/// Returns the folded model and the number of nodes folded.
-pub fn fold_constants(model: &LiteModel) -> (LiteModel, usize) {
-    let mut graph = model.graph().clone();
-    let folded = passes::fold_graph(&mut graph);
-    (rebind(model, graph), folded)
-}
-
 /// Lowers a model through the full shared inference pipeline
 /// (DCE → CSE → constant folding → operator fusion). Outputs are
 /// bit-identical to the unoptimized model; the graph shrinks and
@@ -161,7 +112,7 @@ pub fn optimize_for_inference(model: &LiteModel) -> Result<(LiteModel, PipelineR
     Ok((lite, optimized.report))
 }
 
-/// Rebinds after an id-preserving rewrite (prune, fold, quantize):
+/// Rebinds after an id-preserving rewrite (prune, quantize):
 /// the input/output bindings carry over unchanged.
 fn rebind(model: &LiteModel, graph: Graph) -> LiteModel {
     model
@@ -438,67 +389,6 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn pruning_fraction_validated() {
         let _ = prune_magnitude(&test_model(), 1.5);
-    }
-
-    #[test]
-    fn strip_removes_dead_branches() {
-        let mut g = Graph::new();
-        let x = g.placeholder("input", &[0, 4]);
-        let w = g.constant("w", Tensor::full(&[4, 2], 0.1));
-        let used = g.matmul(x, w).unwrap();
-        // Dead branch: an unused second head.
-        let w_dead = g.constant("w_dead", Tensor::full(&[4, 8], 0.2));
-        let _dead = g.matmul(x, w_dead).unwrap();
-        let name = g.nodes()[used.index()].name.clone();
-        let model = LiteModel::convert(&g, "input", &name).unwrap();
-        let before_nodes = model.graph().len();
-        let before_bytes = model.param_bytes();
-        let stripped = strip_unreachable(&model);
-        assert!(stripped.graph().len() < before_nodes);
-        assert!(stripped.param_bytes() < before_bytes);
-        // Same output for the same input.
-        let input = Tensor::full(&[1, 4], 1.0);
-        let a = Interpreter::new(model).run(&input).unwrap();
-        let b = Interpreter::new(stripped).run(&input).unwrap();
-        assert_eq!(a.data(), b.data());
-    }
-
-    #[test]
-    fn fold_constants_collapses_constant_subgraphs() {
-        // out = matmul(x, relu(c1 + c2)): the weight expression folds.
-        let mut g = Graph::new();
-        let x = g.placeholder("input", &[0, 4]);
-        let c1 = g.constant("c1", Tensor::full(&[4, 3], 0.5));
-        let c2 = g.constant("c2", Tensor::full(&[4, 3], -0.2));
-        let sum = g.add(c1, c2).unwrap();
-        let w = g.relu(sum).unwrap();
-        let out = g.matmul(x, w).unwrap();
-        let name = g.nodes()[out.index()].name.clone();
-        let model = LiteModel::convert(&g, "input", &name).unwrap();
-
-        let (folded, count) = fold_constants(&model);
-        assert_eq!(count, 2, "add and relu fold");
-        // The folded graph evaluates identically.
-        let input = Tensor::full(&[2, 4], 1.0);
-        let a = Interpreter::new(model).run(&input).unwrap();
-        let b = Interpreter::new(folded.clone()).run(&input).unwrap();
-        assert_eq!(a.data(), b.data());
-        // After stripping, the dead c1/c2 disappear.
-        let slim = strip_unreachable(&folded);
-        assert!(slim.graph().len() < folded.graph().len());
-        let c = Interpreter::new(slim).run(&input).unwrap();
-        assert_eq!(a.data(), c.data());
-    }
-
-    #[test]
-    fn fold_constants_leaves_dynamic_ops_alone() {
-        let model = test_model();
-        let before: Vec<&str> = model.graph().nodes().iter().map(|n| n.op.kind()).collect();
-        let (folded, count) = fold_constants(&model);
-        // Every op depends on the placeholder: nothing folds.
-        assert_eq!(count, 0);
-        let after: Vec<&str> = folded.graph().nodes().iter().map(|n| n.op.kind()).collect();
-        assert_eq!(before, after);
     }
 
     #[test]

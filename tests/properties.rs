@@ -425,9 +425,8 @@ proptest! {
 
     // The unified memory planner (DESIGN.md §12): liveness-derived slots
     // must never alias while both are live, the runtime must never hold
-    // more bytes than the planned peak, and planned execution must be
-    // bit-for-bit identical to the legacy per-node-Vec executor for any
-    // shape, batch size, and worker count.
+    // more bytes than the planned peak, and execution must be bit-for-bit
+    // identical for any shape, batch size, and worker count.
 
     #[test]
     fn training_plan_never_aliases_overlapping_lifetimes(
@@ -496,17 +495,15 @@ proptest! {
     ) {
         use securetf_tensor::kernels::WorkerPool;
         use securetf_tensor::layers;
-        use securetf_tensor::memory::MemoryMode;
         use securetf_tensor::optimizer::Sgd;
         use securetf_tensor::session::Session;
 
         let x = Tensor::from_vec(&[batch, inputs], lcg_fill(seed, batch * inputs)).unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let run = |mode: MemoryMode, workers: usize| {
+        let run = |workers: usize| {
             let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
             let model = layers::mlp_classifier(inputs, &[hidden], classes, &mut rng).unwrap();
             let mut session = Session::new(&model.graph);
-            session.set_memory_mode(mode);
             if workers > 1 {
                 session.set_worker_pool(WorkerPool::new(workers));
             }
@@ -531,10 +528,10 @@ proptest! {
             (losses, bits(&out[0]), bounds)
         };
 
-        let (planned_losses, planned_logits, bounds) = run(MemoryMode::Planned, workers);
-        let (unplanned_losses, unplanned_logits, _) = run(MemoryMode::Unplanned, 1);
-        prop_assert_eq!(planned_losses, unplanned_losses);
-        prop_assert_eq!(planned_logits, unplanned_logits);
+        let (pooled_losses, pooled_logits, bounds) = run(workers);
+        let (serial_losses, serial_logits, _) = run(1);
+        prop_assert_eq!(pooled_losses, serial_losses);
+        prop_assert_eq!(pooled_logits, serial_logits);
         for stats in bounds {
             prop_assert!(stats.planned_peak_bytes > 0);
             prop_assert!(
@@ -547,7 +544,7 @@ proptest! {
     }
 
     #[test]
-    fn planned_conv_training_matches_unplanned(
+    fn planned_conv_training_is_bit_identical_for_any_worker_count(
         batch in 1usize..4,
         filters in 1usize..5,
         classes in 2usize..5,
@@ -556,17 +553,15 @@ proptest! {
     ) {
         use securetf_tensor::kernels::WorkerPool;
         use securetf_tensor::layers;
-        use securetf_tensor::memory::MemoryMode;
         use securetf_tensor::optimizer::Sgd;
         use securetf_tensor::session::Session;
 
         let x = Tensor::from_vec(&[batch, 8, 8, 1], lcg_fill(seed, batch * 64)).unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let run = |mode: MemoryMode, workers: usize| {
+        let run = |workers: usize| {
             let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
             let model = layers::conv_classifier(8, 8, 1, filters, classes, &mut rng).unwrap();
             let mut session = Session::new(&model.graph);
-            session.set_memory_mode(mode);
             if workers > 1 {
                 session.set_worker_pool(WorkerPool::new(workers));
             }
@@ -589,10 +584,103 @@ proptest! {
             (losses, bits(&out[0]))
         };
 
-        let planned = run(MemoryMode::Planned, workers);
-        let unplanned = run(MemoryMode::Unplanned, 1);
-        prop_assert_eq!(planned, unplanned);
+        prop_assert_eq!(run(workers), run(1));
     }
+}
+
+/// Loss bits per step, first-step gradient bits by variable index, and
+/// final logits bits of one training run.
+type Trajectory = (Vec<u32>, Vec<(usize, Vec<u32>)>, Vec<u32>);
+
+fn sorted_grad_bits(
+    grads: &std::collections::HashMap<securetf_tensor::graph::NodeId, Tensor>,
+) -> Vec<(usize, Vec<u32>)> {
+    let mut grad_bits: Vec<(usize, Vec<u32>)> =
+        grads.iter().map(|(id, g)| (id.index(), bits(g))).collect();
+    grad_bits.sort_by_key(|(id, _)| *id);
+    grad_bits
+}
+
+/// What a `Session` (which always lowers through the pass pipeline)
+/// computes: first-step gradients, then `steps` SGD steps, then logits.
+fn compiled_training(
+    model: &securetf_tensor::layers::Classifier,
+    feeds: &[(securetf_tensor::graph::NodeId, Tensor)],
+    lr: f32,
+    steps: usize,
+    workers: usize,
+) -> Trajectory {
+    use securetf_tensor::kernels::WorkerPool;
+    use securetf_tensor::optimizer::Sgd;
+    use securetf_tensor::session::Session;
+
+    let mut session = Session::new(&model.graph);
+    if workers > 1 {
+        session.set_worker_pool(WorkerPool::new(workers));
+    }
+    let (first_loss, grads) = session.gradients(&model.graph, feeds, model.loss).unwrap();
+    let grad_bits = sorted_grad_bits(&grads);
+    let mut sgd = Sgd::new(lr);
+    let mut losses = vec![first_loss.to_bits()];
+    for _ in 0..steps {
+        let loss = session
+            .train_step(&model.graph, feeds, model.loss, &mut sgd)
+            .unwrap();
+        losses.push(loss.to_bits());
+    }
+    let out = session
+        .run(&model.graph, &feeds[..1], &[model.logits])
+        .unwrap();
+    (losses, grad_bits, bits(&out[0]))
+}
+
+/// The compiler's oracle: the same run on the raw, un-lowered graph,
+/// driven through the public `PlannedExecutor` with the optimizer applied
+/// by hand. `feeds[0]` must be the input feed.
+fn raw_graph_training(
+    model: &securetf_tensor::layers::Classifier,
+    feeds: &[(securetf_tensor::graph::NodeId, Tensor)],
+    lr: f32,
+    steps: usize,
+    workers: usize,
+) -> Trajectory {
+    use securetf_tensor::kernels::WorkerPool;
+    use securetf_tensor::memory::PlannedExecutor;
+    use securetf_tensor::optimizer::{Optimizer, Sgd};
+    use securetf_tensor::session::Session;
+    use std::collections::HashMap;
+
+    let graph = &model.graph;
+    let pool = if workers > 1 { WorkerPool::new(workers) } else { WorkerPool::serial() };
+    let mut vars: HashMap<_, _> = Session::new(graph)
+        .variables()
+        .into_iter()
+        .map(|(id, t)| (id, t.clone()))
+        .collect();
+    let feed_map: HashMap<_, _> = feeds.iter().cloned().collect();
+    let mut executor = PlannedExecutor::new();
+    let (first_loss, grads, _) = executor
+        .train(graph, &feed_map, &vars, model.loss, &pool)
+        .unwrap();
+    let grad_bits = sorted_grad_bits(&grads);
+    let mut sgd = Sgd::new(lr);
+    let mut losses = vec![first_loss.to_bits()];
+    for _ in 0..steps {
+        let (loss, grads, _) = executor
+            .train(graph, &feed_map, &vars, model.loss, &pool)
+            .unwrap();
+        for var in graph.variables() {
+            if let Some(grad) = grads.get(&var) {
+                sgd.apply(var, vars.get_mut(&var).unwrap(), grad).unwrap();
+            }
+        }
+        losses.push(loss.to_bits());
+    }
+    let input: HashMap<_, _> = feeds[..1].iter().cloned().collect();
+    let (out, _) = executor
+        .run(graph, &input, &vars, &[model.logits], &pool)
+        .unwrap();
+    (losses, grad_bits, bits(&out[0]))
 }
 
 proptest! {
@@ -600,9 +688,9 @@ proptest! {
 
     // The graph-compiler pass pipeline (DESIGN.md §16): optimizing a
     // graph (DCE, constant folding, fusion — plus CSE for inference)
-    // must be invisible in the numbers. For any model shape, batch
-    // size, worker count, and memory mode, the optimized execution is
-    // bit-for-bit identical to the unoptimized one: same outputs, same
+    // must be invisible in the numbers. For any model shape, batch size
+    // and worker count, the lowered execution is bit-for-bit identical
+    // to the raw graph on the same executor: same outputs, same
     // gradients, same loss trajectory.
 
     #[test]
@@ -612,53 +700,19 @@ proptest! {
         classes in 2usize..5,
         batch in 1usize..5,
         workers in 1usize..6,
-        planned in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        use securetf_tensor::kernels::WorkerPool;
         use securetf_tensor::layers;
-        use securetf_tensor::memory::MemoryMode;
-        use securetf_tensor::optimizer::Sgd;
-        use securetf_tensor::session::Session;
 
         let x = Tensor::from_vec(&[batch, inputs], lcg_fill(seed, batch * inputs)).unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let mode = if planned { MemoryMode::Planned } else { MemoryMode::Unplanned };
-        let run = |optimize: bool| {
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-            let model = layers::mlp_classifier(inputs, &widths, classes, &mut rng).unwrap();
-            let mut session = Session::new(&model.graph);
-            session.set_optimize(optimize);
-            session.set_memory_mode(mode);
-            if workers > 1 {
-                session.set_worker_pool(WorkerPool::new(workers));
-            }
-            let feeds = [(model.input, x.clone()), (model.labels, y.clone())];
-            let (first_loss, grads) = session
-                .gradients(&model.graph, &feeds, model.loss)
-                .unwrap();
-            let mut grad_bits: Vec<(usize, Vec<u32>)> = grads
-                .iter()
-                .map(|(id, g)| (id.index(), bits(g)))
-                .collect();
-            grad_bits.sort_by_key(|(id, _)| *id);
-            let mut sgd = Sgd::new(0.05);
-            let mut losses = vec![first_loss.to_bits()];
-            for _ in 0..3 {
-                let loss = session
-                    .train_step(&model.graph, &feeds, model.loss, &mut sgd)
-                    .unwrap();
-                losses.push(loss.to_bits());
-            }
-            let out = session
-                .run(&model.graph, &[(model.input, x.clone())], &[model.logits])
-                .unwrap();
-            (losses, grad_bits, bits(&out[0]))
-        };
-
-        let optimized = run(true);
-        let baseline = run(false);
-        prop_assert_eq!(optimized, baseline);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let model = layers::mlp_classifier(inputs, &widths, classes, &mut rng).unwrap();
+        let feeds = [(model.input, x), (model.labels, y)];
+        prop_assert_eq!(
+            compiled_training(&model, &feeds, 0.05, 3, workers),
+            raw_graph_training(&model, &feeds, 0.05, 3, workers)
+        );
     }
 
     #[test]
@@ -670,19 +724,15 @@ proptest! {
         classes in 2usize..5,
         batch in 1usize..4,
         workers in 1usize..6,
-        planned in any::<bool>(),
         seed in any::<u64>(),
     ) {
         use securetf_tensor::graph::{Graph, Padding};
-        use securetf_tensor::kernels::WorkerPool;
-        use securetf_tensor::memory::MemoryMode;
-        use securetf_tensor::optimizer::Sgd;
-        use securetf_tensor::session::Session;
+        use securetf_tensor::layers::Classifier;
 
         // A conv → bias → relu head the fusion pass rewrites into
         // FusedConv2d, followed by a dense layer it rewrites into
-        // FusedMatMul; the unoptimized session runs the original ops.
-        let build = || {
+        // FusedMatMul; the raw-graph baseline runs the original ops.
+        let model = {
             let mut g = Graph::new();
             let input = g.placeholder("input", &[0, h, w, cin]);
             let labels = g.placeholder("labels", &[0, classes]);
@@ -712,40 +762,16 @@ proptest! {
             let mm = g.matmul(flat, wv).unwrap();
             let logits = g.add_bias(mm, bv).unwrap();
             let loss = g.softmax_cross_entropy(logits, labels).unwrap();
-            (g, input, labels, logits, loss)
+            Classifier { graph: g, input, labels, logits, probabilities: logits, loss }
         };
         let x = Tensor::from_vec(&[batch, h, w, cin], lcg_fill(seed, batch * h * w * cin))
             .unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let mode = if planned { MemoryMode::Planned } else { MemoryMode::Unplanned };
-        let run = |optimize: bool| {
-            let (g, input, labels, logits, loss) = build();
-            let mut session = Session::new(&g);
-            session.set_optimize(optimize);
-            session.set_memory_mode(mode);
-            if workers > 1 {
-                session.set_worker_pool(WorkerPool::new(workers));
-            }
-            let feeds = [(input, x.clone()), (labels, y.clone())];
-            let (first_loss, grads) = session.gradients(&g, &feeds, loss).unwrap();
-            let mut grad_bits: Vec<(usize, Vec<u32>)> = grads
-                .iter()
-                .map(|(id, t)| (id.index(), bits(t)))
-                .collect();
-            grad_bits.sort_by_key(|(id, _)| *id);
-            let mut sgd = Sgd::new(0.02);
-            let mut losses = vec![first_loss.to_bits()];
-            for _ in 0..2 {
-                let step = session.train_step(&g, &feeds, loss, &mut sgd).unwrap();
-                losses.push(step.to_bits());
-            }
-            let out = session.run(&g, &[(input, x.clone())], &[logits]).unwrap();
-            (losses, grad_bits, bits(&out[0]))
-        };
-
-        let optimized = run(true);
-        let baseline = run(false);
-        prop_assert_eq!(optimized, baseline);
+        let feeds = [(model.input, x), (model.labels, y)];
+        prop_assert_eq!(
+            compiled_training(&model, &feeds, 0.02, 2, workers),
+            raw_graph_training(&model, &feeds, 0.02, 2, workers)
+        );
     }
 
     #[test]
@@ -758,8 +784,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use securetf_tensor::kernels::WorkerPool;
+        use securetf_tensor::memory::PlannedExecutor;
         use securetf_tflite::interpreter::Interpreter;
         use securetf_tflite::model::LiteModel;
+        use std::collections::HashMap;
 
         // A frozen dense classifier: matmul → bias → relu per hidden
         // layer, matmul → bias → softmax head. Every layer is a fusion
@@ -797,13 +825,22 @@ proptest! {
         let lite = LiteModel::convert(&g, "input", &out_name).unwrap();
         let x = Tensor::from_vec(&[rows, inputs], lcg_fill(seed, rows * inputs)).unwrap();
 
-        let mut baseline = Interpreter::unoptimized(lite.clone());
-        let expect = baseline.run(&x).unwrap();
-        prop_assert!(baseline.pipeline_report().is_none());
+        // Baseline: the model's graph exactly as converted, on the same
+        // executor the interpreter uses.
+        let (expect, _) = PlannedExecutor::new()
+            .run(
+                lite.graph(),
+                &HashMap::from([(lite.input(), x.clone())]),
+                &HashMap::new(),
+                &[lite.output()],
+                &WorkerPool::serial(),
+            )
+            .unwrap();
+        let expect = &expect[0];
 
         let mut optimized = Interpreter::with_pool(lite.clone(), WorkerPool::new(workers));
         let got = optimized.run(&x).unwrap();
-        prop_assert_eq!(bits(&got), bits(&expect));
+        prop_assert_eq!(bits(&got), bits(expect));
         // The pipeline ran and fused every dense layer's matmul chain.
         let report = optimized.pipeline_report().expect("pipeline ran");
         prop_assert!(report.nodes_fused() > widths.len() as u64);

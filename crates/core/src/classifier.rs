@@ -15,7 +15,7 @@ use securetf_crypto::aead::{self, Key, Nonce};
 use securetf_crypto::sha256;
 use securetf_shield::fs::UntrustedStore;
 use securetf_shield::sched::ThreadingModel;
-use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, RegionId, SimClock, Telemetry};
+use securetf_tee::{Enclave, ExecutionMode, Platform, RegionId, SimClock, Telemetry};
 use securetf_tensor::tensor::Tensor;
 use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::model::LiteModel;
@@ -50,7 +50,6 @@ impl SecureClassifier {
     pub(crate) fn deploy(
         cas: &mut CasService,
         store: &UntrustedStore,
-        image: &EnclaveImage,
         mode: ExecutionMode,
         service: &str,
         path: &str,
@@ -59,7 +58,6 @@ impl SecureClassifier {
         telemetry: Telemetry,
     ) -> Result<SecureClassifier, SecureTfError> {
         // A fresh machine with this profile's cost model.
-        let _ = image;
         let mut builder = Platform::builder()
             .cost_model(profile.cost_model())
             .telemetry(telemetry);
@@ -85,14 +83,14 @@ impl SecureClassifier {
                 .ok_or(SecureTfError::ModelIntegrity("policy missing digest"))?
                 .try_into()
                 .map_err(|_| SecureTfError::ModelIntegrity("bad digest length"))?;
-            (Some(Key::from_bytes(key_bytes)), Some(digest))
+            (Key::from_bytes(key_bytes), Some(digest))
         } else {
             // Native baseline still needs the key to read the stored file.
             let mut key_bytes = [0u8; 32];
             key_bytes.copy_from_slice(&sha256::digest(
                 format!("owner-model-key:{service}:{path}").as_bytes(),
             ));
-            (Some(Key::from_bytes(key_bytes)), None)
+            (Key::from_bytes(key_bytes), None)
         };
 
         // Load the encrypted model from untrusted storage.
@@ -100,18 +98,16 @@ impl SecureClassifier {
         let sealed = store
             .raw_contents(path)
             .ok_or(SecureTfError::ModelIntegrity("model file missing"))?;
-        let key = key.expect("always set above");
         let nonce = Nonce::from_counter(0x4d4f_4445, 1);
         enclave.charge_shield_crypto(sealed.len() as u64);
-        if sealed.len() < aead::TAG_LEN {
-            return Err(SecureTfError::ModelIntegrity("decryption/authentication failed"));
-        }
         // Verify-then-decrypt the stored blob in its own buffer: the
         // ciphertext read from the host becomes the plaintext in place.
         let mut plaintext = sealed;
-        let tag_start = plaintext.len() - aead::TAG_LEN;
-        let tag: [u8; aead::TAG_LEN] = plaintext[tag_start..].try_into().expect("tag length");
-        plaintext.truncate(tag_start);
+        let tag: [u8; aead::TAG_LEN] = plaintext
+            .len()
+            .checked_sub(aead::TAG_LEN)
+            .and_then(|tag_start| plaintext.split_off(tag_start).try_into().ok())
+            .ok_or(SecureTfError::ModelIntegrity("decryption/authentication failed"))?;
         aead::open_in_place_detached(&key, &nonce, &mut plaintext, &tag, path.as_bytes())
             .map_err(|_| SecureTfError::ModelIntegrity("decryption/authentication failed"))?;
         if let Some(digest) = expected_digest {
@@ -249,6 +245,7 @@ impl SecureClassifier {
                 self.enclave.touch(self.workspace_region, w.offset, w.bytes)?;
             }
         }
+        crate::export_memory_gauges(&self.enclave, &self.interpreter.memory_stats());
         Ok((out, clock.now_ns() - t0))
     }
 

@@ -168,7 +168,6 @@ impl Deployment {
         SecureClassifier::deploy(
             &mut self.cas,
             &self.store,
-            &self.service_image,
             self.mode,
             service,
             path,

@@ -92,6 +92,27 @@ pub(crate) fn attribute_kernel_flops(
     }
 }
 
+/// Publishes an executor's memory statistics as the `memory.*` gauges:
+/// the arena size the plan (and the EPC region charged for it) needs, the
+/// slot bytes the last run had live at once, and the heap the buffer
+/// pool holds between runs. An operator reads them together:
+/// `pool_bytes` stays flat from run to run and within one run's worth of
+/// buffers, so the real footprint tracks the region the cost model
+/// charges for.
+pub(crate) fn export_memory_gauges(
+    enclave: &securetf_tee::Enclave,
+    mem: &securetf_tensor::memory::MemoryStats,
+) {
+    let telemetry = enclave.telemetry();
+    telemetry
+        .gauge("memory.peak_planned_bytes")
+        .set(mem.planned_peak_bytes as i64);
+    telemetry
+        .gauge("memory.arena_bytes_in_use")
+        .set(mem.peak_resident_bytes as i64);
+    telemetry.gauge("memory.pool_bytes").set(mem.pooled_bytes as i64);
+}
+
 /// Top-level error type of the secureTF API.
 #[derive(Debug)]
 #[non_exhaustive]

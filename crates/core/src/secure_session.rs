@@ -111,13 +111,7 @@ impl SecureSession {
         for w in self.session.take_slot_writes() {
             self.enclave.touch(self.activations_region, w.offset, w.bytes)?;
         }
-        let telemetry = self.enclave.telemetry();
-        telemetry
-            .gauge("memory.peak_planned_bytes")
-            .set(mem.planned_peak_bytes as i64);
-        telemetry
-            .gauge("memory.arena_bytes_in_use")
-            .set(mem.peak_resident_bytes as i64);
+        crate::export_memory_gauges(&self.enclave, &mem);
         Ok(())
     }
 

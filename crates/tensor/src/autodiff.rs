@@ -3,14 +3,16 @@
 //! The executor walks the graph in topological order (node order), then —
 //! for training — propagates gradients in reverse. Both passes run against
 //! a memory plan ([`crate::memory::PlannedExecutor`] is the only entry
-//! point): kernel outputs draw buffers from the session arena, shape-only
-//! operands are read from the plan instead of keeping tensors alive, and
-//! each value is recycled the moment its planned lifetime ends. Gradients
-//! are verified against numerical differentiation in this module's tests.
+//! point): leaves (constants, variables, feeds) are read where they live
+//! and never copied, every tensor the passes create draws its buffer from
+//! the session arena, shape-only operands are read from the plan instead
+//! of keeping tensors alive, and each value is recycled the moment its
+//! planned lifetime ends. Gradients are verified against numerical
+//! differentiation in this module's tests.
 
-use crate::graph::{Graph, NodeId, Op};
+use crate::graph::{Graph, Node, NodeId, Op};
 use crate::kernels::{self, KernelCost, TakeBuffer, WorkerPool, Workspace};
-use crate::memory::ExecMemory;
+use crate::memory::{ExecMemory, Feeds};
 use crate::tensor::Tensor;
 use crate::TensorError;
 use std::collections::HashMap;
@@ -145,21 +147,87 @@ pub(crate) fn feed_matches_template(template: &[usize], shape: &[usize]) -> bool
             .all(|(&t, &s)| t == 0 || t == s)
 }
 
-/// Evaluates every `needed` node given placeholder `feeds` and variable
-/// values, executing into planned arena slots. `values` must be cleared
-/// and resized to `graph.len()` by the caller; results land there so the
-/// backward pass (and fetch cloning) can read them.
+/// The tensor fed to placeholder `id`, checked against its shape
+/// `template` (the one place the two [`TensorError::BadFeed`] conditions
+/// are written down; the planner and the executor both call it).
+pub(crate) fn checked_feed<'f, F: Feeds + ?Sized>(
+    feeds: &'f F,
+    id: NodeId,
+    name: &str,
+    template: &[usize],
+) -> Result<&'f Tensor, TensorError> {
+    let fed = feeds
+        .feed(id)
+        .ok_or_else(|| TensorError::BadFeed(format!("placeholder '{name}' not fed")))?;
+    if !feed_matches_template(template, fed.shape()) {
+        return Err(TensorError::BadFeed(format!(
+            "placeholder '{name}' expects {template:?}, fed {:?}",
+            fed.shape()
+        )));
+    }
+    Ok(fed)
+}
+
+/// The tensors a run reads but does not own: constants live in the
+/// graph, variables with the session, feeds with the caller. Both passes
+/// resolve leaf operands through this, by reference; nothing model-sized
+/// is ever copied into the run.
+pub(crate) struct Leaves<'a, F: Feeds + ?Sized> {
+    pub graph: &'a Graph,
+    pub feeds: &'a F,
+    pub vars: &'a HashMap<NodeId, Tensor>,
+}
+
+impl<'a, F: Feeds + ?Sized> Leaves<'a, F> {
+    /// The tensor leaf `id` stands for; `None` for computed nodes and
+    /// for leaves nobody supplied.
+    fn get(&self, id: NodeId) -> Option<&'a Tensor> {
+        match &self.graph.nodes().get(id.0)?.op {
+            Op::Constant(t) => Some(t),
+            Op::Variable { .. } => self.vars.get(&id),
+            Op::Placeholder { .. } => self.feeds.feed(id),
+            _ => None,
+        }
+    }
+
+    /// [`Leaves::get`] with the checks that belong to the leaf's own
+    /// forward step.
+    fn checked(&self, id: NodeId, node: &'a Node) -> Result<&'a Tensor, TensorError> {
+        match &node.op {
+            Op::Placeholder { shape } => checked_feed(self.feeds, id, &node.name, shape),
+            // A constant is always there; only a variable can be missing.
+            _ => self
+                .get(id)
+                .ok_or(TensorError::InvalidGraph("variable without session value")),
+        }
+    }
+
+    /// The value of node `id` during a run: the computed intermediate in
+    /// `values`, or the leaf read in place.
+    pub(crate) fn operand<'v>(&self, values: &'v [Option<Tensor>], id: NodeId) -> Option<&'v Tensor>
+    where
+        'a: 'v,
+    {
+        match values.get(id.0)? {
+            Some(value) => Some(value),
+            None => self.get(id),
+        }
+    }
+}
+
+/// Evaluates every `needed` node, executing into planned arena slots.
+/// `values` must be cleared and resized to the graph's length by the
+/// caller; computed intermediates land there so the backward pass (and
+/// fetch cloning) can read them. Leaves are checked and accounted at
+/// their own step but stay where they live.
 ///
 /// # Errors
 ///
 /// * [`TensorError::BadFeed`] for missing or mis-shaped placeholder feeds.
 /// * [`TensorError::ShapeMismatch`] for incompatible operand shapes.
 /// * [`TensorError::InvalidGraph`] for a variable with no session value.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward(
-    graph: &Graph,
-    feeds: &HashMap<NodeId, Tensor>,
-    vars: &HashMap<NodeId, Tensor>,
+pub(crate) fn forward<F: Feeds + ?Sized>(
+    leaves: &Leaves<'_, F>,
     needed: &[bool],
     pool: &WorkerPool,
     ws: &mut Workspace,
@@ -167,36 +235,24 @@ pub(crate) fn forward(
     values: &mut [Option<Tensor>],
 ) -> Result<RunStats, TensorError> {
     let mut stats = RunStats::default();
-    for (index, node) in graph.nodes().iter().enumerate() {
+    for (index, node) in leaves.graph.nodes().iter().enumerate() {
         if !needed[index] {
             continue;
         }
         let id = NodeId(index);
         let get = |nid: NodeId| -> &Tensor {
-            values[nid.0]
-                .as_ref()
+            leaves
+                .operand(values, nid)
                 .expect("inputs precede node in topological order")
         };
         let value = match &node.op {
-            Op::Placeholder { shape } => {
-                let fed = feeds.get(&id).ok_or_else(|| {
-                    TensorError::BadFeed(format!("placeholder '{}' not fed", node.name))
-                })?;
-                if !feed_matches_template(shape, fed.shape()) {
-                    return Err(TensorError::BadFeed(format!(
-                        "placeholder '{}' expects {:?}, fed {:?}",
-                        node.name,
-                        shape,
-                        fed.shape()
-                    )));
-                }
-                fed.clone()
+            Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => {
+                let leaf = leaves.checked(id, node)?;
+                stats.activation_bytes += leaf.byte_len();
+                mem.on_value(index, leaf)?;
+                mem.drop_dead_values(index, values);
+                continue;
             }
-            Op::Variable { .. } => vars
-                .get(&id)
-                .cloned()
-                .ok_or(TensorError::InvalidGraph("variable without session value"))?,
-            Op::Constant(t) => t.clone(),
             Op::MatMul(a, b) => {
                 let (ta, tb) = (get(*a), get(*b));
                 let (out, cost) = kernels::matmul_with(pool, ta, tb, &mut |len| mem.take(len))?;
@@ -205,24 +261,24 @@ pub(crate) fn forward(
             }
             Op::AddBias(x, bias) => {
                 let (tx, tb) = (get(*x), get(*bias));
-                add_bias(tx, tb)?
+                add_bias(mem, tx, tb)?
             }
             Op::Add(a, b) => {
                 stats.charge_serial(get(*a).len() as f64);
-                get(*a).zip(get(*b), |x, y| x + y)?
+                zip(mem, get(*a), get(*b), |x, y| x + y)?
             }
             Op::Mul(a, b) => {
                 stats.charge_serial(get(*a).len() as f64);
-                get(*a).zip(get(*b), |x, y| x * y)?
+                zip(mem, get(*a), get(*b), |x, y| x * y)?
             }
             Op::Relu(x) => {
                 stats.charge_serial(get(*x).len() as f64);
-                get(*x).map(|v| v.max(0.0))
+                map(mem, get(*x), |v| v.max(0.0))
             }
             Op::Softmax(x) => {
                 let t = get(*x);
                 stats.charge_serial(5.0 * t.len() as f64);
-                softmax(t)?
+                softmax(mem, t)?
             }
             Op::Conv2d {
                 input,
@@ -243,42 +299,41 @@ pub(crate) fn forward(
                 let t = get(*x);
                 let batch = *t.shape().first().unwrap_or(&1);
                 let rest = t.len() / batch.max(1);
-                t.reshape(&[batch, rest])?
+                reshaped(mem, t, &[batch, rest])?
             }
-            Op::Reshape(x, shape) => get(*x).reshape(shape)?,
+            Op::Reshape(x, shape) => reshaped(mem, get(*x), shape)?,
             Op::SoftmaxCrossEntropy { logits, labels } => {
                 let (tl, ty) = (get(*logits), get(*labels));
                 stats.charge_serial(8.0 * tl.len() as f64);
-                softmax_cross_entropy(tl, ty)?
+                softmax_cross_entropy(mem, tl, ty)?
             }
             Op::MseLoss(p, t) => {
                 let (tp, tt) = (get(*p), get(*t));
                 stats.charge_serial(3.0 * tp.len() as f64);
-                let diff = tp.zip(tt, |a, b| a - b)?;
-                Tensor::scalar(diff.data().iter().map(|d| d * d).sum::<f32>() / tp.len() as f32)
+                mse_loss(mem, tp, tt)?
             }
             Op::Sub(a, b) => {
                 stats.charge_serial(get(*a).len() as f64);
-                get(*a).zip(get(*b), |x, y| x - y)?
+                zip(mem, get(*a), get(*b), |x, y| x - y)?
             }
             Op::Scale(x, factor) => {
                 let f = *factor;
                 stats.charge_serial(get(*x).len() as f64);
-                get(*x).map(|v| v * f)
+                map(mem, get(*x), |v| v * f)
             }
             Op::Sigmoid(x) => {
                 stats.charge_serial(4.0 * get(*x).len() as f64);
-                get(*x).map(|v| 1.0 / (1.0 + (-v).exp()))
+                map(mem, get(*x), |v| 1.0 / (1.0 + (-v).exp()))
             }
             Op::Tanh(x) => {
                 stats.charge_serial(4.0 * get(*x).len() as f64);
-                get(*x).map(f32::tanh)
+                map(mem, get(*x), f32::tanh)
             }
             Op::AvgPool2(x) => {
                 stats.charge_serial(get(*x).len() as f64);
-                avg_pool2(get(*x))?
+                avg_pool2(mem, get(*x))?
             }
-            Op::ConcatCols(a, b) => concat_cols(get(*a), get(*b))?,
+            Op::ConcatCols(a, b) => concat_cols(mem, get(*a), get(*b))?,
             Op::FusedMatMul {
                 lhs,
                 rhs,
@@ -316,7 +371,7 @@ pub(crate) fn forward(
             }
         };
         stats.activation_bytes += value.byte_len();
-        mem.on_value(index, &value);
+        mem.on_value(index, &value)?;
         values[index] = Some(value);
         mem.drop_dead_values(index, values);
     }
@@ -333,19 +388,14 @@ fn accumulate(
 ) -> Result<(), TensorError> {
     match grads.get_mut(&nid) {
         Some(existing) => {
-            if existing.shape() != g.shape() {
-                return Err(TensorError::ShapeMismatch {
-                    op: "zip",
-                    detail: format!("{:?} vs {:?}", existing.shape(), g.shape()),
-                });
-            }
+            same_shape(existing, &g)?;
             for (a, &b) in existing.data_mut().iter_mut().zip(g.data()) {
                 *a += b;
             }
             mem.recycle(g);
         }
         None => {
-            mem.on_grad(nid.0, &g);
+            mem.on_grad(nid.0, &g)?;
             grads.insert(nid, g);
         }
     }
@@ -353,39 +403,40 @@ fn accumulate(
 }
 
 /// Computes gradients of the scalar `loss` over a completed forward pass:
-/// gradients draw buffers from the arena, shape-only operands come from
-/// the plan, forward values are recycled at their last backward reader,
-/// and non-variable gradients are recycled right after their node's rule
+/// gradients and every temporary draw buffers from the arena, leaf
+/// operands are read in place, shape-only operands come from the plan,
+/// forward values are recycled at their last backward reader, and
+/// non-variable gradients are recycled right after their node's rule
 /// fires. Returns exactly the variable gradients (what the optimizer
-/// consumes).
+/// consumes) — the only buffers that leave the arena.
 ///
 /// # Errors
 ///
 /// * [`TensorError::InvalidGraph`] if `loss` is not a scalar or was not
 ///   computed by the forward pass.
-pub(crate) fn backward(
-    graph: &Graph,
+pub(crate) fn backward<F: Feeds + ?Sized>(
+    leaves: &Leaves<'_, F>,
     values: &mut [Option<Tensor>],
     loss: NodeId,
     pool: &WorkerPool,
     ws: &mut Workspace,
     mem: &mut ExecMemory,
 ) -> Result<HashMap<NodeId, Tensor>, TensorError> {
-    let loss_value = values
-        .get(loss.0)
-        .and_then(Option::as_ref)
+    let loss_value = leaves
+        .operand(values, loss)
         .ok_or(TensorError::InvalidGraph("loss not computed by forward"))?;
     if loss_value.len() != 1 {
         return Err(TensorError::InvalidGraph("loss must be scalar"));
     }
-    let seed = Tensor::full(loss_value.shape(), 1.0);
+    let mut seed = mem.zeros(loss_value.shape());
+    seed.data_mut().fill(1.0);
     let mut grads: HashMap<NodeId, Tensor> = HashMap::new();
-    mem.on_grad(loss.0, &seed);
+    mem.on_grad(loss.0, &seed)?;
     grads.insert(loss, seed);
 
     for index in (0..=loss.0).rev() {
         let id = NodeId(index);
-        let node = graph.node(id)?;
+        let node = leaves.graph.node(id)?;
         // Variable gradients stay in the map for the optimizer; everything
         // else is removed (not cloned), used, and recycled below.
         let grad = if matches!(node.op, Op::Variable { .. }) {
@@ -395,17 +446,16 @@ pub(crate) fn backward(
         };
         if let Some(grad) = grad {
             let value_of = |nid: NodeId| -> Result<&Tensor, TensorError> {
-                values
-                    .get(nid.0)
-                    .and_then(Option::as_ref)
+                leaves
+                    .operand(values, nid)
                     .ok_or(TensorError::InvalidGraph("missing forward value"))
             };
             match &node.op {
                 Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => {}
                 Op::MatMul(a, b) => {
                     let (ta, tb) = (value_of(*a)?, value_of(*b)?);
-                    let tat = ta.transpose()?;
-                    let tbt = tb.transpose()?;
+                    let tat = transposed(mem, ta)?;
+                    let tbt = transposed(mem, tb)?;
                     let ga = kernels::matmul_with(pool, &grad, &tbt, &mut |len| mem.take(len))?.0;
                     let gb = kernels::matmul_with(pool, &tat, &grad, &mut |len| mem.take(len))?.0;
                     mem.recycle(tat);
@@ -415,21 +465,25 @@ pub(crate) fn backward(
                 }
                 Op::AddBias(x, bias) => {
                     let bias_shape = mem.plan().shape(bias.0).to_vec();
-                    accumulate(&mut grads, mem, *x, grad.clone())?;
-                    accumulate(&mut grads, mem, *bias, column_sum(&grad, &bias_shape)?)?;
+                    let gx = copy(mem, &grad);
+                    accumulate(&mut grads, mem, *x, gx)?;
+                    let gbias = column_sum(mem, &grad, &bias_shape);
+                    accumulate(&mut grads, mem, *bias, gbias)?;
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, mem, *a, grad.clone())?;
-                    accumulate(&mut grads, mem, *b, grad.clone())?;
+                    let ga = copy(mem, &grad);
+                    accumulate(&mut grads, mem, *a, ga)?;
+                    let gb = copy(mem, &grad);
+                    accumulate(&mut grads, mem, *b, gb)?;
                 }
                 Op::Mul(a, b) => {
-                    let ga = grad.zip(value_of(*b)?, |g, v| g * v)?;
-                    let gb = grad.zip(value_of(*a)?, |g, v| g * v)?;
+                    let ga = zip(mem, &grad, value_of(*b)?, |g, v| g * v)?;
+                    let gb = zip(mem, &grad, value_of(*a)?, |g, v| g * v)?;
                     accumulate(&mut grads, mem, *a, ga)?;
                     accumulate(&mut grads, mem, *b, gb)?;
                 }
                 Op::Relu(x) => {
-                    let gx = grad.zip(value_of(*x)?, |g, v| if v > 0.0 { g } else { 0.0 })?;
+                    let gx = zip(mem, &grad, value_of(*x)?, relu_mask)?;
                     accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Softmax(x) => {
@@ -437,7 +491,7 @@ pub(crate) fn backward(
                         .get(index)
                         .and_then(Option::as_ref)
                         .ok_or(TensorError::InvalidGraph("missing softmax value"))?;
-                    let gx = softmax_grad(s, &grad)?;
+                    let gx = softmax_grad(mem, s, &grad)?;
                     accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Conv2d {
@@ -466,14 +520,15 @@ pub(crate) fn backward(
                 }
                 Op::Flatten(x) | Op::Reshape(x, _) => {
                     let x_shape = mem.plan().shape(x.0).to_vec();
-                    accumulate(&mut grads, mem, *x, grad.reshape(&x_shape)?)?;
+                    let gx = reshaped(mem, &grad, &x_shape)?;
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::SoftmaxCrossEntropy { logits, labels } => {
                     let (tl, ty) = (value_of(*logits)?, value_of(*labels)?);
                     let batch = tl.shape()[0] as f32;
-                    let probs = softmax(tl)?;
+                    let probs = softmax(mem, tl)?;
                     let scale = grad.data()[0] / batch;
-                    let gl = probs.zip(ty, |p, y| (p - y) * scale)?;
+                    let gl = zip(mem, &probs, ty, |p, y| (p - y) * scale)?;
                     mem.recycle(probs);
                     accumulate(&mut grads, mem, *logits, gl)?;
                 }
@@ -481,23 +536,26 @@ pub(crate) fn backward(
                     let (tp, tt) = (value_of(*p)?, value_of(*t)?);
                     let n = tp.len() as f32;
                     let scale = 2.0 * grad.data()[0] / n;
-                    let gp = tp.zip(tt, |a, b| (a - b) * scale)?;
+                    let gp = zip(mem, tp, tt, |a, b| (a - b) * scale)?;
                     accumulate(&mut grads, mem, *p, gp)?;
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, mem, *a, grad.clone())?;
-                    accumulate(&mut grads, mem, *b, grad.map(|g| -g))?;
+                    let ga = copy(mem, &grad);
+                    accumulate(&mut grads, mem, *a, ga)?;
+                    let gb = map(mem, &grad, |g| -g);
+                    accumulate(&mut grads, mem, *b, gb)?;
                 }
                 Op::Scale(x, factor) => {
                     let f = *factor;
-                    accumulate(&mut grads, mem, *x, grad.map(|g| g * f))?;
+                    let gx = map(mem, &grad, |g| g * f);
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Sigmoid(x) => {
                     let s = values
                         .get(index)
                         .and_then(Option::as_ref)
                         .ok_or(TensorError::InvalidGraph("missing sigmoid value"))?;
-                    let gx = grad.zip(s, |g, sv| g * sv * (1.0 - sv))?;
+                    let gx = zip(mem, &grad, s, |g, sv| g * sv * (1.0 - sv))?;
                     accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::Tanh(x) => {
@@ -505,17 +563,18 @@ pub(crate) fn backward(
                         .get(index)
                         .and_then(Option::as_ref)
                         .ok_or(TensorError::InvalidGraph("missing tanh value"))?;
-                    let gx = grad.zip(t, |g, tv| g * (1.0 - tv * tv))?;
+                    let gx = zip(mem, &grad, t, |g, tv| g * (1.0 - tv * tv))?;
                     accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::AvgPool2(x) => {
                     let x_shape = mem.plan().shape(x.0).to_vec();
-                    accumulate(&mut grads, mem, *x, avg_pool2_grad(&x_shape, &grad)?)?;
+                    let gx = avg_pool2_grad(mem, &x_shape, &grad)?;
+                    accumulate(&mut grads, mem, *x, gx)?;
                 }
                 Op::ConcatCols(a, b) => {
                     let a_shape = mem.plan().shape(a.0).to_vec();
                     let b_shape = mem.plan().shape(b.0).to_vec();
-                    let (ga, gb) = concat_cols_grad(&a_shape, &b_shape, &grad)?;
+                    let (ga, gb) = concat_cols_grad(mem, &a_shape, &b_shape, &grad)?;
                     accumulate(&mut grads, mem, *a, ga)?;
                     accumulate(&mut grads, mem, *b, gb)?;
                 }
@@ -533,15 +592,15 @@ pub(crate) fn backward(
                             .get(index)
                             .and_then(Option::as_ref)
                             .ok_or(TensorError::InvalidGraph("missing fused value"))?;
-                        grad.zip(y, |g, v| if v > 0.0 { g } else { 0.0 })?
+                        zip(mem, &grad, y, relu_mask)?
                     } else {
-                        grad.clone()
+                        copy(mem, &grad)
                     };
                     let bias_shape = mem.plan().shape(bias.0).to_vec();
-                    let gbias = column_sum(&dpre, &bias_shape)?;
+                    let gbias = column_sum(mem, &dpre, &bias_shape);
                     let (tl, tr) = (value_of(*lhs)?, value_of(*rhs)?);
-                    let tlt = tl.transpose()?;
-                    let trt = tr.transpose()?;
+                    let tlt = transposed(mem, tl)?;
+                    let trt = transposed(mem, tr)?;
                     let ga = kernels::matmul_with(pool, &dpre, &trt, &mut |len| mem.take(len))?.0;
                     let gb = kernels::matmul_with(pool, &tlt, &dpre, &mut |len| mem.take(len))?.0;
                     mem.recycle(tlt);
@@ -565,12 +624,12 @@ pub(crate) fn backward(
                             .get(index)
                             .and_then(Option::as_ref)
                             .ok_or(TensorError::InvalidGraph("missing fused value"))?;
-                        grad.zip(y, |g, v| if v > 0.0 { g } else { 0.0 })?
+                        zip(mem, &grad, y, relu_mask)?
                     } else {
-                        grad.clone()
+                        copy(mem, &grad)
                     };
                     let bias_shape = mem.plan().shape(bias.0).to_vec();
-                    let gbias = column_sum(&dpre, &bias_shape)?;
+                    let gbias = column_sum(mem, &dpre, &bias_shape);
                     let (ti, tf) = (value_of(*input)?, value_of(*filter)?);
                     let (gi, gf, _) =
                         kernels::conv2d_grad_with(pool, ws, ti, tf, &dpre, *padding, &mut |len| {
@@ -590,8 +649,95 @@ pub(crate) fn backward(
 }
 
 // ---- kernels ---------------------------------------------------------------
+//
+// Every tensor created below draws its buffer from the arena
+// (`ExecMemory::zeros`), so every buffer the passes recycle was taken
+// from the pool first and the pool cannot grow from run to run.
 
-fn add_bias(x: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
+/// `f` applied elementwise.
+fn map(mem: &mut ExecMemory, x: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    let mut out = mem.zeros(x.shape());
+    for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
+        *o = f(v);
+    }
+    out
+}
+
+/// The elementwise ops' operand check.
+fn same_shape(a: &Tensor, b: &Tensor) -> Result<(), TensorError> {
+    if a.shape() == b.shape() {
+        Ok(())
+    } else {
+        Err(TensorError::ShapeMismatch {
+            op: "zip",
+            detail: format!("{:?} vs {:?}", a.shape(), b.shape()),
+        })
+    }
+}
+
+/// `f` applied elementwise to two same-shape tensors.
+fn zip(
+    mem: &mut ExecMemory,
+    a: &Tensor,
+    b: &Tensor,
+    f: impl Fn(f32, f32) -> f32,
+) -> Result<Tensor, TensorError> {
+    same_shape(a, b)?;
+    let mut out = mem.zeros(a.shape());
+    for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+        *o = f(x, y);
+    }
+    Ok(out)
+}
+
+/// The relu backward rule: the gradient passes where the forward value
+/// was positive.
+fn relu_mask(g: f32, v: f32) -> f32 {
+    if v > 0.0 {
+        g
+    } else {
+        0.0
+    }
+}
+
+/// `x`'s data under a new shape of equal element count.
+fn reshaped(mem: &mut ExecMemory, x: &Tensor, shape: &[usize]) -> Result<Tensor, TensorError> {
+    if shape.iter().product::<usize>() != x.len() {
+        return Err(TensorError::ShapeMismatch {
+            op: "reshape",
+            detail: format!("{:?} -> {shape:?}", x.shape()),
+        });
+    }
+    let mut out = mem.zeros(shape);
+    out.data_mut().copy_from_slice(x.data());
+    Ok(out)
+}
+
+fn copy(mem: &mut ExecMemory, x: &Tensor) -> Tensor {
+    let mut out = mem.zeros(x.shape());
+    out.data_mut().copy_from_slice(x.data());
+    out
+}
+
+/// Transpose of a rank-2 tensor.
+fn transposed(mem: &mut ExecMemory, x: &Tensor) -> Result<Tensor, TensorError> {
+    let &[m, n] = x.shape() else {
+        return Err(TensorError::ShapeMismatch {
+            op: "transpose",
+            detail: format!("{:?} (need rank 2)", x.shape()),
+        });
+    };
+    let mut out = mem.zeros(&[n, m]);
+    let (od, xd) = (out.data_mut(), x.data());
+    for i in 0..m {
+        for j in 0..n {
+            od[j * m + i] = xd[i * n + j];
+        }
+    }
+    Ok(out)
+}
+
+fn add_bias(mem: &mut ExecMemory, x: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
     let n = *x
         .shape()
         .last()
@@ -605,30 +751,30 @@ fn add_bias(x: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
             detail: format!("x {:?} bias {:?}", x.shape(), bias.shape()),
         });
     }
-    let mut out = x.clone();
-    for (i, v) in out.data_mut().iter_mut().enumerate() {
-        *v += bias.data()[i % n];
+    let mut out = mem.zeros(x.shape());
+    for (i, (o, &v)) in out.data_mut().iter_mut().zip(x.data()).enumerate() {
+        *o = v + bias.data()[i % n];
     }
     Ok(out)
 }
 
-fn column_sum(grad: &Tensor, bias_shape: &[usize]) -> Result<Tensor, TensorError> {
+fn column_sum(mem: &mut ExecMemory, grad: &Tensor, bias_shape: &[usize]) -> Tensor {
     let n = bias_shape[0];
-    let mut out = Tensor::zeros(bias_shape);
+    let mut out = mem.zeros(bias_shape);
     for (i, &g) in grad.data().iter().enumerate() {
         out.data_mut()[i % n] += g;
     }
-    Ok(out)
+    out
 }
 
-fn softmax(x: &Tensor) -> Result<Tensor, TensorError> {
+fn softmax(mem: &mut ExecMemory, x: &Tensor) -> Result<Tensor, TensorError> {
     let &[m, n] = x.shape() else {
         return Err(TensorError::ShapeMismatch {
             op: "softmax",
             detail: format!("{:?} (need rank 2)", x.shape()),
         });
     };
-    let mut out = x.clone();
+    let mut out = copy(mem, x);
     for i in 0..m {
         let row = &mut out.data_mut()[i * n..(i + 1) * n];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -644,14 +790,14 @@ fn softmax(x: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
-fn softmax_grad(s: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
+fn softmax_grad(mem: &mut ExecMemory, s: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
     let &[m, n] = s.shape() else {
         return Err(TensorError::ShapeMismatch {
             op: "softmax_grad",
             detail: format!("{:?}", s.shape()),
         });
     };
-    let mut out = Tensor::zeros(s.shape());
+    let mut out = mem.zeros(s.shape());
     for i in 0..m {
         let srow = &s.data()[i * n..(i + 1) * n];
         let grow = &grad.data()[i * n..(i + 1) * n];
@@ -664,7 +810,18 @@ fn softmax_grad(s: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
-fn softmax_cross_entropy(logits: &Tensor, labels: &Tensor) -> Result<Tensor, TensorError> {
+/// A scalar (`[]`-shaped) tensor holding `value`.
+fn scalar(mem: &mut ExecMemory, value: f32) -> Tensor {
+    let mut out = mem.zeros(&[]);
+    out.data_mut()[0] = value;
+    out
+}
+
+fn softmax_cross_entropy(
+    mem: &mut ExecMemory,
+    logits: &Tensor,
+    labels: &Tensor,
+) -> Result<Tensor, TensorError> {
     if logits.shape() != labels.shape() {
         return Err(TensorError::ShapeMismatch {
             op: "softmax_xent",
@@ -689,10 +846,21 @@ fn softmax_cross_entropy(logits: &Tensor, labels: &Tensor) -> Result<Tensor, Ten
             }
         }
     }
-    Ok(Tensor::scalar(total / m as f32))
+    Ok(scalar(mem, total / m as f32))
 }
 
-fn avg_pool2(x: &Tensor) -> Result<Tensor, TensorError> {
+/// Mean squared difference; the squares are summed in element order
+/// without materializing the difference.
+fn mse_loss(mem: &mut ExecMemory, p: &Tensor, t: &Tensor) -> Result<Tensor, TensorError> {
+    same_shape(p, t)?;
+    let squares = p.data().iter().zip(t.data()).map(|(&a, &b)| {
+        let d = a - b;
+        d * d
+    });
+    Ok(scalar(mem, squares.sum::<f32>() / p.len() as f32))
+}
+
+fn avg_pool2(mem: &mut ExecMemory, x: &Tensor) -> Result<Tensor, TensorError> {
     let &[b, h, w, c] = x.shape() else {
         return Err(TensorError::ShapeMismatch {
             op: "avg_pool2",
@@ -700,7 +868,7 @@ fn avg_pool2(x: &Tensor) -> Result<Tensor, TensorError> {
         });
     };
     let (oh, ow) = (h / 2, w / 2);
-    let mut out = Tensor::zeros(&[b, oh, ow, c]);
+    let mut out = mem.zeros(&[b, oh, ow, c]);
     let xd = x.data();
     for bi in 0..b {
         for oy in 0..oh {
@@ -720,7 +888,11 @@ fn avg_pool2(x: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
-fn avg_pool2_grad(in_shape: &[usize], grad: &Tensor) -> Result<Tensor, TensorError> {
+fn avg_pool2_grad(
+    mem: &mut ExecMemory,
+    in_shape: &[usize],
+    grad: &Tensor,
+) -> Result<Tensor, TensorError> {
     let &[b, h, w, c] = in_shape else {
         return Err(TensorError::ShapeMismatch {
             op: "avg_pool2_grad",
@@ -728,7 +900,7 @@ fn avg_pool2_grad(in_shape: &[usize], grad: &Tensor) -> Result<Tensor, TensorErr
         });
     };
     let (oh, ow) = (h / 2, w / 2);
-    let mut gx = Tensor::zeros(in_shape);
+    let mut gx = mem.zeros(in_shape);
     for bi in 0..b {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -747,7 +919,7 @@ fn avg_pool2_grad(in_shape: &[usize], grad: &Tensor) -> Result<Tensor, TensorErr
     Ok(gx)
 }
 
-fn concat_cols(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
+fn concat_cols(mem: &mut ExecMemory, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let (&[m1, n1], &[m2, n2]) = (a.shape(), b.shape()) else {
         return Err(TensorError::ShapeMismatch {
             op: "concat_cols",
@@ -760,7 +932,7 @@ fn concat_cols(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
             detail: format!("row counts {m1} vs {m2}"),
         });
     }
-    let mut out = Tensor::zeros(&[m1, n1 + n2]);
+    let mut out = mem.zeros(&[m1, n1 + n2]);
     for i in 0..m1 {
         out.data_mut()[i * (n1 + n2)..i * (n1 + n2) + n1]
             .copy_from_slice(&a.data()[i * n1..(i + 1) * n1]);
@@ -771,6 +943,7 @@ fn concat_cols(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 }
 
 fn concat_cols_grad(
+    mem: &mut ExecMemory,
     a_shape: &[usize],
     b_shape: &[usize],
     grad: &Tensor,
@@ -781,8 +954,8 @@ fn concat_cols_grad(
             detail: format!("{a_shape:?} / {b_shape:?}"),
         });
     };
-    let mut ga = Tensor::zeros(a_shape);
-    let mut gb = Tensor::zeros(b_shape);
+    let mut ga = mem.zeros(a_shape);
+    let mut gb = mem.zeros(b_shape);
     for i in 0..m {
         ga.data_mut()[i * n1..(i + 1) * n1]
             .copy_from_slice(&grad.data()[i * (n1 + n2)..i * (n1 + n2) + n1]);
@@ -980,9 +1153,64 @@ mod tests {
     }
 
     #[test]
+    fn fetching_leaves_directly_returns_their_values() {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 2]);
+        let w = g.variable("w", Tensor::from_vec(&[2], vec![3.0, 4.0]).unwrap());
+        let c = g.constant("c", Tensor::scalar(5.0));
+        let fed = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]).unwrap();
+        // The session's value wins over the graph's initial one.
+        let vars = HashMap::from([(w, Tensor::from_vec(&[2], vec![6.0, 7.0]).unwrap())]);
+        let (out, stats) = run(&g, &feeds(&[(x, fed.clone())]), &vars, &[c, w, x, w]).unwrap();
+        assert_eq!(out, vec![Tensor::scalar(5.0), vars[&w].clone(), fed, vars[&w].clone()]);
+        assert_eq!(stats.activation_bytes, 4 + 8 + 8);
+        // A fetched leaf is still checked at its own step.
+        assert!(matches!(
+            run(&g, &HashMap::new(), &vars, &[x]),
+            Err(TensorError::BadFeed(_))
+        ));
+        assert!(matches!(
+            run(&g, &HashMap::new(), &HashMap::new(), &[w]),
+            Err(TensorError::InvalidGraph("variable without session value"))
+        ));
+    }
+
+    #[test]
+    fn gradcheck_leaf_read_twice_by_one_op_and_shared_between_layers() {
+        // `a` feeds both operands of a Mul and of a MatMul and is the
+        // weight of two layers; `x` is squared in place. Every read
+        // resolves the same borrowed tensor.
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 2]);
+        let t = g.placeholder("t", &[0, 2]);
+        let a = g.variable("a", Tensor::from_vec(&[2, 2], vec![0.4, -0.7, 0.2, 0.9]).unwrap());
+        let b = g.variable("b", Tensor::from_vec(&[2], vec![0.05, -0.1]).unwrap());
+        let squared = g.mul(a, a).unwrap();
+        let product = g.matmul(a, a).unwrap();
+        let mixed = g.add(squared, product).unwrap();
+        let xx = g.mul(x, x).unwrap();
+        let h = g.matmul(xx, mixed).unwrap();
+        let h = g.add_bias(h, b).unwrap();
+        let h = g.tanh(h).unwrap();
+        let y = g.matmul(h, a).unwrap();
+        let y = g.add_bias(y, b).unwrap();
+        let loss = g.mse_loss(y, t).unwrap();
+        gradient_check(
+            &g,
+            &feeds(&[
+                (x, Tensor::from_vec(&[2, 2], vec![1.0, -0.5, 0.3, 0.8]).unwrap()),
+                (t, Tensor::from_vec(&[2, 2], vec![0.5, 0.5, 0.1, 0.9]).unwrap()),
+            ]),
+            vars_of(&g),
+            loss,
+            2e-2,
+        );
+    }
+
+    #[test]
     fn softmax_rows_sum_to_one() {
         let t = Tensor::from_vec(&[2, 3], vec![1., 2., 3., -1., 0., 100.]).unwrap();
-        let s = softmax(&t).unwrap();
+        let s = softmax(&mut ExecMemory::default(), &t).unwrap();
         for i in 0..2 {
             let sum: f32 = s.data()[i * 3..(i + 1) * 3].iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -995,11 +1223,12 @@ mod tests {
     fn cross_entropy_of_perfect_prediction_is_small() {
         let logits = Tensor::from_vec(&[1, 3], vec![20.0, 0.0, 0.0]).unwrap();
         let labels = Tensor::from_vec(&[1, 3], vec![1.0, 0.0, 0.0]).unwrap();
-        let loss = softmax_cross_entropy(&logits, &labels).unwrap();
+        let mem = &mut ExecMemory::default();
+        let loss = softmax_cross_entropy(mem, &logits, &labels).unwrap();
         assert!(loss.data()[0] < 1e-3);
         // Wrong prediction has high loss.
         let wrong = Tensor::from_vec(&[1, 3], vec![0.0, 20.0, 0.0]).unwrap();
-        assert!(softmax_cross_entropy(&wrong, &labels).unwrap().data()[0] > 5.0);
+        assert!(softmax_cross_entropy(mem, &wrong, &labels).unwrap().data()[0] > 5.0);
     }
 
     #[test]
@@ -1248,7 +1477,7 @@ mod tests {
     #[test]
     fn avg_pool_forward_values() {
         let x = Tensor::from_vec(&[1, 2, 2, 1], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let out = avg_pool2(&x).unwrap();
+        let out = avg_pool2(&mut ExecMemory::default(), &x).unwrap();
         assert_eq!(out.data(), &[2.5]);
     }
 
@@ -1274,10 +1503,11 @@ mod tests {
     fn concat_cols_layout() {
         let a = Tensor::from_vec(&[2, 2], vec![1., 2., 3., 4.]).unwrap();
         let b = Tensor::from_vec(&[2, 1], vec![9., 8.]).unwrap();
-        let out = concat_cols(&a, &b).unwrap();
+        let mem = &mut ExecMemory::default();
+        let out = concat_cols(mem, &a, &b).unwrap();
         assert_eq!(out.shape(), &[2, 3]);
         assert_eq!(out.data(), &[1., 2., 9., 3., 4., 8.]);
-        assert!(concat_cols(&a, &Tensor::zeros(&[3, 1])).is_err());
+        assert!(concat_cols(mem, &a, &Tensor::zeros(&[3, 1])).is_err());
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!
 //! Workers are plain `std::thread::scope` threads (the workspace builds
 //! offline; no rayon). Worker 0 runs on the calling thread, so a
-//! one-worker pool spawns nothing.
+//! one-worker pool spawns nothing; the caller waits for the others by
+//! yielding (`fork_join`).
 
 use std::ops::Range;
+use std::thread::ScopedJoinHandle;
 
 /// Upper bound on workers; far above any EPC-resident core count.
 const MAX_WORKERS: usize = 64;
@@ -74,29 +76,17 @@ impl WorkerPool {
             }
             return;
         }
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = out;
-            let mut regions = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let elems = ((r.end - r.start) * block_len).min(rest.len());
-                let (head, tail) = rest.split_at_mut(elems);
-                regions.push((r.start, head));
-                rest = tail;
-            }
-            let mut regions = regions.into_iter();
-            // Worker 0 runs on the calling thread; the rest are spawned.
-            let local = regions.next();
-            for (first_block, region) in regions {
-                scope.spawn(move || {
-                    for (j, block) in region.chunks_mut(block_len).enumerate() {
-                        f(first_block + j, block);
-                    }
-                });
-            }
-            if let Some((first_block, region)) = local {
-                for (j, block) in region.chunks_mut(block_len).enumerate() {
-                    f(first_block + j, block);
-                }
+        let mut rest: &mut [f32] = out;
+        let mut regions = Vec::with_capacity(ranges.len());
+        for r in &ranges {
+            let elems = ((r.end - r.start) * block_len).min(rest.len());
+            let (head, tail) = rest.split_at_mut(elems);
+            regions.push((r.start, head));
+            rest = tail;
+        }
+        fork_join(regions, &|(first_block, region): (usize, &mut [f32])| {
+            for (j, block) in region.chunks_mut(block_len).enumerate() {
+                f(first_block + j, block);
             }
         });
     }
@@ -121,31 +111,52 @@ impl WorkerPool {
             }
             return;
         }
-        std::thread::scope(|scope| {
-            let mut rest: &mut [T] = items;
-            let mut regions = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let (head, tail) = rest.split_at_mut(r.end - r.start);
-                regions.push((r.start, head));
-                rest = tail;
-            }
-            let mut regions = regions.into_iter();
-            // Worker 0 runs on the calling thread; the rest are spawned.
-            let local = regions.next();
-            for (first, region) in regions {
-                scope.spawn(move || {
-                    for (j, item) in region.iter_mut().enumerate() {
-                        f(first + j, item);
-                    }
-                });
-            }
-            if let Some((first, region)) = local {
-                for (j, item) in region.iter_mut().enumerate() {
-                    f(first + j, item);
-                }
+        let mut rest: &mut [T] = items;
+        let mut regions = Vec::with_capacity(ranges.len());
+        for r in &ranges {
+            let (head, tail) = rest.split_at_mut(r.end - r.start);
+            regions.push((r.start, head));
+            rest = tail;
+        }
+        fork_join(regions, &|(first, region): (usize, &mut [T])| {
+            for (j, item) in region.iter_mut().enumerate() {
+                f(first + j, item);
             }
         });
     }
+}
+
+/// Runs `work` on every region: the first on the calling thread, each of
+/// the others on a scoped thread of its own, started before the caller
+/// begins its own region.
+///
+/// Once its own region is done the caller waits for the workers by
+/// yielding, not by blocking in `join`. A kernel call lasts a fraction of
+/// a millisecond, so a caller that blocks is put to sleep and woken once
+/// per call (inside an enclave that is an exit and a re-entry, which is
+/// why SCONE's threads spin as well); over the sixteen calls of a small
+/// training step that was 3 % of the step. A yielding caller also stays
+/// runnable: a worker that has to share the caller's CPU gets it at the
+/// yield, and a scheduler that spreads threads over CPUs only while it
+/// sees more runnable threads than busy CPUs sees the two the pool
+/// asked for, not two that take turns sleeping. On such a host a
+/// blocking join left the second CPU unused for 2 to 7 s after every
+/// idle spell, a different length each time (EXPERIMENTS.md,
+/// "Run-to-run steadiness of `train_dist`").
+fn fork_join<R: Send>(regions: Vec<R>, work: &(impl Fn(R) + Sync)) {
+    std::thread::scope(|scope| {
+        let mut regions = regions.into_iter();
+        let local = regions.next();
+        let workers: Vec<_> = regions.map(|region| scope.spawn(move || work(region))).collect();
+        if let Some(region) = local {
+            work(region);
+        }
+        // `is_finished` also turns true when a worker panics; the scope
+        // then re-raises the panic on the caller.
+        while !workers.iter().all(ScopedJoinHandle::is_finished) {
+            std::thread::yield_now();
+        }
+    });
 }
 
 /// Splits `items` work units into at most `workers` contiguous ranges.
@@ -234,6 +245,15 @@ mod tests {
     fn run_on_blocks_empty_output_is_noop() {
         let mut out: Vec<f32> = Vec::new();
         WorkerPool::new(4).run_on_blocks(&mut out, 8, &|_, _| panic!("no blocks expected"));
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_instead_of_hanging_it() {
+        let mut out = vec![0.0f32; 8];
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            WorkerPool::new(2).run_on_blocks(&mut out, 4, &|blk, _| assert_eq!(blk, 0, "the spawned worker fails"));
+        }));
+        assert!(outcome.is_err());
     }
 
     #[test]

@@ -27,8 +27,15 @@
 //! as a different number. A graph that cannot be planned (missing feed,
 //! operand shape mismatch) cannot be executed either, so the planner's
 //! typed error is returned to the caller.
+//!
+//! A steady-state run moves no model-sized data and allocates none:
+//! leaves (constants, variables, feeds) are read where they live, and
+//! every tensor the executor creates is `take`n from the [`Arena`] and
+//! `put` back when it dies, so the pool never holds more than one run's
+//! buffers. Only what is handed to the caller — fetched outputs and
+//! variable gradients — leaves the pool (pinned by `tests/no_alloc.rs`).
 
-use crate::autodiff::{self, RunStats};
+use crate::autodiff::{self, Leaves, RunStats};
 use crate::graph::{Graph, NodeId, Op, Padding};
 use crate::kernels::{WorkerPool, Workspace};
 use crate::tensor::Tensor;
@@ -90,6 +97,27 @@ impl MemoryPlan {
     }
 }
 
+/// Placeholder feeds, looked up by node id. The executor reads a fed
+/// tensor in place — it never copies one — so callers lend whatever they
+/// hold: a map of owned tensors, or a slice of borrowed ones.
+pub trait Feeds {
+    /// The tensor fed to placeholder `id`, if any.
+    fn feed(&self, id: NodeId) -> Option<&Tensor>;
+}
+
+impl Feeds for HashMap<NodeId, Tensor> {
+    fn feed(&self, id: NodeId) -> Option<&Tensor> {
+        self.get(&id)
+    }
+}
+
+/// Later entries win, as if the pairs were inserted into a map in order.
+impl Feeds for [(NodeId, &Tensor)] {
+    fn feed(&self, id: NodeId) -> Option<&Tensor> {
+        self.iter().rev().find(|(fed, _)| *fed == id).map(|(_, t)| *t)
+    }
+}
+
 fn elems(shape: &[usize]) -> usize {
     shape.iter().product()
 }
@@ -109,26 +137,17 @@ fn bytes_of(shape: &[usize]) -> u64 {
 /// * [`TensorError::BadFeed`] for missing or mis-shaped placeholder feeds.
 /// * [`TensorError::InvalidGraph`] for a variable with no session value.
 /// * [`TensorError::ShapeMismatch`] for incompatible operand shapes.
-pub fn infer_shapes(
+pub fn infer_shapes<F: Feeds + ?Sized>(
     graph: &Graph,
     needed: &[bool],
-    feeds: &HashMap<NodeId, Tensor>,
+    feeds: &F,
     vars: &HashMap<NodeId, Tensor>,
 ) -> Result<Vec<Vec<usize>>, TensorError> {
     infer_shapes_from_leaves(
         graph,
         needed,
         |id, name, template| {
-            let fed = feeds
-                .get(&id)
-                .ok_or_else(|| TensorError::BadFeed(format!("placeholder '{name}' not fed")))?;
-            if !autodiff::feed_matches_template(template, fed.shape()) {
-                return Err(TensorError::BadFeed(format!(
-                    "placeholder '{name}' expects {template:?}, fed {:?}",
-                    fed.shape()
-                )));
-            }
-            Ok(fed.shape().to_vec())
+            autodiff::checked_feed(feeds, id, name, template).map(|fed| fed.shape().to_vec())
         },
         |id, _init| {
             vars.get(&id)
@@ -638,15 +657,21 @@ fn is_var(graph: &Graph, index: usize) -> bool {
 /// the TEE layer replays as EPC page touches), while execution backs each
 /// live slot with a recycled `Vec<f32>`. `take` always returns a zeroed
 /// buffer, so recycling can never change results.
+///
+/// The pool has no size cap because it needs none: the executor `put`s
+/// only buffers it `take`s, so the free lists can never hold more than
+/// the buffers one run had out at once.
 #[derive(Debug, Clone, Default)]
 pub struct Arena {
     free: HashMap<usize, Vec<Vec<f32>>>,
+    pooled_bytes: u64,
 }
 
 impl Arena {
     /// A zeroed buffer of exactly `len` elements, recycled if available.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         if let Some(mut buf) = self.free.get_mut(&len).and_then(Vec::pop) {
+            self.pooled_bytes -= bytes_of(&[len]);
             buf.fill(0.0);
             buf
         } else {
@@ -657,8 +682,14 @@ impl Arena {
     /// Returns a buffer to the pool.
     pub fn put(&mut self, buf: Vec<f32>) {
         if !buf.is_empty() {
+            self.pooled_bytes += bytes_of(&[buf.len()]);
             self.free.entry(buf.len()).or_default().push(buf);
         }
+    }
+
+    /// Bytes currently parked in the free lists.
+    pub fn pooled_bytes(&self) -> u64 {
+        self.pooled_bytes
     }
 }
 
@@ -683,6 +714,9 @@ pub struct MemoryStats {
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes` during the last run.
     pub peak_resident_bytes: u64,
+    /// Bytes parked in the [`Arena`] free lists — real heap the executor
+    /// holds between runs. Constant from run to run in steady state.
+    pub pooled_bytes: u64,
 }
 
 /// Runtime state of one planned execution: the plan, the backing arena,
@@ -720,30 +754,53 @@ impl ExecMemory {
         self.arena.take(len)
     }
 
+    /// A zeroed tensor of `shape` backed by an arena buffer.
+    pub(crate) fn zeros(&mut self, shape: &[usize]) -> Tensor {
+        Tensor::from_vec(shape, self.arena.take(elems(shape)))
+            .expect("buffer taken at the shape's element count")
+    }
+
     pub(crate) fn recycle(&mut self, tensor: Tensor) {
         self.arena.put(tensor.into_data());
     }
 
-    fn note_live(&mut self, slot: Slot) {
+    /// Marks `slot` live and logs its write — after checking that the
+    /// tensor about to occupy it is the size the plan gave it: replaying
+    /// a drifted plan would charge EPC touches for the wrong pages.
+    fn note_live(&mut self, slot: Slot, tensor: &Tensor) -> Result<(), TensorError> {
+        if slot.bytes != tensor.byte_len() {
+            return Err(TensorError::InvalidGraph("planned shape drift"));
+        }
         self.resident_bytes += slot.bytes;
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
         self.writes.push(SlotWrite {
             offset: slot.offset,
             bytes: slot.bytes,
         });
+        Ok(())
     }
 
-    pub(crate) fn on_value(&mut self, index: usize, value: &Tensor) {
-        if let Some(&slot) = self.plan.value_slot(index) {
-            debug_assert_eq!(slot.bytes, value.byte_len(), "planned shape drift at node {index}");
-            self.note_live(slot);
+    /// Accounts node `index`'s forward value against its planned slot.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidGraph`] if the value is not the planned size.
+    pub(crate) fn on_value(&mut self, index: usize, value: &Tensor) -> Result<(), TensorError> {
+        match self.plan.value_slot(index) {
+            Some(&slot) => self.note_live(slot, value),
+            None => Ok(()),
         }
     }
 
-    pub(crate) fn on_grad(&mut self, index: usize, grad: &Tensor) {
-        if let Some(&slot) = self.plan.grad_slot(index) {
-            debug_assert_eq!(slot.bytes, grad.byte_len(), "planned grad shape drift at node {index}");
-            self.note_live(slot);
+    /// Accounts node `index`'s gradient against its planned slot.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidGraph`] if the gradient is not the planned size.
+    pub(crate) fn on_grad(&mut self, index: usize, grad: &Tensor) -> Result<(), TensorError> {
+        match self.plan.grad_slot(index) {
+            Some(&slot) => self.note_live(slot, grad),
+            None => Ok(()),
         }
     }
 
@@ -754,7 +811,10 @@ impl ExecMemory {
         self.recycle(grad);
     }
 
-    /// Recycles every forward value whose planned lifetime ends at `step`.
+    /// Ends the planned lifetime of every forward value that dies at
+    /// `step`: its slot leaves the resident set and, if the run computed
+    /// it (a fed placeholder occupies a slot but stays with the caller),
+    /// its buffer goes back to the pool.
     pub(crate) fn drop_dead_values(&mut self, step: usize, values: &mut [Option<Tensor>]) {
         // The drop list borrows the plan; move it out while recycling.
         let Some(entry) = self.plan.value_drops.get_mut(step) else {
@@ -762,10 +822,10 @@ impl ExecMemory {
         };
         let dead = std::mem::take(entry);
         for &index in &dead {
+            if let Some(slot) = self.plan.value_slot(index) {
+                self.resident_bytes = self.resident_bytes.saturating_sub(slot.bytes);
+            }
             if let Some(value) = values[index].take() {
-                if let Some(slot) = self.plan.value_slot(index) {
-                    self.resident_bytes = self.resident_bytes.saturating_sub(slot.bytes);
-                }
                 self.arena.put(value.into_data());
             }
         }
@@ -791,9 +851,9 @@ impl ExecMemory {
 
 /// Fingerprint of everything the plan depends on: graph structure, feed
 /// and variable shapes, targets, and the training flag.
-fn plan_key(
+fn plan_key<F: Feeds + ?Sized>(
     graph: &Graph,
-    feeds: &HashMap<NodeId, Tensor>,
+    feeds: &F,
     vars: &HashMap<NodeId, Tensor>,
     targets: &[NodeId],
     train: bool,
@@ -816,7 +876,7 @@ fn plan_key(
         }
         let id = NodeId(index);
         let shape: Option<&[usize]> = match &node.op {
-            Op::Placeholder { .. } => feeds.get(&id).map(Tensor::shape),
+            Op::Placeholder { .. } => feeds.feed(id).map(Tensor::shape),
             Op::Variable { .. } => vars.get(&id).map(Tensor::shape),
             Op::Constant(t) => Some(t.shape()),
             _ => None,
@@ -865,6 +925,7 @@ impl PlannedExecutor {
             unshared_bytes: self.mem.plan.unshared_bytes,
             resident_bytes: self.mem.resident_bytes,
             peak_resident_bytes: self.mem.peak_resident_bytes,
+            pooled_bytes: self.mem.arena.pooled_bytes(),
         }
     }
 
@@ -875,15 +936,14 @@ impl PlannedExecutor {
 
     /// Replans when the configuration differs from the cached one. A
     /// configuration that cannot be planned leaves the cache as it was.
-    fn ensure_plan(
+    fn ensure_plan<F: Feeds + ?Sized>(
         &mut self,
-        graph: &Graph,
-        feeds: &HashMap<NodeId, Tensor>,
-        vars: &HashMap<NodeId, Tensor>,
+        leaves: &Leaves<'_, F>,
         needed: &[bool],
         targets: &[NodeId],
         loss: Option<NodeId>,
     ) -> Result<(), TensorError> {
+        let Leaves { graph, feeds, vars } = *leaves;
         let key = plan_key(graph, feeds, vars, targets, loss.is_some());
         if self.key != Some(key) {
             let shapes = infer_shapes(graph, needed, feeds, vars)?;
@@ -898,7 +958,9 @@ impl PlannedExecutor {
     }
 
     /// Evaluates `targets`. Results and [`RunStats`] are bit-identical for
-    /// every worker count.
+    /// every worker count. Feeds, variables and the graph's constants are
+    /// read in place; a target that is itself a leaf is copied once, into
+    /// the returned output.
     ///
     /// # Errors
     ///
@@ -906,37 +968,34 @@ impl PlannedExecutor {
     /// * [`TensorError::BadFeed`] for missing or mis-shaped placeholder feeds.
     /// * [`TensorError::ShapeMismatch`] for incompatible operand shapes.
     /// * [`TensorError::InvalidGraph`] for a variable with no session value.
-    pub fn run(
+    pub fn run<F: Feeds + ?Sized>(
         &mut self,
         graph: &Graph,
-        feeds: &HashMap<NodeId, Tensor>,
+        feeds: &F,
         vars: &HashMap<NodeId, Tensor>,
         targets: &[NodeId],
         pool: &WorkerPool,
     ) -> Result<(Vec<Tensor>, RunStats), TensorError> {
+        let leaves = Leaves { graph, feeds, vars };
         let needed = autodiff::needed_set(graph, targets)?;
-        self.ensure_plan(graph, feeds, vars, &needed, targets, None)?;
+        self.ensure_plan(&leaves, &needed, targets, None)?;
         let mem = &mut self.mem;
         mem.begin_run();
         self.values.clear();
         self.values.resize(graph.len(), None);
-        let result = autodiff::forward(
-            graph,
-            feeds,
-            vars,
-            &needed,
-            pool,
-            &mut self.ws,
-            mem,
-            &mut self.values,
-        )
-        .and_then(|stats| {
-            let outs = targets
-                .iter()
-                .map(|&id| self.values[id.0].clone().ok_or(TensorError::UnknownNode))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((outs, stats))
-        });
+        let result = autodiff::forward(&leaves, &needed, pool, &mut self.ws, mem, &mut self.values)
+            .and_then(|stats| {
+                let outs = targets
+                    .iter()
+                    .map(|&id| {
+                        leaves
+                            .operand(&self.values, id)
+                            .cloned()
+                            .ok_or(TensorError::UnknownNode)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok((outs, stats))
+            });
         mem.end_run(&mut self.values);
         result
     }
@@ -948,41 +1007,94 @@ impl PlannedExecutor {
     ///
     /// Same conditions as [`PlannedExecutor::run`]; additionally
     /// [`TensorError::InvalidGraph`] if `loss` is not a scalar.
-    pub fn train(
+    pub fn train<F: Feeds + ?Sized>(
         &mut self,
         graph: &Graph,
-        feeds: &HashMap<NodeId, Tensor>,
+        feeds: &F,
         vars: &HashMap<NodeId, Tensor>,
         loss: NodeId,
         pool: &WorkerPool,
     ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
+        let leaves = Leaves { graph, feeds, vars };
         let targets = [loss];
         let needed = autodiff::needed_set(graph, &targets)?;
-        self.ensure_plan(graph, feeds, vars, &needed, &targets, Some(loss))?;
+        self.ensure_plan(&leaves, &needed, &targets, Some(loss))?;
         let mem = &mut self.mem;
         mem.begin_run();
         self.values.clear();
         self.values.resize(graph.len(), None);
-        let result = autodiff::forward(
-            graph,
-            feeds,
-            vars,
-            &needed,
-            pool,
-            &mut self.ws,
-            mem,
-            &mut self.values,
-        )
-        .and_then(|stats| {
-            let loss_value = self.values[loss.0]
-                .as_ref()
-                .ok_or(TensorError::UnknownNode)?
-                .data()[0];
-            let grads =
-                autodiff::backward(graph, &mut self.values, loss, pool, &mut self.ws, mem)?;
-            Ok((loss_value, grads, stats))
-        });
+        let result = autodiff::forward(&leaves, &needed, pool, &mut self.ws, mem, &mut self.values)
+            .and_then(|stats| {
+                let loss_value = leaves
+                    .operand(&self.values, loss)
+                    .ok_or(TensorError::UnknownNode)?
+                    .data()[0];
+                let grads =
+                    autodiff::backward(&leaves, &mut self.values, loss, pool, &mut self.ws, mem)?;
+                Ok((loss_value, grads, stats))
+            });
         mem.end_run(&mut self.values);
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slice_feeds_resolve_like_a_map_built_from_the_pairs() {
+        let (a, b) = (Tensor::scalar(1.0), Tensor::scalar(2.0));
+        let feeds: &[(NodeId, &Tensor)] = &[(NodeId(3), &a), (NodeId(5), &a), (NodeId(3), &b)];
+        assert_eq!(feeds.feed(NodeId(3)), Some(&b));
+        assert_eq!(feeds.feed(NodeId(5)), Some(&a));
+        assert_eq!(feeds.feed(NodeId(4)), None);
+    }
+
+    #[test]
+    fn arena_counts_what_it_parks() {
+        let mut arena = Arena::default();
+        let (small, large) = (arena.take(3), arena.take(10));
+        assert_eq!(arena.pooled_bytes(), 0);
+        arena.put(small);
+        arena.put(large);
+        arena.put(Vec::new());
+        assert_eq!(arena.pooled_bytes(), 52);
+        assert_eq!(arena.take(10), vec![0.0; 10]);
+        assert_eq!(arena.pooled_bytes(), 12);
+        // A miss allocates and leaves the pool alone.
+        assert_eq!(arena.take(7).len(), 7);
+        assert_eq!(arena.pooled_bytes(), 12);
+    }
+
+    #[test]
+    fn a_value_that_outgrew_its_planned_slot_is_a_typed_error() {
+        // The plan key covers op kinds, wiring and leaf shapes but not
+        // conv padding, so the second graph reuses the first one's plan
+        // while producing a larger conv output. Replaying that plan's
+        // slot writes would touch the wrong EPC pages; the executor
+        // refuses instead (in release builds too).
+        let conv = |padding: Padding| {
+            let mut g = Graph::new();
+            let x = g.placeholder("x", &[0, 4, 4, 1]);
+            let f = g.constant("f", Tensor::full(&[3, 3, 1, 2], 0.5));
+            let y = g.conv2d(x, f, padding).unwrap();
+            (g, x, y)
+        };
+        let (valid, x, y) = conv(Padding::Valid);
+        let (same, ..) = conv(Padding::Same);
+        let feeds = HashMap::from([(x, Tensor::full(&[1, 4, 4, 1], 1.0))]);
+        let (vars, pool) = (HashMap::new(), WorkerPool::serial());
+
+        let mut executor = PlannedExecutor::new();
+        let (out, _) = executor.run(&valid, &feeds, &vars, &[y], &pool).unwrap();
+        assert_eq!(out[0].shape(), &[1, 2, 2, 2]);
+        assert_eq!(
+            executor.run(&same, &feeds, &vars, &[y], &pool),
+            Err(TensorError::InvalidGraph("planned shape drift"))
+        );
+        assert_eq!(executor.memory_stats().resident_bytes, 0);
+        // The graph the plan was made for still runs.
+        executor.run(&valid, &feeds, &vars, &[y], &pool).unwrap();
     }
 }

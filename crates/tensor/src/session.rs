@@ -26,11 +26,12 @@ impl CompiledGraph {
         self.remap.get(original.index()).copied().flatten()
     }
 
-    /// `feeds` keyed by compiled ids; feeds of eliminated nodes drop out.
-    fn translate_feeds(&self, feeds: &[(NodeId, Tensor)]) -> HashMap<NodeId, Tensor> {
+    /// `feeds` keyed by compiled ids, still borrowed from the caller;
+    /// feeds of eliminated nodes drop out.
+    fn translate_feeds<'t>(&self, feeds: &'t [(NodeId, Tensor)]) -> Vec<(NodeId, &'t Tensor)> {
         feeds
             .iter()
-            .filter_map(|(id, t)| self.target(*id).map(|new_id| (new_id, t.clone())))
+            .filter_map(|(id, t)| self.target(*id).map(|new_id| (new_id, t)))
             .collect()
     }
 }
@@ -283,7 +284,7 @@ impl Session {
         let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
         let result = self
             .planner
-            .run(&compiled.graph, &feed_map, &tvars, &new_fetches, &self.pool);
+            .run(&compiled.graph, &feed_map[..], &tvars, &new_fetches, &self.pool);
         Self::restore_vars(&mut self.vars, &mut tvars, &back);
         let (outs, stats) = result?;
         self.stats.merge(stats);
@@ -338,7 +339,7 @@ impl Session {
         let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
         let result = self
             .planner
-            .train(&compiled.graph, &new_feeds, &tvars, new_loss, &self.pool);
+            .train(&compiled.graph, &new_feeds[..], &tvars, new_loss, &self.pool);
         Self::restore_vars(&mut self.vars, &mut tvars, &back);
         let (loss_value, mut grads, stats) = result?;
         // Gradients come back in the optimized id space; translate

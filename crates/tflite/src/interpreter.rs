@@ -99,13 +99,11 @@ impl Interpreter {
         if let Err(rejection) = &self.lowering {
             return Err(rejection.clone());
         }
-        let mut feeds = HashMap::new();
-        feeds.insert(self.model.input(), input.clone());
-        let vars = HashMap::new();
+        let feeds = [(self.model.input(), input)];
         let (mut outs, mut stats) = self.planner.run(
             self.model.graph(),
-            &feeds,
-            &vars,
+            &feeds[..],
+            &HashMap::new(),
             &[self.model.output()],
             &self.pool,
         )?;
@@ -242,9 +240,29 @@ mod tests {
             interp.run(&Tensor::zeros(&[1, 5])),
             Err(LiteError::Exec(TensorError::BadFeed(_)))
         ));
-        // The failed run leaves the interpreter usable and nothing resident.
+        // The failed run leaves the interpreter usable, nothing resident
+        // and nothing parked in the buffer pool.
+        assert_eq!(interp.memory_stats().pooled_bytes, 0);
         interp.run(&Tensor::zeros(&[1, 4])).unwrap();
         assert_eq!(interp.memory_stats().resident_bytes, 0);
+    }
+
+    #[test]
+    fn unfed_placeholder_errors() {
+        // Only the model's input is ever fed; a second placeholder on
+        // the output's path is a missing feed, found at its own step.
+        let mut g = Graph::new();
+        let x = g.placeholder("input", &[0, 4]);
+        let side = g.placeholder("side", &[0, 4]);
+        let out = g.add(x, side).unwrap();
+        let name = g.nodes()[out.index()].name.clone();
+        let mut interp = Interpreter::new(LiteModel::convert(&g, "input", &name).unwrap());
+        assert!(matches!(
+            interp.run(&Tensor::zeros(&[1, 4])),
+            Err(LiteError::Exec(TensorError::BadFeed(_)))
+        ));
+        assert_eq!(interp.memory_stats().resident_bytes, 0);
+        assert_eq!(interp.memory_stats().pooled_bytes, 0);
     }
 
     #[test]

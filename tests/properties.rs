@@ -715,6 +715,58 @@ proptest! {
         );
     }
 
+    // Borrowed leaves (DESIGN.md §12): the executor reads constants,
+    // variables and feeds where they live. The oracle is the graph an
+    // executor that *copied* every leaf into the run would have seen —
+    // each leaf routed through one explicit `scale(leaf, 1.0)` copy. A
+    // leaf read twice by one op, a variable shared by two layers and a
+    // constant squared in place must give the same losses, gradients and
+    // logits either way, raw and compiled, for any worker count.
+    #[test]
+    fn borrowed_leaves_train_bit_identically_to_copied_leaves(
+        dim in 2usize..7,
+        batch in 1usize..5,
+        workers in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        use securetf_tensor::graph::Graph;
+        use securetf_tensor::layers::Classifier;
+
+        let build = |copy_leaves: bool| {
+            let mut g = Graph::new();
+            let square = |salt: u64| {
+                Tensor::from_vec(&[dim, dim], lcg_fill(seed ^ salt, dim * dim)).unwrap()
+            };
+            let input = g.placeholder("input", &[0, dim]);
+            let labels = g.placeholder("labels", &[0, dim]);
+            let w = g.variable("w", square(0xA1));
+            let b = g.variable("b", Tensor::from_vec(&[dim], lcg_fill(seed ^ 0xB2, dim)).unwrap());
+            let c = g.constant("c", square(0xC3));
+            let [x, y, wv, bv, cv] = [input, labels, w, b, c].map(|leaf| {
+                if copy_leaves { g.scale(leaf, 1.0).unwrap() } else { leaf }
+            });
+            let xx = g.mul(x, x).unwrap();
+            let ww = g.matmul(wv, wv).unwrap();
+            let cc = g.mul(cv, cv).unwrap();
+            let mixed = g.add(ww, cc).unwrap();
+            let h = g.matmul(xx, mixed).unwrap();
+            let h = g.add_bias(h, bv).unwrap();
+            let h = g.relu(h).unwrap();
+            let logits = g.matmul(h, wv).unwrap();
+            let logits = g.add_bias(logits, bv).unwrap();
+            let loss = g.softmax_cross_entropy(logits, y).unwrap();
+            Classifier { graph: g, input, labels, logits, probabilities: logits, loss }
+        };
+        let (borrowed, copied) = (build(false), build(true));
+        let feeds = [
+            (borrowed.input, Tensor::from_vec(&[batch, dim], lcg_fill(seed, batch * dim)).unwrap()),
+            (borrowed.labels, one_hot_labels(batch, dim, seed)),
+        ];
+        let raw = raw_graph_training(&borrowed, &feeds, 0.05, 3, workers);
+        prop_assert_eq!(&raw, &raw_graph_training(&copied, &feeds, 0.05, 3, 1));
+        prop_assert_eq!(&raw, &compiled_training(&borrowed, &feeds, 0.05, 3, workers));
+    }
+
     #[test]
     fn compiled_conv_bias_relu_training_is_bit_identical_to_unoptimized(
         h in 4usize..8,

@@ -226,3 +226,67 @@ fn crypto_data_plane_metrics_move_under_shield_activity() {
         assert_eq!(bytes_opened.get() - opened_before, 18);
     }
 }
+
+#[test]
+fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
+    use rand::SeedableRng;
+    use securetf::secure_session::SecureSession;
+    use securetf_tensor::layers;
+    use securetf_tensor::optimizer::Sgd;
+
+    let gauges = |telemetry: &Telemetry| {
+        ["memory.peak_planned_bytes", "memory.arena_bytes_in_use", "memory.pool_bytes"]
+            .map(|name| telemetry.gauge(name).get())
+    };
+
+    // Serving: the classifier publishes the interpreter's planner stats
+    // after every charged run.
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    let mut classifier = deploy_instrumented(&clock, &telemetry);
+    let input = Tensor::full(&[1, 8], 0.5);
+    let mut seen = Vec::new();
+    for _ in 0..6 {
+        classifier.classify(&input).expect("classify");
+        seen.push(gauges(&telemetry));
+    }
+    let [planned, in_use, pool] = seen[5];
+    assert!(planned > 0 && in_use > 0 && pool > 0, "serving gauges unset: {:?}", seen[5]);
+    assert!(in_use <= planned);
+    // The pool holds what one run had out (here: the output row), and
+    // run 6 parks exactly what run 3 did.
+    assert!(pool <= planned, "pool {pool} outgrew the planned arena {planned}");
+    assert_eq!(seen[2], seen[5], "serving footprint drifted between runs");
+
+    // Training: same gauges from `SecureSession::charge`.
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    let platform = Platform::builder()
+        .clock(clock.clone())
+        .telemetry(telemetry.clone())
+        .build();
+    let enclave = platform
+        .create_enclave(
+            &EnclaveImage::builder().code(b"gauge trainer").build(),
+            ExecutionMode::Hardware,
+        )
+        .expect("enclave");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let model = layers::mlp_classifier(16, &[8], 4, &mut rng).expect("model");
+    let mut session = SecureSession::new(enclave, model);
+    let x = Tensor::full(&[5, 16], 0.25);
+    let mut y = Tensor::zeros(&[5, 4]);
+    for row in 0..5 {
+        y.data_mut()[row * 4 + row % 4] = 1.0;
+    }
+    let mut sgd = Sgd::new(0.05);
+    let mut seen = Vec::new();
+    for _ in 0..8 {
+        session.train_step(x.clone(), y.clone(), &mut sgd).expect("step");
+        seen.push(gauges(&telemetry));
+    }
+    let [planned, in_use, pool] = seen[7];
+    assert!(planned > 0 && in_use > 0 && pool > 0, "training gauges unset: {:?}", seen[7]);
+    assert!(in_use <= planned);
+    assert_eq!(seen[2], seen[7], "training footprint drifted between steps");
+}

@@ -76,11 +76,20 @@ use std::fmt;
 
 /// Records per-kernel-family flop and virtual-time counters
 /// (`kernel.<family>.flops` / `kernel.<family>.ns`) for a run's stats on
-/// the enclave's telemetry, using the enclave's own compute rate.
+/// the enclave's telemetry, using the enclave's own compute rate, and the
+/// gauge `kernel.simd`: the instruction set the GEMM runs on here (0 =
+/// baseline, 2 = AVX2). The virtual clock does not depend on it, the wall
+/// clock does, so it is what tells an operator why one host serves the
+/// same model at half the rate of another.
 pub(crate) fn attribute_kernel_flops(
     enclave: &securetf_tee::Enclave,
     stats: &securetf_tensor::autodiff::RunStats,
 ) {
+    let simd = match securetf_tensor::kernels::simd_level() {
+        "avx2" => 2,
+        _ => 0,
+    };
+    enclave.telemetry().gauge("kernel.simd").set(simd);
     let kf = stats.kernel_flops;
     for (family, flops) in [("matmul", kf.matmul), ("conv2d", kf.conv2d), ("other", kf.other)] {
         if flops > 0.0 {

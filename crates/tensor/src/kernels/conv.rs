@@ -153,29 +153,29 @@ pub(super) fn conv2d(
     padding: Padding,
 ) -> Result<(Tensor, KernelCost), TensorError> {
     let mut ws = Workspace::new();
-    conv2d_with(pool, &mut ws, input, filter, padding, &mut |len| {
+    conv2d_with(pool, &mut ws, input, filter, padding, None, &mut |len| {
         vec![0.0f32; len]
     })
 }
 
-/// Forward convolution with caller-provided scratch and output buffer.
+/// Forward convolution with caller-provided scratch and output buffer,
+/// and the fused ops' optional per-channel `(bias, relu)` epilogue.
 pub(super) fn conv2d_with(
     pool: &WorkerPool,
     ws: &mut Workspace,
     input: &Tensor,
     filter: &Tensor,
     padding: Padding,
+    epilogue: Option<(&Tensor, bool)>,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
     let g = geometry(input, filter, padding)?;
+    let epilogue = super::checked_epilogue("fused_conv2d", "channels", epilogue, g.cout)?;
     let mut out = take(g.positions * g.cout);
-    {
-        let cols = im2col(pool, &g, input.data(), ws);
-        // Per output element (p, co): reduction over patch index increasing —
-        // i.e. (ky, kx, ci) lexicographic, padded taps included as 0.0.
-        gemm::gemm(pool, g.positions, g.patch, g.cout, cols, filter.data(), &mut out);
-    }
-    let cost = gemm::gemm_cost(pool, g.positions, g.patch, g.cout);
+    let cols = im2col(pool, &g, input.data(), ws);
+    // Per output element (p, co): reduction over patch index increasing —
+    // i.e. (ky, kx, ci) lexicographic, padded taps included as 0.0.
+    let cost = gemm::gemm(pool, g.positions, g.patch, g.cout, cols, filter.data(), &mut out, epilogue);
     Ok((Tensor::from_vec(&[g.b, g.oh, g.ow, g.cout], out)?, cost))
 }
 

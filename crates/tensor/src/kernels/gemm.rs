@@ -1,109 +1,326 @@
-//! Cache-blocked GEMM with packed A panels.
+//! Register-tiled GEMM over a row × column grid of work units.
 //!
-//! The naive triple loop streams the whole of B from memory once per row
-//! of A. Blocking fixes that: rows are processed in [`ROW_BLOCK`]-row
-//! blocks (the unit of parallelism), the k dimension in [`KC`]-deep
-//! panels so the B rows a panel touches stay cache-resident, and within
-//! a panel a [`MR`]-row strip of A is packed k-major into a small
-//! contiguous buffer the micro-kernel reads sequentially.
+//! The naive triple loop reads and writes a row of C once per element of
+//! A. The micro-kernel ([`tile`]) instead holds up to [`MR`] rows × one
+//! vector of C columns in registers, adds [`KU`] consecutive rows of B
+//! into it and stores it once, so C traffic is `KU` times smaller and the
+//! multiply/add units, not the store port, set the pace. A is packed
+//! k-major per strip so the kernel reads it sequentially; B is **not**
+//! packed: it is streamed row-contiguously, `KU` rows at a time, and at
+//! serving shapes (m = 8 against a 4 MB weight matrix) every byte of it
+//! is read exactly once, so a packing pass would double its traffic. The
+//! k dimension runs in [`KC`]-deep panels so that for large m the B rows
+//! a panel touches stay cache-resident across strips.
 //!
-//! **Determinism rule**: blocking and packing change the *memory* order
-//! only, never the *arithmetic* order. For every output element `C[i,j]`
-//! the additions run over `p = 0..k` strictly increasing, exactly like
-//! the naive loop, so blocked — and pool-parallel — results are
+//! The one body is compiled twice ([`Simd`]): for the build's baseline
+//! target (4 lanes) and, on x86-64, under `target_feature(enable =
+//! "avx2")` (8 lanes), chosen per call from what the CPU reports.
+//!
+//! Work is split into units of ([`ROW_BLOCK`] rows) × (column panel).
+//! With at least as many row blocks as workers there is one panel; with
+//! fewer, the columns are cut on [`COL_ALIGN`]-float boundaries into just
+//! enough panels that every worker gets a unit, which is what lets a
+//! batch of 8 rows use both cores. Each C element belongs to exactly one
+//! unit, and the `+bias[ → relu]` epilogue of the fused ops runs inside
+//! the unit, after its last k-panel.
+//!
+//! **Determinism rule**: tiling, packing, the vector width and the split
+//! change the *memory* order only, never the *arithmetic* order. For
+//! every output element `C[i,j]` the additions run over `p = 0..k`
+//! strictly increasing, each a separate multiply and add (no FMA), like
+//! the naive loop, so every instantiation and every worker count is
 //! bit-for-bit identical to [`super::reference::naive_matmul`].
+
+use std::ops::Range;
 
 use super::pool::{self, WorkerPool};
 use super::KernelCost;
 
-/// Rows per parallel row-block (the pool's work unit).
-pub(crate) const ROW_BLOCK: usize = 64;
-/// Depth of one packed k-panel (4 KiB of packed A per strip).
+/// Rows per work unit.
+const ROW_BLOCK: usize = 64;
+/// Column panels start on multiples of this many floats (a cache line),
+/// so two workers share a line of C only where a row itself is unaligned.
+const COL_ALIGN: usize = 16;
+/// Depth of one packed k-panel (8 KiB of packed A per strip).
 const KC: usize = 256;
-/// Rows per packed micro-kernel strip.
-const MR: usize = 4;
+/// Rows of the largest register tile, and of a packed strip.
+const MR: usize = 8;
+/// B rows a tile accumulates between loading and storing its C rows.
+const KU: usize = 8;
+
+/// The instruction set the micro-kernel body is instantiated for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Simd {
+    /// The build's baseline target (SSE2 on x86-64): 4 lanes.
+    Baseline,
+    /// AVX2, detected at run time: 8 lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Simd {
+    /// The widest instantiation this CPU can run.
+    pub(crate) fn detected() -> Simd {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Simd::Avx2;
+        }
+        Simd::Baseline
+    }
+
+    /// Computes one unit: see [`unit`].
+    fn run_unit(self, op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+        match self {
+            Simd::Baseline => unit::<4>(op, i0, j0, rows),
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx2 => {
+                assert!(std::arch::is_x86_feature_detected!("avx2"), "AVX2 kernel on a CPU without AVX2");
+                // SAFETY: the only requirement of `unit_avx2` is that the
+                // CPU supports AVX2, which the assertion above checked.
+                unsafe { unit_avx2(op, i0, j0, rows) }
+            }
+        }
+    }
+}
+
+/// The read-only side of one product, shared by every unit.
+struct Operands<'a> {
+    k: usize,
+    n: usize,
+    a: &'a [f32],
+    b: &'a [f32],
+    /// `(bias [n], relu)` of the fused ops.
+    epilogue: Option<(&'a [f32], bool)>,
+}
 
 /// Computes `C = A × B` for row-major `A [m,k]`, `B [k,n]` into the
-/// zeroed buffer `c` of `m * n` elements, splitting row blocks over the
-/// pool.
-pub(crate) fn gemm(pool: &WorkerPool, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+/// zeroed buffer `c` of `m * n` elements, splitting the unit grid over
+/// the pool. With `epilogue = Some((bias, relu))` every element then gets
+/// `+= bias[j]` and, if `relu`, `max(0.0)` — per element the operations
+/// of the unfused `add_bias` and `relu` ops, in that order. Returns the
+/// [`gemm_cost`] of the split it ran.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k`, `n`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm(
+    pool: &WorkerPool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    epilogue: Option<(&[f32], bool)>,
+) -> KernelCost {
+    gemm_on(Simd::detected(), pool, m, k, n, a, b, c, epilogue)
+}
+
+/// [`gemm`] on a given instantiation (the tests run both).
+#[allow(clippy::too_many_arguments)]
+fn gemm_on(
+    simd: Simd,
+    pool: &WorkerPool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    epilogue: Option<(&[f32], bool)>,
+) -> KernelCost {
+    // Every index the units compute is derived from m, k, n: these checks
+    // are what keeps a caller's mistake a panic here and not a stray
+    // panic (or, under the vectorised body, a wrong answer) deep inside.
+    assert!(a.len() == m * k, "gemm: A holds {} elements, not {m}x{k}", a.len());
+    assert!(b.len() == k * n, "gemm: B holds {} elements, not {k}x{n}", b.len());
+    assert!(c.len() == m * n, "gemm: C holds {} elements, not {m}x{n}", c.len());
+    assert!(epilogue.is_none_or(|(bias, _)| bias.len() == n), "gemm: bias is not [{n}]");
+    let cost = gemm_cost(pool, m, k, n, epilogue.is_some_and(|(_, relu)| relu));
     if m == 0 || n == 0 {
-        return;
+        return cost;
     }
-    pool.run_on_blocks(c, ROW_BLOCK * n, &|blk, c_block| {
-        gemm_rows(blk * ROW_BLOCK, c_block.len() / n, k, n, a, b, c_block);
+    let op = Operands { k, n, a, b, epilogue };
+    let panels = column_panels(pool.workers(), m, n);
+    if panels.len() == 1 {
+        // Units are whole row blocks, contiguous in C.
+        pool.run_on_blocks(c, ROW_BLOCK * n, &|rb, block| {
+            let count = block.len() / n;
+            let mut block_rows = block.chunks_mut(n);
+            let mut rows: [&mut [f32]; ROW_BLOCK] = std::array::from_fn(|_| block_rows.next().unwrap_or_default());
+            simd.run_unit(&op, rb * ROW_BLOCK, 0, &mut rows[..count]);
+        });
+        return cost;
+    }
+    // Columns are split, which `column_panels` only does while there are
+    // fewer row blocks than workers: hand every unit the segments of its
+    // rows (at most `ROW_BLOCK * workers * 2` fat pointers in all).
+    let mut units: Vec<Vec<&mut [f32]>> = Vec::new();
+    units.resize_with(m.div_ceil(ROW_BLOCK) * panels.len(), || Vec::with_capacity(ROW_BLOCK.min(m)));
+    for (i, mut row) in c.chunks_mut(n).enumerate() {
+        let first = i / ROW_BLOCK * panels.len();
+        for (unit, panel) in units[first..].iter_mut().zip(&panels) {
+            let (segment, rest) = std::mem::take(&mut row).split_at_mut(panel.len());
+            unit.push(segment);
+            row = rest;
+        }
+    }
+    pool.run_items(&mut units, &|u, rows| {
+        simd.run_unit(&op, u / panels.len() * ROW_BLOCK, panels[u % panels.len()].start, rows);
     });
+    cost
 }
 
-/// Total and critical-path flops of a pooled [`gemm`] call.
-pub(crate) fn gemm_cost(pool: &WorkerPool, m: usize, k: usize, n: usize) -> KernelCost {
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    let nblocks = m.div_ceil(ROW_BLOCK);
-    let crit_rows = (pool::critical_units(nblocks, pool.workers()) * ROW_BLOCK).min(m);
+/// The column ranges of the unit grid of an `[m, n]` output: one panel
+/// when the row blocks alone give every worker a unit, otherwise the
+/// fewest panels that do, cut on [`COL_ALIGN`] boundaries (so an output
+/// narrower than that is never split). Units are numbered row block
+/// major, panel minor, and dealt to workers by [`pool::partition`].
+fn column_panels(workers: usize, m: usize, n: usize) -> Vec<Range<usize>> {
+    let row_blocks = m.div_ceil(ROW_BLOCK).max(1);
+    pool::partition(n.div_ceil(COL_ALIGN), workers.div_ceil(row_blocks))
+        .into_iter()
+        .map(|lines| lines.start * COL_ALIGN..(lines.end * COL_ALIGN).min(n))
+        .collect()
+}
+
+/// Total and critical-path flops of a pooled [`gemm`] call; `relu` adds
+/// the fused epilogue's one flop per element (its bias add charges none,
+/// like the unfused `AddBias`).
+///
+/// The critical path is the output area of worker 0. [`pool::partition`]
+/// gives it the first and longest run of units, and in grid order only
+/// the last row block and the last panels are smaller than the rest, so
+/// no other worker's area is larger.
+fn gemm_cost(pool: &WorkerPool, m: usize, k: usize, n: usize, relu: bool) -> KernelCost {
+    let panels = column_panels(pool.workers(), m, n);
+    let per_block = panels.len().max(1);
+    let critical = pool::critical_units(m.div_ceil(ROW_BLOCK) * panels.len(), pool.workers());
+    // Worker 0 owns `whole` complete row blocks and the first `part`
+    // panels of the next one.
+    let (whole, part) = (critical / per_block, critical % per_block);
+    let rows_done = (whole * ROW_BLOCK).min(m);
+    let critical_area = rows_done * n + ROW_BLOCK.min(m - rows_done) * panels.get(part).map_or(0, |p| p.start);
+    let per_element = 2.0 * k as f64 + f64::from(u8::from(relu));
     KernelCost {
-        flops,
-        critical_flops: 2.0 * crit_rows as f64 * k as f64 * n as f64,
+        flops: per_element * m as f64 * n as f64,
+        critical_flops: per_element * critical_area as f64,
     }
 }
 
-/// One row block: C rows `i0..i0+rows` (c holds exactly those rows).
-fn gemm_rows(i0: usize, rows: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// [`unit`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn unit_avx2(op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+    unit::<8>(op, i0, j0, rows);
+}
+
+/// One work unit with `L`-lane tiles: `rows[r]` is the part of C row
+/// `i0 + r` that covers columns `j0..j0 + rows[r].len()`, all of one
+/// length. Everything below is `inline(always)` so that it is compiled
+/// with the instruction set of whichever instantiation it lands in.
+#[inline(always)]
+fn unit<const L: usize>(op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
     let mut packed = [0.0f32; MR * KC];
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        let b_panel = &b[pc * n..(pc + kc) * n];
-        for ir in (0..rows).step_by(MR) {
-            let mr = MR.min(rows - ir);
-            // Pack the strip k-major: packed[p * mr + r] = A[i0+ir+r][pc+p].
-            for p in 0..kc {
-                for r in 0..mr {
-                    packed[p * mr + r] = a[(i0 + ir + r) * k + pc + p];
+    for pc in (0..op.k).step_by(KC) {
+        let kc = KC.min(op.k - pc);
+        let mut ir = 0;
+        while ir < rows.len() {
+            let a_at = (i0 + ir) * op.k + pc;
+            ir += match rows.len() - ir {
+                MR.. => strip::<MR, L>(op, a_at, pc, kc, j0, &mut rows[ir..ir + MR], &mut packed),
+                4.. => strip::<4, L>(op, a_at, pc, kc, j0, &mut rows[ir..ir + 4], &mut packed),
+                _ => strip::<1, L>(op, a_at, pc, kc, j0, &mut rows[ir..ir + 1], &mut packed),
+            };
+        }
+    }
+    if let Some((bias, relu)) = op.epilogue {
+        for row in rows.iter_mut() {
+            let bias = &bias[j0..j0 + row.len()];
+            if relu {
+                for (v, b) in row.iter_mut().zip(bias) {
+                    *v += *b;
+                    *v = v.max(0.0);
+                }
+            } else {
+                for (v, b) in row.iter_mut().zip(bias) {
+                    *v += *b;
                 }
             }
-            let c_strip = &mut c[ir * n..(ir + mr) * n];
-            if mr == MR {
-                micro_4xn(kc, n, &packed, b_panel, c_strip);
-            } else {
-                micro_mxn(mr, kc, n, &packed, b_panel, c_strip);
-            }
         }
     }
 }
 
-/// 4×n register micro-kernel: four C rows accumulate one B row per step.
-fn micro_4xn(kc: usize, n: usize, packed: &[f32], b_panel: &[f32], c: &mut [f32]) {
-    let (c0, rest) = c.split_at_mut(n);
-    let (c1, rest) = rest.split_at_mut(n);
-    let (c2, c3) = rest.split_at_mut(n);
-    for p in 0..kc {
-        let a0 = packed[p * 4];
-        let a1 = packed[p * 4 + 1];
-        let a2 = packed[p * 4 + 2];
-        let a3 = packed[p * 4 + 3];
-        let brow = &b_panel[p * n..(p + 1) * n];
-        for (j, &bv) in brow.iter().enumerate() {
-            c0[j] += a0 * bv;
-            c1[j] += a1 * bv;
-            c2[j] += a2 * bv;
-            c3[j] += a3 * bv;
+/// Adds k-panel `pc..pc + kc` into a strip of `R` rows (`rows.len() ==
+/// R`), whose A rows start at `a[a_at]`, `a[a_at + k]`, …; returns `R`.
+#[inline(always)]
+fn strip<const R: usize, const L: usize>(
+    op: &Operands<'_>,
+    a_at: usize,
+    pc: usize,
+    kc: usize,
+    j0: usize,
+    rows: &mut [&mut [f32]],
+    packed: &mut [f32; MR * KC],
+) -> usize {
+    // Pack the strip k-major: packed[p * R + r] = A[row r][pc + p].
+    for r in 0..R {
+        let a_row = &op.a[a_at + r * op.k..][..kc];
+        for (p, &v) in a_row.iter().enumerate() {
+            packed[p * R + r] = v;
         }
     }
+    let cols = rows[0].len();
+    for pg in (0..kc).step_by(KU) {
+        let ku = KU.min(kc - pg);
+        let a_group = &packed[pg * R..(pg + ku) * R];
+        let b_group = &op.b[(pc + pg) * op.n..(pc + pg + ku) * op.n];
+        let mut j = 0;
+        while j + L <= cols {
+            tile::<R, L>(rows, j, a_group, b_group, op.n, j0 + j);
+            j += L;
+        }
+        while j < cols {
+            tile::<R, 1>(rows, j, a_group, b_group, op.n, j0 + j);
+            j += 1;
+        }
+    }
+    R
 }
 
-/// Generic remainder strip (1–3 rows), same accumulation order.
-fn micro_mxn(mr: usize, kc: usize, n: usize, packed: &[f32], b_panel: &[f32], c: &mut [f32]) {
-    for p in 0..kc {
-        let brow = &b_panel[p * n..(p + 1) * n];
-        for r in 0..mr {
-            let av = packed[p * mr + r];
-            let crow = &mut c[r * n..(r + 1) * n];
-            for (o, &bv) in crow.iter_mut().zip(brow) {
-                *o += av * bv;
+/// The micro-kernel: loads the `R × L` tile of C at segment column `j`,
+/// adds `a_group.len() / R` (at most [`KU`]) consecutive B rows into it —
+/// `a_group` is k-major packed A, `b_group` whole rows of B, `jb` the
+/// tile's column in B — and stores it.
+#[inline(always)]
+fn tile<const R: usize, const L: usize>(
+    rows: &mut [&mut [f32]],
+    j: usize,
+    a_group: &[f32],
+    b_group: &[f32],
+    n: usize,
+    jb: usize,
+) {
+    let mut acc = [[0.0f32; L]; R];
+    for r in 0..R {
+        acc[r].copy_from_slice(&rows[r][j..j + L]);
+    }
+    for (a, b_row) in a_group.chunks_exact(R).zip(b_group.chunks_exact(n)) {
+        let mut bv = [0.0f32; L];
+        bv.copy_from_slice(&b_row[jb..jb + L]);
+        for r in 0..R {
+            for l in 0..L {
+                acc[r][l] += a[r] * bv[l];
             }
         }
+    }
+    for r in 0..R {
+        rows[r][j..j + L].copy_from_slice(&acc[r]);
     }
 }
 
@@ -122,6 +339,56 @@ mod tests {
             .collect()
     }
 
+    /// [`fill`] with every 7th-or-so element replaced by a value whose
+    /// handling a vectorised body could get wrong.
+    fn fill_special(seed: u64, len: usize) -> Vec<f32> {
+        const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let mut data = fill(seed, len);
+        for (i, v) in data.iter_mut().enumerate() {
+            let h = (seed ^ i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 40;
+            if h.is_multiple_of(7) {
+                *v = SPECIAL[(h / 7) as usize % SPECIAL.len()];
+            }
+        }
+        data
+    }
+
+    /// Every instantiation this CPU can run.
+    fn instantiations() -> Vec<Simd> {
+        let mut all = vec![Simd::Baseline];
+        if Simd::detected() != Simd::Baseline {
+            all.push(Simd::detected());
+        }
+        all
+    }
+
+    /// Bit-equal, except that any NaN equals any NaN: which operand's
+    /// payload an x86 add or multiply of two NaNs keeps depends on the
+    /// operand order the compiler picked.
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g:?} ({:#x}), want {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// The unfused `matmul → add_bias → relu` sequence on the naive product.
+    fn naive_fused(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], bias: &[f32], relu: bool) -> Vec<f32> {
+        let mut out = naive_matmul(m, k, n, a, b);
+        for (i, v) in out.iter_mut().enumerate() {
+            *v += bias[i % n];
+            if relu {
+                *v = v.max(0.0);
+            }
+        }
+        out
+    }
+
     #[test]
     fn blocked_matches_naive_bitwise_across_shapes() {
         for (m, k, n) in [(1, 1, 1), (4, 4, 4), (5, 7, 3), (63, 17, 9), (64, 256, 10), (65, 300, 33), (130, 513, 5)] {
@@ -130,7 +397,7 @@ mod tests {
             let naive = naive_matmul(m, k, n, &a, &b);
             for workers in [1usize, 2, 3, 5] {
                 let mut c = vec![0.0f32; m * n];
-                gemm(&WorkerPool::new(workers), m, k, n, &a, &b, &mut c);
+                gemm(&WorkerPool::new(workers), m, k, n, &a, &b, &mut c, None);
                 let lhs: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
                 let rhs: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(lhs, rhs, "m={m} k={k} n={n} workers={workers}");
@@ -138,15 +405,111 @@ mod tests {
         }
     }
 
+    /// The shapes where the tiled kernel has edges: strip remainders and
+    /// row-block boundaries in m, `KU` remainders and `KC` panel
+    /// boundaries in k, lane remainders and column-split boundaries in n.
+    #[test]
+    fn every_instantiation_matches_naive_at_the_edges() {
+        let ms: Vec<usize> = (1..=17).chain(63..=65).chain(127..=130).collect();
+        let ks: Vec<usize> = (1..=20).chain(255..=258).chain(511..=520).collect();
+        let ns: Vec<usize> = (1..=40).chain(1023..=1025).collect();
+        // A walk that visits every value of each list, in combinations
+        // that change from step to step (the strides are coprime to the
+        // list lengths).
+        for step in 0..ns.len() * 3 {
+            let (m, k, n) = (ms[step * 5 % ms.len()], ks[step * 3 % ks.len()], ns[step % ns.len()]);
+            let workers = 1 + step % 7;
+            let seed = step as u64 * 977 + 1;
+            let (a, b, bias) = if step % 3 == 0 {
+                (fill_special(seed, m * k), fill_special(seed + 1, k * n), fill_special(seed + 2, n))
+            } else {
+                (fill(seed, m * k), fill(seed + 1, k * n), fill(seed + 2, n))
+            };
+            let relu = step % 2 == 0;
+            let plain = naive_matmul(m, k, n, &a, &b);
+            let fused = naive_fused(m, k, n, &a, &b, &bias, relu);
+            for simd in instantiations() {
+                let what = format!("{simd:?} m={m} k={k} n={n} workers={workers}");
+                let pool = WorkerPool::new(workers);
+                let mut c = vec![0.0f32; m * n];
+                gemm_on(simd, &pool, m, k, n, &a, &b, &mut c, None);
+                assert_same(&c, &plain, &what);
+                c.fill(0.0);
+                gemm_on(simd, &pool, m, k, n, &a, &b, &mut c, Some((&bias, relu)));
+                assert_same(&c, &fused, &format!("{what} fused relu={relu}"));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_inner_dimension_leaves_zeros_plus_bias() {
+        let bias = [1.5f32, -2.0, 0.25];
+        let mut c = vec![0.0f32; 6];
+        gemm(&WorkerPool::new(2), 2, 0, 3, &[], &[], &mut c, Some((&bias, true)));
+        assert_eq!(c, [1.5, 0.0, 0.25, 1.5, 0.0, 0.25]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: B holds")]
+    fn length_checks_hold_in_every_build_profile() {
+        let mut c = vec![0.0f32; 4];
+        gemm(&WorkerPool::serial(), 2, 2, 2, &[0.0; 4], &[0.0; 3], &mut c, None);
+    }
+
+    /// Output area of every worker under the split `gemm_on` performs.
+    fn worker_areas(workers: usize, m: usize, n: usize) -> Vec<usize> {
+        let panels = column_panels(workers, m, n);
+        let rows_of = |rb: usize| ROW_BLOCK.min(m - rb * ROW_BLOCK);
+        pool::partition(m.div_ceil(ROW_BLOCK) * panels.len(), workers)
+            .into_iter()
+            .map(|units| units.map(|u| rows_of(u / panels.len()) * panels[u % panels.len()].len()).sum())
+            .collect()
+    }
+
+    #[test]
+    fn cost_is_the_largest_worker_area_of_the_split_that_runs() {
+        for m in (1..=17).chain(60..=70).chain(125..=135).chain([200, 256, 1000]) {
+            for n in [1usize, 7, 15, 16, 17, 31, 32, 33, 100, 1024, 1025] {
+                for workers in 1..=9 {
+                    let areas = worker_areas(workers, m, n);
+                    assert_eq!(areas.iter().sum::<usize>(), m * n, "m={m} n={n} workers={workers}");
+                    let k = 11;
+                    for relu in [false, true] {
+                        let cost = gemm_cost(&WorkerPool::new(workers), m, k, n, relu);
+                        let per_element = 2.0 * k as f64 + f64::from(u8::from(relu));
+                        assert_eq!(cost.flops, per_element * (m * n) as f64);
+                        let largest = *areas.iter().max().unwrap();
+                        assert_eq!(cost.critical_flops, per_element * largest as f64, "m={m} n={n} workers={workers}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn cost_critical_path_shrinks_with_workers() {
-        let serial = gemm_cost(&WorkerPool::serial(), 256, 64, 64);
+        let serial = gemm_cost(&WorkerPool::serial(), 256, 64, 64, false);
         assert_eq!(serial.critical_flops, serial.flops);
-        let par = gemm_cost(&WorkerPool::new(4), 256, 64, 64);
+        let par = gemm_cost(&WorkerPool::new(4), 256, 64, 64, false);
         assert_eq!(par.flops, serial.flops);
         assert_eq!(par.critical_flops, serial.flops / 4.0);
-        // More workers than row blocks: critical path is one block.
-        let tiny = gemm_cost(&WorkerPool::new(8), 70, 8, 8);
-        assert_eq!(tiny.critical_flops, 2.0 * 64.0 * 8.0 * 8.0);
+        // A serving batch: one row block, so the columns are split.
+        let batch = gemm_cost(&WorkerPool::new(2), 8, 1024, 1024, false);
+        assert_eq!(batch.flops, 2.0 * 8.0 * 1024.0 * 1024.0);
+        assert_eq!(batch.critical_flops, batch.flops / 2.0);
+        // As many row blocks as workers: rows only, as before the column
+        // split existed (critical path = whole row blocks of worker 0).
+        for (m, workers) in [(128usize, 2usize), (130, 2), (200, 3), (64, 1), (1000, 4)] {
+            let blocks = pool::critical_units(m.div_ceil(ROW_BLOCK), workers);
+            let rows = (blocks * ROW_BLOCK).min(m);
+            let cost = gemm_cost(&WorkerPool::new(workers), m, 8, 48, false);
+            assert_eq!(cost.critical_flops, 2.0 * rows as f64 * 8.0 * 48.0, "m={m} workers={workers}");
+        }
+        // Narrower than one cache line: never split, whatever the pool.
+        for n in 1..COL_ALIGN {
+            assert_eq!(column_panels(8, 8, n), vec![0..n]);
+            let narrow = gemm_cost(&WorkerPool::new(8), 8, 1024, n, false);
+            assert_eq!(narrow.critical_flops, narrow.flops);
+        }
     }
 }

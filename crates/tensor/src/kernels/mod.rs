@@ -1,11 +1,12 @@
 //! Blocked, pool-parallel compute kernels (DESIGN.md §11).
 //!
-//! This module is the framework's compute layer: a cache-blocked GEMM
-//! (`gemm`), im2col + GEMM convolution (`conv`), and the deterministic
-//! [`WorkerPool`] that splits kernels across disjoint output row-blocks.
-//! The cardinal rule, enforced by property tests against
-//! [`mod@reference`]: **blocking and parallelism never change the
-//! per-element reduction order**, so every kernel is bit-for-bit
+//! This module is the framework's compute layer: a register-tiled GEMM
+//! (`gemm`, one body instantiated for the baseline target and for AVX2),
+//! im2col + GEMM convolution (`conv`), and the deterministic
+//! [`WorkerPool`] that splits kernels across disjoint parts of the
+//! output. The cardinal rule, enforced by property tests against
+//! [`mod@reference`]: **tiling, vector width and parallelism never change
+//! the per-element reduction order**, so every kernel is bit-for-bit
 //! identical to its naive serial reference for any worker count.
 //!
 //! Each entry point also returns a [`KernelCost`] — total flops plus the
@@ -73,6 +74,18 @@ impl KernelCost {
     }
 }
 
+/// The instruction set the GEMM micro-kernel runs on in this process:
+/// `"avx2"` where the CPU reports AVX2, `"baseline"` (the build target's
+/// own, SSE2 on x86-64) otherwise. Results are bit-identical on both;
+/// throughput is not, so hosts that disagree here explain a 2× gap.
+pub fn simd_level() -> &'static str {
+    match gemm::Simd::detected() {
+        gemm::Simd::Baseline => "baseline",
+        #[cfg(target_arch = "x86_64")]
+        gemm::Simd::Avx2 => "avx2",
+    }
+}
+
 /// Blocked matrix product `lhs × rhs` for rank-2 tensors.
 ///
 /// Bit-identical to [`reference::naive_matmul`] for every worker count;
@@ -94,6 +107,18 @@ pub fn matmul_with(
     rhs: &Tensor,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
+    matmul_epilogue_with(pool, lhs, rhs, None, take)
+}
+
+/// The one matmul entry: shape checks, then [`gemm::gemm`] with the
+/// optional `(bias, relu)` epilogue applied inside its work units.
+fn matmul_epilogue_with(
+    pool: &WorkerPool,
+    lhs: &Tensor,
+    rhs: &Tensor,
+    epilogue: Option<(&Tensor, bool)>,
+    take: TakeBuffer<'_>,
+) -> Result<(Tensor, KernelCost), TensorError> {
     let (&[m, k1], &[k2, n]) = (lhs.shape(), rhs.shape()) else {
         return Err(TensorError::ShapeMismatch {
             op: "matmul",
@@ -106,45 +131,34 @@ pub fn matmul_with(
             detail: format!("inner dims {k1} vs {k2}"),
         });
     }
+    let epilogue = checked_epilogue("fused_matmul", "columns", epilogue, n)?;
     let mut out = take(m * n);
-    gemm::gemm(pool, m, k1, n, lhs.data(), rhs.data(), &mut out);
-    let cost = gemm::gemm_cost(pool, m, k1, n);
+    let cost = gemm::gemm(pool, m, k1, n, lhs.data(), rhs.data(), &mut out, epilogue);
     Ok((Tensor::from_vec(&[m, n], out)?, cost))
 }
 
-/// Applies the fused `+bias[ → relu]` epilogue in place, one block per
-/// output row (`bias.len()` elements), and returns its cost.
-///
-/// Per element this performs exactly the operations of the unfused
-/// `add_bias` then `relu` sequence (`out[i] += bias[i % n]`, then
-/// `max(0.0)`), and every element is independent, so blocking and
-/// parallelism cannot change results. The bias add charges no flops
-/// (matching the unfused `AddBias`); the relu charges one flop per
-/// element, pool-parallel over rows.
-fn bias_relu_epilogue(pool: &WorkerPool, out: &mut [f32], bias: &[f32], relu: bool) -> KernelCost {
-    let n = bias.len().max(1);
-    pool.run_on_blocks(out, n, &|_, block| {
-        for (v, b) in block.iter_mut().zip(bias) {
-            *v += *b;
-            if relu {
-                *v = v.max(0.0);
-            }
-        }
-    });
-    if relu {
-        let nblocks = out.len().div_ceil(n);
-        KernelCost {
-            flops: out.len() as f64,
-            critical_flops: (pool::critical_units(nblocks, pool.workers()) * n) as f64,
-        }
-    } else {
-        KernelCost::default()
+/// Checks a fused op's bias against the `n` output columns (`what` names
+/// them in the error) and lowers it to the slice form [`gemm::gemm`]
+/// takes.
+fn checked_epilogue<'a>(
+    op: &'static str,
+    what: &str,
+    epilogue: Option<(&'a Tensor, bool)>,
+    n: usize,
+) -> Result<Option<(&'a [f32], bool)>, TensorError> {
+    match epilogue {
+        Some((bias, _)) if bias.shape() != [n] => Err(TensorError::ShapeMismatch {
+            op,
+            detail: format!("bias {:?} vs {what} {n}", bias.shape()),
+        }),
+        other => Ok(other.map(|(bias, relu)| (bias.data(), relu))),
     }
 }
 
-/// Fused `lhs × rhs + bias[ → relu]`: the GEMM of [`matmul`] followed by
-/// an in-buffer bias/relu epilogue, so the pre-bias and pre-relu
-/// intermediates never materialize. Bit-identical to the unfused
+/// Fused `lhs × rhs + bias[ → relu]`: the GEMM of [`matmul`] with the
+/// bias/relu epilogue applied by each worker to its own part of the
+/// output, so the pre-bias and pre-relu intermediates never materialize
+/// and no second dispatch is paid. Bit-identical to the unfused
 /// `matmul → add_bias → relu` op sequence for any worker count.
 ///
 /// # Errors
@@ -173,22 +187,13 @@ pub fn matmul_bias_relu_with(
     relu: bool,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    let (mut out, mut cost) = matmul_with(pool, lhs, rhs, take)?;
-    let n = out.shape()[1];
-    if bias.shape() != [n] {
-        return Err(TensorError::ShapeMismatch {
-            op: "fused_matmul",
-            detail: format!("bias {:?} vs columns {n}", bias.shape()),
-        });
-    }
-    cost.merge(bias_relu_epilogue(pool, out.data_mut(), bias.data(), relu));
-    Ok((out, cost))
+    matmul_epilogue_with(pool, lhs, rhs, Some((bias, relu)), take)
 }
 
 /// Fused `conv2d + bias[ → relu]` with caller-provided scratch and output
-/// buffer: [`conv2d_with`]'s im2col + GEMM followed by an in-buffer
-/// per-channel bias/relu epilogue. Bit-identical to the unfused
-/// `conv2d → add_bias → relu` op sequence for any worker count.
+/// buffer: [`conv2d_with`]'s im2col + GEMM with the per-channel bias/relu
+/// epilogue applied inside the GEMM's work units. Bit-identical to the
+/// unfused `conv2d → add_bias → relu` op sequence for any worker count.
 ///
 /// # Errors
 ///
@@ -204,16 +209,7 @@ pub fn conv2d_bias_relu_with(
     relu: bool,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    let (mut out, mut cost) = conv::conv2d_with(pool, ws, input, filter, padding, take)?;
-    let cout = *out.shape().last().expect("conv output is NHWC");
-    if bias.shape() != [cout] {
-        return Err(TensorError::ShapeMismatch {
-            op: "fused_conv2d",
-            detail: format!("bias {:?} vs channels {cout}", bias.shape()),
-        });
-    }
-    cost.merge(bias_relu_epilogue(pool, out.data_mut(), bias.data(), relu));
-    Ok((out, cost))
+    conv::conv2d_with(pool, ws, input, filter, padding, Some((bias, relu)), take)
 }
 
 /// im2col + GEMM forward convolution (NHWC input, `[kh,kw,cin,cout]`
@@ -241,7 +237,7 @@ pub fn conv2d_with(
     padding: Padding,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    conv::conv2d_with(pool, ws, input, filter, padding, take)
+    conv::conv2d_with(pool, ws, input, filter, padding, None, take)
 }
 
 /// Backward convolution: `(grad_input, grad_filter, cost)`.

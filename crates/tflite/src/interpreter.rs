@@ -318,5 +318,25 @@ mod tests {
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(serial.stats().flops, pooled.stats().flops);
         assert!(pooled.stats().critical_flops < serial.stats().critical_flops);
+
+        // A serving batch on a Densenet-shaped stack (two 1024-wide
+        // matmul → bias → relu layers and a 10-column tail): 8 rows are
+        // one row block, so the kernels split the columns and the
+        // critical path is a worker's share — all but the narrow tail
+        // and the softmax, which stay on one worker.
+        let slice = crate::models::ModelSpec {
+            name: "densenet_slice",
+            bytes: 4 * (2 * (1024 * 1024 + 1024) + 10 * (1024 + 1)),
+            flops: 0.0,
+        };
+        let x = crate::models::input_for(8);
+        let workers = 2;
+        let mut serial = Interpreter::new(crate::models::build(slice));
+        let mut pooled = Interpreter::with_pool(crate::models::build(slice), WorkerPool::new(workers));
+        assert_eq!(bits(&serial.run(&x).unwrap()), bits(&pooled.run(&x).unwrap()));
+        assert_eq!(serial.stats().flops, pooled.stats().flops);
+        assert_eq!(serial.stats().critical_flops, serial.stats().flops);
+        let share = pooled.stats().critical_flops / (pooled.stats().flops / workers as f64);
+        assert!((1.0..1.02).contains(&share), "critical path is {share} of flops / workers");
     }
 }

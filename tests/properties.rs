@@ -295,6 +295,51 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// [`lcg_fill`] with about one element in seven replaced by NaN, ±Inf or
+/// a signed zero — the operands a vectorised kernel body, a padded lane
+/// or a fused `max(0.0)` could treat differently from the scalar loop.
+fn lcg_fill_special(seed: u64, len: usize) -> Vec<f32> {
+    const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+    let mut data = lcg_fill(seed, len);
+    for (i, v) in data.iter_mut().enumerate() {
+        let h = (seed ^ i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 40;
+        if h.is_multiple_of(7) {
+            *v = SPECIAL[(h / 7) as usize % SPECIAL.len()];
+        }
+    }
+    data
+}
+
+/// The first element where `got` and `want` differ, `None` if there is
+/// none. Non-NaN values must agree in every bit (so in sign, for zeros
+/// and infinities); a NaN must meet a NaN, of any payload — which
+/// operand's payload an add or multiply of two NaNs keeps depends on the
+/// operand order the compiler chose for that loop.
+fn first_difference(got: &[f32], want: &[f32]) -> Option<String> {
+    if got.len() != want.len() {
+        return Some(format!("{} elements, want {}", got.len(), want.len()));
+    }
+    got.iter().zip(want).enumerate().find_map(|(i, (g, w))| {
+        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        (!same).then(|| format!("element {i}: {g:?} ({:#x}), want {w:?} ({:#x})", g.to_bits(), w.to_bits()))
+    })
+}
+
+/// What the raw, un-lowered graph computes for `target` — the unfused op
+/// sequence, one kernel call and one elementwise op per node.
+fn run_raw_graph(
+    graph: &Graph,
+    target: securetf_tensor::graph::NodeId,
+    pool: &securetf_tensor::kernels::WorkerPool,
+) -> Tensor {
+    use std::collections::HashMap;
+    let feeds: HashMap<securetf_tensor::graph::NodeId, Tensor> = HashMap::new();
+    let (mut out, _) = securetf_tensor::memory::PlannedExecutor::new()
+        .run(graph, &feeds, &HashMap::new(), &[target], pool)
+        .unwrap();
+    out.remove(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -323,6 +368,108 @@ proptest! {
         prop_assert_eq!(cost.flops, 2.0 * (m * k * n) as f64);
         prop_assert!(cost.critical_flops <= cost.flops);
         prop_assert!(cost.critical_flops > 0.0);
+    }
+
+    // The tiled kernel's edges: strip remainders and row-block
+    // boundaries in m, k-unroll remainders and k-panel boundaries in k,
+    // lane remainders and column-split boundaries in n — with NaN, ±Inf
+    // and signed zeros among the operands, and the fused bias/relu
+    // epilogue against the unfused op sequence on the same draws.
+    #[test]
+    fn pooled_matmul_edges_and_fused_epilogue_are_bit_identical(
+        mi in any::<prop::sample::Index>(),
+        ki in any::<prop::sample::Index>(),
+        ni in any::<prop::sample::Index>(),
+        workers in 1usize..8,
+        relu in any::<bool>(),
+        special in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use securetf_tensor::kernels::{self, reference, WorkerPool};
+        let ms: Vec<usize> = (1..=17).chain(63..=65).chain(127..=130).collect();
+        let ks: Vec<usize> = (1..=20).chain(255..=258).chain(511..=520).collect();
+        let ns: Vec<usize> = (1..=40).chain(1023..=1025).collect();
+        let (m, k, n) = (ms[mi.index(ms.len())], ks[ki.index(ks.len())], ns[ni.index(ns.len())]);
+        let fill = if special { lcg_fill_special } else { lcg_fill };
+        let a = fill(seed, m * k);
+        let b = fill(seed ^ 0x9E3779B97F4A7C15, k * n);
+        let naive = reference::naive_matmul(m, k, n, &a, &b);
+        let ta = Tensor::from_vec(&[m, k], a).unwrap();
+        let tb = Tensor::from_vec(&[k, n], b).unwrap();
+        let tbias = Tensor::from_vec(&[n], fill(seed ^ 0xB1A5, n)).unwrap();
+        let pool = WorkerPool::new(workers);
+
+        let (out, cost) = kernels::matmul(&pool, &ta, &tb).unwrap();
+        prop_assert_eq!(first_difference(out.data(), &naive), None, "m={} k={} n={}", m, k, n);
+        prop_assert_eq!(cost.flops, 2.0 * (m * k * n) as f64);
+        prop_assert!(cost.critical_flops <= cost.flops);
+        prop_assert!(cost.critical_flops * workers as f64 >= cost.flops);
+
+        let mut g = Graph::new();
+        let (x, w, bias) = (g.constant("x", ta.clone()), g.constant("w", tb.clone()), g.constant("b", tbias.clone()));
+        let product = g.matmul(x, w).unwrap();
+        let mut unfused = g.add_bias(product, bias).unwrap();
+        if relu {
+            unfused = g.relu(unfused).unwrap();
+        }
+        let want = run_raw_graph(&g, unfused, &pool);
+        let (fused, fused_cost) = kernels::matmul_bias_relu(&pool, &ta, &tb, &tbias, relu).unwrap();
+        prop_assert_eq!(first_difference(fused.data(), want.data()), None, "fused m={} k={} n={}", m, k, n);
+        prop_assert_eq!(fused_cost.flops, cost.flops + if relu { (m * n) as f64 } else { 0.0 });
+        prop_assert!(fused_cost.critical_flops <= fused_cost.flops);
+    }
+
+    #[test]
+    fn pooled_fused_conv2d_is_bit_identical_to_the_unfused_ops(
+        b in 1usize..3,
+        h in 1usize..8,
+        w in 1usize..8,
+        cin in 1usize..4,
+        cout in 1usize..40,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        same in any::<bool>(),
+        relu in any::<bool>(),
+        special in any::<bool>(),
+        workers in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        use securetf_tensor::graph::Padding;
+        use securetf_tensor::kernels::{self, WorkerPool, Workspace};
+        let (padding, kh, kw) = if same {
+            (Padding::Same, kh, kw)
+        } else {
+            (Padding::Valid, kh.min(h), kw.min(w))
+        };
+        let fill = if special { lcg_fill_special } else { lcg_fill };
+        let input = Tensor::from_vec(&[b, h, w, cin], fill(seed, b * h * w * cin)).unwrap();
+        let filter =
+            Tensor::from_vec(&[kh, kw, cin, cout], fill(seed ^ 0xABCD, kh * kw * cin * cout)).unwrap();
+        let bias = Tensor::from_vec(&[cout], fill(seed ^ 0xB1A5, cout)).unwrap();
+        let pool = WorkerPool::new(workers);
+
+        let mut g = Graph::new();
+        let (x, f, bv) = (g.constant("x", input.clone()), g.constant("f", filter.clone()), g.constant("b", bias.clone()));
+        let conv = g.conv2d(x, f, padding).unwrap();
+        let mut unfused = g.add_bias(conv, bv).unwrap();
+        if relu {
+            unfused = g.relu(unfused).unwrap();
+        }
+        let want = run_raw_graph(&g, unfused, &pool);
+        let (fused, cost) = kernels::conv2d_bias_relu_with(
+            &pool,
+            &mut Workspace::new(),
+            &input,
+            &filter,
+            &bias,
+            padding,
+            relu,
+            &mut |len| vec![0.0f32; len],
+        )
+        .unwrap();
+        prop_assert_eq!(fused.shape(), want.shape());
+        prop_assert_eq!(first_difference(fused.data(), want.data()), None);
+        prop_assert!(cost.critical_flops <= cost.flops);
     }
 
     #[test]

@@ -228,6 +228,29 @@ fn crypto_data_plane_metrics_move_under_shield_activity() {
 }
 
 #[test]
+fn kernel_simd_gauge_names_the_instantiation_and_keeps_digests_equal() {
+    let run = || {
+        let clock = SimClock::new();
+        let telemetry = clock.telemetry();
+        let mut classifier = deploy_instrumented(&clock, &telemetry);
+        // Not set before a kernel ran on this enclave's behalf.
+        assert!(telemetry.metrics().iter().all(|(name, _)| name != "kernel.simd"));
+        classifier.classify(&Tensor::full(&[1, 8], 0.5)).expect("classify");
+        telemetry
+    };
+    let telemetry = run();
+    let expected = match securetf_tensor::kernels::simd_level() {
+        "baseline" => 0,
+        "avx2" => 2,
+        other => panic!("unknown instantiation {other:?}"),
+    };
+    assert_eq!(telemetry.gauge("kernel.simd").get(), expected);
+    assert!(telemetry.counter("kernel.matmul.flops").get() > 0);
+    // A property of the host, not of the run: same seed, same digest.
+    assert_eq!(telemetry.snapshot().digest(), run().snapshot().digest());
+}
+
+#[test]
 fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
     use rand::SeedableRng;
     use securetf::secure_session::SecureSession;

@@ -36,6 +36,7 @@ use securetf_shield::net::{SecureChannel, Transport};
 use securetf_shield::ShieldError;
 use securetf_tee::telemetry::{Counter, Histogram};
 use securetf_tee::Telemetry;
+use securetf_tensor::bytes::{put_f32s, put_len_prefixed, put_shape, put_u32, put_u64, Reader};
 use securetf_tensor::tensor::Tensor;
 
 /// A classification request on the wire.
@@ -105,25 +106,22 @@ pub const RETRY_AFTER_HINT_NS: u64 = 5_000_000;
 /// Encodes a request frame (`'Q'`, or `'D'` when a deadline is set).
 pub fn encode_request(request: &Request) -> Vec<u8> {
     let mut out = Vec::with_capacity(21 + request.input.len() * 4);
-    match request.deadline_ns {
-        Some(deadline) => {
-            out.push(b'D');
-            out.extend_from_slice(&request.id.to_le_bytes());
-            out.extend_from_slice(&deadline.to_le_bytes());
-        }
-        None => {
-            out.push(b'Q');
-            out.extend_from_slice(&request.id.to_le_bytes());
-        }
+    out.push(if request.deadline_ns.is_some() { b'D' } else { b'Q' });
+    put_u64(&mut out, request.id);
+    if let Some(deadline) = request.deadline_ns {
+        put_u64(&mut out, deadline);
     }
-    out.extend_from_slice(&(request.input.shape().len() as u32).to_le_bytes());
-    for &d in request.input.shape() {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-    for v in request.input.data() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_shape(&mut out, request.input.shape());
+    put_f32s(&mut out, request.input.data());
     out
+}
+
+/// The tag and id every request frame starts with.
+fn request_header(r: &mut Reader) -> Result<(u8, u64), ShieldError> {
+    match r.u8()? {
+        tag @ (b'Q' | b'D') => Ok((tag, r.u64()?)),
+        _ => Err(ShieldError::IagoViolation("not a request frame")),
+    }
 }
 
 /// Decodes a request frame.
@@ -134,57 +132,15 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
 /// lengths, truncation, trailing bytes) — the service treats every frame
 /// as adversarial input.
 pub fn decode_request(bytes: &[u8]) -> Result<Request, ShieldError> {
-    let mut cursor = 0usize;
-    let take = |cursor: &mut usize, n: usize| -> Result<&[u8], ShieldError> {
-        if *cursor + n > bytes.len() {
-            return Err(ShieldError::IagoViolation("request frame truncated"));
-        }
-        let s = &bytes[*cursor..*cursor + n];
-        *cursor += n;
-        Ok(s)
-    };
-    let le_u32 = |b: &[u8]| -> Result<u32, ShieldError> {
-        let arr: [u8; 4] = b
-            .try_into()
-            .map_err(|_| ShieldError::IagoViolation("bad u32 field"))?;
-        Ok(u32::from_le_bytes(arr))
-    };
-    let tag = take(&mut cursor, 1)?[0];
-    if tag != b'Q' && tag != b'D' {
-        return Err(ShieldError::IagoViolation("not a request frame"));
-    }
-    let le_u64 = |b: &[u8]| -> Result<u64, ShieldError> {
-        let arr: [u8; 8] = b
-            .try_into()
-            .map_err(|_| ShieldError::IagoViolation("bad u64 field"))?;
-        Ok(u64::from_le_bytes(arr))
-    };
-    let id = le_u64(take(&mut cursor, 8)?)?;
-    let deadline_ns = if tag == b'D' {
-        Some(le_u64(take(&mut cursor, 8)?)?)
-    } else {
-        None
-    };
-    let rank = le_u32(take(&mut cursor, 4)?)? as usize;
-    if rank > 8 {
-        return Err(ShieldError::IagoViolation("hostile tensor rank"));
-    }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(le_u32(take(&mut cursor, 4)?)? as usize);
-    }
-    let count: usize = shape.iter().product();
-    if count > 16_000_000 {
+    let mut r = Reader::new(bytes);
+    let (tag, id) = request_header(&mut r)?;
+    let deadline_ns = if tag == b'D' { Some(r.u64()?) } else { None };
+    let (shape, elements) = r.shape(8)?;
+    if elements > 16_000_000 {
         return Err(ShieldError::IagoViolation("hostile tensor size"));
     }
-    let raw = take(&mut cursor, count * 4)?;
-    if cursor != bytes.len() {
-        return Err(ShieldError::IagoViolation("trailing bytes in request"));
-    }
-    let data = raw
-        .chunks_exact(4)
-        .filter_map(|c| Some(f32::from_le_bytes(c.try_into().ok()?)))
-        .collect();
+    let data = r.f32s(elements)?;
+    r.finish()?;
     let input = Tensor::from_vec(&shape, data)
         .map_err(|_| ShieldError::IagoViolation("inconsistent tensor"))?;
     Ok(Request {
@@ -198,10 +154,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ShieldError> {
 /// the body is malformed, so errors can be correlated by the client
 /// instead of landing on id 0.
 pub fn salvage_request_id(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < 9 || (bytes[0] != b'Q' && bytes[0] != b'D') {
-        return None;
-    }
-    bytes[1..9].try_into().ok().map(u64::from_le_bytes)
+    request_header(&mut Reader::new(bytes)).ok().map(|(_, id)| id)
 }
 
 /// Encodes the explicit goodbye frame a client sends before departing a
@@ -221,23 +174,22 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
         Response::Label { id, label } => {
             let mut out = Vec::with_capacity(13);
             out.push(b'R');
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&label.to_le_bytes());
+            put_u64(&mut out, *id);
+            put_u32(&mut out, *label);
             out
         }
         Response::Error { id, message } => {
             let mut out = Vec::with_capacity(13 + message.len());
             out.push(b'E');
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            out.extend_from_slice(message.as_bytes());
+            put_u64(&mut out, *id);
+            put_len_prefixed(&mut out, message.as_bytes());
             out
         }
         Response::Unavailable { id, retry_after_ns } => {
             let mut out = Vec::with_capacity(17);
             out.push(b'U');
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&retry_after_ns.to_le_bytes());
+            put_u64(&mut out, *id);
+            put_u64(&mut out, *retry_after_ns);
             out
         }
     }
@@ -249,55 +201,26 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
 ///
 /// Returns [`ShieldError::IagoViolation`] on malformed frames.
 pub fn decode_response(bytes: &[u8]) -> Result<Response, ShieldError> {
-    let le_u32 = |b: &[u8]| -> Result<u32, ShieldError> {
-        let arr: [u8; 4] = b
-            .try_into()
-            .map_err(|_| ShieldError::IagoViolation("bad u32 field"))?;
-        Ok(u32::from_le_bytes(arr))
+    let mut r = Reader::new(bytes);
+    let tag = r.u8()?;
+    let id = r.u64()?;
+    let response = match tag {
+        b'R' => Response::Label {
+            id,
+            label: r.u32()?,
+        },
+        b'E' => Response::Error {
+            id,
+            message: r.str()?.to_string(),
+        },
+        b'U' => Response::Unavailable {
+            id,
+            retry_after_ns: r.u64()?,
+        },
+        _ => return Err(ShieldError::IagoViolation("unknown response frame")),
     };
-    let le_u64 = |b: &[u8]| -> Result<u64, ShieldError> {
-        let arr: [u8; 8] = b
-            .try_into()
-            .map_err(|_| ShieldError::IagoViolation("bad u64 field"))?;
-        Ok(u64::from_le_bytes(arr))
-    };
-    if bytes.len() < 9 {
-        return Err(ShieldError::IagoViolation("response frame truncated"));
-    }
-    let id = le_u64(&bytes[1..9])?;
-    match bytes[0] {
-        b'R' => {
-            if bytes.len() != 13 {
-                return Err(ShieldError::IagoViolation("bad label frame length"));
-            }
-            Ok(Response::Label {
-                id,
-                label: le_u32(&bytes[9..13])?,
-            })
-        }
-        b'E' => {
-            if bytes.len() < 13 {
-                return Err(ShieldError::IagoViolation("bad error frame length"));
-            }
-            let len = le_u32(&bytes[9..13])? as usize;
-            if bytes.len() != 13 + len {
-                return Err(ShieldError::IagoViolation("error frame length mismatch"));
-            }
-            let message = String::from_utf8(bytes[13..].to_vec())
-                .map_err(|_| ShieldError::IagoViolation("error message not utf-8"))?;
-            Ok(Response::Error { id, message })
-        }
-        b'U' => {
-            if bytes.len() != 17 {
-                return Err(ShieldError::IagoViolation("bad unavailable frame length"));
-            }
-            Ok(Response::Unavailable {
-                id,
-                retry_after_ns: le_u64(&bytes[9..17])?,
-            })
-        }
-        _ => Err(ShieldError::IagoViolation("unknown response frame")),
-    }
+    r.finish()?;
+    Ok(response)
 }
 
 /// Per-response serving telemetry, shared by the single-channel
@@ -511,6 +434,21 @@ mod tests {
         assert!(decode_request(&hostile).is_err());
         assert!(decode_response(b"Z").is_err());
         assert!(decode_response(&[b'R', 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn overflowing_shape_product_is_rejected() {
+        // 'Q' | id | rank 4 | 65536 x4: 29 bytes claiming 2^64 elements.
+        // An unchecked product panics in debug builds; in release it
+        // wraps to 0 and the frame decodes to a tensor of shape
+        // [65536; 4] holding nothing.
+        let mut frame = vec![b'Q'];
+        put_u64(&mut frame, 1);
+        put_shape(&mut frame, &[65536; 4]);
+        assert_eq!(
+            decode_request(&frame),
+            Err(ShieldError::IagoViolation("element count overflows"))
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! assert_eq!(labels.shape(), &[10, 10]);
 //! ```
 
-use securetf_tensor::tensor::Tensor;
+use securetf_tensor::bytes::{put_f32s, put_u32, Reader};
+use securetf_tensor::tensor::{checked_elements, Tensor};
 use securetf_tensor::TensorError;
 
 /// Number of classes in both synthetic datasets.
@@ -143,13 +144,10 @@ impl Dataset {
     /// Serializes the dataset (for the file-system shield experiments).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.features.len() * 4 + self.labels.len());
-        out.extend_from_slice(&(self.height as u32).to_le_bytes());
-        out.extend_from_slice(&(self.width as u32).to_le_bytes());
-        out.extend_from_slice(&(self.channels as u32).to_le_bytes());
-        out.extend_from_slice(&(self.labels.len() as u32).to_le_bytes());
-        for v in &self.features {
-            out.extend_from_slice(&v.to_le_bytes());
+        for field in [self.height, self.width, self.channels, self.labels.len()] {
+            put_u32(&mut out, field as u32);
         }
+        put_f32s(&mut out, &self.features);
         out.extend_from_slice(&self.labels);
         out
     }
@@ -160,21 +158,19 @@ impl Dataset {
     ///
     /// Returns [`TensorError::MalformedModel`] on corruption.
     pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, TensorError> {
-        if bytes.len() < 16 {
-            return Err(TensorError::MalformedModel("truncated header"));
-        }
-        let u = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4")) as usize;
-        let (height, width, channels, count) = (u(0), u(4), u(8), u(12));
-        let f = height * width * channels;
-        let expect = 16 + count * f * 4 + count;
-        if bytes.len() != expect || f == 0 {
-            return Err(TensorError::MalformedModel("length mismatch"));
-        }
-        let features = bytes[16..16 + count * f * 4]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
-            .collect();
-        let labels = bytes[16 + count * f * 4..].to_vec();
+        let mut r = Reader::new(bytes);
+        let (height, width, channels, count) =
+            (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
+        // `count` images of h*w*c (non-zero) f32 features, then `count`
+        // label bytes, both taken from bytes that exist: four hostile
+        // header fields cannot size an allocation.
+        let values = checked_elements(&[height, width, channels])
+            .filter(|&f| f != 0)
+            .and_then(|f| f.checked_mul(count))
+            .ok_or(TensorError::MalformedModel("length mismatch"))?;
+        let features = r.f32s(values)?;
+        let labels = r.take(count)?.to_vec();
+        r.finish()?;
         if labels.iter().any(|&l| l as usize >= CLASSES) {
             return Err(TensorError::MalformedModel("label out of range"));
         }
@@ -378,6 +374,17 @@ mod tests {
         assert_eq!(d2.labels, d.labels);
         assert!(Dataset::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(Dataset::from_bytes(&[1, 2]).is_err());
+    }
+
+    #[test]
+    fn overflowing_shape_product_is_rejected() {
+        // height = width = channels = count = u32::MAX: the unchecked
+        // `count * f * 4` panics in debug builds and wraps in release.
+        let header = [u32::MAX.to_le_bytes(); 4].concat();
+        assert_eq!(
+            Dataset::from_bytes(&header).unwrap_err(),
+            TensorError::MalformedModel("length mismatch")
+        );
     }
 
     #[test]

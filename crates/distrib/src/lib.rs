@@ -131,3 +131,9 @@ impl From<securetf_tensor::TensorError> for DistribError {
         DistribError::Tensor(e)
     }
 }
+
+impl From<securetf_tensor::bytes::BytesError> for DistribError {
+    fn from(e: securetf_tensor::bytes::BytesError) -> Self {
+        DistribError::BadMessage(e.reason())
+    }
+}

@@ -40,6 +40,7 @@ use securetf_shield::net::{duplex, Adversary, PipeEnd, Role, SecureChannel, Tamp
 use securetf_shield::ShieldError;
 use securetf_tee::telemetry::Counter;
 use securetf_tee::{CostCategory, CostModel, Enclave, RetryPolicy, Telemetry};
+use securetf_tensor::bytes::Reader;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -651,23 +652,20 @@ impl Supervisor {
     /// restores the trainer from the newest payload that authenticates.
     /// Returns whether any generation was restored.
     fn restore_newest_generation(&mut self) -> bool {
+        // (generation, path, sealed checkpoint behind the generation prefix)
         let mut candidates: Vec<(u64, String, Vec<u8>)> = Vec::new();
         for slot in 0..2u64 {
             let path = format!("{}/gen-{}", self.config.checkpoint_path, slot);
             if let Ok(payload) = self.shield.read(&path) {
-                if payload.len() >= 8 {
-                    let generation = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                    candidates.push((generation, path, payload));
+                let mut r = Reader::new(&payload);
+                if let Ok(generation) = r.u64() {
+                    candidates.push((generation, path, r.rest().to_vec()));
                 }
             }
         }
         candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
-        for (generation, path, payload) in candidates {
-            if self
-                .trainer
-                .restore_checkpoint_bytes(&payload[8..], &path)
-                .is_ok()
-            {
+        for (generation, path, sealed) in candidates {
+            if self.trainer.restore_checkpoint_bytes(&sealed, &path).is_ok() {
                 self.latest_generation = Some(generation);
                 self.snapshot = Some(self.store.snapshot());
                 return true;

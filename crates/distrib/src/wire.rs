@@ -7,9 +7,9 @@
 //!
 //! Two layers:
 //!
-//! * the legacy *tagless* dense encoding ([`encode`]/[`decode`]) — kept
-//!   for sealed checkpoints, whose byte layout is pinned by AAD-bound
-//!   ciphertexts;
+//! * the *tagless* dense body ([`encode`]/[`decode`]) — what follows the
+//!   tag of a dense frame, and the plaintext of sealed checkpoints, whose
+//!   byte layout is pinned by AAD-bound ciphertexts;
 //! * tagged *frames* ([`encode_frame`]/[`decode_frame`]) used on every
 //!   live link: a `'D'` dense frame (the fallback) or a `'Q'` frame
 //!   carrying deterministic int8 linear quantization with one f32 scale
@@ -17,6 +17,7 @@
 //!   produce the same frame — so same-seed runs stay digest-identical.
 
 use crate::DistribError;
+use securetf_tensor::bytes::{put_f32s, put_shape, put_u32, Reader};
 use securetf_tensor::tensor::Tensor;
 
 /// Frame tag of the dense (exact f32) encoding.
@@ -84,99 +85,93 @@ pub fn quantize(data: &[f32]) -> Quantized {
     Quantized { scale, values }
 }
 
-/// Encodes `(variable index, tensor)` pairs.
+/// Entries per message and dims per tensor a decoder accepts.
+const MAX_ENTRIES: usize = 100_000;
+const MAX_RANK: usize = 8;
+
+/// The `(id, rank, dims…, n)` header every entry of every codec starts
+/// with.
+fn put_entry_header(out: &mut Vec<u8>, id: u32, tensor: &Tensor) {
+    put_u32(out, id);
+    put_shape(out, tensor.shape());
+    put_u32(out, tensor.len() as u32);
+}
+
+/// One dense entry: the header, then the `n` values as f32.
+fn put_dense_entry(out: &mut Vec<u8>, id: u32, tensor: &Tensor) {
+    put_entry_header(out, id, tensor);
+    put_f32s(out, tensor.data());
+}
+
+/// The tagless dense body: an entry count, then the dense entries.
+fn put_dense_body(out: &mut Vec<u8>, entries: &[(u32, Tensor)]) {
+    put_u32(out, entries.len() as u32);
+    for (id, tensor) in entries {
+        put_dense_entry(out, *id, tensor);
+    }
+}
+
+/// Encodes `(variable index, tensor)` pairs as the tagless dense body:
+/// what follows the tag of a `'D'` frame, and the plaintext of a sealed
+/// checkpoint.
 pub fn encode(entries: &[(u32, Tensor)]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (id, tensor) in entries {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(tensor.shape().len() as u32).to_le_bytes());
-        for &d in tensor.shape() {
-            out.extend_from_slice(&(d as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&(tensor.data().len() as u32).to_le_bytes());
-        for v in tensor.data() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
+    put_dense_body(&mut out, entries);
     out
 }
 
+/// Walks `count (id rank dims… n payload)*`, the layout both codecs
+/// share; `payload` reads one entry's `n` values. Hostile input is
+/// rejected with a typed error, never a panic: truncation, trailing
+/// bytes, oversized counts and ranks, duplicate variable ids,
+/// shape/count mismatches and overflowing shape products.
+fn decode_entries(
+    bytes: &[u8],
+    payload: impl Fn(&mut Reader, usize) -> Result<Vec<f32>, DistribError>,
+) -> Result<Vec<(u32, Tensor)>, DistribError> {
+    let mut r = Reader::new(bytes);
+    let count = r.u32()? as usize;
+    if count > MAX_ENTRIES {
+        return Err(DistribError::BadMessage("entry count too large"));
+    }
+    let mut entries = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    for _ in 0..count {
+        let id = r.u32()?;
+        if !seen.insert(id) {
+            return Err(DistribError::BadMessage("duplicate variable id"));
+        }
+        let (shape, elements) = r.shape(MAX_RANK)?;
+        if r.u32()? as usize != elements {
+            return Err(DistribError::BadMessage("element count mismatch"));
+        }
+        let tensor = Tensor::from_vec(&shape, payload(&mut r, elements)?)
+            .map_err(|_| DistribError::BadMessage("bad tensor"))?;
+        entries.push((id, tensor));
+    }
+    r.finish()?;
+    Ok(entries)
+}
+
 /// Decodes a message produced by [`encode`].
-///
-/// The decoder treats the input as hostile: truncation, trailing bytes,
-/// oversized counts, duplicate variable ids, shape/element mismatches
-/// and length-prefix products that would overflow `usize` are all
-/// rejected with a typed error — nothing panics.
 ///
 /// # Errors
 ///
 /// Returns [`DistribError::BadMessage`] on any structural violation.
 pub fn decode(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
-    let mut cursor = 0usize;
-    let take = |cursor: &mut usize, n: usize| -> Result<&[u8], DistribError> {
-        // `cursor <= bytes.len()` always holds, so the subtraction cannot
-        // wrap — and `cursor + n` is never computed before the check, so
-        // a hostile length prefix cannot overflow the bound test.
-        if n > bytes.len() - *cursor {
-            return Err(DistribError::BadMessage("truncated"));
-        }
-        let s = &bytes[*cursor..*cursor + n];
-        *cursor += n;
-        Ok(s)
-    };
-    let u32_field = |cursor: &mut usize| -> Result<u32, DistribError> {
-        let raw: [u8; 4] = take(cursor, 4)?
-            .try_into()
-            .map_err(|_| DistribError::BadMessage("truncated"))?;
-        Ok(u32::from_le_bytes(raw))
-    };
-    let count = u32_field(&mut cursor)? as usize;
-    if count > 100_000 {
-        return Err(DistribError::BadMessage("entry count too large"));
-    }
-    let mut entries = Vec::with_capacity(count);
-    let mut seen = std::collections::HashSet::with_capacity(count);
-    for _ in 0..count {
-        let id = u32_field(&mut cursor)?;
-        if !seen.insert(id) {
-            return Err(DistribError::BadMessage("duplicate variable id"));
-        }
-        let rank = u32_field(&mut cursor)? as usize;
-        if rank > 8 {
-            return Err(DistribError::BadMessage("rank too large"));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(u32_field(&mut cursor)? as usize);
-        }
-        let elements = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or(DistribError::BadMessage("shape product overflows"))?;
-        let n = u32_field(&mut cursor)? as usize;
-        if n != elements {
-            return Err(DistribError::BadMessage("element count mismatch"));
-        }
-        let byte_len = n
-            .checked_mul(4)
-            .ok_or(DistribError::BadMessage("length prefix overflows"))?;
-        let raw = take(&mut cursor, byte_len)?;
-        let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .filter_map(|c| Some(f32::from_le_bytes(c.try_into().ok()?)))
-            .collect();
-        let tensor =
-            Tensor::from_vec(&shape, data).map_err(|_| DistribError::BadMessage("bad tensor"))?;
-        entries.push((id, tensor));
-    }
-    if cursor != bytes.len() {
-        return Err(DistribError::BadMessage("trailing bytes"));
-    }
-    Ok(entries)
+    decode_entries(bytes, |r, n| Ok(r.f32s(n)?))
 }
 
-/// Encodes one dense entry body — the legacy per-entry layout
+/// A quantized entry's payload: one f32 scale, then `n` int8 values.
+fn quantized_payload(r: &mut Reader, n: usize) -> Result<Vec<f32>, DistribError> {
+    let scale = r.f32()?;
+    if !scale.is_finite() || scale < 0.0 {
+        return Err(DistribError::BadMessage("bad quantization scale"));
+    }
+    Ok(r.take(n)?.iter().map(|&b| (b as i8) as f32 * scale).collect())
+}
+
+/// Encodes one dense entry body — the per-entry layout
 /// `(id, rank, dims…, n, f32 data…)` without any frame header.
 ///
 /// The broadcast path caches these bodies per variable so unchanged
@@ -184,15 +179,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
 /// cached bodies into a full tagged frame.
 pub fn encode_dense_entry(id: u32, tensor: &Tensor) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + 4 * tensor.shape().len() + 4 * tensor.len());
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&(tensor.shape().len() as u32).to_le_bytes());
-    for &d in tensor.shape() {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-    out.extend_from_slice(&(tensor.len() as u32).to_le_bytes());
-    for v in tensor.data() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_dense_entry(&mut out, id, tensor);
     out
 }
 
@@ -202,7 +189,7 @@ pub fn assemble_dense_frame(bodies: &[&[u8]]) -> Vec<u8> {
     let total: usize = bodies.iter().map(|b| b.len()).sum();
     let mut out = Vec::with_capacity(5 + total);
     out.push(FRAME_DENSE);
-    out.extend_from_slice(&(bodies.len() as u32).to_le_bytes());
+    put_u32(&mut out, bodies.len() as u32);
     for body in bodies {
         out.extend_from_slice(body);
     }
@@ -213,22 +200,16 @@ pub fn assemble_dense_frame(bodies: &[&[u8]]) -> Vec<u8> {
 pub fn encode_frame(entries: &[(u32, Tensor)], codec: Codec) -> Vec<u8> {
     match codec {
         Codec::Dense => {
-            let mut out = Vec::with_capacity(1 + 4);
+            let mut out = Vec::with_capacity(dense_frame_len(entries) as usize);
             out.push(FRAME_DENSE);
-            out.extend_from_slice(&encode(entries));
+            put_dense_body(&mut out, entries);
             out
         }
         Codec::Quantized => {
-            let mut out = Vec::new();
-            out.push(FRAME_QUANTIZED);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            let mut out = vec![FRAME_QUANTIZED];
+            put_u32(&mut out, entries.len() as u32);
             for (id, tensor) in entries {
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&(tensor.shape().len() as u32).to_le_bytes());
-                for &d in tensor.shape() {
-                    out.extend_from_slice(&(d as u32).to_le_bytes());
-                }
-                out.extend_from_slice(&(tensor.len() as u32).to_le_bytes());
+                put_entry_header(&mut out, *id, tensor);
                 let q = quantize(tensor.data());
                 out.extend_from_slice(&q.scale.to_le_bytes());
                 out.extend(q.values.iter().map(|&v| v as u8));
@@ -261,9 +242,9 @@ pub fn dense_frame_len(entries: &[(u32, Tensor)]) -> u64 {
 /// structural violation (truncation, trailing bytes, duplicate ids,
 /// hostile length prefixes, non-finite or negative scales).
 pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
-    match bytes.first() {
-        Some(&FRAME_DENSE) => decode(&bytes[1..]),
-        Some(&FRAME_QUANTIZED) => decode_quantized_body(&bytes[1..]),
+    match bytes.split_first() {
+        Some((&FRAME_DENSE, body)) => decode(body),
+        Some((&FRAME_QUANTIZED, body)) => decode_entries(body, quantized_payload),
         Some(_) => Err(DistribError::BadMessage("unknown frame tag")),
         None => Err(DistribError::BadMessage("empty frame")),
     }
@@ -292,69 +273,8 @@ pub fn decode_frames(frames: &[Vec<u8>]) -> Result<Vec<(u32, Tensor)>, DistribEr
     Ok(entries)
 }
 
-fn decode_quantized_body(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
-    let mut cursor = 0usize;
-    let take = |cursor: &mut usize, n: usize| -> Result<&[u8], DistribError> {
-        if n > bytes.len() - *cursor {
-            return Err(DistribError::BadMessage("truncated"));
-        }
-        let s = &bytes[*cursor..*cursor + n];
-        *cursor += n;
-        Ok(s)
-    };
-    let u32_field = |cursor: &mut usize| -> Result<u32, DistribError> {
-        let raw: [u8; 4] = take(cursor, 4)?
-            .try_into()
-            .map_err(|_| DistribError::BadMessage("truncated"))?;
-        Ok(u32::from_le_bytes(raw))
-    };
-    let count = u32_field(&mut cursor)? as usize;
-    if count > 100_000 {
-        return Err(DistribError::BadMessage("entry count too large"));
-    }
-    let mut entries = Vec::with_capacity(count);
-    let mut seen = std::collections::HashSet::with_capacity(count);
-    for _ in 0..count {
-        let id = u32_field(&mut cursor)?;
-        if !seen.insert(id) {
-            return Err(DistribError::BadMessage("duplicate variable id"));
-        }
-        let rank = u32_field(&mut cursor)? as usize;
-        if rank > 8 {
-            return Err(DistribError::BadMessage("rank too large"));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(u32_field(&mut cursor)? as usize);
-        }
-        let elements = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or(DistribError::BadMessage("shape product overflows"))?;
-        let n = u32_field(&mut cursor)? as usize;
-        if n != elements {
-            return Err(DistribError::BadMessage("element count mismatch"));
-        }
-        let scale = f32::from_le_bytes(
-            take(&mut cursor, 4)?
-                .try_into()
-                .map_err(|_| DistribError::BadMessage("truncated"))?,
-        );
-        if !scale.is_finite() || scale < 0.0 {
-            return Err(DistribError::BadMessage("bad quantization scale"));
-        }
-        let raw = take(&mut cursor, n)?;
-        let data: Vec<f32> = raw.iter().map(|&b| (b as i8) as f32 * scale).collect();
-        let tensor =
-            Tensor::from_vec(&shape, data).map_err(|_| DistribError::BadMessage("bad tensor"))?;
-        entries.push((id, tensor));
-    }
-    if cursor != bytes.len() {
-        return Err(DistribError::BadMessage("trailing bytes"));
-    }
-    Ok(entries)
-}
-
+// Truncation at every prefix, inflated counts and overflowing shape
+// products are rows of the shared harness, `tests/hostile_input.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,14 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_rejected() {
-        let bytes = encode(&[(1, Tensor::zeros(&[4]))]);
-        for cut in [0, 3, 10, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
     fn trailing_bytes_rejected() {
         let mut bytes = encode(&[(1, Tensor::zeros(&[2]))]);
         bytes.push(0);
@@ -396,13 +308,6 @@ mod tests {
             decode(&bytes),
             Err(DistribError::BadMessage("trailing bytes"))
         ));
-    }
-
-    #[test]
-    fn hostile_count_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(&bytes).is_err());
     }
 
     #[test]
@@ -425,34 +330,6 @@ mod tests {
             decode(&encode(&entries)),
             Err(DistribError::BadMessage("duplicate variable id"))
         ));
-    }
-
-    #[test]
-    fn length_prefix_overflow_rejected() {
-        // Shape whose element product overflows any plausible usize:
-        // rank 8 of u32::MAX-sized dims.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // one entry
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // id
-        bytes.extend_from_slice(&8u32.to_le_bytes()); // rank 8
-        for _ in 0..8 {
-            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        }
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // element count
-        let err = decode(&bytes);
-        assert!(err.is_err(), "hostile shape product must not panic");
-    }
-
-    #[test]
-    fn every_truncation_point_errors_not_panics() {
-        let entries = vec![
-            (0u32, Tensor::from_vec(&[2, 3], vec![1.; 6]).unwrap()),
-            (1u32, Tensor::zeros(&[4])),
-        ];
-        let bytes = encode(&entries);
-        for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! counter fails closed as a rollback. Paths under `!fs/` are reserved
 //! for this machinery (manifest slots and journal staging).
 
-use crate::ShieldError;
+use crate::{iago, ShieldError};
 use parking_lot::Mutex;
 use securetf_crypto::aead::{self, Key, Nonce};
 use securetf_crypto::hmac::hmac_sha256;
@@ -36,6 +36,7 @@ use securetf_tee::counter::CounterId;
 use securetf_tee::sealing::SealPolicy;
 use securetf_tee::telemetry::{Counter, Histogram};
 use securetf_tee::Enclave;
+use securetf_tensor::bytes::{put_len_prefixed, put_u32, put_u64, Reader};
 use securetf_tensor::kernels::WorkerPool;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,11 +44,9 @@ use std::sync::Arc;
 /// Chunk size used by the shield (64 KiB, matching SCONE's default).
 pub const CHUNK_SIZE: usize = 64 * 1024;
 
-/// Default number of decrypted chunks kept in the in-enclave cache
-/// (16 × 64 KiB = 1 MiB — small enough to stay EPC-resident next to the
-/// model it serves). Tune per deployment with
-/// [`FsShield::set_chunk_cache_capacity`].
-pub const DEFAULT_CHUNK_CACHE_CAP: usize = 16;
+/// Decrypted chunks kept in the in-enclave cache (16 × 64 KiB = 1 MiB —
+/// small enough to stay EPC-resident next to the model it serves).
+const CHUNK_CACHE_CAP: usize = 16;
 
 /// Protection level applied to a path prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -301,24 +300,46 @@ struct FileMeta {
 }
 
 /// Magic prefix of journal commit records.
-const COMMIT_MAGIC: &[u8] = b"STFJRNL1";
+const COMMIT_MAGIC: &[u8; 8] = b"STFJRNL1";
 
-/// Reads `n` bytes at `*cursor`, advancing it; `None` past the end.
-fn take<'a>(bytes: &'a [u8], cursor: &mut usize, n: usize) -> Option<&'a [u8]> {
-    if *cursor + n > bytes.len() {
-        return None;
+fn read_policy(r: &mut Reader) -> Result<Policy, ShieldError> {
+    FsShield::policy_from_tag(r.u8()?).ok_or(ShieldError::IagoViolation("unknown policy tag"))
+}
+
+/// One protected file's entry — `path | policy | version | len | file_id
+/// | n | digest × n` — as the manifest lists it and a commit record
+/// carries it.
+fn put_file_entry(out: &mut Vec<u8>, path: &str, meta: &FileMeta) {
+    put_len_prefixed(out, path.as_bytes());
+    out.push(FsShield::policy_tag(meta.policy));
+    put_u64(out, meta.version);
+    put_u64(out, meta.len);
+    put_u64(out, meta.file_id);
+    put_u32(out, meta.chunk_digests.len() as u32);
+    for d in &meta.chunk_digests {
+        out.extend_from_slice(d);
     }
-    let s = &bytes[*cursor..*cursor + n];
-    *cursor += n;
-    Some(s)
 }
 
-fn read_u32(bytes: &[u8], cursor: &mut usize) -> Option<u32> {
-    take(bytes, cursor, 4).map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
-}
-
-fn read_u64(bytes: &[u8], cursor: &mut usize) -> Option<u64> {
-    take(bytes, cursor, 8).map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
+/// Reads what [`put_file_entry`] wrote.
+fn read_file_entry(r: &mut Reader) -> Result<(String, FileMeta), ShieldError> {
+    let path = r.str()?.to_string();
+    let policy = read_policy(r)?;
+    let version = r.u64()?;
+    let len = r.u64()?;
+    let file_id = r.u64()?;
+    let digest_bytes = (r.u32()? as usize)
+        .checked_mul(32)
+        .ok_or(ShieldError::IagoViolation("chunk count overflows"))?;
+    let (chunk_digests, _) = r.take(digest_bytes)?.as_chunks::<32>();
+    let meta = FileMeta {
+        policy,
+        version,
+        len,
+        chunk_digests: chunk_digests.to_vec(),
+        file_id,
+    };
+    Ok((path, meta))
 }
 
 /// A decoded (unsealed) manifest.
@@ -329,48 +350,23 @@ struct DecodedManifest {
     meta: HashMap<String, FileMeta>,
 }
 
-fn decode_manifest(bytes: &[u8]) -> Option<DecodedManifest> {
-    let mut cursor = 0usize;
-    let generation = read_u64(bytes, &mut cursor)?;
-    let next_file_id = read_u64(bytes, &mut cursor)?;
-    let n_policies = read_u32(bytes, &mut cursor)? as usize;
-    let mut policies = Vec::with_capacity(n_policies);
-    for _ in 0..n_policies {
-        let prefix_len = read_u32(bytes, &mut cursor)? as usize;
-        let prefix = String::from_utf8(take(bytes, &mut cursor, prefix_len)?.to_vec()).ok()?;
-        let policy = FsShield::policy_from_tag(take(bytes, &mut cursor, 1)?[0])?;
+fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, ShieldError> {
+    let mut r = Reader::new(bytes);
+    let generation = r.u64()?;
+    let next_file_id = r.u64()?;
+    let mut policies = Vec::new();
+    for _ in 0..r.u32()? {
+        let prefix = r.str()?.to_string();
+        let policy = read_policy(&mut r)?;
         policies.push(PathPolicy { prefix, policy });
     }
-    let n_files = read_u32(bytes, &mut cursor)? as usize;
-    let mut meta = HashMap::with_capacity(n_files);
-    for _ in 0..n_files {
-        let path_len = read_u32(bytes, &mut cursor)? as usize;
-        let path = String::from_utf8(take(bytes, &mut cursor, path_len)?.to_vec()).ok()?;
-        let policy = FsShield::policy_from_tag(take(bytes, &mut cursor, 1)?[0])?;
-        let version = read_u64(bytes, &mut cursor)?;
-        let len = read_u64(bytes, &mut cursor)?;
-        let file_id = read_u64(bytes, &mut cursor)?;
-        let n_chunks = read_u32(bytes, &mut cursor)? as usize;
-        let mut chunk_digests = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            let d: [u8; 32] = take(bytes, &mut cursor, 32)?.try_into().ok()?;
-            chunk_digests.push(d);
-        }
-        meta.insert(
-            path,
-            FileMeta {
-                policy,
-                version,
-                len,
-                chunk_digests,
-                file_id,
-            },
-        );
+    let mut meta = HashMap::new();
+    for _ in 0..r.u32()? {
+        let (path, file) = read_file_entry(&mut r)?;
+        meta.insert(path, file);
     }
-    if cursor != bytes.len() {
-        return None;
-    }
-    Some(DecodedManifest {
+    r.finish()?;
+    Ok(DecodedManifest {
         generation,
         next_file_id,
         policies,
@@ -391,27 +387,14 @@ fn append_range(out: &mut Vec<u8>, plain: &[u8], i: usize, offset: u64, len: u64
 /// `(file_id, version, chunk)` so a rewritten file (new version) can never
 /// serve stale plaintext. FIFO eviction; the plaintext lives inside the
 /// enclave, so caching it weakens nothing the chunk's AEAD protected.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ChunkCache {
     entries: HashMap<(u64, u64, u32), Vec<u8>>,
     order: std::collections::VecDeque<(u64, u64, u32)>,
-    cap: usize,
     /// Local hit/miss tallies, independent of whether the platform has
     /// telemetry enabled (the [`FsMetrics`] counters are no-ops then).
     hits: u64,
     misses: u64,
-}
-
-impl Default for ChunkCache {
-    fn default() -> Self {
-        ChunkCache {
-            entries: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            cap: DEFAULT_CHUNK_CACHE_CAP,
-            hits: 0,
-            misses: 0,
-        }
-    }
 }
 
 impl ChunkCache {
@@ -420,22 +403,10 @@ impl ChunkCache {
     }
 
     fn insert(&mut self, key: (u64, u64, u32), plain: Vec<u8>) {
-        if self.cap == 0 {
-            return;
-        }
         if self.entries.insert(key, plain).is_none() {
             self.order.push_back(key);
         }
-        self.evict_to_cap();
-    }
-
-    fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap;
-        self.evict_to_cap();
-    }
-
-    fn evict_to_cap(&mut self) {
-        while self.order.len() > self.cap {
+        while self.order.len() > CHUNK_CACHE_CAP {
             if let Some(old) = self.order.pop_front() {
                 self.entries.remove(&old);
             }
@@ -821,6 +792,70 @@ impl FsShield {
         result
     }
 
+    /// Walks the stored blob of a protected file —
+    /// `[u64 len | (u32 len | record)*]` — against its in-enclave
+    /// metadata: the length header must match, there must be exactly one
+    /// record per pinned chunk digest, and nothing after the last.
+    /// `visit(i, record)` sees every record in chunk order and decides
+    /// which to open.
+    fn walk_records(
+        path: &str,
+        meta: &FileMeta,
+        stored: &[u8],
+        mut visit: impl FnMut(usize, &[u8]) -> Result<(), ShieldError>,
+    ) -> Result<(), ShieldError> {
+        let tampered = |what: &str| ShieldError::FileTampered(format!("{path}: {what}"));
+        let mut r = Reader::new(stored);
+        if r.u64().map_err(|_| tampered("truncated"))? != meta.len {
+            return Err(tampered("length mismatch (rollback or truncation)"));
+        }
+        for i in 0..meta.chunk_digests.len() {
+            visit(i, r.len_prefixed().map_err(|_| tampered("truncated"))?)?;
+        }
+        r.finish().map_err(|_| tampered("trailing bytes appended"))
+    }
+
+    /// Checks record `i` of `path` against its pinned digest, then
+    /// authenticates it per the file's policy and appends the plaintext
+    /// to `out`: decrypted in place there, with no intermediate buffer.
+    fn open_chunk(
+        &self,
+        path: &str,
+        meta: &FileMeta,
+        i: usize,
+        record: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), ShieldError> {
+        let tampered = |what: &str| ShieldError::FileTampered(format!("{path}: chunk {i} {what}"));
+        if sha256::digest(record) != meta.chunk_digests[i] {
+            return Err(tampered("digest mismatch"));
+        }
+        let total = meta.chunk_digests.len() as u32;
+        let aad = Self::chunk_aad(path, meta.version, i as u32, total);
+        match meta.policy {
+            Policy::EncryptAuth => {
+                let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
+                aead::AeadCtx::new(self.key.clone())
+                    .open_append(&nonce, record, &aad, out)
+                    .map_err(|_| tampered("auth failure"))
+            }
+            Policy::AuthOnly => {
+                let Some((chunk, tag)) = record.split_last_chunk::<32>() else {
+                    return Err(tampered("too short"));
+                };
+                let mut mac_input = chunk.to_vec();
+                mac_input.extend_from_slice(&aad);
+                let expect = hmac_sha256(self.key.as_bytes(), &mac_input);
+                if !securetf_crypto::ct::eq(&expect, tag) {
+                    return Err(tampered("mac failure"));
+                }
+                out.extend_from_slice(chunk);
+                Ok(())
+            }
+            Policy::Passthrough => unreachable!("passthrough files have no chunk records"),
+        }
+    }
+
     fn read_inner(&self, path: &str) -> Result<Vec<u8>, ShieldError> {
         self.enclave.charge_syscall();
         let stored = self
@@ -842,70 +877,13 @@ impl FsShield {
         if meta.policy == Policy::Passthrough {
             return Ok(stored);
         }
-        let mut cursor = 0usize;
-        let take = |cursor: &mut usize, n: usize| -> Result<&[u8], ShieldError> {
-            if *cursor + n > stored.len() {
-                return Err(ShieldError::FileTampered(format!("{path}: truncated")));
-            }
-            let s = &stored[*cursor..*cursor + n];
-            *cursor += n;
-            Ok(s)
-        };
-        let len_bytes = take(&mut cursor, 8)?;
-        let claimed_len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
-        if claimed_len != meta.len {
-            return Err(ShieldError::FileTampered(format!(
-                "{path}: length mismatch (rollback or truncation)"
-            )));
-        }
-        let total = meta.chunk_digests.len() as u32;
-        let mut out = Vec::with_capacity(meta.len as usize);
-        let ctx = aead::AeadCtx::new(self.key.clone());
-        for (i, digest) in meta.chunk_digests.iter().enumerate() {
-            let rec_len_bytes = take(&mut cursor, 4)?;
-            let rec_len = u32::from_le_bytes(rec_len_bytes.try_into().expect("4 bytes")) as usize;
-            let record = take(&mut cursor, rec_len)?;
-            if &sha256::digest(record) != digest {
-                return Err(ShieldError::FileTampered(format!(
-                    "{path}: chunk {i} digest mismatch"
-                )));
-            }
-            let aad = Self::chunk_aad(path, meta.version, i as u32, total);
-            match meta.policy {
-                Policy::EncryptAuth => {
-                    let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
-                    // Decrypt straight into the output buffer: no
-                    // per-chunk plaintext allocation.
-                    ctx.open_append(&nonce, record, &aad, &mut out).map_err(|_| {
-                        ShieldError::FileTampered(format!("{path}: chunk {i} auth failure"))
-                    })?;
-                }
-                Policy::AuthOnly => {
-                    if record.len() < 32 {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} too short"
-                        )));
-                    }
-                    let (chunk, tag) = record.split_at(record.len() - 32);
-                    let mut mac_input = chunk.to_vec();
-                    mac_input.extend_from_slice(&aad);
-                    let expect =
-                        securetf_crypto::hmac::hmac_sha256(self.key.as_bytes(), &mac_input);
-                    if !securetf_crypto::ct::eq(&expect, tag) {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} mac failure"
-                        )));
-                    }
-                    out.extend_from_slice(chunk);
-                }
-                Policy::Passthrough => unreachable!("handled above"),
-            }
-        }
-        if cursor != stored.len() {
-            return Err(ShieldError::FileTampered(format!(
-                "{path}: trailing bytes appended"
-            )));
-        }
+        // A full read bypasses the chunk cache: every chunk lands in the
+        // output buffer (records are no shorter than their plaintext, so
+        // a truncated blob cannot make this reserve more than it holds).
+        let mut out = Vec::with_capacity(stored.len().min(meta.len as usize));
+        Self::walk_records(path, meta, &stored, |i, record| {
+            self.open_chunk(path, meta, i, record, &mut out)
+        })?;
         out.truncate(meta.len as usize);
         self.enclave.charge_shield_crypto(meta.len);
         self.metrics.crypto_bytes_opened.add(meta.len);
@@ -935,22 +913,19 @@ impl FsShield {
             .meta
             .get(path)
             .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
+        let in_bounds = |total: u64| {
+            iago::check_bounded_slice(offset, len, total)
+                .map_err(|_| ShieldError::FileTampered(format!("{path}: range out of bounds")))
+        };
         if meta.policy == Policy::Passthrough {
             let stored = self
                 .store
                 .shield_get(path)?
                 .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
-            let end = (offset + len) as usize;
-            if end > stored.len() {
-                return Err(ShieldError::FileTampered(format!("{path}: range out of bounds")));
-            }
-            return Ok(stored[offset as usize..end].to_vec());
+            in_bounds(stored.len() as u64)?;
+            return Ok(stored[offset as usize..(offset + len) as usize].to_vec());
         }
-        if offset + len > meta.len {
-            return Err(ShieldError::FileTampered(format!(
-                "{path}: range out of bounds"
-            )));
-        }
+        in_bounds(meta.len)?;
         if len == 0 {
             return Ok(Vec::new());
         }
@@ -959,28 +934,15 @@ impl FsShield {
             .shield_get(path)?
             .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
 
-        // Walk the chunk records, decrypting only overlapping chunks.
+        // Only the chunks that overlap the range are opened, and those
+        // land in the chunk cache; the range is copied out of them.
         let first_chunk = (offset / CHUNK_SIZE as u64) as usize;
         let last_chunk = ((offset + len - 1) / CHUNK_SIZE as u64) as usize;
-        let total = meta.chunk_digests.len() as u32;
-        let mut cursor = 8usize; // skip the length header
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = Vec::with_capacity(stored.len().min(len as usize));
         let mut decrypted_bytes = 0u64;
-        for (i, digest) in meta.chunk_digests.iter().enumerate() {
-            if cursor + 4 > stored.len() {
-                return Err(ShieldError::FileTampered(format!("{path}: truncated")));
-            }
-            let rec_len = u32::from_le_bytes(
-                stored[cursor..cursor + 4].try_into().expect("4 bytes"),
-            ) as usize;
-            cursor += 4;
-            if cursor + rec_len > stored.len() {
-                return Err(ShieldError::FileTampered(format!("{path}: truncated")));
-            }
-            let record = &stored[cursor..cursor + rec_len];
-            cursor += rec_len;
+        Self::walk_records(path, meta, &stored, |i, record| {
             if i < first_chunk || i > last_chunk {
-                continue;
+                return Ok(());
             }
             let cache_key = (meta.file_id, meta.version, i as u32);
             {
@@ -992,48 +954,18 @@ impl FsShield {
                     drop(cache);
                     self.metrics.chunk_cache_hits.inc();
                     append_range(&mut out, &plain, i, offset, len);
-                    continue;
+                    return Ok(());
                 }
                 cache.misses += 1;
             }
             self.metrics.chunk_cache_misses.inc();
-            if &sha256::digest(record) != digest {
-                return Err(ShieldError::FileTampered(format!(
-                    "{path}: chunk {i} digest mismatch"
-                )));
-            }
-            let aad = Self::chunk_aad(path, meta.version, i as u32, total);
-            let plain = match meta.policy {
-                Policy::EncryptAuth => {
-                    let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
-                    aead::open(&self.key, &nonce, record, &aad).map_err(|_| {
-                        ShieldError::FileTampered(format!("{path}: chunk {i} auth failure"))
-                    })?
-                }
-                Policy::AuthOnly => {
-                    if record.len() < 32 {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} too short"
-                        )));
-                    }
-                    let (chunk, tag) = record.split_at(record.len() - 32);
-                    let mut mac_input = chunk.to_vec();
-                    mac_input.extend_from_slice(&aad);
-                    let expect =
-                        securetf_crypto::hmac::hmac_sha256(self.key.as_bytes(), &mac_input);
-                    if !securetf_crypto::ct::eq(&expect, tag) {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} mac failure"
-                        )));
-                    }
-                    chunk.to_vec()
-                }
-                Policy::Passthrough => unreachable!("handled above"),
-            };
+            let mut plain = Vec::new();
+            self.open_chunk(path, meta, i, record, &mut plain)?;
             decrypted_bytes += plain.len() as u64;
             append_range(&mut out, &plain, i, offset, len);
             self.chunk_cache.lock().insert(cache_key, plain);
-        }
+            Ok(())
+        })?;
         if decrypted_bytes > 0 {
             self.enclave.charge_shield_crypto(decrypted_bytes);
             self.metrics.crypto_bytes_opened.add(decrypted_bytes);
@@ -1118,29 +1050,18 @@ impl FsShield {
     /// by path), prefixed by the generation it claims.
     fn encode_manifest(&self, generation: u64) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&generation.to_le_bytes());
-        out.extend_from_slice(&self.next_file_id.to_le_bytes());
-        out.extend_from_slice(&(self.policies.len() as u32).to_le_bytes());
+        put_u64(&mut out, generation);
+        put_u64(&mut out, self.next_file_id);
+        put_u32(&mut out, self.policies.len() as u32);
         for p in &self.policies {
-            out.extend_from_slice(&(p.prefix.len() as u32).to_le_bytes());
-            out.extend_from_slice(p.prefix.as_bytes());
+            put_len_prefixed(&mut out, p.prefix.as_bytes());
             out.push(Self::policy_tag(p.policy));
         }
-        let mut paths: Vec<&String> = self.meta.keys().collect();
-        paths.sort();
-        out.extend_from_slice(&(paths.len() as u32).to_le_bytes());
-        for path in paths {
-            let m = &self.meta[path.as_str()];
-            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.push(Self::policy_tag(m.policy));
-            out.extend_from_slice(&m.version.to_le_bytes());
-            out.extend_from_slice(&m.len.to_le_bytes());
-            out.extend_from_slice(&m.file_id.to_le_bytes());
-            out.extend_from_slice(&(m.chunk_digests.len() as u32).to_le_bytes());
-            for d in &m.chunk_digests {
-                out.extend_from_slice(d);
-            }
+        let mut files: Vec<(&String, &FileMeta)> = self.meta.iter().collect();
+        files.sort_by_key(|(path, _)| *path);
+        put_u32(&mut out, files.len() as u32);
+        for (path, meta) in files {
+            put_file_entry(&mut out, path, meta);
         }
         out
     }
@@ -1169,61 +1090,27 @@ impl FsShield {
     /// write — the single host object whose presence decides whether the
     /// transaction happened.
     fn encode_commit(&self, path: &str, meta: &FileMeta) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(COMMIT_MAGIC);
-        out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-        out.extend_from_slice(path.as_bytes());
-        out.push(Self::policy_tag(meta.policy));
-        out.extend_from_slice(&meta.version.to_le_bytes());
-        out.extend_from_slice(&meta.len.to_le_bytes());
-        out.extend_from_slice(&meta.file_id.to_le_bytes());
-        out.extend_from_slice(&(meta.chunk_digests.len() as u32).to_le_bytes());
-        for d in &meta.chunk_digests {
-            out.extend_from_slice(d);
-        }
+        let mut out = COMMIT_MAGIC.to_vec();
+        put_file_entry(&mut out, path, meta);
         let mac = hmac_sha256(self.journal_key.as_bytes(), &out);
         out.extend_from_slice(&mac);
         out
     }
 
+    /// Parses a commit record, after its MAC has authenticated it.
     fn decode_commit(&self, bytes: &[u8]) -> Option<(String, FileMeta)> {
-        if bytes.len() < 32 + COMMIT_MAGIC.len() {
-            return None;
-        }
-        let (body, mac) = bytes.split_at(bytes.len() - 32);
+        let (body, mac) = bytes.split_last_chunk::<32>()?;
         let expect = hmac_sha256(self.journal_key.as_bytes(), body);
         if !securetf_crypto::ct::eq(&expect, mac) {
             return None;
         }
-        let mut cursor = 0usize;
-        if take(body, &mut cursor, COMMIT_MAGIC.len())? != COMMIT_MAGIC {
+        let mut r = Reader::new(body);
+        if &r.array::<8>().ok()? != COMMIT_MAGIC {
             return None;
         }
-        let path_len = read_u32(body, &mut cursor)? as usize;
-        let path = String::from_utf8(take(body, &mut cursor, path_len)?.to_vec()).ok()?;
-        let policy = Self::policy_from_tag(take(body, &mut cursor, 1)?[0])?;
-        let version = read_u64(body, &mut cursor)?;
-        let len = read_u64(body, &mut cursor)?;
-        let file_id = read_u64(body, &mut cursor)?;
-        let n_chunks = read_u32(body, &mut cursor)? as usize;
-        let mut chunk_digests = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            let d: [u8; 32] = take(body, &mut cursor, 32)?.try_into().ok()?;
-            chunk_digests.push(d);
-        }
-        if cursor != body.len() {
-            return None;
-        }
-        Some((
-            path,
-            FileMeta {
-                policy,
-                version,
-                len,
-                chunk_digests,
-                file_id,
-            },
-        ))
+        let entry = read_file_entry(&mut r).ok()?;
+        r.finish().ok()?;
+        Some(entry)
     }
 
     /// Remounts a store after a crash: loads the newest counter-fresh
@@ -1281,7 +1168,7 @@ impl FsShield {
             else {
                 continue;
             };
-            let Some(m) = decode_manifest(&plain) else {
+            let Ok(m) = decode_manifest(&plain) else {
                 continue;
             };
             if m.generation != counter_value && m.generation != counter_value + 1 {
@@ -1425,21 +1312,6 @@ impl FsShield {
     /// protected write).
     pub fn manifest_generation(&self) -> u64 {
         self.manifest_generation
-    }
-
-    /// Resizes the in-enclave chunk cache to hold at most `chunks`
-    /// decrypted chunks (each up to [`CHUNK_SIZE`] bytes). Shrinking
-    /// evicts oldest entries immediately; a capacity of zero disables
-    /// caching. The capacity trades EPC residency against repeated
-    /// decryption time, so deployments size it to the model's read
-    /// pattern rather than a fixed 1 MiB.
-    pub fn set_chunk_cache_capacity(&mut self, chunks: usize) {
-        self.chunk_cache.lock().set_capacity(chunks);
-    }
-
-    /// Current chunk-cache capacity in chunks.
-    pub fn chunk_cache_capacity(&self) -> usize {
-        self.chunk_cache.lock().cap
     }
 
     /// Fraction of range-read chunk lookups served from the in-enclave
@@ -1617,15 +1489,12 @@ mod tests {
         shield.write("/secure/big", &big).unwrap();
         // Swap the two chunk records on disk.
         let raw = store.raw_contents("/secure/big").unwrap();
-        let mut cursor = 8usize;
-        let rec1_len =
-            u32::from_le_bytes(raw[cursor..cursor + 4].try_into().unwrap()) as usize;
-        let rec1 = raw[cursor..cursor + 4 + rec1_len].to_vec();
-        cursor += 4 + rec1_len;
-        let rec2 = raw[cursor..].to_vec();
-        let mut swapped = raw[..8].to_vec();
-        swapped.extend_from_slice(&rec2);
-        swapped.extend_from_slice(&rec1);
+        let mut r = Reader::new(&raw);
+        let mut swapped = r.take(8).unwrap().to_vec();
+        let rec1 = r.len_prefixed().unwrap();
+        let rec2 = r.len_prefixed().unwrap();
+        put_len_prefixed(&mut swapped, rec2);
+        put_len_prefixed(&mut swapped, rec1);
         store.raw_put("/secure/big", swapped);
         assert!(shield.read("/secure/big").is_err());
     }
@@ -1735,6 +1604,13 @@ mod tests {
             .read_range("/secure/f", 2 * CHUNK_SIZE as u64 - 1, 2)
             .is_err());
         assert!(shield.read_range("/missing", 0, 1).is_err());
+        // `offset + len` wraps to 1: an error in debug builds (where the
+        // unchecked sum panicked) and in release (where it passed the
+        // bound test).
+        assert!(matches!(
+            shield.read_range("/secure/f", u64::MAX, 2),
+            Err(ShieldError::FileTampered(_))
+        ));
         // Corrupt the second chunk; a range in the first chunk still reads.
         let raw_len = store.raw_contents("/secure/f").unwrap().len();
         store.corrupt("/secure/f", raw_len - 10);
@@ -1805,7 +1681,7 @@ mod tests {
         let (mut shield, _store) = setup();
         // More chunks than the cache holds: every read stays correct as
         // older entries are evicted.
-        let chunks = DEFAULT_CHUNK_CACHE_CAP + 4;
+        let chunks = CHUNK_CACHE_CAP + 4;
         let big: Vec<u8> = (0..chunks * CHUNK_SIZE).map(|i| (i % 239) as u8).collect();
         shield.write("/secure/big", &big).unwrap();
         for round in 0..2 {
@@ -1819,49 +1695,9 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn chunk_cache_capacity_is_configurable() {
-        let (mut shield, _store) = setup();
-        assert_eq!(shield.chunk_cache_capacity(), DEFAULT_CHUNK_CACHE_CAP);
-        let big: Vec<u8> = (0..4 * CHUNK_SIZE).map(|i| (i % 233) as u8).collect();
-        shield.write("/secure/big", &big).unwrap();
-
-        // Capacity 0 disables caching: every repeat decrypts again.
-        shield.set_chunk_cache_capacity(0);
-        for _ in 0..3 {
-            let got = shield.read_range("/secure/big", 10, 64).unwrap();
-            assert_eq!(got, &big[10..74]);
-        }
+        // FIFO over a cycle longer than the cache: each chunk was evicted
+        // before its turn came round again.
         assert_eq!(shield.chunk_cache_hit_rate(), 0.0);
-
-        // A large enough cache turns the repeats into hits.
-        shield.set_chunk_cache_capacity(8);
-        for _ in 0..4 {
-            let got = shield.read_range("/secure/big", 10, 64).unwrap();
-            assert_eq!(got, &big[10..74]);
-        }
-        assert!(shield.chunk_cache_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn shrinking_chunk_cache_evicts_but_stays_correct() {
-        let (mut shield, _store) = setup();
-        let big: Vec<u8> = (0..6 * CHUNK_SIZE).map(|i| (i % 229) as u8).collect();
-        shield.write("/secure/big", &big).unwrap();
-        // Warm all six chunks, then shrink below that.
-        for c in 0..6u64 {
-            shield
-                .read_range("/secure/big", c * CHUNK_SIZE as u64, 16)
-                .unwrap();
-        }
-        shield.set_chunk_cache_capacity(2);
-        for c in 0..6u64 {
-            let offset = c * CHUNK_SIZE as u64 + 3;
-            let got = shield.read_range("/secure/big", offset, 16).unwrap();
-            assert_eq!(got, &big[offset as usize..offset as usize + 16]);
-        }
     }
 
     #[test]
@@ -1940,6 +1776,33 @@ mod tests {
                 ExecutionMode::Hardware,
             )
             .unwrap()
+    }
+
+    #[test]
+    fn manifest_plaintext_is_parsed_with_bounds() {
+        // The manifest is unsealed before it is parsed, so the harness in
+        // tests/hostile_input.rs cannot reach this decoder with anything
+        // but the original plaintext; check its bounds here.
+        let (mut shield, _store) = setup();
+        shield.write("/secure/a", &vec![1u8; CHUNK_SIZE + 1]).unwrap();
+        let plain = shield.encode_manifest(7);
+        let decoded = decode_manifest(&plain).unwrap();
+        assert_eq!(decoded.generation, 7);
+        assert_eq!(decoded.policies.len(), 3);
+        assert_eq!(decoded.meta["/secure/a"].chunk_digests.len(), 2);
+        for cut in 0..plain.len() {
+            assert!(decode_manifest(&plain[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut longer = plain.clone();
+        longer.push(0);
+        assert!(decode_manifest(&longer).is_err());
+        // The only file's chunk count sits right before its two digests.
+        let count_at = plain.len() - 2 * 32 - 4;
+        for hostile in [3u32, u32::MAX] {
+            let mut inflated = plain.clone();
+            inflated[count_at..count_at + 4].copy_from_slice(&hostile.to_le_bytes());
+            assert!(decode_manifest(&inflated).is_err(), "count {hostile}");
+        }
     }
 
     #[test]

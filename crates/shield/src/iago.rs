@@ -5,7 +5,16 @@
 //! more bytes than the buffer holds, an `mmap` that points into enclave
 //! memory, a length that overflows an addition inside the enclave. The
 //! shields validate every OS-provided value before it crosses into
-//! application logic; this module centralizes those checks.
+//! application logic; this module centralizes the checks on *scalars*
+//! the host returns or the caller passes on (sizes, ranges, errnos) —
+//! [`check_bounded_slice`] is what bounds `FsShield::read_range`.
+//!
+//! Host-supplied *byte strings* (stored blobs, journal records, wire
+//! frames, model files) are validated where they are parsed, by the one
+//! bounded reader `securetf_tensor::bytes::Reader`: every length field
+//! is compared with the bytes that actually remain before anything is
+//! sliced or allocated, and a failed read converts into
+//! [`ShieldError::IagoViolation`].
 //!
 //! # Examples
 //!

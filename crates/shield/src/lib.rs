@@ -104,3 +104,11 @@ impl From<securetf_tee::TeeError> for ShieldError {
         ShieldError::Tee(e)
     }
 }
+
+/// A bounded read of host- or network-supplied bytes that failed is a
+/// rejected Iago attempt.
+impl From<securetf_tensor::bytes::BytesError> for ShieldError {
+    fn from(e: securetf_tensor::bytes::BytesError) -> Self {
+        ShieldError::IagoViolation(e.reason())
+    }
+}

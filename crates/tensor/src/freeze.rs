@@ -7,6 +7,7 @@
 //! equivalent interchange: a compact length-prefixed binary `GraphDef`,
 //! plus checkpoints that snapshot variable values.
 
+use crate::bytes::{put_f32s, put_len_prefixed, put_shape, put_u32, Reader};
 use crate::graph::{Graph, Node, NodeId, Op, Padding};
 use crate::session::Session;
 use crate::tensor::Tensor;
@@ -42,81 +43,46 @@ pub fn freeze(graph: &Graph, session: &Session) -> Result<Graph, TensorError> {
     Ok(out)
 }
 
-// ---- byte-level helpers ------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
+/// Shapes above this rank are rejected on import.
+const MAX_RANK: usize = 8;
 
 fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    put_u32(out, t.shape().len() as u32);
-    for &d in t.shape() {
-        put_u32(out, d as u32);
-    }
-    put_u32(out, t.data().len() as u32);
-    for &v in t.data() {
-        out.extend_from_slice(&v.to_le_bytes());
+    put_shape(out, t.shape());
+    put_u32(out, t.len() as u32);
+    put_f32s(out, t.data());
+}
+
+fn padding_tag(padding: Padding) -> u8 {
+    match padding {
+        Padding::Same => 0,
+        Padding::Valid => 1,
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    cursor: usize,
+/// `rank dims… count f32…`, as written by `put_tensor`.
+fn read_tensor(r: &mut Reader) -> Result<Tensor, TensorError> {
+    let (shape, elements) = r.shape(MAX_RANK)?;
+    if r.u32()? as usize != elements {
+        return Err(TensorError::MalformedModel("element count mismatch"));
+    }
+    Tensor::from_vec(&shape, r.f32s(elements)?)
+        .map_err(|_| TensorError::MalformedModel("bad tensor"))
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, cursor: 0 }
+fn read_flag(r: &mut Reader, what: &'static str) -> Result<bool, TensorError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(TensorError::MalformedModel(what)),
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TensorError> {
-        if self.cursor + n > self.bytes.len() {
-            return Err(TensorError::MalformedModel("truncated"));
-        }
-        let s = &self.bytes[self.cursor..self.cursor + n];
-        self.cursor += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, TensorError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn bytes_field(&mut self) -> Result<&'a [u8], TensorError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, TensorError> {
-        let rank = self.u32()? as usize;
-        if rank > 8 {
-            return Err(TensorError::MalformedModel("rank too large"));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(self.u32()? as usize);
-        }
-        let count = self.u32()? as usize;
-        if count != shape.iter().product::<usize>() {
-            return Err(TensorError::MalformedModel("element count mismatch"));
-        }
-        let raw = self.take(count * 4)?;
-        let data = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
-            .collect();
-        Tensor::from_vec(&shape, data)
-            .map_err(|_| TensorError::MalformedModel("bad tensor"))
-    }
-
-    fn done(&self) -> bool {
-        self.cursor == self.bytes.len()
-    }
+fn read_padding(r: &mut Reader) -> Result<Padding, TensorError> {
+    Ok(if read_flag(r, "bad padding")? {
+        Padding::Valid
+    } else {
+        Padding::Same
+    })
 }
 
 /// Serializes a graph to the binary `GraphDef` format.
@@ -125,14 +91,11 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
     out.extend_from_slice(GRAPH_MAGIC);
     put_u32(&mut out, graph.len() as u32);
     for node in graph.nodes() {
-        put_bytes(&mut out, node.name.as_bytes());
+        put_len_prefixed(&mut out, node.name.as_bytes());
         match &node.op {
             Op::Placeholder { shape } => {
                 out.push(0);
-                put_u32(&mut out, shape.len() as u32);
-                for &d in shape {
-                    put_u32(&mut out, d as u32);
-                }
+                put_shape(&mut out, shape);
             }
             Op::Variable { init } => {
                 out.push(1);
@@ -178,10 +141,7 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
                 out.push(9);
                 put_u32(&mut out, input.0 as u32);
                 put_u32(&mut out, filter.0 as u32);
-                out.push(match padding {
-                    Padding::Same => 0,
-                    Padding::Valid => 1,
-                });
+                out.push(padding_tag(*padding));
             }
             Op::MaxPool2(a) => {
                 out.push(10);
@@ -194,10 +154,7 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
             Op::Reshape(a, shape) => {
                 out.push(12);
                 put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, shape.len() as u32);
-                for &d in shape {
-                    put_u32(&mut out, d as u32);
-                }
+                put_shape(&mut out, shape);
             }
             Op::SoftmaxCrossEntropy { logits, labels } => {
                 out.push(13);
@@ -254,10 +211,7 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
                 put_u32(&mut out, input.0 as u32);
                 put_u32(&mut out, filter.0 as u32);
                 put_u32(&mut out, bias.0 as u32);
-                out.push(match padding {
-                    Padding::Same => 0,
-                    Padding::Valid => 1,
-                });
+                out.push(padding_tag(*padding));
                 out.push(u8::from(*relu));
             }
         }
@@ -273,7 +227,7 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
 /// bad magic, truncation, forward references, trailing bytes.
 pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
     let mut r = Reader::new(bytes);
-    if r.take(5)? != GRAPH_MAGIC {
+    if &r.array::<5>()? != GRAPH_MAGIC {
         return Err(TensorError::MalformedModel("bad magic"));
     }
     let count = r.u32()? as usize;
@@ -282,9 +236,8 @@ pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
     }
     let mut graph = Graph::new();
     for index in 0..count {
-        let name = String::from_utf8(r.bytes_field()?.to_vec())
-            .map_err(|_| TensorError::MalformedModel("bad name"))?;
-        let tag = r.take(1)?[0];
+        let name = r.str()?.to_string();
+        let tag = r.u8()?;
         // Every referenced node must already exist (topological order).
         let node_ref = |r: &mut Reader| -> Result<NodeId, TensorError> {
             let id = r.u32()? as usize;
@@ -293,19 +246,14 @@ pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
             }
             Ok(NodeId(id))
         };
-        let shape_field = |r: &mut Reader| -> Result<Vec<usize>, TensorError> {
-            let rank = r.u32()? as usize;
-            if rank > 8 {
-                return Err(TensorError::MalformedModel("rank too large"));
-            }
-            (0..rank).map(|_| Ok(r.u32()? as usize)).collect()
-        };
         let op = match tag {
             0 => Op::Placeholder {
-                shape: shape_field(&mut r)?,
+                shape: r.shape(MAX_RANK)?.0,
             },
-            1 => Op::Variable { init: r.tensor()? },
-            2 => Op::Constant(r.tensor()?),
+            1 => Op::Variable {
+                init: read_tensor(&mut r)?,
+            },
+            2 => Op::Constant(read_tensor(&mut r)?),
             3 => Op::MatMul(node_ref(&mut r)?, node_ref(&mut r)?),
             4 => Op::AddBias(node_ref(&mut r)?, node_ref(&mut r)?),
             5 => Op::Add(node_ref(&mut r)?, node_ref(&mut r)?),
@@ -315,11 +263,7 @@ pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
             9 => {
                 let input = node_ref(&mut r)?;
                 let filter = node_ref(&mut r)?;
-                let padding = match r.take(1)?[0] {
-                    0 => Padding::Same,
-                    1 => Padding::Valid,
-                    _ => return Err(TensorError::MalformedModel("bad padding")),
-                };
+                let padding = read_padding(&mut r)?;
                 Op::Conv2d {
                     input,
                     filter,
@@ -330,7 +274,7 @@ pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
             11 => Op::Flatten(node_ref(&mut r)?),
             12 => {
                 let a = node_ref(&mut r)?;
-                Op::Reshape(a, shape_field(&mut r)?)
+                Op::Reshape(a, r.shape(MAX_RANK)?.0)
             }
             13 => Op::SoftmaxCrossEntropy {
                 logits: node_ref(&mut r)?,
@@ -340,8 +284,7 @@ pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
             15 => Op::Sub(node_ref(&mut r)?, node_ref(&mut r)?),
             16 => {
                 let a = node_ref(&mut r)?;
-                let factor = f32::from_le_bytes(r.take(4)?.try_into().expect("4"));
-                Op::Scale(a, factor)
+                Op::Scale(a, r.f32()?)
             }
             17 => Op::Sigmoid(node_ref(&mut r)?),
             18 => Op::Tanh(node_ref(&mut r)?),
@@ -351,27 +294,15 @@ pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
                 let lhs = node_ref(&mut r)?;
                 let rhs = node_ref(&mut r)?;
                 let bias = node_ref(&mut r)?;
-                let relu = match r.take(1)?[0] {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(TensorError::MalformedModel("bad relu flag")),
-                };
+                let relu = read_flag(&mut r, "bad relu flag")?;
                 Op::FusedMatMul { lhs, rhs, bias, relu }
             }
             22 => {
                 let input = node_ref(&mut r)?;
                 let filter = node_ref(&mut r)?;
                 let bias = node_ref(&mut r)?;
-                let padding = match r.take(1)?[0] {
-                    0 => Padding::Same,
-                    1 => Padding::Valid,
-                    _ => return Err(TensorError::MalformedModel("bad padding")),
-                };
-                let relu = match r.take(1)?[0] {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(TensorError::MalformedModel("bad relu flag")),
-                };
+                let padding = read_padding(&mut r)?;
+                let relu = read_flag(&mut r, "bad relu flag")?;
                 Op::FusedConv2d {
                     input,
                     filter,
@@ -384,9 +315,7 @@ pub fn import_graph(bytes: &[u8]) -> Result<Graph, TensorError> {
         };
         graph.push_node(Node { op, name });
     }
-    if !r.done() {
-        return Err(TensorError::MalformedModel("trailing bytes"));
-    }
+    r.finish()?;
     Ok(graph)
 }
 
@@ -439,19 +368,17 @@ pub fn restore_checkpoint(
     bytes: &[u8],
 ) -> Result<(), TensorError> {
     let mut r = Reader::new(bytes);
-    if r.take(5)? != CKPT_MAGIC {
+    if &r.array::<5>()? != CKPT_MAGIC {
         return Err(TensorError::MalformedModel("bad magic"));
     }
     let count = r.u32()? as usize;
     for _ in 0..count {
         let id = NodeId(r.u32()? as usize);
-        let value = r.tensor()?;
+        let value = read_tensor(&mut r)?;
         graph.node(id).map_err(|_| TensorError::MalformedModel("unknown variable id"))?;
         session.set_variable(id, value)?;
     }
-    if !r.done() {
-        return Err(TensorError::MalformedModel("trailing bytes"));
-    }
+    r.finish()?;
     Ok(())
 }
 
@@ -621,13 +548,32 @@ mod tests {
         // Hand-craft: one relu node referencing node 5 (doesn't exist yet).
         let mut bytes = GRAPH_MAGIC.to_vec();
         put_u32(&mut bytes, 1);
-        put_bytes(&mut bytes, b"r");
+        put_len_prefixed(&mut bytes, b"r");
         bytes.push(7); // relu
         put_u32(&mut bytes, 5);
         assert_eq!(
             import_graph(&bytes).unwrap_err(),
             TensorError::MalformedModel("forward reference")
         );
+    }
+
+    #[test]
+    fn overflowing_shape_product_is_rejected() {
+        // One constant of shape [256; 8]: 2^64 elements, which a wrapping
+        // product turns into 0 (release) or a panic (debug). The frame
+        // claims 0 elements and carries none, so only a checked product
+        // sees that the shape is impossible.
+        let mut bytes = GRAPH_MAGIC.to_vec();
+        put_u32(&mut bytes, 1);
+        put_len_prefixed(&mut bytes, b"c");
+        bytes.push(2); // constant
+        put_shape(&mut bytes, &[256; 8]);
+        put_u32(&mut bytes, 0);
+        assert_eq!(
+            import_graph(&bytes).unwrap_err(),
+            TensorError::MalformedModel("element count overflows")
+        );
+        assert!(Tensor::from_vec(&[256; 8], Vec::new()).is_err());
     }
 
     #[test]

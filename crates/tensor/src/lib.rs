@@ -51,6 +51,7 @@
 //! ```
 
 pub mod autodiff;
+pub mod bytes;
 pub mod freeze;
 pub mod graph;
 pub mod kernels;
@@ -100,3 +101,9 @@ impl fmt::Display for TensorError {
 }
 
 impl Error for TensorError {}
+
+impl From<bytes::BytesError> for TensorError {
+    fn from(e: bytes::BytesError) -> Self {
+        TensorError::MalformedModel(e.reason())
+    }
+}

@@ -21,6 +21,13 @@ impl fmt::Debug for Tensor {
     }
 }
 
+/// The element count of `shape`, or `None` if the product overflows
+/// `usize` — the one place a shape that came from outside the program is
+/// multiplied out ([`Tensor::from_vec`], `bytes::Reader::shape`).
+pub fn checked_elements(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
+}
+
 impl Tensor {
     /// Creates a tensor of zeros.
     pub fn zeros(shape: &[usize]) -> Tensor {
@@ -43,13 +50,14 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `data.len()` does not
-    /// equal the shape's element count.
+    /// equal the shape's element count, or that count overflows `usize`.
     pub fn from_vec(shape: &[usize], data: Vec<f32>) -> Result<Tensor, TensorError> {
-        let expect: usize = shape.iter().product();
-        if data.len() != expect {
+        let expect = checked_elements(shape);
+        if expect != Some(data.len()) {
+            let needs = expect.map_or("more than usize::MAX".to_string(), |n| n.to_string());
             return Err(TensorError::ShapeMismatch {
                 op: "from_vec",
-                detail: format!("shape {shape:?} needs {expect} values, got {}", data.len()),
+                detail: format!("shape {shape:?} needs {needs} values, got {}", data.len()),
             });
         }
         Ok(Tensor {

@@ -96,3 +96,9 @@ impl From<securetf_tensor::TensorError> for LiteError {
         LiteError::Exec(e)
     }
 }
+
+impl From<securetf_tensor::bytes::BytesError> for LiteError {
+    fn from(e: securetf_tensor::bytes::BytesError) -> Self {
+        LiteError::MalformedModel(e.reason())
+    }
+}

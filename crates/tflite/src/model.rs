@@ -1,6 +1,7 @@
 //! The compact Lite model format and the converter from frozen graphs.
 
 use crate::LiteError;
+use securetf_tensor::bytes::{put_len_prefixed, put_u32, Reader};
 use securetf_tensor::freeze;
 use securetf_tensor::graph::{Graph, NodeId, Op};
 
@@ -129,11 +130,10 @@ impl LiteModel {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(LITE_MAGIC);
-        out.extend_from_slice(&(self.input.index() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.output.index() as u32).to_le_bytes());
+        put_u32(&mut out, self.input.index() as u32);
+        put_u32(&mut out, self.output.index() as u32);
         out.extend_from_slice(&self.declared_flops.to_le_bytes());
-        out.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.name.as_bytes());
+        put_len_prefixed(&mut out, self.name.as_bytes());
         out.extend_from_slice(&freeze::export_graph(&self.graph));
         out
     }
@@ -146,19 +146,16 @@ impl LiteModel {
     /// [`LiteError::UnsupportedOp`] if the embedded graph is not
     /// inference-only.
     pub fn from_bytes(bytes: &[u8]) -> Result<LiteModel, LiteError> {
-        if bytes.len() < 5 + 4 + 4 + 8 + 4 || &bytes[..5] != LITE_MAGIC {
-            return Err(LiteError::MalformedModel("bad header"));
+        let mut r = Reader::new(bytes);
+        if &r.array::<5>()? != LITE_MAGIC {
+            return Err(LiteError::MalformedModel("bad magic"));
         }
-        let input = u32::from_le_bytes(bytes[5..9].try_into().expect("4")) as usize;
-        let output = u32::from_le_bytes(bytes[9..13].try_into().expect("4")) as usize;
-        let declared_flops = f64::from_le_bytes(bytes[13..21].try_into().expect("8"));
-        let name_len = u32::from_le_bytes(bytes[21..25].try_into().expect("4")) as usize;
-        if bytes.len() < 25 + name_len {
-            return Err(LiteError::MalformedModel("truncated name"));
-        }
-        let name = String::from_utf8(bytes[25..25 + name_len].to_vec())
-            .map_err(|_| LiteError::MalformedModel("bad name"))?;
-        let graph = freeze::import_graph(&bytes[25 + name_len..])
+        let input = r.u32()? as usize;
+        let output = r.u32()? as usize;
+        let declared_flops = r.f64()?;
+        let name = r.str()?.to_string();
+        // The rest is the embedded graph, which rejects its own trailing bytes.
+        let graph = freeze::import_graph(r.rest())
             .map_err(|_| LiteError::MalformedModel("bad graph"))?;
         for node in graph.nodes() {
             op_supported(&node.op)?;

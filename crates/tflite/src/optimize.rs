@@ -19,6 +19,7 @@
 
 use crate::model::LiteModel;
 use crate::LiteError;
+use securetf_tensor::bytes::{put_len_prefixed, put_shape, put_u32, Reader};
 use securetf_tensor::graph::{Graph, Op};
 use securetf_tensor::passes::{Pipeline, PipelineReport};
 use securetf_tensor::tensor::Tensor;
@@ -197,17 +198,13 @@ impl QuantizedModel {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(QUANT_MAGIC);
-        out.extend_from_slice(&(self.skeleton.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.skeleton);
-        out.extend_from_slice(&(self.buffers.len() as u32).to_le_bytes());
+        put_len_prefixed(&mut out, &self.skeleton);
+        put_u32(&mut out, self.buffers.len() as u32);
         for b in &self.buffers {
-            out.extend_from_slice(&(b.shape.len() as u32).to_le_bytes());
-            for &d in &b.shape {
-                out.extend_from_slice(&(d as u32).to_le_bytes());
-            }
+            put_shape(&mut out, &b.shape);
             out.extend_from_slice(&b.scale.to_le_bytes());
-            out.extend_from_slice(&(b.values.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytemuck_i8(&b.values));
+            put_u32(&mut out, b.values.len() as u32);
+            out.extend(b.values.iter().map(|&v| v as u8));
         }
         out
     }
@@ -218,52 +215,29 @@ impl QuantizedModel {
     ///
     /// Returns [`LiteError::MalformedModel`] on corruption.
     pub fn from_bytes(bytes: &[u8]) -> Result<QuantizedModel, LiteError> {
-        let mut cursor = 0usize;
-        let take = |cursor: &mut usize, n: usize| -> Result<&[u8], LiteError> {
-            if *cursor + n > bytes.len() {
-                return Err(LiteError::MalformedModel("truncated"));
-            }
-            let s = &bytes[*cursor..*cursor + n];
-            *cursor += n;
-            Ok(s)
-        };
-        let u32f = |cursor: &mut usize| -> Result<u32, LiteError> {
-            Ok(u32::from_le_bytes(take(cursor, 4)?.try_into().expect("4")))
-        };
-        if take(&mut cursor, 5)? != QUANT_MAGIC {
+        let mut r = Reader::new(bytes);
+        if &r.array::<5>()? != QUANT_MAGIC {
             return Err(LiteError::MalformedModel("bad magic"));
         }
-        let skel_len = u32f(&mut cursor)? as usize;
-        let skeleton = take(&mut cursor, skel_len)?.to_vec();
-        let n_buffers = u32f(&mut cursor)? as usize;
+        let skeleton = r.len_prefixed()?.to_vec();
+        let n_buffers = r.u32()? as usize;
         if n_buffers > 100_000 {
             return Err(LiteError::MalformedModel("buffer count"));
         }
-        let mut buffers = Vec::with_capacity(n_buffers);
+        let mut buffers = Vec::new();
         for _ in 0..n_buffers {
-            let rank = u32f(&mut cursor)? as usize;
-            if rank > 8 {
-                return Err(LiteError::MalformedModel("rank"));
-            }
-            let mut shape = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                shape.push(u32f(&mut cursor)? as usize);
-            }
-            let scale = f32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4"));
-            let count = u32f(&mut cursor)? as usize;
-            if count != shape.iter().product::<usize>() {
+            let (shape, elements) = r.shape(8)?;
+            let scale = r.f32()?;
+            if r.u32()? as usize != elements {
                 return Err(LiteError::MalformedModel("element count"));
             }
-            let raw = take(&mut cursor, count)?;
             buffers.push(QuantBuffer {
                 shape,
                 scale,
-                values: raw.iter().map(|&b| b as i8).collect(),
+                values: r.take(elements)?.iter().map(|&b| b as i8).collect(),
             });
         }
-        if cursor != bytes.len() {
-            return Err(LiteError::MalformedModel("trailing bytes"));
-        }
+        r.finish()?;
         Ok(QuantizedModel { skeleton, buffers })
     }
 
@@ -303,11 +277,6 @@ impl QuantizedModel {
             .with_name(model.name())
             .with_declared_flops(model.declared_flops()))
     }
-}
-
-/// Reinterprets an `i8` slice as bytes (no unsafe: copies).
-fn bytemuck_i8(values: &[i8]) -> Vec<u8> {
-    values.iter().map(|&v| v as u8).collect()
 }
 
 #[cfg(test)]

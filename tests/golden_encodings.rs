@@ -1,0 +1,117 @@
+//! Pins the bytes every encoder emits for the fixed inputs in
+//! `samples/`: a SHA-256 per format, recorded at commit 4d8bed6 (before
+//! the decoders and writers moved onto `securetf_tensor::bytes`). A
+//! digest changes only when a byte format changes, which needs a
+//! versioned magic and a reviewed update of this table.
+
+mod samples;
+
+use securetf_crypto::sha256::{self, Sha256};
+use securetf_shield::fs::{Policy, UntrustedStore};
+
+fn hex(digest: [u8; 32]) -> String {
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Digest over everything the host holds, as sorted `(path, bytes)`
+/// pairs, each length-prefixed.
+fn store_digest(store: &UntrustedStore) -> [u8; 32] {
+    let mut h = Sha256::new();
+    for path in store.paths() {
+        let bytes = store.raw_contents(&path).expect("listed path");
+        h.update(&(path.len() as u64).to_le_bytes());
+        h.update(path.as_bytes());
+        h.update(&(bytes.len() as u64).to_le_bytes());
+        h.update(&bytes);
+    }
+    h.finalize()
+}
+
+#[test]
+fn encoder_output_is_pinned() {
+    let fs = |policy| store_digest(&samples::fs_image(policy).2);
+    let table: [(&str, [u8; 32], &str); 15] = [
+        (
+            "export_graph",
+            sha256::digest(&samples::graph()),
+            "f07b12ec4ce2ea514adf3dc19e2b59e4424eda55c2644c46a2d6df94420c6ddb",
+        ),
+        (
+            "LiteModel::to_bytes",
+            sha256::digest(&samples::lite()),
+            "72b6ba652cc66495dffffd1cd5f70e584734e20358a081d822972d7677aeaba4",
+        ),
+        (
+            "QuantizedModel::to_bytes",
+            sha256::digest(&samples::quantized()),
+            "9a92540c72d1fa511edbe492fb6a368038c9135ba07ba22c311446b86b4ecba4",
+        ),
+        (
+            "Dataset::to_bytes",
+            sha256::digest(&samples::dataset()),
+            "d5797be105da492abc13b0a0bd769eb506fedf978ccd9195d5e7d5695fbac24e",
+        ),
+        (
+            "encode_request Q",
+            sha256::digest(&samples::request_q()),
+            "219e40cf6993d9f593338d38b64174c60c623bdcc09ecc4f64ba5caf035d49c0",
+        ),
+        (
+            "encode_request D",
+            sha256::digest(&samples::request_d()),
+            "3b2eeec4472e3b50f8ec10310a729ce6ad187e3bff97f26219e47c2ed616e4d6",
+        ),
+        (
+            "encode_response R",
+            sha256::digest(&samples::response_r()),
+            "5892d2c6cc47451470651bb38518b1958c69ba42b8eac48b64ab51cb6fc3d02f",
+        ),
+        (
+            "encode_response E",
+            sha256::digest(&samples::response_e()),
+            "4d85a05e608d6229ade7f605b431a82b0d48e3a420ccdbbc060991becd21e178",
+        ),
+        (
+            "encode_response U",
+            sha256::digest(&samples::response_u()),
+            "6681015805b516ce112b0a7fef72dc9d5e66fabd6288f496cd3191d2e06eb4a6",
+        ),
+        (
+            "encode_frame Dense",
+            sha256::digest(&samples::dense_frame()),
+            "7b26617ff8866ab611e12eb9dfd23044dbd74beeb607f6601d0f2535ed047885",
+        ),
+        (
+            "encode_frame Quantized",
+            sha256::digest(&samples::quantized_frame()),
+            "9fc4ebf95e1cceda97f4f32ba3fccc114b2887dbddc0c1428f403dcada8de081",
+        ),
+        (
+            "wire::encode",
+            sha256::digest(&samples::tagless_body()),
+            "0c7820141e9f1c7261a8ea6c12955330ea5e9b3e9d985cce189258e27dc0b986",
+        ),
+        (
+            "FsShield::write EncryptAuth",
+            fs(Policy::EncryptAuth),
+            "d1586ed186d3c11aedb6be43b3c0f200bac1a269762bee5e5aff7b48a9d8b4bb",
+        ),
+        (
+            "FsShield::write AuthOnly",
+            fs(Policy::AuthOnly),
+            "09e72af1152c4bffa74cbf4a4a40ea51bfe7c1ee567300068422f6188e4b59d1",
+        ),
+        (
+            "FsShield::write Passthrough",
+            fs(Policy::Passthrough),
+            "d9704c0cb80a3dcbb67bde942365ed9eaa3f41d299c4bdfe12476b421471253d",
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (name, got, want) in table {
+        if hex(got) != want {
+            wrong.push(format!("{name}: {}", hex(got)));
+        }
+    }
+    assert!(wrong.is_empty(), "encodings changed:\n{}", wrong.join("\n"));
+}

@@ -1,0 +1,470 @@
+//! One hostile-input harness for every decoder of host-supplied bytes.
+//!
+//! A table of `(format, valid sample, decoder)` rows, one per byte format
+//! (`samples/`; DESIGN.md "Byte formats"), driven through the same
+//! checks: every strict prefix and every trailing byte is rejected,
+//! single-bit flips never panic, inflated length / count / rank / dim
+//! fields and overflowing shapes are rejected, and no decode — accepted
+//! or rejected — allocates more than a constant times its input. The
+//! allocation ceiling is what catches a `with_capacity(n)` taken from a
+//! length field before the bytes behind it are known to exist.
+//!
+//! Runs in debug and in release (CI does both): an unchecked shape
+//! product panics in the one and silently wraps in the other.
+
+mod samples;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
+
+use samples::{fs_enclave, fs_platform, FS_PATH};
+use securetf::serving::{decode_request, decode_response, salvage_request_id};
+use securetf_data::Dataset;
+use securetf_distrib::wire;
+use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
+use securetf_tensor::bytes::{put_shape, Reader};
+use securetf_tensor::freeze::import_graph;
+use securetf_tflite::model::LiteModel;
+use securetf_tflite::optimize::QuantizedModel;
+
+// ---- peak-allocation meter --------------------------------------------------
+
+thread_local! {
+    // Per thread, so tests running in parallel do not see each other.
+    // `Cell<isize>` has no destructor: the allocator may touch it at any
+    // point of a thread's life.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+struct PeakAlloc;
+
+fn moved(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
+// around it touches only thread-local integers.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        moved(layout.size() as isize);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        moved(layout.size() as isize);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        moved(-(layout.size() as isize));
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        moved(new_size as isize - layout.size() as isize);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// `f`'s result and the most bytes this thread held above its starting
+/// level while `f` ran.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LIVE.set(0);
+    PEAK.set(0);
+    let out = f();
+    (out, PEAK.get().max(0) as usize)
+}
+
+/// A decode may hold this many bytes per input byte, plus `SLACK`. The
+/// largest honest ratio is `import_graph`'s: a 9-byte node becomes a
+/// ~100-byte `Node` in a doubling `Vec`.
+const BYTES_PER_INPUT_BYTE: usize = 32;
+/// Fixed costs: error strings, the fs shield's manifest and path list.
+const SLACK: usize = 16 * 1024;
+
+// ---- the table --------------------------------------------------------------
+
+/// Decodes the bytes; `true` = accepted.
+type Decode = Box<dyn Fn(&[u8]) -> bool>;
+
+struct Format {
+    name: &'static str,
+    sample: Vec<u8>,
+    /// Runs before every decode, outside the allocation meter: rebuilds
+    /// whatever state a decode consumes (a shield with a cold cache).
+    prepare: Box<dyn Fn()>,
+    decode: Decode,
+    /// Offsets of little-endian `u32` length / count / rank / dim fields.
+    lengths: Vec<usize>,
+    /// Offsets of `rank dims…` shapes ([`Reader::shape`]).
+    shapes: Vec<usize>,
+    /// Prefixes and bit flips are tried at every `stride`-th byte (and at
+    /// every byte of the first 64).
+    stride: usize,
+}
+
+impl Format {
+    fn new(name: &'static str, sample: Vec<u8>, decode: impl Fn(&[u8]) -> bool + 'static) -> Self {
+        Format {
+            name,
+            sample,
+            prepare: Box::new(|| ()),
+            decode: Box::new(decode),
+            lengths: Vec::new(),
+            shapes: Vec::new(),
+            stride: 1,
+        }
+    }
+
+    fn prepare(mut self, prepare: impl Fn() + 'static) -> Self {
+        self.prepare = Box::new(prepare);
+        self
+    }
+
+    fn lengths(mut self, at: &[usize]) -> Self {
+        self.lengths = at.to_vec();
+        self
+    }
+
+    fn shapes(mut self, at: &[usize]) -> Self {
+        self.shapes = at.to_vec();
+        self
+    }
+
+    fn stride(mut self, stride: usize) -> Self {
+        self.stride = stride;
+        self
+    }
+
+    /// Decodes `bytes`: must not panic, must stay under the allocation
+    /// ceiling. Returns whether the decoder accepted them.
+    fn run(&self, bytes: &[u8], what: &dyn Fn() -> String) -> bool {
+        (self.prepare)();
+        let (outcome, peak) = peak_of(|| catch_unwind(AssertUnwindSafe(|| (self.decode)(bytes))));
+        let accepted = outcome.unwrap_or_else(|_| panic!("{}: {} panicked", self.name, what()));
+        let ceiling = BYTES_PER_INPUT_BYTE * bytes.len() + SLACK;
+        assert!(
+            peak <= ceiling,
+            "{}: {} held {peak} bytes for {} bytes of input (ceiling {ceiling})",
+            self.name,
+            what(),
+            bytes.len()
+        );
+        accepted
+    }
+
+    fn rejects(&self, bytes: &[u8], what: &dyn Fn() -> String) {
+        assert!(
+            !self.run(bytes, what),
+            "{}: {} was accepted",
+            self.name,
+            what()
+        );
+    }
+
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.sample.len()).filter(|i| *i < 64 || i % self.stride == 0)
+    }
+
+    fn check(&self) {
+        assert!(
+            self.run(&self.sample, &|| "the valid sample".into()),
+            "{}: sample rejected",
+            self.name
+        );
+
+        for cut in self.positions() {
+            self.rejects(&self.sample[..cut], &|| format!("prefix of {cut} bytes"));
+        }
+        let mut longer = self.sample.clone();
+        longer.push(0);
+        self.rejects(&longer, &|| "one trailing byte".into());
+
+        let mut flipped = self.sample.clone();
+        for at in self.positions() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                self.run(&flipped, &|| format!("bit {bit} of byte {at} flipped"));
+                flipped[at] ^= 1 << bit;
+            }
+        }
+
+        let field =
+            |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        for &at in &self.lengths {
+            for value in [field(&self.sample, at) + 1, 100_000, u32::MAX] {
+                let mut inflated = self.sample.clone();
+                inflated[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                self.rejects(&inflated, &|| {
+                    format!("length field at {at} set to {value}")
+                });
+            }
+        }
+        if !self.lengths.is_empty() {
+            let mut inflated = self.sample.clone();
+            for &at in &self.lengths {
+                inflated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+            self.rejects(&inflated, &|| "every length field set to u32::MAX".into());
+        }
+
+        // 256^8 = 2^64 elements: a wrapping product calls that 0.
+        let mut overflowing = Vec::new();
+        put_shape(&mut overflowing, &[256; 8]);
+        for &at in &self.shapes {
+            let rank = field(&self.sample, at) as usize;
+            let mut spliced = self.sample[..at].to_vec();
+            spliced.extend_from_slice(&overflowing);
+            spliced.extend_from_slice(&self.sample[at + 4 + 4 * rank..]);
+            self.rejects(&spliced, &|| format!("shape at {at} replaced by [256; 8]"));
+        }
+    }
+}
+
+/// The request decoders agree on the header: whenever tag and id are
+/// there, `salvage_request_id` returns that id, whatever follows.
+fn request(bytes: &[u8]) -> bool {
+    let id = match bytes {
+        [b'Q' | b'D', rest @ ..] => rest.first_chunk::<8>().map(|id| u64::from_le_bytes(*id)),
+        _ => None,
+    };
+    assert_eq!(salvage_request_id(bytes), id);
+    decode_request(bytes).is_ok()
+}
+
+fn codec_formats() -> Vec<Format> {
+    let quantized = samples::quantized();
+    // STFQ1 | skeleton (len-prefixed) | n_buffers | rank dims(2) scale count …
+    let buffers = 9 + Reader::new(&quantized[5..]).u32().unwrap() as usize;
+    vec![
+        // STFG1 | count | "x" placeholder rank(4) | "v" variable rank(2) count …
+        Format::new("graph", samples::graph(), |b| import_graph(b).is_ok())
+            .lengths(&[5, 9, 15, 35, 41, 53])
+            .shapes(&[15, 41]),
+        // STFL1 | in | out | flops | name (len-prefixed) | STFG1 | count | name …
+        Format::new("lite model", samples::lite(), |b| {
+            LiteModel::from_bytes(b).is_ok()
+        })
+        .lengths(&[21, 36, 40]),
+        Format::new("quantized model", quantized, |b| {
+            QuantizedModel::from_bytes(b).is_ok()
+        })
+        .lengths(&[5, buffers, buffers + 4, buffers + 20])
+        .shapes(&[buffers + 4]),
+        // height | width | channels | count | …
+        Format::new("dataset", samples::dataset(), |b| {
+            Dataset::from_bytes(b).is_ok()
+        })
+        .lengths(&[0, 4, 8, 12]),
+        // 'Q' id | rank dims(2) …   and   'D' id deadline | rank dims(3) …
+        Format::new("request Q", samples::request_q(), request)
+            .lengths(&[9, 13, 17])
+            .shapes(&[9]),
+        Format::new("request D", samples::request_d(), request)
+            .lengths(&[17, 21, 25, 29])
+            .shapes(&[17]),
+        Format::new("response R", samples::response_r(), |b| {
+            decode_response(b).is_ok()
+        }),
+        // 'E' id | message (len-prefixed)
+        Format::new("response E", samples::response_e(), |b| {
+            decode_response(b).is_ok()
+        })
+        .lengths(&[9]),
+        Format::new("response U", samples::response_u(), |b| {
+            decode_response(b).is_ok()
+        }),
+        // tag | count | id rank dims(2) n …
+        Format::new("dense frame", samples::dense_frame(), |b| {
+            wire::decode_frame(b).is_ok()
+        })
+        .lengths(&[1, 9, 13, 17, 21])
+        .shapes(&[9]),
+        Format::new("quantized frame", samples::quantized_frame(), |b| {
+            wire::decode_frame(b).is_ok()
+        })
+        .lengths(&[1, 9, 13, 17, 21])
+        .shapes(&[9]),
+        Format::new("tagless body", samples::tagless_body(), |b| {
+            wire::decode(b).is_ok()
+        })
+        .lengths(&[0, 8, 12, 16, 20])
+        .shapes(&[8]),
+    ]
+}
+
+#[test]
+fn codecs_reject_hostile_bytes_without_panicking_or_overallocating() {
+    for format in codec_formats() {
+        format.check();
+    }
+}
+
+// ---- the fs shield's three host-visible objects -------------------------------
+
+/// A shield that has written `plaintext` to `path` under `policy`, and
+/// the store it wrote to.
+fn mount(path: &str, policy: Policy, plaintext: &[u8]) -> (FsShield, UntrustedStore) {
+    let store = UntrustedStore::new();
+    let mut shield = FsShield::new(fs_enclave(&fs_platform()), store.clone());
+    shield.add_policy(PathPolicy::new("/data/", policy));
+    shield.write(path, plaintext).unwrap();
+    (shield, store)
+}
+
+/// A stored blob as `read` and as `read_range` see it: the host's bytes
+/// are replaced, then read back through a shield that wrote the
+/// original. The range reaches into the last chunk, so both walk every
+/// record. With `remount`, every decode gets a new shield and so a cold
+/// chunk cache; without, `read_range` opens each chunk once and a later
+/// bit flip inside a cached record goes unread, which is the cache
+/// working as designed.
+fn blob_formats(
+    path: &'static str,
+    policy: Policy,
+    plaintext: Vec<u8>,
+    remount: bool,
+    stride: usize,
+) -> [Format; 2] {
+    let plaintext = Rc::new(plaintext);
+    let mounted = Rc::new(RefCell::new(mount(path, policy, &plaintext)));
+    let blob = mounted.borrow().1.raw_contents(path).unwrap();
+    // u64 plaintext length | record 0 (len-prefixed) | record 1 …
+    let second = 12 + Reader::new(&blob[8..]).u32().unwrap() as usize;
+    let lengths: Vec<usize> = [0, 8, second]
+        .into_iter()
+        .filter(|&at| at + 4 <= blob.len())
+        .collect();
+    let tail = plaintext.len().saturating_sub(70_000);
+    [
+        ("fs blob via read", false),
+        ("fs blob via read_range", true),
+    ]
+    .map(|(name, ranged)| {
+        let (on, plain) = (mounted.clone(), plaintext.clone());
+        let decode = move |bytes: &[u8]| {
+            let (shield, store) = &*on.borrow();
+            store.raw_put(path, bytes.to_vec());
+            let start = if ranged { tail } else { 0 };
+            let got = if ranged {
+                shield.read_range(path, start as u64, (plain.len() - start) as u64)
+            } else {
+                shield.read(path)
+            };
+            got.is_ok_and(|got| got == plain[start..])
+        };
+        let (on, plain) = (mounted.clone(), plaintext.clone());
+        Format::new(name, blob.clone(), decode)
+            .prepare(move || {
+                if remount {
+                    *on.borrow_mut() = mount(path, policy, &plain);
+                }
+            })
+            .lengths(&lengths)
+            .stride(stride)
+    })
+}
+
+#[test]
+fn fs_blobs_reject_hostile_bytes_through_read_and_read_range() {
+    // A one-record blob small enough to flip every bit of, under both
+    // protected policies, and the 3-chunk sample sparsely.
+    let small = b"a small protected file".to_vec();
+    for policy in [Policy::EncryptAuth, Policy::AuthOnly] {
+        for format in blob_formats("/data/small", policy, small.clone(), true, 1) {
+            format.check();
+        }
+    }
+    let large = samples::fs_plaintext();
+    for format in blob_formats(FS_PATH, Policy::EncryptAuth, large, false, 1009) {
+        format.check();
+    }
+}
+
+#[test]
+fn read_range_rejects_an_overflowing_range() {
+    let (_platform, shield, _store) = samples::fs_image(Policy::EncryptAuth);
+    let err = shield.read_range(FS_PATH, u64::MAX, 2).unwrap_err();
+    assert!(
+        matches!(err, securetf_shield::ShieldError::FileTampered(_)),
+        "{err:?}"
+    );
+}
+
+/// The sealed manifest via `recover`: the live slot is replaced and a
+/// fresh enclave remounts. Accepted = the remount knows the file.
+#[test]
+fn fs_manifest_rejects_hostile_bytes_through_recover() {
+    let (platform, shield, store) = samples::fs_image(Policy::EncryptAuth);
+    drop(shield);
+    let slot = store
+        .paths()
+        .into_iter()
+        .find(|p| p.contains("/manifest-"))
+        .expect("one manifest slot after one write");
+    let sealed = store.raw_contents(&slot).unwrap();
+    Format::new("fs manifest", sealed, move |b| {
+        store.raw_put(&slot, b.to_vec());
+        match FsShield::recover(fs_enclave(&platform), store.clone()) {
+            Ok((shield, _)) => shield.version(FS_PATH) == Some(1),
+            // The counter says a manifest was published: fail closed.
+            Err(_) => false,
+        }
+    })
+    .check();
+}
+
+/// The MAC'd commit record via `recover`: the host dies right after the
+/// commit point of a rewrite, the record is replaced, and a fresh enclave
+/// remounts. Accepted = the rewrite was rolled forward.
+#[test]
+fn fs_commit_record_rejects_hostile_bytes_through_recover() {
+    let crashed_rewrite = || {
+        let platform = fs_platform();
+        let store = UntrustedStore::new();
+        let mut shield = FsShield::new(fs_enclave(&platform), store.clone());
+        shield.write("/data/small", b"old").unwrap();
+        // One staged chunk, then the commit record, land; the blob does not.
+        store.fail_after_ops(2);
+        shield.write("/data/small", b"new").unwrap_err();
+        store.host_restart();
+        (platform, store)
+    };
+    let crashed = Rc::new(RefCell::new(crashed_rewrite()));
+    let commit_path = crashed
+        .borrow()
+        .1
+        .paths()
+        .into_iter()
+        .find(|p| p.ends_with("/commit"));
+    let commit_path = commit_path.expect("commit record landed");
+    let record = crashed.borrow().1.raw_contents(&commit_path).unwrap();
+    let for_prepare = crashed.clone();
+    Format::new("fs commit record", record, move |b| {
+        let (platform, store) = &*crashed.borrow();
+        store.raw_put(&commit_path, b.to_vec());
+        let (shield, _) =
+            FsShield::recover(fs_enclave(platform), store.clone()).expect("recoverable");
+        match shield
+            .read("/data/small")
+            .expect("pre or post state")
+            .as_slice()
+        {
+            b"new" => true,
+            b"old" => false,
+            other => panic!("neither pre nor post state: {other:?}"),
+        }
+    })
+    // Recovery consumes the journal: every decode needs its own crash.
+    .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite())
+    .check();
+}

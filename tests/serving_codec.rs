@@ -1,7 +1,7 @@
 //! Property tests of the serving wire codec (ISSUE 7 satellite): the
-//! encode/decode pairs roundtrip exactly, every strict truncation is
-//! rejected, garbage tags are rejected, trailing bytes are rejected,
-//! and id salvage recovers the header id whenever the tag parses.
+//! encode/decode pairs roundtrip exactly and garbage tags are rejected.
+//! Truncation, trailing bytes and id salvage from a malformed frame are
+//! rows of the shared harness, `hostile_input.rs`.
 
 use proptest::prelude::*;
 use securetf::serving::{
@@ -60,46 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn truncated_requests_always_rejected(
-        id in any::<u64>(),
-        has_deadline in any::<bool>(),
-        deadline_val in any::<u64>(),
-        cols in 1usize..9,
-        cells in prop::collection::vec(any::<u8>(), 1..32),
-        cut in any::<prop::sample::Index>(),
-    ) {
-        let frame = encode_request(&build_request(id, has_deadline.then_some(deadline_val), &[1, cols], &cells));
-        // Every strict prefix must fail: the dims fields pin the exact
-        // frame length, so a shorter frame is always truncation.
-        let keep = cut.index(frame.len());
-        prop_assert!(decode_request(&frame[..keep]).is_err());
-        // ...and the header id survives whenever the tag + id prefix does.
-        if keep >= 9 {
-            prop_assert_eq!(salvage_request_id(&frame[..keep]), Some(id));
-        }
-    }
-
-    #[test]
-    fn truncated_responses_always_rejected(
-        id in any::<u64>(),
-        label in any::<u32>(),
-        retry in any::<u64>(),
-        message in prop::collection::vec(any::<u8>(), 0..48),
-        cut in any::<prop::sample::Index>(),
-    ) {
-        let message = String::from_utf8_lossy(&message).into_owned();
-        for response in [
-            Response::Label { id, label },
-            Response::Error { id, message },
-            Response::Unavailable { id, retry_after_ns: retry },
-        ] {
-            let frame = encode_response(&response);
-            let keep = cut.index(frame.len());
-            prop_assert!(decode_response(&frame[..keep]).is_err());
-        }
-    }
-
-    #[test]
     fn garbage_prefix_rejected(
         tag in any::<u8>(),
         body in prop::collection::vec(any::<u8>(), 0..64),
@@ -118,23 +78,5 @@ proptest! {
         if frame != [b'B'] {
             prop_assert!(!is_goodbye(&frame));
         }
-    }
-
-    #[test]
-    fn trailing_bytes_rejected(
-        id in any::<u64>(),
-        has_deadline in any::<bool>(),
-        deadline_val in any::<u64>(),
-        cols in 1usize..9,
-        cells in prop::collection::vec(any::<u8>(), 1..16),
-        label in any::<u32>(),
-        junk in any::<u8>(),
-    ) {
-        let mut frame = encode_request(&build_request(id, has_deadline.then_some(deadline_val), &[1, cols], &cells));
-        frame.push(junk);
-        prop_assert!(decode_request(&frame).is_err());
-        let mut frame = encode_response(&Response::Label { id, label });
-        frame.push(junk);
-        prop_assert!(decode_response(&frame).is_err());
     }
 }

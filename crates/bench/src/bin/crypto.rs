@@ -1,20 +1,25 @@
 //! Crypto data-plane microbenchmark (DESIGN.md §17).
 //!
 //! Like `kernels`, this binary measures **wall-clock** time — the AEAD
-//! kernels are real compute, not cost-model charges. Three relationships
-//! are the deliverable, two asserted hard (non-zero exit on violation):
+//! kernels are real compute, not cost-model charges. Four relationships
+//! are the deliverable, three asserted hard (non-zero exit on violation):
 //!
 //! 1. every fast path (multi-block ChaCha20, in-place detached AEAD,
-//!    parallel chunked sealing) is byte-identical to the retained
-//!    reference implementation (asserted in every build), and
+//!    dispatched SHA-256, parallel chunked sealing and opening) is
+//!    byte-identical to the retained reference implementation (asserted
+//!    in every build), and
 //! 2. the single-thread fast seal is at least 2x the reference at the
-//!    shield's 64 KiB chunk size (release builds only), plus
-//! 3. a fig6-style fs-shield write/read comparison showing what parallel
-//!    chunk sealing buys end to end.
+//!    shield's 64 KiB chunk size (release builds only), and
+//! 3. SHA-256 on the SHA extensions is at least 3x the portable body at
+//!    64 KiB (release builds, when `sha256::backend()` is `"sha-ni"`),
+//!    plus
+//! 4. a fig6-style fs-shield write/read comparison showing what parallel
+//!    chunk sealing and opening buy end to end.
 
 use securetf_bench::report::{BenchReport, JsonValue};
 use securetf_bench::{fmt_ns, fmt_ratio, header};
 use securetf_crypto::aead::{self, AeadCtx, Key, Nonce};
+use securetf_crypto::sha256;
 use securetf_shield::fs::{FsShield, UntrustedStore};
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
 use securetf_tensor::kernels::WorkerPool;
@@ -80,6 +85,40 @@ fn bench_seal(len: usize, reps: usize) -> SealRow {
         reference_ns,
         fast_ns,
         identical,
+    }
+}
+
+struct ShaRow {
+    len: usize,
+    portable_ns: u64,
+    dispatched_ns: u64,
+    identical: bool,
+}
+
+/// Times one SHA-256 of `len` bytes on the portable body against the
+/// body the CPU dispatches to and checks the digests agree. Short
+/// messages are hashed back to back until a timing covers 64 KiB, so the
+/// clock's own resolution stays out of the per-message figure.
+fn bench_sha256(len: usize, reps: usize) -> ShaRow {
+    let message = fill(len as u64 + 11, len);
+    let rounds = (64 * 1024 / len).max(1);
+    let per_message = |body: fn(&[u8]) -> [u8; 32]| {
+        let (ns, digest) = time_ns(reps, || {
+            let mut digest = [0u8; 32];
+            for _ in 0..rounds {
+                digest = body(std::hint::black_box(&message));
+            }
+            digest
+        });
+        (ns / rounds as u64, digest)
+    };
+    let (portable_ns, portable) = per_message(sha256::digest_portable);
+    let (dispatched_ns, dispatched) = per_message(sha256::digest);
+    ShaRow {
+        len,
+        portable_ns,
+        dispatched_ns,
+        identical: portable == dispatched,
     }
 }
 
@@ -178,6 +217,33 @@ fn main() {
             );
     }
 
+    println!();
+    header(
+        &format!("SHA-256: portable vs dispatched ({})", sha256::backend()),
+        &["message        ", "portable  ", "dispatched", "speedup", "bit-identical"],
+    );
+    let sha_rows = [64, 4 * 1024, 64 * 1024].map(|len| bench_sha256(len, reps));
+    report = report.value("sha256.backend", JsonValue::Str(sha256::backend().into()));
+    for row in &sha_rows {
+        println!(
+            "{:<16} | {:>10} | {:>10} | {:>7} | {}",
+            format!("sha256 {}", fmt_len(row.len)),
+            fmt_ns(row.portable_ns),
+            fmt_ns(row.dispatched_ns),
+            fmt_ratio(row.portable_ns, row.dispatched_ns),
+            row.identical
+        );
+        all_identical &= row.identical;
+        let key = format!("sha256_{}", row.len);
+        report = report
+            .latency_ns(&format!("{key}.portable_ns"), row.portable_ns)
+            .latency_ns(&format!("{key}.dispatched_ns"), row.dispatched_ns)
+            .ratio(
+                &format!("{key}.speedup"),
+                row.portable_ns as f64 / row.dispatched_ns.max(1) as f64,
+            );
+    }
+
     // Fig6-style end-to-end: serial vs parallel chunk sealing in the fs
     // shield on a multi-chunk payload.
     let payload = fill(99, 4 * 1024 * 1024);
@@ -203,6 +269,25 @@ fn main() {
             fmt_ratio(s, p)
         );
     }
+    // The e2e `store_read` shape: one 1 MiB file read whole, serial pool
+    // against two workers (`bench_fs` checks each read against the payload).
+    let mib = &payload[..1024 * 1024];
+    let read_serial = bench_fs(1, mib, reps).read_ns;
+    let read_pooled = bench_fs(2, mib, reps).read_ns;
+    println!(
+        "{:<7} | {:>10} | {:>10} | {:>7}   (1 MiB, 2 workers)",
+        "read",
+        fmt_ns(read_serial),
+        fmt_ns(read_pooled),
+        fmt_ratio(read_serial, read_pooled)
+    );
+    report = report
+        .latency_ns("fs_read_1mib.serial_ns", read_serial)
+        .latency_ns("fs_read_1mib.pooled2_ns", read_pooled)
+        .ratio(
+            "fs_read_1mib.pooled2_speedup",
+            read_serial as f64 / read_pooled.max(1) as f64,
+        );
     report = report
         .latency_ns("fs_write.serial_ns", serial.write_ns)
         .latency_ns("fs_write.parallel_ns", parallel.write_ns)
@@ -232,6 +317,14 @@ fn main() {
             speedup >= 2.0,
             "single-thread fast seal at 64 KiB is only {speedup:.2}x the reference (need >= 2x)"
         );
+        if sha256::backend() == "sha-ni" {
+            let chunk = sha_rows.iter().find(|r| r.len == 64 * 1024).expect("64 KiB row");
+            let speedup = chunk.portable_ns as f64 / chunk.dispatched_ns.max(1) as f64;
+            assert!(
+                speedup >= 3.0,
+                "SHA-NI SHA-256 at 64 KiB is only {speedup:.2}x the portable body (need >= 3x)"
+            );
+        }
     }
     report.emit();
 }

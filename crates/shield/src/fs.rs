@@ -30,8 +30,8 @@
 use crate::{iago, ShieldError};
 use parking_lot::Mutex;
 use securetf_crypto::aead::{self, Key, Nonce};
-use securetf_crypto::hmac::hmac_sha256;
-use securetf_crypto::sha256;
+use securetf_crypto::hmac::{hmac_sha256, HmacSha256};
+use securetf_crypto::sha256::{self, Sha256};
 use securetf_tee::counter::CounterId;
 use securetf_tee::sealing::SealPolicy;
 use securetf_tee::telemetry::{Counter, Histogram};
@@ -39,6 +39,7 @@ use securetf_tee::Enclave;
 use securetf_tensor::bytes::{put_len_prefixed, put_u32, put_u64, Reader};
 use securetf_tensor::kernels::WorkerPool;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Chunk size used by the shield (64 KiB, matching SCONE's default).
@@ -128,6 +129,12 @@ impl UntrustedStore {
     /// Host-side read.
     pub fn raw_contents(&self, path: &str) -> Option<Vec<u8>> {
         self.inner.lock().files.get(path).cloned()
+    }
+
+    /// Whether the disk image holds `path` (host-side, like the other
+    /// `raw_*` views; copies nothing).
+    pub fn contains(&self, path: &str) -> bool {
+        self.inner.lock().files.contains_key(path)
     }
 
     /// Host-side delete.
@@ -274,13 +281,26 @@ impl UntrustedStore {
     }
 
     /// Shield-side read: fails while the host is down, but neither counts
-    /// as a mutating op nor trips the crash hook.
-    pub(crate) fn shield_get(&self, path: &str) -> Result<Option<Vec<u8>>, ShieldError> {
+    /// as a mutating op nor trips the crash hook. `look` sees the stored
+    /// bytes in place, under the store lock, and copies out only what it
+    /// needs — so it should validate and copy, and leave the crypto to
+    /// its caller.
+    pub(crate) fn shield_view<R>(
+        &self,
+        path: &str,
+        look: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> Result<R, ShieldError> {
         let state = self.inner.lock();
         if state.crashed {
             return Err(ShieldError::HostCrashed("host died during get"));
         }
-        Ok(state.files.get(path).cloned())
+        Ok(look(state.files.get(path).map(Vec::as_slice)))
+    }
+
+    /// [`UntrustedStore::shield_view`] for callers that need the whole
+    /// object anyway (manifest slots, journal records, passthrough files).
+    pub(crate) fn shield_get(&self, path: &str) -> Result<Option<Vec<u8>>, ShieldError> {
+        self.shield_view(path, |stored| stored.map(<[u8]>::to_vec))
     }
 }
 
@@ -297,6 +317,46 @@ struct FileMeta {
     /// the digest additionally pins the exact ciphertext).
     chunk_digests: Vec<[u8; 32]>,
     file_id: u64,
+}
+
+/// Chunks a protected file of `len` bytes is stored as (an empty file
+/// still has one, empty, authenticated record).
+fn chunks_for(len: u64) -> u64 {
+    len.div_ceil(CHUNK_SIZE as u64).max(1)
+}
+
+/// The chunks of a protected file's plaintext, in place: as many as
+/// [`chunks_for`] says, so one (empty) for an empty file.
+fn chunks_mut(plain: &mut [u8]) -> impl Iterator<Item = &mut [u8]> {
+    let whole_if_empty = plain.is_empty().then_some(&mut [][..]);
+    whole_if_empty.into_iter().chain(plain.chunks_mut(CHUNK_SIZE))
+}
+
+impl FileMeta {
+    /// Bytes each chunk record carries after its chunk: the AEAD tag, or
+    /// the HMAC of an `AuthOnly` file.
+    fn tag_len(&self) -> usize {
+        match self.policy {
+            Policy::EncryptAuth => aead::TAG_LEN,
+            Policy::AuthOnly => sha256::DIGEST_LEN,
+            Policy::Passthrough => 0,
+        }
+    }
+
+    /// Plaintext bytes in chunk `i`: a full chunk for all but the last.
+    /// Relies on `chunk_digests.len() == chunks_for(len)`, which `write`
+    /// produces and [`read_file_entry`] enforces on the way back in.
+    fn chunk_len(&self, i: usize) -> usize {
+        self.len
+            .saturating_sub((i * CHUNK_SIZE) as u64)
+            .min(CHUNK_SIZE as u64) as usize
+    }
+
+    /// Size of the stored blob this metadata describes:
+    /// `u64 len | (u32 len | chunk | tag) per chunk`.
+    fn blob_len(&self) -> u64 {
+        8 + self.chunk_digests.len() as u64 * (4 + self.tag_len() as u64) + self.len
+    }
 }
 
 /// Magic prefix of journal commit records.
@@ -332,6 +392,11 @@ fn read_file_entry(r: &mut Reader) -> Result<(String, FileMeta), ShieldError> {
         .checked_mul(32)
         .ok_or(ShieldError::IagoViolation("chunk count overflows"))?;
     let (chunk_digests, _) = r.take(digest_bytes)?.as_chunks::<32>();
+    if chunk_digests.len() as u64 != chunks_for(len) {
+        return Err(ShieldError::IagoViolation(
+            "chunk count does not match length",
+        ));
+    }
     let meta = FileMeta {
         policy,
         version,
@@ -374,23 +439,29 @@ fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, ShieldError> {
     })
 }
 
-/// Appends the part of decrypted chunk `i` that overlaps the requested
-/// `[offset, offset + len)` byte range to `out`.
-fn append_range(out: &mut Vec<u8>, plain: &[u8], i: usize, offset: u64, len: u64) {
+/// The part of chunk `i` (`chunk_len` plaintext bytes) that lies inside
+/// the byte range `[offset, offset + len)`: where it sits in the chunk,
+/// and where it starts in a buffer holding exactly that range.
+fn overlap(i: usize, chunk_len: usize, offset: u64, len: u64) -> (Range<usize>, usize) {
     let chunk_start = i as u64 * CHUNK_SIZE as u64;
-    let take_from = offset.max(chunk_start) - chunk_start;
-    let take_to = ((offset + len).min(chunk_start + plain.len() as u64)) - chunk_start;
-    out.extend_from_slice(&plain[take_from as usize..take_to as usize]);
+    let from = offset.max(chunk_start);
+    let to = (offset + len).min(chunk_start + chunk_len as u64);
+    (
+        (from - chunk_start) as usize..(to - chunk_start) as usize,
+        (from - offset) as usize,
+    )
 }
 
 /// In-enclave cache of already-decrypted chunks, keyed by
 /// `(file_id, version, chunk)` so a rewritten file (new version) can never
-/// serve stale plaintext. FIFO eviction; the plaintext lives inside the
-/// enclave, so caching it weakens nothing the chunk's AEAD protected.
+/// serve stale plaintext. The plaintext lives inside the enclave, so
+/// caching it weakens nothing the chunk's AEAD protected.
+///
+/// Least-recently-used eviction over one short list, most recent first:
+/// a scan of [`CHUNK_CACHE_CAP`] keys costs less than hashing one.
 #[derive(Debug, Default)]
 struct ChunkCache {
-    entries: HashMap<(u64, u64, u32), Vec<u8>>,
-    order: std::collections::VecDeque<(u64, u64, u32)>,
+    entries: Vec<((u64, u64, u32), Vec<u8>)>,
     /// Local hit/miss tallies, independent of whether the platform has
     /// telemetry enabled (the [`FsMetrics`] counters are no-ops then).
     hits: u64,
@@ -398,26 +469,32 @@ struct ChunkCache {
 }
 
 impl ChunkCache {
-    fn get(&self, key: (u64, u64, u32)) -> Option<Vec<u8>> {
-        self.entries.get(&key).cloned()
+    /// Looks `key` up and tallies the outcome. On a hit, copies bytes
+    /// `src` of the cached chunk into `dst` — only the range asked for,
+    /// not the chunk — and makes the entry the most recent.
+    fn copy_range(&mut self, key: (u64, u64, u32), src: Range<usize>, dst: &mut [u8]) -> bool {
+        let Some(at) = self.entries.iter().position(|(k, _)| *k == key) else {
+            self.misses += 1;
+            return false;
+        };
+        self.hits += 1;
+        self.entries[..=at].rotate_right(1);
+        dst.copy_from_slice(&self.entries[0].1[src]);
+        true
     }
 
+    /// Caches a chunk as the most recent entry, evicting the least
+    /// recently used one when full.
     fn insert(&mut self, key: (u64, u64, u32), plain: Vec<u8>) {
-        if self.entries.insert(key, plain).is_none() {
-            self.order.push_back(key);
-        }
-        while self.order.len() > CHUNK_CACHE_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
+        self.entries.retain(|(k, _)| *k != key);
+        self.entries.truncate(CHUNK_CACHE_CAP - 1);
+        self.entries.insert(0, (key, plain));
     }
 
     /// Drops every cached chunk of `file_id` (any version) — called on
     /// write/delete so the cache never outlives the file it mirrors.
     fn invalidate_file(&mut self, file_id: u64) {
-        self.entries.retain(|k, _| k.0 != file_id);
-        self.order.retain(|k| k.0 != file_id);
+        self.entries.retain(|(k, _)| k.0 != file_id);
     }
 }
 
@@ -503,9 +580,16 @@ pub struct FsShield {
     next_file_id: u64,
     metrics: FsMetrics,
     chunk_cache: Mutex<ChunkCache>,
-    /// Pool for parallel chunk sealing on multi-chunk writes. Wall-clock
-    /// only: virtual-time charges and output bytes are identical to a
-    /// serial seal for any worker count.
+    /// Highest version this instance sealed chunks under and then
+    /// aborted, per `file_id`. A chunk nonce is `(file_id, version,
+    /// chunk)`, so a version that reached the host in a staged record is
+    /// burned even though it never committed: the retry must not seal
+    /// other plaintext under it (DESIGN.md §13).
+    burned_versions: HashMap<u64, u64>,
+    /// Pool for sealing the chunks of a multi-chunk write, and verifying
+    /// and opening those of a full read, in parallel. Wall-clock only:
+    /// virtual-time charges, output bytes and errors are identical to the
+    /// serial pool's for any worker count.
     pool: WorkerPool,
 }
 
@@ -543,14 +627,16 @@ impl FsShield {
             next_file_id: 1,
             metrics,
             chunk_cache: Mutex::new(ChunkCache::default()),
+            burned_versions: HashMap::new(),
             pool: WorkerPool::serial(),
         }
     }
 
     /// Sets the worker pool used to seal the chunks of multi-chunk writes
-    /// in parallel. Chunks are independently nonced and assembled in
-    /// chunk order, so the stored bytes are bit-identical to a serial
-    /// seal for any worker count (default: serial).
+    /// and to verify and open those of full reads in parallel. Chunks
+    /// are independently nonced and each has its own place in the blob
+    /// and in the plaintext, so stored bytes, read results and read
+    /// errors are identical for any worker count (default: serial).
     pub fn set_worker_pool(&mut self, pool: WorkerPool) {
         self.pool = pool;
     }
@@ -656,7 +742,6 @@ impl FsShield {
             }
             return Ok(());
         }
-        let version = self.meta.get(path).map(|m| m.version + 1).unwrap_or(1);
         let file_id = self
             .meta
             .get(path)
@@ -666,6 +751,9 @@ impl FsShield {
                 self.next_file_id += 1;
                 id
             });
+        let committed = self.meta.get(path).map_or(0, |m| m.version);
+        let burned = self.burned_versions.get(&file_id).copied().unwrap_or(0);
+        let version = committed.max(burned) + 1;
         let chunks: Vec<&[u8]> = if data.is_empty() {
             vec![&[][..]]
         } else {
@@ -688,11 +776,12 @@ impl FsShield {
                 }
                 Policy::AuthOnly => {
                     // Store plaintext followed by a MAC over chunk + aad.
-                    let mut mac_input = chunk.to_vec();
-                    mac_input.extend_from_slice(&aad);
-                    let tag = hmac_sha256(key.as_bytes(), &mac_input);
-                    let mut rec = chunk.to_vec();
-                    rec.extend_from_slice(&tag);
+                    let mut mac = HmacSha256::new(key.as_bytes());
+                    mac.update(chunk);
+                    mac.update(&aad);
+                    let mut rec = Vec::with_capacity(chunk.len() + sha256::DIGEST_LEN);
+                    rec.extend_from_slice(chunk);
+                    rec.extend_from_slice(&mac.finalize());
                     rec
                 }
                 Policy::Passthrough => unreachable!("handled above"),
@@ -731,8 +820,7 @@ impl FsShield {
                 .store
                 .shield_put(&Self::staged_chunk_path(&txn, k), record.clone())
             {
-                self.metrics.aborted_writes.inc();
-                return Err(e);
+                return Err(self.abort_write(file_id, version, e));
             }
         }
 
@@ -741,8 +829,7 @@ impl FsShield {
         let commit = self.encode_commit(path, &meta);
         self.enclave.charge_syscall();
         if let Err(e) = self.store.shield_put(&Self::commit_path(&txn), commit) {
-            self.metrics.aborted_writes.inc();
-            return Err(e);
+            return Err(self.abort_write(file_id, version, e));
         }
         self.meta.insert(path.to_string(), meta);
         self.metrics.writes.inc();
@@ -764,6 +851,15 @@ impl FsShield {
             self.store.shield_delete(&Self::staged_chunk_path(&txn, k))?;
         }
         Ok(())
+    }
+
+    /// Accounts for a protected write that failed before its commit
+    /// point: records sealed under `(file_id, version)` may have reached
+    /// the host, so the version is burned for the life of this instance.
+    fn abort_write(&mut self, file_id: u64, version: u64, cause: ShieldError) -> ShieldError {
+        self.burned_versions.insert(file_id, version);
+        self.metrics.aborted_writes.inc();
+        cause
     }
 
     /// Reads and verifies `path`.
@@ -794,40 +890,58 @@ impl FsShield {
 
     /// Walks the stored blob of a protected file —
     /// `[u64 len | (u32 len | record)*]` — against its in-enclave
-    /// metadata: the length header must match, there must be exactly one
-    /// record per pinned chunk digest, and nothing after the last.
-    /// `visit(i, record)` sees every record in chunk order and decides
-    /// which to open.
-    fn walk_records(
+    /// metadata and returns its records in chunk order, still borrowed
+    /// from the blob. The length header must match, there must be exactly
+    /// one record per pinned chunk digest, each of the size its chunk
+    /// implies, and nothing after the last.
+    ///
+    /// The blob's total size is compared with what the metadata implies
+    /// before anything else looks at it, so a caller may size its output
+    /// from `meta` once this has returned and never holds more than the
+    /// host actually supplied.
+    fn records<'a>(
         path: &str,
         meta: &FileMeta,
-        stored: &[u8],
-        mut visit: impl FnMut(usize, &[u8]) -> Result<(), ShieldError>,
-    ) -> Result<(), ShieldError> {
+        stored: &'a [u8],
+    ) -> Result<Vec<&'a [u8]>, ShieldError> {
         let tampered = |what: &str| ShieldError::FileTampered(format!("{path}: {what}"));
         let mut r = Reader::new(stored);
         if r.u64().map_err(|_| tampered("truncated"))? != meta.len {
             return Err(tampered("length mismatch (rollback or truncation)"));
         }
-        for i in 0..meta.chunk_digests.len() {
-            visit(i, r.len_prefixed().map_err(|_| tampered("truncated"))?)?;
+        if stored.len() as u64 != meta.blob_len() {
+            return Err(tampered("blob size does not match its metadata"));
         }
-        r.finish().map_err(|_| tampered("trailing bytes appended"))
+        let mut records = Vec::with_capacity(meta.chunk_digests.len());
+        for i in 0..meta.chunk_digests.len() {
+            let record = r.len_prefixed().map_err(|_| tampered("truncated"))?;
+            if record.len() != meta.chunk_len(i) + meta.tag_len() {
+                return Err(tampered(&format!("chunk {i} record has the wrong length")));
+            }
+            records.push(record);
+        }
+        r.finish()
+            .map_err(|_| tampered("trailing bytes appended"))?;
+        Ok(records)
     }
 
-    /// Checks record `i` of `path` against its pinned digest, then
-    /// authenticates it per the file's policy and appends the plaintext
-    /// to `out`: decrypted in place there, with no intermediate buffer.
+    /// Checks chunk `i` of `path` — `body` and `tag` as the host stored
+    /// them — against its pinned digest, then authenticates it per the
+    /// file's policy; an encrypted chunk is decrypted in place, so on
+    /// success `body` is the chunk's plaintext.
     fn open_chunk(
-        &self,
+        key: &Key,
         path: &str,
         meta: &FileMeta,
         i: usize,
-        record: &[u8],
-        out: &mut Vec<u8>,
+        body: &mut [u8],
+        tag: &[u8],
     ) -> Result<(), ShieldError> {
         let tampered = |what: &str| ShieldError::FileTampered(format!("{path}: chunk {i} {what}"));
-        if sha256::digest(record) != meta.chunk_digests[i] {
+        let mut pinned = Sha256::new();
+        pinned.update(body);
+        pinned.update(tag);
+        if pinned.finalize() != meta.chunk_digests[i] {
             return Err(tampered("digest mismatch"));
         }
         let total = meta.chunk_digests.len() as u32;
@@ -835,21 +949,16 @@ impl FsShield {
         match meta.policy {
             Policy::EncryptAuth => {
                 let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
-                aead::AeadCtx::new(self.key.clone())
-                    .open_append(&nonce, record, &aad, out)
+                aead::open_in_place_detached(key, &nonce, body, tag, &aad)
                     .map_err(|_| tampered("auth failure"))
             }
             Policy::AuthOnly => {
-                let Some((chunk, tag)) = record.split_last_chunk::<32>() else {
-                    return Err(tampered("too short"));
-                };
-                let mut mac_input = chunk.to_vec();
-                mac_input.extend_from_slice(&aad);
-                let expect = hmac_sha256(self.key.as_bytes(), &mac_input);
-                if !securetf_crypto::ct::eq(&expect, tag) {
+                let mut mac = HmacSha256::new(key.as_bytes());
+                mac.update(body);
+                mac.update(&aad);
+                if !securetf_crypto::ct::eq(&mac.finalize(), tag) {
                     return Err(tampered("mac failure"));
                 }
-                out.extend_from_slice(chunk);
                 Ok(())
             }
             Policy::Passthrough => unreachable!("passthrough files have no chunk records"),
@@ -858,33 +967,51 @@ impl FsShield {
 
     fn read_inner(&self, path: &str) -> Result<Vec<u8>, ShieldError> {
         self.enclave.charge_syscall();
-        let stored = self
-            .store
-            .shield_get(path)?
-            .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
+        let not_found = || ShieldError::FileNotFound(path.to_string());
         let meta = match self.meta.get(path) {
-            Some(m) => m,
-            // No metadata: only passthrough files are readable.
-            None => {
-                if self.policy_for(path) == Policy::Passthrough {
-                    return Ok(stored);
+            Some(m) if m.policy != Policy::Passthrough => m,
+            // No chunk records: the host's bytes are the file, if the
+            // path is allowed to be unprotected at all.
+            unprotected => {
+                let stored = self.store.shield_get(path)?.ok_or_else(not_found)?;
+                if unprotected.is_none() && self.policy_for(path) != Policy::Passthrough {
+                    return Err(ShieldError::FileTampered(format!(
+                        "{path}: no in-enclave metadata for protected file"
+                    )));
                 }
-                return Err(ShieldError::FileTampered(format!(
-                    "{path}: no in-enclave metadata for protected file"
-                )));
+                return Ok(stored);
             }
         };
-        if meta.policy == Policy::Passthrough {
-            return Ok(stored);
+        // A full read bypasses the chunk cache. Under the store lock the
+        // blob is only validated and each record copied once, its chunk
+        // straight to where the plaintext will be and its tag beside it.
+        let tag_len = meta.tag_len();
+        let (mut out, tags) = self.store.shield_view(path, |stored| {
+            let records = Self::records(path, meta, stored.ok_or_else(not_found)?)?;
+            let mut out = vec![0u8; meta.len as usize];
+            let mut tags = vec![[0u8; sha256::DIGEST_LEN]; records.len()];
+            for ((body, record), tag) in chunks_mut(&mut out).zip(records).zip(&mut tags) {
+                let (stored_body, stored_tag) = record.split_at(body.len());
+                body.copy_from_slice(stored_body);
+                tag[..tag_len].copy_from_slice(stored_tag);
+            }
+            Ok::<_, ShieldError>((out, tags))
+        })??;
+        // Verify and open every chunk where it lies, across the pool. A
+        // slot is one chunk, worked on by one worker whatever the worker
+        // count, and every slot runs to its own verdict; the lowest
+        // failing chunk then decides the error.
+        let mut slots: Vec<_> = chunks_mut(&mut out)
+            .zip(&tags)
+            .map(|(body, tag)| (body, &tag[..tag_len], Ok(())))
+            .collect();
+        let key = &self.key;
+        self.pool.run_items(&mut slots, &|i, (body, tag, verdict)| {
+            *verdict = Self::open_chunk(key, path, meta, i, body, tag);
+        });
+        for (_, _, verdict) in slots {
+            verdict?;
         }
-        // A full read bypasses the chunk cache: every chunk lands in the
-        // output buffer (records are no shorter than their plaintext, so
-        // a truncated blob cannot make this reserve more than it holds).
-        let mut out = Vec::with_capacity(stored.len().min(meta.len as usize));
-        Self::walk_records(path, meta, &stored, |i, record| {
-            self.open_chunk(path, meta, i, record, &mut out)
-        })?;
-        out.truncate(meta.len as usize);
         self.enclave.charge_shield_crypto(meta.len);
         self.metrics.crypto_bytes_opened.add(meta.len);
         Ok(out)
@@ -909,63 +1036,62 @@ impl FsShield {
         len: u64,
     ) -> Result<Vec<u8>, ShieldError> {
         self.enclave.charge_syscall();
-        let meta = self
-            .meta
-            .get(path)
-            .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
+        let not_found = || ShieldError::FileNotFound(path.to_string());
+        let meta = self.meta.get(path).ok_or_else(not_found)?;
         let in_bounds = |total: u64| {
             iago::check_bounded_slice(offset, len, total)
                 .map_err(|_| ShieldError::FileTampered(format!("{path}: range out of bounds")))
         };
         if meta.policy == Policy::Passthrough {
-            let stored = self
-                .store
-                .shield_get(path)?
-                .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
-            in_bounds(stored.len() as u64)?;
-            return Ok(stored[offset as usize..(offset + len) as usize].to_vec());
+            return self.store.shield_view(path, |stored| {
+                let stored = stored.ok_or_else(not_found)?;
+                in_bounds(stored.len() as u64)?;
+                Ok(stored[offset as usize..(offset + len) as usize].to_vec())
+            })?;
         }
         in_bounds(meta.len)?;
         if len == 0 {
             return Ok(Vec::new());
         }
-        let stored = self
-            .store
-            .shield_get(path)?
-            .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
 
-        // Only the chunks that overlap the range are opened, and those
-        // land in the chunk cache; the range is copied out of them.
+        // Only the chunks that overlap the range are looked at. Under the
+        // store lock the whole blob is validated, a chunk the cache holds
+        // gives up just the bytes asked for, and the record of one it does
+        // not is copied out to be opened once the lock is gone. (Lock
+        // order: store, then cache; nothing takes them the other way.)
         let first_chunk = (offset / CHUNK_SIZE as u64) as usize;
         let last_chunk = ((offset + len - 1) / CHUNK_SIZE as u64) as usize;
-        let mut out = Vec::with_capacity(stored.len().min(len as usize));
-        let mut decrypted_bytes = 0u64;
-        Self::walk_records(path, meta, &stored, |i, record| {
-            if i < first_chunk || i > last_chunk {
-                return Ok(());
-            }
-            let cache_key = (meta.file_id, meta.version, i as u32);
-            {
-                let mut cache = self.chunk_cache.lock();
-                if let Some(plain) = cache.get(cache_key) {
+        let (mut out, missed) = self.store.shield_view(path, |stored| {
+            let records = Self::records(path, meta, stored.ok_or_else(not_found)?)?;
+            let mut out = vec![0u8; len as usize];
+            let mut missed = Vec::new();
+            let wanted = records.iter().enumerate();
+            for (i, record) in wanted.take(last_chunk + 1).skip(first_chunk) {
+                let (src, at) = overlap(i, meta.chunk_len(i), offset, len);
+                let dst = &mut out[at..at + src.len()];
+                let cache_key = (meta.file_id, meta.version, i as u32);
+                if self.chunk_cache.lock().copy_range(cache_key, src.clone(), dst) {
                     // Verified and decrypted on a previous read; serving
                     // from the in-enclave copy charges no crypto time.
-                    cache.hits += 1;
-                    drop(cache);
                     self.metrics.chunk_cache_hits.inc();
-                    append_range(&mut out, &plain, i, offset, len);
-                    return Ok(());
+                } else {
+                    self.metrics.chunk_cache_misses.inc();
+                    missed.push((i, src, at, record.to_vec()));
                 }
-                cache.misses += 1;
             }
-            self.metrics.chunk_cache_misses.inc();
-            let mut plain = Vec::new();
-            self.open_chunk(path, meta, i, record, &mut plain)?;
-            decrypted_bytes += plain.len() as u64;
-            append_range(&mut out, &plain, i, offset, len);
-            self.chunk_cache.lock().insert(cache_key, plain);
-            Ok(())
-        })?;
+            Ok::<_, ShieldError>((out, missed))
+        })??;
+        let mut decrypted_bytes = 0u64;
+        for (i, src, at, mut record) in missed {
+            let (body, tag) = record.split_at_mut(meta.chunk_len(i));
+            Self::open_chunk(&self.key, path, meta, i, body, tag)?;
+            record.truncate(meta.chunk_len(i));
+            decrypted_bytes += record.len() as u64;
+            out[at..at + src.len()].copy_from_slice(&record[src]);
+            self.chunk_cache
+                .lock()
+                .insert((meta.file_id, meta.version, i as u32), record);
+        }
         if decrypted_bytes > 0 {
             self.enclave.charge_shield_crypto(decrypted_bytes);
             self.metrics.crypto_bytes_opened.add(decrypted_bytes);
@@ -997,7 +1123,7 @@ impl FsShield {
     /// Whether `path` currently exists (written through this shield or
     /// host-visible for passthrough paths).
     pub fn exists(&self, path: &str) -> bool {
-        self.meta.contains_key(path) || self.store.raw_contents(path).is_some()
+        self.meta.contains_key(path) || self.store.contains(path)
     }
 
     /// Returns the current version of a protected file (for the CAS
@@ -1695,9 +1821,120 @@ mod tests {
                 );
             }
         }
-        // FIFO over a cycle longer than the cache: each chunk was evicted
-        // before its turn came round again.
+        // A cycle longer than the cache is LRU's worst case: each chunk was
+        // evicted before its turn came round again.
         assert_eq!(shield.chunk_cache_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn hot_chunk_survives_any_number_of_cold_inserts() {
+        let (mut shield, _store) = setup();
+        let chunks = 2 * CHUNK_CACHE_CAP + 3;
+        let big: Vec<u8> = (0..chunks * CHUNK_SIZE).map(|i| (i % 233) as u8).collect();
+        shield.write("/secure/big", &big).unwrap();
+        // Chunk 0 is touched between every two cold chunks: least recently
+        // used eviction keeps it, first-in-first-out would have dropped it
+        // after CHUNK_CACHE_CAP inserts.
+        shield.read_range("/secure/big", 5, 32).unwrap();
+        for cold in 1..chunks {
+            let offset = (cold * CHUNK_SIZE) as u64 + 9;
+            let got = shield.read_range("/secure/big", offset, 16).unwrap();
+            assert_eq!(got, &big[offset as usize..offset as usize + 16]);
+            assert_eq!(
+                shield.read_range("/secure/big", 5, 32).unwrap(),
+                &big[5..37]
+            );
+        }
+        // One miss per distinct chunk, one hit per revisit of chunk 0.
+        let hits = (chunks - 1) as f64;
+        let expect = hits / (hits + chunks as f64);
+        assert!((shield.chunk_cache_hit_rate() - expect).abs() < 1e-9);
+        // Rewrite and delete still drop the hot chunk.
+        shield.write("/secure/big", &vec![7u8; CHUNK_SIZE]).unwrap();
+        assert_eq!(
+            shield.read_range("/secure/big", 5, 32).unwrap(),
+            vec![7u8; 32]
+        );
+        assert!(shield.delete("/secure/big").unwrap());
+        assert!(shield.read_range("/secure/big", 5, 32).is_err());
+    }
+
+    /// Offset in the stored blob of the first byte of record `i`'s chunk.
+    fn record_body_at(i: usize, tag_len: usize) -> usize {
+        8 + i * (4 + CHUNK_SIZE + tag_len) + 4
+    }
+
+    #[test]
+    fn pooled_read_is_identical_for_any_worker_count() {
+        let worker_counts = [1usize, 2, 3, 8];
+        for (dir, tag_len) in [("/secure/", 16usize), ("/auth/", 32)] {
+            for len in [0usize, 1, 2 * CHUNK_SIZE, 3 * CHUNK_SIZE + 123] {
+                let (mut shield, store) = setup();
+                let path = format!("{dir}f{len}");
+                let data: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
+                shield.write(&path, &data).unwrap();
+                for workers in worker_counts {
+                    shield.set_worker_pool(WorkerPool::new(workers));
+                    assert_eq!(
+                        shield.read(&path).unwrap(),
+                        data,
+                        "{path}, {workers} workers"
+                    );
+                }
+                if len <= 3 * CHUNK_SIZE {
+                    continue;
+                }
+                // Two tampered chunks: every worker count reports the lower.
+                assert!(store.corrupt(&path, record_body_at(3, tag_len) + 100));
+                assert!(store.corrupt(&path, record_body_at(1, tag_len) + 7));
+                let mut errors = Vec::new();
+                for workers in worker_counts {
+                    shield.set_worker_pool(WorkerPool::new(workers));
+                    errors.push(shield.read(&path).unwrap_err());
+                }
+                assert!(
+                    matches!(&errors[0], ShieldError::FileTampered(what) if what.contains("chunk 1 ")),
+                    "{:?}",
+                    errors[0]
+                );
+                assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn read_range_of_the_last_chunk_still_validates_the_whole_blob() {
+        let data: Vec<u8> = (0..2 * CHUNK_SIZE + 300).map(|i| (i % 247) as u8).collect();
+        let tail = (2 * CHUNK_SIZE as u64 + 100, 150u64);
+        type Tamper = fn(&mut Vec<u8>);
+        let tampers: [(&str, Tamper); 4] = [
+            ("flipped length header", |blob| blob[0] ^= 1),
+            ("inflated length prefix of record 0", |blob| blob[8] += 1),
+            ("truncated by one byte", |blob| {
+                blob.pop();
+            }),
+            ("one trailing byte", |blob| blob.push(0)),
+        ];
+        for (what, tamper) in tampers {
+            for warm in [false, true] {
+                let (mut shield, store) = setup();
+                shield.write("/secure/f", &data).unwrap();
+                if warm {
+                    // With the last chunk cached the blob is still walked.
+                    shield.read_range("/secure/f", tail.0, tail.1).unwrap();
+                }
+                let mut blob = store.raw_contents("/secure/f").unwrap();
+                tamper(&mut blob);
+                store.raw_put("/secure/f", blob);
+                assert!(
+                    matches!(
+                        shield.read_range("/secure/f", tail.0, tail.1),
+                        Err(ShieldError::FileTampered(_))
+                    ),
+                    "{what} (cache warm: {warm}) went undetected"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1882,6 +2119,45 @@ mod tests {
             FsShield::recover(restart_enclave(&platform), store).unwrap();
         assert_eq!(recovered.read("/secure/f").unwrap(), new);
         assert_eq!(report.rolled_forward, 1);
+    }
+
+    #[test]
+    fn aborted_write_burns_its_version_so_the_retry_gets_a_fresh_nonce() {
+        let (_p, enclave, store) = crash_setup();
+        let mut shield = FsShield::new(enclave, store.clone());
+        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
+        shield.write("/secure/f", &[0x55u8; 64]).unwrap();
+        // One-chunk overwrite: the staged record lands, the commit does not.
+        store.fail_after_ops(1);
+        assert!(matches!(
+            shield.write("/secure/f", &[0x11u8; 64]),
+            Err(ShieldError::HostCrashed(_))
+        ));
+        store.host_restart();
+        assert_eq!(shield.version("/secure/f"), Some(1));
+        let staged_path = store
+            .paths()
+            .into_iter()
+            .find(|p| p.contains("/txn/") && p.ends_with("/c000000"))
+            .expect("the aborted transaction's staged record reached the host");
+        let staged = store.raw_contents(&staged_path).unwrap();
+        shield.write("/secure/f", &[0x77u8; 64]).unwrap();
+        assert_eq!(shield.read("/secure/f").unwrap(), [0x77u8; 64]);
+        assert_eq!(shield.version("/secure/f"), Some(3), "version 2 was burned");
+
+        // The host has seen a record sealed under the aborted version and
+        // the installed one. Under one nonce they would XOR to the XOR of
+        // their plaintexts, 0x11 ^ 0x77 on every byte.
+        let installed = store.raw_contents("/secure/f").unwrap();
+        let installed = &installed[record_body_at(0, 16)..][..64];
+        let keystream_reused = staged[..64]
+            .iter()
+            .zip(installed)
+            .all(|(a, b)| a ^ b == 0x11 ^ 0x77);
+        assert!(
+            !keystream_reused,
+            "retry sealed under the aborted write's nonce"
+        );
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //!    at the serving shape 8×1024×1024 — a batch of 8 rows against a
 //!    4 MB weight matrix, where a kernel that is fine at 256³ can still
 //!    be store-bound — by at least 2× where it runs on AVX2 (release
-//!    builds only; debug builds skip the speed assertions), and
-//! 2. pooled outputs are bit-identical to serial ones.
+//!    builds only; debug builds skip the speed assertions),
+//! 2. the conv filter gradient alone — all a training step needs of the
+//!    conv backward when the image is a placeholder — beats the naive
+//!    backward loop by at least 3× at the training shape (release), and
+//! 3. pooled outputs are bit-identical to serial ones.
 //!
 //! The report's `mode` records the instruction set the kernel ran on
 //! (`kernels::simd_level`), without which the numbers cannot be compared
@@ -20,7 +23,7 @@
 use securetf_bench::report::{BenchReport, JsonValue};
 use securetf_bench::{fmt_ns, fmt_ratio, header};
 use securetf_tensor::graph::Padding;
-use securetf_tensor::kernels::{self, reference, WorkerPool};
+use securetf_tensor::kernels::{self, reference, WorkerPool, Workspace};
 use securetf_tensor::tensor::Tensor;
 use std::time::Instant;
 
@@ -114,6 +117,64 @@ fn bench_conv(
     }
 }
 
+/// The conv backward at one shape: both gradients (`conv2d_grad`) and
+/// the filter gradient alone, each against the one naive loop that
+/// computes both.
+fn bench_conv_grad(
+    shape: (usize, usize, usize, usize),
+    filter_shape: (usize, usize, usize),
+    workers: usize,
+    reps: usize,
+) -> [MatmulRow; 2] {
+    let (b, h, w, cin) = shape;
+    let (kh, kw, cout) = filter_shape;
+    let input = Tensor::from_vec(&[b, h, w, cin], fill(29, b * h * w * cin)).expect("input");
+    let filter =
+        Tensor::from_vec(&[kh, kw, cin, cout], fill(31, kh * kw * cin * cout)).expect("filter");
+    let grad = Tensor::from_vec(&[b, h, w, cout], fill(37, b * h * w * cout)).expect("grad");
+    let (naive_ns, (naive_gi, naive_gf)) = time_ns(reps, || {
+        reference::naive_conv2d_grad(&input, &filter, &grad, Padding::Same).expect("conv grad")
+    });
+    let (serial, pool) = (WorkerPool::serial(), WorkerPool::new(workers));
+    let both = |pool: &WorkerPool| {
+        time_ns(reps, || kernels::conv2d_grad(pool, &input, &filter, &grad, Padding::Same).expect("conv grad"))
+    };
+    let mut ws = Workspace::new();
+    let mut filter_only = |pool: &WorkerPool| {
+        time_ns(reps, || {
+            kernels::conv2d_grad_filter(pool, &mut ws, &input, filter.shape(), &grad, Padding::Same, &mut |len| {
+                vec![0.0f32; len]
+            })
+            .expect("conv grad")
+        })
+    };
+    let (both_ns, (gi, gf, _)) = both(&serial);
+    let (both_pooled_ns, (pooled_gi, pooled_gf, _)) = both(&pool);
+    let (filter_ns, (only_gf, _)) = filter_only(&serial);
+    let (filter_pooled_ns, (pooled_only_gf, _)) = filter_only(&pool);
+    let same = |got: &Tensor, want: &Tensor| bits(got.data()) == bits(want.data());
+    let label = format!("{b}x{h}x{w}x{cin} k{kh}x{kw}->{cout}");
+    [
+        MatmulRow {
+            label: format!("conv2d_grad {label}"),
+            naive_ns,
+            blocked_ns: both_ns,
+            pooled_ns: both_pooled_ns,
+            identical: same(&gi, &naive_gi)
+                && same(&gf, &naive_gf)
+                && same(&pooled_gi, &naive_gi)
+                && same(&pooled_gf, &naive_gf),
+        },
+        MatmulRow {
+            label: format!("conv2d_grad_filter {label}"),
+            naive_ns,
+            blocked_ns: filter_ns,
+            pooled_ns: filter_pooled_ns,
+            identical: same(&only_gf, &naive_gf) && same(&pooled_only_gf, &naive_gf),
+        },
+    ]
+}
+
 fn main() {
     let workers = std::thread::available_parallelism()
         .map(|p| p.get().min(4))
@@ -122,10 +183,10 @@ fn main() {
 
     header(
         &format!("Kernel layer ({}): naive vs blocked vs pooled (wall clock)", kernels::simd_level()),
-        &["kernel                      ", "naive     ", "blocked   ", "pooled    ", "blk speedup", "bit-identical"],
+        &["kernel                                   ", "naive     ", "blocked   ", "pooled    ", "blk speedup", "bit-identical"],
     );
 
-    let rows = vec![
+    let mut rows = vec![
         bench_matmul(256, 256, 256, workers, reps),
         bench_matmul(128, 512, 64, workers, reps),
         // Serving and training shapes: a gateway batch and a single
@@ -137,6 +198,9 @@ fn main() {
         bench_matmul(32, 10, 3136, workers, reps),
         bench_conv((2, 64, 64, 8), (3, 3, 16), workers, reps),
     ];
+    // The conv classifier's backward at its training shape (batch 32 of
+    // 28x28x1, 16 channels): `train_dist` runs the filter half only.
+    rows.extend(bench_conv_grad((32, 28, 28, 1), (3, 3, 16), workers, reps));
 
     let simd = kernels::simd_level();
     let mut report = BenchReport::new("kernels")
@@ -146,7 +210,7 @@ fn main() {
     let mut all_identical = true;
     for row in &rows {
         println!(
-            "{:<28} | {:>10} | {:>10} | {:>10} | {:>11} | {}",
+            "{:<41} | {:>10} | {:>10} | {:>10} | {:>11} | {}",
             row.label,
             fmt_ns(row.naive_ns),
             fmt_ns(row.blocked_ns),
@@ -197,6 +261,13 @@ fn main() {
             "{simd} matmul ({}) is not {factor}x faster than naive ({}) on the serving shape 8x1024x1024",
             fmt_ns(serving.blocked_ns),
             fmt_ns(serving.naive_ns),
+        );
+        let filter_grad = rows.last().expect("conv backward rows");
+        assert!(
+            filter_grad.blocked_ns * 3 <= filter_grad.naive_ns,
+            "conv filter gradient ({}) is not 3x faster than the naive backward ({}) at the training shape",
+            fmt_ns(filter_grad.blocked_ns),
+            fmt_ns(filter_grad.naive_ns),
         );
     }
     report.emit();

@@ -107,7 +107,10 @@ pub(crate) fn attribute_kernel_flops(
 /// pool holds between runs. An operator reads them together:
 /// `pool_bytes` stays flat from run to run and within one run's worth of
 /// buffers, so the real footprint tracks the region the cost model
-/// charges for.
+/// charges for. `grad_slots` and `grads_pruned` say how much of a backward
+/// pass the plan kept: gradients it has a slot for against nodes whose
+/// gradient is never computed because no variable is upstream of them
+/// (both 0 for an inference plan).
 pub(crate) fn export_memory_gauges(
     enclave: &securetf_tee::Enclave,
     mem: &securetf_tensor::memory::MemoryStats,
@@ -120,6 +123,8 @@ pub(crate) fn export_memory_gauges(
         .gauge("memory.arena_bytes_in_use")
         .set(mem.peak_resident_bytes as i64);
     telemetry.gauge("memory.pool_bytes").set(mem.pooled_bytes as i64);
+    telemetry.gauge("memory.grad_slots").set(mem.grad_slots as i64);
+    telemetry.gauge("memory.grads_pruned").set(mem.grads_pruned as i64);
 }
 
 /// Top-level error type of the secureTF API.

@@ -10,7 +10,7 @@
 //! planned lifetime ends. Gradients are verified against numerical
 //! differentiation in this module's tests.
 
-use crate::graph::{Graph, Node, NodeId, Op};
+use crate::graph::{Graph, Node, NodeId, Op, Padding};
 use crate::kernels::{self, KernelCost, TakeBuffer, WorkerPool, Workspace};
 use crate::memory::{ExecMemory, Feeds};
 use crate::tensor::Tensor;
@@ -402,13 +402,32 @@ fn accumulate(
     Ok(())
 }
 
+/// One operand's share of a backward rule: computes the contribution and
+/// accumulates it into `nid` — if the plan wants `nid`'s gradient at all
+/// ([`crate::memory::MemoryPlan::wants_grad`]). A contribution nothing
+/// would consume is never computed.
+fn flow(
+    grads: &mut HashMap<NodeId, Tensor>,
+    mem: &mut ExecMemory,
+    nid: NodeId,
+    contribution: impl FnOnce(&mut ExecMemory) -> Result<Tensor, TensorError>,
+) -> Result<(), TensorError> {
+    if mem.plan().wants_grad(nid.0) {
+        let g = contribution(mem)?;
+        accumulate(grads, mem, nid, g)?;
+    }
+    Ok(())
+}
+
 /// Computes gradients of the scalar `loss` over a completed forward pass:
 /// gradients and every temporary draw buffers from the arena, leaf
 /// operands are read in place, shape-only operands come from the plan,
 /// forward values are recycled at their last backward reader, and
 /// non-variable gradients are recycled right after their node's rule
-/// fires. Returns exactly the variable gradients (what the optimizer
-/// consumes) — the only buffers that leave the arena.
+/// fires. Only the gradients the plan wants are computed — those with a
+/// variable upstream — so a graph without variables runs no rule at all.
+/// Returns exactly the variable gradients (what the optimizer consumes)
+/// — the only buffers that leave the arena.
 ///
 /// # Errors
 ///
@@ -428,11 +447,13 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
     if loss_value.len() != 1 {
         return Err(TensorError::InvalidGraph("loss must be scalar"));
     }
-    let mut seed = mem.zeros(loss_value.shape());
-    seed.data_mut().fill(1.0);
     let mut grads: HashMap<NodeId, Tensor> = HashMap::new();
-    mem.on_grad(loss.0, &seed)?;
-    grads.insert(loss, seed);
+    let loss_shape = loss_value.shape().to_vec();
+    flow(&mut grads, mem, loss, |mem| {
+        let mut seed = mem.zeros(&loss_shape);
+        seed.data_mut().fill(1.0);
+        Ok(seed)
+    })?;
 
     for index in (0..=loss.0).rev() {
         let id = NodeId(index);
@@ -445,138 +466,127 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
             grads.remove(&id)
         };
         if let Some(grad) = grad {
+            let grads = &mut grads;
             let value_of = |nid: NodeId| -> Result<&Tensor, TensorError> {
                 leaves
                     .operand(values, nid)
                     .ok_or(TensorError::InvalidGraph("missing forward value"))
             };
+            // The node's own forward output (the s·(1-s)-style rules and
+            // the fused-relu mask read it).
+            let output = || {
+                values
+                    .get(index)
+                    .and_then(Option::as_ref)
+                    .ok_or(TensorError::InvalidGraph("missing forward output"))
+            };
+            let shape_of = |mem: &ExecMemory, nid: NodeId| mem.plan().shape(nid.0).to_vec();
             match &node.op {
                 Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => {}
                 Op::MatMul(a, b) => {
-                    let (ta, tb) = (value_of(*a)?, value_of(*b)?);
-                    let tat = transposed(mem, ta)?;
-                    let tbt = transposed(mem, tb)?;
-                    let ga = kernels::matmul_with(pool, &grad, &tbt, &mut |len| mem.take(len))?.0;
-                    let gb = kernels::matmul_with(pool, &tat, &grad, &mut |len| mem.take(len))?.0;
-                    mem.recycle(tat);
-                    mem.recycle(tbt);
-                    accumulate(&mut grads, mem, *a, ga)?;
-                    accumulate(&mut grads, mem, *b, gb)?;
+                    flow(grads, mem, *a, |mem| matmul_grad_lhs(pool, mem, &grad, value_of(*b)?))?;
+                    flow(grads, mem, *b, |mem| matmul_grad_rhs(pool, mem, value_of(*a)?, &grad))?;
                 }
                 Op::AddBias(x, bias) => {
-                    let bias_shape = mem.plan().shape(bias.0).to_vec();
-                    let gx = copy(mem, &grad);
-                    accumulate(&mut grads, mem, *x, gx)?;
-                    let gbias = column_sum(mem, &grad, &bias_shape);
-                    accumulate(&mut grads, mem, *bias, gbias)?;
+                    flow(grads, mem, *x, |mem| Ok(copy(mem, &grad)))?;
+                    flow(grads, mem, *bias, |mem| {
+                        let bias_shape = shape_of(mem, *bias);
+                        Ok(column_sum(mem, &grad, &bias_shape))
+                    })?;
                 }
                 Op::Add(a, b) => {
-                    let ga = copy(mem, &grad);
-                    accumulate(&mut grads, mem, *a, ga)?;
-                    let gb = copy(mem, &grad);
-                    accumulate(&mut grads, mem, *b, gb)?;
+                    flow(grads, mem, *a, |mem| Ok(copy(mem, &grad)))?;
+                    flow(grads, mem, *b, |mem| Ok(copy(mem, &grad)))?;
                 }
                 Op::Mul(a, b) => {
-                    let ga = zip(mem, &grad, value_of(*b)?, |g, v| g * v)?;
-                    let gb = zip(mem, &grad, value_of(*a)?, |g, v| g * v)?;
-                    accumulate(&mut grads, mem, *a, ga)?;
-                    accumulate(&mut grads, mem, *b, gb)?;
+                    flow(grads, mem, *a, |mem| zip(mem, &grad, value_of(*b)?, |g, v| g * v))?;
+                    flow(grads, mem, *b, |mem| zip(mem, &grad, value_of(*a)?, |g, v| g * v))?;
                 }
                 Op::Relu(x) => {
-                    let gx = zip(mem, &grad, value_of(*x)?, relu_mask)?;
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| zip(mem, &grad, value_of(*x)?, relu_mask))?;
                 }
                 Op::Softmax(x) => {
-                    let s = values
-                        .get(index)
-                        .and_then(Option::as_ref)
-                        .ok_or(TensorError::InvalidGraph("missing softmax value"))?;
-                    let gx = softmax_grad(mem, s, &grad)?;
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| softmax_grad(mem, output()?, &grad))?;
                 }
                 Op::Conv2d {
                     input,
                     filter,
                     padding,
                 } => {
-                    let (ti, tf) = (value_of(*input)?, value_of(*filter)?);
-                    let (gi, gf, _) =
-                        kernels::conv2d_grad_with(pool, ws, ti, tf, &grad, *padding, &mut |len| {
-                            mem.take(len)
-                        })?;
-                    accumulate(&mut grads, mem, *input, gi)?;
-                    accumulate(&mut grads, mem, *filter, gf)?;
+                    conv2d_backward(grads, mem, pool, ws, (*input, *filter), &grad, *padding, &value_of)?;
                 }
                 Op::MaxPool2(x) => {
-                    let tx = value_of(*x)?;
-                    let routed =
-                        max_pool2(tx, &mut ws.pool_indices, &mut |len| mem.take(len))?;
-                    let mut gx = Tensor::from_vec(tx.shape(), mem.take(tx.len()))?;
-                    for (out_idx, &src_idx) in ws.pool_indices.iter().enumerate() {
-                        gx.data_mut()[src_idx] += grad.data()[out_idx];
-                    }
-                    mem.recycle(routed);
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| {
+                        let tx = value_of(*x)?;
+                        let routed =
+                            max_pool2(tx, &mut ws.pool_indices, &mut |len| mem.take(len))?;
+                        mem.recycle(routed);
+                        let mut gx = mem.zeros(tx.shape());
+                        for (out_idx, &src_idx) in ws.pool_indices.iter().enumerate() {
+                            gx.data_mut()[src_idx] += grad.data()[out_idx];
+                        }
+                        Ok(gx)
+                    })?;
                 }
                 Op::Flatten(x) | Op::Reshape(x, _) => {
-                    let x_shape = mem.plan().shape(x.0).to_vec();
-                    let gx = reshaped(mem, &grad, &x_shape)?;
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| {
+                        let x_shape = shape_of(mem, *x);
+                        reshaped(mem, &grad, &x_shape)
+                    })?;
                 }
                 Op::SoftmaxCrossEntropy { logits, labels } => {
-                    let (tl, ty) = (value_of(*logits)?, value_of(*labels)?);
-                    let batch = tl.shape()[0] as f32;
-                    let probs = softmax(mem, tl)?;
-                    let scale = grad.data()[0] / batch;
-                    let gl = zip(mem, &probs, ty, |p, y| (p - y) * scale)?;
-                    mem.recycle(probs);
-                    accumulate(&mut grads, mem, *logits, gl)?;
+                    flow(grads, mem, *logits, |mem| {
+                        let (tl, ty) = (value_of(*logits)?, value_of(*labels)?);
+                        let batch = tl.shape()[0] as f32;
+                        let probs = softmax(mem, tl)?;
+                        let scale = grad.data()[0] / batch;
+                        let gl = zip(mem, &probs, ty, |p, y| (p - y) * scale);
+                        mem.recycle(probs);
+                        gl
+                    })?;
                 }
                 Op::MseLoss(p, t) => {
-                    let (tp, tt) = (value_of(*p)?, value_of(*t)?);
-                    let n = tp.len() as f32;
-                    let scale = 2.0 * grad.data()[0] / n;
-                    let gp = zip(mem, tp, tt, |a, b| (a - b) * scale)?;
-                    accumulate(&mut grads, mem, *p, gp)?;
+                    flow(grads, mem, *p, |mem| {
+                        let (tp, tt) = (value_of(*p)?, value_of(*t)?);
+                        let n = tp.len() as f32;
+                        let scale = 2.0 * grad.data()[0] / n;
+                        zip(mem, tp, tt, |a, b| (a - b) * scale)
+                    })?;
                 }
                 Op::Sub(a, b) => {
-                    let ga = copy(mem, &grad);
-                    accumulate(&mut grads, mem, *a, ga)?;
-                    let gb = map(mem, &grad, |g| -g);
-                    accumulate(&mut grads, mem, *b, gb)?;
+                    flow(grads, mem, *a, |mem| Ok(copy(mem, &grad)))?;
+                    flow(grads, mem, *b, |mem| Ok(map(mem, &grad, |g| -g)))?;
                 }
                 Op::Scale(x, factor) => {
                     let f = *factor;
-                    let gx = map(mem, &grad, |g| g * f);
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| Ok(map(mem, &grad, |g| g * f)))?;
                 }
                 Op::Sigmoid(x) => {
-                    let s = values
-                        .get(index)
-                        .and_then(Option::as_ref)
-                        .ok_or(TensorError::InvalidGraph("missing sigmoid value"))?;
-                    let gx = zip(mem, &grad, s, |g, sv| g * sv * (1.0 - sv))?;
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| {
+                        zip(mem, &grad, output()?, |g, sv| g * sv * (1.0 - sv))
+                    })?;
                 }
                 Op::Tanh(x) => {
-                    let t = values
-                        .get(index)
-                        .and_then(Option::as_ref)
-                        .ok_or(TensorError::InvalidGraph("missing tanh value"))?;
-                    let gx = zip(mem, &grad, t, |g, tv| g * (1.0 - tv * tv))?;
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| {
+                        zip(mem, &grad, output()?, |g, tv| g * (1.0 - tv * tv))
+                    })?;
                 }
                 Op::AvgPool2(x) => {
-                    let x_shape = mem.plan().shape(x.0).to_vec();
-                    let gx = avg_pool2_grad(mem, &x_shape, &grad)?;
-                    accumulate(&mut grads, mem, *x, gx)?;
+                    flow(grads, mem, *x, |mem| {
+                        let x_shape = shape_of(mem, *x);
+                        avg_pool2_grad(mem, &x_shape, &grad)
+                    })?;
                 }
                 Op::ConcatCols(a, b) => {
-                    let a_shape = mem.plan().shape(a.0).to_vec();
-                    let b_shape = mem.plan().shape(b.0).to_vec();
-                    let (ga, gb) = concat_cols_grad(mem, &a_shape, &b_shape, &grad)?;
-                    accumulate(&mut grads, mem, *a, ga)?;
-                    accumulate(&mut grads, mem, *b, gb)?;
+                    let a_cols = mem.plan().shape(a.0).get(1).copied().unwrap_or(0);
+                    flow(grads, mem, *a, |mem| {
+                        let a_shape = shape_of(mem, *a);
+                        column_range(mem, &grad, 0, &a_shape)
+                    })?;
+                    flow(grads, mem, *b, |mem| {
+                        let b_shape = shape_of(mem, *b);
+                        column_range(mem, &grad, a_cols, &b_shape)
+                    })?;
                 }
                 Op::FusedMatMul {
                     lhs,
@@ -588,29 +598,19 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                     // output is bit-identical to the unfused relu backward's
                     // mask on the never-materialized pre-activation.
                     let dpre = if *relu {
-                        let y = values
-                            .get(index)
-                            .and_then(Option::as_ref)
-                            .ok_or(TensorError::InvalidGraph("missing fused value"))?;
-                        zip(mem, &grad, y, relu_mask)?
+                        zip(mem, &grad, output()?, relu_mask)?
                     } else {
                         copy(mem, &grad)
                     };
-                    let bias_shape = mem.plan().shape(bias.0).to_vec();
-                    let gbias = column_sum(mem, &dpre, &bias_shape);
-                    let (tl, tr) = (value_of(*lhs)?, value_of(*rhs)?);
-                    let tlt = transposed(mem, tl)?;
-                    let trt = transposed(mem, tr)?;
-                    let ga = kernels::matmul_with(pool, &dpre, &trt, &mut |len| mem.take(len))?.0;
-                    let gb = kernels::matmul_with(pool, &tlt, &dpre, &mut |len| mem.take(len))?.0;
-                    mem.recycle(tlt);
-                    mem.recycle(trt);
-                    mem.recycle(dpre);
                     // Unfused order: add_bias's bias grad lands before the
                     // matmul grads, so aliased inputs accumulate identically.
-                    accumulate(&mut grads, mem, *bias, gbias)?;
-                    accumulate(&mut grads, mem, *lhs, ga)?;
-                    accumulate(&mut grads, mem, *rhs, gb)?;
+                    flow(grads, mem, *bias, |mem| {
+                        let bias_shape = shape_of(mem, *bias);
+                        Ok(column_sum(mem, &dpre, &bias_shape))
+                    })?;
+                    flow(grads, mem, *lhs, |mem| matmul_grad_lhs(pool, mem, &dpre, value_of(*rhs)?))?;
+                    flow(grads, mem, *rhs, |mem| matmul_grad_rhs(pool, mem, value_of(*lhs)?, &dpre))?;
+                    mem.recycle(dpre);
                 }
                 Op::FusedConv2d {
                     input,
@@ -620,25 +620,16 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                     relu,
                 } => {
                     let dpre = if *relu {
-                        let y = values
-                            .get(index)
-                            .and_then(Option::as_ref)
-                            .ok_or(TensorError::InvalidGraph("missing fused value"))?;
-                        zip(mem, &grad, y, relu_mask)?
+                        zip(mem, &grad, output()?, relu_mask)?
                     } else {
                         copy(mem, &grad)
                     };
-                    let bias_shape = mem.plan().shape(bias.0).to_vec();
-                    let gbias = column_sum(mem, &dpre, &bias_shape);
-                    let (ti, tf) = (value_of(*input)?, value_of(*filter)?);
-                    let (gi, gf, _) =
-                        kernels::conv2d_grad_with(pool, ws, ti, tf, &dpre, *padding, &mut |len| {
-                            mem.take(len)
-                        })?;
+                    flow(grads, mem, *bias, |mem| {
+                        let bias_shape = shape_of(mem, *bias);
+                        Ok(column_sum(mem, &dpre, &bias_shape))
+                    })?;
+                    conv2d_backward(grads, mem, pool, ws, (*input, *filter), &dpre, *padding, &value_of)?;
                     mem.recycle(dpre);
-                    accumulate(&mut grads, mem, *bias, gbias)?;
-                    accumulate(&mut grads, mem, *input, gi)?;
-                    accumulate(&mut grads, mem, *filter, gf)?;
                 }
             }
             mem.release_grad(index, grad);
@@ -646,6 +637,34 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
         mem.drop_dead_values(2 * loss.0 + 1 - index, values);
     }
     Ok(grads)
+}
+
+/// The conv rules' two operand gradients, each its own kernel: the input
+/// gradient reads the filter's values and the filter gradient the
+/// input's, so a pruned side costs nothing.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_backward<'v>(
+    grads: &mut HashMap<NodeId, Tensor>,
+    mem: &mut ExecMemory,
+    pool: &WorkerPool,
+    ws: &mut Workspace,
+    (input, filter): (NodeId, NodeId),
+    grad: &Tensor,
+    padding: Padding,
+    value_of: &impl Fn(NodeId) -> Result<&'v Tensor, TensorError>,
+) -> Result<(), TensorError> {
+    flow(grads, mem, input, |mem| {
+        let input_shape = mem.plan().shape(input.0).to_vec();
+        let tf = value_of(filter)?;
+        let take: TakeBuffer<'_> = &mut |len| mem.take(len);
+        Ok(kernels::conv2d_grad_input(pool, ws, &input_shape, tf, grad, padding, take)?.0)
+    })?;
+    flow(grads, mem, filter, |mem| {
+        let filter_shape = mem.plan().shape(filter.0).to_vec();
+        let ti = value_of(input)?;
+        let take: TakeBuffer<'_> = &mut |len| mem.take(len);
+        Ok(kernels::conv2d_grad_filter(pool, ws, ti, &filter_shape, grad, padding, take)?.0)
+    })
 }
 
 // ---- kernels ---------------------------------------------------------------
@@ -735,6 +754,32 @@ fn transposed(mem: &mut ExecMemory, x: &Tensor) -> Result<Tensor, TensorError> {
         }
     }
     Ok(out)
+}
+
+/// `grad × rhsᵀ`: a product's gradient with respect to its left operand.
+fn matmul_grad_lhs(
+    pool: &WorkerPool,
+    mem: &mut ExecMemory,
+    grad: &Tensor,
+    rhs: &Tensor,
+) -> Result<Tensor, TensorError> {
+    let rhs_t = transposed(mem, rhs)?;
+    let product = kernels::matmul_with(pool, grad, &rhs_t, &mut |len| mem.take(len));
+    mem.recycle(rhs_t);
+    Ok(product?.0)
+}
+
+/// `lhsᵀ × grad`: a product's gradient with respect to its right operand.
+fn matmul_grad_rhs(
+    pool: &WorkerPool,
+    mem: &mut ExecMemory,
+    lhs: &Tensor,
+    grad: &Tensor,
+) -> Result<Tensor, TensorError> {
+    let lhs_t = transposed(mem, lhs)?;
+    let product = kernels::matmul_with(pool, &lhs_t, grad, &mut |len| mem.take(len));
+    mem.recycle(lhs_t);
+    Ok(product?.0)
 }
 
 fn add_bias(mem: &mut ExecMemory, x: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
@@ -942,27 +987,32 @@ fn concat_cols(mem: &mut ExecMemory, a: &Tensor, b: &Tensor) -> Result<Tensor, T
     Ok(out)
 }
 
-fn concat_cols_grad(
+/// `grad`'s columns `first..first + shape[1]` as a tensor of `shape`: one
+/// operand's share of a `ConcatCols` gradient.
+fn column_range(
     mem: &mut ExecMemory,
-    a_shape: &[usize],
-    b_shape: &[usize],
     grad: &Tensor,
-) -> Result<(Tensor, Tensor), TensorError> {
-    let (&[m, n1], &[_, n2]) = (a_shape, b_shape) else {
+    first: usize,
+    shape: &[usize],
+) -> Result<Tensor, TensorError> {
+    let (&[m, n], &[gm, total]) = (shape, grad.shape()) else {
         return Err(TensorError::ShapeMismatch {
             op: "concat_cols_grad",
-            detail: format!("{a_shape:?} / {b_shape:?}"),
+            detail: format!("{shape:?} of {:?}", grad.shape()),
         });
     };
-    let mut ga = mem.zeros(a_shape);
-    let mut gb = mem.zeros(b_shape);
-    for i in 0..m {
-        ga.data_mut()[i * n1..(i + 1) * n1]
-            .copy_from_slice(&grad.data()[i * (n1 + n2)..i * (n1 + n2) + n1]);
-        gb.data_mut()[i * n2..(i + 1) * n2]
-            .copy_from_slice(&grad.data()[i * (n1 + n2) + n1..(i + 1) * (n1 + n2)]);
+    if m != gm || first + n > total {
+        return Err(TensorError::ShapeMismatch {
+            op: "concat_cols_grad",
+            detail: format!("columns {first}..{} of {:?}", first + n, grad.shape()),
+        });
     }
-    Ok((ga, gb))
+    let mut out = mem.zeros(shape);
+    for i in 0..m {
+        out.data_mut()[i * n..(i + 1) * n]
+            .copy_from_slice(&grad.data()[i * total + first..i * total + first + n]);
+    }
+    Ok(out)
 }
 
 /// 2×2 max pooling writing the output into a `take`-provided buffer and
@@ -990,7 +1040,9 @@ fn max_pool2(
             for ox in 0..ow {
                 for ci in 0..c {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
+                    // A window no tap of which beats -inf (all NaN or
+                    // -inf) routes its gradient to its own first tap.
+                    let mut best_idx = ((bi * h + oy * 2) * w + ox * 2) * c + ci;
                     for dy in 0..2 {
                         for dx in 0..2 {
                             let iy = oy * 2 + dy;
@@ -1387,6 +1439,39 @@ mod tests {
         assert_eq!(out.shape(), &[1, 1, 1, 1]);
         assert_eq!(out.data(), &[5.0]);
         assert_eq!(idx, vec![1]);
+    }
+
+    #[test]
+    fn max_pool_window_without_a_maximum_routes_its_gradient_inside_its_own_sample() {
+        // Sample 1's one window is all NaN: no tap compares greater than
+        // the -inf the search starts from. Its gradient still belongs to
+        // sample 1, not to element 0 of the whole tensor.
+        let nan = f32::NAN;
+        let mut g = Graph::new();
+        let x = g.variable(
+            "x",
+            Tensor::from_vec(&[2, 2, 2, 1], vec![1.0, 5.0, 3.0, 2.0, nan, nan, nan, nan]).unwrap(),
+        );
+        let t = g.placeholder("t", &[0, 1]);
+        let pooled = g.max_pool2(x).unwrap();
+        let flat = g.flatten(pooled).unwrap();
+        let loss = g.mse_loss(flat, t).unwrap();
+        let (_, grads, _) = PlannedExecutor::new()
+            .train(
+                &g,
+                &feeds(&[(t, Tensor::from_vec(&[2, 1], vec![4.0, 0.0]).unwrap())]),
+                &vars_of(&g),
+                loss,
+                &WorkerPool::serial(),
+            )
+            .unwrap();
+        let gx = grads[&x].data();
+        // d/dx mean((pool - t)^2): sample 0's maximum (5.0 at element 1)
+        // gets 2 * (5 - 4) / 2, the rest of sample 0 nothing.
+        assert_eq!(gx[..4], [0.0, 1.0, 0.0, 0.0]);
+        // The dead window pools to -inf; its gradient sits on its first tap.
+        assert_eq!(gx[4], f32::NEG_INFINITY);
+        assert_eq!(gx[5..], [0.0, 0.0, 0.0]);
     }
 
     #[test]

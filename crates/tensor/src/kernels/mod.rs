@@ -29,17 +29,20 @@ use crate::TensorError;
 /// Reusable kernel scratch memory.
 ///
 /// Kernels that need intermediate buffers (the im2col column matrix, the
-/// backward-convolution `gcol` product, max-pool routing indices) borrow
-/// them from here instead of heap-allocating per call. A `Workspace` is
-/// plain growable scratch: buffers are resized (and re-zeroed where the
+/// backward-convolution `gcol` product and transposed filter, max-pool
+/// routing indices) borrow them from here instead of heap-allocating per
+/// call. A `Workspace` is plain growable scratch: buffers are resized (and re-zeroed where the
 /// kernel's reduction requires zeroed memory) on each use, so reuse never
 /// changes results — only allocation traffic.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// im2col column matrix, `[positions, patch]`.
+    /// im2col column matrix: `[positions, patch]` for the forward pass,
+    /// its transpose `[patch, positions]` for the filter gradient.
     pub(crate) cols: Vec<f32>,
     /// Backward-conv `gcol = grad × filterᵀ` scratch, `[positions, patch]`.
     pub(crate) gcol: Vec<f32>,
+    /// Backward-conv `filterᵀ`, `[cout, patch]`.
+    pub(crate) filter_t: Vec<f32>,
     /// Max-pool argmax routing indices, one per output element.
     pub(crate) pool_indices: Vec<usize>,
 }
@@ -240,8 +243,9 @@ pub fn conv2d_with(
     conv::conv2d_with(pool, ws, input, filter, padding, None, take)
 }
 
-/// Backward convolution: `(grad_input, grad_filter, cost)`.
-/// Bit-identical to [`reference::naive_conv2d_grad`].
+/// Backward convolution: `(grad_input, grad_filter, cost)` — both of
+/// [`conv2d_grad_filter`] and [`conv2d_grad_input`]. Bit-identical to
+/// [`reference::naive_conv2d_grad`].
 pub fn conv2d_grad(
     pool: &WorkerPool,
     input: &Tensor,
@@ -269,4 +273,44 @@ pub fn conv2d_grad_with(
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, Tensor, KernelCost), TensorError> {
     conv::conv2d_grad_with(pool, ws, input, filter, grad, padding, take)
+}
+
+/// The filter half of [`conv2d_grad_with`] alone: one GEMM,
+/// `colsᵀ × grad`, over a transposed im2col of `input`. The filter's
+/// values are not read, only its shape. Bit-identical to the filter
+/// gradient of [`reference::naive_conv2d_grad`].
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_grad`].
+pub fn conv2d_grad_filter(
+    pool: &WorkerPool,
+    ws: &mut Workspace,
+    input: &Tensor,
+    filter_shape: &[usize],
+    grad: &Tensor,
+    padding: Padding,
+    take: TakeBuffer<'_>,
+) -> Result<(Tensor, KernelCost), TensorError> {
+    conv::conv2d_grad_filter(pool, ws, input, filter_shape, grad, padding, take)
+}
+
+/// The input half of [`conv2d_grad_with`] alone: one GEMM,
+/// `grad × filterᵀ`, and the `col2im` scatter. The input's values are
+/// not read, only its shape. Bit-identical to the input gradient of
+/// [`reference::naive_conv2d_grad`].
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_grad`].
+pub fn conv2d_grad_input(
+    pool: &WorkerPool,
+    ws: &mut Workspace,
+    input_shape: &[usize],
+    filter: &Tensor,
+    grad: &Tensor,
+    padding: Padding,
+    take: TakeBuffer<'_>,
+) -> Result<(Tensor, KernelCost), TensorError> {
+    conv::conv2d_grad_input(pool, ws, input_shape, filter, grad, padding, take)
 }

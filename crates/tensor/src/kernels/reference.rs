@@ -39,7 +39,7 @@ pub fn naive_matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f
 /// in the im2col path; the per-element reduction is `(ky, kx, ci)`
 /// lexicographic, input-value-first.
 pub fn naive_conv2d(input: &Tensor, filter: &Tensor, padding: Padding) -> Result<Tensor, TensorError> {
-    let g = super::conv::geometry(input, filter, padding)?;
+    let g = super::conv::geometry(input.shape(), filter.shape(), padding)?;
     let idata = input.data();
     let fdata = filter.data();
     let mut out = vec![0.0f32; g.positions * g.cout];
@@ -85,7 +85,7 @@ pub fn naive_conv2d_grad(
     grad: &Tensor,
     padding: Padding,
 ) -> Result<(Tensor, Tensor), TensorError> {
-    let g = super::conv::geometry(input, filter, padding)?;
+    let g = super::conv::geometry(input.shape(), filter.shape(), padding)?;
     if grad.shape() != [g.b, g.oh, g.ow, g.cout] {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_grad",

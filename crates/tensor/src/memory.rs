@@ -70,6 +70,11 @@ pub struct MemoryPlan {
     shapes: Vec<Vec<usize>>,
     value_slots: Vec<Option<Slot>>,
     grad_slots: Vec<Option<Slot>>,
+    /// Per node: whether the backward pass computes its gradient.
+    wants_grad: Vec<bool>,
+    /// Nodes the loss reaches whose gradient is not computed because no
+    /// variable is upstream of them.
+    grads_pruned: usize,
     /// For each timeline step, the nodes whose forward value dies there.
     value_drops: Vec<Vec<usize>>,
 }
@@ -83,6 +88,15 @@ impl MemoryPlan {
     /// The arena slot of node `index`'s gradient, if planned.
     pub fn grad_slot(&self, index: usize) -> Option<&Slot> {
         self.grad_slots.get(index).and_then(Option::as_ref)
+    }
+
+    /// Whether the backward pass computes node `index`'s gradient: the
+    /// loss depends on the node *and* the node depends on a variable.
+    /// The plan is the one owner of this answer — a gradient slot exists
+    /// only where it is `true`, and `autodiff::backward` asks here before
+    /// it computes an operand's gradient.
+    pub fn wants_grad(&self, index: usize) -> bool {
+        self.wants_grad.get(index).copied().unwrap_or(false)
     }
 
     /// The statically inferred shape of node `index` (empty for scalars
@@ -515,6 +529,9 @@ fn build_plan(
         shapes,
         value_slots,
         grad_slots,
+        // An inference plan's answer; `plan_training` fills in its own.
+        wants_grad: Vec::new(),
+        grads_pruned: 0,
         value_drops,
     }
 }
@@ -564,6 +581,13 @@ pub fn plan_inference(
 /// their first contribution and die when their node's backward rule runs
 /// (variables' gradients survive to the optimizer step).
 ///
+/// Only the gradients [`MemoryPlan::wants_grad`] names exist: a node the
+/// loss reaches but no variable feeds (a placeholder, a constant,
+/// anything computed from those alone) gets no slot and no backward
+/// rule. Value lifetimes stay conservative about *operands*: a rule that
+/// fires keeps every operand it could read, also one that only a pruned
+/// operand's gradient would have read.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::UnknownNode`] if `loss` is out of range.
@@ -580,27 +604,46 @@ pub fn plan_training(
     let steps = 2 * l + 3;
     let bstep = |i: usize| 2 * l + 1 - i;
 
-    // Which nodes receive a gradient at all: walk contributions down
+    let is_needed = |index: usize| needed.get(index).copied().unwrap_or(false);
+
+    // Which nodes the loss sends a gradient to: walk contributions down
     // from the loss.
     let mut has_grad = vec![false; graph.len()];
     has_grad[l] = true;
     for index in (0..=l).rev() {
-        if !has_grad[index] || !needed.get(index).copied().unwrap_or(false) {
+        if !has_grad[index] || !is_needed(index) {
             continue;
         }
         for input in grad_inputs(&graph.nodes()[index].op) {
             has_grad[input.0] = true;
         }
     }
+    // Which of those gradients anything consumes. The optimizer takes the
+    // variables' gradients and a backward rule only hands its node's
+    // gradient on to the node's inputs, so a gradient is worth computing
+    // iff a variable is upstream: the node is a variable or any input is
+    // trainable (one forward sweep — inputs precede nodes).
+    let mut trainable = vec![false; graph.len()];
+    for index in 0..=l {
+        let op = &graph.nodes()[index].op;
+        trainable[index] = is_needed(index)
+            && (is_var(graph, index) || op.inputs().iter().any(|input| trainable[input.0]));
+    }
+    let wants_grad: Vec<bool> = (0..graph.len())
+        .map(|index| has_grad[index] && trainable[index])
+        .collect();
+    let grads_pruned = (0..graph.len())
+        .filter(|&index| has_grad[index] && is_needed(index) && !trainable[index])
+        .count();
 
     let mut value_lives: Vec<Option<(usize, usize)>> = vec![None; graph.len()];
     for index in 0..=l {
-        if !needed.get(index).copied().unwrap_or(false) {
+        if !is_needed(index) {
             continue;
         }
         let op = &graph.nodes()[index].op;
         let mut death = index;
-        if has_grad[index] && backward_reads_output(op) {
+        if wants_grad[index] && backward_reads_output(op) {
             death = death.max(bstep(index));
         }
         value_lives[index] = Some((index, death));
@@ -609,7 +652,7 @@ pub fn plan_training(
                 continue;
             };
             live.1 = live.1.max(index);
-            if has_grad[index] && backward_reads_input(op, position) {
+            if wants_grad[index] && backward_reads_input(op, position) {
                 live.1 = live.1.max(bstep(index));
             }
         }
@@ -622,7 +665,7 @@ pub fn plan_training(
 
     let mut grad_lives: Vec<Option<(usize, usize)>> = vec![None; graph.len()];
     for index in (0..=l).rev() {
-        if !has_grad[index] || !needed.get(index).copied().unwrap_or(false) {
+        if !wants_grad[index] {
             continue;
         }
         let death = if is_var(graph, index) { 2 * l + 2 } else { bstep(index) };
@@ -632,11 +675,7 @@ pub fn plan_training(
             // Born when the highest-index contributing consumer runs.
             let birth = (index + 1..=l)
                 .rev()
-                .find(|&j| {
-                    has_grad[j]
-                        && needed.get(j).copied().unwrap_or(false)
-                        && grad_inputs(&graph.nodes()[j].op).contains(&NodeId(index))
-                })
+                .find(|&j| wants_grad[j] && grad_inputs(&graph.nodes()[j].op).contains(&NodeId(index)))
                 .map(bstep);
             if let Some(birth) = birth {
                 grad_lives[index] = Some((birth, death));
@@ -644,7 +683,10 @@ pub fn plan_training(
         }
     }
 
-    Ok(build_plan(graph, shapes, steps, &value_lives, &grad_lives))
+    let mut plan = build_plan(graph, shapes, steps, &value_lives, &grad_lives);
+    plan.wants_grad = wants_grad;
+    plan.grads_pruned = grads_pruned;
+    Ok(plan)
 }
 
 fn is_var(graph: &Graph, index: usize) -> bool {
@@ -717,6 +759,11 @@ pub struct MemoryStats {
     /// Bytes parked in the [`Arena`] free lists — real heap the executor
     /// holds between runs. Constant from run to run in steady state.
     pub pooled_bytes: u64,
+    /// Gradients the plan has a slot for (0 for an inference plan).
+    pub grad_slots: u64,
+    /// Nodes the loss reaches whose gradient the backward pass skips
+    /// because no variable is upstream of them.
+    pub grads_pruned: u64,
 }
 
 /// Runtime state of one planned execution: the plan, the backing arena,
@@ -796,11 +843,15 @@ impl ExecMemory {
     ///
     /// # Errors
     ///
-    /// [`TensorError::InvalidGraph`] if the gradient is not the planned size.
+    /// [`TensorError::InvalidGraph`] if the gradient is not the planned
+    /// size, or if the plan has no slot for it: the plan decides which
+    /// gradients exist, so a gradient it did not plan is the executor
+    /// and the plan disagreeing (a zero-byte gradient needs no slot).
     pub(crate) fn on_grad(&mut self, index: usize, grad: &Tensor) -> Result<(), TensorError> {
         match self.plan.grad_slot(index) {
             Some(&slot) => self.note_live(slot, grad),
-            None => Ok(()),
+            None if grad.byte_len() == 0 => Ok(()),
+            None => Err(TensorError::InvalidGraph("gradient without a planned slot")),
         }
     }
 
@@ -926,6 +977,8 @@ impl PlannedExecutor {
             resident_bytes: self.mem.resident_bytes,
             peak_resident_bytes: self.mem.peak_resident_bytes,
             pooled_bytes: self.mem.arena.pooled_bytes(),
+            grad_slots: self.mem.plan.grad_slots.iter().flatten().count() as u64,
+            grads_pruned: self.mem.plan.grads_pruned as u64,
         }
     }
 
@@ -1096,5 +1149,190 @@ mod tests {
         assert_eq!(executor.memory_stats().resident_bytes, 0);
         // The graph the plan was made for still runs.
         executor.run(&valid, &feeds, &vars, &[y], &pool).unwrap();
+    }
+
+    /// Deterministic, sign-mixed test data.
+    fn ramp(shape: &[usize], seed: u32) -> Tensor {
+        let len: usize = shape.iter().product();
+        let data = (0..len as u32)
+            .map(|i| ((i.wrapping_mul(2_654_435_761).wrapping_add(seed) >> 8) % 2001) as f32 * 1e-3 - 1.0)
+            .collect();
+        Tensor::from_vec(shape, data).unwrap()
+    }
+
+    fn one_hot(batch: usize, classes: usize) -> Tensor {
+        let mut labels = Tensor::zeros(&[batch, classes]);
+        for row in 0..batch {
+            labels.data_mut()[row * classes + (row * 7 + 3) % classes] = 1.0;
+        }
+        labels
+    }
+
+    /// `conv + bias → relu → max-pool → flatten → dense → xent` over the
+    /// image `x`, which is a variable (nothing pruned) or a placeholder.
+    fn conv_net(x_value: &Tensor, x_is_variable: bool) -> (Graph, NodeId, NodeId, NodeId) {
+        let mut g = Graph::new();
+        let x = if x_is_variable {
+            g.variable("x", x_value.clone())
+        } else {
+            g.placeholder("x", x_value.shape())
+        };
+        let labels = g.placeholder("labels", &[0, 3]);
+        let f = g.variable("f", ramp(&[3, 3, 2, 4], 1));
+        let fb = g.variable("fb", ramp(&[4], 2));
+        let conv = g.conv2d(x, f, Padding::Same).unwrap();
+        let conv = g.add_bias(conv, fb).unwrap();
+        let act = g.relu(conv).unwrap();
+        let pooled = g.max_pool2(act).unwrap();
+        let flat = g.flatten(pooled).unwrap();
+        let w = g.variable("w", ramp(&[3 * 2 * 4, 3], 3));
+        let b = g.variable("b", ramp(&[3], 4));
+        let logits = g.matmul(flat, w).unwrap();
+        let logits = g.add_bias(logits, b).unwrap();
+        let loss = g.softmax_cross_entropy(logits, labels).unwrap();
+        (g, x, labels, loss)
+    }
+
+    /// A two-layer MLP over `x`, likewise.
+    fn mlp(x_value: &Tensor, x_is_variable: bool) -> (Graph, NodeId, NodeId, NodeId) {
+        let mut g = Graph::new();
+        let x = if x_is_variable {
+            g.variable("x", x_value.clone())
+        } else {
+            g.placeholder("x", x_value.shape())
+        };
+        let labels = g.placeholder("labels", &[0, 3]);
+        let w0 = g.variable("w0", ramp(&[9, 5], 5));
+        let b0 = g.variable("b0", ramp(&[5], 6));
+        let w1 = g.variable("w1", ramp(&[5, 3], 7));
+        let h = g.matmul(x, w0).unwrap();
+        let h = g.add_bias(h, b0).unwrap();
+        let h = g.relu(h).unwrap();
+        let logits = g.matmul(h, w1).unwrap();
+        let loss = g.softmax_cross_entropy(logits, labels).unwrap();
+        (g, x, labels, loss)
+    }
+
+    #[test]
+    fn pruning_the_input_gradient_does_not_change_any_variable_gradient() {
+        use crate::session::Session;
+        type Build = fn(&Tensor, bool) -> (Graph, NodeId, NodeId, NodeId);
+        let cases: [(&str, Build, Tensor); 2] =
+            [("conv", conv_net, ramp(&[4, 6, 4, 2], 8)), ("mlp", mlp, ramp(&[4, 9], 9))];
+        for (what, build, x_value) in cases {
+            let (pruned_graph, x, labels, loss) = build(&x_value, false);
+            let (full_graph, ..) = build(&x_value, true);
+            let labels_value = one_hot(4, 3);
+            for workers in 1..=3 {
+                // Through the session, so the fused rules run too.
+                let gradients = |graph: &Graph, feeds: &[(NodeId, Tensor)]| {
+                    let mut session = Session::new(graph);
+                    session.set_worker_pool(WorkerPool::new(workers));
+                    let out = session.gradients(graph, feeds, loss).unwrap();
+                    (out, session.memory_stats())
+                };
+                let ((full_loss, full), full_stats) =
+                    gradients(&full_graph, &[(labels, labels_value.clone())]);
+                let ((pruned_loss, pruned), pruned_stats) = gradients(
+                    &pruned_graph,
+                    &[(x, x_value.clone()), (labels, labels_value.clone())],
+                );
+                assert_eq!(full_loss.to_bits(), pruned_loss.to_bits(), "{what}, {workers} workers");
+                assert_eq!(full.len(), pruned.len() + 1, "{what}: only x's gradient is gone");
+                assert!(full.contains_key(&x) && !pruned.contains_key(&x));
+                for (var, grad) in &pruned {
+                    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(grad), bits(&full[var]), "{what}, {workers} workers, {var:?}");
+                }
+                // The labels never had a gradient; x is pruned where it is a placeholder.
+                assert_eq!((full_stats.grads_pruned, pruned_stats.grads_pruned), (0, 1), "{what}");
+                assert_eq!(full_stats.grad_slots, pruned_stats.grad_slots + 1, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_gradient_flows_into_the_trainable_side_of_an_add_only() {
+        // loss = mse(relu(x) + a * w, t): the Add has a branch fed by a
+        // placeholder alone and one with a variable upstream.
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 3]);
+        let a = g.placeholder("a", &[0, 3]);
+        let t = g.placeholder("t", &[0, 3]);
+        let w = g.variable("w", ramp(&[2, 3], 1));
+        let frozen = g.relu(x).unwrap();
+        let scaled = g.mul(a, w).unwrap();
+        let sum = g.add(frozen, scaled).unwrap();
+        let loss = g.mse_loss(sum, t).unwrap();
+        let feeds = HashMap::from([(x, ramp(&[2, 3], 2)), (a, ramp(&[2, 3], 3)), (t, ramp(&[2, 3], 4))]);
+        let vars = HashMap::from([(w, ramp(&[2, 3], 1))]);
+        let mut executor = PlannedExecutor::new();
+        let (_, grads, _) = executor.train(&g, &feeds, &vars, loss, &WorkerPool::serial()).unwrap();
+
+        let plan = executor.mem.plan();
+        for (node, wanted) in [(x, false), (a, false), (t, false), (frozen, false), (w, true), (scaled, true), (sum, true), (loss, true)] {
+            assert_eq!(plan.wants_grad(node.0), wanted, "{node:?}");
+            assert_eq!(plan.grad_slot(node.0).is_some(), wanted, "{node:?}");
+        }
+        // x, a and relu(x); the target never had a gradient.
+        assert_eq!(executor.memory_stats().grads_pruned, 3);
+        assert_eq!(executor.memory_stats().grad_slots, 4);
+        // d/dw mean((relu(x) + a*w - t)^2) = 2 * (sum - t) * a / n.
+        let (xv, av, tv, wv) = (&feeds[&x], &feeds[&a], &feeds[&t], &vars[&w]);
+        assert_eq!(grads.len(), 1);
+        for i in 0..6 {
+            let sum = xv.data()[i].max(0.0) + av.data()[i] * wv.data()[i];
+            let want = (sum - tv.data()[i]) * (2.0 * 1.0 / 6.0) * av.data()[i];
+            assert_eq!(grads[&w].data()[i].to_bits(), want.to_bits(), "element {i}");
+        }
+    }
+
+    #[test]
+    fn a_graph_without_variables_has_no_gradients_and_runs_no_backward_kernel() {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 4, 4, 1]);
+        let t = g.placeholder("t", &[0, 32]);
+        let f = g.constant("f", ramp(&[3, 3, 1, 2], 1));
+        let conv = g.conv2d(x, f, Padding::Same).unwrap();
+        let flat = g.flatten(conv).unwrap();
+        let loss = g.mse_loss(flat, t).unwrap();
+        let feeds = HashMap::from([(x, ramp(&[1, 4, 4, 1], 2)), (t, ramp(&[1, 32], 3))]);
+        let mut executor = PlannedExecutor::new();
+        let (loss_value, grads, _) =
+            executor.train(&g, &feeds, &HashMap::new(), loss, &WorkerPool::new(2)).unwrap();
+        assert!(loss_value.is_finite());
+        assert!(grads.is_empty());
+        let stats = executor.memory_stats();
+        assert_eq!((stats.grad_slots, stats.grads_pruned), (0, 5)); // loss, flat, conv, x, f
+        // The forward conv filled `cols`; neither backward kernel ran.
+        assert!(!executor.ws.cols.is_empty());
+        assert!(executor.ws.gcol.is_empty() && executor.ws.filter_t.is_empty());
+        // One slot write per forward value (x, t, conv, flat, loss) and
+        // none for a gradient, the seed included.
+        assert_eq!(executor.take_slot_writes().len(), 5);
+    }
+
+    #[test]
+    fn a_gradient_the_plan_has_no_slot_for_is_a_typed_error() {
+        let x_value = ramp(&[2, 9], 1);
+        let (g, x, labels, loss) = mlp(&x_value, false);
+        let feeds = HashMap::from([(x, x_value), (labels, one_hot(2, 3))]);
+        let session = crate::session::Session::new(&g);
+        let vars: HashMap<NodeId, Tensor> =
+            session.variables().into_iter().map(|(id, value)| (id, value.clone())).collect();
+        let pool = WorkerPool::serial();
+        let mut executor = PlannedExecutor::new();
+        executor.train(&g, &feeds, &vars, loss, &pool).unwrap();
+
+        // Break the cached plan by hand: it still asks for w0's gradient
+        // but no longer has a slot to account it against.
+        let w0 = g.by_name("w0").unwrap();
+        assert!(executor.mem.plan.wants_grad(w0.0));
+        executor.mem.plan.grad_slots[w0.0] = None;
+        assert_eq!(
+            executor.train(&g, &feeds, &vars, loss, &pool).map(|_| ()),
+            Err(TensorError::InvalidGraph("gradient without a planned slot"))
+        );
+        assert_eq!(executor.memory_stats().resident_bytes, 0);
     }
 }

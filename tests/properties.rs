@@ -517,6 +517,71 @@ proptest! {
     }
 
     #[test]
+    fn pooled_conv2d_grad_filter_and_input_each_match_their_half_of_naive(
+        b in 1usize..3,
+        h in 1usize..7,
+        w in 1usize..7,
+        cin_pick in 0usize..2,
+        cout in 1usize..20,
+        kernel_pick in 0usize..4,
+        same in any::<bool>(),
+        special in any::<bool>(),
+        input_first in any::<bool>(),
+        workers_pick in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        use securetf_tensor::graph::Padding;
+        use securetf_tensor::kernels::{self, reference, WorkerPool, Workspace};
+        let cin = [1usize, 3][cin_pick];
+        let kernel = [1usize, 2, 3, 5][kernel_pick];
+        let workers = [1usize, 2, 3, 8][workers_pick];
+        // Under Same padding the kernel may be wider than the image (taps
+        // that only ever read padding); Valid requires it to fit.
+        let (padding, kh, kw) = if same {
+            (Padding::Same, kernel, kernel)
+        } else {
+            (Padding::Valid, kernel.min(h), kernel.min(w))
+        };
+        let fill = if special { lcg_fill_special } else { lcg_fill };
+        let input = Tensor::from_vec(&[b, h, w, cin], fill(seed, b * h * w * cin)).unwrap();
+        let filter =
+            Tensor::from_vec(&[kh, kw, cin, cout], fill(seed ^ 0xABCD, kh * kw * cin * cout)).unwrap();
+        let (oh, ow) = if same { (h, w) } else { (h - kh + 1, w - kw + 1) };
+        let grad = Tensor::from_vec(&[b, oh, ow, cout], fill(seed ^ 0x5A5A, b * oh * ow * cout)).unwrap();
+        let (naive_gi, naive_gf) = reference::naive_conv2d_grad(&input, &filter, &grad, padding).unwrap();
+
+        // Each kernel alone, on one workspace, in either order: neither
+        // depends on what the other left behind.
+        let pool = WorkerPool::new(workers);
+        let mut ws = Workspace::new();
+        let mut gi = None;
+        let mut gf = None;
+        for input_half in [input_first, !input_first] {
+            if input_half {
+                gi = Some(kernels::conv2d_grad_input(
+                    &pool, &mut ws, input.shape(), &filter, &grad, padding, &mut |len| vec![0.0f32; len],
+                ).unwrap());
+            } else {
+                gf = Some(kernels::conv2d_grad_filter(
+                    &pool, &mut ws, &input, filter.shape(), &grad, padding, &mut |len| vec![0.0f32; len],
+                ).unwrap());
+            }
+        }
+        let ((gi, gi_cost), (gf, gf_cost)) = (gi.unwrap(), gf.unwrap());
+        prop_assert_eq!(gi.shape(), input.shape());
+        prop_assert_eq!(gf.shape(), filter.shape());
+        prop_assert_eq!(first_difference(gi.data(), naive_gi.data()), None, "input gradient");
+        prop_assert_eq!(first_difference(gf.data(), naive_gf.data()), None, "filter gradient");
+        let product = 2.0 * (b * oh * ow * kh * kw * cin * cout) as f64;
+        prop_assert_eq!(gf_cost.flops, product);
+        prop_assert_eq!(gi_cost.flops, product + (b * oh * ow * kh * kw * cin) as f64);
+        for cost in [gi_cost, gf_cost] {
+            prop_assert!(cost.critical_flops <= cost.flops);
+            prop_assert!(cost.critical_flops * workers as f64 >= cost.flops);
+        }
+    }
+
+    #[test]
     fn full_graph_training_is_pool_invariant(
         workers in 2usize..8,
         lr_millis in 1usize..500,

@@ -280,6 +280,9 @@ fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
     // run 6 parks exactly what run 3 did.
     assert!(pool <= planned, "pool {pool} outgrew the planned arena {planned}");
     assert_eq!(seen[2], seen[5], "serving footprint drifted between runs");
+    // An inference plan has no backward pass to keep or to cut.
+    assert_eq!(telemetry.gauge("memory.grad_slots").get(), 0);
+    assert_eq!(telemetry.gauge("memory.grads_pruned").get(), 0);
 
     // Training: same gauges from `SecureSession::charge`.
     let clock = SimClock::new();
@@ -312,4 +315,8 @@ fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
     assert!(planned > 0 && in_use > 0 && pool > 0, "training gauges unset: {:?}", seen[7]);
     assert!(in_use <= planned);
     assert_eq!(seen[2], seen[7], "training footprint drifted between steps");
+    // The backward pass the plan kept: the loss, the two fused layers and
+    // their four variables; the one it cut: the input batch's gradient.
+    assert_eq!(telemetry.gauge("memory.grad_slots").get(), 7);
+    assert_eq!(telemetry.gauge("memory.grads_pruned").get(), 1);
 }

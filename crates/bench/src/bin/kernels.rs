@@ -16,6 +16,10 @@
 //!    backward loop by at least 3× at the training shape (release), and
 //! 3. pooled outputs are bit-identical to serial ones.
 //!
+//! A last `dispatch` row is what a pooled call pays before any kernel
+//! runs: an empty `run_items` over one item per worker, the number the
+//! e2e probe reports as `tensor.kernels.pool_dispatch_us`.
+//!
 //! The report's `mode` records the instruction set the kernel ran on
 //! (`kernels::simd_level`), without which the numbers cannot be compared
 //! across hosts.
@@ -51,6 +55,24 @@ fn time_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> (u64, R) {
         best = best.min(t0.elapsed().as_nanos() as u64);
     }
     (best, last)
+}
+
+/// Median wall-clock nanoseconds of 1 000 empty `run_items` calls over
+/// one item per worker: the cut, the leases and the join, nothing else.
+fn dispatch_ns(workers: usize) -> u64 {
+    let pool = WorkerPool::new(workers);
+    let mut items = vec![0u8; pool.workers()];
+    let mut samples: Vec<u64> = (0..1000)
+        .map(|_| {
+            let t0 = Instant::now();
+            pool.run_items(&mut items, &|_, item| {
+                std::hint::black_box(item);
+            });
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2]
 }
 
 fn bits(data: &[f32]) -> Vec<u32> {
@@ -233,7 +255,11 @@ fn main() {
                 row.naive_ns as f64 / row.pooled_ns.max(1) as f64,
             );
     }
-    report = report.value("parallel_bit_identical", JsonValue::Bool(all_identical));
+    let dispatch = dispatch_ns(workers);
+    println!("{:<41} | {:>10} | {:>10} | {:>10} |", "dispatch (empty run_items)", "-", "-", fmt_ns(dispatch));
+    report = report
+        .latency_ns("dispatch.pooled_ns", dispatch)
+        .value("parallel_bit_identical", JsonValue::Bool(all_identical));
 
     assert!(
         all_identical,

@@ -21,17 +21,18 @@
 //! applied per variable in worker-index order whatever the arrival
 //! order, so the applied update is bit-identical across comm settings.
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ClusterNode};
 use crate::comm::{self, Chunk, CommConfig, CommMetrics, CommStats};
 use crate::wire::{self, Codec};
 use crate::DistribError;
 use std::collections::HashMap;
 use securetf_data::Dataset;
-use securetf_tensor::graph::NodeId;
+use securetf_tensor::graph::{Graph, NodeId, Op};
+use securetf_tensor::kernels::WorkerPool;
 use securetf_tensor::layers::Classifier;
 use securetf_tensor::session::Session;
 use securetf_tensor::tensor::Tensor;
-use securetf_tee::{ExecutionMode, RegionId};
+use securetf_tee::{CostModel, ExecutionMode, RegionId};
 
 /// Outcome of a training run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,12 +70,225 @@ struct WorkerState {
     residuals: HashMap<u32, Tensor>,
 }
 
+impl WorkerState {
+    /// The state of a worker that has computed nothing yet on `node`'s
+    /// current enclave: at start, on joining, and after a respawn.
+    fn fresh(node: &ClusterNode, graph: &Graph, pool: WorkerPool, param_bytes: u64) -> Self {
+        let mut session = Session::new(graph);
+        session.set_worker_pool(pool);
+        WorkerState {
+            session,
+            cursor: 0,
+            enclave: node.enclave.clone(),
+            params_region: node.enclave.alloc("params", param_bytes),
+            activations_region: node.enclave.alloc("activations", 1),
+            residuals: HashMap::new(),
+        }
+    }
+}
+
 /// One worker's encoded gradient push for a step: the wire frames, plus
 /// chunk timings when the exchange is overlapped (one chunk per frame,
 /// same order).
 struct Push {
     frames: Vec<Vec<u8>>,
     chunks: Vec<Chunk>,
+}
+
+/// What every worker of one step reads and none writes.
+struct StepContext<'a> {
+    model: &'a Classifier,
+    data: &'a Dataset,
+    batch: usize,
+    cost: &'a CostModel,
+    /// Whether the network shield processes records on this cluster.
+    shield: bool,
+    sched_slowdown: f64,
+    /// Bytes of this step's weight broadcast, summed over the shards.
+    weight_bytes: u64,
+    comm: CommConfig,
+    ps_count: usize,
+    shard_of: &'a HashMap<u32, usize>,
+}
+
+/// What one worker hands to the exchange and the step's accounting.
+struct WorkerOutput {
+    loss: f32,
+    push: Push,
+    /// What `push.frames` would weigh uncompressed.
+    push_dense_bytes: u64,
+    /// The worker's compute phase on its own clock.
+    elapsed_ns: u64,
+}
+
+impl StepContext<'_> {
+    /// One worker's share of a step, on `node`'s own clock: batch fetch,
+    /// gradients, compute and paging charges, error feedback, and the
+    /// encoded push with its chunk timings. Touches nothing but `state`
+    /// and `node`, so workers can run side by side.
+    fn run_worker(&self, state: &mut WorkerState, node: &ClusterNode) -> Result<WorkerOutput, DistribError> {
+        let codec = self.comm.codec;
+        let clock = node.clock().clone();
+        let t0 = clock.now_ns();
+        if self.shield {
+            // Worker-side record processing of the weight broadcast.
+            clock.advance(self.cost.shield_net_ns(self.weight_bytes));
+        }
+
+        // Fetch this worker's batch (wraps around its shard).
+        if state.cursor + self.batch > self.data.len() {
+            state.cursor = 0;
+        }
+        let cursor = state.cursor;
+        state.cursor += self.batch;
+        let (x, y) = batch_for_model(self.model, self.data, cursor, self.batch)?;
+        node.enclave.charge_syscall(); // input read
+        let pre_ns = clock.now_ns() - t0;
+
+        state.session.reset_stats();
+        let (loss, grads) = state.session.gradients(
+            &self.model.graph,
+            &[(self.model.input, x), (self.model.labels, y)],
+            self.model.loss,
+        )?;
+        let stats = state.session.stats();
+        // Virtual time advances by the pool's critical path (equal to
+        // total flops when the session runs serial kernels).
+        node.enclave.charge_parallel_compute(
+            stats.flops * self.sched_slowdown,
+            stats.critical_flops * self.sched_slowdown,
+        );
+
+        // Memory traffic: parameters + activations, through the EPC.
+        node.enclave.touch_all(state.params_region)?;
+        let act_bytes = stats.activation_bytes.max(1);
+        node.enclave.free(state.activations_region)?;
+        state.activations_region = node.enclave.alloc("activations", act_bytes);
+        node.enclave.touch_all(state.activations_region)?;
+        let compute_end = clock.now_ns() - t0;
+
+        // The backward pass produces the last layer's gradients
+        // first: descending variable id. This fixed order also pins
+        // the PS apply order, so results are bit-identical whatever
+        // the wire schedule.
+        let mut message: Vec<(u32, Tensor)> = grads
+            .into_iter()
+            .map(|(id, g)| (id.index() as u32, g))
+            .collect();
+        message.sort_by_key(|e| std::cmp::Reverse(e.0));
+
+        // Error feedback: fold the residual the quantizer dropped
+        // last step into this step's gradient, then keep the new
+        // drop. The residual is derived from the decoder's exact
+        // arithmetic (q * scale), so worker and PS agree bit-for-bit
+        // on what was transmitted.
+        let mut entries: Vec<(u32, Tensor)> = Vec::with_capacity(message.len());
+        for (raw, grad) in message {
+            let adjusted = if codec == Codec::Quantized {
+                match state.residuals.get(&raw) {
+                    Some(r) => grad.zip(r, |g, r| g + r)?,
+                    None => grad,
+                }
+            } else {
+                grad
+            };
+            if codec == Codec::Quantized {
+                let q = wire::quantize(adjusted.data());
+                let sent = q.dequantize();
+                let residual: Vec<f32> = adjusted
+                    .data()
+                    .iter()
+                    .zip(&sent)
+                    .map(|(a, s)| a - s)
+                    .collect();
+                state
+                    .residuals
+                    .insert(raw, Tensor::from_vec(adjusted.shape(), residual)?);
+            }
+            entries.push((raw, adjusted));
+        }
+
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let mut chunks: Vec<Chunk> = Vec::new();
+        let mut push_dense_bytes = 0u64;
+        if self.comm.overlap {
+            // Chunk i becomes ready after a byte-proportional share
+            // of the backward compute; sealing runs on the shield's
+            // async syscall threads, so it overlaps the remaining
+            // compute (the schedule below serializes it per worker).
+            let total_bytes: u64 = entries
+                .iter()
+                .map(|(_, t)| t.byte_len().max(1))
+                .sum::<u64>()
+                .max(1);
+            let compute_ns = compute_end - pre_ns;
+            let mut cum = 0u64;
+            for entry in &entries {
+                cum += entry.1.byte_len().max(1);
+                let ready = pre_ns
+                    + ((u128::from(compute_ns) * u128::from(cum))
+                        / u128::from(total_bytes)) as u64;
+                let frame = wire::encode_frame(std::slice::from_ref(entry), codec);
+                let len = frame.len() as u64;
+                chunks.push(Chunk {
+                    shard: self.shard_of[&entry.0],
+                    ready_ns: ready,
+                    seal_ns: if self.shield { self.cost.shield_net_ns(len) } else { 0 },
+                    transfer_ns: self.cost.lan_transfer_ns(len),
+                    ps_shield_ns: if self.shield { self.cost.shield_net_ns(len) } else { 0 },
+                });
+                push_dense_bytes += wire::dense_frame_len(std::slice::from_ref(entry));
+                frames.push(frame);
+            }
+        } else {
+            // Barrier: the worker pushes only after its full
+            // backward pass — one joined frame per owning shard,
+            // sealed on the same async shield threads. Only chunk
+            // granularity and readiness differ from the overlapped
+            // path; the NIC physics are identical.
+            for s in 0..self.ps_count {
+                let shard_entries: Vec<(u32, Tensor)> = entries
+                    .iter()
+                    .filter(|(raw, _)| self.shard_of[raw] == s)
+                    .cloned()
+                    .collect();
+                if shard_entries.is_empty() {
+                    continue;
+                }
+                let frame = wire::encode_frame(&shard_entries, codec);
+                let len = frame.len() as u64;
+                chunks.push(Chunk {
+                    shard: s,
+                    ready_ns: compute_end,
+                    seal_ns: if self.shield { self.cost.shield_net_ns(len) } else { 0 },
+                    transfer_ns: self.cost.lan_transfer_ns(len),
+                    ps_shield_ns: if self.shield { self.cost.shield_net_ns(len) } else { 0 },
+                });
+                push_dense_bytes += wire::dense_frame_len(&shard_entries);
+                frames.push(frame);
+            }
+        }
+        Ok(WorkerOutput {
+            loss,
+            push_dense_bytes,
+            push: Push { frames, chunks },
+            elapsed_ns: clock.now_ns() - t0,
+        })
+    }
+}
+
+/// Fetches a batch shaped for the model's input placeholder (flat for
+/// MLPs, NHWC for convolutional models).
+fn batch_for_model(model: &Classifier, data: &Dataset, start: usize, n: usize) -> Result<(Tensor, Tensor), DistribError> {
+    let wants_nhwc = matches!(
+        &model.graph.nodes()[model.input.index()].op,
+        Op::Placeholder { shape } if shape.len() == 4
+    );
+    if wants_nhwc {
+        Ok(data.batch_nhwc(start, n)?)
+    } else {
+        Ok(data.batch(start, n)?)
+    }
 }
 
 /// Drives synchronous data-parallel training over a [`Cluster`].
@@ -87,7 +301,7 @@ pub struct DistributedTrainer {
     ps_session: Session,
     ps_params_region: RegionId,
     workers: Vec<WorkerState>,
-    pool: securetf_tensor::kernels::WorkerPool,
+    pool: WorkerPool,
     comm: CommConfig,
     comm_stats: CommStats,
     comm_metrics: CommMetrics,
@@ -125,17 +339,11 @@ impl DistributedTrainer {
         let ps_session = Session::new(&model.graph);
         let param_bytes = ps_session.param_bytes();
         let ps_params_region = cluster.ps.enclave.alloc("ps-params", param_bytes);
+        let pool = WorkerPool::serial();
         let workers = cluster
             .workers
             .iter()
-            .map(|node| WorkerState {
-                session: Session::new(&model.graph),
-                cursor: 0,
-                enclave: node.enclave.clone(),
-                params_region: node.enclave.alloc("params", param_bytes),
-                activations_region: node.enclave.alloc("activations", 1),
-                residuals: HashMap::new(),
-            })
+            .map(|node| WorkerState::fresh(node, &model.graph, pool, param_bytes))
             .collect();
         let comm_metrics = CommMetrics::new(&cluster.config().telemetry);
         Ok(DistributedTrainer {
@@ -147,7 +355,7 @@ impl DistributedTrainer {
             ps_session,
             ps_params_region,
             workers,
-            pool: securetf_tensor::kernels::WorkerPool::serial(),
+            pool,
             comm: CommConfig::default(),
             comm_stats: CommStats::default(),
             comm_metrics,
@@ -184,7 +392,7 @@ impl DistributedTrainer {
     /// the parameter server, current workers, and any worker respawned or
     /// joined later. Training results are bit-identical for any pool; only
     /// the per-step virtual compute time shrinks.
-    pub fn set_worker_pool(&mut self, pool: securetf_tensor::kernels::WorkerPool) {
+    pub fn set_worker_pool(&mut self, pool: WorkerPool) {
         self.pool = pool;
         self.ps_session.set_worker_pool(pool);
         for state in &mut self.workers {
@@ -192,38 +400,18 @@ impl DistributedTrainer {
         }
     }
 
-    fn sync_worker_states(&mut self) -> Result<(), DistribError> {
+    fn sync_worker_states(&mut self) {
         let param_bytes = self.ps_session.param_bytes();
-        // New workers may have joined the cluster (elastic scaling).
-        while self.workers.len() < self.cluster.workers.len() {
-            let node = &self.cluster.workers[self.workers.len()];
-            let mut session = Session::new(&self.model.graph);
-            session.set_worker_pool(self.pool);
-            self.workers.push(WorkerState {
-                session,
-                cursor: 0,
-                enclave: node.enclave.clone(),
-                params_region: node.enclave.alloc("params", param_bytes),
-                activations_region: node.enclave.alloc("activations", 1),
-                residuals: HashMap::new(),
-            });
-        }
+        let fresh = |node: &ClusterNode| WorkerState::fresh(node, &self.model.graph, self.pool, param_bytes);
         // Respawned workers run in fresh enclaves; rebuild their state.
-        for (state, node) in self.workers.iter_mut().zip(self.cluster.workers.iter()) {
+        for (state, node) in self.workers.iter_mut().zip(&self.cluster.workers) {
             if !std::sync::Arc::ptr_eq(&state.enclave, &node.enclave) {
-                let mut session = Session::new(&self.model.graph);
-                session.set_worker_pool(self.pool);
-                *state = WorkerState {
-                    session,
-                    cursor: 0,
-                    enclave: node.enclave.clone(),
-                    params_region: node.enclave.alloc("params", param_bytes),
-                    activations_region: node.enclave.alloc("activations", 1),
-                    residuals: HashMap::new(),
-                };
+                *state = fresh(node);
             }
         }
-        Ok(())
+        // New workers may have joined the cluster (elastic scaling).
+        let joined = self.cluster.workers.iter().skip(self.workers.len());
+        self.workers.extend(joined.map(fresh));
     }
 
     /// Runs one synchronous training step across all live workers.
@@ -234,7 +422,7 @@ impl DistributedTrainer {
     /// * [`DistribError::NoWorkers`] if every worker has failed.
     /// * Execution/TEE errors otherwise.
     pub fn step(&mut self) -> Result<f32, DistribError> {
-        self.sync_worker_states()?;
+        self.sync_worker_states();
         let live = self.cluster.live_workers();
         if live.is_empty() {
             return Err(DistribError::NoWorkers);
@@ -252,8 +440,6 @@ impl DistributedTrainer {
 
         let ps_count = self.cluster.parameter_server_count();
         let live_count = live.len() as u64;
-        let overlap = self.comm.overlap;
-        let codec = self.comm.codec;
 
         // Shard ownership: contiguous byte-balanced ranges over the
         // variables in id order — stable across steps for a fixed model.
@@ -340,163 +526,49 @@ impl DistributedTrainer {
         }
         drop(broadcast_span);
 
-        // 2. Parallel gradient computation; the step takes the slowest
-        //    worker (each on its own clock, so paging is node-local).
-        //    With overlap, each variable's gradient is encoded into its
-        //    own chunk the moment its backward segment completes.
+        // 2. Gradient computation, the live workers side by side on the
+        //    pool (fig. 8: only the parameter-server link serializes);
+        //    the step takes the slowest worker, each on its own clock, so
+        //    paging is node-local. Each worker's kernels find the crew
+        //    leased and run inline. The outputs are folded in worker-index
+        //    order, so the sums — and which error a step with several
+        //    failing workers returns — do not depend on who finished
+        //    first.
         let compute_span = telemetry.span("distrib.compute");
+        let context = StepContext {
+            model: &self.model,
+            data: &self.data,
+            batch: self.batch,
+            cost: &model,
+            shield,
+            sched_slowdown,
+            weight_bytes: weight_bytes_total,
+            comm: self.comm,
+            ps_count,
+            shard_of: &shard_of,
+        };
+        let mut runs: Vec<_> = self
+            .workers
+            .iter_mut()
+            .zip(&self.cluster.workers)
+            .filter(|(_, node)| node.alive)
+            .map(|(state, node)| (state, node, None))
+            .collect();
+        self.pool.run_items(&mut runs, &|_, (state, node, output)| {
+            *output = Some(context.run_worker(state, node));
+        });
         let mut max_worker_ns = 0u64;
-        let mut pushes: Vec<Push> = Vec::with_capacity(live.len());
+        let mut pushes: Vec<Push> = Vec::with_capacity(runs.len());
         let mut loss_sum = 0.0f32;
         let mut push_bytes = 0u64;
         let mut push_dense_bytes = 0u64;
-        for &w in &live {
-            let node = &self.cluster.workers[w];
-            let state = &mut self.workers[w];
-            let clock = node.clock().clone();
-            let t0 = clock.now_ns();
-            if shield {
-                // Worker-side record processing of the weight broadcast.
-                clock.advance(model.shield_net_ns(weight_bytes_total));
-            }
-
-            // Fetch this worker's batch (wraps around its shard).
-            if state.cursor + self.batch > self.data.len() {
-                state.cursor = 0;
-            }
-            let cursor = state.cursor;
-            state.cursor += self.batch;
-            let (x, y) = self.batch_for_model(cursor, self.batch)?;
-            let state = &mut self.workers[w];
-            node.enclave.charge_syscall(); // input read
-            let pre_ns = clock.now_ns() - t0;
-
-            state.session.reset_stats();
-            let (loss, grads) = state.session.gradients(
-                &self.model.graph,
-                &[(self.model.input, x), (self.model.labels, y)],
-                self.model.loss,
-            )?;
-            loss_sum += loss;
-            let stats = state.session.stats();
-            // Virtual time advances by the pool's critical path (equal to
-            // total flops when the session runs serial kernels).
-            node.enclave.charge_parallel_compute(
-                stats.flops * sched_slowdown,
-                stats.critical_flops * sched_slowdown,
-            );
-
-            // Memory traffic: parameters + activations, through the EPC.
-            node.enclave.touch_all(state.params_region)?;
-            let act_bytes = stats.activation_bytes.max(1);
-            node.enclave.free(state.activations_region)?;
-            state.activations_region = node.enclave.alloc("activations", act_bytes);
-            node.enclave.touch_all(state.activations_region)?;
-            let compute_end = clock.now_ns() - t0;
-
-            // The backward pass produces the last layer's gradients
-            // first: descending variable id. This fixed order also pins
-            // the PS apply order, so results are bit-identical whatever
-            // the wire schedule.
-            let mut message: Vec<(u32, Tensor)> = grads
-                .into_iter()
-                .map(|(id, g)| (id.index() as u32, g))
-                .collect();
-            message.sort_by_key(|e| std::cmp::Reverse(e.0));
-
-            // Error feedback: fold the residual the quantizer dropped
-            // last step into this step's gradient, then keep the new
-            // drop. The residual is derived from the decoder's exact
-            // arithmetic (q * scale), so worker and PS agree bit-for-bit
-            // on what was transmitted.
-            let mut entries: Vec<(u32, Tensor)> = Vec::with_capacity(message.len());
-            for (raw, grad) in message {
-                let adjusted = if codec == Codec::Quantized {
-                    match state.residuals.get(&raw) {
-                        Some(r) => grad.zip(r, |g, r| g + r)?,
-                        None => grad,
-                    }
-                } else {
-                    grad
-                };
-                if codec == Codec::Quantized {
-                    let q = wire::quantize(adjusted.data());
-                    let sent = q.dequantize();
-                    let residual: Vec<f32> = adjusted
-                        .data()
-                        .iter()
-                        .zip(&sent)
-                        .map(|(a, s)| a - s)
-                        .collect();
-                    state
-                        .residuals
-                        .insert(raw, Tensor::from_vec(adjusted.shape(), residual)?);
-                }
-                entries.push((raw, adjusted));
-            }
-
-            let mut frames: Vec<Vec<u8>> = Vec::new();
-            let mut chunks: Vec<Chunk> = Vec::new();
-            if overlap {
-                // Chunk i becomes ready after a byte-proportional share
-                // of the backward compute; sealing runs on the shield's
-                // async syscall threads, so it overlaps the remaining
-                // compute (the schedule below serializes it per worker).
-                let total_bytes: u64 = entries
-                    .iter()
-                    .map(|(_, t)| t.byte_len().max(1))
-                    .sum::<u64>()
-                    .max(1);
-                let compute_ns = compute_end - pre_ns;
-                let mut cum = 0u64;
-                for entry in &entries {
-                    cum += entry.1.byte_len().max(1);
-                    let ready = pre_ns
-                        + ((u128::from(compute_ns) * u128::from(cum))
-                            / u128::from(total_bytes)) as u64;
-                    let frame = wire::encode_frame(std::slice::from_ref(entry), codec);
-                    let len = frame.len() as u64;
-                    chunks.push(Chunk {
-                        shard: shard_of[&entry.0],
-                        ready_ns: ready,
-                        seal_ns: if shield { model.shield_net_ns(len) } else { 0 },
-                        transfer_ns: model.lan_transfer_ns(len),
-                        ps_shield_ns: if shield { model.shield_net_ns(len) } else { 0 },
-                    });
-                    push_dense_bytes += wire::dense_frame_len(std::slice::from_ref(entry));
-                    frames.push(frame);
-                }
-            } else {
-                // Barrier: the worker pushes only after its full
-                // backward pass — one joined frame per owning shard,
-                // sealed on the same async shield threads. Only chunk
-                // granularity and readiness differ from the overlapped
-                // path; the NIC physics are identical.
-                for s in 0..ps_count {
-                    let shard_entries: Vec<(u32, Tensor)> = entries
-                        .iter()
-                        .filter(|(raw, _)| shard_of[raw] == s)
-                        .cloned()
-                        .collect();
-                    if shard_entries.is_empty() {
-                        continue;
-                    }
-                    let frame = wire::encode_frame(&shard_entries, codec);
-                    let len = frame.len() as u64;
-                    chunks.push(Chunk {
-                        shard: s,
-                        ready_ns: compute_end,
-                        seal_ns: if shield { model.shield_net_ns(len) } else { 0 },
-                        transfer_ns: model.lan_transfer_ns(len),
-                        ps_shield_ns: if shield { model.shield_net_ns(len) } else { 0 },
-                    });
-                    push_dense_bytes += wire::dense_frame_len(&shard_entries);
-                    frames.push(frame);
-                }
-            }
-            push_bytes += frames.iter().map(|f| f.len() as u64).sum::<u64>();
-            pushes.push(Push { frames, chunks });
-            max_worker_ns = max_worker_ns.max(clock.now_ns() - t0);
+        for (_, _, output) in runs {
+            let output = output.expect("run_items visits every item")?;
+            loss_sum += output.loss;
+            push_bytes += output.push.frames.iter().map(|f| f.len() as u64).sum::<u64>();
+            push_dense_bytes += output.push_dense_bytes;
+            max_worker_ns = max_worker_ns.max(output.elapsed_ns);
+            pushes.push(output.push);
         }
         drop(compute_span);
 
@@ -600,39 +672,13 @@ impl DistributedTrainer {
         }
     }
 
-    /// Fetches a batch shaped for the model's input placeholder (flat for
-    /// MLPs, NHWC for convolutional models).
-    fn batch_for_model(
-        &self,
-        start: usize,
-        n: usize,
-    ) -> Result<(securetf_tensor::tensor::Tensor, securetf_tensor::tensor::Tensor), DistribError>
-    {
-        if self.model_wants_nhwc() {
-            Ok(self.data.batch_nhwc(start, n)?)
-        } else {
-            Ok(self.data.batch(start, n)?)
-        }
-    }
-
-    fn model_wants_nhwc(&self) -> bool {
-        matches!(
-            &self.model.graph.nodes()[self.model.input.index()].op,
-            securetf_tensor::graph::Op::Placeholder { shape } if shape.len() == 4
-        )
-    }
-
     /// Evaluates classification accuracy of the parameter-server model.
     ///
     /// # Errors
     ///
     /// Propagates execution errors.
     pub fn evaluate(&mut self, data: &Dataset) -> Result<f64, DistribError> {
-        let (x, _) = if self.model_wants_nhwc() {
-            data.batch_nhwc(0, data.len())?
-        } else {
-            data.batch(0, data.len())?
-        };
+        let (x, _) = batch_for_model(&self.model, data, 0, data.len())?;
         let out = self.ps_session.run(
             &self.model.graph,
             &[(self.model.input, x)],
@@ -1063,6 +1109,35 @@ mod tests {
         );
         // Training math is unaffected by sharding.
         assert_eq!(one.final_loss, two.final_loss);
+    }
+
+    #[test]
+    fn step_returns_the_lowest_failing_workers_error_for_every_pool() {
+        // One worker's activations region is gone (a TEE error on its
+        // free), the other holds a residual of the wrong shape (a tensor
+        // error in its error feedback); both fail in the same step.
+        for pool in [1usize, 2, 4] {
+            for (tee_fails_on, residual_fails_on) in [(0usize, 1usize), (1, 0)] {
+                for _ in 0..4 {
+                    let mut t = trainer(2, ExecutionMode::Simulation, true);
+                    t.set_comm_config(CommConfig { codec: Codec::Quantized, overlap: true });
+                    t.set_worker_pool(WorkerPool::new(pool));
+                    t.step().unwrap();
+                    let gone = &t.workers[tee_fails_on];
+                    gone.enclave.free(gone.activations_region).unwrap();
+                    for residual in t.workers[residual_fails_on].residuals.values_mut() {
+                        *residual = Tensor::zeros(&[1]);
+                    }
+                    let error = t.step().unwrap_err();
+                    let what = format!("pool {pool}, worker {tee_fails_on} loses its region: {error}");
+                    if tee_fails_on == 0 {
+                        assert!(matches!(error, DistribError::Tee(_)), "{what}");
+                    } else {
+                        assert!(matches!(error, DistribError::Tensor(_)), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

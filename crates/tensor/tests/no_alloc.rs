@@ -4,14 +4,17 @@
 //! put back, and so a warmed-up run allocates only what it hands to the
 //! caller — fetched outputs and variable gradients — however large the
 //! model is, and the buffer pool holds the same bytes after run 50 as
-//! after run 3. This file holds exactly one test so allocations from
-//! other tests in the same process can never pollute the counters.
+//! after run 3 — on the calling thread alone and on a two-worker pool,
+//! whose dispatch onto the crew allocates nothing at all. This file holds
+//! exactly one test so allocations from other tests in the same process
+//! can never pollute the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::SeedableRng;
 use securetf_tensor::graph::{Graph, NodeId};
+use securetf_tensor::kernels::WorkerPool;
 use securetf_tensor::layers;
 use securetf_tensor::optimizer::Sgd;
 use securetf_tensor::session::Session;
@@ -103,6 +106,25 @@ fn dense_stack(layers: usize) -> LiteModel {
 
 #[test]
 fn steady_state_runs_allocate_only_what_they_hand_out() {
+    // A dispatch itself — cut, lease, hand-over, join — touches the heap
+    // only on the call that starts the crew.
+    let two = WorkerPool::new(2);
+    let mut items = [0u64; 64];
+    two.run_items(&mut items, &|i, v| *v += i as u64);
+    let ((), bytes, calls) = allocated(|| {
+        for _ in 0..100 {
+            two.run_items(&mut items, &|i, v| *v += i as u64);
+        }
+    });
+    assert_eq!((bytes, calls), (0, 0), "a warmed-up dispatch allocated");
+    assert_eq!(items[63], 63 * 101);
+
+    for pool in [WorkerPool::serial(), two] {
+        steady_state_on(pool);
+    }
+}
+
+fn steady_state_on(pool: WorkerPool) {
     // (a) Inference: per-run heap traffic is independent of model size.
     for layers in [2usize, 8] {
         let model = dense_stack(layers);
@@ -112,6 +134,7 @@ fn steady_state_runs_allocate_only_what_they_hand_out() {
             "{layers} layers: only {param_bytes} parameter bytes"
         );
         let mut interpreter = Interpreter::new(model);
+        interpreter.set_worker_pool(pool);
         assert_eq!(
             interpreter.model().graph().len(),
             1 + 3 * layers,
@@ -131,7 +154,7 @@ fn steady_state_runs_allocate_only_what_they_hand_out() {
             if run > 2 {
                 assert!(
                     bytes < SLACK_BYTES && calls < SLACK_CALLS,
-                    "{layers} layers ({param_bytes} parameter bytes), run {run}: \
+                    "{pool:?}, {layers} layers ({param_bytes} parameter bytes), run {run}: \
                      {bytes} bytes in {calls} allocations"
                 );
             }
@@ -177,6 +200,7 @@ fn steady_state_runs_allocate_only_what_they_hand_out() {
         (model.labels, labels),
     ];
     let mut session = Session::new(&model.graph);
+    session.set_worker_pool(pool);
     let gradient_bytes = session.param_bytes();
     let mut sgd = Sgd::new(0.01);
     let mut pooled_at_3 = 0;
@@ -190,7 +214,7 @@ fn steady_state_runs_allocate_only_what_they_hand_out() {
         if step > 2 {
             assert!(
                 bytes < gradient_bytes + SLACK_BYTES && calls < SLACK_CALLS,
-                "step {step}: {bytes} bytes in {calls} allocations \
+                "{pool:?}, step {step}: {bytes} bytes in {calls} allocations \
                  ({gradient_bytes} gradient bytes)"
             );
         }

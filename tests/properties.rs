@@ -1248,3 +1248,132 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// One crew: whichever thread runs a region, nothing a caller can read moves.
+// ---------------------------------------------------------------------------
+
+use securetf_distrib::cluster::{Cluster, ClusterConfig};
+use securetf_distrib::comm::{Codec, CommConfig, CommStats};
+use securetf_distrib::trainer::DistributedTrainer;
+use securetf_tensor::kernels::{self, WorkerPool};
+
+/// Everything a short distributed run hands back.
+#[derive(Debug, PartialEq)]
+struct TrainerTrace {
+    loss_bits: Vec<u32>,
+    checkpoint: Vec<u8>,
+    elapsed_ns: u64,
+    comm: CommStats,
+}
+
+/// Three steps of two conv workers over two shards, their gradient
+/// phases side by side on a `pool`-worker pool.
+fn trainer_trace(pool: usize, comm: CommConfig) -> TrainerTrace {
+    let cluster = Cluster::new(ClusterConfig {
+        workers: 2,
+        parameter_servers: 2,
+        ..ClusterConfig::default()
+    })
+    .expect("cluster");
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(21);
+    let model = securetf_tensor::layers::conv_classifier(28, 28, 1, 4, 10, &mut rng).expect("model");
+    let data = securetf_data::synthetic_mnist(48, 9);
+    let mut trainer = DistributedTrainer::new(cluster, model, data, 16, 0.05).expect("trainer");
+    trainer.set_comm_config(comm);
+    trainer.set_worker_pool(WorkerPool::new(pool));
+    let loss_bits = (0..3).map(|_| trainer.step().expect("step").to_bits()).collect();
+    TrainerTrace {
+        loss_bits,
+        checkpoint: trainer.checkpoint_bytes("/ckpt/crew").expect("checkpoint"),
+        elapsed_ns: trainer.elapsed_ns(),
+        comm: trainer.comm_stats(),
+    }
+}
+
+/// What the parent commit — whose workers ran one after another, on a
+/// thread per kernel call — produced: `(codec, overlap, bytes sent, bytes
+/// saved)`, then `(elapsed, exposed comm, hidden comm)` in ns for pools of
+/// 1, 2 and 4. A wider pool shortens a worker's critical path, which
+/// moves virtual time and, with overlap, when a chunk is ready; it moves
+/// nothing else.
+type PoolTimes = (u64, u64, u64);
+const PARENT_TRAINER_TRACES: [(Codec, bool, u64, u64, [PoolTimes; 3]); 4] = [
+    (Codec::Dense, false, 379_416, 0, [
+        (20_403_227, 6_737_160, 1_247_937),
+        (18_942_635, 6_737_160, 1_247_937),
+        (18_212_339, 6_737_160, 1_247_937),
+    ]),
+    (Codec::Dense, true, 379_446, 0, [
+        (20_334_546, 6_668_479, 1_917_254),
+        (18_880_622, 6_675_147, 1_910_586),
+        (18_153_659, 6_678_480, 1_907_253),
+    ]),
+    (Codec::Quantized, false, 237_540, 141_876, [
+        (17_858_609, 4_192_542, 765_867),
+        (16_398_017, 4_192_542, 765_867),
+        (15_667_721, 4_192_542, 765_867),
+    ]),
+    (Codec::Quantized, true, 237_570, 141_876, [
+        (17_794_821, 4_128_754, 1_430_291),
+        (16_340_897, 4_135_422, 1_423_623),
+        (15_613_934, 4_138_755, 1_420_290),
+    ]),
+];
+
+#[test]
+fn crew_pool_size_moves_nothing_in_a_trainer_run_but_the_critical_path() {
+    for (codec, overlap, bytes_sent, bytes_saved, times) in PARENT_TRAINER_TRACES {
+        let comm = CommConfig { codec, overlap };
+        let serial = trainer_trace(1, comm);
+        for (pool, (elapsed_ns, comm_ns, overlap_hidden_ns)) in [1usize, 2, 4].into_iter().zip(times) {
+            let what = format!("{codec:?} overlap={overlap} pool={pool}");
+            let trace = trainer_trace(pool, comm);
+            assert_eq!(trace, trainer_trace(pool, comm), "{what}: two runs differ");
+            assert_eq!(trace.loss_bits, serial.loss_bits, "{what}: losses");
+            assert_eq!(trace.checkpoint, serial.checkpoint, "{what}: checkpoint");
+            assert_eq!(trace.elapsed_ns, elapsed_ns, "{what}: virtual time");
+            let recorded = CommStats { bytes_sent, bytes_saved, comm_ns, overlap_hidden_ns };
+            assert_eq!(trace.comm, recorded, "{what}: comm accounting");
+        }
+    }
+}
+
+#[test]
+fn crew_contention_keeps_every_result_bit_identical_to_the_serial_pool() {
+    use securetf_tensor::graph::Padding;
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 6;
+
+    let lhs = Tensor::from_vec(&[70, 33], lcg_fill(1, 70 * 33)).unwrap();
+    let rhs = Tensor::from_vec(&[33, 40], lcg_fill(2, 33 * 40)).unwrap();
+    let image = Tensor::from_vec(&[4, 9, 9, 3], lcg_fill(3, 4 * 9 * 9 * 3)).unwrap();
+    let filter = Tensor::from_vec(&[3, 3, 3, 5], lcg_fill(4, 3 * 3 * 3 * 5)).unwrap();
+    let file: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 + i / 4096) as u8).collect();
+
+    let work = |pool: usize| {
+        let workers = WorkerPool::new(pool);
+        let product = kernels::matmul(&workers, &lhs, &rhs).unwrap().0;
+        let conv = kernels::conv2d(&workers, &image, &filter, Padding::Same).unwrap().0;
+        (bits(&product), bits(&conv), shielded_disk_image(pool, &file))
+    };
+    let serial = work(1);
+    assert_eq!(serial.2 .1, file);
+
+    // Leases are exclusive: of eight callers starting together at most
+    // `crew` get a member each, the others run every region themselves,
+    // and nobody waits on anybody else's.
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (work, serial, start) = (&work, &serial, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    let pool = 2 + (thread + round) % 3;
+                    assert_eq!(&work(pool), serial, "thread {thread} round {round} pool {pool}");
+                }
+            });
+        }
+    });
+}

@@ -11,7 +11,8 @@
 //!   caller's buffer and returns/accepts the tag separately; performs
 //!   **zero heap allocations**, and derives the Poly1305 key and payload
 //!   keystream from a single ChaCha20 key schedule (block 0 → one-time
-//!   key, blocks 1.. → payload),
+//!   key, blocks 1.. → payload) — for a record of up to 448 bytes, from a
+//!   single engine call,
 //! * **allocating wrappers** ([`seal`] / [`open`]) — the original
 //!   convenience API, now thin shims over the in-place core with output
 //!   capacity reserved up front, and
@@ -51,7 +52,7 @@
 //! # }
 //! ```
 
-use crate::chacha20::ChaCha20;
+use crate::chacha20::{xor_into, ChaCha20, PREFETCH};
 use crate::ct;
 use crate::poly1305::{Poly1305, ReferencePoly1305};
 use crate::CryptoError;
@@ -127,47 +128,66 @@ impl Nonce {
     }
 }
 
-/// Starts the single ChaCha20 key schedule shared by the Poly1305 key
-/// and the payload keystream: block 0 yields the one-time key, and the
-/// returned cipher sits at counter 1 ready for the payload.
+/// Starts a `len`-byte record's ChaCha20 stream with one engine call:
+/// block 0 — whose first half is the Poly1305 one-time key — and the
+/// first payload blocks land in `head` (all of the payload's, up to 448
+/// bytes: the narrowest engine that covers `1 + ceil(len / 64)` blocks, a
+/// function of `len` and the CPU only). Returns the cipher, sitting on the
+/// first block that is not in `head`, and how many bytes of `head` it
+/// filled. `head` stays in the caller's frame: written once, never moved.
 #[inline]
-fn start_cipher(key: &Key, nonce: &Nonce) -> (ChaCha20, [u8; 32]) {
+fn start_cipher(key: &Key, nonce: &Nonce, len: usize, head: &mut [u8; PREFETCH]) -> (ChaCha20, usize) {
     let mut cipher = ChaCha20::new(&key.0, &nonce.0, 0);
-    let block0 = cipher.next_block();
-    let mut pk = [0u8; 32];
-    pk.copy_from_slice(&block0[..32]);
-    (cipher, pk)
+    let have = cipher.prefetch(1 + len.div_ceil(64), head);
+    (cipher, have)
 }
 
-/// RFC 7539 §2.8 tag: pad16(aad) || pad16(ciphertext) || LE64 lengths,
-/// with the pads taken from a stack buffer (no per-record allocations).
+/// The Poly1305 one-time key of a record whose stream starts with `head`.
+fn one_time_key(head: &[u8; PREFETCH]) -> &[u8; 32] {
+    head.first_chunk().expect("a block is longer than a key")
+}
+
+/// XORs a record's payload keystream into `buf`: blocks 1 onwards of
+/// `head` (block 0 went to Poly1305), then whatever `cipher` streams
+/// behind them.
+#[inline]
+fn apply_payload_keystream(mut cipher: ChaCha20, head: &[u8], buf: &mut [u8]) {
+    let (first, rest) = buf.split_at_mut((head.len() - 64).min(buf.len()));
+    xor_into(first, &head[64..]);
+    if !rest.is_empty() {
+        cipher.apply_keystream(rest);
+    }
+}
+
+/// RFC 7539 §2.8 tag over `pad16(aad) | pad16(ciphertext) | LE64
+/// lengths`, absorbed as whole 16-byte blocks (no per-record allocations
+/// and no trip through the authenticator's partial-block buffer).
 fn compute_tag(pk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-    const ZERO: [u8; 16] = [0u8; 16];
     let mut mac = Poly1305::new(pk);
-    mac.update(aad);
-    mac.update(&ZERO[..(16 - aad.len() % 16) % 16]);
-    mac.update(ciphertext);
-    mac.update(&ZERO[..(16 - ciphertext.len() % 16) % 16]);
+    mac.update_padded(aad);
+    mac.update_padded(ciphertext);
     let mut lens = [0u8; 16];
     lens[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
     lens[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
-    mac.update(&lens);
+    mac.update_padded(&lens);
     mac.finalize()
 }
 
 /// Encrypts `buf` in place and returns the detached tag.
 ///
 /// This is the zero-allocation core every other seal entry point wraps:
-/// no heap traffic, one ChaCha20 key schedule, multi-block keystream.
+/// no heap traffic, and the Poly1305 key (block 0) and the payload
+/// keystream of a short record come out of one ChaCha20 engine call.
 pub fn seal_in_place_detached(
     key: &Key,
     nonce: &Nonce,
     buf: &mut [u8],
     aad: &[u8],
 ) -> [u8; TAG_LEN] {
-    let (mut cipher, pk) = start_cipher(key, nonce);
-    cipher.apply_keystream(buf);
-    compute_tag(&pk, aad, buf)
+    let mut head = [0u8; PREFETCH];
+    let (cipher, have) = start_cipher(key, nonce, buf.len(), &mut head);
+    apply_payload_keystream(cipher, &head[..have], buf);
+    compute_tag(one_time_key(&head), aad, buf)
 }
 
 /// Verifies `tag` over the ciphertext in `buf`, then decrypts in place.
@@ -189,12 +209,13 @@ pub fn open_in_place_detached(
     if tag.len() != TAG_LEN {
         return Err(CryptoError::TruncatedInput);
     }
-    let (mut cipher, pk) = start_cipher(key, nonce);
-    let expect = compute_tag(&pk, aad, buf);
+    let mut head = [0u8; PREFETCH];
+    let (cipher, have) = start_cipher(key, nonce, buf.len(), &mut head);
+    let expect = compute_tag(one_time_key(&head), aad, buf);
     if !ct::eq(&expect, tag) {
         return Err(CryptoError::TagMismatch);
     }
-    cipher.apply_keystream(buf);
+    apply_payload_keystream(cipher, &head[..have], buf);
     Ok(())
 }
 
@@ -426,7 +447,9 @@ only one tip for the future, sunscreen would be it.";
                 .unwrap(),
         );
         let nonce = Nonce::from_bytes(unhex("000000000001020304050607").try_into().unwrap());
-        let (_, pk) = start_cipher(&key, &nonce);
+        let mut head = [0u8; PREFETCH];
+        start_cipher(&key, &nonce, 0, &mut head);
+        let pk = *one_time_key(&head);
         assert_eq!(
             hex(&pk),
             "8ad5a08b905f81cc815040274ab29471a833b637e3fd0da508dbb8e2fdd1a646"
@@ -518,16 +541,32 @@ inappropriate to use Internet-Drafts as reference material or to cite them other
     fn open_in_place_failure_leaves_ciphertext() {
         let key = Key::from_bytes([6; 32]);
         let nonce = Nonce::from_bytes([7; 12]);
-        let mut buf = *b"some secret data";
-        let mut tag = seal_in_place_detached(&key, &nonce, &mut buf, b"");
-        let ciphertext = buf;
-        tag[0] ^= 1;
-        assert_eq!(
-            open_in_place_detached(&key, &nonce, &mut buf, &tag, b""),
-            Err(CryptoError::TagMismatch)
-        );
-        // Buffer untouched: no unauthenticated plaintext escapes.
-        assert_eq!(buf, ciphertext);
+        // Both sides of every path boundary: nothing / one block / what one
+        // engine call covers / where the streamed rest begins.
+        for len in [0usize, 1, 16, 63, 64, 65, 447, 448, 449, 1023, 1024, 1025] {
+            let mut buf: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
+            let tag = seal_in_place_detached(&key, &nonce, &mut buf, b"aad");
+            let ciphertext = buf.clone();
+            let mut bad_tag = tag;
+            bad_tag[0] ^= 1;
+            assert_eq!(
+                open_in_place_detached(&key, &nonce, &mut buf, &bad_tag, b"aad"),
+                Err(CryptoError::TagMismatch),
+                "len {len}"
+            );
+            // Buffer untouched: no unauthenticated plaintext escapes.
+            assert_eq!(buf, ciphertext, "len {len}: bad tag");
+            if let Some(last) = buf.last_mut() {
+                *last ^= 0x80;
+                let tampered = buf.clone();
+                assert_eq!(
+                    open_in_place_detached(&key, &nonce, &mut buf, &tag, b"aad"),
+                    Err(CryptoError::TagMismatch),
+                    "len {len}"
+                );
+                assert_eq!(buf, tampered, "len {len}: bad ciphertext");
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! * [`sha256`] — SHA-256 (FIPS 180-4)
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104, vectors from RFC 4231)
 //! * [`hkdf`] — HKDF (RFC 5869)
-//! * [`chacha20`] — the ChaCha20 stream cipher (RFC 7539), with a 4-way
-//!   interleaved multi-block fast path and word-wise keystream XOR
-//! * [`poly1305`] — the Poly1305 one-time authenticator (RFC 7539),
-//!   copy-free 16-byte block loop with precomputed reduction multipliers
+//! * [`chacha20`] — the ChaCha20 stream cipher (RFC 7539): one round body
+//!   at 4 / 8 / 16 interleaved blocks (SSE2 / AVX2 / AVX-512, run-time
+//!   dispatched, [`chacha20::backend`]) beside the scalar block function
+//! * [`poly1305`] — the Poly1305 one-time authenticator (RFC 7539): a
+//!   copy-free donna-64 block loop and, for long runs on AVX2, a four-way
+//!   body on 26-bit limbs ([`poly1305::backend`])
 //! * [`aead`] — ChaCha20-Poly1305 AEAD (RFC 7539), with zero-allocation
-//!   in-place detached seal/open on a reusable [`aead::AeadCtx`] plus the
-//!   original allocating and reference paths for A/B comparison
+//!   in-place detached seal/open on a reusable [`aead::AeadCtx`] (one
+//!   ChaCha20 engine call per short record) plus the original allocating
+//!   and reference paths for A/B comparison
 //! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748)
 //! * [`drbg`] — a deterministic HMAC-DRBG (NIST SP 800-90A style)
 //! * [`ct`] — constant-time comparison helpers

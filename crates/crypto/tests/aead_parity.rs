@@ -8,6 +8,47 @@ use proptest::prelude::*;
 use securetf_crypto::aead::{self, AeadCtx, Key, Nonce, TAG_LEN};
 use securetf_crypto::chacha20::ChaCha20;
 
+// The record sizes where seal / open change path: nothing to encrypt, one
+// block, and the last size whose whole keystream comes out of the one
+// engine call that also yields the Poly1305 key (448 bytes = 7 blocks
+// beside block 0) — each with the AAD lengths that are absent, the net
+// shield's (8), the fs shield's shape (13), a whole block and one over.
+#[test]
+fn short_path_boundaries_match_the_reference() {
+    let key = Key::from_bytes(std::array::from_fn(|i| (i * 11 + 5) as u8));
+    let ctx = AeadCtx::new(key.clone());
+    for len in [0usize, 1, 63, 64, 65, 447, 448, 449] {
+        for aad_len in [0usize, 8, 13, 16, 17] {
+            let nonce = Nonce::from_counter(len as u32, aad_len as u64);
+            let plaintext: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(89) >> 1) as u8).collect();
+            let aad: Vec<u8> = (0..aad_len).map(|i| (i * 5 + 1) as u8).collect();
+            let case = format!("len {len}, aad {aad_len}");
+
+            let reference = aead::seal_reference(&key, &nonce, &plaintext, &aad);
+            assert_eq!(aead::seal(&key, &nonce, &plaintext, &aad), reference, "{case}");
+            let mut buf = plaintext.clone();
+            let tag = ctx.seal_in_place_detached(&nonce, &mut buf, &aad);
+            assert_eq!(buf, reference[..len], "{case}: ciphertext");
+            assert_eq!(tag, reference[len..], "{case}: tag");
+            let mut appended = vec![0x77];
+            ctx.seal_append(&nonce, &plaintext, &aad, &mut appended);
+            assert_eq!(appended[1..], reference[..], "{case}: seal_append");
+
+            assert_eq!(aead::open(&key, &nonce, &reference, &aad).unwrap(), plaintext, "{case}");
+            assert_eq!(
+                aead::open_reference(&key, &nonce, &reference, &aad).unwrap(),
+                plaintext,
+                "{case}"
+            );
+            ctx.open_in_place_detached(&nonce, &mut buf, &tag, &aad).unwrap();
+            assert_eq!(buf, plaintext, "{case}: open in place");
+            let mut opened = vec![0x77];
+            ctx.open_append(&nonce, &reference, &aad, &mut opened).unwrap();
+            assert_eq!(opened[1..], plaintext[..], "{case}: open_append");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -1,6 +1,7 @@
 //! Counting-allocator proof of the zero-allocation steady-state contract:
-//! in-place detached seal/open on a reusable [`AeadCtx`] must not touch
-//! the heap. This file holds exactly one test so allocations from other
+//! in-place detached seal/open on a reusable [`AeadCtx`] — chunks and
+//! short records alike — and the append variants on a warmed scratch
+//! `Vec` must not touch the heap. This file holds exactly one test so allocations from other
 //! tests running in the same process can never pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -34,20 +35,37 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_in_place_seal_open_allocates_nothing() {
     let ctx = AeadCtx::new(Key::from_bytes([7u8; 32]));
-    let mut buf = vec![0xabu8; 64 * 1024];
+    // A chunk of the fs shield, and the reply and request records of the
+    // net shield (the one-engine-call path).
+    let mut chunk = vec![0xabu8; 64 * 1024];
+    let mut reply = [0x17u8; 13];
+    let mut request = [0x2cu8; 280];
     let aad = [0x5au8; 13];
+    // Scratch for the append variants, warmed to its high-water mark.
+    let mut sealed = Vec::with_capacity(request.len() + 16);
+    let mut opened = Vec::with_capacity(request.len());
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for seq in 0..32u64 {
         let nonce = Nonce::from_counter(9, seq);
-        let tag = ctx.seal_in_place_detached(&nonce, &mut buf, &aad);
-        ctx.open_in_place_detached(&nonce, &mut buf, &tag, &aad)
-            .expect("roundtrip authenticates");
+        for buf in [&mut chunk[..], &mut reply[..], &mut request[..]] {
+            let tag = ctx.seal_in_place_detached(&nonce, buf, &aad);
+            ctx.open_in_place_detached(&nonce, buf, &tag, &aad)
+                .expect("roundtrip authenticates");
+        }
+        for record in [&reply[..], &request[..]] {
+            sealed.clear();
+            opened.clear();
+            ctx.seal_append(&nonce, record, &aad, &mut sealed);
+            ctx.open_append(&nonce, &sealed, &aad, &mut opened)
+                .expect("roundtrip authenticates");
+            assert_eq!(opened, record);
+        }
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "in-place detached seal/open must not allocate in steady state"
+        "in-place detached seal/open and warmed append must not allocate in steady state"
     );
 }

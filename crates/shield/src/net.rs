@@ -319,17 +319,19 @@ impl<T: Transport> SecureChannel<T> {
     ///
     /// Returns [`ShieldError::ChannelClosed`] if the enclave backing
     /// this channel has been marked failed — a crashed endpoint cannot
-    /// produce authenticated records.
+    /// produce authenticated records — or if the channel has used up its
+    /// sequence numbers (a nonce must never repeat under one key).
     pub fn send(&mut self, plaintext: &[u8]) -> Result<(), ShieldError> {
         if self.enclave.is_failed() {
             return Err(ShieldError::ChannelClosed);
         }
+        let next_seq = self.send_seq.checked_add(1).ok_or(ShieldError::ChannelClosed)?;
         let nonce = Nonce::from_counter(REC_DATA, self.send_seq);
         let aad = self.send_seq.to_le_bytes();
         // One exactly-sized allocation for the record the transport
         // consumes; the seal itself runs in place.
         let record = aead::seal(&self.send_key, &nonce, plaintext, &aad);
-        self.send_seq += 1;
+        self.send_seq = next_seq;
         self.enclave.charge_syscall();
         self.enclave
             .charge_shield_crypto_as(plaintext.len() as u64, CostCategory::Network);
@@ -358,8 +360,10 @@ impl<T: Transport> SecureChannel<T> {
     /// # Errors
     ///
     /// Returns [`ShieldError::ChannelClosed`] if the enclave backing
-    /// this channel has been marked failed. An empty batch is a no-op
-    /// (no syscall, no records).
+    /// this channel has been marked failed, or if the batch would run the
+    /// channel out of sequence numbers (nothing is sent then: a nonce
+    /// must never repeat under one key). An empty batch is a no-op (no
+    /// syscall, no records).
     pub fn send_vectored(&mut self, chunks: &[&[u8]]) -> Result<(), ShieldError> {
         if self.enclave.is_failed() {
             return Err(ShieldError::ChannelClosed);
@@ -367,6 +371,10 @@ impl<T: Transport> SecureChannel<T> {
         if chunks.is_empty() {
             return Ok(());
         }
+        let end_seq = u64::try_from(chunks.len())
+            .ok()
+            .and_then(|records| self.send_seq.checked_add(records))
+            .ok_or(ShieldError::ChannelClosed)?;
         self.enclave.charge_syscall();
         self.metrics.vectored_sends.inc();
         // Sequence numbers are assigned up front, so the records of one
@@ -382,8 +390,8 @@ impl<T: Transport> SecureChannel<T> {
             let aad = seq.to_le_bytes();
             *slot = aead::seal(key, &nonce, chunks[i], &aad);
         });
+        self.send_seq = end_seq;
         for (&chunk, record) in chunks.iter().zip(records) {
-            self.send_seq += 1;
             self.enclave
                 .charge_shield_crypto_as(chunk.len() as u64, CostCategory::Network);
             self.metrics.records_sent.inc();
@@ -401,8 +409,9 @@ impl<T: Transport> SecureChannel<T> {
     ///
     /// # Errors
     ///
-    /// * [`ShieldError::ChannelClosed`] if the transport has no message
-    ///   or this channel's enclave is marked failed.
+    /// * [`ShieldError::ChannelClosed`] if the transport has no message,
+    ///   this channel's enclave is marked failed, or the peer has used up
+    ///   its sequence numbers.
     /// * [`ShieldError::ChannelTampered`] if authentication fails —
     ///   tampering, replay, reordering and truncation all land here
     ///   because the sequence number is part of the authenticated data.
@@ -440,9 +449,16 @@ impl<T: Transport> SecureChannel<T> {
     }
 
     fn open_record(&mut self, mut record: Vec<u8>) -> Result<Vec<u8>, ShieldError> {
+        // `u64::MAX` is never a sequence number (`send` stops one short,
+        // so that `seq + 1` always exists): a receiver that has reached it
+        // has seen every record its peer could send.
+        if self.recv_seq == u64::MAX {
+            return Err(ShieldError::ChannelClosed);
+        }
         if record.len() >= aead::TAG_LEN {
             let ct_len = record.len() - aead::TAG_LEN;
-            for candidate in self.recv_seq..=self.recv_seq + self.loss_window {
+            let last = self.recv_seq.saturating_add(self.loss_window).min(u64::MAX - 1);
+            for candidate in self.recv_seq..=last {
                 let nonce = Nonce::from_counter(REC_DATA, candidate);
                 let aad = candidate.to_le_bytes();
                 // Verify-then-decrypt in place: a candidate mismatch
@@ -736,6 +752,49 @@ mod tests {
         assert_eq!(b.recv().unwrap(), b"second");
         // The replayed copy of "second" is now behind the sequence: rejected.
         assert!(matches!(b.recv(), Err(ShieldError::ChannelTampered(_))));
+    }
+
+    #[test]
+    fn huge_loss_window_saturates_instead_of_wrapping() {
+        // `recv_seq + loss_window` used to overflow from the second record
+        // on: a panic in debug, in release an empty candidate range that
+        // rejected every record.
+        let (mut a, mut b) = pair(None);
+        b.set_loss_window(u64::MAX);
+        for message in [&b"first"[..], b"second", b"third"] {
+            a.send(message).unwrap();
+            assert_eq!(b.recv().unwrap(), message);
+        }
+        // Right up against the end of the sequence space as well.
+        (a.send_seq, b.recv_seq) = (u64::MAX - 2, u64::MAX - 2);
+        a.send(b"late").unwrap();
+        assert_eq!(b.recv().unwrap(), b"late");
+    }
+
+    #[test]
+    fn sequence_exhaustion_closes_the_channel_before_a_nonce_repeats() {
+        let (mut a, mut b) = pair(None);
+        (a.send_seq, b.recv_seq) = (u64::MAX - 3, u64::MAX - 3);
+        // A batch that needs one number more than there are: nothing goes out.
+        let chunks: [&[u8]; 4] = [b"w", b"x", b"y", b"z"];
+        assert!(matches!(a.send_vectored(&chunks), Err(ShieldError::ChannelClosed)));
+        assert_eq!(a.send_seq, u64::MAX - 3);
+        // Two in a batch and one alone use the last three.
+        a.send_vectored(&chunks[..2]).unwrap();
+        a.send(b"last").unwrap();
+        assert_eq!(a.send_seq, u64::MAX);
+        assert!(matches!(a.send(b"one too many"), Err(ShieldError::ChannelClosed)));
+        assert!(matches!(a.send_vectored(&chunks[..1]), Err(ShieldError::ChannelClosed)));
+        assert_eq!(a.send_seq, u64::MAX, "a refused send must not wrap the sequence");
+        for expect in [&b"w"[..], b"x", b"last"] {
+            assert_eq!(b.recv().unwrap(), expect);
+        }
+        // The refused sends left nothing on the wire, and a receiver at
+        // the end of the sequence reads whatever the host injects as a
+        // closed channel rather than trying nonces.
+        assert!(matches!(b.try_recv(), Ok(None)));
+        a.transport.send(vec![0u8; 64]);
+        assert!(matches!(b.recv(), Err(ShieldError::ChannelClosed)));
     }
 
     #[test]

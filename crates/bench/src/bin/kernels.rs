@@ -14,7 +14,17 @@
 //! 2. the conv filter gradient alone — all a training step needs of the
 //!    conv backward when the image is a placeholder — beats the naive
 //!    backward loop by at least 3× at the training shape (release), and
-//! 3. pooled outputs are bit-identical to serial ones.
+//! 3. the max-pool kernels beat the scalar loops they replaced at the
+//!    training shape — forward by 2×, backward (one pass from `(x, grad)`,
+//!    no index table) by 1.8× — (release), and
+//! 4. pooled outputs are bit-identical to serial ones, and the max-pool
+//!    and transposed-A rows to their references, in every build.
+//!
+//! The `step` rows are medians, not best-ofs, of whole passes at the
+//! `train_dist` shape: the dense layer's weight gradient with and without
+//! a materialised `xᵀ`, one relu through the executor, and one
+//! `Session::gradients` of the conv classifier on a serial pool — the
+//! number the per-kernel rows have to add up to.
 //!
 //! A last `dispatch` row is what a pooled call pays before any kernel
 //! runs: an empty `run_items` over one item per worker, the number the
@@ -26,9 +36,14 @@
 
 use securetf_bench::report::{BenchReport, JsonValue};
 use securetf_bench::{fmt_ns, fmt_ratio, header};
-use securetf_tensor::graph::Padding;
+use rand::SeedableRng;
+use securetf_tensor::graph::{Graph, Padding};
 use securetf_tensor::kernels::{self, reference, WorkerPool, Workspace};
+use securetf_tensor::layers;
+use securetf_tensor::memory::PlannedExecutor;
+use securetf_tensor::session::Session;
 use securetf_tensor::tensor::Tensor;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Deterministic pseudo-random fill in roughly [-1, 1].
@@ -57,22 +72,32 @@ fn time_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> (u64, R) {
     (best, last)
 }
 
+/// Median wall-clock nanoseconds of `reps` calls of `f`, and its last
+/// result.
+fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> (u64, R) {
+    let mut last = f();
+    let mut samples: Vec<u64> = (0..reps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            last = f();
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    (samples[samples.len() / 2], last)
+}
+
 /// Median wall-clock nanoseconds of 1 000 empty `run_items` calls over
 /// one item per worker: the cut, the leases and the join, nothing else.
 fn dispatch_ns(workers: usize) -> u64 {
     let pool = WorkerPool::new(workers);
     let mut items = vec![0u8; pool.workers()];
-    let mut samples: Vec<u64> = (0..1000)
-        .map(|_| {
-            let t0 = Instant::now();
-            pool.run_items(&mut items, &|_, item| {
-                std::hint::black_box(item);
-            });
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    median_ns(1000, || {
+        pool.run_items(&mut items, &|_, item| {
+            std::hint::black_box(item);
+        });
+    })
+    .0
 }
 
 fn bits(data: &[f32]) -> Vec<u32> {
@@ -164,10 +189,8 @@ fn bench_conv_grad(
     let mut ws = Workspace::new();
     let mut filter_only = |pool: &WorkerPool| {
         time_ns(reps, || {
-            kernels::conv2d_grad_filter(pool, &mut ws, &input, filter.shape(), &grad, Padding::Same, &mut |len| {
-                vec![0.0f32; len]
-            })
-            .expect("conv grad")
+            kernels::conv2d_grad_filter(pool, &mut ws, &input, filter.shape(), &grad, Padding::Same, &mut stale)
+                .expect("conv grad")
         })
     };
     let (both_ns, (gi, gf, _)) = both(&serial);
@@ -195,6 +218,95 @@ fn bench_conv_grad(
             identical: same(&only_gf, &naive_gf) && same(&pooled_only_gf, &naive_gf),
         },
     ]
+}
+
+/// A kernel against the loop it replaced.
+struct VersusRow {
+    label: String,
+    reference_ns: u64,
+    kernel_ns: u64,
+    identical: bool,
+}
+
+/// A recycled buffer: the kernels must write all of what they take.
+fn stale(len: usize) -> Vec<f32> {
+    vec![f32::NAN; len]
+}
+
+/// Max-pool forward and backward at `shape` against the scalar loops.
+fn bench_max_pool(shape: [usize; 4], reps: usize) -> [VersusRow; 2] {
+    let [b, h, w, c] = shape;
+    let x = Tensor::from_vec(&shape, fill(41, b * h * w * c)).expect("x");
+    let grad = Tensor::from_vec(&[b, h / 2, w / 2, c], fill(43, b * (h / 2) * (w / 2) * c)).expect("grad");
+    let (naive_fwd_ns, (naive_out, _)) = time_ns(reps, || reference::naive_max_pool2(&x).expect("pool"));
+    let (fwd_ns, out) = time_ns(reps, || kernels::max_pool2_with(&x, &mut stale).expect("pool"));
+    let (naive_bwd_ns, naive_gx) = time_ns(reps, || reference::naive_max_pool2_grad(&x, &grad).expect("pool grad"));
+    let (bwd_ns, gx) = time_ns(reps, || kernels::max_pool2_grad_with(&x, &grad, &mut stale).expect("pool grad"));
+    let label = format!("{b}x{h}x{w}x{c}");
+    [
+        VersusRow {
+            label: format!("max_pool2 {label}"),
+            reference_ns: naive_fwd_ns,
+            kernel_ns: fwd_ns,
+            identical: bits(out.data()) == bits(naive_out.data()),
+        },
+        VersusRow {
+            label: format!("max_pool2_grad {label}"),
+            reference_ns: naive_bwd_ns,
+            kernel_ns: bwd_ns,
+            identical: bits(gx.data()) == bits(naive_gx.data()),
+        },
+    ]
+}
+
+/// The dense layer's weight gradient `xᵀ × grad` for `x [batch,
+/// features]`, `grad [batch, classes]`: transpose-then-multiply against
+/// the GEMM packing `x` as it lies.
+fn bench_matmul_grad_rhs(batch: usize, features: usize, classes: usize, reps: usize) -> VersusRow {
+    let x = Tensor::from_vec(&[batch, features], fill(47, batch * features)).expect("x");
+    let grad = Tensor::from_vec(&[batch, classes], fill(53, batch * classes)).expect("grad");
+    let pool = WorkerPool::serial();
+    let (reference_ns, want) = median_ns(reps, || {
+        let x_t = x.transpose().expect("rank 2");
+        kernels::matmul(&pool, &x_t, &grad).expect("matmul").0
+    });
+    let (kernel_ns, got) =
+        median_ns(reps, || kernels::matmul_lhs_t_with(&pool, &x, &grad, &mut stale).expect("matmul").0);
+    VersusRow {
+        label: format!("matmul_grad_rhs {batch}x{features}x{classes}"),
+        reference_ns,
+        kernel_ns,
+        identical: bits(got.data()) == bits(want.data()),
+    }
+}
+
+/// Median nanoseconds of one relu over `len` elements through the
+/// executor (forward only, warmed arena).
+fn relu_ns(len: usize, reps: usize) -> u64 {
+    let mut g = Graph::new();
+    let x = g.placeholder("x", &[len]);
+    let y = g.relu(x).expect("relu");
+    let value = Tensor::from_vec(&[len], fill(59, len)).expect("x");
+    let feeds = [(x, &value)];
+    let (vars, pool) = (HashMap::new(), WorkerPool::serial());
+    let mut executor = PlannedExecutor::new();
+    median_ns(reps, || executor.run(&g, &feeds[..], &vars, &[y], &pool).expect("relu")).0
+}
+
+/// Median nanoseconds of one `Session::gradients` of the conv classifier
+/// at the `train_dist` shape (batch 32 of 28x28x1, 16 channels, 10
+/// classes) on a serial pool.
+fn session_step_ns(reps: usize) -> u64 {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let model = layers::conv_classifier(28, 28, 1, 16, 10, &mut rng).expect("model");
+    let x = Tensor::from_vec(&[32, 28, 28, 1], fill(61, 32 * 28 * 28)).expect("x");
+    let mut labels = Tensor::zeros(&[32, 10]);
+    for row in 0..32 {
+        labels.data_mut()[row * 10 + row % 10] = 1.0;
+    }
+    let feeds = [(model.input, x), (model.labels, labels)];
+    let mut session = Session::new(&model.graph);
+    median_ns(reps, || session.gradients(&model.graph, &feeds, model.loss).expect("step")).0
 }
 
 fn main() {
@@ -255,15 +367,40 @@ fn main() {
                 row.naive_ns as f64 / row.pooled_ns.max(1) as f64,
             );
     }
+    // The other kernels of a training step, at its shape.
+    let mut versus = Vec::from(bench_max_pool([32, 28, 28, 16], reps * 3));
+    versus.push(bench_matmul_grad_rhs(32, 3136, 10, 50));
+    for row in &versus {
+        println!(
+            "{:<41} | {:>10} | {:>10} | {:>10} | {:>11} | {}",
+            row.label,
+            fmt_ns(row.reference_ns),
+            fmt_ns(row.kernel_ns),
+            "-",
+            fmt_ratio(row.reference_ns, row.kernel_ns),
+            row.identical
+        );
+        all_identical &= row.identical;
+        let key = row.label.replace(' ', "_");
+        report = report
+            .latency_ns(&format!("{key}.reference_ns"), row.reference_ns)
+            .latency_ns(&format!("{key}.kernel_ns"), row.kernel_ns)
+            .ratio(&format!("{key}.speedup"), row.reference_ns as f64 / row.kernel_ns.max(1) as f64);
+    }
+    let (relu, step) = (relu_ns(32 * 28 * 28 * 16, 200), session_step_ns(200));
+    println!("{:<41} | {:>10} | {:>10} | {:>10} |", "relu 401408 (executor, median)", "-", fmt_ns(relu), "-");
+    println!("{:<41} | {:>10} | {:>10} | {:>10} |", "session_step 32x28x28x1->16 (median)", "-", fmt_ns(step), "-");
     let dispatch = dispatch_ns(workers);
     println!("{:<41} | {:>10} | {:>10} | {:>10} |", "dispatch (empty run_items)", "-", "-", fmt_ns(dispatch));
     report = report
+        .latency_ns("relu_401408.blocked_ns", relu)
+        .latency_ns("session_step.blocked_ns", step)
         .latency_ns("dispatch.pooled_ns", dispatch)
         .value("parallel_bit_identical", JsonValue::Bool(all_identical));
 
     assert!(
         all_identical,
-        "pooled/blocked kernel output diverged bit-wise from the naive reference"
+        "a kernel's output diverged bit-wise from its reference"
     );
     // Wall-clock smoke gate, meaningful only with optimizations on.
     if cfg!(debug_assertions) {
@@ -295,6 +432,17 @@ fn main() {
             fmt_ns(filter_grad.blocked_ns),
             fmt_ns(filter_grad.naive_ns),
         );
+        // Tenths, so the gates stay integer arithmetic.
+        for (row, tenths) in [(&versus[0], 20), (&versus[1], 18)] {
+            assert!(
+                row.kernel_ns * tenths <= row.reference_ns * 10,
+                "{} ({}) is not {}x faster than the scalar loop ({})",
+                row.label,
+                fmt_ns(row.kernel_ns),
+                tenths as f64 / 10.0,
+                fmt_ns(row.reference_ns),
+            );
+        }
     }
     report.emit();
 }

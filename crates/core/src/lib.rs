@@ -110,7 +110,9 @@ pub(crate) fn attribute_kernel_flops(
 /// charges for. `grad_slots` and `grads_pruned` say how much of a backward
 /// pass the plan kept: gradients it has a slot for against nodes whose
 /// gradient is never computed because no variable is upstream of them
-/// (both 0 for an inference plan).
+/// (both 0 for an inference plan). `workspace_bytes` is the conv kernels'
+/// scratch (im2col and backward matrices): heap the executor keeps
+/// between runs that is in neither the plan nor the pool.
 pub(crate) fn export_memory_gauges(
     enclave: &securetf_tee::Enclave,
     mem: &securetf_tensor::memory::MemoryStats,
@@ -125,6 +127,7 @@ pub(crate) fn export_memory_gauges(
     telemetry.gauge("memory.pool_bytes").set(mem.pooled_bytes as i64);
     telemetry.gauge("memory.grad_slots").set(mem.grad_slots as i64);
     telemetry.gauge("memory.grads_pruned").set(mem.grads_pruned as i64);
+    telemetry.gauge("memory.workspace_bytes").set(mem.workspace_bytes as i64);
 }
 
 /// Top-level error type of the secureTF API.

@@ -23,7 +23,7 @@
 
 use crate::cluster::{Cluster, ClusterNode};
 use crate::comm::{self, Chunk, CommConfig, CommMetrics, CommStats};
-use crate::wire::{self, Codec};
+use crate::wire::{self, Codec, Quantized};
 use crate::DistribError;
 use std::collections::HashMap;
 use securetf_data::Dataset;
@@ -181,30 +181,25 @@ impl StepContext<'_> {
         // last step into this step's gradient, then keep the new
         // drop. The residual is derived from the decoder's exact
         // arithmetic (q * scale), so worker and PS agree bit-for-bit
-        // on what was transmitted.
+        // on what was transmitted. Each gradient is quantized once,
+        // here; the frames below carry these values.
         let mut entries: Vec<(u32, Tensor)> = Vec::with_capacity(message.len());
+        let mut quantized: Vec<Quantized> = Vec::new();
         for (raw, grad) in message {
             let adjusted = if codec == Codec::Quantized {
-                match state.residuals.get(&raw) {
+                let adjusted = match state.residuals.get(&raw) {
                     Some(r) => grad.zip(r, |g, r| g + r)?,
                     None => grad,
-                }
-            } else {
-                grad
-            };
-            if codec == Codec::Quantized {
-                let q = wire::quantize(adjusted.data());
-                let sent = q.dequantize();
-                let residual: Vec<f32> = adjusted
-                    .data()
-                    .iter()
-                    .zip(&sent)
-                    .map(|(a, s)| a - s)
-                    .collect();
+                };
+                let (q, residual) = wire::quantize_with_residual(adjusted.data());
                 state
                     .residuals
                     .insert(raw, Tensor::from_vec(adjusted.shape(), residual)?);
-            }
+                quantized.push(q);
+                adjusted
+            } else {
+                grad
+            };
             entries.push((raw, adjusted));
         }
 
@@ -223,12 +218,12 @@ impl StepContext<'_> {
                 .max(1);
             let compute_ns = compute_end - pre_ns;
             let mut cum = 0u64;
-            for entry in &entries {
+            for (i, entry) in entries.iter().enumerate() {
                 cum += entry.1.byte_len().max(1);
                 let ready = pre_ns
                     + ((u128::from(compute_ns) * u128::from(cum))
                         / u128::from(total_bytes)) as u64;
-                let frame = wire::encode_frame(std::slice::from_ref(entry), codec);
+                let frame = push_frame(std::slice::from_ref(entry), quantized.get(i).as_slice());
                 let len = frame.len() as u64;
                 chunks.push(Chunk {
                     shard: self.shard_of[&entry.0],
@@ -247,15 +242,15 @@ impl StepContext<'_> {
             // granularity and readiness differ from the overlapped
             // path; the NIC physics are identical.
             for s in 0..self.ps_count {
-                let shard_entries: Vec<(u32, Tensor)> = entries
-                    .iter()
-                    .filter(|(raw, _)| self.shard_of[raw] == s)
-                    .cloned()
+                let owned: Vec<usize> = (0..entries.len())
+                    .filter(|&i| self.shard_of[&entries[i].0] == s)
                     .collect();
-                if shard_entries.is_empty() {
+                if owned.is_empty() {
                     continue;
                 }
-                let frame = wire::encode_frame(&shard_entries, codec);
+                let shard_entries: Vec<(u32, Tensor)> = owned.iter().map(|&i| entries[i].clone()).collect();
+                let shard_quantized: Vec<&Quantized> = owned.iter().filter_map(|&i| quantized.get(i)).collect();
+                let frame = push_frame(&shard_entries, &shard_quantized);
                 let len = frame.len() as u64;
                 chunks.push(Chunk {
                     shard: s,
@@ -275,6 +270,20 @@ impl StepContext<'_> {
             elapsed_ns: clock.now_ns() - t0,
         })
     }
+}
+
+/// The push frame of `entries`: `quantized` holds their int8 forms, in
+/// order, under the quantized codec and nothing under the dense one.
+fn push_frame(entries: &[(u32, Tensor)], quantized: &[&Quantized]) -> Vec<u8> {
+    if quantized.is_empty() {
+        return wire::encode_frame(entries, Codec::Dense);
+    }
+    let entries: Vec<_> = entries
+        .iter()
+        .zip(quantized)
+        .map(|((id, tensor), q)| (*id, tensor, *q))
+        .collect();
+    wire::encode_quantized_frame(&entries)
 }
 
 /// Fetches a batch shaped for the model's input placeholder (flat for

@@ -62,27 +62,63 @@ impl Quantized {
     }
 }
 
+/// The quantization grid of one tensor.
+#[derive(Clone, Copy)]
+struct Grid {
+    /// `max_abs / 127` over the finite values; `0.0` when none of them is
+    /// non-zero.
+    scale: f32,
+    /// Whether anything but zero is representable.
+    live: bool,
+}
+
+impl Grid {
+    fn of(data: &[f32]) -> Grid {
+        let max_abs = data
+            .iter()
+            .filter(|v| v.is_finite())
+            .fold(0.0f32, |m, &v| m.max(v.abs()));
+        Grid {
+            scale: max_abs / 127.0,
+            live: max_abs != 0.0,
+        }
+    }
+
+    fn quantize(self, v: f32) -> i8 {
+        if self.live {
+            (v / self.scale).round().clamp(-127.0, 127.0) as i8
+        } else {
+            0
+        }
+    }
+}
+
 /// Deterministically quantizes `data` to int8 with a per-tensor scale.
 /// Non-finite inputs saturate through the clamp; no randomness is used
 /// (no stochastic rounding), so the result is a pure function of the
 /// input bits.
 pub fn quantize(data: &[f32]) -> Quantized {
-    let max_abs = data
-        .iter()
-        .filter(|v| v.is_finite())
-        .fold(0.0f32, |m, &v| m.max(v.abs()));
-    if max_abs == 0.0 {
-        return Quantized {
-            scale: 0.0,
-            values: vec![0; data.len()],
-        };
+    let grid = Grid::of(data);
+    Quantized {
+        scale: grid.scale,
+        values: data.iter().map(|&v| grid.quantize(v)).collect(),
     }
-    let scale = max_abs / 127.0;
-    let values = data
+}
+
+/// [`quantize`] and, from the same walk, what it dropped: `data[i]` minus
+/// the value the receiver reconstructs, `q * scale` — the decoder's exact
+/// arithmetic, so a sender that feeds the residual back agrees with the
+/// receiver bit for bit on what was transmitted.
+pub fn quantize_with_residual(data: &[f32]) -> (Quantized, Vec<f32>) {
+    let grid = Grid::of(data);
+    let (values, residual) = data
         .iter()
-        .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    Quantized { scale, values }
+        .map(|&v| {
+            let q = grid.quantize(v);
+            (q, v - q as f32 * grid.scale)
+        })
+        .unzip();
+    (Quantized { scale: grid.scale, values }, residual)
 }
 
 /// Entries per message and dims per tensor a decoder accepts.
@@ -206,17 +242,35 @@ pub fn encode_frame(entries: &[(u32, Tensor)], codec: Codec) -> Vec<u8> {
             out
         }
         Codec::Quantized => {
-            let mut out = vec![FRAME_QUANTIZED];
-            put_u32(&mut out, entries.len() as u32);
-            for (id, tensor) in entries {
-                put_entry_header(&mut out, *id, tensor);
-                let q = quantize(tensor.data());
-                out.extend_from_slice(&q.scale.to_le_bytes());
-                out.extend(q.values.iter().map(|&v| v as u8));
-            }
-            out
+            let quantized: Vec<Quantized> = entries.iter().map(|(_, t)| quantize(t.data())).collect();
+            let entries: Vec<_> = entries.iter().zip(&quantized).map(|((id, t), q)| (*id, t, q)).collect();
+            encode_quantized_frame(&entries)
         }
     }
+}
+
+/// Encodes a `'Q'` frame of tensors the sender has already quantized — a
+/// worker quantizes a gradient once, for its error-feedback residual
+/// ([`quantize_with_residual`]), and sends that. The tensor supplies the
+/// entry header's shape. Byte-identical to [`encode_frame`] with
+/// [`Codec::Quantized`] when each `Quantized` is [`quantize`] of its
+/// tensor.
+///
+/// # Panics
+///
+/// Panics if a `Quantized` does not hold one value per tensor element.
+pub fn encode_quantized_frame(entries: &[(u32, &Tensor, &Quantized)]) -> Vec<u8> {
+    let payload: usize = entries.iter().map(|(_, t, _)| 16 + 4 * t.shape().len() + t.len()).sum();
+    let mut out = Vec::with_capacity(5 + payload);
+    out.push(FRAME_QUANTIZED);
+    put_u32(&mut out, entries.len() as u32);
+    for &(id, tensor, q) in entries {
+        assert_eq!(q.values.len(), tensor.len(), "quantized values of another tensor");
+        put_entry_header(&mut out, id, tensor);
+        out.extend_from_slice(&q.scale.to_le_bytes());
+        out.extend(q.values.iter().map(|&v| v as u8));
+    }
+    out
 }
 
 /// Wire length a *dense* frame of these entries would occupy.
@@ -387,6 +441,32 @@ mod tests {
         assert_eq!(q1.values[2], 127);
         assert_eq!(q1.dequantize()[0], -3.0);
         assert_eq!(q1.dequantize()[2], 3.0);
+    }
+
+    #[test]
+    fn quantizing_once_yields_the_frame_and_the_residual_of_quantizing_twice() {
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1e-30, -3.25, 0.5];
+        let cases: Vec<Vec<f32>> = vec![
+            (0..300).map(|i| special[i % 8] * (1.0 + i as f32 * 0.01)).collect(),
+            (0..64).map(|i| (i as f32 - 31.5) * 0.37).collect(),
+            vec![0.0, -0.0, 0.0],
+            vec![f32::NAN, f32::INFINITY],
+            // A maximum so small that the scale underflows to zero.
+            vec![f32::from_bits(1), 0.0, -f32::from_bits(1)],
+            Vec::new(),
+        ];
+        for data in cases {
+            let tensor = Tensor::from_vec(&[data.len()], data.clone()).unwrap();
+            let (q, residual) = quantize_with_residual(&data);
+            assert_eq!(q, quantize(&data));
+            // What the worker used to compute: dequantize, then subtract.
+            let dropped: Vec<u32> = data.iter().zip(q.dequantize()).map(|(a, s)| (a - s).to_bits()).collect();
+            assert_eq!(residual.iter().map(|r| r.to_bits()).collect::<Vec<_>>(), dropped);
+            assert_eq!(
+                encode_quantized_frame(&[(5, &tensor, &q)]),
+                encode_frame(&[(5, tensor.clone())], Codec::Quantized)
+            );
+        }
     }
 
     #[test]

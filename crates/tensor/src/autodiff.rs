@@ -5,9 +5,12 @@
 //! a memory plan ([`crate::memory::PlannedExecutor`] is the only entry
 //! point): leaves (constants, variables, feeds) are read where they live
 //! and never copied, every tensor the passes create draws its buffer from
-//! the session arena, shape-only operands are read from the plan instead
-//! of keeping tensors alive, and each value is recycled the moment its
-//! planned lifetime ends. Gradients are verified against numerical
+//! the session arena (as it is: whoever takes a buffer writes all of it),
+//! shape-only operands are read from the plan instead of keeping tensors
+//! alive, and each value is recycled the moment its planned lifetime
+//! ends. A backward rule whose last contribution is an elementwise
+//! function of the node's own gradient rewrites that buffer and hands it
+//! on ([`flow_owned`]). Gradients are verified against numerical
 //! differentiation in this module's tests.
 
 use crate::graph::{Graph, Node, NodeId, Op, Padding};
@@ -293,7 +296,7 @@ pub(crate) fn forward<F: Feeds + ?Sized>(
             }
             Op::MaxPool2(x) => {
                 stats.charge_serial(get(*x).len() as f64);
-                max_pool2(get(*x), &mut ws.pool_indices, &mut |len| mem.take(len))?
+                kernels::max_pool2_with(get(*x), &mut |len| mem.take(len))?
             }
             Op::Flatten(x) => {
                 let t = get(*x);
@@ -419,6 +422,27 @@ fn flow(
     Ok(())
 }
 
+/// [`flow`] for a rule's *last* contribution when it is an elementwise
+/// function of the node's own gradient: `rewrite` turns `grad`'s buffer
+/// into the contribution in place and the buffer itself is handed on to
+/// `nid`. Returns the gradient if the plan does not want `nid`'s. Only
+/// the buffer changes hands: `nid`'s slot goes live in [`accumulate`],
+/// the node's own is released by the caller, as if it had been a copy.
+fn flow_owned(
+    grads: &mut HashMap<NodeId, Tensor>,
+    mem: &mut ExecMemory,
+    nid: NodeId,
+    mut grad: Tensor,
+    rewrite: impl FnOnce(&mut Tensor) -> Result<(), TensorError>,
+) -> Result<Option<Tensor>, TensorError> {
+    if !mem.plan().wants_grad(nid.0) {
+        return Ok(Some(grad));
+    }
+    rewrite(&mut grad)?;
+    accumulate(grads, mem, nid, grad)?;
+    Ok(None)
+}
+
 /// Computes gradients of the scalar `loss` over a completed forward pass:
 /// gradients and every temporary draw buffers from the arena, leaf
 /// operands are read in place, shape-only operands come from the plan,
@@ -450,7 +474,7 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
     let mut grads: HashMap<NodeId, Tensor> = HashMap::new();
     let loss_shape = loss_value.shape().to_vec();
     flow(&mut grads, mem, loss, |mem| {
-        let mut seed = mem.zeros(&loss_shape);
+        let mut seed = mem.tensor(&loss_shape);
         seed.data_mut().fill(1.0);
         Ok(seed)
     })?;
@@ -481,32 +505,41 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                     .ok_or(TensorError::InvalidGraph("missing forward output"))
             };
             let shape_of = |mem: &ExecMemory, nid: NodeId| mem.plan().shape(nid.0).to_vec();
-            match &node.op {
-                Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => {}
+            // Each rule evaluates to the gradient buffer it still owns,
+            // or `None` once `flow_owned` has handed it on.
+            let left = match &node.op {
+                Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => Some(grad),
                 Op::MatMul(a, b) => {
                     flow(grads, mem, *a, |mem| matmul_grad_lhs(pool, mem, &grad, value_of(*b)?))?;
                     flow(grads, mem, *b, |mem| matmul_grad_rhs(pool, mem, value_of(*a)?, &grad))?;
+                    Some(grad)
                 }
                 Op::AddBias(x, bias) => {
-                    flow(grads, mem, *x, |mem| Ok(copy(mem, &grad)))?;
-                    flow(grads, mem, *bias, |mem| {
+                    // The column sum reads the gradient before `x` takes
+                    // the buffer over, and lands after it, as it always did.
+                    let bias_grad = mem.plan().wants_grad(bias.0).then(|| {
                         let bias_shape = shape_of(mem, *bias);
-                        Ok(column_sum(mem, &grad, &bias_shape))
-                    })?;
+                        column_sum(mem, &grad, &bias_shape)
+                    });
+                    let left = flow_owned(grads, mem, *x, grad, |_| Ok(()))?;
+                    if let Some(bias_grad) = bias_grad {
+                        accumulate(grads, mem, *bias, bias_grad)?;
+                    }
+                    left
                 }
                 Op::Add(a, b) => {
                     flow(grads, mem, *a, |mem| Ok(copy(mem, &grad)))?;
-                    flow(grads, mem, *b, |mem| Ok(copy(mem, &grad)))?;
+                    flow_owned(grads, mem, *b, grad, |_| Ok(()))?
                 }
                 Op::Mul(a, b) => {
                     flow(grads, mem, *a, |mem| zip(mem, &grad, value_of(*b)?, |g, v| g * v))?;
                     flow(grads, mem, *b, |mem| zip(mem, &grad, value_of(*a)?, |g, v| g * v))?;
+                    Some(grad)
                 }
-                Op::Relu(x) => {
-                    flow(grads, mem, *x, |mem| zip(mem, &grad, value_of(*x)?, relu_mask))?;
-                }
+                Op::Relu(x) => flow_owned(grads, mem, *x, grad, |g| zip_in_place(g, value_of(*x)?, relu_mask))?,
                 Op::Softmax(x) => {
                     flow(grads, mem, *x, |mem| softmax_grad(mem, output()?, &grad))?;
+                    Some(grad)
                 }
                 Op::Conv2d {
                     input,
@@ -514,36 +547,27 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                     padding,
                 } => {
                     conv2d_backward(grads, mem, pool, ws, (*input, *filter), &grad, *padding, &value_of)?;
+                    Some(grad)
                 }
                 Op::MaxPool2(x) => {
                     flow(grads, mem, *x, |mem| {
-                        let tx = value_of(*x)?;
-                        let routed =
-                            max_pool2(tx, &mut ws.pool_indices, &mut |len| mem.take(len))?;
-                        mem.recycle(routed);
-                        let mut gx = mem.zeros(tx.shape());
-                        for (out_idx, &src_idx) in ws.pool_indices.iter().enumerate() {
-                            gx.data_mut()[src_idx] += grad.data()[out_idx];
-                        }
-                        Ok(gx)
+                        kernels::max_pool2_grad_with(value_of(*x)?, &grad, &mut |len| mem.take(len))
                     })?;
+                    Some(grad)
                 }
                 Op::Flatten(x) | Op::Reshape(x, _) => {
-                    flow(grads, mem, *x, |mem| {
-                        let x_shape = shape_of(mem, *x);
-                        reshaped(mem, &grad, &x_shape)
-                    })?;
+                    let x_shape = shape_of(mem, *x);
+                    flow_owned(grads, mem, *x, grad, |g| reshape_in_place(g, &x_shape))?
                 }
                 Op::SoftmaxCrossEntropy { logits, labels } => {
                     flow(grads, mem, *logits, |mem| {
                         let (tl, ty) = (value_of(*logits)?, value_of(*labels)?);
-                        let batch = tl.shape()[0] as f32;
-                        let probs = softmax(mem, tl)?;
-                        let scale = grad.data()[0] / batch;
-                        let gl = zip(mem, &probs, ty, |p, y| (p - y) * scale);
-                        mem.recycle(probs);
-                        gl
+                        let scale = grad.data()[0] / tl.shape()[0] as f32;
+                        let mut gl = softmax(mem, tl)?;
+                        zip_in_place(&mut gl, ty, |p, y| (p - y) * scale)?;
+                        Ok(gl)
                     })?;
+                    Some(grad)
                 }
                 Op::MseLoss(p, t) => {
                     flow(grads, mem, *p, |mem| {
@@ -552,30 +576,28 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                         let scale = 2.0 * grad.data()[0] / n;
                         zip(mem, tp, tt, |a, b| (a - b) * scale)
                     })?;
+                    Some(grad)
                 }
                 Op::Sub(a, b) => {
                     flow(grads, mem, *a, |mem| Ok(copy(mem, &grad)))?;
-                    flow(grads, mem, *b, |mem| Ok(map(mem, &grad, |g| -g)))?;
+                    flow_owned(grads, mem, *b, grad, |g| map_in_place(g, |g| -g))?
                 }
                 Op::Scale(x, factor) => {
                     let f = *factor;
-                    flow(grads, mem, *x, |mem| Ok(map(mem, &grad, |g| g * f)))?;
+                    flow_owned(grads, mem, *x, grad, |g| map_in_place(g, |g| g * f))?
                 }
-                Op::Sigmoid(x) => {
-                    flow(grads, mem, *x, |mem| {
-                        zip(mem, &grad, output()?, |g, sv| g * sv * (1.0 - sv))
-                    })?;
-                }
-                Op::Tanh(x) => {
-                    flow(grads, mem, *x, |mem| {
-                        zip(mem, &grad, output()?, |g, tv| g * (1.0 - tv * tv))
-                    })?;
-                }
+                Op::Sigmoid(x) => flow_owned(grads, mem, *x, grad, |g| {
+                    zip_in_place(g, output()?, |g, sv| g * sv * (1.0 - sv))
+                })?,
+                Op::Tanh(x) => flow_owned(grads, mem, *x, grad, |g| {
+                    zip_in_place(g, output()?, |g, tv| g * (1.0 - tv * tv))
+                })?,
                 Op::AvgPool2(x) => {
                     flow(grads, mem, *x, |mem| {
                         let x_shape = shape_of(mem, *x);
                         avg_pool2_grad(mem, &x_shape, &grad)
                     })?;
+                    Some(grad)
                 }
                 Op::ConcatCols(a, b) => {
                     let a_cols = mem.plan().shape(a.0).get(1).copied().unwrap_or(0);
@@ -587,6 +609,7 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                         let b_shape = shape_of(mem, *b);
                         column_range(mem, &grad, a_cols, &b_shape)
                     })?;
+                    Some(grad)
                 }
                 Op::FusedMatMul {
                     lhs,
@@ -596,12 +619,12 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                 } => {
                     // `relu(pre) > 0 ⟺ pre > 0`, so masking on the fused
                     // output is bit-identical to the unfused relu backward's
-                    // mask on the never-materialized pre-activation.
-                    let dpre = if *relu {
-                        zip(mem, &grad, output()?, relu_mask)?
-                    } else {
-                        copy(mem, &grad)
-                    };
+                    // mask on the never-materialized pre-activation. The
+                    // node's own gradient becomes `dpre` where it lies.
+                    let mut dpre = grad;
+                    if *relu {
+                        zip_in_place(&mut dpre, output()?, relu_mask)?;
+                    }
                     // Unfused order: add_bias's bias grad lands before the
                     // matmul grads, so aliased inputs accumulate identically.
                     flow(grads, mem, *bias, |mem| {
@@ -610,7 +633,7 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                     })?;
                     flow(grads, mem, *lhs, |mem| matmul_grad_lhs(pool, mem, &dpre, value_of(*rhs)?))?;
                     flow(grads, mem, *rhs, |mem| matmul_grad_rhs(pool, mem, value_of(*lhs)?, &dpre))?;
-                    mem.recycle(dpre);
+                    Some(dpre)
                 }
                 Op::FusedConv2d {
                     input,
@@ -619,20 +642,19 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                     padding,
                     relu,
                 } => {
-                    let dpre = if *relu {
-                        zip(mem, &grad, output()?, relu_mask)?
-                    } else {
-                        copy(mem, &grad)
-                    };
+                    let mut dpre = grad;
+                    if *relu {
+                        zip_in_place(&mut dpre, output()?, relu_mask)?;
+                    }
                     flow(grads, mem, *bias, |mem| {
                         let bias_shape = shape_of(mem, *bias);
                         Ok(column_sum(mem, &dpre, &bias_shape))
                     })?;
                     conv2d_backward(grads, mem, pool, ws, (*input, *filter), &dpre, *padding, &value_of)?;
-                    mem.recycle(dpre);
+                    Some(dpre)
                 }
-            }
-            mem.release_grad(index, grad);
+            };
+            mem.release_grad(index, left);
         }
         mem.drop_dead_values(2 * loss.0 + 1 - index, values);
     }
@@ -669,17 +691,27 @@ fn conv2d_backward<'v>(
 
 // ---- kernels ---------------------------------------------------------------
 //
-// Every tensor created below draws its buffer from the arena
-// (`ExecMemory::zeros`), so every buffer the passes recycle was taken
-// from the pool first and the pool cannot grow from run to run.
+// Every tensor created below draws its buffer from the arena, so every
+// buffer the passes recycle was taken from the pool first and the pool
+// cannot grow from run to run. A producer that writes every element of
+// its output takes the buffer as it is (`ExecMemory::tensor`); the few
+// that accumulate start from `ExecMemory::zeros`.
 
 /// `f` applied elementwise.
 fn map(mem: &mut ExecMemory, x: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    let mut out = mem.zeros(x.shape());
+    let mut out = mem.tensor(x.shape());
     for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
         *o = f(v);
     }
     out
+}
+
+/// `x = f(x)` elementwise (infallible; a `Result` to fit [`flow_owned`]).
+fn map_in_place(x: &mut Tensor, f: impl Fn(f32) -> f32) -> Result<(), TensorError> {
+    for v in x.data_mut() {
+        *v = f(*v);
+    }
+    Ok(())
 }
 
 /// The elementwise ops' operand check.
@@ -702,11 +734,20 @@ fn zip(
     f: impl Fn(f32, f32) -> f32,
 ) -> Result<Tensor, TensorError> {
     same_shape(a, b)?;
-    let mut out = mem.zeros(a.shape());
+    let mut out = mem.tensor(a.shape());
     for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
         *o = f(x, y);
     }
     Ok(out)
+}
+
+/// `a = f(a, b)` elementwise for two same-shape tensors.
+fn zip_in_place(a: &mut Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<(), TensorError> {
+    same_shape(a, b)?;
+    for (x, &y) in a.data_mut().iter_mut().zip(b.data()) {
+        *x = f(*x, y);
+    }
+    Ok(())
 }
 
 /// The relu backward rule: the gradient passes where the forward value
@@ -721,19 +762,25 @@ fn relu_mask(g: f32, v: f32) -> f32 {
 
 /// `x`'s data under a new shape of equal element count.
 fn reshaped(mem: &mut ExecMemory, x: &Tensor, shape: &[usize]) -> Result<Tensor, TensorError> {
-    if shape.iter().product::<usize>() != x.len() {
+    let mut out = copy(mem, x);
+    reshape_in_place(&mut out, shape)?;
+    Ok(out)
+}
+
+/// `x`'s own buffer under a new shape of equal element count.
+fn reshape_in_place(x: &mut Tensor, shape: &[usize]) -> Result<(), TensorError> {
+    if crate::tensor::checked_elements(shape) != Some(x.len()) {
         return Err(TensorError::ShapeMismatch {
             op: "reshape",
             detail: format!("{:?} -> {shape:?}", x.shape()),
         });
     }
-    let mut out = mem.zeros(shape);
-    out.data_mut().copy_from_slice(x.data());
-    Ok(out)
+    *x = Tensor::from_vec(shape, std::mem::take(x).into_data())?;
+    Ok(())
 }
 
 fn copy(mem: &mut ExecMemory, x: &Tensor) -> Tensor {
-    let mut out = mem.zeros(x.shape());
+    let mut out = mem.tensor(x.shape());
     out.data_mut().copy_from_slice(x.data());
     out
 }
@@ -746,7 +793,7 @@ fn transposed(mem: &mut ExecMemory, x: &Tensor) -> Result<Tensor, TensorError> {
             detail: format!("{:?} (need rank 2)", x.shape()),
         });
     };
-    let mut out = mem.zeros(&[n, m]);
+    let mut out = mem.tensor(&[n, m]);
     let (od, xd) = (out.data_mut(), x.data());
     for i in 0..m {
         for j in 0..n {
@@ -770,16 +817,14 @@ fn matmul_grad_lhs(
 }
 
 /// `lhsᵀ × grad`: a product's gradient with respect to its right operand.
+/// `lhs` is `lhsᵀ` stored transposed, which the GEMM packs as it lies.
 fn matmul_grad_rhs(
     pool: &WorkerPool,
     mem: &mut ExecMemory,
     lhs: &Tensor,
     grad: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    let lhs_t = transposed(mem, lhs)?;
-    let product = kernels::matmul_with(pool, &lhs_t, grad, &mut |len| mem.take(len));
-    mem.recycle(lhs_t);
-    Ok(product?.0)
+    Ok(kernels::matmul_lhs_t_with(pool, lhs, grad, &mut |len| mem.take(len))?.0)
 }
 
 fn add_bias(mem: &mut ExecMemory, x: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
@@ -796,7 +841,7 @@ fn add_bias(mem: &mut ExecMemory, x: &Tensor, bias: &Tensor) -> Result<Tensor, T
             detail: format!("x {:?} bias {:?}", x.shape(), bias.shape()),
         });
     }
-    let mut out = mem.zeros(x.shape());
+    let mut out = mem.tensor(x.shape());
     for (i, (o, &v)) in out.data_mut().iter_mut().zip(x.data()).enumerate() {
         *o = v + bias.data()[i % n];
     }
@@ -842,7 +887,7 @@ fn softmax_grad(mem: &mut ExecMemory, s: &Tensor, grad: &Tensor) -> Result<Tenso
             detail: format!("{:?}", s.shape()),
         });
     };
-    let mut out = mem.zeros(s.shape());
+    let mut out = mem.tensor(s.shape());
     for i in 0..m {
         let srow = &s.data()[i * n..(i + 1) * n];
         let grow = &grad.data()[i * n..(i + 1) * n];
@@ -857,7 +902,7 @@ fn softmax_grad(mem: &mut ExecMemory, s: &Tensor, grad: &Tensor) -> Result<Tenso
 
 /// A scalar (`[]`-shaped) tensor holding `value`.
 fn scalar(mem: &mut ExecMemory, value: f32) -> Tensor {
-    let mut out = mem.zeros(&[]);
+    let mut out = mem.tensor(&[]);
     out.data_mut()[0] = value;
     out
 }
@@ -913,7 +958,7 @@ fn avg_pool2(mem: &mut ExecMemory, x: &Tensor) -> Result<Tensor, TensorError> {
         });
     };
     let (oh, ow) = (h / 2, w / 2);
-    let mut out = mem.zeros(&[b, oh, ow, c]);
+    let mut out = mem.tensor(&[b, oh, ow, c]);
     let xd = x.data();
     for bi in 0..b {
         for oy in 0..oh {
@@ -977,7 +1022,7 @@ fn concat_cols(mem: &mut ExecMemory, a: &Tensor, b: &Tensor) -> Result<Tensor, T
             detail: format!("row counts {m1} vs {m2}"),
         });
     }
-    let mut out = mem.zeros(&[m1, n1 + n2]);
+    let mut out = mem.tensor(&[m1, n1 + n2]);
     for i in 0..m1 {
         out.data_mut()[i * (n1 + n2)..i * (n1 + n2) + n1]
             .copy_from_slice(&a.data()[i * n1..(i + 1) * n1]);
@@ -1007,61 +1052,12 @@ fn column_range(
             detail: format!("columns {first}..{} of {:?}", first + n, grad.shape()),
         });
     }
-    let mut out = mem.zeros(shape);
+    let mut out = mem.tensor(shape);
     for i in 0..m {
         out.data_mut()[i * n..(i + 1) * n]
             .copy_from_slice(&grad.data()[i * total + first..i * total + first + n]);
     }
     Ok(out)
-}
-
-/// 2×2 max pooling writing the output into a `take`-provided buffer and
-/// the argmax routing indices into a caller-owned, reusable `indices`
-/// vector (resized here).
-fn max_pool2(
-    x: &Tensor,
-    indices: &mut Vec<usize>,
-    take: TakeBuffer<'_>,
-) -> Result<Tensor, TensorError> {
-    let &[b, h, w, c] = x.shape() else {
-        return Err(TensorError::ShapeMismatch {
-            op: "max_pool2",
-            detail: format!("{:?} (need NHWC)", x.shape()),
-        });
-    };
-    let (oh, ow) = (h / 2, w / 2);
-    let n = b * oh * ow * c;
-    let mut out = take(n);
-    indices.clear();
-    indices.resize(n, 0);
-    let xd = x.data();
-    for bi in 0..b {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for ci in 0..c {
-                    let mut best = f32::NEG_INFINITY;
-                    // A window no tap of which beats -inf (all NaN or
-                    // -inf) routes its gradient to its own first tap.
-                    let mut best_idx = ((bi * h + oy * 2) * w + ox * 2) * c + ci;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let iy = oy * 2 + dy;
-                            let ix = ox * 2 + dx;
-                            let idx = ((bi * h + iy) * w + ix) * c + ci;
-                            if xd[idx] > best {
-                                best = xd[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let oidx = ((bi * oh + oy) * ow + ox) * c + ci;
-                    out[oidx] = best;
-                    indices[oidx] = best_idx;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(&[b, oh, ow, c], out)
 }
 
 #[cfg(test)]
@@ -1434,11 +1430,11 @@ mod tests {
             vec![1.0, 5.0, 3.0, 2.0],
         )
         .unwrap();
-        let mut idx = Vec::new();
-        let out = max_pool2(&x, &mut idx, &mut |len| vec![0.0; len]).unwrap();
+        let out = kernels::max_pool2_with(&x, &mut |len| vec![f32::NAN; len]).unwrap();
         assert_eq!(out.shape(), &[1, 1, 1, 1]);
         assert_eq!(out.data(), &[5.0]);
-        assert_eq!(idx, vec![1]);
+        let gx = kernels::max_pool2_grad_with(&x, &Tensor::full(&[1, 1, 1, 1], 2.0), &mut |len| vec![f32::NAN; len]);
+        assert_eq!(gx.unwrap().data(), &[0.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -1593,6 +1589,50 @@ mod tests {
         assert_eq!(out.shape(), &[2, 3]);
         assert_eq!(out.data(), &[1., 2., 9., 3., 4., 8.]);
         assert!(concat_cols(mem, &a, &Tensor::zeros(&[3, 1])).is_err());
+    }
+
+    #[test]
+    fn in_place_rules_accumulate_into_a_gradient_with_several_consumers() {
+        // `h` feeds a relu, a scale, a sub (both sides), a sigmoid and a
+        // reshape. Each of those rules rewrites its own gradient buffer
+        // and hands it to `h`: the first becomes `h`'s gradient, the
+        // others are added into it and go back to the arena.
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 3]);
+        let t = g.placeholder("t", &[0, 2]);
+        let w = g.variable("w", Tensor::from_vec(&[3, 2], vec![0.3, -0.6, 0.8, 0.1, -0.4, 0.7]).unwrap());
+        let b = g.variable("b", Tensor::from_vec(&[2], vec![0.05, -0.15]).unwrap());
+        let h = g.matmul(x, w).unwrap();
+        let h = g.add_bias(h, b).unwrap();
+        let relu = g.relu(h).unwrap();
+        let scaled = g.scale(h, -1.5).unwrap();
+        let squashed = g.sigmoid(h).unwrap();
+        let diff = g.sub(squashed, h).unwrap();
+        let flat = g.reshape(h, &[4]).unwrap();
+        let back = g.reshape(flat, &[2, 2]).unwrap();
+        let sum = g.add(relu, scaled).unwrap();
+        let sum = g.add(sum, diff).unwrap();
+        let sum = g.add(sum, back).unwrap();
+        let loss = g.mse_loss(sum, t).unwrap();
+        let feeds = feeds(&[
+            (x, Tensor::from_vec(&[2, 3], vec![1.0, -0.5, 0.3, -0.8, 0.9, 0.4]).unwrap()),
+            (t, Tensor::from_vec(&[2, 2], vec![0.5, -0.5, 0.1, 0.9]).unwrap()),
+        ]);
+        let vars = vars_of(&g);
+        gradient_check(&g, &feeds, vars.clone(), loss, 2e-2);
+
+        // Handing buffers on neither leaks one nor parks one twice, and
+        // what a recycled buffer held never shows in a gradient.
+        let mut executor = PlannedExecutor::new();
+        let mut step = || {
+            let (_, grads, _) = executor.train(&g, &feeds, &vars, loss, &WorkerPool::serial()).unwrap();
+            let bits = |id| grads[&id].data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(w), bits(b), executor.memory_stats())
+        };
+        let (first, second, third) = (step(), step(), step());
+        assert_eq!((&first.0, &first.1), (&second.0, &second.1));
+        assert_eq!(second, third);
+        assert_eq!(third.2.resident_bytes, 0);
     }
 
     #[test]

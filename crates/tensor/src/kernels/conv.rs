@@ -266,15 +266,17 @@ pub(super) fn conv2d_grad_input(
     check_grad(&g, grad)?;
     let (patch, positions, cout) = (g.patch, g.positions, g.cout);
     let mut gi = take(g.b * g.h * g.w * g.cin);
+    // The col2im scatter below accumulates.
+    gi.fill(0.0);
+    // `filter_t` and `gcol` are written whole before they are read, so
+    // only what a resize appends is ever filled.
     let Workspace { gcol, filter_t, .. } = ws;
-    filter_t.clear();
     filter_t.resize(cout * patch, 0.0);
     for (kk, taps) in filter.data().chunks_exact(cout.max(1)).enumerate() {
         for (co, &v) in taps.iter().enumerate() {
             filter_t[co * patch + kk] = v;
         }
     }
-    gcol.clear();
     gcol.resize(positions * patch, 0.0);
     // Per element (p, kk): one dot product over `co` increasing from a
     // zeroed accumulator, grad-value-first (`gv * fv`) —

@@ -12,6 +12,18 @@
 //! k dimension runs in [`KC`]-deep panels so that for large m the B rows
 //! a panel touches stay cache-resident across strips.
 //!
+//! Because A is only ever read by the pack step, that step is also where
+//! its layout is resolved ([`ALayout`]): a product whose left operand is
+//! stored transposed (`lhsᵀ × grad`, the dense layers' weight gradient)
+//! packs straight from the `[k, m]` buffer — `R` contiguous floats per
+//! `p` — and no transposed copy of A is ever made.
+//!
+//! C is written, never read: the first k-group of a unit starts its
+//! accumulators at `0.0` ([`tile`]'s `FIRST` instantiation) instead of
+//! loading them, so the caller hands in a buffer of unspecified contents
+//! and nobody zero-fills it first. That is bit-identical to accumulating
+//! into a zeroed C — the load returned `0.0`.
+//!
 //! The one body is compiled twice ([`Simd`]): for the build's baseline
 //! target (4 lanes) and, on x86-64, under `target_feature(enable =
 //! "avx2")` (8 lanes), chosen per call from what the CPU reports.
@@ -83,22 +95,34 @@ impl Simd {
     }
 }
 
+/// How the left operand of a product is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ALayout {
+    /// Row-major `[m, k]`: `A[i][p] = a[i * k + p]`.
+    RowMajor,
+    /// Row-major storage of `Aᵀ`, `[k, m]`: `A[i][p] = a[p * m + i]`.
+    Transposed,
+}
+
 /// The read-only side of one product, shared by every unit.
 struct Operands<'a> {
+    m: usize,
     k: usize,
     n: usize,
     a: &'a [f32],
+    a_layout: ALayout,
     b: &'a [f32],
     /// `(bias [n], relu)` of the fused ops.
     epilogue: Option<(&'a [f32], bool)>,
 }
 
 /// Computes `C = A × B` for row-major `A [m,k]`, `B [k,n]` into the
-/// zeroed buffer `c` of `m * n` elements, splitting the unit grid over
-/// the pool. With `epilogue = Some((bias, relu))` every element then gets
-/// `+= bias[j]` and, if `relu`, `max(0.0)` — per element the operations
-/// of the unfused `add_bias` and `relu` ops, in that order. Returns the
-/// [`gemm_cost`] of the split it ran.
+/// buffer `c` of `m * n` elements — every element is written, whatever it
+/// held — splitting the unit grid over the pool. With `epilogue =
+/// Some((bias, relu))` every element then gets `+= bias[j]` and, if
+/// `relu`, `max(0.0)` — per element the operations of the unfused
+/// `add_bias` and `relu` ops, in that order. Returns the [`gemm_cost`] of
+/// the split it ran.
 ///
 /// # Panics
 ///
@@ -114,6 +138,24 @@ pub(crate) fn gemm(
     c: &mut [f32],
     epilogue: Option<(&[f32], bool)>,
 ) -> KernelCost {
+    gemm_laid_out(pool, m, k, n, (a, ALayout::RowMajor), b, c, epilogue)
+}
+
+/// [`gemm`] with the left operand in either layout: for
+/// [`ALayout::Transposed`], `a` is the row-major `[k, m]` buffer of `Aᵀ`.
+/// Same result, bit for bit, and same cost as [`gemm`] on a materialised
+/// `A`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_laid_out(
+    pool: &WorkerPool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: (&[f32], ALayout),
+    b: &[f32],
+    c: &mut [f32],
+    epilogue: Option<(&[f32], bool)>,
+) -> KernelCost {
     gemm_on(Simd::detected(), pool, m, k, n, a, b, c, epilogue)
 }
 
@@ -125,7 +167,7 @@ fn gemm_on(
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
+    (a, a_layout): (&[f32], ALayout),
     b: &[f32],
     c: &mut [f32],
     epilogue: Option<(&[f32], bool)>,
@@ -141,7 +183,11 @@ fn gemm_on(
     if m == 0 || n == 0 {
         return cost;
     }
-    let op = Operands { k, n, a, b, epilogue };
+    if k == 0 {
+        // No k-group runs, so nothing below would write C: the empty sum.
+        c.fill(0.0);
+    }
+    let op = Operands { m, k, n, a, a_layout, b, epilogue };
     let panels = column_panels(pool.workers(), m, n);
     if panels.len() == 1 {
         // Units are whole row blocks, contiguous in C.
@@ -231,11 +277,11 @@ fn unit<const L: usize>(op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mu
         let kc = KC.min(op.k - pc);
         let mut ir = 0;
         while ir < rows.len() {
-            let a_at = (i0 + ir) * op.k + pc;
+            let i = i0 + ir;
             ir += match rows.len() - ir {
-                MR.. => strip::<MR, L>(op, a_at, pc, kc, j0, &mut rows[ir..ir + MR], &mut packed),
-                4.. => strip::<4, L>(op, a_at, pc, kc, j0, &mut rows[ir..ir + 4], &mut packed),
-                _ => strip::<1, L>(op, a_at, pc, kc, j0, &mut rows[ir..ir + 1], &mut packed),
+                MR.. => strip::<MR, L>(op, i, pc, kc, j0, &mut rows[ir..ir + MR], &mut packed),
+                4.. => strip::<4, L>(op, i, pc, kc, j0, &mut rows[ir..ir + 4], &mut packed),
+                _ => strip::<1, L>(op, i, pc, kc, j0, &mut rows[ir..ir + 1], &mut packed),
             };
         }
     }
@@ -256,49 +302,81 @@ fn unit<const L: usize>(op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mu
     }
 }
 
-/// Adds k-panel `pc..pc + kc` into a strip of `R` rows (`rows.len() ==
-/// R`), whose A rows start at `a[a_at]`, `a[a_at + k]`, …; returns `R`.
+/// Computes k-panel `pc..pc + kc` of a strip of `R` rows (`rows.len() ==
+/// R`), C rows `i..i + R`: the panel at `pc == 0` starts the strip's
+/// sums, every later one adds to them. Returns `R`.
 #[inline(always)]
 fn strip<const R: usize, const L: usize>(
     op: &Operands<'_>,
-    a_at: usize,
+    i: usize,
     pc: usize,
     kc: usize,
     j0: usize,
     rows: &mut [&mut [f32]],
     packed: &mut [f32; MR * KC],
 ) -> usize {
-    // Pack the strip k-major: packed[p * R + r] = A[row r][pc + p].
-    for r in 0..R {
-        let a_row = &op.a[a_at + r * op.k..][..kc];
-        for (p, &v) in a_row.iter().enumerate() {
-            packed[p * R + r] = v;
+    // Pack the strip k-major: packed[p * R + r] = A[i + r][pc + p]. The
+    // only place that knows how A is stored.
+    match op.a_layout {
+        ALayout::RowMajor => {
+            for r in 0..R {
+                let a_row = &op.a[(i + r) * op.k + pc..][..kc];
+                for (p, &v) in a_row.iter().enumerate() {
+                    packed[p * R + r] = v;
+                }
+            }
+        }
+        ALayout::Transposed => {
+            for (p, group) in packed.chunks_exact_mut(R).take(kc).enumerate() {
+                group.copy_from_slice(&op.a[(pc + p) * op.m + i..][..R]);
+            }
         }
     }
-    let cols = rows[0].len();
     for pg in (0..kc).step_by(KU) {
         let ku = KU.min(kc - pg);
         let a_group = &packed[pg * R..(pg + ku) * R];
         let b_group = &op.b[(pc + pg) * op.n..(pc + pg + ku) * op.n];
-        let mut j = 0;
-        while j + L <= cols {
-            tile::<R, L>(rows, j, a_group, b_group, op.n, j0 + j);
-            j += L;
-        }
-        while j < cols {
-            tile::<R, 1>(rows, j, a_group, b_group, op.n, j0 + j);
-            j += 1;
+        // The choice is made out here, once per group: inside `tile` it
+        // would sit in the loop the whole kernel exists to keep tight.
+        if pc + pg == 0 {
+            tile_row::<R, L, true>(rows, a_group, b_group, op.n, j0);
+        } else {
+            tile_row::<R, L, false>(rows, a_group, b_group, op.n, j0);
         }
     }
     R
 }
 
-/// The micro-kernel: loads the `R × L` tile of C at segment column `j`,
-/// adds `a_group.len() / R` (at most [`KU`]) consecutive B rows into it —
+/// One k-group across the strip's columns: `L`-lane tiles, then the
+/// `cols % L` remainder one column at a time.
+#[inline(always)]
+fn tile_row<const R: usize, const L: usize, const FIRST: bool>(
+    rows: &mut [&mut [f32]],
+    a_group: &[f32],
+    b_group: &[f32],
+    n: usize,
+    j0: usize,
+) {
+    let cols = rows[0].len();
+    let mut j = 0;
+    while j + L <= cols {
+        tile::<R, L, FIRST>(rows, j, a_group, b_group, n, j0 + j);
+        j += L;
+    }
+    while j < cols {
+        tile::<R, 1, FIRST>(rows, j, a_group, b_group, n, j0 + j);
+        j += 1;
+    }
+}
+
+/// The micro-kernel: takes the `R × L` tile of C at segment column `j` —
+/// `0.0` for a unit's `FIRST` k-group, whatever C holds there being
+/// nobody's sum yet; loaded from C for every later one — adds
+/// `a_group.len() / R` (at most [`KU`]) consecutive B rows into it —
 /// `a_group` is k-major packed A, `b_group` whole rows of B, `jb` the
 /// tile's column in B — and stores it.
 #[inline(always)]
-fn tile<const R: usize, const L: usize>(
+fn tile<const R: usize, const L: usize, const FIRST: bool>(
     rows: &mut [&mut [f32]],
     j: usize,
     a_group: &[f32],
@@ -307,8 +385,10 @@ fn tile<const R: usize, const L: usize>(
     jb: usize,
 ) {
     let mut acc = [[0.0f32; L]; R];
-    for r in 0..R {
-        acc[r].copy_from_slice(&rows[r][j..j + L]);
+    if !FIRST {
+        for r in 0..R {
+            acc[r].copy_from_slice(&rows[r][j..j + L]);
+        }
     }
     for (a, b_row) in a_group.chunks_exact(R).zip(b_group.chunks_exact(n)) {
         let mut bv = [0.0f32; L];
@@ -377,6 +457,17 @@ mod tests {
         }
     }
 
+    /// `a [m, k]` stored as its transpose `[k, m]`.
+    fn transpose(m: usize, k: usize, a: &[f32]) -> Vec<f32> {
+        let mut a_t = vec![0.0f32; k * m];
+        for i in 0..m {
+            for p in 0..k {
+                a_t[p * m + i] = a[i * k + p];
+            }
+        }
+        a_t
+    }
+
     /// The unfused `matmul → add_bias → relu` sequence on the naive product.
     fn naive_fused(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], bias: &[f32], relu: bool) -> Vec<f32> {
         let mut out = naive_matmul(m, k, n, a, b);
@@ -396,7 +487,7 @@ mod tests {
             let b = fill(n as u64 * 17 + 3, k * n);
             let naive = naive_matmul(m, k, n, &a, &b);
             for workers in [1usize, 2, 3, 5] {
-                let mut c = vec![0.0f32; m * n];
+                let mut c = vec![f32::NAN; m * n];
                 gemm(&WorkerPool::new(workers), m, k, n, &a, &b, &mut c, None);
                 let lhs: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
                 let rhs: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
@@ -408,6 +499,8 @@ mod tests {
     /// The shapes where the tiled kernel has edges: strip remainders and
     /// row-block boundaries in m, `KU` remainders and `KC` panel
     /// boundaries in k, lane remainders and column-split boundaries in n.
+    /// C arrives NaN-filled — a recycled buffer nobody zeroed — and A in
+    /// either layout.
     #[test]
     fn every_instantiation_matches_naive_at_the_edges() {
         let ms: Vec<usize> = (1..=17).chain(63..=65).chain(127..=130).collect();
@@ -428,15 +521,18 @@ mod tests {
             let relu = step % 2 == 0;
             let plain = naive_matmul(m, k, n, &a, &b);
             let fused = naive_fused(m, k, n, &a, &b, &bias, relu);
+            let a_t = transpose(m, k, &a);
             for simd in instantiations() {
-                let what = format!("{simd:?} m={m} k={k} n={n} workers={workers}");
                 let pool = WorkerPool::new(workers);
-                let mut c = vec![0.0f32; m * n];
-                gemm_on(simd, &pool, m, k, n, &a, &b, &mut c, None);
-                assert_same(&c, &plain, &what);
-                c.fill(0.0);
-                gemm_on(simd, &pool, m, k, n, &a, &b, &mut c, Some((&bias, relu)));
-                assert_same(&c, &fused, &format!("{what} fused relu={relu}"));
+                for (a, layout) in [(&a, ALayout::RowMajor), (&a_t, ALayout::Transposed)] {
+                    let what = format!("{simd:?} {layout:?} m={m} k={k} n={n} workers={workers}");
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_on(simd, &pool, m, k, n, (a, layout), &b, &mut c, None);
+                    assert_same(&c, &plain, &what);
+                    c.fill(f32::NAN);
+                    gemm_on(simd, &pool, m, k, n, (a, layout), &b, &mut c, Some((&bias, relu)));
+                    assert_same(&c, &fused, &format!("{what} fused relu={relu}"));
+                }
             }
         }
     }
@@ -447,6 +543,13 @@ mod tests {
         let mut c = vec![0.0f32; 6];
         gemm(&WorkerPool::new(2), 2, 0, 3, &[], &[], &mut c, Some((&bias, true)));
         assert_eq!(c, [1.5, 0.0, 0.25, 1.5, 0.0, 0.25]);
+    }
+
+    #[test]
+    fn empty_inner_dimension_overwrites_what_the_buffer_held() {
+        let mut c = vec![f32::NAN; 6];
+        gemm(&WorkerPool::new(2), 2, 0, 3, &[], &[], &mut c, None);
+        assert_eq!(c, [0.0; 6]);
     }
 
     #[test]

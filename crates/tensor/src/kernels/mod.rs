@@ -2,9 +2,10 @@
 //!
 //! This module is the framework's compute layer: a register-tiled GEMM
 //! (`gemm`, one body instantiated for the baseline target and for AVX2),
-//! im2col + GEMM convolution (`conv`), and the deterministic
-//! [`WorkerPool`] that splits kernels across disjoint parts of the
-//! output. The cardinal rule, enforced by property tests against
+//! im2col + GEMM convolution (`conv`), 2×2 max pooling forward and
+//! backward (`maxpool`, one lane body instantiated the same way), and the
+//! deterministic [`WorkerPool`] that splits kernels across disjoint parts
+//! of the output. The cardinal rule, enforced by property tests against
 //! [`mod@reference`]: **tiling, vector width and parallelism never change
 //! the per-element reduction order**, so every kernel is bit-for-bit
 //! identical to its naive serial reference for any worker count.
@@ -19,8 +20,11 @@ pub mod reference;
 
 mod conv;
 mod gemm;
+mod maxpool;
 
 pub use pool::WorkerPool;
+
+use gemm::ALayout;
 
 use crate::graph::Padding;
 use crate::tensor::Tensor;
@@ -29,11 +33,13 @@ use crate::TensorError;
 /// Reusable kernel scratch memory.
 ///
 /// Kernels that need intermediate buffers (the im2col column matrix, the
-/// backward-convolution `gcol` product and transposed filter, max-pool
-/// routing indices) borrow them from here instead of heap-allocating per
-/// call. A `Workspace` is plain growable scratch: buffers are resized (and re-zeroed where the
-/// kernel's reduction requires zeroed memory) on each use, so reuse never
-/// changes results — only allocation traffic.
+/// backward-convolution `gcol` product and transposed filter) borrow them
+/// from here instead of heap-allocating per call. A `Workspace` is plain
+/// growable scratch: buffers are resized on each use, and re-zeroed only
+/// where the kernel relies on zeros it does not write itself (im2col's
+/// padded taps), so reuse never changes results — only allocation
+/// traffic. The memory plan does not see this heap;
+/// [`Workspace::capacity_bytes`] reports it.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// im2col column matrix: `[positions, patch]` for the forward pass,
@@ -43,8 +49,6 @@ pub struct Workspace {
     pub(crate) gcol: Vec<f32>,
     /// Backward-conv `filterᵀ`, `[cout, patch]`.
     pub(crate) filter_t: Vec<f32>,
-    /// Max-pool argmax routing indices, one per output element.
-    pub(crate) pool_indices: Vec<usize>,
 }
 
 impl Workspace {
@@ -52,11 +56,20 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace::default()
     }
+
+    /// Heap bytes the scratch buffers hold on to between calls.
+    pub fn capacity_bytes(&self) -> u64 {
+        let floats = self.cols.capacity() + self.gcol.capacity() + self.filter_t.capacity();
+        floats as u64 * 4
+    }
 }
 
 /// A caller-provided output-buffer source for the `*_with` kernel entry
-/// points: called with the required element count, must return a zeroed
-/// buffer of exactly that length (an arena slot or a fresh `vec![0.0; n]`).
+/// points: called with the required element count, must return a buffer
+/// of exactly that length. Its contents are unspecified (a recycled arena
+/// slot still holds whatever its last owner left there): a kernel writes
+/// every element of what it takes, and one that accumulates zeroes what
+/// it accumulates into, itself.
 pub type TakeBuffer<'a> = &'a mut dyn FnMut(usize) -> Vec<f32>;
 
 /// The cost of one kernel invocation.
@@ -110,23 +123,28 @@ pub fn matmul_with(
     rhs: &Tensor,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    matmul_epilogue_with(pool, lhs, rhs, None, take)
+    matmul_epilogue_with(pool, (lhs, ALayout::RowMajor), rhs, None, take)
 }
 
-/// The one matmul entry: shape checks, then [`gemm::gemm`] with the
-/// optional `(bias, relu)` epilogue applied inside its work units.
+/// The one matmul entry: shape checks, then the GEMM with the optional
+/// `(bias, relu)` epilogue applied inside its work units. `lhs` comes
+/// with its layout: `[m, k]`, or `[k, m]` for a stored transpose.
 fn matmul_epilogue_with(
     pool: &WorkerPool,
-    lhs: &Tensor,
+    (lhs, layout): (&Tensor, ALayout),
     rhs: &Tensor,
     epilogue: Option<(&Tensor, bool)>,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    let (&[m, k1], &[k2, n]) = (lhs.shape(), rhs.shape()) else {
+    let (&[rows, columns], &[k2, n]) = (lhs.shape(), rhs.shape()) else {
         return Err(TensorError::ShapeMismatch {
             op: "matmul",
             detail: format!("{:?} × {:?} (need rank 2)", lhs.shape(), rhs.shape()),
         });
+    };
+    let (m, k1) = match layout {
+        ALayout::RowMajor => (rows, columns),
+        ALayout::Transposed => (columns, rows),
     };
     if k1 != k2 {
         return Err(TensorError::ShapeMismatch {
@@ -136,8 +154,55 @@ fn matmul_epilogue_with(
     }
     let epilogue = checked_epilogue("fused_matmul", "columns", epilogue, n)?;
     let mut out = take(m * n);
-    let cost = gemm::gemm(pool, m, k1, n, lhs.data(), rhs.data(), &mut out, epilogue);
+    let cost = gemm::gemm_laid_out(pool, m, k1, n, (lhs.data(), layout), rhs.data(), &mut out, epilogue);
     Ok((Tensor::from_vec(&[m, n], out)?, cost))
+}
+
+/// `lhs_tᵀ × rhs` for rank-2 tensors, `lhs_t` being the `[k, m]` storage
+/// of the left operand's transpose: the dense layers' weight gradient
+/// `xᵀ × grad` without a transposed copy of `x` (the GEMM packs A from
+/// either layout). Bit-identical to [`matmul_with`] on the materialised
+/// transpose, at the same [`KernelCost`].
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] unless `lhs_t` is `[k, m]` and `rhs`
+/// `[k, n]`.
+pub fn matmul_lhs_t_with(
+    pool: &WorkerPool,
+    lhs_t: &Tensor,
+    rhs: &Tensor,
+    take: TakeBuffer<'_>,
+) -> Result<(Tensor, KernelCost), TensorError> {
+    matmul_epilogue_with(pool, (lhs_t, ALayout::Transposed), rhs, None, take)
+}
+
+/// 2×2, stride-2 max pooling of an NHWC tensor into a buffer from `take`
+/// (odd trailing rows and columns belong to no window). A window's value
+/// is its first tap that compares greater than everything before it,
+/// the search starting at `-inf` — so NaN taps are skipped and an
+/// all-NaN window pools to `-inf`. Bit-identical to
+/// [`reference::naive_max_pool2`] on every instantiation.
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] unless `x` is rank 4.
+pub fn max_pool2_with(x: &Tensor, take: TakeBuffer<'_>) -> Result<Tensor, TensorError> {
+    maxpool::max_pool2_with(gemm::Simd::detected(), x, take)
+}
+
+/// The gradient of [`max_pool2_with`] with respect to `x`, recomputed
+/// from `x` itself: each window's gradient lands on the tap that won it
+/// (the first on ties; the window's first tap if none beat `-inf`), every
+/// other element is `0.0`. Bit-identical to
+/// [`reference::naive_max_pool2_grad`] on every instantiation.
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] unless `x` is rank 4 and `grad` has the
+/// pooled shape.
+pub fn max_pool2_grad_with(x: &Tensor, grad: &Tensor, take: TakeBuffer<'_>) -> Result<Tensor, TensorError> {
+    maxpool::max_pool2_grad_with(gemm::Simd::detected(), x, grad, take)
 }
 
 /// Checks a fused op's bias against the `n` output columns (`what` names
@@ -190,7 +255,7 @@ pub fn matmul_bias_relu_with(
     relu: bool,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    matmul_epilogue_with(pool, lhs, rhs, Some((bias, relu)), take)
+    matmul_epilogue_with(pool, (lhs, ALayout::RowMajor), rhs, Some((bias, relu)), take)
 }
 
 /// Fused `conv2d + bias[ → relu]` with caller-provided scratch and output

@@ -131,3 +131,67 @@ pub fn naive_conv2d_grad(
     }
     Ok((Tensor::from_vec(input.shape(), gi)?, Tensor::from_vec(filter.shape(), gf)?))
 }
+
+/// Naive 2×2, stride-2 NHWC max pooling: the pooled tensor and, per
+/// output element, the flat index of the input element that won it.
+///
+/// The search starts at `-inf` and a tap wins only if it compares
+/// greater, so the first of equal taps wins, NaN taps are skipped, and a
+/// window no tap of which beats `-inf` (all NaN or `-inf`) pools to
+/// `-inf` and routes to its own first tap.
+pub fn naive_max_pool2(x: &Tensor) -> Result<(Tensor, Vec<usize>), TensorError> {
+    let &[b, h, w, c] = x.shape() else {
+        return Err(TensorError::ShapeMismatch {
+            op: "max_pool2",
+            detail: format!("{:?} (need NHWC)", x.shape()),
+        });
+    };
+    let (oh, ow) = (h / 2, w / 2);
+    let n = b * oh * ow * c;
+    let mut out = vec![0.0f32; n];
+    let mut indices = vec![0usize; n];
+    let xd = x.data();
+    for bi in 0..b {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for ci in 0..c {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = ((bi * h + oy * 2) * w + ox * 2) * c + ci;
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let iy = oy * 2 + dy;
+                            let ix = ox * 2 + dx;
+                            let idx = ((bi * h + iy) * w + ix) * c + ci;
+                            if xd[idx] > best {
+                                best = xd[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    let oidx = ((bi * oh + oy) * ow + ox) * c + ci;
+                    out[oidx] = best;
+                    indices[oidx] = best_idx;
+                }
+            }
+        }
+    }
+    Ok((Tensor::from_vec(&[b, oh, ow, c], out)?, indices))
+}
+
+/// Naive max-pool backward: re-runs [`naive_max_pool2`] for the routing
+/// indices and scatters `grad` through them into a zeroed tensor of
+/// `x`'s shape (`gx[index] += g`, so a `-0.0` gradient lands as `0.0`).
+pub fn naive_max_pool2_grad(x: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
+    let (pooled, indices) = naive_max_pool2(x)?;
+    if grad.shape() != pooled.shape() {
+        return Err(TensorError::ShapeMismatch {
+            op: "max_pool2_grad",
+            detail: format!("grad {:?} vs output {:?}", grad.shape(), pooled.shape()),
+        });
+    }
+    let mut gx = vec![0.0f32; x.len()];
+    for (&src, &g) in indices.iter().zip(grad.data()) {
+        gx[src] += g;
+    }
+    Tensor::from_vec(x.shape(), gx)
+}

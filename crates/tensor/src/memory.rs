@@ -22,8 +22,10 @@
 //!   sees planned execution touch strictly fewer pages than the
 //!   size-of-everything baseline.
 //!
-//! Planning never changes results: buffers are owned, zero-filled on
-//! `take`, and a value dropped too early surfaces as a typed error, never
+//! Planning never changes results: buffers are owned, every kernel
+//! writes the whole of a buffer it takes before anything reads it (a
+//! recycled buffer is handed out as it is — §11 "A buffer is written
+//! once"), and a value dropped too early surfaces as a typed error, never
 //! as a different number. A graph that cannot be planned (missing feed,
 //! operand shape mismatch) cannot be executed either, so the planner's
 //! typed error is returned to the caller.
@@ -132,6 +134,20 @@ impl Feeds for [(NodeId, &Tensor)] {
     }
 }
 
+/// Element count of an *inferred* shape: a product of dimensions that
+/// came out of feeds, variables and graph attributes, so it is checked —
+/// together with the byte count the planner derives from it.
+fn checked_elems(shape: &[usize]) -> Result<usize, TensorError> {
+    crate::tensor::checked_elements(shape)
+        .filter(|&count| count.checked_mul(4).is_some())
+        .ok_or_else(|| TensorError::ShapeMismatch {
+            op: "memory_plan",
+            detail: format!("element count of {shape:?} overflows"),
+        })
+}
+
+/// Element count of a shape [`infer_shapes_from_leaves`] returned (it
+/// has checked every one of them) or of a tensor that exists.
 fn elems(shape: &[usize]) -> usize {
     shape.iter().product()
 }
@@ -275,7 +291,7 @@ pub fn infer_shapes_from_leaves(
                 vec![batch, rest]
             }
             Op::Reshape(x, shape) => {
-                if elems(&of(x)) != elems(shape) {
+                if elems(&of(x)) != checked_elems(shape)? {
                     return Err(mismatch(format!("reshape {:?} -> {shape:?}", of(x))));
                 }
                 shape.clone()
@@ -302,7 +318,10 @@ pub fn infer_shapes_from_leaves(
                 if m1 != m2 {
                     return Err(mismatch(format!("concat_cols rows {m1} vs {m2}")));
                 }
-                vec![m1, n1 + n2]
+                let columns = n1
+                    .checked_add(n2)
+                    .ok_or_else(|| mismatch(format!("concat_cols columns {n1} + {n2} overflow")))?;
+                vec![m1, columns]
             }
             Op::FusedMatMul { lhs, rhs, bias, .. } => {
                 let (sa, sb, sc) = (of(lhs), of(rhs), of(bias));
@@ -349,6 +368,7 @@ pub fn infer_shapes_from_leaves(
                 vec![b, oh, ow, cout]
             }
         };
+        checked_elems(&shape)?;
         shapes[index] = shape;
     }
     Ok(shapes)
@@ -697,8 +717,13 @@ fn is_var(graph: &Graph, index: usize) -> bool {
 ///
 /// The simulated arena is virtual: the *plan* assigns byte offsets (which
 /// the TEE layer replays as EPC page touches), while execution backs each
-/// live slot with a recycled `Vec<f32>`. `take` always returns a zeroed
-/// buffer, so recycling can never change results.
+/// live slot with a recycled `Vec<f32>`. `take` hands a recycled buffer
+/// out as it is — holding some earlier intermediate of the same executor,
+/// never anyone else's data — because whoever takes a buffer writes all
+/// of it (DESIGN.md §11 "A buffer is written once"). Builds with debug
+/// assertions (every `cargo test`) overwrite it with NaN first, so a
+/// kernel that reads what it did not write fails its bit-identity tests
+/// instead of passing on a lucky zero.
 ///
 /// The pool has no size cap because it needs none: the executor `put`s
 /// only buffers it `take`s, so the free lists can never hold more than
@@ -710,15 +735,20 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// A zeroed buffer of exactly `len` elements, recycled if available.
+    /// A buffer of exactly `len` elements, recycled if available; its
+    /// contents are unspecified.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        if let Some(mut buf) = self.free.get_mut(&len).and_then(Vec::pop) {
-            self.pooled_bytes -= bytes_of(&[len]);
-            buf.fill(0.0);
-            buf
-        } else {
-            vec![0.0f32; len]
+        let mut buf = match self.free.get_mut(&len).and_then(Vec::pop) {
+            Some(buf) => {
+                self.pooled_bytes -= bytes_of(&[len]);
+                buf
+            }
+            None => vec![0.0f32; len],
+        };
+        if cfg!(debug_assertions) {
+            buf.fill(f32::NAN);
         }
+        buf
     }
 
     /// Returns a buffer to the pool.
@@ -764,6 +794,10 @@ pub struct MemoryStats {
     /// Nodes the loss reaches whose gradient the backward pass skips
     /// because no variable is upstream of them.
     pub grads_pruned: u64,
+    /// Capacity of the executor's kernel scratch
+    /// ([`Workspace::capacity_bytes`]: the conv kernels' `cols`, `gcol`
+    /// and `filter_t`) — enclave heap the plan does not see.
+    pub workspace_bytes: u64,
 }
 
 /// Runtime state of one planned execution: the plan, the backing arena,
@@ -797,14 +831,25 @@ impl ExecMemory {
         self.writes.clear();
     }
 
+    /// An arena buffer of `len` elements, contents unspecified: for a
+    /// kernel that writes all of it.
     pub(crate) fn take(&mut self, len: usize) -> Vec<f32> {
         self.arena.take(len)
     }
 
-    /// A zeroed tensor of `shape` backed by an arena buffer.
-    pub(crate) fn zeros(&mut self, shape: &[usize]) -> Tensor {
+    /// A tensor of `shape` backed by an arena buffer, contents
+    /// unspecified: for a producer that writes every element.
+    pub(crate) fn tensor(&mut self, shape: &[usize]) -> Tensor {
         Tensor::from_vec(shape, self.arena.take(elems(shape)))
             .expect("buffer taken at the shape's element count")
+    }
+
+    /// A zeroed tensor of `shape` backed by an arena buffer: for a
+    /// producer that accumulates into it.
+    pub(crate) fn zeros(&mut self, shape: &[usize]) -> Tensor {
+        let mut out = self.tensor(shape);
+        out.data_mut().fill(0.0);
+        out
     }
 
     pub(crate) fn recycle(&mut self, tensor: Tensor) {
@@ -855,11 +900,16 @@ impl ExecMemory {
         }
     }
 
-    pub(crate) fn release_grad(&mut self, index: usize, grad: Tensor) {
+    /// Ends the planned lifetime of node `index`'s gradient. `grad` is
+    /// its buffer, unless the node's backward rule handed that on to an
+    /// operand's gradient (then only the slot is released).
+    pub(crate) fn release_grad(&mut self, index: usize, grad: Option<Tensor>) {
         if let Some(slot) = self.plan.grad_slot(index) {
             self.resident_bytes = self.resident_bytes.saturating_sub(slot.bytes);
         }
-        self.recycle(grad);
+        if let Some(grad) = grad {
+            self.recycle(grad);
+        }
     }
 
     /// Ends the planned lifetime of every forward value that dies at
@@ -900,8 +950,10 @@ impl ExecMemory {
     }
 }
 
-/// Fingerprint of everything the plan depends on: graph structure, feed
-/// and variable shapes, targets, and the training flag.
+/// Fingerprint of everything the plan depends on: graph structure (op
+/// kinds, wiring, and the one attribute that changes an output's shape,
+/// conv padding), feed and variable shapes, targets, and the training
+/// flag.
 fn plan_key<F: Feeds + ?Sized>(
     graph: &Graph,
     feeds: &F,
@@ -924,6 +976,9 @@ fn plan_key<F: Feeds + ?Sized>(
         }
         for input in node.op.inputs() {
             eat(input.0 as u64);
+        }
+        if let Op::Conv2d { padding, .. } | Op::FusedConv2d { padding, .. } = &node.op {
+            eat(u64::from(*padding == Padding::Same));
         }
         let id = NodeId(index);
         let shape: Option<&[usize]> = match &node.op {
@@ -979,6 +1034,7 @@ impl PlannedExecutor {
             pooled_bytes: self.mem.arena.pooled_bytes(),
             grad_slots: self.mem.plan.grad_slots.iter().flatten().count() as u64,
             grads_pruned: self.mem.plan.grads_pruned as u64,
+            workspace_bytes: self.ws.capacity_bytes(),
         }
     }
 
@@ -1113,42 +1169,112 @@ mod tests {
         arena.put(large);
         arena.put(Vec::new());
         assert_eq!(arena.pooled_bytes(), 52);
-        assert_eq!(arena.take(10), vec![0.0; 10]);
+        // A hit hands the parked buffer out as it is: the length is all
+        // a taker may rely on.
+        assert_eq!(arena.take(10).len(), 10);
         assert_eq!(arena.pooled_bytes(), 12);
         // A miss allocates and leaves the pool alone.
         assert_eq!(arena.take(7).len(), 7);
         assert_eq!(arena.pooled_bytes(), 12);
     }
 
+    /// `conv2d(x, f)` over a fed `[1, 4, 4, 1]` image and a constant 3×3
+    /// filter with two output channels.
+    fn one_conv(padding: Padding) -> (Graph, NodeId, NodeId) {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 4, 4, 1]);
+        let f = g.constant("f", Tensor::full(&[3, 3, 1, 2], 0.5));
+        let y = g.conv2d(x, f, padding).unwrap();
+        (g, x, y)
+    }
+
     #[test]
     fn a_value_that_outgrew_its_planned_slot_is_a_typed_error() {
-        // The plan key covers op kinds, wiring and leaf shapes but not
-        // conv padding, so the second graph reuses the first one's plan
-        // while producing a larger conv output. Replaying that plan's
-        // slot writes would touch the wrong EPC pages; the executor
-        // refuses instead (in release builds too).
-        let conv = |padding: Padding| {
-            let mut g = Graph::new();
-            let x = g.placeholder("x", &[0, 4, 4, 1]);
-            let f = g.constant("f", Tensor::full(&[3, 3, 1, 2], 0.5));
-            let y = g.conv2d(x, f, padding).unwrap();
-            (g, x, y)
-        };
-        let (valid, x, y) = conv(Padding::Valid);
-        let (same, ..) = conv(Padding::Same);
+        // Replaying a plan whose slots are not the size of what runs
+        // would touch the wrong EPC pages; the executor refuses instead
+        // (in release builds too). The plan key covers everything a shape
+        // depends on, so the drift is made by hand: shrink the slot the
+        // cached plan gave the conv output.
+        let (graph, x, y) = one_conv(Padding::Valid);
         let feeds = HashMap::from([(x, Tensor::full(&[1, 4, 4, 1], 1.0))]);
         let (vars, pool) = (HashMap::new(), WorkerPool::serial());
 
         let mut executor = PlannedExecutor::new();
-        let (out, _) = executor.run(&valid, &feeds, &vars, &[y], &pool).unwrap();
+        let (out, _) = executor.run(&graph, &feeds, &vars, &[y], &pool).unwrap();
         assert_eq!(out[0].shape(), &[1, 2, 2, 2]);
+        let slot = executor.mem.plan.value_slots[y.0].as_mut().unwrap();
+        let planned = std::mem::replace(&mut slot.bytes, 4);
         assert_eq!(
-            executor.run(&same, &feeds, &vars, &[y], &pool),
+            executor.run(&graph, &feeds, &vars, &[y], &pool),
             Err(TensorError::InvalidGraph("planned shape drift"))
         );
         assert_eq!(executor.memory_stats().resident_bytes, 0);
-        // The graph the plan was made for still runs.
-        executor.run(&valid, &feeds, &vars, &[y], &pool).unwrap();
+        // The plan as it was made still runs.
+        executor.mem.plan.value_slots[y.0].as_mut().unwrap().bytes = planned;
+        executor.run(&graph, &feeds, &vars, &[y], &pool).unwrap();
+    }
+
+    #[test]
+    fn the_same_graph_with_the_other_padding_replans() {
+        // Same op kinds, wiring, leaf shapes and targets: only the conv's
+        // padding — and with it the output's shape — differs, and that is
+        // part of the plan key.
+        let (valid, x, y) = one_conv(Padding::Valid);
+        let (same, ..) = one_conv(Padding::Same);
+        let feeds = HashMap::from([(x, Tensor::full(&[1, 4, 4, 1], 1.0))]);
+        let (vars, pool) = (HashMap::new(), WorkerPool::serial());
+
+        let mut executor = PlannedExecutor::new();
+        let mut planned = Vec::new();
+        for (graph, shape) in [(&valid, [1, 2, 2, 2]), (&same, [1, 4, 4, 2]), (&valid, [1, 2, 2, 2])] {
+            let (out, _) = executor.run(graph, &feeds, &vars, &[y], &pool).unwrap();
+            assert_eq!(out[0].shape(), &shape);
+            planned.push(executor.planned_peak_bytes().unwrap());
+            let fresh = PlannedExecutor::new().run(graph, &feeds, &vars, &[y], &pool).unwrap();
+            assert_eq!(out, fresh.0);
+        }
+        assert!(planned[0] < planned[1] && planned[0] == planned[2], "{planned:?}");
+    }
+
+    #[test]
+    fn overflowing_shape_product_of_an_inferred_shape_is_a_typed_error() {
+        // Every operand exists — they are all empty — but the shape
+        // inferred from two of them is not: `[rows, 0] × [0, 2]` has
+        // `rows * 2` elements.
+        let quarter = usize::MAX / 4 + 1;
+        let mut g = Graph::new();
+        let tall = g.placeholder("tall", &[usize::MAX, 0]);
+        let quarter_tall = g.placeholder("quarter_tall", &[quarter, 0]);
+        let b = g.placeholder("b", &[0, 2]);
+        let wide = g.placeholder("wide", &[0, usize::MAX]);
+        let c = g.constant("c", Tensor::zeros(&[2, 3]));
+        let feeds = HashMap::from([
+            (tall, Tensor::zeros(&[usize::MAX, 0])),
+            (quarter_tall, Tensor::zeros(&[quarter, 0])),
+            (b, Tensor::zeros(&[0, 2])),
+            (wide, Tensor::zeros(&[0, usize::MAX])),
+        ]);
+        let cases = [
+            // More elements than a `usize` counts,
+            (g.matmul(tall, b).unwrap(), "overflows"),
+            // a count that fits whose byte size does not,
+            (g.matmul(quarter_tall, b).unwrap(), "overflows"),
+            // and column counts, which are added, not multiplied.
+            (g.concat_cols(wide, wide).unwrap(), "concat_cols"),
+        ];
+        let (vars, pool) = (HashMap::new(), WorkerPool::serial());
+        let mut executor = PlannedExecutor::new();
+        for (target, what) in cases {
+            match executor.run(&g, &feeds, &vars, &[target], &pool) {
+                Err(TensorError::ShapeMismatch { op: "memory_plan", detail }) => {
+                    assert!(detail.contains(what), "{detail}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        // The executor is still usable.
+        let small = g.matmul(b, c).unwrap();
+        assert_eq!(executor.run(&g, &feeds, &vars, &[small], &pool).unwrap().0[0].shape(), &[0, 3]);
     }
 
     /// Deterministic, sign-mixed test data.

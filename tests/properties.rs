@@ -464,7 +464,7 @@ proptest! {
             &bias,
             padding,
             relu,
-            &mut |len| vec![0.0f32; len],
+            &mut |len| vec![f32::NAN; len],
         )
         .unwrap();
         prop_assert_eq!(fused.shape(), want.shape());
@@ -559,11 +559,11 @@ proptest! {
         for input_half in [input_first, !input_first] {
             if input_half {
                 gi = Some(kernels::conv2d_grad_input(
-                    &pool, &mut ws, input.shape(), &filter, &grad, padding, &mut |len| vec![0.0f32; len],
+                    &pool, &mut ws, input.shape(), &filter, &grad, padding, &mut |len| vec![f32::NAN; len],
                 ).unwrap());
             } else {
                 gf = Some(kernels::conv2d_grad_filter(
-                    &pool, &mut ws, &input, filter.shape(), &grad, padding, &mut |len| vec![0.0f32; len],
+                    &pool, &mut ws, &input, filter.shape(), &grad, padding, &mut |len| vec![f32::NAN; len],
                 ).unwrap());
             }
         }

@@ -319,4 +319,24 @@ fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
     // their four variables; the one it cut: the input batch's gradient.
     assert_eq!(telemetry.gauge("memory.grad_slots").get(), 7);
     assert_eq!(telemetry.gauge("memory.grads_pruned").get(), 1);
+    // No conv kernel ran, so the executor holds no scratch.
+    assert_eq!(telemetry.gauge("memory.workspace_bytes").get(), 0);
+
+    // A conv model's im2col matrix is heap the plan does not see: one
+    // `[patch, positions]` matrix of f32 (the filter gradient's, as large
+    // as the forward one) — and nothing per pooled element.
+    let enclave = platform
+        .create_enclave(
+            &EnclaveImage::builder().code(b"gauge conv trainer").build(),
+            ExecutionMode::Hardware,
+        )
+        .expect("enclave");
+    let model = layers::conv_classifier(8, 8, 1, 4, 3, &mut rng).expect("model");
+    let mut session = SecureSession::new(enclave, model);
+    let mut y = Tensor::zeros(&[2, 3]);
+    y.data_mut()[0] = 1.0;
+    y.data_mut()[5] = 1.0;
+    session.train_step(Tensor::full(&[2, 8, 8, 1], 0.25), y, &mut sgd).expect("step");
+    let (patch, positions) = (3 * 3, 2 * 8 * 8);
+    assert_eq!(telemetry.gauge("memory.workspace_bytes").get(), patch * positions * 4);
 }

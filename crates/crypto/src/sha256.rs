@@ -32,7 +32,7 @@ const H0: [u32; 8] = [
 
 /// The two bodies of the compression function. Every digest in the
 /// workspace (HMAC, HKDF, the DRBG, sealing, quotes, measurements, the
-/// fs shield's chunk pins) goes through whichever [`Body::detected`]
+/// fs shield's `AuthOnly` chunk MACs) goes through whichever [`Body::detected`]
 /// picks; the portable one stays as the fallback on CPUs without the SHA
 /// extensions and as the oracle the other is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

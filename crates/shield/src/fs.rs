@@ -26,15 +26,28 @@
 //! uncommitted staging is discarded, and a manifest older than the
 //! counter fails closed as a rollback. Paths under `!fs/` are reserved
 //! for this machinery (manifest slots and journal staging).
+//!
+//! # One authentication per chunk
+//!
+//! Every shield construction takes the next value of a second platform
+//! counter, its *mount epoch*, and seals a file's chunks under a subkey
+//! `HKDF(file key, namespace | platform | epoch | file_id)` with the nonce
+//! `version | chunk`. Versions only grow within one mount, so no two
+//! records are ever sealed under one key and nonce, not even by a fresh
+//! enclave retrying a dead one's write. That is what lets the in-enclave
+//! metadata pin each record's own AEAD tag (or `AuthOnly` HMAC): a
+//! record is checked against its pin and authenticated once, with no
+//! second hash over it (DESIGN.md §13).
 
 use crate::{iago, ShieldError};
 use parking_lot::Mutex;
 use securetf_crypto::aead::{self, Key, Nonce};
+use securetf_crypto::hkdf;
 use securetf_crypto::hmac::{hmac_sha256, HmacSha256};
-use securetf_crypto::sha256::{self, Sha256};
+use securetf_crypto::{ct, sha256};
 use securetf_tee::counter::CounterId;
 use securetf_tee::sealing::SealPolicy;
-use securetf_tee::telemetry::{Counter, Histogram};
+use securetf_tee::telemetry::{Counter, Gauge, Histogram};
 use securetf_tee::Enclave;
 use securetf_tensor::bytes::{put_len_prefixed, put_u32, put_u64, Reader};
 use securetf_tensor::kernels::WorkerPool;
@@ -312,11 +325,24 @@ struct FileMeta {
     /// so replaying an older on-disk file is detected.
     version: u64,
     len: u64,
-    /// Digest of each chunk's stored bytes (detects tampering for
-    /// `AuthOnly`; for `EncryptAuth` the AEAD tag already covers it, and
-    /// the digest additionally pins the exact ciphertext).
-    chunk_digests: Vec<[u8; 32]>,
     file_id: u64,
+    /// Mount epoch of the shield that sealed this version: with `file_id`
+    /// it selects the subkey the chunks are sealed under.
+    epoch: u64,
+    /// Each chunk record's tag as the host must hand it back, in chunk
+    /// order, [`FileMeta::tag_len`] bytes each: the AEAD tag, or the
+    /// HMAC of an `AuthOnly` file.
+    tags: Vec<u8>,
+}
+
+/// Bytes each chunk record of a `policy` file carries after its chunk —
+/// and so the size of each pinned tag.
+fn tag_len(policy: Policy) -> usize {
+    match policy {
+        Policy::EncryptAuth => aead::TAG_LEN,
+        Policy::AuthOnly => sha256::DIGEST_LEN,
+        Policy::Passthrough => 0,
+    }
 }
 
 /// Chunks a protected file of `len` bytes is stored as (an empty file
@@ -333,19 +359,23 @@ fn chunks_mut(plain: &mut [u8]) -> impl Iterator<Item = &mut [u8]> {
 }
 
 impl FileMeta {
-    /// Bytes each chunk record carries after its chunk: the AEAD tag, or
-    /// the HMAC of an `AuthOnly` file.
     fn tag_len(&self) -> usize {
-        match self.policy {
-            Policy::EncryptAuth => aead::TAG_LEN,
-            Policy::AuthOnly => sha256::DIGEST_LEN,
-            Policy::Passthrough => 0,
-        }
+        tag_len(self.policy)
+    }
+
+    /// Chunk records the file is stored as.
+    fn chunks(&self) -> usize {
+        chunks_for(self.len) as usize
+    }
+
+    /// The pinned tag of chunk `i`. Relies on `tags` holding one tag per
+    /// chunk, which `write` produces and [`read_file_entry`] enforces on
+    /// the way back in.
+    fn tag(&self, i: usize) -> &[u8] {
+        &self.tags[i * self.tag_len()..][..self.tag_len()]
     }
 
     /// Plaintext bytes in chunk `i`: a full chunk for all but the last.
-    /// Relies on `chunk_digests.len() == chunks_for(len)`, which `write`
-    /// produces and [`read_file_entry`] enforces on the way back in.
     fn chunk_len(&self, i: usize) -> usize {
         self.len
             .saturating_sub((i * CHUNK_SIZE) as u64)
@@ -355,19 +385,22 @@ impl FileMeta {
     /// Size of the stored blob this metadata describes:
     /// `u64 len | (u32 len | chunk | tag) per chunk`.
     fn blob_len(&self) -> u64 {
-        8 + self.chunk_digests.len() as u64 * (4 + self.tag_len() as u64) + self.len
+        8 + self.chunks() as u64 * (4 + self.tag_len() as u64) + self.len
     }
 }
 
 /// Magic prefix of journal commit records.
-const COMMIT_MAGIC: &[u8; 8] = b"STFJRNL1";
+const COMMIT_MAGIC: &[u8; 8] = b"STFJRNL2";
+
+/// Magic prefix of the manifest plaintext.
+const MANIFEST_MAGIC: &[u8; 8] = b"STFMAN02";
 
 fn read_policy(r: &mut Reader) -> Result<Policy, ShieldError> {
     FsShield::policy_from_tag(r.u8()?).ok_or(ShieldError::IagoViolation("unknown policy tag"))
 }
 
 /// One protected file's entry — `path | policy | version | len | file_id
-/// | n | digest × n` — as the manifest lists it and a commit record
+/// | epoch | n | tag × n` — as the manifest lists it and a commit record
 /// carries it.
 fn put_file_entry(out: &mut Vec<u8>, path: &str, meta: &FileMeta) {
     put_len_prefixed(out, path.as_bytes());
@@ -375,34 +408,46 @@ fn put_file_entry(out: &mut Vec<u8>, path: &str, meta: &FileMeta) {
     put_u64(out, meta.version);
     put_u64(out, meta.len);
     put_u64(out, meta.file_id);
-    put_u32(out, meta.chunk_digests.len() as u32);
-    for d in &meta.chunk_digests {
-        out.extend_from_slice(d);
-    }
+    put_u64(out, meta.epoch);
+    put_u32(out, meta.chunks() as u32);
+    out.extend_from_slice(&meta.tags);
 }
 
-/// Reads what [`put_file_entry`] wrote.
-fn read_file_entry(r: &mut Reader) -> Result<(String, FileMeta), ShieldError> {
+/// Reads what [`put_file_entry`] wrote, for a shield mounted in epoch
+/// `mount_epoch`: every entry it can meet was sealed by an earlier mount.
+fn read_file_entry(r: &mut Reader, mount_epoch: u64) -> Result<(String, FileMeta), ShieldError> {
     let path = r.str()?.to_string();
     let policy = read_policy(r)?;
+    if policy == Policy::Passthrough {
+        return Err(ShieldError::IagoViolation(
+            "passthrough files have no entry",
+        ));
+    }
     let version = r.u64()?;
     let len = r.u64()?;
     let file_id = r.u64()?;
-    let digest_bytes = (r.u32()? as usize)
-        .checked_mul(32)
-        .ok_or(ShieldError::IagoViolation("chunk count overflows"))?;
-    let (chunk_digests, _) = r.take(digest_bytes)?.as_chunks::<32>();
-    if chunk_digests.len() as u64 != chunks_for(len) {
+    let epoch = r.u64()?;
+    if epoch == 0 || epoch >= mount_epoch {
+        return Err(ShieldError::IagoViolation(
+            "entry is not from an earlier mount",
+        ));
+    }
+    let chunks = chunks_for(len);
+    if u64::from(r.u32()?) != chunks {
         return Err(ShieldError::IagoViolation(
             "chunk count does not match length",
         ));
     }
+    // At most u32::MAX chunks of at most 32 bytes: no overflow, and
+    // `take` hands out only bytes that exist.
+    let tags = r.take(chunks as usize * tag_len(policy))?.to_vec();
     let meta = FileMeta {
         policy,
         version,
         len,
-        chunk_digests: chunk_digests.to_vec(),
         file_id,
+        epoch,
+        tags,
     };
     Ok((path, meta))
 }
@@ -415,8 +460,16 @@ struct DecodedManifest {
     meta: HashMap<String, FileMeta>,
 }
 
-fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, ShieldError> {
+/// Decodes a manifest plaintext for a shield mounted in `mount_epoch`.
+/// Anything but the v2 magic up front is [`ShieldError::UnsupportedFormat`]:
+/// authentic, but not a manifest this build can read.
+fn decode_manifest(bytes: &[u8], mount_epoch: u64) -> Result<DecodedManifest, ShieldError> {
     let mut r = Reader::new(bytes);
+    if r.array::<8>().ok().as_ref() != Some(MANIFEST_MAGIC) {
+        return Err(ShieldError::UnsupportedFormat(
+            "fs manifest is not STFMAN02",
+        ));
+    }
     let generation = r.u64()?;
     let next_file_id = r.u64()?;
     let mut policies = Vec::new();
@@ -427,7 +480,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, ShieldError> {
     }
     let mut meta = HashMap::new();
     for _ in 0..r.u32()? {
-        let (path, file) = read_file_entry(&mut r)?;
+        let (path, file) = read_file_entry(&mut r, mount_epoch)?;
         meta.insert(path, file);
     }
     r.finish()?;
@@ -513,6 +566,8 @@ struct FsMetrics {
     journal_commits: Counter,
     journal_rollbacks: Counter,
     recovery_ns: Counter,
+    format_rejections: Counter,
+    mount_epoch: Gauge,
     crypto_bytes_sealed: Counter,
     crypto_bytes_opened: Counter,
     crypto_seal_ns: Histogram,
@@ -533,6 +588,8 @@ impl FsMetrics {
             journal_commits: t.counter("shield.fs.journal_commits"),
             journal_rollbacks: t.counter("shield.fs.journal_rollbacks"),
             recovery_ns: t.counter("shield.fs.recovery_ns"),
+            format_rejections: t.counter("shield.fs.format_rejections"),
+            mount_epoch: t.gauge("shield.fs.mount_epoch"),
             crypto_bytes_sealed: t.counter("crypto.bytes_sealed"),
             crypto_bytes_opened: t.counter("crypto.bytes_opened"),
             crypto_seal_ns: t.histogram("crypto.seal_ns"),
@@ -553,6 +610,8 @@ pub struct RecoveryReport {
     pub discarded: usize,
     /// Virtual time the whole scan took.
     pub recovery_ns: u64,
+    /// Mount epoch the recovered shield seals new chunks in.
+    pub epoch: u64,
 }
 
 /// The file-system shield.
@@ -577,14 +636,18 @@ pub struct FsShield {
     counter: CounterId,
     /// Generation of the newest persisted manifest.
     manifest_generation: u64,
+    /// This instance's mount epoch: the value it took from the platform
+    /// counter `fs-epoch:<mr8>` at construction, and so shared with no
+    /// other shield of this identity on this platform, before or after.
+    epoch: u64,
     next_file_id: u64,
     metrics: FsMetrics,
     chunk_cache: Mutex<ChunkCache>,
     /// Highest version this instance sealed chunks under and then
-    /// aborted, per `file_id`. A chunk nonce is `(file_id, version,
-    /// chunk)`, so a version that reached the host in a staged record is
-    /// burned even though it never committed: the retry must not seal
-    /// other plaintext under it (DESIGN.md §13).
+    /// aborted, per `file_id`. Within one epoch a chunk is sealed under
+    /// `(file_id, version, chunk)`, so a version that reached the host in
+    /// a staged record is burned even though it never committed: the
+    /// retry must not seal other plaintext under it (DESIGN.md §13).
     burned_versions: HashMap<u64, u64>,
     /// Pool for sealing the chunks of a multi-chunk write, and verifying
     /// and opening those of a full read, in parallel. Wall-clock only:
@@ -602,18 +665,26 @@ impl FsShield {
 
     /// Creates a shield with an explicit key (for files shared between
     /// enclaves, e.g. encrypted models provisioned by CAS).
+    ///
+    /// Every construction — and so every [`FsShield::recover`] — takes the
+    /// next mount epoch from the platform counter `fs-epoch:<mr8>`.
     pub fn with_key(enclave: Arc<Enclave>, store: UntrustedStore, key: Key) -> Self {
         let metrics = FsMetrics::for_enclave(&enclave);
         let journal_key = Key::from_bytes(hmac_sha256(key.as_bytes(), b"journal-mac-v1"));
-        let measurement = enclave.measurement();
-        let mut base = String::from("!fs/");
-        for b in &measurement.as_bytes()[..8] {
-            base.push_str(&format!("{b:02x}"));
-        }
-        let counter = enclave
-            .counters()
-            .lock()
-            .find_or_create_at(&format!("fs-shield:{base}"), 0);
+        let mr8: String = enclave.measurement().as_bytes()[..8]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let base = format!("!fs/{mr8}");
+        let (counter, epoch) = {
+            let mut counters = enclave.counters().lock();
+            let counter = counters.find_or_create_at(&format!("fs-shield:{base}"), 0);
+            let epochs = counters.find_or_create_at(&format!("fs-epoch:{mr8}"), 0);
+            // `increment` fails only for a handle from another store.
+            let epoch = counters.increment(epochs).expect("handle from this store");
+            (counter, epoch)
+        };
+        metrics.mount_epoch.set(epoch as i64);
         FsShield {
             enclave,
             store,
@@ -624,6 +695,7 @@ impl FsShield {
             manifest_base: base,
             counter,
             manifest_generation: 0,
+            epoch,
             next_file_id: 1,
             metrics,
             chunk_cache: Mutex::new(ChunkCache::default()),
@@ -660,10 +732,28 @@ impl FsShield {
             .unwrap_or_default()
     }
 
-    fn chunk_nonce(file_id: u64, version: u64, chunk: u32) -> Nonce {
+    /// The subkey every chunk of `file_id` sealed in mount `epoch` is
+    /// sealed (or MAC'd) under: HKDF-Expand of the file key over
+    /// `"fs-chunk-v2" | namespace | platform_id | epoch | file_id`, all
+    /// fixed-width after the label. Derived once per write, full read or
+    /// range read that opens a chunk — never for a chunk-cache hit.
+    fn chunk_key(&self, file_id: u64, epoch: u64) -> Key {
+        let mut info = Vec::with_capacity(64);
+        info.extend_from_slice(b"fs-chunk-v2");
+        info.extend_from_slice(self.manifest_base.as_bytes());
+        info.extend_from_slice(&self.enclave.platform_id().to_le_bytes());
+        info.extend_from_slice(&epoch.to_le_bytes());
+        info.extend_from_slice(&file_id.to_le_bytes());
+        let okm = hkdf::expand(self.key.as_bytes(), &info, 32).expect("32 <= 255 * 32 bytes");
+        Key::from_bytes(okm.try_into().expect("expand returns 32 bytes"))
+    }
+
+    /// `version | chunk`: injective, and under a per-`(epoch, file_id)`
+    /// key the pair is all that has to differ.
+    fn chunk_nonce(version: u64, chunk: u32) -> Nonce {
         let mut n = [0u8; 12];
-        n[..4].copy_from_slice(&(file_id as u32 ^ chunk).to_le_bytes());
-        n[4..].copy_from_slice(&(version.rotate_left(17) ^ ((chunk as u64) << 32) ^ file_id).to_le_bytes());
+        n[..8].copy_from_slice(&version.to_le_bytes());
+        n[8..].copy_from_slice(&chunk.to_le_bytes());
         Nonce::from_bytes(n)
     }
 
@@ -764,15 +854,14 @@ impl FsShield {
         // is written by exactly one worker at its chunk index, so the
         // records (and the blob assembled from them) are bit-identical to
         // a serial seal regardless of worker count.
-        let mut slots: Vec<(Vec<u8>, [u8; 32])> = vec![(Vec::new(), [0u8; 32]); chunks.len()];
-        let key = &self.key;
-        self.pool.run_items(&mut slots, &|i, slot| {
+        let mut records: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
+        let key = self.chunk_key(file_id, self.epoch);
+        self.pool.run_items(&mut records, &|i, record| {
             let chunk = chunks[i];
             let aad = Self::chunk_aad(path, version, i as u32, total);
-            let record = match policy {
+            *record = match policy {
                 Policy::EncryptAuth => {
-                    let nonce = Self::chunk_nonce(file_id, version, i as u32);
-                    aead::seal(key, &nonce, chunk, &aad)
+                    aead::seal(&key, &Self::chunk_nonce(version, i as u32), chunk, &aad)
                 }
                 Policy::AuthOnly => {
                     // Store plaintext followed by a MAC over chunk + aad.
@@ -786,14 +875,12 @@ impl FsShield {
                 }
                 Policy::Passthrough => unreachable!("handled above"),
             };
-            slot.1 = sha256::digest(&record);
-            slot.0 = record;
         });
-        let mut records = Vec::with_capacity(slots.len());
-        let mut digests = Vec::with_capacity(slots.len());
-        for (record, digest) in slots {
-            records.push(record);
-            digests.push(digest);
+        // Pin each record's own tag: the last `tag_len` bytes of it.
+        let tag_len = tag_len(policy);
+        let mut tags = Vec::with_capacity(records.len() * tag_len);
+        for record in &records {
+            tags.extend_from_slice(&record[record.len() - tag_len..]);
         }
         // The crypto work happens at AES-NI-like streaming rates (§5.3 #2).
         // Virtual time charges the full serial cost for any worker count —
@@ -808,8 +895,9 @@ impl FsShield {
             policy,
             version,
             len: data.len() as u64,
-            chunk_digests: digests,
             file_id,
+            epoch: self.epoch,
+            tags,
         };
         let txn = Self::txn_dir(&self.manifest_base, file_id, version);
 
@@ -892,8 +980,8 @@ impl FsShield {
     /// `[u64 len | (u32 len | record)*]` — against its in-enclave
     /// metadata and returns its records in chunk order, still borrowed
     /// from the blob. The length header must match, there must be exactly
-    /// one record per pinned chunk digest, each of the size its chunk
-    /// implies, and nothing after the last.
+    /// one record per pinned tag, each of the size its chunk implies, and
+    /// nothing after the last.
     ///
     /// The blob's total size is compared with what the metadata implies
     /// before anything else looks at it, so a caller may size its output
@@ -912,8 +1000,8 @@ impl FsShield {
         if stored.len() as u64 != meta.blob_len() {
             return Err(tampered("blob size does not match its metadata"));
         }
-        let mut records = Vec::with_capacity(meta.chunk_digests.len());
-        for i in 0..meta.chunk_digests.len() {
+        let mut records = Vec::with_capacity(meta.chunks());
+        for i in 0..meta.chunks() {
             let record = r.len_prefixed().map_err(|_| tampered("truncated"))?;
             if record.len() != meta.chunk_len(i) + meta.tag_len() {
                 return Err(tampered(&format!("chunk {i} record has the wrong length")));
@@ -926,9 +1014,10 @@ impl FsShield {
     }
 
     /// Checks chunk `i` of `path` — `body` and `tag` as the host stored
-    /// them — against its pinned digest, then authenticates it per the
-    /// file's policy; an encrypted chunk is decrypted in place, so on
-    /// success `body` is the chunk's plaintext.
+    /// them — against its pinned tag, then authenticates it once, per the
+    /// file's policy, under `key` (the file's [`FsShield::chunk_key`]); an
+    /// encrypted chunk is decrypted in place, so on success `body` is the
+    /// chunk's plaintext.
     fn open_chunk(
         key: &Key,
         path: &str,
@@ -938,17 +1027,13 @@ impl FsShield {
         tag: &[u8],
     ) -> Result<(), ShieldError> {
         let tampered = |what: &str| ShieldError::FileTampered(format!("{path}: chunk {i} {what}"));
-        let mut pinned = Sha256::new();
-        pinned.update(body);
-        pinned.update(tag);
-        if pinned.finalize() != meta.chunk_digests[i] {
-            return Err(tampered("digest mismatch"));
+        if !ct::eq(tag, meta.tag(i)) {
+            return Err(tampered("tag does not match its pin"));
         }
-        let total = meta.chunk_digests.len() as u32;
-        let aad = Self::chunk_aad(path, meta.version, i as u32, total);
+        let aad = Self::chunk_aad(path, meta.version, i as u32, meta.chunks() as u32);
         match meta.policy {
             Policy::EncryptAuth => {
-                let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
+                let nonce = Self::chunk_nonce(meta.version, i as u32);
                 aead::open_in_place_detached(key, &nonce, body, tag, &aad)
                     .map_err(|_| tampered("auth failure"))
             }
@@ -956,7 +1041,7 @@ impl FsShield {
                 let mut mac = HmacSha256::new(key.as_bytes());
                 mac.update(body);
                 mac.update(&aad);
-                if !securetf_crypto::ct::eq(&mac.finalize(), tag) {
+                if !ct::eq(&mac.finalize(), tag) {
                     return Err(tampered("mac failure"));
                 }
                 Ok(())
@@ -984,16 +1069,17 @@ impl FsShield {
         };
         // A full read bypasses the chunk cache. Under the store lock the
         // blob is only validated and each record copied once, its chunk
-        // straight to where the plaintext will be and its tag beside it.
-        let tag_len = meta.tag_len();
+        // appended where the plaintext will be — every byte of `out` is
+        // written exactly once, so it is never zero-filled first — and
+        // its tag beside it.
         let (mut out, tags) = self.store.shield_view(path, |stored| {
             let records = Self::records(path, meta, stored.ok_or_else(not_found)?)?;
-            let mut out = vec![0u8; meta.len as usize];
-            let mut tags = vec![[0u8; sha256::DIGEST_LEN]; records.len()];
-            for ((body, record), tag) in chunks_mut(&mut out).zip(records).zip(&mut tags) {
-                let (stored_body, stored_tag) = record.split_at(body.len());
-                body.copy_from_slice(stored_body);
-                tag[..tag_len].copy_from_slice(stored_tag);
+            let mut out = Vec::with_capacity(meta.len as usize);
+            let mut tags = Vec::with_capacity(meta.tags.len());
+            for (i, record) in records.into_iter().enumerate() {
+                let (body, tag) = record.split_at(meta.chunk_len(i));
+                out.extend_from_slice(body);
+                tags.extend_from_slice(tag);
             }
             Ok::<_, ShieldError>((out, tags))
         })??;
@@ -1002,12 +1088,12 @@ impl FsShield {
         // count, and every slot runs to its own verdict; the lowest
         // failing chunk then decides the error.
         let mut slots: Vec<_> = chunks_mut(&mut out)
-            .zip(&tags)
-            .map(|(body, tag)| (body, &tag[..tag_len], Ok(())))
+            .zip(tags.chunks_exact(meta.tag_len()))
+            .map(|(body, tag)| (body, tag, Ok(())))
             .collect();
-        let key = &self.key;
+        let key = self.chunk_key(meta.file_id, meta.epoch);
         self.pool.run_items(&mut slots, &|i, (body, tag, verdict)| {
-            *verdict = Self::open_chunk(key, path, meta, i, body, tag);
+            *verdict = Self::open_chunk(&key, path, meta, i, body, tag);
         });
         for (_, _, verdict) in slots {
             verdict?;
@@ -1081,10 +1167,15 @@ impl FsShield {
             }
             Ok::<_, ShieldError>((out, missed))
         })??;
+        if missed.is_empty() {
+            // All cache hits: no subkey to derive, no crypto to charge.
+            return Ok(out);
+        }
+        let key = self.chunk_key(meta.file_id, meta.epoch);
         let mut decrypted_bytes = 0u64;
         for (i, src, at, mut record) in missed {
             let (body, tag) = record.split_at_mut(meta.chunk_len(i));
-            Self::open_chunk(&self.key, path, meta, i, body, tag)?;
+            Self::open_chunk(&key, path, meta, i, body, tag)?;
             record.truncate(meta.chunk_len(i));
             decrypted_bytes += record.len() as u64;
             out[at..at + src.len()].copy_from_slice(&record[src]);
@@ -1092,10 +1183,8 @@ impl FsShield {
                 .lock()
                 .insert((meta.file_id, meta.version, i as u32), record);
         }
-        if decrypted_bytes > 0 {
-            self.enclave.charge_shield_crypto(decrypted_bytes);
-            self.metrics.crypto_bytes_opened.add(decrypted_bytes);
-        }
+        self.enclave.charge_shield_crypto(decrypted_bytes);
+        self.metrics.crypto_bytes_opened.add(decrypted_bytes);
         Ok(out)
     }
 
@@ -1133,17 +1222,16 @@ impl FsShield {
     }
 
     /// Exports the metadata digest for `path`, binding (path, version,
-    /// chunk digests) — this is what the CAS auditing service stores to
-    /// detect rollbacks across enclave restarts.
+    /// length, epoch, pinned chunk tags) — this is what the CAS auditing
+    /// service stores to detect rollbacks across enclave restarts.
     pub fn audit_digest(&self, path: &str) -> Option<[u8; 32]> {
         let meta = self.meta.get(path)?;
-        let mut h = securetf_crypto::sha256::Sha256::new();
+        let mut h = sha256::Sha256::new();
         h.update(path.as_bytes());
         h.update(&meta.version.to_le_bytes());
         h.update(&meta.len.to_le_bytes());
-        for d in &meta.chunk_digests {
-            h.update(d);
-        }
+        h.update(&meta.epoch.to_le_bytes());
+        h.update(&meta.tags);
         Some(h.finalize())
     }
 
@@ -1173,9 +1261,10 @@ impl FsShield {
     }
 
     /// Deterministic encoding of the whole metadata table (files sorted
-    /// by path), prefixed by the generation it claims.
+    /// by path), prefixed by the format magic and the generation it
+    /// claims.
     fn encode_manifest(&self, generation: u64) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = MANIFEST_MAGIC.to_vec();
         put_u64(&mut out, generation);
         put_u64(&mut out, self.next_file_id);
         put_u32(&mut out, self.policies.len() as u32);
@@ -1223,20 +1312,25 @@ impl FsShield {
         out
     }
 
-    /// Parses a commit record, after its MAC has authenticated it.
-    fn decode_commit(&self, bytes: &[u8]) -> Option<(String, FileMeta)> {
-        let (body, mac) = bytes.split_last_chunk::<32>()?;
-        let expect = hmac_sha256(self.journal_key.as_bytes(), body);
-        if !securetf_crypto::ct::eq(&expect, mac) {
-            return None;
+    /// Parses a commit record, after its MAC has authenticated it: `None`
+    /// for a torn, forged or malformed record (the transaction never
+    /// happened), [`ShieldError::UnsupportedFormat`] for an authentic one
+    /// without the v2 magic, which this build cannot roll forward.
+    fn decode_commit(&self, bytes: &[u8]) -> Result<Option<(String, FileMeta)>, ShieldError> {
+        let Some((body, mac)) = bytes.split_last_chunk::<32>() else {
+            return Ok(None);
+        };
+        if !ct::eq(&hmac_sha256(self.journal_key.as_bytes(), body), mac) {
+            return Ok(None);
         }
         let mut r = Reader::new(body);
-        if &r.array::<8>().ok()? != COMMIT_MAGIC {
-            return None;
+        if r.array::<8>().ok().as_ref() != Some(COMMIT_MAGIC) {
+            return Err(ShieldError::UnsupportedFormat(
+                "fs commit record is not STFJRNL2",
+            ));
         }
-        let entry = read_file_entry(&mut r).ok()?;
-        r.finish().ok()?;
-        Some(entry)
+        let entry = read_file_entry(&mut r, self.epoch);
+        Ok(entry.ok().filter(|_| r.finish().is_ok()))
     }
 
     /// Remounts a store after a crash: loads the newest counter-fresh
@@ -1252,6 +1346,10 @@ impl FsShield {
     /// * [`ShieldError::FileTampered`] — fail closed — if the counter
     ///   says manifests were published but none that fresh is on disk
     ///   (whole-store rollback or destruction).
+    /// * [`ShieldError::UnsupportedFormat`] — also fail closed, counted in
+    ///   `shield.fs.format_rejections` — if an authentic manifest or commit
+    ///   record is not in the v2 format (`STFMAN02` / `STFJRNL2`): a store
+    ///   written before mount epochs existed.
     /// * [`ShieldError::HostCrashed`] if the host is still down.
     pub fn recover(
         enclave: Arc<Enclave>,
@@ -1294,8 +1392,12 @@ impl FsShield {
             else {
                 continue;
             };
-            let Ok(m) = decode_manifest(&plain) else {
-                continue;
+            let m = match decode_manifest(&plain, shield.epoch) {
+                Ok(m) => m,
+                // Authentic but unreadable: neither skipped nor taken for
+                // a fresh mount.
+                Err(e @ ShieldError::UnsupportedFormat(_)) => return Err(shield.format_rejected(e)),
+                Err(_) => continue,
             };
             if m.generation != counter_value && m.generation != counter_value + 1 {
                 continue;
@@ -1354,8 +1456,13 @@ impl FsShield {
         let mut discarded = 0usize;
         for dir in &dirs {
             shield.enclave.charge_syscall();
-            let commit_bytes = shield.store.shield_get(&Self::commit_path(dir))?;
-            match commit_bytes.as_deref().and_then(|b| shield.decode_commit(b)) {
+            let commit = match shield.store.shield_get(&Self::commit_path(dir))? {
+                Some(bytes) => shield
+                    .decode_commit(&bytes)
+                    .map_err(|e| shield.format_rejected(e))?,
+                None => None,
+            };
+            match commit {
                 Some((path, meta)) => {
                     let already_current = shield
                         .meta
@@ -1402,26 +1509,43 @@ impl FsShield {
             rolled_forward,
             discarded,
             recovery_ns,
+            epoch: shield.epoch,
         };
         Ok((shield, report))
     }
 
+    /// Counts a mount refused for its store's format and passes the
+    /// error on.
+    fn format_rejected(&self, e: ShieldError) -> ShieldError {
+        self.metrics.format_rejections.inc();
+        e
+    }
+
     /// Applies one committed transaction from its staged chunks. Returns
-    /// false (without touching state) if any staged chunk is missing or
-    /// fails its digest.
+    /// false (without touching state) if any staged chunk is missing, is
+    /// not the record whose tag the commit pins, or fails to authenticate
+    /// — so a tampered staged chunk is rejected here, not at a later read.
     fn roll_forward(
         &mut self,
         dir: &str,
         path: &str,
         meta: &FileMeta,
     ) -> Result<bool, ShieldError> {
-        let mut records = Vec::with_capacity(meta.chunk_digests.len());
-        for (k, digest) in meta.chunk_digests.iter().enumerate() {
+        let key = self.chunk_key(meta.file_id, meta.epoch);
+        let mut records = Vec::with_capacity(meta.chunks());
+        for k in 0..meta.chunks() {
             self.enclave.charge_syscall();
             let Some(record) = self.store.shield_get(&Self::staged_chunk_path(dir, k))? else {
                 return Ok(false);
             };
-            if &sha256::digest(&record) != digest {
+            if record.len() != meta.chunk_len(k) + meta.tag_len() {
+                return Ok(false);
+            }
+            // Authenticate a scratch copy: the blob keeps the record as
+            // sealed.
+            let mut scratch = record.clone();
+            let (body, tag) = scratch.split_at_mut(meta.chunk_len(k));
+            if Self::open_chunk(&key, path, meta, k, body, tag).is_err() {
                 return Ok(false);
             }
             records.push(record);
@@ -2023,23 +2147,38 @@ mod tests {
         let (mut shield, _store) = setup();
         shield.write("/secure/a", &vec![1u8; CHUNK_SIZE + 1]).unwrap();
         let plain = shield.encode_manifest(7);
-        let decoded = decode_manifest(&plain).unwrap();
+        // As the next mount reads it.
+        let decode = |bytes: &[u8]| decode_manifest(bytes, shield.epoch + 1);
+        let decoded = decode(&plain).unwrap();
         assert_eq!(decoded.generation, 7);
         assert_eq!(decoded.policies.len(), 3);
-        assert_eq!(decoded.meta["/secure/a"].chunk_digests.len(), 2);
+        let meta = &decoded.meta["/secure/a"];
+        assert_eq!(
+            (meta.chunks(), meta.tags.len(), meta.epoch),
+            (2, 32, shield.epoch)
+        );
         for cut in 0..plain.len() {
-            assert!(decode_manifest(&plain[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&plain[..cut]).is_err(), "cut at {cut}");
         }
         let mut longer = plain.clone();
         longer.push(0);
-        assert!(decode_manifest(&longer).is_err());
-        // The only file's chunk count sits right before its two digests.
-        let count_at = plain.len() - 2 * 32 - 4;
+        assert!(decode(&longer).is_err());
+        // The only file's chunk count sits right before its two tags, its
+        // epoch right before that.
+        let count_at = plain.len() - 2 * aead::TAG_LEN - 4;
         for hostile in [3u32, u32::MAX] {
             let mut inflated = plain.clone();
             inflated[count_at..count_at + 4].copy_from_slice(&hostile.to_le_bytes());
-            assert!(decode_manifest(&inflated).is_err(), "count {hostile}");
+            assert!(decode(&inflated).is_err(), "count {hostile}");
         }
+        let epoch_at = count_at - 8;
+        for hostile in [0, shield.epoch + 1, u64::MAX] {
+            let mut moved = plain.clone();
+            moved[epoch_at..epoch_at + 8].copy_from_slice(&hostile.to_le_bytes());
+            assert!(decode(&moved).is_err(), "epoch {hostile}");
+        }
+        // The entry is only readable by a later mount.
+        assert!(decode_manifest(&plain, shield.epoch).is_err());
     }
 
     #[test]
@@ -2158,6 +2297,166 @@ mod tests {
             !keystream_reused,
             "retry sealed under the aborted write's nonce"
         );
+    }
+
+    #[test]
+    fn a_remounted_retry_seals_under_a_new_epoch() {
+        // The across-remount case the in-memory burn cannot cover: the
+        // dead instance staged version 2, the fresh one restores version 1
+        // from the manifest and seals version 2 again — under its own
+        // epoch's subkey.
+        let (platform, enclave, store) = crash_setup();
+        let mut shield = FsShield::new(enclave, store.clone());
+        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
+        shield.write("/secure/f", &[0x55u8; 64]).unwrap();
+        store.fail_after_ops(1);
+        assert!(shield.write("/secure/f", &[0x11u8; 64]).is_err());
+        store.host_restart();
+        let staged_path = store
+            .paths()
+            .into_iter()
+            .find(|p| p.ends_with("/c000000"))
+            .expect("the aborted transaction's staged record reached the host");
+        let staged = store.raw_contents(&staged_path).unwrap();
+        let dead_epoch = shield.epoch;
+        drop(shield);
+
+        let (mut recovered, report) =
+            FsShield::recover(restart_enclave(&platform), store.clone()).unwrap();
+        assert_eq!(report.epoch, dead_epoch + 1);
+        assert_eq!(recovered.version("/secure/f"), Some(1));
+        recovered.write("/secure/f", &[0x77u8; 64]).unwrap();
+        assert_eq!(recovered.version("/secure/f"), Some(2), "same version");
+        let installed = store.raw_contents("/secure/f").unwrap();
+        let installed = &installed[record_body_at(0, 16)..][..64];
+        assert!(
+            !staged[..64]
+                .iter()
+                .zip(installed)
+                .all(|(a, b)| a ^ b == 0x11 ^ 0x77),
+            "the remounted retry sealed under the dead instance's key and nonce"
+        );
+        assert_eq!(recovered.read("/secure/f").unwrap(), [0x77u8; 64]);
+    }
+
+    #[test]
+    fn every_construction_takes_the_next_mount_epoch() {
+        let clock = securetf_tee::SimClock::new();
+        let telemetry = clock.telemetry();
+        let platform = Platform::builder()
+            .clock(clock)
+            .telemetry(telemetry.clone())
+            .build();
+        let image = EnclaveImage::builder().code(b"fs epochs").build();
+        let enclave = || {
+            platform
+                .create_enclave(&image, ExecutionMode::Hardware)
+                .unwrap()
+        };
+        let store = UntrustedStore::new();
+        let a = FsShield::new(enclave(), store.clone());
+        let b = FsShield::with_key(enclave(), store.clone(), Key::from_bytes([3; 32]));
+        let (c, report) = FsShield::recover(enclave(), store).unwrap();
+        assert_eq!((a.epoch, b.epoch, c.epoch), (1, 2, 3));
+        assert_eq!(report.epoch, 3);
+        assert_eq!(telemetry.gauge("shield.fs.mount_epoch").get(), 3);
+        // Another identity on the same platform counts on its own.
+        let other = platform
+            .create_enclave(
+                &EnclaveImage::builder().code(b"another identity").build(),
+                ExecutionMode::Hardware,
+            )
+            .unwrap();
+        assert_eq!(FsShield::new(other, UntrustedStore::new()).epoch, 1);
+    }
+
+    #[test]
+    fn a_staged_chunk_that_fails_authentication_is_not_rolled_forward() {
+        for (what, offset_in_record) in [("body", 5usize), ("tag", CHUNK_SIZE + 3)] {
+            let (platform, enclave, store) = crash_setup();
+            let mut shield = FsShield::new(enclave, store.clone());
+            shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
+            shield.write("/secure/f", b"old contents").unwrap();
+            // One full chunk: op 1 stages it, op 2 commits, then crash.
+            store.fail_after_ops(2);
+            assert!(shield.write("/secure/f", &[9u8; CHUNK_SIZE]).is_err());
+            store.host_restart();
+            let staged = store
+                .paths()
+                .into_iter()
+                .find(|p| p.ends_with("/c000000"))
+                .unwrap();
+            assert!(store.corrupt(&staged, offset_in_record));
+            let (recovered, report) = FsShield::recover(restart_enclave(&platform), store).unwrap();
+            assert_eq!(report.rolled_forward, 0, "tampered staged {what} applied");
+            assert_eq!(report.discarded, 1);
+            assert_eq!(recovered.read("/secure/f").unwrap(), b"old contents");
+        }
+    }
+
+    /// `!fs/<mr8>` of the shield identity [`crash_setup`] runs as.
+    fn crash_base(platform: &Platform) -> (String, Key) {
+        let shield = FsShield::new(restart_enclave(platform), UntrustedStore::new());
+        (shield.manifest_base.clone(), shield.journal_key.clone())
+    }
+
+    #[test]
+    fn a_v1_manifest_fails_closed_with_a_typed_error() {
+        let clock = securetf_tee::SimClock::new();
+        let telemetry = clock.telemetry();
+        let platform = Platform::builder()
+            .clock(clock)
+            .telemetry(telemetry.clone())
+            .build();
+        let image = EnclaveImage::builder().code(b"fs crash test").build();
+        let enclave = platform
+            .create_enclave(&image, ExecutionMode::Hardware)
+            .unwrap();
+        let (base, _) = crash_base(&platform);
+        // A v1 plaintext: `u64 generation | u64 next_file_id | u32
+        // policies | u32 files`, no magic — what the previous format
+        // sealed for an empty table.
+        let mut v1 = Vec::new();
+        put_u64(&mut v1, 1);
+        put_u64(&mut v1, 1);
+        put_u32(&mut v1, 0);
+        put_u32(&mut v1, 0);
+        let aad = format!("{base}/manifest");
+        let sealed = enclave.seal(SealPolicy::Measurement, &v1, aad.as_bytes());
+        let store = UntrustedStore::new();
+        store.raw_put(&format!("{base}/manifest-1"), sealed);
+        assert!(matches!(
+            FsShield::recover(enclave, store),
+            Err(ShieldError::UnsupportedFormat(_))
+        ));
+        assert_eq!(telemetry.counter("shield.fs.format_rejections").get(), 1);
+    }
+
+    #[test]
+    fn a_v1_commit_record_fails_closed_with_a_typed_error() {
+        let (platform, enclave, store) = crash_setup();
+        let (base, journal_key) = crash_base(&platform);
+        // `STFJRNL1 | path | policy | version | len | file_id | n |
+        // digest32 × n | hmac32`, MAC-valid under the journal key.
+        let mut v1 = b"STFJRNL1".to_vec();
+        put_len_prefixed(&mut v1, b"/secure/f");
+        v1.push(0);
+        put_u64(&mut v1, 1);
+        put_u64(&mut v1, 3);
+        put_u64(&mut v1, 1);
+        put_u32(&mut v1, 1);
+        v1.extend_from_slice(&[0xab; 32]);
+        let mac = hmac_sha256(journal_key.as_bytes(), &v1);
+        v1.extend_from_slice(&mac);
+        let txn = FsShield::txn_dir(&base, 1, 1);
+        store.raw_put(&FsShield::staged_chunk_path(&txn, 0), vec![0; 19]);
+        store.raw_put(&FsShield::commit_path(&txn), v1);
+        assert!(matches!(
+            FsShield::recover(enclave, store.clone()),
+            Err(ShieldError::UnsupportedFormat(_))
+        ));
+        // Not skipped either: the record is still there for an operator.
+        assert!(store.contains(&FsShield::commit_path(&txn)));
     }
 
     #[test]

@@ -71,6 +71,10 @@ pub enum ShieldError {
     /// The untrusted host process died mid-operation (crash injection):
     /// the storage interface refuses further I/O until the host restarts.
     HostCrashed(&'static str),
+    /// Authentic host-stored state in a format this build does not read
+    /// (an fs store written before the v2 manifest and journal): the
+    /// mount fails closed instead of skipping it or starting fresh.
+    UnsupportedFormat(&'static str),
     /// An underlying TEE error.
     Tee(securetf_tee::TeeError),
 }
@@ -85,6 +89,7 @@ impl fmt::Display for ShieldError {
             ShieldError::HandshakeFailed(why) => write!(f, "handshake failed: {why}"),
             ShieldError::IagoViolation(why) => write!(f, "iago attack rejected: {why}"),
             ShieldError::HostCrashed(why) => write!(f, "host storage crashed: {why}"),
+            ShieldError::UnsupportedFormat(what) => write!(f, "unsupported store format: {what}"),
             ShieldError::Tee(e) => write!(f, "tee error: {e}"),
         }
     }

@@ -10,7 +10,7 @@
 //! alive, and each value is recycled the moment its planned lifetime
 //! ends. A backward rule whose last contribution is an elementwise
 //! function of the node's own gradient rewrites that buffer and hands it
-//! on ([`flow_owned`]). Gradients are verified against numerical
+//! on (`flow_owned`). Gradients are verified against numerical
 //! differentiation in this module's tests.
 
 use crate::graph::{Graph, Node, NodeId, Op, Padding};

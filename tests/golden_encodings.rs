@@ -2,7 +2,11 @@
 //! `samples/`: a SHA-256 per format, recorded at commit 4d8bed6 (before
 //! the decoders and writers moved onto `securetf_tensor::bytes`). A
 //! digest changes only when a byte format changes, which needs a
-//! versioned magic and a reviewed update of this table.
+//! versioned magic and a reviewed update of this table. The two
+//! protected fs rows were re-recorded once for the v2 store (`STFMAN02`
+//! manifest, `STFJRNL2` journal, chunks under a per-file, per-mount-epoch
+//! subkey with pinned AEAD tags; DESIGN.md §13); the other 13 are the
+//! original digests.
 
 mod samples;
 
@@ -94,12 +98,12 @@ fn encoder_output_is_pinned() {
         (
             "FsShield::write EncryptAuth",
             fs(Policy::EncryptAuth),
-            "d1586ed186d3c11aedb6be43b3c0f200bac1a269762bee5e5aff7b48a9d8b4bb",
+            "4242c992befec677346cbc1a3ca2b5757992f6052047b5b75873e6a305d81536",
         ),
         (
             "FsShield::write AuthOnly",
             fs(Policy::AuthOnly),
-            "09e72af1152c4bffa74cbf4a4a40ea51bfe7c1ee567300068422f6188e4b59d1",
+            "c425a83c6f62c53f078209d9651c16a2377f56df786edd8e987787acf3da617d",
         ),
         (
             "FsShield::write Passthrough",

@@ -21,9 +21,12 @@ use std::rc::Rc;
 
 use samples::{fs_enclave, fs_platform, FS_PATH};
 use securetf::serving::{decode_request, decode_response, salvage_request_id};
+use securetf_crypto::hmac::hmac_sha256;
 use securetf_data::Dataset;
 use securetf_distrib::wire;
 use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
+use securetf_shield::ShieldError;
+use securetf_tee::Platform;
 use securetf_tensor::bytes::{put_shape, Reader};
 use securetf_tensor::freeze::import_graph;
 use securetf_tflite::model::LiteModel;
@@ -423,48 +426,108 @@ fn fs_manifest_rejects_hostile_bytes_through_recover() {
     .check();
 }
 
-/// The MAC'd commit record via `recover`: the host dies right after the
-/// commit point of a rewrite, the record is replaced, and a fresh enclave
-/// remounts. Accepted = the rewrite was rolled forward.
+/// A store where the host died right after the commit point of a rewrite
+/// of `/data/small` from `old` to `new`: one staged chunk and the commit
+/// record landed, the blob did not. Returns the platform to remount on,
+/// the store and the commit record's path.
+fn crashed_rewrite() -> (Platform, UntrustedStore, String) {
+    let platform = fs_platform();
+    let store = UntrustedStore::new();
+    let mut shield = FsShield::new(fs_enclave(&platform), store.clone());
+    shield.write("/data/small", b"old").unwrap();
+    store.fail_after_ops(2);
+    shield.write("/data/small", b"new").unwrap_err();
+    store.host_restart();
+    let commit_path = store.paths().into_iter().find(|p| p.ends_with("/commit"));
+    (platform, store, commit_path.expect("commit record landed"))
+}
+
+/// Remounts a [`crashed_rewrite`] store whose commit record is now
+/// `record`: `Ok(true)` if the rewrite was rolled forward, `Ok(false)` if
+/// it rolled back. Whether a failed mount is acceptable is the caller's
+/// call.
+fn remount_with_commit(
+    crashed: &(Platform, UntrustedStore, String),
+    record: &[u8],
+) -> Result<bool, ShieldError> {
+    let (platform, store, commit_path) = crashed;
+    store.raw_put(commit_path, record.to_vec());
+    let (shield, _) = FsShield::recover(fs_enclave(platform), store.clone())?;
+    let contents = shield.read("/data/small").expect("pre or post state");
+    match contents.as_slice() {
+        b"new" => Ok(true),
+        b"old" => Ok(false),
+        other => panic!("neither pre nor post state: {other:?}"),
+    }
+}
+
+// `STFJRNL2 | len(path) "/data/small" | u8 policy | u64 version | u64 len
+// | u64 file_id | u64 epoch | u32 n | tag16 × n`, then (on the host) an
+// HMAC-SHA256: the `u32` path length and tag count, and the epoch.
+const COMMIT_LENGTHS: [usize; 2] = [8, 56];
+const COMMIT_EPOCH_AT: usize = 48;
+
+/// The MAC'd `STFJRNL2` commit record via `recover`, as the host holds
+/// it: every mutation breaks the MAC, so the write rolls back — and no
+/// such record may fail the mount, or one garbage file on the host would
+/// fail every mount.
 #[test]
 fn fs_commit_record_rejects_hostile_bytes_through_recover() {
-    let crashed_rewrite = || {
-        let platform = fs_platform();
-        let store = UntrustedStore::new();
-        let mut shield = FsShield::new(fs_enclave(&platform), store.clone());
-        shield.write("/data/small", b"old").unwrap();
-        // One staged chunk, then the commit record, land; the blob does not.
-        store.fail_after_ops(2);
-        shield.write("/data/small", b"new").unwrap_err();
-        store.host_restart();
-        (platform, store)
-    };
     let crashed = Rc::new(RefCell::new(crashed_rewrite()));
-    let commit_path = crashed
-        .borrow()
-        .1
-        .paths()
-        .into_iter()
-        .find(|p| p.ends_with("/commit"));
-    let commit_path = commit_path.expect("commit record landed");
-    let record = crashed.borrow().1.raw_contents(&commit_path).unwrap();
+    let record = {
+        let crashed = crashed.borrow();
+        crashed.1.raw_contents(&crashed.2).unwrap()
+    };
     let for_prepare = crashed.clone();
     Format::new("fs commit record", record, move |b| {
-        let (platform, store) = &*crashed.borrow();
-        store.raw_put(&commit_path, b.to_vec());
-        let (shield, _) =
-            FsShield::recover(fs_enclave(platform), store.clone()).expect("recoverable");
-        match shield
-            .read("/data/small")
-            .expect("pre or post state")
-            .as_slice()
-        {
-            b"new" => true,
-            b"old" => false,
-            other => panic!("neither pre nor post state: {other:?}"),
-        }
+        remount_with_commit(&crashed.borrow(), b).expect("recoverable")
     })
     // Recovery consumes the journal: every decode needs its own crash.
     .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite())
+    .lengths(&COMMIT_LENGTHS)
     .check();
+}
+
+/// The v2 file entry behind the MAC: every mutation of the record body
+/// is re-MAC'd under the journal key (as only a key holder could), so the
+/// entry decoder and `roll_forward` — not the MAC — must reject it. A bit
+/// flip may still decode (another version, path or file id), but then no
+/// staged chunk authenticates under it and the write rolls back.
+#[test]
+fn fs_commit_entry_rejects_hostile_bytes_behind_the_mac() {
+    let crashed = Rc::new(RefCell::new(crashed_rewrite()));
+    let body = {
+        let crashed = crashed.borrow();
+        let record = crashed.1.raw_contents(&crashed.2).unwrap();
+        record[..record.len() - 32].to_vec()
+    };
+    // The shield's `journal-mac-v1` key, derived from its file key.
+    let file_key = fs_enclave(&crashed.borrow().0).derived_key(b"fs-shield-v1");
+    let journal_key = hmac_sha256(file_key.as_bytes(), b"journal-mac-v1");
+    let remac = move |body: &[u8]| {
+        let mut record = body.to_vec();
+        record.extend_from_slice(&hmac_sha256(&journal_key, body));
+        record
+    };
+    let for_prepare = crashed.clone();
+    let row = Format::new("fs commit entry", body.clone(), move |b| {
+        match remount_with_commit(&crashed.borrow(), &remac(b)) {
+            // An authentic record without the v2 magic fails the mount
+            // closed: rejected, not rolled forward.
+            Err(ShieldError::UnsupportedFormat(_)) => false,
+            verdict => verdict.expect("recoverable"),
+        }
+    })
+    .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite())
+    .lengths(&COMMIT_LENGTHS);
+    row.check();
+
+    // The epoch: a file sealed by no earlier mount (0, this mount's own
+    // epoch, or beyond) is rejected where it is decoded.
+    let written = u64::from_le_bytes(body[COMMIT_EPOCH_AT..][..8].try_into().unwrap());
+    for epoch in [0, written + 1, written + 2, u64::MAX] {
+        let mut moved = body.clone();
+        moved[COMMIT_EPOCH_AT..][..8].copy_from_slice(&epoch.to_le_bytes());
+        row.rejects(&moved, &|| format!("epoch {epoch} (written in {written})"));
+    }
 }

@@ -1,0 +1,409 @@
+//! Nonce uniqueness as a checked property (ROADMAP 2(b)), not a
+//! regression test.
+//!
+//! A ChaCha20-Poly1305 key and nonce used twice give the host two
+//! ciphertexts whose XOR is the XOR of their plaintexts. The ledger here
+//! plays the host that remembers: after every shield call it records each
+//! chunk record the store holds — staged journal records and the records
+//! of installed blobs, torn prefixes included — next to what the test
+//! knows of the plaintext under it, and asserts that no two records with
+//! different plaintexts satisfy `c1 ⊕ c2 = p1 ⊕ p2` on their common
+//! prefix. It runs under the crash-point enumeration of
+//! `crash_consistency.rs` followed by a remount and a retry with other
+//! plaintext, under `Supervisor::remount` after seeded chaos, and over two
+//! shields sharing one file key. Everything is test-side: the shield has
+//! no hook, feature or knob for it.
+
+use securetf_crypto::aead::{self, Key, Nonce};
+use securetf_distrib::cluster::{Cluster, ClusterConfig};
+use securetf_distrib::faults::{FaultEvent, FaultPlan};
+use securetf_distrib::supervisor::{Supervisor, SupervisorConfig};
+use securetf_distrib::trainer::DistributedTrainer;
+use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore, CHUNK_SIZE};
+use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, Telemetry};
+use securetf_tensor::layers;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+/// A plaintext byte the test knows, or `None`.
+type Known = Vec<Option<u8>>;
+
+/// One record the host was handed.
+struct Entry {
+    /// The record's bytes over the known plaintext (as many as landed).
+    cipher: Vec<u8>,
+    plain: Known,
+    /// Where the host held it, for the failure message.
+    at: String,
+}
+
+/// Known plaintext bytes two records must share before a match counts:
+/// a chance match of 16 bytes is 2⁻¹²⁸.
+const MIN_KNOWN: usize = 16;
+
+/// Whether `a` and `b` are two different plaintexts under one keystream:
+/// on every position of the common prefix where both plaintexts are
+/// known, `a ⊕ b` of the ciphertexts equals `a ⊕ b` of the plaintexts,
+/// there are at least [`MIN_KNOWN`] such positions, and the records
+/// differ (equal ones are one record seen twice, or a torn prefix of it).
+fn same_keystream(a: &Entry, b: &Entry) -> bool {
+    let n = a.cipher.len().min(b.cipher.len());
+    let mut known = 0;
+    for j in 0..n {
+        if let (Some(pa), Some(pb)) = (a.plain[j], b.plain[j]) {
+            if a.cipher[j] ^ b.cipher[j] != pa ^ pb {
+                return false;
+            }
+            known += 1;
+        }
+    }
+    known >= MIN_KNOWN && a.cipher[..n] != b.cipher[..n]
+}
+
+/// Every chunk record the store holds, as `(where, is_staged, chunk index,
+/// record bytes)`: staged journal records whole, and the records of each
+/// blob walked leniently so a torn blob gives up its prefix.
+fn host_records(store: &UntrustedStore) -> Vec<(String, bool, usize, Vec<u8>)> {
+    let mut out = Vec::new();
+    for path in store.paths() {
+        let bytes = store.raw_contents(&path).expect("listed path");
+        if path.starts_with("!fs/") {
+            // `!fs/<mr8>/txn/<file>-<version>/c<k:06>`
+            if let Some(k) = path.rsplit_once("/c").and_then(|(_, k)| k.parse().ok()) {
+                out.push((path, true, k, bytes));
+            }
+            continue;
+        }
+        let mut at = 8;
+        let mut chunk = 0;
+        while at + 4 <= bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let end = (at + 4 + len).min(bytes.len());
+            out.push((
+                format!("{path} chunk {chunk}"),
+                false,
+                chunk,
+                bytes[at + 4..end].to_vec(),
+            ));
+            at = end;
+            chunk += 1;
+        }
+    }
+    out
+}
+
+/// What the test knows of the plaintext of a record it has not seen
+/// before: `(is_staged, chunk)` -> known bytes, or `None` if the call
+/// that just returned cannot have produced such a record.
+type Source<'a> = &'a dyn Fn(bool, usize) -> Option<Known>;
+
+/// Every record the host was ever handed.
+#[derive(Default)]
+struct Ledger {
+    entries: Vec<Entry>,
+    seen: HashSet<Vec<u8>>,
+}
+
+impl Ledger {
+    /// Records what is new on the host after a call and checks every new
+    /// record against every record before it.
+    fn observe(&mut self, store: &UntrustedStore, source: Source) {
+        for (at, staged, chunk, record) in host_records(store) {
+            if !self.seen.insert(record.clone()) {
+                continue;
+            }
+            let plain = source(staged, chunk)
+                .unwrap_or_else(|| panic!("{at}: a record this call cannot have written"));
+            let mut cipher = record;
+            cipher.truncate(plain.len());
+            let entry = Entry {
+                plain: plain[..cipher.len()].to_vec(),
+                cipher,
+                at,
+            };
+            for old in &self.entries {
+                assert!(
+                    !same_keystream(old, &entry),
+                    "keystream reuse: {} and {} XOR to the XOR of their plaintexts",
+                    old.at,
+                    entry.at
+                );
+            }
+            self.entries.push(entry);
+        }
+    }
+
+    /// After a call that wrote `data`: a new record is chunk `k` of it.
+    fn after_write(&mut self, store: &UntrustedStore, data: &[u8]) {
+        self.observe(store, &|_, k| {
+            let chunk = data.chunks(CHUNK_SIZE).nth(k).unwrap_or_default();
+            Some(chunk.iter().copied().map(Some).collect())
+        });
+    }
+
+    /// After a call that wrote nothing new (a read, a recovery: a
+    /// roll-forward installs records the host already held).
+    fn after_other(&mut self, store: &UntrustedStore) {
+        self.observe(store, &|_, _| None);
+    }
+}
+
+// ---- crash, remount, retry -------------------------------------------------
+
+const PATH: &str = "/secure/f";
+
+fn enclave_on(platform: &Platform, code: &[u8]) -> Arc<Enclave> {
+    platform
+        .create_enclave(
+            &EnclaveImage::builder().code(code).build(),
+            ExecutionMode::Hardware,
+        )
+        .expect("enclave boots")
+}
+
+fn with_policy(mut shield: FsShield) -> FsShield {
+    shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
+    shield
+}
+
+fn ramp(len: usize, step: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * step % 251) as u8).collect()
+}
+
+/// One crash point: write `pre` (if any), crash `post` after `k` host ops
+/// (torn or clean), remount, retry with other plaintext, remount again
+/// and write once more — observing the host after every call.
+fn crash_remount_retry(pre: Option<&[u8]>, post: &[u8], k: u64, torn: Option<usize>) {
+    let platform = Platform::builder().build();
+    let store = UntrustedStore::new();
+    let mut ledger = Ledger::default();
+    let mut shield = with_policy(FsShield::new(
+        enclave_on(&platform, b"ledger"),
+        store.clone(),
+    ));
+    if let Some(pre) = pre {
+        shield.write(PATH, pre).expect("pre write");
+        ledger.after_write(&store, pre);
+    }
+    match torn {
+        Some(bytes) => store.fail_after_ops_torn(k, bytes),
+        None => store.fail_after_ops(k),
+    }
+    assert!(shield.write(PATH, post).is_err(), "the host died at op {k}");
+    ledger.after_write(&store, post);
+    drop(shield);
+    store.host_restart();
+
+    let retry = ramp(post.len(), 7);
+    let again = ramp(post.len() + 3, 11);
+    for data in [&retry, &again] {
+        let (shield, _) = FsShield::recover(enclave_on(&platform, b"ledger"), store.clone())
+            .expect("recovery after a crash point");
+        ledger.after_other(&store);
+        let mut shield = with_policy(shield);
+        shield.write(PATH, data).expect("retry after remount");
+        ledger.after_write(&store, data);
+        assert_eq!(&shield.read(PATH).expect("read back"), data);
+        ledger.after_other(&store);
+    }
+}
+
+/// Every host-op prefix of one write, clean and torn.
+fn sweep(pre: Option<&[u8]>, post: &[u8]) {
+    let ops = {
+        let platform = Platform::builder().build();
+        let store = UntrustedStore::new();
+        let mut shield = with_policy(FsShield::new(
+            enclave_on(&platform, b"ledger"),
+            store.clone(),
+        ));
+        if let Some(pre) = pre {
+            shield.write(PATH, pre).expect("pre write");
+        }
+        let before = store.op_count();
+        shield.write(PATH, post).expect("post write");
+        store.op_count() - before
+    };
+    for k in 0..ops {
+        for torn in [None, Some(1), Some(39)] {
+            crash_remount_retry(pre, post, k, torn);
+        }
+    }
+}
+
+#[test]
+fn no_keystream_repeats_across_every_crash_point_remount_and_retry() {
+    sweep(
+        Some(b"the old committed contents"),
+        &ramp(CHUNK_SIZE / 2, 3),
+    );
+    sweep(
+        Some(&ramp(CHUNK_SIZE + 17, 13)),
+        &ramp(2 * CHUNK_SIZE + 100, 5),
+    );
+    // A fresh file: the aborted write's file id was never published.
+    sweep(None, &ramp(CHUNK_SIZE + 9, 17));
+}
+
+// ---- shields sharing one key ---------------------------------------------------
+
+#[test]
+fn no_keystream_repeats_between_shields_sharing_one_key() {
+    // Two enclaves provisioned with one file key, as CAS does for shared
+    // models (one identity twice, and two identities), each writing its
+    // first file to one host.
+    for codes in [[&b"w1"[..], b"w2"], [b"w1", b"w1"]] {
+        let platform = Platform::builder().build();
+        let store = UntrustedStore::new();
+        let key = Key::from_bytes([0x77; 32]);
+        let mut ledger = Ledger::default();
+        let mut shields: Vec<FsShield> = codes
+            .iter()
+            .map(|code| {
+                with_policy(FsShield::with_key(
+                    enclave_on(&platform, code),
+                    store.clone(),
+                    key.clone(),
+                ))
+            })
+            .collect();
+        for (i, shield) in shields.iter_mut().enumerate() {
+            let data = ramp(3 * CHUNK_SIZE / 2, 3 + 2 * i);
+            shield
+                .write(&format!("/secure/w{i}"), &data)
+                .expect("write");
+            ledger.after_write(&store, &data);
+        }
+    }
+}
+
+// ---- supervised training across remounts ---------------------------------------
+
+const WORKERS: usize = 3;
+
+fn trainer() -> DistributedTrainer {
+    let cluster = Cluster::new(ClusterConfig {
+        workers: WORKERS,
+        parameter_servers: 1,
+        mode: ExecutionMode::Simulation,
+        network_shield: true,
+        runtime_bytes: 8 * 1024 * 1024,
+        heap_bytes: 16 * 1024 * 1024,
+        telemetry: Telemetry::disabled(),
+        ..ClusterConfig::default()
+    })
+    .expect("cluster boots");
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+    let model = layers::mlp_classifier(784, &[32], 10, &mut rng).expect("valid model");
+    let data = securetf_data::synthetic_mnist(300, 5);
+    DistributedTrainer::new(cluster, model, data, 100, 0.2).expect("trainer")
+}
+
+/// What the test knows of a checkpoint record: its first chunk starts
+/// with the supervisor's `u64 generation`, then the trainer's checkpoint
+/// nonce `u32 0xC4EC | u64 step` (DESIGN.md §18) — below 2¹⁶ both, so 16
+/// bytes are known. The rest is the trainer's own ciphertext.
+fn checkpoint_header(_staged: bool, chunk: usize) -> Option<Known> {
+    let mut known = vec![None; CHUNK_SIZE + 32];
+    if chunk == 0 {
+        for (j, byte) in known.iter_mut().enumerate().take(20) {
+            *byte = match j {
+                2..=7 | 14..=19 => Some(0),
+                8 => Some(0xEC),
+                9 => Some(0xC4),
+                10 | 11 => Some(0),
+                _ => None,
+            };
+        }
+    }
+    Some(known)
+}
+
+/// The seeded plan without its `ChunkCorruption` events: a bit the host
+/// flips in a stored record makes a record no shield sealed, which the
+/// ledger — seeing only the disk — would take for a second record under
+/// the original's keystream.
+fn plan_without_corruption(seed: u64, steps: u64) -> FaultPlan {
+    let generated = FaultPlan::generate(seed, steps, WORKERS);
+    let mut plan = FaultPlan::none();
+    for step in 0..steps {
+        for event in generated.events_at(step) {
+            if !matches!(event, FaultEvent::ChunkCorruption { .. }) {
+                plan = plan.with_event(step, *event);
+            }
+        }
+    }
+    plan
+}
+
+fn supervised(supervisor: &mut Supervisor, steps: u64, ledger: &mut Ledger) {
+    for _ in 0..steps {
+        supervisor.train_steps(1).expect("survivable plan");
+        ledger.observe(supervisor.store(), &checkpoint_header);
+    }
+}
+
+#[test]
+fn no_keystream_repeats_across_supervisor_remounts() {
+    let config = SupervisorConfig {
+        checkpoint_every: 2,
+        ..Default::default()
+    };
+    for seed in [1u64, 7, 42] {
+        for wipe in [false, true] {
+            let store = UntrustedStore::new();
+            let mut ledger = Ledger::default();
+            let plan = plan_without_corruption(seed, 6);
+            let mut supervisor = Supervisor::new(trainer(), plan, config.clone(), store.clone())
+                .expect("supervisor boots");
+            ledger.observe(&store, &checkpoint_header);
+            supervised(&mut supervisor, 6, &mut ledger);
+            // The supervisor process dies with the storage host; the
+            // machines survive. With `wipe`, the host also destroys
+            // everything it stored — after the ledger copied it.
+            store.fail_after_ops(0);
+            if wipe {
+                for path in store.paths() {
+                    store.raw_delete(&path);
+                }
+            }
+            let trainer = supervisor.into_trainer();
+            let mut supervisor =
+                Supervisor::remount(trainer, FaultPlan::none(), config.clone(), store.clone())
+                    .expect("remount");
+            ledger.observe(&store, &checkpoint_header);
+            supervised(&mut supervisor, 4, &mut ledger);
+        }
+    }
+}
+
+#[test]
+fn the_ledger_sees_a_forced_keystream_repeat() {
+    // The oracle itself: two records under one key and nonce are caught,
+    // and a record seen twice or torn is not.
+    let key = Key::from_bytes([0x42; 32]);
+    let nonce = Nonce::from_counter(1, 1);
+    let entry = |p: &[u8], at: &str, len: usize| {
+        let mut cipher = aead::seal(&key, &nonce, p, b"");
+        cipher.truncate(len);
+        Entry {
+            plain: p[..len].iter().copied().map(Some).collect(),
+            cipher,
+            at: at.into(),
+        }
+    };
+    let (p1, p2) = (ramp(64, 3), ramp(64, 5));
+    assert!(same_keystream(&entry(&p1, "a", 64), &entry(&p2, "b", 64)));
+    assert!(!same_keystream(
+        &entry(&p1, "a", 64),
+        &entry(&p1, "a again", 64)
+    ));
+    assert!(!same_keystream(
+        &entry(&p1, "a", 64),
+        &entry(&p1, "a torn", 39)
+    ));
+    assert!(!same_keystream(
+        &entry(&p1, "a", 64),
+        &entry(&p2, "b torn short", 15)
+    ));
+}

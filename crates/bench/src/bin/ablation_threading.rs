@@ -6,10 +6,17 @@
 //! (~0.4 µs). This sweep runs a syscall-heavy classification service
 //! (many small reads per request) under both models.
 
+use securetf::profile::ThreadingModel;
 use securetf_bench::{fmt_ns, fmt_ratio, header};
-use securetf_shield::sched::{Scheduler, Task, ThreadingModel};
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
+use securetf_tensor::kernels::pool::critical_units;
 
+const REQUESTS: usize = 200;
+const CORES: usize = 4;
+const FLOPS_PER_REQUEST: f64 = 5.0e6;
+
+/// Virtual time of `REQUESTS` requests on `CORES` cores: the syscalls
+/// serialize, the compute runs along the worker pool's critical path.
 fn run(model: ThreadingModel, syscalls_per_request: u64) -> u64 {
     let platform = Platform::builder().build();
     let enclave = platform
@@ -18,12 +25,15 @@ fn run(model: ThreadingModel, syscalls_per_request: u64) -> u64 {
             ExecutionMode::Hardware,
         )
         .expect("enclave");
-    let tasks: Vec<Task> = (0..200)
-        .map(|_| Task::compute(5.0e6).with_syscalls(syscalls_per_request))
-        .collect();
-    Scheduler::new(enclave, 4, model)
-        .run_batch(&tasks)
-        .expect("batch")
+    let t0 = enclave.clock().now_ns();
+    for _ in 0..REQUESTS as u64 * syscalls_per_request {
+        model.charge_syscall(&enclave);
+    }
+    enclave.charge_parallel_compute(
+        REQUESTS as f64 * FLOPS_PER_REQUEST,
+        critical_units(REQUESTS, CORES) as f64 * FLOPS_PER_REQUEST,
+    );
+    enclave.clock().now_ns() - t0
 }
 
 fn main() {

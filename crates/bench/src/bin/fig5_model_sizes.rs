@@ -31,7 +31,7 @@ fn measure(spec: ModelSpec, mode: ExecutionMode, profile: RuntimeProfile) -> u64
         .expect("deploy");
     let input = models::input_for(4);
     // Warm-up run (the paper warms the machine before measuring).
-    classifier.classify(&input).expect("warmup");
+    classifier.classify_batch(&input).expect("warmup");
     classifier
         .mean_latency_ns(&input, RUNS)
         .expect("measurement runs")

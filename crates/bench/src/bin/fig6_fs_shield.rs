@@ -31,7 +31,7 @@ fn measure(spec: ModelSpec, mode: ExecutionMode, fs_shield: bool) -> u64 {
         .deploy_classifier("classify", "/models/m", RuntimeProfile::scone_lite())
         .expect("deploy");
     let input = models::input_for(4);
-    classifier.classify(&input).expect("warmup");
+    classifier.classify_batch(&input).expect("warmup");
     let clock = classifier.enclave().clock().clone();
     let t0 = clock.now_ns();
     for _ in 0..RUNS {
@@ -42,7 +42,7 @@ fn measure(spec: ModelSpec, mode: ExecutionMode, fs_shield: bool) -> u64 {
                 .enclave()
                 .charge_shield_crypto(model_file_bytes + input.byte_len());
         }
-        classifier.classify(&input).expect("classify");
+        classifier.classify_batch(&input).expect("classify");
     }
     (clock.now_ns() - t0) / RUNS as u64
 }

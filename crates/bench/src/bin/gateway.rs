@@ -1,20 +1,20 @@
 //! Gateway serving benchmark (ISSUE 7): offered load × batch ceiling,
 //! virtual time.
 //!
-//! Sweeps the gateway's micro-batch ceiling against a serial baseline
-//! (`core::serving::serve`, one request per `classify`) at several
-//! offered loads, all in deterministic virtual time, and writes
-//! `BENCH_gateway.json`. Two relationships are asserted hard (the
-//! process exits non-zero on violation, making CI the regression gate):
+//! Sweeps the gateway's micro-batch ceiling at several offered loads,
+//! all in deterministic virtual time, against its own ceiling-1 run (one
+//! request per batch), and writes `BENCH_gateway.json`. Two
+//! relationships are asserted hard (the process exits non-zero on
+//! violation, making CI the regression gate):
 //!
-//! 1. at batch ceiling ≥ 8, batched gateway throughput strictly beats
-//!    the serial baseline — the planned-arena/worker-pool investment of
-//!    PRs 3–4 must pay off at the serving tier, and
+//! 1. at batch ceiling ≥ 8, gateway throughput strictly beats ceiling 1
+//!    — the planned arena and worker pool must pay off at the serving
+//!    tier, and
 //! 2. the gateway answers every offered request exactly once.
 
 use securetf::deployment::Deployment;
 use securetf::profile::RuntimeProfile;
-use securetf::serving::{encode_request, serve, Request};
+use securetf::serving::{encode_request, Request};
 use securetf_bench::header;
 use securetf_bench::report::{BenchReport, JsonValue};
 use securetf_gateway::chaos::{attested_pair, demo_input, demo_model};
@@ -23,37 +23,6 @@ use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock};
 
 const CLIENTS: usize = 4;
 const ROUNDS: u64 = 16;
-
-/// Serial baseline: the same total request stream drained one at a
-/// time by `serve` over a single attested channel. Returns virtual ns.
-fn serial_ns(total: u64) -> u64 {
-    let clock = SimClock::new();
-    let telemetry = clock.telemetry();
-    let mut deployment =
-        Deployment::instrumented(ExecutionMode::Hardware, clock.clone(), telemetry);
-    deployment
-        .publish_model("bench", "/m", &demo_model())
-        .expect("publish");
-    let mut classifier = deployment
-        .deploy_classifier("bench", "/m", RuntimeProfile::scone_lite())
-        .expect("deploy");
-    let (mut server, mut client) = attested_pair(classifier.enclave().clone());
-    let t0 = clock.now_ns();
-    let mut served = 0u64;
-    let mut seq = 0u64;
-    while served < total {
-        // Feed in slices so the pipe never holds more than one round.
-        let burst = (total - served).min(CLIENTS as u64);
-        for _ in 0..burst {
-            client
-                .send(&encode_request(&Request::new(seq, demo_input(0, seq))))
-                .expect("send");
-            seq += 1;
-        }
-        served += serve(&mut classifier, &mut server).expect("serve");
-    }
-    clock.now_ns() - t0
-}
 
 /// Gateway run at one (per-round load, batch ceiling) cell. Returns
 /// `(virtual ns, answered)`.
@@ -115,7 +84,13 @@ fn rps(requests: u64, ns: u64) -> f64 {
 fn main() {
     header(
         "Gateway: offered load x batch ceiling (virtual time)",
-        &["load/client", "ceiling", "virtual ms", "req/s      ", "vs serial"],
+        &[
+            "load/client",
+            "ceiling",
+            "virtual ms",
+            "req/s      ",
+            "vs ceiling 1",
+        ],
     );
 
     let loads = [1u64, 2, 4];
@@ -128,19 +103,8 @@ fn main() {
     let mut gate_holds = true;
     for &load in &loads {
         let total = load * CLIENTS as u64 * ROUNDS;
-        let base_ns = serial_ns(total);
-        let base_rps = rps(total, base_ns);
-        report = report
-            .latency_ns(&format!("load{load}.serial_ns"), base_ns)
-            .ratio(&format!("load{load}.serial_rps"), base_rps);
-        println!(
-            "{:>11} | {:>7} | {:>10.3} | {:>11.1} | {:>9}",
-            load,
-            "serial",
-            base_ns as f64 / 1e6,
-            base_rps,
-            "1.00x"
-        );
+        // The first ceiling is 1: one request per batch, the baseline.
+        let mut baseline = None;
         for &ceiling in &ceilings {
             let (ns, answered) = gateway_ns(load, ceiling);
             assert_eq!(
@@ -148,9 +112,10 @@ fn main() {
                 "gateway dropped requests at load={load} ceiling={ceiling}"
             );
             let through = rps(total, ns);
+            let base_rps = *baseline.get_or_insert(through);
             let speedup = through / base_rps;
             println!(
-                "{:>11} | {:>7} | {:>10.3} | {:>11.1} | {:>8.2}x",
+                "{:>11} | {:>7} | {:>10.3} | {:>11.1} | {:>11.2}x",
                 load,
                 ceiling,
                 ns as f64 / 1e6,
@@ -159,21 +124,20 @@ fn main() {
             );
             report = report
                 .latency_ns(&format!("load{load}.batch{ceiling}.ns"), ns)
-                .ratio(&format!("load{load}.batch{ceiling}.rps"), through)
-                .ratio(&format!("load{load}.batch{ceiling}.vs_serial"), speedup);
+                .ratio(&format!("load{load}.batch{ceiling}.rps"), through);
             if ceiling >= 8 && through <= base_rps {
                 gate_holds = false;
                 eprintln!(
                     "GATE VIOLATION: load={load} ceiling={ceiling}: {through:.1} req/s \
-                     does not beat serial {base_rps:.1} req/s"
+                     does not beat ceiling 1's {base_rps:.1} req/s"
                 );
             }
         }
     }
-    report = report.value("batched_beats_serial_at_8", JsonValue::Bool(gate_holds));
+    report = report.value("batched_beats_batch1_at_8", JsonValue::Bool(gate_holds));
     report.emit();
     assert!(
         gate_holds,
-        "batched gateway throughput must strictly beat serial serving at batch >= 8"
+        "gateway throughput at batch >= 8 must strictly beat batch 1"
     );
 }

@@ -24,7 +24,7 @@ fn measure(profile: RuntimeProfile) -> u64 {
         .deploy_classifier("classify", "/models/m", profile)
         .expect("deploy");
     let input = models::input_for(4);
-    classifier.classify(&input).expect("warmup");
+    classifier.classify_batch(&input).expect("warmup");
     classifier.mean_latency_ns(&input, 2).expect("runs")
 }
 

@@ -14,13 +14,22 @@ use securetf_cas::service::CasService;
 use securetf_crypto::aead::{self, Key, Nonce};
 use securetf_crypto::sha256;
 use securetf_shield::fs::UntrustedStore;
-use securetf_shield::sched::ThreadingModel;
 use securetf_tee::{Enclave, ExecutionMode, Platform, RegionId, SimClock, Telemetry};
 use securetf_tensor::tensor::Tensor;
+use securetf_tensor::TensorError;
 use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::model::LiteModel;
 use securetf_tflite::LiteError;
 use std::sync::Arc;
+
+/// [`SecureClassifier::classify`]'s error for an input or output that
+/// is not exactly one row.
+fn not_one_row(detail: String) -> SecureTfError {
+    SecureTfError::Lite(LiteError::Exec(TensorError::ShapeMismatch {
+        op: "classify",
+        detail: format!("{detail}, not one row"),
+    }))
+}
 
 /// A deployed, attested classification service.
 pub struct SecureClassifier {
@@ -168,28 +177,36 @@ impl SecureClassifier {
         })
     }
 
-    /// Classifies one input, returning `(label, virtual latency in ns)`.
+    /// Classifies one `[1, …]` row, returning `(label, virtual latency in
+    /// ns)`: the one-row case of [`classify_batch`].
+    ///
+    /// [`classify_batch`]: SecureClassifier::classify_batch
     ///
     /// # Errors
     ///
-    /// Returns [`SecureTfError::Lite`] on execution failure.
+    /// Returns [`SecureTfError::Lite`] with a shape mismatch, before
+    /// anything is charged, if `input` is not exactly one row, and on
+    /// execution failure.
     pub fn classify(&mut self, input: &Tensor) -> Result<(usize, u64), SecureTfError> {
-        let (out, ns) = self.charged_run(input)?;
-        self.inferences += 1;
-        Ok((out.argmax().unwrap_or(0), ns))
+        if input.shape().first() != Some(&1) {
+            return Err(not_one_row(format!("input {:?}", input.shape())));
+        }
+        let (labels, ns) = self.classify_batch(input)?;
+        match labels[..] {
+            [label] => Ok((label, ns)),
+            _ => Err(not_one_row(format!("{} output rows", labels.len()))),
+        }
     }
 
     /// Classifies a stacked `[batch, …]` input in one pass, returning one
     /// label per row plus the batch's virtual latency.
     ///
-    /// Per-row labels are bit-identical to calling [`classify`] on each
-    /// row alone: every kernel computes an output row from its own input
-    /// row with a fixed reduction order, so batch composition cannot leak
-    /// into results. The win is amortization — the shielded ingress
-    /// syscalls and the model/workspace memory passes are charged once
-    /// per batch rather than once per request.
-    ///
-    /// [`classify`]: SecureClassifier::classify
+    /// Per-row labels are bit-identical to classifying each row alone:
+    /// every kernel computes an output row from its own input row with a
+    /// fixed reduction order, so batch composition cannot leak into
+    /// results. The win is amortization — the shielded ingress syscalls
+    /// and the model/workspace memory passes are charged once per batch
+    /// rather than once per request.
     ///
     /// # Errors
     ///
@@ -211,10 +228,7 @@ impl SecureClassifier {
         // Input arrives via the (shielded) network/file system, the whole
         // batch in one ingress round.
         for _ in 0..self.profile.syscalls_per_inference {
-            match self.profile.threading {
-                ThreadingModel::UserLevel => self.enclave.charge_syscall(),
-                ThreadingModel::OsThreads => self.enclave.charge_transition(),
-            }
+            self.profile.threading.charge_syscall(&self.enclave);
         }
 
         self.ensure_workspace_rows(input.shape().first().copied().unwrap_or(1))?;
@@ -274,15 +288,16 @@ impl SecureClassifier {
         self.interpreter.set_worker_pool(pool);
     }
 
-    /// Mean virtual latency of `runs` classifications of `input`.
+    /// Mean virtual latency of `runs` classifications of `input` (one row
+    /// or a stacked batch).
     ///
     /// # Errors
     ///
-    /// Propagates [`SecureClassifier::classify`] errors.
+    /// Propagates [`SecureClassifier::classify_batch`] errors.
     pub fn mean_latency_ns(&mut self, input: &Tensor, runs: u32) -> Result<u64, SecureTfError> {
         let mut total = 0u64;
         for _ in 0..runs {
-            total += self.classify(input)?.1;
+            total += self.classify_batch(input)?.1;
         }
         Ok(total / runs.max(1) as u64)
     }
@@ -371,6 +386,20 @@ mod tests {
         c.classify(&input).unwrap();
         c.classify(&input).unwrap();
         assert_eq!(c.inferences(), 2);
+    }
+
+    #[test]
+    fn classify_rejects_anything_but_one_row_before_charging() {
+        let mut c = deployed(ExecutionMode::Hardware, RuntimeProfile::scone_lite());
+        let t0 = c.enclave().clock().now_ns();
+        for shape in [&[2, 8][..], &[0, 8], &[8]] {
+            assert!(matches!(
+                c.classify(&Tensor::zeros(shape)),
+                Err(SecureTfError::Lite(LiteError::Exec(TensorError::ShapeMismatch { .. })))
+            ));
+        }
+        assert_eq!(c.enclave().clock().now_ns(), t0, "nothing charged");
+        assert_eq!(c.inferences(), 0);
     }
 
     #[test]

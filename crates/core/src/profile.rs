@@ -17,8 +17,35 @@
 //! A [`RuntimeProfile`] captures those differences as parameters
 //! consumed by [`crate::classifier::SecureClassifier`].
 
-use securetf_shield::sched::ThreadingModel;
-use securetf_tee::CostModel;
+use securetf_tee::{CostModel, Enclave};
+
+/// How application threads are multiplexed onto OS threads (paper
+/// §3.3.3).
+///
+/// This decides only what a system call costs. Parallel compute is
+/// charged along the kernel worker pool's critical path
+/// ([`Enclave::charge_parallel_compute`]), whatever the model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ThreadingModel {
+    /// SCONE-style M:N user-level scheduling with asynchronous,
+    /// exit-less syscalls.
+    #[default]
+    UserLevel,
+    /// One OS thread per application thread; every syscall exits the
+    /// enclave (a full transition).
+    OsThreads,
+}
+
+impl ThreadingModel {
+    /// Charges one system call on `enclave` under this model: exit-less
+    /// through the shielded runtime's queue, or as a full transition.
+    pub fn charge_syscall(self, enclave: &Enclave) {
+        match self {
+            ThreadingModel::UserLevel => enclave.charge_syscall(),
+            ThreadingModel::OsThreads => enclave.charge_transition(),
+        }
+    }
+}
 
 /// Parameters describing an in-enclave ML runtime.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,6 +184,24 @@ mod tests {
             RuntimeProfile::graphene().threading,
             ThreadingModel::OsThreads
         );
+    }
+
+    #[test]
+    fn os_threads_pay_transitions() {
+        use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
+        let enclave = Platform::builder()
+            .build()
+            .create_enclave(
+                &EnclaveImage::builder().code(b"threading test").build(),
+                ExecutionMode::Hardware,
+            )
+            .unwrap();
+        ThreadingModel::UserLevel.charge_syscall(&enclave);
+        let stats = enclave.syscall_stats();
+        assert_eq!((stats.async_syscalls, stats.transitions), (1, 0));
+        ThreadingModel::OsThreads.charge_syscall(&enclave);
+        let stats = enclave.syscall_stats();
+        assert_eq!((stats.async_syscalls, stats.transitions), (1, 1));
     }
 
     #[test]

@@ -166,6 +166,49 @@ impl ChaosReport {
     }
 }
 
+/// Deploys [`demo_model`] in a hardware enclave behind a gateway with
+/// `clients` attested client channels, on one instrumented platform.
+///
+/// Client channels terminate in a front-end enclave on the shared
+/// platform, so ingress/egress costs advance the shared clock. The
+/// classifier enclave stays behind it, free to crash and revive without
+/// tearing sessions down.
+pub(crate) fn demo_gateway(
+    clients: usize,
+    config: GatewayConfig,
+) -> (
+    Gateway<SwitchTransport>,
+    Vec<SecureChannel<SwitchTransport>>,
+) {
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    let mut deployment =
+        Deployment::instrumented(ExecutionMode::Hardware, clock.clone(), telemetry.clone());
+    deployment
+        .publish_model("gateway-svc", "/models/gateway", &demo_model())
+        .expect("publish");
+    let classifier = deployment
+        .deploy_classifier("gateway-svc", "/models/gateway", RuntimeProfile::scone_lite())
+        .expect("deploy");
+    let frontend_platform = Platform::builder().clock(clock).telemetry(telemetry).build();
+    let frontend = frontend_platform
+        .create_enclave(
+            &EnclaveImage::builder().code(b"gateway-frontend").build(),
+            ExecutionMode::Simulation,
+        )
+        .expect("frontend enclave");
+
+    let mut gateway = Gateway::new(classifier, config);
+    let channels = (0..clients)
+        .map(|_| {
+            let (server, client) = attested_pair(frontend.clone());
+            gateway.accept(server);
+            client
+        })
+        .collect();
+    (gateway, channels)
+}
+
 struct ChaosClient {
     channel: SecureChannel<SwitchTransport>,
     alive: bool,
@@ -193,44 +236,18 @@ pub fn run_chaos(
     config: GatewayConfig,
 ) -> Result<ChaosReport, SecureTfError> {
     let clients = clients.max(1);
-    let clock = SimClock::new();
-    let telemetry = clock.telemetry();
-    let mut deployment =
-        Deployment::instrumented(ExecutionMode::Hardware, clock.clone(), telemetry.clone());
-    deployment
-        .publish_model("gateway-svc", "/models/gateway", &demo_model())
-        .expect("publish");
-    let classifier = deployment
-        .deploy_classifier("gateway-svc", "/models/gateway", RuntimeProfile::scone_lite())
-        .expect("deploy");
-
-    // Client channels terminate in a front-end enclave on the shared
-    // platform, so ingress/egress costs advance the shared clock. The
-    // classifier enclave stays behind it, free to crash and revive
-    // without tearing sessions down.
-    let frontend_platform = Platform::builder()
-        .clock(clock.clone())
-        .telemetry(telemetry.clone())
-        .build();
-    let frontend = frontend_platform
-        .create_enclave(
-            &EnclaveImage::builder().code(b"gateway-frontend").build(),
-            ExecutionMode::Simulation,
-        )
-        .expect("frontend enclave");
-
-    let mut gateway = Gateway::new(classifier, config);
-    let mut chaos_clients = Vec::with_capacity(clients);
-    for _ in 0..clients {
-        let (server, client) = attested_pair(frontend.clone());
-        gateway.accept(server);
-        chaos_clients.push(ChaosClient {
-            channel: client,
+    let (mut gateway, channels) = demo_gateway(clients, config);
+    let clock = gateway.classifier().enclave().clock().clone();
+    let telemetry = gateway.classifier().enclave().telemetry().clone();
+    let mut chaos_clients: Vec<ChaosClient> = channels
+        .into_iter()
+        .map(|channel| ChaosClient {
+            channel,
             alive: true,
             busy_until_ns: 0,
             next_seq: 0,
-        });
-    }
+        })
+        .collect();
 
     let plan = FaultPlan::generate_serving(seed, steps, clients);
     let mut sent = 0u64;

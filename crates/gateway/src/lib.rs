@@ -26,34 +26,38 @@
 //!   within one batch-timeout of now.
 //! * **Fairness.** The rest of the batch is filled by deficit
 //!   round-robin across tenants, so one hot client cannot starve the
-//!   rest: every tenant earns [`GatewayConfig::drr_quantum`] slots per
-//!   visit and spends them on its own queued requests.
+//!   rest: every tenant earns two slots per visit and spends them on
+//!   its own queued requests.
 //! * **Determinism.** The loop is single-threaded, all time is the
 //!   shared [`SimClock`], and idle rounds advance the clock to the next
 //!   timer (batch-timeout expiry or deadline pressure) instead of
 //!   sleeping — same-seed chaos runs produce bit-identical telemetry
 //!   digests (see [`chaos`]).
 //!
-//! Every admitted request is answered exactly once: with a label, an
-//! error, or an unavailable hint. The only exception is a tenant whose
-//! channel itself dies (tampering, closed transport) — its queued
-//! requests are counted in [`GatewayReport::dropped`].
+//! A request is one `[1, …]` row; anything else is answered with
+//! [`Response::Error`] at admission. Every admitted request is answered
+//! exactly once: with a label, an error, or an unavailable hint. The only
+//! exception is a tenant whose channel itself dies (tampering, closed
+//! transport) — its queued requests are counted in
+//! [`GatewayReport::dropped`].
 
 pub mod chaos;
+mod serving;
 
 use securetf::classifier::SecureClassifier;
 use securetf::serving::{
     decode_request, encode_response, is_goodbye, salvage_request_id, Request, Response,
-    ServingMetrics, RETRY_AFTER_HINT_NS,
+    RETRY_AFTER_HINT_NS,
 };
 use securetf::SecureTfError;
+use serving::ServingMetrics;
 use securetf_shield::net::{SecureChannel, Transport};
 use securetf_tee::telemetry::{Counter, Gauge, Histogram};
 use securetf_tee::{SimClock, Telemetry};
 use securetf_tensor::tensor::Tensor;
 use std::collections::VecDeque;
 
-/// Tuning knobs for the gateway's batching, admission and fairness.
+/// Tuning knobs for the gateway's batching and admission.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Largest micro-batch assembled per dispatch.
@@ -63,10 +67,6 @@ pub struct GatewayConfig {
     pub batch_timeout_ns: u64,
     /// Bound on each tenant's queue; overflow is shed.
     pub queue_capacity: usize,
-    /// Requests a tenant earns per deficit-round-robin visit.
-    pub drr_quantum: u64,
-    /// Retry hint attached to shed responses.
-    pub retry_after_ns: u64,
 }
 
 impl Default for GatewayConfig {
@@ -75,11 +75,12 @@ impl Default for GatewayConfig {
             max_batch: 8,
             batch_timeout_ns: 2_000_000,
             queue_capacity: 32,
-            drr_quantum: 2,
-            retry_after_ns: RETRY_AFTER_HINT_NS,
         }
     }
 }
+
+/// Requests a tenant earns per deficit-round-robin visit.
+const DRR_QUANTUM: u64 = 2;
 
 /// Counters accumulated over a gateway's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -236,11 +237,6 @@ impl<T: Transport> Gateway<T> {
         &mut self.classifier
     }
 
-    /// The gateway's configuration.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
     /// Lifetime counters.
     pub fn report(&self) -> GatewayReport {
         self.report
@@ -333,7 +329,20 @@ impl<T: Transport> Gateway<T> {
                         self.requests.inc();
                         self.tenants[idx].requests.inc();
                         let backend_down = self.classifier.enclave().is_failed();
-                        if backend_down
+                        if request.input.shape().first() != Some(&1) {
+                            // Several rows in one request would come back
+                            // as one label: refuse it instead.
+                            outbox.push((
+                                idx,
+                                Response::Error {
+                                    id: request.id,
+                                    message: format!(
+                                        "input {:?} is not one row",
+                                        request.input.shape()
+                                    ),
+                                },
+                            ));
+                        } else if backend_down
                             || self.tenants[idx].queue.len() >= self.config.queue_capacity
                         {
                             self.report.shed += 1;
@@ -342,7 +351,7 @@ impl<T: Transport> Gateway<T> {
                                 idx,
                                 Response::Unavailable {
                                     id: request.id,
-                                    retry_after_ns: self.config.retry_after_ns,
+                                    retry_after_ns: RETRY_AFTER_HINT_NS,
                                 },
                             ));
                         } else {
@@ -389,7 +398,7 @@ impl<T: Transport> Gateway<T> {
                     idx,
                     Response::Unavailable {
                         id: pending.request.id,
-                        retry_after_ns: self.config.retry_after_ns,
+                        retry_after_ns: RETRY_AFTER_HINT_NS,
                     },
                 ));
             }
@@ -457,25 +466,15 @@ impl<T: Transport> Gateway<T> {
             .expect("anchor exists");
         let shape = anchor.request.input.shape().to_vec();
         let mut picked = vec![(anchor_tenant, anchor)];
-        // Only `[1, …]` rows stack into a shape-keyed batch; anything
-        // else (a client pre-batching its own rows) runs alone, exactly
-        // as serial `serve` would run it.
-        if shape.first() == Some(&1) {
-            self.fill_batch_drr(&shape, &mut picked);
-        }
+        self.fill_batch_drr(&shape, &mut picked);
 
         let started_ns = self.clock.now_ns();
         for (_, p) in &picked {
             self.queue_wait.record(started_ns.saturating_sub(p.enqueued_ns));
         }
-        let outcome: Result<Vec<usize>, SecureTfError> = if picked.len() == 1 {
-            self.classifier.classify(&picked[0].1.request.input).map(|(label, _)| vec![label])
-        } else {
-            let stacked = stack_rows(&shape, picked.iter().map(|(_, p)| &p.request.input));
-            match stacked {
-                Some(batch) => self.classifier.classify_batch(&batch).map(|(labels, _)| labels),
-                None => Err(SecureTfError::ModelIntegrity("unstackable batch")),
-            }
+        let outcome = match stack_rows(&shape, picked.iter().map(|(_, p)| &p.request.input)) {
+            Some(batch) => self.classifier.classify_batch(&batch).map(|(labels, _)| labels),
+            None => Err(SecureTfError::ModelIntegrity("unstackable batch")),
         };
         let finished_ns = self.clock.now_ns();
         let batch_ns = finished_ns - started_ns;
@@ -517,7 +516,7 @@ impl<T: Transport> Gateway<T> {
 
     /// Fills `picked` up to the batch ceiling with same-shape requests,
     /// visiting tenants in deficit-round-robin order so every tenant
-    /// earns `drr_quantum` slots per visit regardless of queue depth.
+    /// earns [`DRR_QUANTUM`] slots per visit regardless of queue depth.
     fn fill_batch_drr(&mut self, shape: &[usize], picked: &mut Vec<(usize, Pending)>) {
         let n = self.tenants.len();
         if n == 0 {
@@ -530,7 +529,7 @@ impl<T: Transport> Gateway<T> {
             let matches =
                 |p: &Pending| p.request.input.shape() == shape;
             if tenant.queue.iter().any(&matches) {
-                tenant.deficit += self.config.drr_quantum;
+                tenant.deficit += DRR_QUANTUM;
                 let mut took = false;
                 while tenant.deficit > 0 && picked.len() < self.config.max_batch {
                     let Some(pos) = tenant.queue.iter().position(&matches) else {

@@ -10,12 +10,16 @@
 //! * [`net`] — the **network shield**: wraps sockets in a TLS-like secure
 //!   channel (X25519 ECDHE handshake, ChaCha20-Poly1305 records, replay
 //!   protection) so no plaintext ever leaves the enclave.
-//! * [`sched`] — **user-level threading**: an M:N scheduler that services
-//!   system calls asynchronously to avoid costly enclave transitions, and
-//!   a deterministic batch-execution model used by the scalability
-//!   experiments (Figure 7).
 //! * [`iago`] — **Iago-attack sanitization**: bounds and pointer checks on
 //!   values returned by the untrusted OS.
+//!
+//! The controller's third part, user-level threading with exit-less
+//! system calls, has no module here. An exit-less call is
+//! `Enclave::charge_syscall` (`securetf-tee`), the choice between it and
+//! a full transition is `securetf::profile::ThreadingModel`, and
+//! parallel compute runs on the kernel worker pool's crew, charged along
+//! its critical path. The tests in `sched` hold those pieces to the
+//! batch model Figure 7 relies on.
 //!
 //! # Examples
 //!
@@ -45,7 +49,8 @@
 pub mod fs;
 pub mod iago;
 pub mod net;
-pub mod sched;
+#[cfg(test)]
+mod sched;
 
 use std::error::Error;
 use std::fmt;

@@ -1,168 +1,59 @@
-//! User-level threading and the batch-execution model (paper §3.3.3).
+//! The batch model behind Figure 7, as its pieces charge it: a batch of
+//! equal tasks on `cores` simulated cores pays its memory touches and
+//! system calls one after another (paging is kernel-mediated), and its
+//! compute along the kernel worker crew's critical path
+//! ([`critical_units`] tasks on the busiest core, which is the LPT
+//! makespan of equal tasks). `fig7_scalability` and `ablation_threading`
+//! charge their batches this way; the tests here hold that model to the
+//! shape the figure depends on.
 //!
-//! SCONE maps M application threads onto N OS threads (N = cores) and
-//! services system calls asynchronously so threads rarely leave the
-//! enclave. Two things matter for the paper's results:
-//!
-//! 1. **Syscall cost**: under user-level threading a syscall costs an
-//!    in-enclave queue operation; under conventional threading it costs a
-//!    full enclave transition. [`ThreadingModel`] selects which is charged
-//!    (the ablation benchmark compares them).
-//! 2. **Parallel makespan with shared EPC**: scaling from 1 to 8 cores
-//!    multiplies the *activation* working set while the EPC stays fixed,
-//!    which is why the paper's Figure 7 shows hardware mode collapsing
-//!    from 4 to 8 cores. [`Scheduler::run_batch`] executes a batch of
-//!    tasks on `cores` simulated cores: compute parallelizes, while EPC
-//!    paging (kernel-mediated) serializes.
-
-use crate::ShieldError;
-use securetf_tee::{CostCategory, Enclave, RegionId};
-use std::sync::Arc;
-
-/// How application threads are multiplexed onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ThreadingModel {
-    /// SCONE-style M:N user-level scheduling with asynchronous syscalls.
-    #[default]
-    UserLevel,
-    /// One OS thread per application thread; every syscall exits the
-    /// enclave (a full transition).
-    OsThreads,
-}
-
-/// One schedulable unit of work (e.g. classifying one image).
-#[derive(Debug, Clone, Default)]
-pub struct Task {
-    /// Pure compute, in FLOPs.
-    pub flops: f64,
-    /// Number of system calls the task issues (file reads, socket ops).
-    pub syscalls: u64,
-    /// Enclave memory the task touches, as (region, bytes) pairs.
-    /// Bytes are touched from offset 0 (sequential scan).
-    pub touches: Vec<(RegionId, u64)>,
-}
-
-impl Task {
-    /// Creates a pure-compute task.
-    pub fn compute(flops: f64) -> Self {
-        Task {
-            flops,
-            ..Default::default()
-        }
-    }
-
-    /// Adds a memory touch.
-    pub fn touching(mut self, region: RegionId, bytes: u64) -> Self {
-        self.touches.push((region, bytes));
-        self
-    }
-
-    /// Adds system calls.
-    pub fn with_syscalls(mut self, n: u64) -> Self {
-        self.syscalls = n;
-        self
-    }
-}
-
-/// Deterministic batch executor over simulated cores.
-#[derive(Debug)]
-pub struct Scheduler {
-    enclave: Arc<Enclave>,
-    cores: usize,
-    model: ThreadingModel,
-}
-
-impl Scheduler {
-    /// Creates a scheduler with `cores` simulated cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores == 0`.
-    pub fn new(enclave: Arc<Enclave>, cores: usize, model: ThreadingModel) -> Self {
-        assert!(cores > 0, "need at least one core");
-        Scheduler {
-            enclave,
-            cores,
-            model,
-        }
-    }
-
-    /// Executes `tasks` and returns the modeled makespan in nanoseconds.
-    ///
-    /// Compute parallelizes across cores (longest-processing-time greedy
-    /// assignment); syscall servicing and EPC paging serialize, which is
-    /// what makes over-committing the EPC collapse throughput.
-    ///
-    /// The enclave clock is advanced by the makespan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShieldError::Tee`] if a task touches a freed region.
-    pub fn run_batch(&self, tasks: &[Task]) -> Result<u64, ShieldError> {
-        let clock = self.enclave.clock().clone();
-        let start = clock.now_ns();
-
-        // Serial portion: syscalls and memory touches, interleaved across
-        // tasks round-robin the way concurrent threads interleave (this
-        // makes LRU behave as it would under real concurrency).
-        for task in tasks {
-            for &(region, bytes) in &task.touches {
-                self.enclave.touch(region, 0, bytes)?;
-            }
-            for _ in 0..task.syscalls {
-                match self.model {
-                    ThreadingModel::UserLevel => self.enclave.charge_syscall(),
-                    ThreadingModel::OsThreads => self.enclave.charge_transition(),
-                }
-            }
-        }
-        let serial_ns = clock.now_ns() - start;
-
-        // Parallel portion: LPT greedy assignment of compute to cores.
-        let cost = self.enclave.cost_model();
-        let mode = self.enclave.mode();
-        let mut compute: Vec<u64> = tasks
-            .iter()
-            .map(|t| cost.compute_ns(t.flops, mode))
-            .collect();
-        compute.sort_unstable_by(|a, b| b.cmp(a));
-        let mut loads = vec![0u64; self.cores];
-        for c in compute {
-            let min = loads
-                .iter_mut()
-                .min()
-                .expect("cores > 0 checked in constructor");
-            *min += c;
-        }
-        let makespan_compute = loads.into_iter().max().unwrap_or(0);
-        clock.advance(makespan_compute);
-        let telemetry = self.enclave.telemetry();
-        telemetry.charge(CostCategory::Compute, makespan_compute);
-        telemetry.counter("shield.sched.batches").inc();
-        telemetry
-            .counter("shield.sched.tasks")
-            .add(tasks.len() as u64);
-        telemetry
-            .histogram("shield.sched.batch_makespan_ns")
-            .record(serial_ns + makespan_compute);
-        Ok(serial_ns + makespan_compute)
-    }
-
-    /// Number of simulated cores.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// The threading model in use.
-    pub fn threading_model(&self) -> ThreadingModel {
-        self.model
-    }
-}
+//! [`critical_units`]: securetf_tensor::kernels::pool::critical_units
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use securetf_tee::{CostModel, EnclaveImage, ExecutionMode, Platform, PAGE_SIZE};
+    use securetf_tee::{
+        CostModel, Enclave, EnclaveImage, ExecutionMode, Platform, RegionId, TeeError, PAGE_SIZE,
+    };
+    use securetf_tensor::kernels::pool::critical_units;
+    use std::sync::Arc;
+
+    /// One task: compute, exit-less system calls, and a region it scans
+    /// from offset 0.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Task {
+        flops: f64,
+        syscalls: u64,
+        touch: Option<(RegionId, u64)>,
+    }
+
+    /// Runs equal `tasks` on `cores` cores and returns the makespan.
+    /// Touches interleave across tasks the way concurrent threads
+    /// interleave, so the EPC's LRU sees what it would under real
+    /// concurrency.
+    fn run_batch(enclave: &Enclave, cores: usize, tasks: &[Task]) -> Result<u64, TeeError> {
+        let start = enclave.clock().now_ns();
+        for task in tasks {
+            if let Some((region, bytes)) = task.touch {
+                enclave.touch(region, 0, bytes)?;
+            }
+            for _ in 0..task.syscalls {
+                enclave.charge_syscall();
+            }
+        }
+        let flops = tasks.first().map_or(0.0, |t| t.flops);
+        enclave.charge_parallel_compute(
+            tasks.len() as f64 * flops,
+            critical_units(tasks.len(), cores) as f64 * flops,
+        );
+        Ok(enclave.clock().now_ns() - start)
+    }
+
+    fn compute(flops: f64) -> Task {
+        Task {
+            flops,
+            ..Task::default()
+        }
+    }
 
     fn enclave(mode: ExecutionMode) -> Arc<Enclave> {
         enclave_with_epc(mode, CostModel::default().epc_bytes)
@@ -173,8 +64,9 @@ mod tests {
             epc_bytes,
             ..Default::default()
         };
-        let platform = Platform::builder().cost_model(model).build();
-        platform
+        Platform::builder()
+            .cost_model(model)
+            .build()
             .create_enclave(
                 &EnclaveImage::builder()
                     .code(b"sched test")
@@ -188,27 +80,10 @@ mod tests {
     #[test]
     fn compute_parallelizes() {
         let e = enclave(ExecutionMode::Native);
-        let tasks: Vec<Task> = (0..8).map(|_| Task::compute(1e9)).collect();
-        let one = Scheduler::new(e.clone(), 1, ThreadingModel::UserLevel)
-            .run_batch(&tasks)
-            .unwrap();
-        let four = Scheduler::new(e.clone(), 4, ThreadingModel::UserLevel)
-            .run_batch(&tasks)
-            .unwrap();
+        let tasks = [compute(1e9); 8];
+        let one = run_batch(&e, 1, &tasks).unwrap();
+        let four = run_batch(&e, 4, &tasks).unwrap();
         assert!((3.8..4.2).contains(&(one as f64 / four as f64)), "{one} vs {four}");
-    }
-
-    #[test]
-    fn os_threads_pay_transitions() {
-        let e = enclave(ExecutionMode::Hardware);
-        let tasks: Vec<Task> = (0..4).map(|_| Task::compute(1e6).with_syscalls(1000)).collect();
-        let t_user = Scheduler::new(e.clone(), 4, ThreadingModel::UserLevel)
-            .run_batch(&tasks)
-            .unwrap();
-        let t_os = Scheduler::new(e.clone(), 4, ThreadingModel::OsThreads)
-            .run_batch(&tasks)
-            .unwrap();
-        assert!(t_os > t_user, "os {t_os} <= user {t_user}");
     }
 
     #[test]
@@ -226,32 +101,31 @@ mod tests {
             // Fixed total work, interleaved round-robin across the cores'
             // working sets as concurrent threads would.
             let tasks: Vec<Task> = (0..32)
-                .map(|i| {
-                    Task::compute(2e7).touching(regions[i % cores], per_core_ws)
+                .map(|i| Task {
+                    touch: Some((regions[i % cores], per_core_ws)),
+                    ..compute(2e7)
                 })
                 .collect();
-            Scheduler::new(e, cores, ThreadingModel::UserLevel)
-                .run_batch(&tasks)
-                .unwrap()
+            run_batch(&e, cores, &tasks).unwrap()
         };
 
         let t1 = run(1);
         let t4 = run(4);
         let t8 = run(8);
-        // 1 -> 4 cores helps (4 * 48 = 192 pages fit in 256 minus image).
         assert!(t4 < t1, "t4 {t4} >= t1 {t1}");
-        // 4 -> 8 cores collapses (8 * 48 = 384 pages thrash).
         assert!(t8 > t4, "t8 {t8} <= t4 {t4}");
     }
 
     #[test]
     fn serial_paging_included_in_makespan() {
         let e = enclave(ExecutionMode::Hardware);
-        let region = e.alloc("w", 100 * PAGE_SIZE as u64);
-        let tasks = vec![Task::compute(0.0).touching(region, 100 * PAGE_SIZE as u64)];
-        let ns = Scheduler::new(e.clone(), 4, ThreadingModel::UserLevel)
-            .run_batch(&tasks)
-            .unwrap();
+        let bytes = 100 * PAGE_SIZE as u64;
+        let region = e.alloc("w", bytes);
+        let task = Task {
+            touch: Some((region, bytes)),
+            ..Task::default()
+        };
+        let ns = run_batch(&e, 4, &[task]).unwrap();
         assert!(ns >= 100 * e.cost_model().page_swap_ns());
     }
 
@@ -260,78 +134,43 @@ mod tests {
         let e = enclave(ExecutionMode::Hardware);
         let region = e.alloc("w", PAGE_SIZE as u64);
         e.free(region).unwrap();
-        let tasks = vec![Task::compute(1.0).touching(region, 10)];
-        assert!(matches!(
-            Scheduler::new(e, 1, ThreadingModel::UserLevel).run_batch(&tasks),
-            Err(ShieldError::Tee(_))
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn zero_cores_panics() {
-        let e = enclave(ExecutionMode::Native);
-        let _ = Scheduler::new(e, 0, ThreadingModel::UserLevel);
+        let task = Task {
+            touch: Some((region, 10)),
+            ..compute(1.0)
+        };
+        assert_eq!(run_batch(&e, 1, &[task]), Err(TeeError::BadRegion(region)));
     }
 
     #[test]
     fn run_batch_attributes_compute_and_counts_batches() {
         let clock = securetf_tee::SimClock::new();
         let telemetry = clock.telemetry();
-        let platform = Platform::builder()
+        let e = Platform::builder()
             .clock(clock)
             .telemetry(telemetry.clone())
-            .build();
-        let e = platform
+            .build()
             .create_enclave(
                 &EnclaveImage::builder().code(b"sched test").build(),
                 ExecutionMode::Hardware,
             )
             .unwrap();
-        let tasks: Vec<Task> = (0..4).map(|_| Task::compute(1e7).with_syscalls(3)).collect();
-        let sched = Scheduler::new(e, 2, ThreadingModel::UserLevel);
-        let ns = sched.run_batch(&tasks).unwrap();
+        let cost = |category: &str| telemetry.counter(&format!("cost.{category}.ns")).get();
+        let (compute0, syscalls0) = (cost("compute"), cost("syscalls"));
+
+        let tasks = [Task {
+            syscalls: 3,
+            ..compute(1e7)
+        }; 4];
+        let ns = run_batch(&e, 2, &tasks).unwrap();
         assert!(ns > 0);
-        assert_eq!(telemetry.counter("shield.sched.batches").get(), 1);
-        assert_eq!(telemetry.counter("shield.sched.tasks").get(), 4);
-        let h = telemetry
-            .histogram("shield.sched.batch_makespan_ns")
-            .snapshot();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum_ns, ns);
-        // Compute and syscall costs went to their categories.
-        assert!(telemetry.counter("cost.compute.ns").get() > 0);
-        assert!(telemetry.counter("cost.syscalls.ns").get() > 0);
-    }
-
-    #[test]
-    fn pool_critical_path_charge_agrees_with_lpt_makespan() {
-        // The kernel worker pool's cost (charge the critical path only)
-        // must agree with this scheduler's LPT model: a kernel split into
-        // W equal chains on W cores costs exactly one per-core task chain.
-        let e = enclave(ExecutionMode::Hardware);
-        let clock = e.clock().clone();
-        let total = 8e9;
-        let workers = 4usize;
-        let per_worker = total / workers as f64;
-
-        let t0 = clock.now_ns();
-        e.charge_parallel_compute(total, per_worker);
-        let pool_ns = clock.now_ns() - t0;
-
-        let tasks: Vec<Task> = (0..workers).map(|_| Task::compute(per_worker)).collect();
-        let batch_ns = Scheduler::new(e, workers, ThreadingModel::UserLevel)
-            .run_batch(&tasks)
-            .unwrap();
-        assert_eq!(pool_ns, batch_ns, "pool charge disagrees with LPT makespan");
-    }
-
-    #[test]
-    fn empty_batch_is_instant() {
-        let e = enclave(ExecutionMode::Native);
-        let ns = Scheduler::new(e, 4, ThreadingModel::UserLevel)
-            .run_batch(&[])
-            .unwrap();
-        assert_eq!(ns, 0);
+        // Every call is counted, and the crew ran two tasks per core.
+        assert_eq!(e.syscall_stats().async_syscalls, 12);
+        assert_eq!(telemetry.counter("kernel.pool.total_flops").get(), 40_000_000);
+        assert_eq!(telemetry.counter("kernel.pool.critical_flops").get(), 20_000_000);
+        // Compute and syscall costs went to their categories, and they
+        // account for the whole makespan.
+        let (compute, syscalls) = (cost("compute") - compute0, cost("syscalls") - syscalls0);
+        assert!(compute > 0 && syscalls > 0);
+        assert_eq!(compute + syscalls, ns);
     }
 }

@@ -449,9 +449,9 @@ impl Enclave {
     /// Charges a pool-parallel kernel execution: `total_flops` is the
     /// work summed over all workers, `critical_flops` the longest
     /// single-worker chain. Virtual time advances by the *critical* path
-    /// only — exactly what the sched shield's LPT batch model charges for
-    /// a batch of equal per-core compute tasks — while both totals are
-    /// recorded as telemetry counters for utilization analysis.
+    /// only — for equal tasks spread over cores, the LPT makespan — while
+    /// both totals are recorded as telemetry counters for utilization
+    /// analysis.
     ///
     /// A `critical_flops` of zero (or an over-long one) degrades to the
     /// serial [`Self::charge_compute`] behavior.

@@ -12,8 +12,8 @@
 //!
 //! Each entry point also returns a [`KernelCost`] — total flops plus the
 //! critical-path flops of the longest worker chain — which the TEE layer
-//! turns into virtual time consistent with the sched shield's LPT
-//! makespan model.
+//! turns into virtual time. On `n` equal tasks over `w` workers that
+//! path, [`pool::critical_units`], is the LPT makespan.
 
 pub mod pool;
 pub mod reference;

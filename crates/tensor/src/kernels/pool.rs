@@ -413,6 +413,23 @@ mod tests {
     }
 
     #[test]
+    fn critical_units_is_the_lpt_makespan_of_equal_tasks() {
+        // Longest-processing-time greedy: each task to the least-loaded
+        // core. On equal tasks its makespan is the crew's critical path,
+        // so one charge along that path prices a batch on `cores` cores.
+        for tasks in 0..40 {
+            for cores in 1..9 {
+                let mut loads = vec![0usize; cores];
+                for _ in 0..tasks {
+                    *loads.iter_mut().min().expect("cores > 0") += 1;
+                }
+                let makespan = loads.into_iter().max().unwrap_or(0);
+                assert_eq!(critical_units(tasks, cores), makespan, "{tasks} on {cores}");
+            }
+        }
+    }
+
+    #[test]
     fn run_on_blocks_visits_every_block_once() {
         for (len, block_len, workers) in [(10usize, 3usize, 1usize), (10, 3, 4), (64, 8, 3), (7, 100, 2), (5, 1, 5)] {
             let mut out = vec![0.0f32; len];

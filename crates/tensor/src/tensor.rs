@@ -215,15 +215,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Index of the maximum element (ties broken low). `None` when empty.
-    pub fn argmax(&self) -> Option<usize> {
-        self.data
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
-
     /// Row-wise argmax for a `[batch, classes]` tensor.
     ///
     /// # Errors
@@ -328,7 +319,6 @@ mod tests {
     fn argmax_rows_picks_per_row() {
         let a = Tensor::from_vec(&[2, 3], vec![0., 5., 1., 9., 2., 3.]).unwrap();
         assert_eq!(a.argmax_rows().unwrap(), vec![1, 0]);
-        assert_eq!(a.argmax(), Some(3));
     }
 
     #[test]

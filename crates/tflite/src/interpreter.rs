@@ -8,7 +8,17 @@ use securetf_tensor::kernels::WorkerPool;
 use securetf_tensor::memory::{MemoryStats, PlannedExecutor};
 use securetf_tensor::passes::PipelineReport;
 use securetf_tensor::tensor::Tensor;
+use securetf_tensor::TensorError;
 use std::collections::HashMap;
+
+/// [`Interpreter::classify`]'s error for an input or output that is not
+/// exactly one row.
+fn not_one_row(detail: String) -> LiteError {
+    LiteError::Exec(TensorError::ShapeMismatch {
+        op: "classify",
+        detail: format!("{detail}, not one row"),
+    })
+}
 
 /// Runs inference over a [`LiteModel`].
 ///
@@ -120,15 +130,23 @@ impl Interpreter {
         Ok(out)
     }
 
-    /// Classifies and returns the argmax label of the last axis,
-    /// `label_image`-style.
+    /// Classifies one `[1, …]` row, `label_image`-style: the one-row case
+    /// of [`Interpreter::classify_batch`].
     ///
     /// # Errors
     ///
-    /// Returns [`LiteError::Exec`] on shape or graph errors.
+    /// Returns [`LiteError::Exec`] with a shape mismatch, before running
+    /// anything, if `input` is not exactly one row, and on shape or graph
+    /// errors.
     pub fn classify(&mut self, input: &Tensor) -> Result<usize, LiteError> {
-        let out = self.run(input)?;
-        Ok(out.argmax().unwrap_or(0))
+        if input.shape().first() != Some(&1) {
+            return Err(not_one_row(format!("input {:?}", input.shape())));
+        }
+        let labels = self.classify_batch(input)?;
+        match labels[..] {
+            [label] => Ok(label),
+            _ => Err(not_one_row(format!("{} output rows", labels.len()))),
+        }
     }
 
     /// Classifies a stacked `[batch, …]` input in one pass, returning one
@@ -173,7 +191,6 @@ impl Interpreter {
 mod tests {
     use super::*;
     use securetf_tensor::graph::Graph;
-    use securetf_tensor::TensorError;
 
     fn tiny_model(declared: f64) -> LiteModel {
         let mut g = Graph::new();
@@ -211,6 +228,13 @@ mod tests {
             .classify(&Tensor::from_vec(&[1, 4], vec![1.0, 1.0, 1.0, 1.0]).unwrap())
             .unwrap();
         assert_eq!(label, 2);
+        // Two rows are not a class query: no flattened index comes back,
+        // and nothing runs.
+        assert!(matches!(
+            interp.classify(&Tensor::zeros(&[2, 4])),
+            Err(LiteError::Exec(TensorError::ShapeMismatch { .. }))
+        ));
+        assert_eq!(interp.runs(), 1);
     }
 
     #[test]

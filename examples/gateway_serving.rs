@@ -53,11 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = GatewayConfig::default();
     println!();
     println!(
-        "gateway: max_batch={} batch_timeout={}us queue_capacity={} drr_quantum={}",
+        "gateway: max_batch={} batch_timeout={}us queue_capacity={}",
         config.max_batch,
         config.batch_timeout_ns / 1_000,
         config.queue_capacity,
-        config.drr_quantum
     );
     let report = run_chaos(seed, clients, steps, config)?;
 

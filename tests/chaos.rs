@@ -13,16 +13,17 @@
 //! * an identical seed reproduces the identical fault schedule and the
 //!   identical final loss, bit for bit.
 
-use securetf::classifier::SecureClassifier;
 use securetf::deployment::Deployment;
 use securetf::profile::RuntimeProfile;
-use securetf::serving::{decode_response, encode_request, serve, Request, Response};
+use securetf::serving::{decode_response, encode_request, Request, Response};
 use securetf_distrib::faults::{FaultEvent, FaultPlan};
 use securetf_distrib::supervisor::{Supervisor, SupervisorConfig, SupervisorStats};
 use securetf_distrib::trainer::DistributedTrainer;
 use securetf_distrib::cluster::{Cluster, ClusterConfig};
+use securetf_gateway::chaos::{attested_pair, SwitchTransport};
+use securetf_gateway::{Gateway, GatewayConfig};
 use securetf_shield::fs::UntrustedStore;
-use securetf_shield::net::{duplex, PipeEnd, Role, SecureChannel, Transport};
+use securetf_shield::net::SecureChannel;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock, Telemetry};
 use securetf_tensor::graph::Graph;
 use securetf_tensor::layers::{self, Classifier};
@@ -469,24 +470,6 @@ fn tiny_lite_model() -> LiteModel {
     LiteModel::convert(&g, "input", &name).expect("convert")
 }
 
-struct Spin(PipeEnd);
-
-impl Transport for Spin {
-    fn send(&self, m: Vec<u8>) {
-        self.0.send(m);
-    }
-
-    fn recv(&self) -> Option<Vec<u8>> {
-        for _ in 0..200_000 {
-            if let Some(m) = self.0.recv() {
-                return Some(m);
-            }
-            std::thread::yield_now();
-        }
-        None
-    }
-}
-
 fn side_enclave(tag: &[u8]) -> std::sync::Arc<securetf_tee::Enclave> {
     let platform = Platform::builder().build();
     platform
@@ -497,47 +480,42 @@ fn side_enclave(tag: &[u8]) -> std::sync::Arc<securetf_tee::Enclave> {
         .expect("enclave")
 }
 
-fn serving_pair(classifier: &SecureClassifier) -> (SecureChannel<Spin>, SecureChannel<Spin>) {
-    // The session terminates in a front-end enclave so it survives the
-    // classifier enclave's crash (and keeps answering with typed
-    // Unavailable frames while it is down).
-    let _ = classifier;
-    let (client_end, server_end) = duplex(None);
-    let frontend = side_enclave(b"chaos frontend");
-    let server = std::thread::spawn(move || {
-        SecureChannel::handshake(Spin(server_end), frontend, Role::Responder).expect("handshake")
-    });
-    let client = SecureChannel::handshake(
-        Spin(client_end),
-        side_enclave(b"chaos client"),
-        Role::Initiator,
-    )
-    .expect("handshake");
-    (client, server.join().expect("join"))
-}
-
 #[test]
 fn serving_returns_unavailable_during_outages_and_recovers() {
     let mut deployment = Deployment::new(ExecutionMode::Hardware);
     deployment
         .publish_model("svc", "/m", &tiny_lite_model())
         .expect("publish");
-    let mut classifier = deployment
+    let classifier = deployment
         .deploy_classifier("svc", "/m", RuntimeProfile::scone_lite())
         .expect("deploy");
-    let (mut client, mut server) = serving_pair(&classifier);
+    // One tenant, every request its own batch. The session terminates in
+    // a front-end enclave so it survives the classifier enclave's crash
+    // (and keeps answering with typed Unavailable frames while it is
+    // down).
+    let config = GatewayConfig {
+        max_batch: 1,
+        ..GatewayConfig::default()
+    };
+    let mut gateway = Gateway::new(classifier, config);
+    let (server, mut client) = attested_pair(side_enclave(b"chaos frontend"));
+    gateway.accept(server);
     let input = Tensor::full(&[1, 6], 0.5);
+    let next_response = |client: &mut SecureChannel<SwitchTransport>| {
+        let frame = client.try_recv().expect("channel").expect("response");
+        decode_response(&frame).expect("frame")
+    };
 
-    // Alternate outages and recoveries over several cycles; the serve
-    // loop must never panic and must answer every request.
+    // Alternate outages and recoveries over several cycles; the gateway
+    // must never panic and must answer every request.
     let mut outage_answers = 0u64;
     let mut healthy_answers = 0u64;
     for cycle in 0..4u64 {
         let down = cycle % 2 == 1;
         if down {
-            classifier.enclave().mark_failed();
+            gateway.classifier().enclave().mark_failed();
         } else {
-            classifier.enclave().revive();
+            gateway.classifier().enclave().revive();
         }
         for i in 0..3u64 {
             let id = cycle * 10 + i;
@@ -545,12 +523,11 @@ fn serving_returns_unavailable_during_outages_and_recovers() {
                 .send(&encode_request(&Request::new(id, input.clone())))
                 .expect("client send");
         }
-        let served = serve(&mut classifier, &mut server).expect("serve never panics");
+        let served = gateway.flush().expect("serving never panics").responses;
         assert_eq!(served, 3, "cycle {cycle}");
         for i in 0..3u64 {
             let id = cycle * 10 + i;
-            let frame = client.recv().expect("response");
-            match decode_response(&frame).expect("frame") {
+            match next_response(&mut client) {
                 Response::Unavailable { id: got, retry_after_ns } => {
                     assert!(down, "unavailable while healthy (id {got})");
                     assert_eq!(got, id);
@@ -570,27 +547,25 @@ fn serving_returns_unavailable_during_outages_and_recovers() {
     assert_eq!(outage_answers, 6);
     assert_eq!(healthy_answers, 6);
 
-    // The request/response helper sees the typed degradation too.
-    classifier.enclave().mark_failed();
+    // A single request sees the typed degradation too.
+    gateway.classifier().enclave().mark_failed();
     client
         .send(&encode_request(&Request::new(99, input.clone())))
         .expect("send");
-    serve(&mut classifier, &mut server).expect("degraded serve");
-    let frame = client.recv().expect("response");
+    gateway.flush().expect("degraded serve");
     assert!(matches!(
-        decode_response(&frame).expect("frame"),
+        next_response(&mut client),
         Response::Unavailable { id: 99, .. }
     ));
 
-    // Full recovery via the helper path.
-    classifier.enclave().revive();
+    // And full recovery.
+    gateway.classifier().enclave().revive();
     client
         .send(&encode_request(&Request::new(100, input.clone())))
         .expect("send");
-    serve(&mut classifier, &mut server).expect("healthy serve");
-    let frame = client.recv().expect("response");
+    gateway.flush().expect("healthy serve");
     assert!(matches!(
-        decode_response(&frame).expect("frame"),
+        next_response(&mut client),
         Response::Label { id: 100, .. }
     ));
 }

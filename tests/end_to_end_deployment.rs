@@ -137,7 +137,7 @@ fn sim_and_hw_deployments_agree_with_native() {
         let mut classifier = deployment
             .deploy_classifier("svc", "/m", RuntimeProfile::scone_lite())
             .expect("deploy");
-        labels.push(classifier.classify(&x).expect("classify").0);
+        labels.push(classifier.classify_batch(&x).expect("classify").0);
     }
     assert_eq!(labels[0], labels[1]);
     assert_eq!(labels[1], labels[2]);

@@ -9,12 +9,15 @@ use securetf::profile::RuntimeProfile;
 use securetf::serving::{
     decode_response, encode_request, Request, Response, RETRY_AFTER_HINT_NS,
 };
-use securetf_gateway::chaos::{attested_pair, demo_input, demo_model, run_chaos, SwitchTransport};
+use securetf_gateway::chaos::{
+    attested_pair, demo_input, demo_model, run_chaos, SwitchTransport, DEMO_DIM,
+};
 use securetf_gateway::{Gateway, GatewayConfig};
 use securetf_shield::net::SecureChannel;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock};
 use securetf_tensor::graph::Graph;
 use securetf_tensor::tensor::Tensor;
+use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::model::LiteModel;
 use std::collections::BTreeMap;
 
@@ -219,13 +222,11 @@ fn drr_keeps_a_hot_tenant_from_starving_the_rest() {
     let model = model_with_dim(8);
     let config = GatewayConfig {
         max_batch: 8,
-        drr_quantum: 2,
         // Long timeout: the leftovers must not become dispatch-ready
         // within this pump just because the first batch consumed
         // virtual time.
         batch_timeout_ns: 10_000_000_000,
         queue_capacity: 64,
-        ..GatewayConfig::default()
     };
     let (mut gateway, mut clients, _clock) = gateway_with_clients(&model, config, 2);
     // Tenant 0 floods; tenant 1 sends two polite requests afterwards.
@@ -260,7 +261,6 @@ fn admission_control_sheds_overflow_with_retry_hint() {
         max_batch: 8,
         queue_capacity: 2,
         batch_timeout_ns: 1_000_000,
-        ..GatewayConfig::default()
     };
     let (mut gateway, mut clients, _clock) = gateway_with_clients(&model, config, 1);
     for s in 0..5u64 {
@@ -339,6 +339,15 @@ fn failed_enclave_answers_unavailable_and_recovers() {
     let model = model_with_dim(8);
     let (mut gateway, mut clients, _clock) =
         gateway_with_clients(&model, GatewayConfig::default(), 1);
+    let telemetry = gateway.classifier().enclave().telemetry().clone();
+    clients[0]
+        .send(&encode_request(&Request::new(0, demo_input(0, 2))))
+        .unwrap();
+    gateway.flush().expect("flush");
+    assert!(matches!(
+        drain_client(&mut clients[0])[..],
+        [Response::Label { id: 0, .. }]
+    ));
     gateway.classifier_mut().enclave().mark_failed();
     clients[0]
         .send(&encode_request(&Request::new(1, demo_input(0, 0))))
@@ -357,6 +366,42 @@ fn failed_enclave_answers_unavailable_and_recovers() {
         drain_client(&mut clients[0])[..],
         [Response::Label { id: 2, .. }]
     ));
+    // Every answer is counted, the degraded one by its outcome.
+    assert_eq!(telemetry.counter("serving.requests").get(), 3);
+    assert_eq!(telemetry.counter("serving.unavailable").get(), 1);
+    assert_eq!(telemetry.counter("serving.errors").get(), 0);
+    let latency = telemetry.histogram("serving.request_latency_ns").snapshot();
+    assert_eq!(latency.count, 3);
+    // Healthy requests consume virtual time (inference + shields); the
+    // degraded answer is free.
+    assert!(latency.max_ns > 0);
+}
+
+#[test]
+fn a_request_of_several_rows_is_refused_not_flattened() {
+    // Row 1 holds the largest logit, so an argmax over both rows would
+    // answer an index past the model's three classes.
+    let rows = [vec![0.0; DEMO_DIM], vec![2.0; DEMO_DIM]].concat();
+    let input = Tensor::from_vec(&[2, DEMO_DIM], rows).unwrap();
+    let logits = Interpreter::new(demo_model()).run(&input).unwrap();
+    let max = logits.data().iter().copied().fold(f32::MIN, f32::max);
+    assert!(logits.data()[3..].contains(&max) && !logits.data()[..3].contains(&max));
+
+    let (mut gateway, mut clients, _clock) =
+        gateway_with_clients(&demo_model(), GatewayConfig::default(), 1);
+    let telemetry = gateway.classifier().enclave().telemetry().clone();
+    clients[0]
+        .send(&encode_request(&Request::new(5, input)))
+        .unwrap();
+    gateway.flush().expect("flush");
+    let responses = drain_client(&mut clients[0]);
+    assert!(
+        matches!(responses[..], [Response::Error { id: 5, .. }]),
+        "a [2, d] request must be refused, got {responses:?}"
+    );
+    assert_eq!(gateway.report().admitted, 0);
+    assert_eq!(gateway.report().batches, 0);
+    assert_eq!(telemetry.counter("serving.errors").get(), 1);
 }
 
 #[test]

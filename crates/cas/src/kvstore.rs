@@ -2,10 +2,19 @@
 //!
 //! The paper embeds an encrypted SQLite inside the CAS enclave; secrets,
 //! certificates and policies never exist in plaintext outside enclave
-//! memory. This module provides the equivalent: a log-structured key-value
-//! store whose log records are sealed to the CAS enclave identity and
-//! whose manifest carries a version checked against a monotonic counter —
-//! restoring an older database file is detected as a rollback.
+//! memory. This module provides the equivalent: a key-value map held in
+//! enclave memory whose whole image is one file of the CAS enclave's fs
+//! shield. Every update rewrites that file as one journaled shield write,
+//! so the store inherits the shield's guarantees instead of keeping its
+//! own: chunk AEAD under per-mount keys (confidentiality, integrity), a
+//! manifest pinned by a platform monotonic counter (restoring an older
+//! database file, or an older image of the whole disk, is a rollback and
+//! fails closed), and crash consistency (an update either happened or did
+//! not).
+//!
+//! One store per CAS identity and disk: [`KvStore::create`] and
+//! [`KvStore::open`] mount the identity's shield namespace, as
+//! [`FsShield::recover`] does for any enclave.
 //!
 //! # Examples
 //!
@@ -32,23 +41,11 @@
 //! ```
 
 use crate::CasError;
-use parking_lot::Mutex;
-use securetf_shield::fs::UntrustedStore;
-use securetf_tee::counter::{CounterId, CounterStore};
-use securetf_tee::sealing::SealPolicy;
+use securetf_shield::fs::{FsShield, UntrustedStore};
+use securetf_shield::ShieldError;
 use securetf_tee::Enclave;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Global store of hardware monotonic counters, shared across "restarts"
-/// of the CAS enclave on the same simulated machine.
-static HW_COUNTERS: Mutex<Option<CounterStore>> = Mutex::new(None);
-
-fn with_hw_counters<T>(f: impl FnOnce(&mut CounterStore) -> T) -> T {
-    let mut guard = HW_COUNTERS.lock();
-    let store = guard.get_or_insert_with(CounterStore::new);
-    f(store)
-}
 
 /// The in-enclave plaintext view of the store's entries.
 type Entries = BTreeMap<Vec<u8>, Vec<u8>>;
@@ -56,13 +53,11 @@ type Entries = BTreeMap<Vec<u8>, Vec<u8>>;
 /// An encrypted, rollback-protected key-value store.
 #[derive(Debug)]
 pub struct KvStore {
-    enclave: Arc<Enclave>,
-    disk: UntrustedStore,
+    shield: FsShield,
     path: String,
-    /// Plaintext view, inside enclave memory only.
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
-    version: u64,
-    counter: CounterId,
+    /// Plaintext view, inside enclave memory only: always the image the
+    /// shield last committed.
+    map: Entries,
 }
 
 impl KvStore {
@@ -70,26 +65,25 @@ impl KvStore {
     ///
     /// # Errors
     ///
-    /// Returns [`CasError::StoreCorrupted`] if a store already exists at
-    /// `path` (refusing to silently overwrite state).
+    /// * [`CasError::StoreCorrupted`] if a store already exists at `path`
+    ///   (refusing to silently overwrite state), or if the disk fails the
+    ///   shield's mount checks.
+    /// * [`CasError::Storage`] if the host crashes.
     pub fn create(
         enclave: Arc<Enclave>,
         disk: UntrustedStore,
         path: &str,
     ) -> Result<Self, CasError> {
-        if disk.raw_contents(path).is_some() {
+        let (shield, _) = FsShield::recover(enclave, disk)?;
+        if shield.exists(path) {
             return Err(CasError::StoreCorrupted("store already exists at path"));
         }
-        let counter = with_hw_counters(|c| c.find_or_create_at(path, 0));
         let mut store = KvStore {
-            enclave,
-            disk,
+            shield,
             path: path.to_string(),
-            map: BTreeMap::new(),
-            version: 0,
-            counter,
+            map: Entries::new(),
         };
-        store.persist()?;
+        store.commit(Entries::new())?;
         Ok(store)
     }
 
@@ -98,108 +92,54 @@ impl KvStore {
     /// # Errors
     ///
     /// * [`CasError::NotFound`] if nothing exists at `path`.
-    /// * [`CasError::StoreCorrupted`] if unsealing fails (tampering, or a
-    ///   different enclave identity) or the version does not match the
-    ///   hardware counter (rollback).
+    /// * [`CasError::StoreCorrupted`] if the disk or the image fails the
+    ///   shield's checks: tampering, a rollback of the file or of the
+    ///   whole disk, or a different enclave identity.
+    /// * [`CasError::Storage`] if the host crashes.
     pub fn open(
         enclave: Arc<Enclave>,
         disk: UntrustedStore,
         path: &str,
     ) -> Result<Self, CasError> {
-        let blob = disk
-            .raw_contents(path)
-            .ok_or_else(|| CasError::NotFound(path.to_string()))?;
-        let plain = enclave
-            .unseal(SealPolicy::Measurement, &blob, path.as_bytes())
-            .map_err(|_| CasError::StoreCorrupted("unseal failed"))?;
-        let (version, map) =
-            Self::decode(&plain).ok_or(CasError::StoreCorrupted("malformed image"))?;
-        // Freshness: the sealed image must carry the counter's value.
-        let counter = with_hw_counters(|c| {
-            // Re-associate with the existing counter for this path if the
-            // same process created it; otherwise create one at the stored
-            // version (models counter continuity on one machine).
-            c.find_or_create_at(path, version)
-        });
-        with_hw_counters(|c| c.verify_exact(counter, version))
-            .map_err(|_| CasError::StoreCorrupted("version rollback detected"))?;
+        let (shield, _) = FsShield::recover(enclave, disk)?;
+        let image = shield.read(path).map_err(|e| match e {
+            ShieldError::FileNotFound(_) => CasError::NotFound(path.to_string()),
+            other => other.into(),
+        })?;
+        let map = decode(&image).ok_or(CasError::StoreCorrupted("malformed image"))?;
         Ok(KvStore {
-            enclave,
-            disk,
+            shield,
             path: path.to_string(),
             map,
-            version,
-            counter,
         })
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&(self.map.len() as u64).to_le_bytes());
-        for (k, v) in &self.map {
-            out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            out.extend_from_slice(k);
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v);
+    /// Writes `next` as the store's image and adopts it once the write is
+    /// durable. A host crash after the shield's commit point still
+    /// counts: the write is durable and every later open rolls it
+    /// forward, so the in-enclave map follows it and the crash surfaces
+    /// at the next write.
+    fn commit(&mut self, next: Entries) -> Result<(), CasError> {
+        let committed = self.shield.version(&self.path);
+        match self.shield.write(&self.path, &encode(&next)) {
+            Ok(()) => {}
+            Err(ShieldError::HostCrashed(_)) if self.shield.version(&self.path) != committed => {}
+            Err(e) => return Err(e.into()),
         }
-        out
-    }
-
-    fn decode(bytes: &[u8]) -> Option<(u64, Entries)> {
-        let mut cursor = 0usize;
-        let take = |cursor: &mut usize, n: usize| -> Option<&[u8]> {
-            if *cursor + n > bytes.len() {
-                return None;
-            }
-            let s = &bytes[*cursor..*cursor + n];
-            *cursor += n;
-            Some(s)
-        };
-        let version = u64::from_le_bytes(take(&mut cursor, 8)?.try_into().ok()?);
-        let entries = u64::from_le_bytes(take(&mut cursor, 8)?.try_into().ok()?);
-        let mut map = BTreeMap::new();
-        for _ in 0..entries {
-            let klen = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().ok()?) as usize;
-            let k = take(&mut cursor, klen)?.to_vec();
-            let vlen = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().ok()?) as usize;
-            let v = take(&mut cursor, vlen)?.to_vec();
-            map.insert(k, v);
-        }
-        if cursor != bytes.len() {
-            return None;
-        }
-        Some((version, map))
-    }
-
-    fn persist(&mut self) -> Result<(), CasError> {
-        self.version += 1;
-        with_hw_counters(|c| {
-            let v = c.increment(self.counter)?;
-            if v != self.version {
-                // The counter moved independently (another instance wrote):
-                // adopt its value to stay monotone.
-                self.version = v;
-            }
-            Ok::<_, securetf_tee::TeeError>(())
-        })?;
-        let image = self.encode();
-        let sealed = self
-            .enclave
-            .seal(SealPolicy::Measurement, &image, self.path.as_bytes());
-        self.enclave.charge_syscall();
-        self.disk.raw_put(&self.path, sealed);
+        self.map = next;
         Ok(())
     }
 
-    /// Inserts or replaces a value, persisting the store.
+    /// Inserts or replaces a value, persisting the store. On error the
+    /// store is unchanged, in enclave memory and on disk.
     ///
     /// # Errors
     ///
-    /// Returns [`CasError::Tee`] on counter failures.
+    /// [`CasError::Storage`] if the host crashes before the write commits.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), CasError> {
-        self.map.insert(key.to_vec(), value.to_vec());
-        self.persist()
+        let mut next = self.map.clone();
+        next.insert(key.to_vec(), value.to_vec());
+        self.commit(next)
     }
 
     /// Reads a value.
@@ -208,16 +148,19 @@ impl KvStore {
     }
 
     /// Deletes a key, persisting the store. Returns whether it existed.
+    /// On error the store is unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`CasError::Tee`] on counter failures.
+    /// [`CasError::Storage`] if the host crashes before the write commits.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool, CasError> {
-        let had = self.map.remove(key).is_some();
-        if had {
-            self.persist()?;
+        if !self.map.contains_key(key) {
+            return Ok(false);
         }
-        Ok(had)
+        let mut next = self.map.clone();
+        next.remove(key);
+        self.commit(next)?;
+        Ok(true)
     }
 
     /// Iterates keys with a prefix.
@@ -239,16 +182,53 @@ impl KvStore {
         self.map.is_empty()
     }
 
-    /// Current persisted version.
+    /// Current persisted version: the shield's version of the image file.
     pub fn version(&self) -> u64 {
-        self.version
+        self.shield.version(&self.path).unwrap_or(0)
     }
+}
+
+/// The image: `u64 count`, then `u32 len | key | u32 len | value` per
+/// entry in key order.
+fn encode(map: &Entries) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(map.len() as u64).to_le_bytes());
+    for (k, v) in map {
+        out.extend_from_slice(&(k.len() as u32).to_le_bytes());
+        out.extend_from_slice(k);
+        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        out.extend_from_slice(v);
+    }
+    out
+}
+
+/// Parses an image written by [`encode`]. The shield has authenticated it
+/// as one this identity wrote; the parse is total all the same.
+fn decode(mut rest: &[u8]) -> Option<Entries> {
+    fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+        let (head, tail) = rest.split_at_checked(n)?;
+        *rest = tail;
+        Some(head)
+    }
+    let len = |rest: &mut &[u8]| Some(u32::from_le_bytes(take(rest, 4)?.try_into().ok()?) as usize);
+    let entries = u64::from_le_bytes(take(&mut rest, 8)?.try_into().ok()?);
+    let mut map = Entries::new();
+    for _ in 0..entries {
+        let klen = len(&mut rest)?;
+        let k = take(&mut rest, klen)?.to_vec();
+        let vlen = len(&mut rest)?;
+        let v = take(&mut rest, vlen)?.to_vec();
+        map.insert(k, v);
+    }
+    rest.is_empty().then_some(map)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
+
+    const PATH: &str = "/cas/db";
 
     fn enclave_named(platform: &Platform, code: &[u8]) -> Arc<Enclave> {
         platform
@@ -259,37 +239,30 @@ mod tests {
             .unwrap()
     }
 
-    fn unique_path(tag: &str) -> String {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        format!("/cas/{tag}-{}", N.fetch_add(1, Ordering::Relaxed))
-    }
-
     #[test]
     fn put_get_roundtrip() {
         let platform = Platform::builder().build();
         let e = enclave_named(&platform, b"cas");
-        let disk = UntrustedStore::new();
-        let path = unique_path("db");
-        let mut db = KvStore::create(e, disk, &path).unwrap();
+        let mut db = KvStore::create(e, UntrustedStore::new(), PATH).unwrap();
         db.put(b"k1", b"v1").unwrap();
         db.put(b"k2", b"v2").unwrap();
         assert_eq!(db.get(b"k1"), Some(b"v1".to_vec()));
         assert_eq!(db.get(b"missing"), None);
         assert_eq!(db.len(), 2);
+        assert_eq!(db.version(), 3, "create and two puts");
     }
 
     #[test]
     fn reopen_preserves_data() {
         let platform = Platform::builder().build();
-        let e = enclave_named(&platform, b"cas");
         let disk = UntrustedStore::new();
-        let path = unique_path("db");
         {
-            let mut db = KvStore::create(e.clone(), disk.clone(), &path).unwrap();
+            let e = enclave_named(&platform, b"cas");
+            let mut db = KvStore::create(e, disk.clone(), PATH).unwrap();
             db.put(b"persisted", b"yes").unwrap();
         }
-        let db = KvStore::open(e, disk, &path).unwrap();
+        // A restarted CAS: a new instance of the same identity.
+        let db = KvStore::open(enclave_named(&platform, b"cas"), disk, PATH).unwrap();
         assert_eq!(db.get(b"persisted"), Some(b"yes".to_vec()));
     }
 
@@ -298,12 +271,13 @@ mod tests {
         let platform = Platform::builder().build();
         let e = enclave_named(&platform, b"cas");
         let disk = UntrustedStore::new();
-        let path = unique_path("db");
-        let mut db = KvStore::create(e, disk.clone(), &path).unwrap();
+        let mut db = KvStore::create(e, disk.clone(), PATH).unwrap();
         db.put(b"key-name", b"super-secret-value").unwrap();
-        let raw = disk.raw_contents(&path).unwrap();
-        assert!(!raw.windows(18).any(|w| w == b"super-secret-value"));
-        assert!(!raw.windows(8).any(|w| w == b"key-name"));
+        for path in disk.paths() {
+            let raw = disk.raw_contents(&path).unwrap();
+            assert!(!raw.windows(18).any(|w| w == b"super-secret-value"));
+            assert!(!raw.windows(8).any(|w| w == b"key-name"));
+        }
     }
 
     #[test]
@@ -311,14 +285,13 @@ mod tests {
         let platform = Platform::builder().build();
         let e = enclave_named(&platform, b"cas");
         let disk = UntrustedStore::new();
-        let path = unique_path("db");
         {
-            let mut db = KvStore::create(e.clone(), disk.clone(), &path).unwrap();
+            let mut db = KvStore::create(e.clone(), disk.clone(), PATH).unwrap();
             db.put(b"a", b"b").unwrap();
         }
-        disk.corrupt(&path, 20);
+        disk.corrupt(PATH, 20);
         assert!(matches!(
-            KvStore::open(e, disk, &path),
+            KvStore::open(e, disk, PATH),
             Err(CasError::StoreCorrupted(_))
         ));
     }
@@ -328,17 +301,23 @@ mod tests {
         let platform = Platform::builder().build();
         let e = enclave_named(&platform, b"cas");
         let disk = UntrustedStore::new();
-        let path = unique_path("db");
-        let mut db = KvStore::create(e.clone(), disk.clone(), &path).unwrap();
+        let mut db = KvStore::create(e.clone(), disk.clone(), PATH).unwrap();
         db.put(b"key", b"old").unwrap();
-        let old_image = disk.raw_contents(&path).unwrap();
+        let old_file = disk.raw_contents(PATH).unwrap();
+        let old_disk = disk.snapshot();
         db.put(b"key", b"new").unwrap();
         drop(db);
-        // Attacker restores the older (validly sealed) database file.
-        disk.raw_put(&path, old_image);
+        // The attacker restores the older (validly sealed) database file...
+        disk.raw_put(PATH, old_file);
         assert!(matches!(
-            KvStore::open(e, disk, &path),
-            Err(CasError::StoreCorrupted("version rollback detected"))
+            KvStore::open(e.clone(), disk.clone(), PATH),
+            Err(CasError::StoreCorrupted(_))
+        ));
+        // ...or the older image of the whole disk, manifest included.
+        disk.restore(&old_disk);
+        assert!(matches!(
+            KvStore::open(e, disk, PATH),
+            Err(CasError::StoreCorrupted(_))
         ));
     }
 
@@ -348,13 +327,12 @@ mod tests {
         let cas = enclave_named(&platform, b"cas v1");
         let other = enclave_named(&platform, b"evil cas");
         let disk = UntrustedStore::new();
-        let path = unique_path("db");
         {
-            let mut db = KvStore::create(cas, disk.clone(), &path).unwrap();
+            let mut db = KvStore::create(cas, disk.clone(), PATH).unwrap();
             db.put(b"a", b"b").unwrap();
         }
         assert!(matches!(
-            KvStore::open(other, disk, &path),
+            KvStore::open(other, disk, PATH),
             Err(CasError::StoreCorrupted(_))
         ));
     }
@@ -363,9 +341,7 @@ mod tests {
     fn delete_and_prefix_scan() {
         let platform = Platform::builder().build();
         let e = enclave_named(&platform, b"cas");
-        let disk = UntrustedStore::new();
-        let path = unique_path("db");
-        let mut db = KvStore::create(e, disk, &path).unwrap();
+        let mut db = KvStore::create(e, UntrustedStore::new(), PATH).unwrap();
         db.put(b"secret/a", b"1").unwrap();
         db.put(b"secret/b", b"2").unwrap();
         db.put(b"policy/x", b"3").unwrap();
@@ -380,10 +356,9 @@ mod tests {
         let platform = Platform::builder().build();
         let e = enclave_named(&platform, b"cas");
         let disk = UntrustedStore::new();
-        let path = unique_path("db");
-        let _db = KvStore::create(e.clone(), disk.clone(), &path).unwrap();
+        let _db = KvStore::create(e.clone(), disk.clone(), PATH).unwrap();
         assert!(matches!(
-            KvStore::create(e, disk, &path),
+            KvStore::create(e, disk, PATH),
             Err(CasError::StoreCorrupted(_))
         ));
     }
@@ -396,5 +371,40 @@ mod tests {
             KvStore::open(e, UntrustedStore::new(), "/cas/never-created"),
             Err(CasError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_put_leaves_the_store_as_it_was() {
+        let platform = Platform::builder().build();
+        let e = enclave_named(&platform, b"cas");
+        let disk = UntrustedStore::new();
+        let mut db = KvStore::create(e.clone(), disk.clone(), PATH).unwrap();
+        db.put(b"k", b"old").unwrap();
+        disk.fail_after_ops(0);
+        assert!(matches!(
+            db.put(b"k", b"new"),
+            Err(CasError::Storage(ShieldError::HostCrashed(_)))
+        ));
+        assert_eq!(db.get(b"k"), Some(b"old".to_vec()));
+        disk.host_restart();
+        let reopened = KvStore::open(e, disk, PATH).unwrap();
+        assert_eq!(reopened.get(b"k"), Some(b"old".to_vec()));
+    }
+
+    #[test]
+    fn image_decoder_is_total() {
+        let mut map = Entries::new();
+        map.insert(b"key".to_vec(), b"value".to_vec());
+        let image = encode(&map);
+        assert_eq!(decode(&image), Some(map));
+        for cut in 0..image.len() {
+            assert_eq!(decode(&image[..cut]), None, "prefix of {cut} bytes");
+        }
+        let mut longer = image.clone();
+        longer.push(0);
+        assert_eq!(decode(&longer), None);
+        let mut huge = image;
+        huge[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&huge), None);
     }
 }

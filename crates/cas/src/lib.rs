@@ -6,19 +6,20 @@
 //! inside an enclave. It holds service policies (which enclave
 //! measurements may receive which secrets) in an encrypted embedded
 //! database, verifies quotes locally, and provisions keys, certificates
-//! and configuration over secure channels. An auditing service tracks
-//! file versions to defeat rollback attacks (challenge ❺).
+//! and configuration over secure channels. Rollback protection
+//! (challenge ❺), the paper's auditing service, is the fs shield's
+//! manifest pinned by a platform monotonic counter: the database and every
+//! other file an enclave keeps on the host live under it.
 //!
 //! * [`kvstore`] — the encrypted, rollback-protected embedded database
-//!   (the paper uses an encrypted SQLite; this is a log-structured KV
-//!   store sealed to the CAS enclave).
+//!   (the paper uses an encrypted SQLite; this is a KV map whose image is
+//!   one fs-shield file of the CAS enclave).
 //! * [`policy`] — service policies: allowed measurements, minimum TCB
 //!   version, named secrets.
 //! * [`service`] — the CAS itself: quote verification + secret
 //!   provisioning, with a per-phase latency breakdown (Figure 4).
 //! * [`ias`] — a latency-faithful simulator of the Intel Attestation
 //!   Service, the baseline CAS is compared against.
-//! * [`audit`] — the freshness/auditing service for rollback protection.
 //!
 //! # Examples
 //!
@@ -53,7 +54,6 @@
 //! # }
 //! ```
 
-pub mod audit;
 pub mod ca;
 pub mod ias;
 pub mod kvstore;
@@ -86,8 +86,9 @@ pub enum CasError {
     StoreCorrupted(&'static str),
     /// A requested key is absent.
     NotFound(String),
-    /// The auditing service detected a stale (rolled-back) object.
-    RollbackDetected(String),
+    /// The database's host storage failed (the host crashed). An update
+    /// that returns this did not happen.
+    Storage(securetf_shield::ShieldError),
     /// An underlying TEE failure.
     Tee(securetf_tee::TeeError),
     /// The CAS is transiently unreachable (crash, partition, restart).
@@ -118,7 +119,7 @@ impl fmt::Display for CasError {
             CasError::DuplicateService(s) => write!(f, "service already registered: {s}"),
             CasError::StoreCorrupted(why) => write!(f, "secret store corrupted: {why}"),
             CasError::NotFound(k) => write!(f, "not found: {k}"),
-            CasError::RollbackDetected(path) => write!(f, "rollback detected on {path}"),
+            CasError::Storage(e) => write!(f, "secret store storage failed: {e}"),
             CasError::Tee(e) => write!(f, "tee error: {e}"),
             CasError::Unavailable { retry_after_ns } => {
                 write!(f, "cas unavailable, retry after {retry_after_ns} ns")
@@ -131,6 +132,7 @@ impl Error for CasError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CasError::Tee(e) => Some(e),
+            CasError::Storage(e) => Some(e),
             _ => None,
         }
     }
@@ -139,5 +141,20 @@ impl Error for CasError {
 impl From<securetf_tee::TeeError> for CasError {
     fn from(e: securetf_tee::TeeError) -> Self {
         CasError::Tee(e)
+    }
+}
+
+/// Whatever the shield refuses to mount or read — tampering, a rolled-back
+/// file or disk, a foreign identity, an old format — is a corrupted store;
+/// a host crash is a storage failure.
+impl From<securetf_shield::ShieldError> for CasError {
+    fn from(e: securetf_shield::ShieldError) -> Self {
+        use securetf_shield::ShieldError;
+        match e {
+            ShieldError::HostCrashed(_) => CasError::Storage(e),
+            ShieldError::Tee(e) => CasError::Tee(e),
+            ShieldError::UnsupportedFormat(what) => CasError::StoreCorrupted(what),
+            _ => CasError::StoreCorrupted("image failed the fs shield's integrity or freshness check"),
+        }
     }
 }

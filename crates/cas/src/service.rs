@@ -114,7 +114,8 @@ impl CasService {
     /// # Errors
     ///
     /// Returns [`CasError::StoreCorrupted`] if a stored policy fails to
-    /// decode (tampering at a layer the store's sealing should prevent).
+    /// decode (the fs shield authenticated the image, so only a CAS build
+    /// with another policy encoding can get here).
     pub fn with_store(
         enclave: Arc<Enclave>,
         verifier: FleetVerifier,
@@ -137,11 +138,13 @@ impl CasService {
         })
     }
 
+    fn store_key(name: &str) -> Vec<u8> {
+        [POLICY_PREFIX, name.as_bytes()].concat()
+    }
+
     fn persist(&mut self, policy: &ServicePolicy) -> Result<(), CasError> {
         if let Some(store) = &mut self.store {
-            let mut key = POLICY_PREFIX.to_vec();
-            key.extend_from_slice(policy.name().as_bytes());
-            store.put(&key, &policy.encode())?;
+            store.put(&Self::store_key(policy.name()), &policy.encode())?;
         }
         Ok(())
     }
@@ -150,7 +153,9 @@ impl CasService {
     ///
     /// # Errors
     ///
-    /// Returns [`CasError::DuplicateService`] if the name is taken.
+    /// * [`CasError::DuplicateService`] if the name is taken.
+    /// * [`CasError::Storage`] if the store could not persist it; the
+    ///   policy is then not registered.
     pub fn register_policy(&mut self, policy: ServicePolicy) -> Result<(), CasError> {
         if self.policies.contains_key(policy.name()) {
             return Err(CasError::DuplicateService(policy.name().to_string()));
@@ -162,19 +167,28 @@ impl CasService {
 
     /// Replaces (or inserts) a service policy — used when the data owner
     /// updates secrets.
-    pub fn upsert_policy(&mut self, policy: ServicePolicy) {
-        let _ = self.persist(&policy);
+    ///
+    /// # Errors
+    ///
+    /// [`CasError::Storage`] if the store could not persist it; the
+    /// previous policy then stays in force, here and after a restart.
+    pub fn upsert_policy(&mut self, policy: ServicePolicy) -> Result<(), CasError> {
+        self.persist(&policy)?;
         self.policies.insert(policy.name().to_string(), policy);
+        Ok(())
     }
 
     /// Removes a service policy. Returns whether it existed.
-    pub fn remove_policy(&mut self, name: &str) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// [`CasError::Storage`] if the store could not persist the removal;
+    /// the policy then stays in force, here and after a restart.
+    pub fn remove_policy(&mut self, name: &str) -> Result<bool, CasError> {
         if let Some(store) = &mut self.store {
-            let mut key = POLICY_PREFIX.to_vec();
-            key.extend_from_slice(name.as_bytes());
-            let _ = store.delete(&key);
+            store.delete(&Self::store_key(name))?;
         }
-        self.policies.remove(name).is_some()
+        Ok(self.policies.remove(name).is_some())
     }
 
     /// Takes the CAS offline until `duration_ns` of virtual time passes.
@@ -438,10 +452,11 @@ mod tests {
             Err(CasError::DuplicateService(_))
         ));
         s.cas
-            .upsert_policy(ServicePolicy::new("svc").with_secret("new", b"n"));
+            .upsert_policy(ServicePolicy::new("svc").with_secret("new", b"n"))
+            .unwrap();
         assert_eq!(s.cas.services(), vec!["svc"]);
-        assert!(s.cas.remove_policy("svc"));
-        assert!(!s.cas.remove_policy("svc"));
+        assert!(s.cas.remove_policy("svc").unwrap());
+        assert!(!s.cas.remove_policy("svc").unwrap());
     }
 
     #[test]
@@ -521,7 +536,7 @@ mod tests {
                 CasService::with_store(enclave, platform.fleet_verifier(), store).unwrap();
             cas.register_policy(ServicePolicy::new("gone")).unwrap();
             cas.register_policy(ServicePolicy::new("kept")).unwrap();
-            assert!(cas.remove_policy("gone"));
+            assert!(cas.remove_policy("gone").unwrap());
         }
         let enclave = platform
             .create_enclave(&cas_image, ExecutionMode::Hardware)
@@ -529,6 +544,66 @@ mod tests {
         let store = KvStore::open(enclave.clone(), disk, path).unwrap();
         let cas = CasService::with_store(enclave, platform.fleet_verifier(), store).unwrap();
         assert_eq!(cas.services(), vec!["kept"]);
+    }
+
+    #[test]
+    fn a_failed_policy_update_reaches_the_caller_and_a_restart_agrees() {
+        use securetf_shield::fs::UntrustedStore;
+
+        const PATH: &str = "/cas/db";
+        let cas_image = EnclaveImage::builder().code(b"crashing cas").build();
+        let mount = |platform: &Platform, disk: &UntrustedStore, fresh: bool| {
+            let enclave = platform
+                .create_enclave(&cas_image, ExecutionMode::Hardware)
+                .unwrap();
+            let store = if fresh {
+                KvStore::create(enclave.clone(), disk.clone(), PATH).unwrap()
+            } else {
+                KvStore::open(enclave.clone(), disk.clone(), PATH).unwrap()
+            };
+            CasService::with_store(enclave, platform.fleet_verifier(), store).unwrap()
+        };
+        let boot = || {
+            let platform = Platform::builder().build();
+            let disk = UntrustedStore::new();
+            let mut cas = mount(&platform, &disk, true);
+            cas.register_policy(ServicePolicy::new("kept")).unwrap();
+            cas.register_policy(ServicePolicy::new("gone")).unwrap();
+            (platform, disk, cas)
+        };
+        type Update = fn(&mut CasService) -> Result<(), CasError>;
+        let updates: [Update; 2] = [
+            |cas| cas.upsert_policy(ServicePolicy::new("kept").with_secret("k", b"v2")),
+            |cas| cas.remove_policy("gone").map(|_| ()),
+        ];
+        for update in updates {
+            let ops = {
+                let (_platform, disk, mut cas) = boot();
+                let before = disk.op_count();
+                update(&mut cas).unwrap();
+                disk.op_count() - before
+            };
+            let (mut failed, mut landed) = (0, 0);
+            // The host dies at every op of the update.
+            for k in 0..ops {
+                let (platform, disk, mut cas) = boot();
+                let before = cas.policies.clone();
+                disk.fail_after_ops(k);
+                match update(&mut cas) {
+                    Err(CasError::Storage(_)) => {
+                        assert_eq!(cas.policies, before, "crash at op {k}: table moved");
+                        failed += 1;
+                    }
+                    Ok(()) => landed += 1,
+                    Err(e) => panic!("crash at op {k}: {e}"),
+                }
+                disk.host_restart();
+                let restarted = mount(&platform, &disk, false);
+                assert_eq!(restarted.policies, cas.policies, "crash at op {k}");
+            }
+            // Before the commit point the update fails; after it, it is durable.
+            assert!(failed > 0 && landed > 0, "{failed} failed, {landed} landed");
+        }
     }
 
     #[test]

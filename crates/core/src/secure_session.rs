@@ -2,13 +2,12 @@
 //!
 //! A [`SecureSession`] wraps a `securetf-tensor` session inside an
 //! enclave: variable state and activations are accounted against the
-//! EPC, compute is charged at the mode's rate, and checkpoints are
-//! sealed before touching untrusted storage. This is the building block
-//! the quickstart example and the accuracy-parity tests use.
+//! EPC, compute is charged at the mode's rate, and checkpoints reach
+//! untrusted storage only through the fs shield. This is the building
+//! block the quickstart example and the accuracy-parity tests use.
 
 use crate::SecureTfError;
-use securetf_shield::fs::UntrustedStore;
-use securetf_tee::sealing::SealPolicy;
+use securetf_shield::fs::FsShield;
 use securetf_tee::{Enclave, RegionId};
 use securetf_tensor::freeze;
 use securetf_tensor::graph::NodeId;
@@ -170,35 +169,30 @@ impl SecureSession {
         Ok(correct as f64 / data.len() as f64)
     }
 
-    /// Saves a checkpoint, sealed to this enclave, onto untrusted storage.
-    pub fn save_checkpoint(&self, store: &UntrustedStore, path: &str) {
-        let plaintext = freeze::save_checkpoint(&self.model.graph, &self.session);
-        let sealed = self
-            .enclave
-            .seal(SealPolicy::Measurement, &plaintext, path.as_bytes());
-        self.enclave.charge_syscall();
-        store.raw_put(path, sealed);
-    }
-
-    /// Restores a checkpoint sealed by the same enclave identity.
+    /// Saves a checkpoint to `path` through `shield`: a journaled write
+    /// under the path's policy (`EncryptAuth` unless the shield was told
+    /// otherwise).
     ///
     /// # Errors
     ///
-    /// * [`SecureTfError::ModelIntegrity`] if the file is missing.
-    /// * [`SecureTfError::Tee`] if unsealing fails (tampering or foreign
-    ///   identity).
-    pub fn restore_checkpoint(
-        &mut self,
-        store: &UntrustedStore,
-        path: &str,
-    ) -> Result<(), SecureTfError> {
-        self.enclave.charge_syscall();
-        let sealed = store
-            .raw_contents(path)
-            .ok_or(SecureTfError::ModelIntegrity("checkpoint missing"))?;
-        let plaintext = self
-            .enclave
-            .unseal(SealPolicy::Measurement, &sealed, path.as_bytes())?;
+    /// [`SecureTfError::Shield`] if the host crashes mid-write.
+    pub fn save_checkpoint(&self, shield: &mut FsShield, path: &str) -> Result<(), SecureTfError> {
+        let plaintext = freeze::save_checkpoint(&self.model.graph, &self.session);
+        shield.write(path, &plaintext)?;
+        Ok(())
+    }
+
+    /// Restores a checkpoint saved through `shield` or through an earlier
+    /// mount of its store ([`FsShield::recover`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`SecureTfError::Shield`] if the checkpoint is missing, tampered
+    ///   with or stale (an older checkpoint, or an older image of the
+    ///   whole store, replayed by the host).
+    /// * [`SecureTfError::Tensor`] if it does not fit this model.
+    pub fn restore_checkpoint(&mut self, shield: &FsShield, path: &str) -> Result<(), SecureTfError> {
+        let plaintext = shield.read(path)?;
         freeze::restore_checkpoint(&self.model.graph, &mut self.session, &plaintext)?;
         Ok(())
     }
@@ -346,20 +340,24 @@ mod tests {
 
     #[test]
     fn checkpoint_seal_roundtrip_and_tamper() {
+        use securetf_shield::fs::UntrustedStore;
+        use securetf_shield::ShieldError;
+
         let store = UntrustedStore::new();
         let mut s = session(ExecutionMode::Hardware);
+        let mut shield = FsShield::new(s.enclave().clone(), store.clone());
         let data = securetf_data::synthetic_mnist(50, 4);
         let mut sgd = Sgd::new(0.3);
         let (x, y) = data.batch(0, 50).unwrap();
         s.train_step(x, y, &mut sgd).unwrap();
-        s.save_checkpoint(&store, "/ckpt/m");
+        s.save_checkpoint(&mut shield, "/ckpt/m").unwrap();
         // Restores cleanly.
-        s.restore_checkpoint(&store, "/ckpt/m").unwrap();
+        s.restore_checkpoint(&shield, "/ckpt/m").unwrap();
         // Tampered checkpoint rejected.
         store.corrupt("/ckpt/m", 40);
         assert!(matches!(
-            s.restore_checkpoint(&store, "/ckpt/m"),
-            Err(SecureTfError::Tee(_))
+            s.restore_checkpoint(&shield, "/ckpt/m"),
+            Err(SecureTfError::Shield(ShieldError::FileTampered(_)))
         ));
     }
 

@@ -702,29 +702,12 @@ impl DistributedTrainer {
         Ok(correct as f64 / data.len() as f64)
     }
 
-    /// Saves the global model to untrusted storage, encrypted under the
-    /// CAS-provisioned `fs-key` — so a *new* cluster (fresh machines, same
-    /// attested service) can restore it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistribError::BadMessage`] if the PS was provisioned
-    /// without an `fs-key` secret.
-    pub fn save_checkpoint(
-        &self,
-        store: &securetf_shield::fs::UntrustedStore,
-        path: &str,
-    ) -> Result<(), DistribError> {
-        let sealed = self.checkpoint_bytes(path)?;
-        self.cluster.ps.enclave.charge_syscall();
-        store.raw_put(path, sealed);
-        Ok(())
-    }
-
     /// Serializes and encrypts the global model under the CAS-provisioned
     /// `fs-key`, bound to `aad` (normally the destination path), without
-    /// writing it anywhere — so callers can route the blob through a
-    /// crash-consistent channel like the fs shield's journaled writes.
+    /// writing it anywhere. The key outlives the cluster, so a *new*
+    /// cluster (fresh machines, same attested service) can restore the
+    /// blob; reaching the host is the fs shield's job (`Supervisor`
+    /// journals it).
     ///
     /// # Errors
     ///
@@ -759,25 +742,6 @@ impl DistributedTrainer {
             .enclave
             .charge_shield_crypto(plaintext.len() as u64);
         Ok(sealed)
-    }
-
-    /// Restores a checkpoint written by [`DistributedTrainer::save_checkpoint`]
-    /// (possibly by a previous cluster).
-    ///
-    /// # Errors
-    ///
-    /// * [`DistribError::BadMessage`] if the file is missing, tampered
-    ///   with, or the PS lacks the `fs-key` secret.
-    pub fn restore_checkpoint(
-        &mut self,
-        store: &securetf_shield::fs::UntrustedStore,
-        path: &str,
-    ) -> Result<(), DistribError> {
-        self.cluster.ps.enclave.charge_syscall();
-        let sealed = store
-            .raw_contents(path)
-            .ok_or(DistribError::BadMessage("checkpoint missing"))?;
-        self.restore_checkpoint_bytes(&sealed, path)
     }
 
     /// Decrypts and applies a checkpoint blob produced by
@@ -1013,7 +977,6 @@ mod tests {
 
     #[test]
     fn checkpoint_survives_full_cluster_replacement() {
-        let store = securetf_shield::fs::UntrustedStore::new();
         // Cluster A trains and checkpoints.
         let mut a = trainer(2, ExecutionMode::Hardware, true);
         let first = a.step().unwrap();
@@ -1022,7 +985,7 @@ mod tests {
         }
         let trained_loss = a.step().unwrap();
         assert!(trained_loss < first);
-        a.save_checkpoint(&store, "/ckpt/global").unwrap();
+        let blob = a.checkpoint_bytes("/ckpt/global").unwrap();
         let saved_vars: Vec<Vec<f32>> = a
             .ps_session()
             .variables()
@@ -1033,7 +996,7 @@ mod tests {
 
         // Cluster B: entirely new machines, same attested service.
         let mut b = trainer(2, ExecutionMode::Hardware, true);
-        b.restore_checkpoint(&store, "/ckpt/global").unwrap();
+        b.restore_checkpoint_bytes(&blob, "/ckpt/global").unwrap();
         let restored_vars: Vec<Vec<f32>> = b
             .ps_session()
             .variables()
@@ -1048,28 +1011,29 @@ mod tests {
 
     #[test]
     fn tampered_checkpoint_rejected() {
-        let store = securetf_shield::fs::UntrustedStore::new();
         let mut t = trainer(1, ExecutionMode::Hardware, true);
         t.step().unwrap();
-        t.save_checkpoint(&store, "/ckpt/m").unwrap();
-        store.corrupt("/ckpt/m", 50);
-        assert!(matches!(
-            t.restore_checkpoint(&store, "/ckpt/m"),
-            Err(DistribError::BadMessage(_))
-        ));
-        assert!(matches!(
-            t.restore_checkpoint(&store, "/ckpt/missing"),
-            Err(DistribError::BadMessage(_))
-        ));
+        let blob = t.checkpoint_bytes("/ckpt/m").unwrap();
+        let mut flipped = blob.clone();
+        flipped[50] ^= 1;
+        for (bytes, aad) in [
+            (&flipped[..], "/ckpt/m"),
+            (&blob[..blob.len() - 1], "/ckpt/m"),
+            (&blob[..4], "/ckpt/m"),
+            (&blob[..], "/ckpt/other"),
+        ] {
+            assert!(matches!(
+                t.restore_checkpoint_bytes(bytes, aad),
+                Err(DistribError::BadMessage(_))
+            ));
+        }
     }
 
     #[test]
     fn checkpoint_is_ciphertext_at_rest() {
-        let store = securetf_shield::fs::UntrustedStore::new();
         let mut t = trainer(1, ExecutionMode::Hardware, true);
         t.step().unwrap();
-        t.save_checkpoint(&store, "/ckpt/m").unwrap();
-        let raw = store.raw_contents("/ckpt/m").unwrap();
+        let raw = t.checkpoint_bytes("/ckpt/m").unwrap();
         // The plaintext wire encoding of the variables must not appear.
         let entries: Vec<(u32, Tensor)> = t
             .ps_session()

@@ -1215,24 +1215,11 @@ impl FsShield {
         self.meta.contains_key(path) || self.store.contains(path)
     }
 
-    /// Returns the current version of a protected file (for the CAS
-    /// auditing service).
+    /// Returns the committed version of a protected file: it moves at a
+    /// write's commit point, so a write that failed with the version
+    /// moved is durable.
     pub fn version(&self, path: &str) -> Option<u64> {
         self.meta.get(path).map(|m| m.version)
-    }
-
-    /// Exports the metadata digest for `path`, binding (path, version,
-    /// length, epoch, pinned chunk tags) — this is what the CAS auditing
-    /// service stores to detect rollbacks across enclave restarts.
-    pub fn audit_digest(&self, path: &str) -> Option<[u8; 32]> {
-        let meta = self.meta.get(path)?;
-        let mut h = sha256::Sha256::new();
-        h.update(path.as_bytes());
-        h.update(&meta.version.to_le_bytes());
-        h.update(&meta.len.to_le_bytes());
-        h.update(&meta.epoch.to_le_bytes());
-        h.update(&meta.tags);
-        Some(h.finalize())
     }
 
     // ---- crash consistency: manifest + journal ------------------------
@@ -1772,17 +1759,6 @@ mod tests {
         assert_eq!(shield.version("/secure/v"), Some(1));
         shield.write("/secure/v", b"2").unwrap();
         assert_eq!(shield.version("/secure/v"), Some(2));
-    }
-
-    #[test]
-    fn audit_digest_changes_with_content() {
-        let (mut shield, _store) = setup();
-        shield.write("/secure/m", b"v1").unwrap();
-        let d1 = shield.audit_digest("/secure/m").unwrap();
-        shield.write("/secure/m", b"v2").unwrap();
-        let d2 = shield.audit_digest("/secure/m").unwrap();
-        assert_ne!(d1, d2);
-        assert_eq!(shield.audit_digest("/nope"), None);
     }
 
     #[test]

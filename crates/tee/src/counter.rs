@@ -4,7 +4,10 @@
 //! an attacker who restores an old (but correctly encrypted) state is
 //! detected. The hardware primitive underneath is a monotonic counter;
 //! this module provides a store of named counters with strictly-increasing
-//! semantics and explicit violation detection.
+//! semantics and explicit violation detection. Each `Platform` holds one
+//! store (its NVRAM); the fs shield's manifest generation and mount epoch
+//! live in it, and that pinned manifest is this repository's auditing
+//! service.
 //!
 //! # Examples
 //!

@@ -38,7 +38,6 @@
 //! # }
 //! ```
 
-pub mod backing;
 pub mod clock;
 pub mod counter;
 pub mod enclave;

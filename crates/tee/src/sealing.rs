@@ -2,8 +2,12 @@
 //!
 //! SGX's `EGETKEY` derives a sealing key from a platform secret and the
 //! enclave's measurement, so sealed data can only be unsealed by the same
-//! enclave code on the same machine. The CAS database and the evicted-page
-//! store use this.
+//! enclave code on the same machine. Two things use it: the fs shield's
+//! manifest, which every other piece of enclave state on the host
+//! (files, the CAS database, checkpoints) is pinned by, and
+//! `Enclave::seal_telemetry`. The nonce comes from a per-instance
+//! in-memory counter, so a respawned instance of one identity repeats
+//! its predecessor's nonces (DESIGN.md §18, "Nonces").
 
 use crate::measurement::MrEnclave;
 use crate::TeeError;

@@ -21,12 +21,13 @@ use std::rc::Rc;
 
 use samples::{fs_enclave, fs_platform, FS_PATH};
 use securetf::serving::{decode_request, decode_response, salvage_request_id};
+use securetf_cas::policy::ServicePolicy;
 use securetf_crypto::hmac::hmac_sha256;
 use securetf_data::Dataset;
 use securetf_distrib::wire;
 use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
 use securetf_shield::ShieldError;
-use securetf_tee::Platform;
+use securetf_tee::{MrEnclave, Platform};
 use securetf_tensor::bytes::{put_shape, Reader};
 use securetf_tensor::freeze::import_graph;
 use securetf_tflite::model::LiteModel;
@@ -302,7 +303,23 @@ fn codec_formats() -> Vec<Format> {
         })
         .lengths(&[0, 8, 12, 16, 20])
         .shapes(&[8]),
+        // The one CAS decoder `CasService::with_store` runs on stored
+        // bytes (behind the fs shield, so only a CAS build with another
+        // encoding reaches it with anything but its own output):
+        // name (len-prefixed) | min tcb | count | mr × 1 | count | key | value
+        Format::new("service policy", service_policy(), |b| {
+            ServicePolicy::decode(b).is_some()
+        })
+        .lengths(&[0, 11, 47, 51, 56]),
     ]
+}
+
+fn service_policy() -> Vec<u8> {
+    ServicePolicy::new("svc")
+        .min_tcb_svn(2)
+        .allow_measurement(MrEnclave([7; 32]))
+        .with_secret("k", b"v")
+        .encode()
 }
 
 #[test]

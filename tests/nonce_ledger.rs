@@ -10,10 +10,17 @@
 //! different plaintexts satisfy `c1 ⊕ c2 = p1 ⊕ p2` on their common
 //! prefix. It runs under the crash-point enumeration of
 //! `crash_consistency.rs` followed by a remount and a retry with other
-//! plaintext, under `Supervisor::remount` after seeded chaos, and over two
-//! shields sharing one file key. Everything is test-side: the shield has
-//! no hook, feature or knob for it.
+//! plaintext, under `Supervisor::remount` after seeded chaos, over two
+//! shields sharing one file key, and over the other state that reaches
+//! the host through the shield: `SecureSession` checkpoints across an
+//! enclave respawn and the CAS policy store across a CAS restart.
+//! Everything is test-side: the shield has no hook, feature or knob for
+//! it.
 
+use securetf::secure_session::SecureSession;
+use securetf_cas::kvstore::KvStore;
+use securetf_cas::policy::ServicePolicy;
+use securetf_cas::service::CasService;
 use securetf_crypto::aead::{self, Key, Nonce};
 use securetf_distrib::cluster::{Cluster, ClusterConfig};
 use securetf_distrib::faults::{FaultEvent, FaultPlan};
@@ -21,8 +28,10 @@ use securetf_distrib::supervisor::{Supervisor, SupervisorConfig};
 use securetf_distrib::trainer::DistributedTrainer;
 use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore, CHUNK_SIZE};
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, Telemetry};
-use securetf_tensor::layers;
-use std::collections::HashSet;
+use securetf_tensor::layers::{self, Classifier};
+use securetf_tensor::optimizer::Sgd;
+use securetf_tensor::{freeze, tensor::Tensor};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// A plaintext byte the test knows, or `None`.
@@ -275,6 +284,118 @@ fn no_keystream_repeats_between_shields_sharing_one_key() {
             ledger.after_write(&store, &data);
         }
     }
+}
+
+// ---- a session's checkpoints across an enclave respawn --------------------------
+
+fn session_model() -> Classifier {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
+    layers::mlp_classifier(16, &[8], 10, &mut rng).expect("valid model")
+}
+
+/// One training step at `lr`, then the checkpoint bytes `save_checkpoint`
+/// writes.
+fn train_once(session: &mut SecureSession, lr: f32) -> Vec<u8> {
+    let data = securetf_data::synthetic_mnist(20, 2);
+    let (_, y) = data.batch(0, 20).expect("batch");
+    let features: Vec<f32> = (0..20 * 16).map(|i| (i % 7) as f32 * 0.1).collect();
+    let x = Tensor::from_vec(&[20, 16], features).expect("tensor");
+    session
+        .train_step(x, y, &mut Sgd::new(lr))
+        .expect("step");
+    freeze::save_checkpoint(&session.model().graph, session.session())
+}
+
+#[test]
+fn no_keystream_repeats_across_session_checkpoints_and_a_respawn() {
+    // A session checkpoints, its next checkpoint dies with the host after
+    // the record was staged, and the enclave is respawned (same image,
+    // same platform): it restores the last checkpoint, trains and writes
+    // the checkpoint again — under the version the dead write took.
+    let platform = Platform::builder().build();
+    let store = UntrustedStore::new();
+    let mut ledger = Ledger::default();
+    {
+        let enclave = enclave_on(&platform, b"session");
+        let (mut shield, _) = FsShield::recover(enclave.clone(), store.clone()).expect("mount");
+        let mut session = SecureSession::new(enclave, session_model());
+        let plain = train_once(&mut session, 0.05);
+        session.save_checkpoint(&mut shield, PATH).expect("checkpoint");
+        ledger.after_write(&store, &plain);
+        let plain = train_once(&mut session, 0.05);
+        store.fail_after_ops(1);
+        assert!(session.save_checkpoint(&mut shield, PATH).is_err());
+        ledger.after_write(&store, &plain);
+    }
+    store.host_restart();
+    let enclave = enclave_on(&platform, b"session");
+    let (mut shield, _) = FsShield::recover(enclave.clone(), store.clone()).expect("remount");
+    ledger.after_other(&store);
+    let mut session = SecureSession::new(enclave, session_model());
+    session.restore_checkpoint(&shield, PATH).expect("restore");
+    // Another learning rate: the retry's weights differ from the dead
+    // write's.
+    for _ in 0..2 {
+        let plain = train_once(&mut session, 0.1);
+        session.save_checkpoint(&mut shield, PATH).expect("checkpoint");
+        ledger.after_write(&store, &plain);
+    }
+}
+
+// ---- the CAS policy store across a CAS restart --------------------------------
+
+/// The CAS store's image holding `policies` (`kvstore::encode`).
+fn cas_image(policies: &[&ServicePolicy]) -> Vec<u8> {
+    let entries: BTreeMap<Vec<u8>, Vec<u8>> = policies
+        .iter()
+        .map(|p| ([b"policy/", p.name().as_bytes()].concat(), p.encode()))
+        .collect();
+    let mut out = (entries.len() as u64).to_le_bytes().to_vec();
+    for (k, v) in &entries {
+        for field in [k, v] {
+            out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+            out.extend_from_slice(field);
+        }
+    }
+    out
+}
+
+#[test]
+fn no_keystream_repeats_in_the_cas_store_across_a_cas_restart() {
+    // The data owner rotates a service key; the host dies after the new
+    // image was staged, the CAS restarts and the owner retries with
+    // another key — the retry takes the version the dead write took.
+    let platform = Platform::builder().build();
+    let store = UntrustedStore::new();
+    let mut ledger = Ledger::default();
+    let boot = |fresh: bool| {
+        let enclave = enclave_on(&platform, b"cas");
+        let db = if fresh {
+            KvStore::create(enclave.clone(), store.clone(), "/cas/db")
+        } else {
+            KvStore::open(enclave.clone(), store.clone(), "/cas/db")
+        };
+        CasService::with_store(enclave, platform.fleet_verifier(), db.expect("store"))
+            .expect("cas")
+    };
+    let train = |key: u8| ServicePolicy::new("train").with_secret("fs-key", &[key; 32]);
+    {
+        let mut cas = boot(true);
+        ledger.after_write(&store, &cas_image(&[]));
+        cas.register_policy(train(0x11)).expect("register");
+        ledger.after_write(&store, &cas_image(&[&train(0x11)]));
+        store.fail_after_ops(1);
+        assert!(cas.upsert_policy(train(0x22)).is_err());
+        ledger.after_write(&store, &cas_image(&[&train(0x22)]));
+    }
+    store.host_restart();
+    let mut cas = boot(false);
+    ledger.after_other(&store);
+    cas.upsert_policy(train(0x33)).expect("retry");
+    ledger.after_write(&store, &cas_image(&[&train(0x33)]));
+    let serve = ServicePolicy::new("serve").with_secret("tls-key", &[0x44; 32]);
+    cas.register_policy(serve.clone()).expect("register");
+    ledger.after_write(&store, &cas_image(&[&serve, &train(0x33)]));
 }
 
 // ---- supervised training across remounts ---------------------------------------

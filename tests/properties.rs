@@ -157,37 +157,6 @@ proptest! {
     }
 
     #[test]
-    fn paged_buffer_matches_flat_memory_model(
-        ops in prop::collection::vec(
-            (any::<bool>(), 0u64..8 * 4096, prop::collection::vec(any::<u8>(), 1..300)),
-            1..40,
-        ),
-        resident_cap in 1usize..5,
-    ) {
-        use securetf_tee::backing::PagedBuffer;
-        let len = 8 * 4096u64;
-        let mut reference = vec![0u8; len as usize];
-        let mut buf = PagedBuffer::new(enclave(b"prop paging"), 42, len, resident_cap);
-        for (is_write, offset, data) in ops {
-            let offset = offset.min(len - 1);
-            let take = data.len().min((len - offset) as usize);
-            if is_write {
-                buf.write(offset, &data[..take]).unwrap();
-                reference[offset as usize..offset as usize + take]
-                    .copy_from_slice(&data[..take]);
-            } else {
-                let mut out = vec![0u8; take];
-                buf.read(offset, &mut out).unwrap();
-                prop_assert_eq!(&out, &reference[offset as usize..offset as usize + take]);
-            }
-        }
-        // Final full scan agrees with the reference.
-        let mut all = vec![0u8; len as usize];
-        buf.read(0, &mut all).unwrap();
-        prop_assert_eq!(all, reference);
-    }
-
-    #[test]
     fn arena_plan_never_aliases_live_buffers(
         widths in prop::collection::vec(1usize..40, 2..8),
         batch in 1usize..6,

@@ -1,8 +1,9 @@
 //! Rollback-attack protection across the stack (paper §3.3.2 and §2.3):
 //! the attacker restores older-but-validly-encrypted state and every
-//! layer must detect it.
+//! layer must detect it. Every layer keeps its state on the host through
+//! the fs shield, so the shield's counter-pinned manifest is what detects
+//! it — the paper's auditing service.
 
-use securetf_cas::audit::AuditService;
 use securetf_cas::kvstore::KvStore;
 use securetf_cas::CasError;
 use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
@@ -89,36 +90,6 @@ fn fs_shield_detects_manifest_replay_across_enclave_restart() {
 }
 
 #[test]
-fn audit_service_detects_rollback_across_restarts() {
-    // The enclave restarts and loses its in-memory metadata; the CAS
-    // auditing service still knows the freshest version.
-    let store = UntrustedStore::new();
-    let mut audit = AuditService::new();
-
-    // First enclave lifetime: two updates, both reported to CAS.
-    let digests = {
-        let mut shield = FsShield::new(enclave(b"audited trainer"), store.clone());
-        shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
-        shield.write("/model", b"v1").expect("write");
-        let d1 = shield.audit_digest("/model").expect("digest");
-        audit.record_update("w1", "/model", 1, d1);
-        shield.write("/model", b"v2").expect("write");
-        let d2 = shield.audit_digest("/model").expect("digest");
-        audit.record_update("w1", "/model", 2, d2);
-        (d1, d2)
-    };
-
-    // Attacker rolls the file back; a fresh enclave, presented with the
-    // rolled-back state, checks with CAS before trusting it.
-    assert!(matches!(
-        audit.verify("/model", 1, digests.0),
-        Err(CasError::RollbackDetected(_))
-    ));
-    assert!(audit.verify("/model", 2, digests.1).is_ok());
-    assert_eq!(audit.violations(), 1);
-}
-
-#[test]
 fn cas_database_rollback_detected() {
     let disk = UntrustedStore::new();
     let cas_enclave = enclave(b"cas with db");
@@ -136,21 +107,23 @@ fn cas_database_rollback_detected() {
 }
 
 #[test]
-fn sealed_checkpoint_rollback_detected_via_audit() {
+fn a_replayed_checkpoint_fails_closed() {
     use rand::SeedableRng;
     use securetf::secure_session::SecureSession;
+    use securetf::SecureTfError;
     use securetf_tensor::layers;
     use securetf_tensor::optimizer::Sgd;
 
     let store = UntrustedStore::new();
-    let mut audit = AuditService::new();
     let platform = Platform::builder().build();
-    let e = platform
-        .create_enclave(
-            &EnclaveImage::builder().code(b"ckpt trainer").build(),
-            ExecutionMode::Hardware,
-        )
-        .expect("enclave");
+    let image = EnclaveImage::builder().code(b"ckpt trainer").build();
+    let spawn = || {
+        platform
+            .create_enclave(&image, ExecutionMode::Hardware)
+            .expect("enclave")
+    };
+    let e = spawn();
+    let mut shield = FsShield::new(e.clone(), store.clone());
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let model = layers::mlp_classifier(16, &[8], 10, &mut rng).expect("model");
     let mut session = SecureSession::new(e, model);
@@ -162,27 +135,31 @@ fn sealed_checkpoint_rollback_detected_via_audit() {
     let features: Vec<f32> = (0..50 * 16).map(|i| (i % 7) as f32 * 0.1).collect();
     let x = securetf_tensor::tensor::Tensor::from_vec(&[50, 16], features).expect("tensor");
     session.train_step(x.clone(), y.clone(), &mut sgd).expect("step");
-    session.save_checkpoint(&store, "/ckpt");
-    let v1_blob = store.raw_contents("/ckpt").expect("stored");
-    let v1_digest = securetf_crypto::sha256::digest(&v1_blob);
-    audit.record_update("trainer", "/ckpt", 1, v1_digest);
+    session.save_checkpoint(&mut shield, "/ckpt").expect("save v1");
+    let v1_file = store.raw_contents("/ckpt").expect("stored");
+    let v1_disk = store.snapshot();
 
     // Checkpoint v2.
     session.train_step(x, y, &mut sgd).expect("step");
-    session.save_checkpoint(&store, "/ckpt");
-    let v2_blob = store.raw_contents("/ckpt").expect("stored");
-    let v2_digest = securetf_crypto::sha256::digest(&v2_blob);
-    audit.record_update("trainer", "/ckpt", 2, v2_digest);
+    session.save_checkpoint(&mut shield, "/ckpt").expect("save v2");
+    session.restore_checkpoint(&shield, "/ckpt").expect("v2 restores");
 
-    // Attacker restores v1. Unsealing succeeds (it is validly sealed!),
-    // but the audit check exposes the rollback.
-    store.raw_put("/ckpt", v1_blob.clone());
-    session.restore_checkpoint(&store, "/ckpt").expect("unseal ok");
-    let current_digest = securetf_crypto::sha256::digest(
-        &store.raw_contents("/ckpt").expect("stored"),
-    );
+    // The host replays the v1 checkpoint file: validly encrypted, stale.
+    let stale = |r: Result<(), SecureTfError>| {
+        matches!(r, Err(SecureTfError::Shield(ShieldError::FileTampered(_))))
+    };
+    store.raw_put("/ckpt", v1_file);
+    assert!(stale(session.restore_checkpoint(&shield, "/ckpt")));
+
+    // The host replays the whole v1 disk, manifest included: the live
+    // shield's metadata refuses it...
+    store.restore(&v1_disk);
+    assert!(stale(session.restore_checkpoint(&shield, "/ckpt")));
+    // ...and so does a respawned enclave, which has only the platform
+    // counter to go by: the mount itself fails closed.
+    drop(shield);
     assert!(matches!(
-        audit.verify("/ckpt", 1, current_digest),
-        Err(CasError::RollbackDetected(_))
+        FsShield::recover(spawn(), store.clone()),
+        Err(ShieldError::FileTampered(_))
     ));
 }

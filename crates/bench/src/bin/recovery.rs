@@ -11,7 +11,7 @@
 
 use securetf_bench::report::{BenchReport, JsonValue};
 use securetf_bench::{fmt_ns, header};
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore, CHUNK_SIZE};
+use securetf_shield::fs::{FsShield, UntrustedStore, CHUNK_SIZE};
 use securetf_shield::ShieldError;
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform};
 use std::sync::Arc;
@@ -25,12 +25,6 @@ fn enclave_on(platform: &Platform) -> Arc<Enclave> {
             ExecutionMode::Hardware,
         )
         .expect("enclave boots")
-}
-
-fn shield_on(platform: &Platform, store: &UntrustedStore) -> FsShield {
-    let mut shield = FsShield::new(enclave_on(platform), store.clone());
-    shield.add_policy(PathPolicy::new("/ckpt/", Policy::EncryptAuth));
-    shield
 }
 
 fn payload(len: usize, salt: u8) -> Vec<u8> {
@@ -63,7 +57,7 @@ fn sweep_size(size: usize) -> SizeResult {
     for k in 0..total_ops {
         let platform = Platform::builder().build();
         let store = UntrustedStore::new();
-        let mut shield = shield_on(&platform, &store);
+        let mut shield = FsShield::new(enclave_on(&platform), store.clone());
         shield.write(PATH, &pre).expect("pre write");
         store.fail_after_ops(k);
         match shield.write(PATH, &post) {

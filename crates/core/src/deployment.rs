@@ -104,13 +104,15 @@ impl Deployment {
         self.mode
     }
 
-    /// Data-owner operation: encrypts `model`, stores it at `path` on the
-    /// untrusted store, and registers a CAS policy named `service`
-    /// carrying the decryption key and expected digest.
+    /// Data-owner operation: registers a CAS policy named `service`
+    /// carrying the model's decryption key and expected digest, then
+    /// encrypts `model` and stores it at `path` on the untrusted store.
     ///
     /// # Errors
     ///
-    /// Returns [`SecureTfError::Cas`] if the service name is taken.
+    /// Returns [`SecureTfError::Cas`] if the service name is taken; the
+    /// store is then left as it was, so a live service keeps its model
+    /// and no second ciphertext is sealed under its key and nonce.
     pub fn publish_model(
         &mut self,
         service: &str,
@@ -126,14 +128,6 @@ impl Deployment {
             format!("owner-model-key:{service}:{path}").as_bytes(),
         ));
         let key = Key::from_bytes(key_bytes);
-        let nonce = Nonce::from_counter(0x4d4f_4445, 1);
-        // Encrypt the serialized model in place and append the detached
-        // tag: one buffer end to end, no ciphertext copy.
-        let mut sealed = plaintext;
-        sealed.reserve_exact(aead::TAG_LEN);
-        let tag = aead::seal_in_place_detached(&key, &nonce, &mut sealed, path.as_bytes());
-        sealed.extend_from_slice(&tag);
-        self.store.raw_put(path, sealed);
         // Allow every runtime profile's enclave identity: the data owner
         // reviews and approves each runtime build it trusts.
         let mut policy = ServicePolicy::new(service)
@@ -147,6 +141,14 @@ impl Deployment {
             policy = policy.allow_measurement(service_image(profile.runtime_bytes).measurement());
         }
         self.cas.register_policy(policy)?;
+        // Encrypt the serialized model in place and append the detached
+        // tag: one buffer end to end, no ciphertext copy.
+        let nonce = Nonce::from_counter(0x4d4f_4445, 1);
+        let mut sealed = plaintext;
+        sealed.reserve_exact(aead::TAG_LEN);
+        let tag = aead::seal_in_place_detached(&key, &nonce, &mut sealed, path.as_bytes());
+        sealed.extend_from_slice(&tag);
+        self.store.raw_put(path, sealed);
         Ok(())
     }
 
@@ -195,9 +197,13 @@ mod tests {
     use securetf_tensor::tensor::Tensor;
 
     fn tiny_model() -> LiteModel {
+        model_with_weight(0.3)
+    }
+
+    fn model_with_weight(weight: f32) -> LiteModel {
         let mut g = Graph::new();
         let x = g.placeholder("input", &[0, 4]);
-        let w = g.constant("w", Tensor::full(&[4, 2], 0.3));
+        let w = g.constant("w", Tensor::full(&[4, 2], weight));
         let y = g.matmul(x, w).unwrap();
         let name = g.nodes()[y.index()].name.clone();
         LiteModel::convert(&g, "input", &name).unwrap()
@@ -223,6 +229,21 @@ mod tests {
             d.publish_model("svc", "/m2", &tiny_model()),
             Err(SecureTfError::Cas(_))
         ));
+    }
+
+    #[test]
+    fn a_refused_republish_leaves_the_live_model_alone() {
+        let mut d = Deployment::new(ExecutionMode::Hardware);
+        d.publish_model("svc", "/models/m", &tiny_model()).unwrap();
+        let stored = d.store().raw_contents("/models/m").unwrap();
+        // Another model under the taken name, to the same path.
+        assert!(matches!(
+            d.publish_model("svc", "/models/m", &model_with_weight(0.7)),
+            Err(SecureTfError::Cas(_))
+        ));
+        assert_eq!(d.store().raw_contents("/models/m").unwrap(), stored);
+        d.deploy_classifier("svc", "/models/m", RuntimeProfile::scone_lite())
+            .unwrap();
     }
 
     #[test]

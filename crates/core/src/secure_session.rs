@@ -169,9 +169,8 @@ impl SecureSession {
         Ok(correct as f64 / data.len() as f64)
     }
 
-    /// Saves a checkpoint to `path` through `shield`: a journaled write
-    /// under the path's policy (`EncryptAuth` unless the shield was told
-    /// otherwise).
+    /// Saves a checkpoint to `path` through `shield`: a journaled,
+    /// encrypted and authenticated write.
     ///
     /// # Errors
     ///

@@ -32,8 +32,9 @@ const H0: [u32; 8] = [
 
 /// The two bodies of the compression function. Every digest in the
 /// workspace (HMAC, HKDF, the DRBG, sealing, quotes, measurements, the
-/// fs shield's `AuthOnly` chunk MACs) goes through whichever [`Body::detected`]
-/// picks; the portable one stays as the fallback on CPUs without the SHA
+/// fs shield's journal MACs and chunk subkeys, the trainer's synthetic
+/// checkpoint nonces) goes through whichever [`Body::detected`] picks;
+/// the portable one stays as the fallback on CPUs without the SHA
 /// extensions and as the oracle the other is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Body {

@@ -35,7 +35,7 @@ use crate::faults::{FaultEvent, FaultPlan};
 use crate::trainer::{DistributedTrainer, TrainReport};
 use crate::DistribError;
 use parking_lot::Mutex;
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, StoreSnapshot, UntrustedStore};
+use securetf_shield::fs::{FsShield, StoreSnapshot, UntrustedStore};
 use securetf_shield::net::{duplex, Adversary, PipeEnd, Role, SecureChannel, Tamper, Transport};
 use securetf_shield::ShieldError;
 use securetf_tee::telemetry::Counter;
@@ -274,8 +274,7 @@ impl Supervisor {
         config: SupervisorConfig,
         store: UntrustedStore,
     ) -> Result<Self, DistribError> {
-        let mut shield = FsShield::new(trainer.cluster().ps.enclave.clone(), store.clone());
-        shield.add_policy(PathPolicy::new(&config.checkpoint_path, Policy::EncryptAuth));
+        let shield = FsShield::new(trainer.cluster().ps.enclave.clone(), store.clone());
         let mut supervisor = Self::build(trainer, plan, config, store, shield)?;
         supervisor.save_generation()?;
         Ok(supervisor)
@@ -301,8 +300,7 @@ impl Supervisor {
         config: SupervisorConfig,
         store: UntrustedStore,
     ) -> Result<Self, DistribError> {
-        let mut shield = FsShield::new(trainer.cluster().ps.enclave.clone(), store.clone());
-        shield.add_policy(PathPolicy::new(&config.checkpoint_path, Policy::EncryptAuth));
+        let shield = FsShield::new(trainer.cluster().ps.enclave.clone(), store.clone());
         let mut supervisor = Self::build(trainer, plan, config, store, shield)?;
         supervisor.recover_storage()?;
         if !supervisor.restore_newest_generation() {
@@ -628,20 +626,9 @@ impl Supervisor {
             .attest_and_provision_with_retry(&quote, TRAINING_SERVICE, &self.config.retry)
             .map_err(DistribError::Attestation)?;
         match FsShield::recover(enclave.clone(), self.store.clone()) {
-            Ok((mut shield, _report)) => {
-                shield.add_policy(PathPolicy::new(
-                    &self.config.checkpoint_path,
-                    Policy::EncryptAuth,
-                ));
-                self.shield = shield;
-            }
+            Ok((shield, _report)) => self.shield = shield,
             Err(_) => {
-                let mut shield = FsShield::new(enclave, self.store.clone());
-                shield.add_policy(PathPolicy::new(
-                    &self.config.checkpoint_path,
-                    Policy::EncryptAuth,
-                ));
-                self.shield = shield;
+                self.shield = FsShield::new(enclave, self.store.clone());
                 self.latest_generation = None;
             }
         }

@@ -709,6 +709,12 @@ impl DistributedTrainer {
     /// blob; reaching the host is the fs shield's job (`Supervisor`
     /// journals it).
     ///
+    /// Because the key outlives every cluster, no counter a cluster keeps
+    /// can make the nonce unique: it is synthetic, the first 12 bytes of
+    /// HMAC-SHA256 under `HKDF-Expand(fs-key, "ckpt-siv-v1")` over
+    /// `u64 len(aad) | aad | plaintext`. Two checkpoints share a nonce
+    /// only if they share aad and plaintext, and then they are one blob.
+    ///
     /// # Errors
     ///
     /// Returns [`DistribError::BadMessage`] if the PS was provisioned
@@ -722,7 +728,22 @@ impl DistributedTrainer {
             .map(|(id, t)| (id.index() as u32, (*t).clone()))
             .collect();
         let plaintext = wire::encode(&entries);
-        let nonce = securetf_crypto::aead::Nonce::from_counter(0xC4EC, self.steps);
+        let siv_key = securetf_crypto::hkdf::expand(key.as_bytes(), b"ckpt-siv-v1", 32)
+            .expect("32 <= 255 * 32 bytes");
+        let mut mac = securetf_crypto::hmac::HmacSha256::new(&siv_key);
+        mac.update(&(aad.len() as u64).to_le_bytes());
+        mac.update(aad.as_bytes());
+        mac.update(&plaintext);
+        let nonce = securetf_crypto::aead::Nonce::from_bytes(
+            mac.finalize()[..securetf_crypto::aead::NONCE_LEN]
+                .try_into()
+                .expect("a digest is longer than a nonce"),
+        );
+        // The synthetic-nonce pass streams the plaintext once more.
+        self.cluster
+            .ps
+            .enclave
+            .charge_shield_crypto(plaintext.len() as u64);
         // Single exactly-sized buffer: nonce || payload encrypted in
         // place || detached tag — no intermediate ciphertext copy.
         let mut sealed = Vec::with_capacity(

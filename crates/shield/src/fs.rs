@@ -1,12 +1,11 @@
 //! The file-system shield (paper §3.3.3).
 //!
-//! Files written through the shield are split into chunks that are
+//! Every file written through the shield is split into chunks that are
 //! individually encrypted and authenticated; the metadata for these chunks
 //! (sizes, versions, and the authentication structure) is kept *inside*
-//! the enclave, where the untrusted host cannot touch it. Per-path-prefix
-//! policies select the protection level, exactly as SCONE's configuration
-//! does: full encryption + authentication, authentication only, or
-//! passthrough.
+//! the enclave, where the untrusted host cannot touch it. There is one
+//! protection, for every path: SCONE's weaker authenticate-only and
+//! unprotected regions are not reproduced (DESIGN.md §13).
 //!
 //! The untrusted side is modeled by [`UntrustedStore`], which stands in
 //! for the host filesystem: tests (and the Dolev-Yao adversary) mutate it
@@ -35,16 +34,16 @@
 //! `version | chunk`. Versions only grow within one mount, so no two
 //! records are ever sealed under one key and nonce, not even by a fresh
 //! enclave retrying a dead one's write. That is what lets the in-enclave
-//! metadata pin each record's own AEAD tag (or `AuthOnly` HMAC): a
-//! record is checked against its pin and authenticated once, with no
-//! second hash over it (DESIGN.md §13).
+//! metadata pin each record's own AEAD tag: a record is checked against
+//! its pin and authenticated once, with no second hash over it
+//! (DESIGN.md §13).
 
 use crate::{iago, ShieldError};
 use parking_lot::Mutex;
-use securetf_crypto::aead::{self, Key, Nonce};
+use securetf_crypto::aead::{self, Key, Nonce, TAG_LEN};
+use securetf_crypto::ct;
 use securetf_crypto::hkdf;
-use securetf_crypto::hmac::{hmac_sha256, HmacSha256};
-use securetf_crypto::{ct, sha256};
+use securetf_crypto::hmac::hmac_sha256;
 use securetf_tee::counter::CounterId;
 use securetf_tee::sealing::SealPolicy;
 use securetf_tee::telemetry::{Counter, Gauge, Histogram};
@@ -61,35 +60,6 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 /// Decrypted chunks kept in the in-enclave cache (16 × 64 KiB = 1 MiB —
 /// small enough to stay EPC-resident next to the model it serves).
 const CHUNK_CACHE_CAP: usize = 16;
-
-/// Protection level applied to a path prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Policy {
-    /// Encrypt and authenticate (confidentiality + integrity + freshness).
-    #[default]
-    EncryptAuth,
-    /// Authenticate only (integrity + freshness, contents in clear).
-    AuthOnly,
-    /// No protection (the file bypasses the shield).
-    Passthrough,
-}
-
-/// A path-prefix → policy rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathPolicy {
-    prefix: String,
-    policy: Policy,
-}
-
-impl PathPolicy {
-    /// Creates a rule covering every path starting with `prefix`.
-    pub fn new(prefix: &str, policy: Policy) -> Self {
-        PathPolicy {
-            prefix: prefix.to_string(),
-            policy,
-        }
-    }
-}
 
 /// Mutable host-side state behind an [`UntrustedStore`].
 #[derive(Debug, Default)]
@@ -311,16 +281,15 @@ impl UntrustedStore {
     }
 
     /// [`UntrustedStore::shield_view`] for callers that need the whole
-    /// object anyway (manifest slots, journal records, passthrough files).
+    /// object anyway (manifest slots and journal records).
     pub(crate) fn shield_get(&self, path: &str) -> Result<Option<Vec<u8>>, ShieldError> {
         self.shield_view(path, |stored| stored.map(<[u8]>::to_vec))
     }
 }
 
-/// In-enclave metadata for one protected file.
+/// In-enclave metadata for one file.
 #[derive(Debug, Clone)]
 struct FileMeta {
-    policy: Policy,
     /// Monotone version; part of every chunk nonce and authenticated data,
     /// so replaying an older on-disk file is detected.
     version: u64,
@@ -329,40 +298,25 @@ struct FileMeta {
     /// Mount epoch of the shield that sealed this version: with `file_id`
     /// it selects the subkey the chunks are sealed under.
     epoch: u64,
-    /// Each chunk record's tag as the host must hand it back, in chunk
-    /// order, [`FileMeta::tag_len`] bytes each: the AEAD tag, or the
-    /// HMAC of an `AuthOnly` file.
+    /// Each chunk record's AEAD tag as the host must hand it back, in
+    /// chunk order, [`TAG_LEN`] bytes each.
     tags: Vec<u8>,
 }
 
-/// Bytes each chunk record of a `policy` file carries after its chunk —
-/// and so the size of each pinned tag.
-fn tag_len(policy: Policy) -> usize {
-    match policy {
-        Policy::EncryptAuth => aead::TAG_LEN,
-        Policy::AuthOnly => sha256::DIGEST_LEN,
-        Policy::Passthrough => 0,
-    }
-}
-
-/// Chunks a protected file of `len` bytes is stored as (an empty file
-/// still has one, empty, authenticated record).
+/// Chunks a file of `len` bytes is stored as (an empty file still has
+/// one, empty, authenticated record).
 fn chunks_for(len: u64) -> u64 {
     len.div_ceil(CHUNK_SIZE as u64).max(1)
 }
 
-/// The chunks of a protected file's plaintext, in place: as many as
-/// [`chunks_for`] says, so one (empty) for an empty file.
+/// The chunks of a file's plaintext, in place: as many as [`chunks_for`]
+/// says, so one (empty) for an empty file.
 fn chunks_mut(plain: &mut [u8]) -> impl Iterator<Item = &mut [u8]> {
     let whole_if_empty = plain.is_empty().then_some(&mut [][..]);
     whole_if_empty.into_iter().chain(plain.chunks_mut(CHUNK_SIZE))
 }
 
 impl FileMeta {
-    fn tag_len(&self) -> usize {
-        tag_len(self.policy)
-    }
-
     /// Chunk records the file is stored as.
     fn chunks(&self) -> usize {
         chunks_for(self.len) as usize
@@ -372,7 +326,7 @@ impl FileMeta {
     /// chunk, which `write` produces and [`read_file_entry`] enforces on
     /// the way back in.
     fn tag(&self, i: usize) -> &[u8] {
-        &self.tags[i * self.tag_len()..][..self.tag_len()]
+        &self.tags[i * TAG_LEN..][..TAG_LEN]
     }
 
     /// Plaintext bytes in chunk `i`: a full chunk for all but the last.
@@ -385,7 +339,7 @@ impl FileMeta {
     /// Size of the stored blob this metadata describes:
     /// `u64 len | (u32 len | chunk | tag) per chunk`.
     fn blob_len(&self) -> u64 {
-        8 + self.chunks() as u64 * (4 + self.tag_len() as u64) + self.len
+        8 + self.chunks() as u64 * (4 + TAG_LEN as u64) + self.len
     }
 }
 
@@ -395,16 +349,24 @@ const COMMIT_MAGIC: &[u8; 8] = b"STFJRNL2";
 /// Magic prefix of the manifest plaintext.
 const MANIFEST_MAGIC: &[u8; 8] = b"STFMAN02";
 
-fn read_policy(r: &mut Reader) -> Result<Policy, ShieldError> {
-    FsShield::policy_from_tag(r.u8()?).ok_or(ShieldError::IagoViolation("unknown policy tag"))
+/// Checks a reserved v2 field, where the store once recorded weaker
+/// per-path protections: it is written as zero, and anything else is
+/// authentic state this build cannot read.
+fn reserved_zero(value: u32) -> Result<(), ShieldError> {
+    if value != 0 {
+        return Err(ShieldError::UnsupportedFormat(
+            "fs store sets a reserved field",
+        ));
+    }
+    Ok(())
 }
 
-/// One protected file's entry — `path | policy | version | len | file_id
-/// | epoch | n | tag × n` — as the manifest lists it and a commit record
+/// One file's entry — `path | reserved u8 = 0 | version | len | file_id |
+/// epoch | n | tag × n` — as the manifest lists it and a commit record
 /// carries it.
 fn put_file_entry(out: &mut Vec<u8>, path: &str, meta: &FileMeta) {
     put_len_prefixed(out, path.as_bytes());
-    out.push(FsShield::policy_tag(meta.policy));
+    out.push(0);
     put_u64(out, meta.version);
     put_u64(out, meta.len);
     put_u64(out, meta.file_id);
@@ -417,12 +379,7 @@ fn put_file_entry(out: &mut Vec<u8>, path: &str, meta: &FileMeta) {
 /// `mount_epoch`: every entry it can meet was sealed by an earlier mount.
 fn read_file_entry(r: &mut Reader, mount_epoch: u64) -> Result<(String, FileMeta), ShieldError> {
     let path = r.str()?.to_string();
-    let policy = read_policy(r)?;
-    if policy == Policy::Passthrough {
-        return Err(ShieldError::IagoViolation(
-            "passthrough files have no entry",
-        ));
-    }
+    reserved_zero(r.u8()?.into())?;
     let version = r.u64()?;
     let len = r.u64()?;
     let file_id = r.u64()?;
@@ -438,11 +395,10 @@ fn read_file_entry(r: &mut Reader, mount_epoch: u64) -> Result<(String, FileMeta
             "chunk count does not match length",
         ));
     }
-    // At most u32::MAX chunks of at most 32 bytes: no overflow, and
-    // `take` hands out only bytes that exist.
-    let tags = r.take(chunks as usize * tag_len(policy))?.to_vec();
+    // At most u32::MAX chunks of 16 bytes: no overflow, and `take` hands
+    // out only bytes that exist.
+    let tags = r.take(chunks as usize * TAG_LEN)?.to_vec();
     let meta = FileMeta {
-        policy,
         version,
         len,
         file_id,
@@ -456,13 +412,14 @@ fn read_file_entry(r: &mut Reader, mount_epoch: u64) -> Result<(String, FileMeta
 struct DecodedManifest {
     generation: u64,
     next_file_id: u64,
-    policies: Vec<PathPolicy>,
     meta: HashMap<String, FileMeta>,
 }
 
-/// Decodes a manifest plaintext for a shield mounted in `mount_epoch`.
-/// Anything but the v2 magic up front is [`ShieldError::UnsupportedFormat`]:
-/// authentic, but not a manifest this build can read.
+/// Decodes a manifest plaintext — `STFMAN02 | generation | next_file_id |
+/// reserved u32 = 0 | n | entry × n` — for a shield mounted in
+/// `mount_epoch`. Anything but the v2 magic up front, or a reserved field
+/// that is not zero, is [`ShieldError::UnsupportedFormat`]: authentic, but
+/// not a manifest this build can read.
 fn decode_manifest(bytes: &[u8], mount_epoch: u64) -> Result<DecodedManifest, ShieldError> {
     let mut r = Reader::new(bytes);
     if r.array::<8>().ok().as_ref() != Some(MANIFEST_MAGIC) {
@@ -472,12 +429,7 @@ fn decode_manifest(bytes: &[u8], mount_epoch: u64) -> Result<DecodedManifest, Sh
     }
     let generation = r.u64()?;
     let next_file_id = r.u64()?;
-    let mut policies = Vec::new();
-    for _ in 0..r.u32()? {
-        let prefix = r.str()?.to_string();
-        let policy = read_policy(&mut r)?;
-        policies.push(PathPolicy { prefix, policy });
-    }
+    reserved_zero(r.u32()?)?;
     let mut meta = HashMap::new();
     for _ in 0..r.u32()? {
         let (path, file) = read_file_entry(&mut r, mount_epoch)?;
@@ -487,7 +439,6 @@ fn decode_manifest(bytes: &[u8], mount_epoch: u64) -> Result<DecodedManifest, Sh
     Ok(DecodedManifest {
         generation,
         next_file_id,
-        policies,
         meta,
     })
 }
@@ -515,22 +466,16 @@ fn overlap(i: usize, chunk_len: usize, offset: u64, len: u64) -> (Range<usize>, 
 #[derive(Debug, Default)]
 struct ChunkCache {
     entries: Vec<((u64, u64, u32), Vec<u8>)>,
-    /// Local hit/miss tallies, independent of whether the platform has
-    /// telemetry enabled (the [`FsMetrics`] counters are no-ops then).
-    hits: u64,
-    misses: u64,
 }
 
 impl ChunkCache {
-    /// Looks `key` up and tallies the outcome. On a hit, copies bytes
-    /// `src` of the cached chunk into `dst` — only the range asked for,
-    /// not the chunk — and makes the entry the most recent.
+    /// Looks `key` up. On a hit, copies bytes `src` of the cached chunk
+    /// into `dst` — only the range asked for, not the chunk — and makes
+    /// the entry the most recent.
     fn copy_range(&mut self, key: (u64, u64, u32), src: Range<usize>, dst: &mut [u8]) -> bool {
         let Some(at) = self.entries.iter().position(|(k, _)| *k == key) else {
-            self.misses += 1;
             return false;
         };
-        self.hits += 1;
         self.entries[..=at].rotate_right(1);
         dst.copy_from_slice(&self.entries[0].1[src]);
         true
@@ -622,7 +567,6 @@ pub struct RecoveryReport {
 pub struct FsShield {
     enclave: Arc<Enclave>,
     store: UntrustedStore,
-    policies: Vec<PathPolicy>,
     meta: HashMap<String, FileMeta>,
     key: Key,
     /// MAC key for journal commit records, derived from the file key so
@@ -688,7 +632,6 @@ impl FsShield {
         FsShield {
             enclave,
             store,
-            policies: Vec::new(),
             meta: HashMap::new(),
             key,
             journal_key,
@@ -713,27 +656,8 @@ impl FsShield {
         self.pool = pool;
     }
 
-    /// Adds a path-prefix policy, replacing any existing policy for the
-    /// same prefix. Longest matching prefix wins.
-    pub fn add_policy(&mut self, policy: PathPolicy) {
-        self.policies.retain(|p| p.prefix != policy.prefix);
-        self.policies.push(policy);
-        self.policies
-            .sort_by_key(|p| std::cmp::Reverse(p.prefix.len()));
-    }
-
-    /// Returns the policy that applies to `path` (default:
-    /// [`Policy::EncryptAuth`] — secure by default).
-    pub fn policy_for(&self, path: &str) -> Policy {
-        self.policies
-            .iter()
-            .find(|p| path.starts_with(&p.prefix))
-            .map(|p| p.policy)
-            .unwrap_or_default()
-    }
-
     /// The subkey every chunk of `file_id` sealed in mount `epoch` is
-    /// sealed (or MAC'd) under: HKDF-Expand of the file key over
+    /// sealed under: HKDF-Expand of the file key over
     /// `"fs-chunk-v2" | namespace | platform_id | epoch | file_id`, all
     /// fixed-width after the label. Derived once per write, full read or
     /// range read that opens a chunk — never for a chunk-cache hit.
@@ -796,9 +720,9 @@ impl FsShield {
         stored
     }
 
-    /// Writes `data` to `path`, protecting it per the matching policy.
+    /// Writes `data` to `path`, encrypted and authenticated.
     ///
-    /// Protected writes are two-phase journaled transactions: chunk
+    /// Every write is a two-phase journaled transaction: chunk
     /// records are staged under `!fs/<id>/txn/…`, then a MAC'd commit
     /// record carrying the metadata delta lands — the commit point —
     /// and only then is the final blob installed, the sealed manifest
@@ -814,23 +738,8 @@ impl FsShield {
     /// it is aborted and counted in `shield.fs.aborted_writes`.
     pub fn write(&mut self, path: &str, data: &[u8]) -> Result<(), ShieldError> {
         self.enclave.charge_syscall();
-        let policy = self.policy_for(path);
         if let Some(old) = self.meta.get(path) {
             self.chunk_cache.lock().invalidate_file(old.file_id);
-        }
-        if policy == Policy::Passthrough {
-            if let Err(e) = self.store.shield_put(path, data.to_vec()) {
-                self.metrics.aborted_writes.inc();
-                return Err(e);
-            }
-            let forgot = self.meta.remove(path).is_some();
-            self.metrics.writes.inc();
-            self.metrics.bytes_written.add(data.len() as u64);
-            if forgot {
-                // The path left the protected set; publish that fact.
-                self.persist_manifest()?;
-            }
-            return Ok(());
         }
         let file_id = self
             .meta
@@ -857,30 +766,13 @@ impl FsShield {
         let mut records: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
         let key = self.chunk_key(file_id, self.epoch);
         self.pool.run_items(&mut records, &|i, record| {
-            let chunk = chunks[i];
             let aad = Self::chunk_aad(path, version, i as u32, total);
-            *record = match policy {
-                Policy::EncryptAuth => {
-                    aead::seal(&key, &Self::chunk_nonce(version, i as u32), chunk, &aad)
-                }
-                Policy::AuthOnly => {
-                    // Store plaintext followed by a MAC over chunk + aad.
-                    let mut mac = HmacSha256::new(key.as_bytes());
-                    mac.update(chunk);
-                    mac.update(&aad);
-                    let mut rec = Vec::with_capacity(chunk.len() + sha256::DIGEST_LEN);
-                    rec.extend_from_slice(chunk);
-                    rec.extend_from_slice(&mac.finalize());
-                    rec
-                }
-                Policy::Passthrough => unreachable!("handled above"),
-            };
+            *record = aead::seal(&key, &Self::chunk_nonce(version, i as u32), chunks[i], &aad);
         });
-        // Pin each record's own tag: the last `tag_len` bytes of it.
-        let tag_len = tag_len(policy);
-        let mut tags = Vec::with_capacity(records.len() * tag_len);
+        // Pin each record's own tag: the last `TAG_LEN` bytes of it.
+        let mut tags = Vec::with_capacity(records.len() * TAG_LEN);
         for record in &records {
-            tags.extend_from_slice(&record[record.len() - tag_len..]);
+            tags.extend_from_slice(&record[record.len() - TAG_LEN..]);
         }
         // The crypto work happens at AES-NI-like streaming rates (§5.3 #2).
         // Virtual time charges the full serial cost for any worker count —
@@ -892,7 +784,6 @@ impl FsShield {
             .record(self.enclave.cost_model().shield_crypto_ns(data.len() as u64));
 
         let meta = FileMeta {
-            policy,
             version,
             len: data.len() as u64,
             file_id,
@@ -941,7 +832,7 @@ impl FsShield {
         Ok(())
     }
 
-    /// Accounts for a protected write that failed before its commit
+    /// Accounts for a write that failed before its commit
     /// point: records sealed under `(file_id, version)` may have reached
     /// the host, so the version is burned for the life of this instance.
     fn abort_write(&mut self, file_id: u64, version: u64, cause: ShieldError) -> ShieldError {
@@ -976,7 +867,7 @@ impl FsShield {
         result
     }
 
-    /// Walks the stored blob of a protected file —
+    /// Walks the stored blob of a file —
     /// `[u64 len | (u32 len | record)*]` — against its in-enclave
     /// metadata and returns its records in chunk order, still borrowed
     /// from the blob. The length header must match, there must be exactly
@@ -1003,7 +894,7 @@ impl FsShield {
         let mut records = Vec::with_capacity(meta.chunks());
         for i in 0..meta.chunks() {
             let record = r.len_prefixed().map_err(|_| tampered("truncated"))?;
-            if record.len() != meta.chunk_len(i) + meta.tag_len() {
+            if record.len() != meta.chunk_len(i) + TAG_LEN {
                 return Err(tampered(&format!("chunk {i} record has the wrong length")));
             }
             records.push(record);
@@ -1014,10 +905,9 @@ impl FsShield {
     }
 
     /// Checks chunk `i` of `path` — `body` and `tag` as the host stored
-    /// them — against its pinned tag, then authenticates it once, per the
-    /// file's policy, under `key` (the file's [`FsShield::chunk_key`]); an
-    /// encrypted chunk is decrypted in place, so on success `body` is the
-    /// chunk's plaintext.
+    /// them — against its pinned tag, then authenticates and decrypts it
+    /// in place under `key` (the file's [`FsShield::chunk_key`]), so on
+    /// success `body` is the chunk's plaintext.
     fn open_chunk(
         key: &Key,
         path: &str,
@@ -1031,41 +921,23 @@ impl FsShield {
             return Err(tampered("tag does not match its pin"));
         }
         let aad = Self::chunk_aad(path, meta.version, i as u32, meta.chunks() as u32);
-        match meta.policy {
-            Policy::EncryptAuth => {
-                let nonce = Self::chunk_nonce(meta.version, i as u32);
-                aead::open_in_place_detached(key, &nonce, body, tag, &aad)
-                    .map_err(|_| tampered("auth failure"))
-            }
-            Policy::AuthOnly => {
-                let mut mac = HmacSha256::new(key.as_bytes());
-                mac.update(body);
-                mac.update(&aad);
-                if !ct::eq(&mac.finalize(), tag) {
-                    return Err(tampered("mac failure"));
-                }
-                Ok(())
-            }
-            Policy::Passthrough => unreachable!("passthrough files have no chunk records"),
-        }
+        let nonce = Self::chunk_nonce(meta.version, i as u32);
+        aead::open_in_place_detached(key, &nonce, body, tag, &aad)
+            .map_err(|_| tampered("auth failure"))
     }
 
     fn read_inner(&self, path: &str) -> Result<Vec<u8>, ShieldError> {
         self.enclave.charge_syscall();
         let not_found = || ShieldError::FileNotFound(path.to_string());
-        let meta = match self.meta.get(path) {
-            Some(m) if m.policy != Policy::Passthrough => m,
-            // No chunk records: the host's bytes are the file, if the
-            // path is allowed to be unprotected at all.
-            unprotected => {
-                let stored = self.store.shield_get(path)?.ok_or_else(not_found)?;
-                if unprotected.is_none() && self.policy_for(path) != Policy::Passthrough {
-                    return Err(ShieldError::FileTampered(format!(
-                        "{path}: no in-enclave metadata for protected file"
-                    )));
-                }
-                return Ok(stored);
-            }
+        let Some(meta) = self.meta.get(path) else {
+            // A host object the enclave holds no metadata for was not
+            // written by this shield, or was deleted through it.
+            let on_host = self.store.shield_view(path, |stored| stored.is_some())?;
+            return Err(if on_host {
+                ShieldError::FileTampered(format!("{path}: no in-enclave metadata for the file"))
+            } else {
+                not_found()
+            });
         };
         // A full read bypasses the chunk cache. Under the store lock the
         // blob is only validated and each record copied once, its chunk
@@ -1088,7 +960,7 @@ impl FsShield {
         // count, and every slot runs to its own verdict; the lowest
         // failing chunk then decides the error.
         let mut slots: Vec<_> = chunks_mut(&mut out)
-            .zip(tags.chunks_exact(meta.tag_len()))
+            .zip(tags.chunks_exact(TAG_LEN))
             .map(|(body, tag)| (body, tag, Ok(())))
             .collect();
         let key = self.chunk_key(meta.file_id, meta.epoch);
@@ -1124,18 +996,8 @@ impl FsShield {
         self.enclave.charge_syscall();
         let not_found = || ShieldError::FileNotFound(path.to_string());
         let meta = self.meta.get(path).ok_or_else(not_found)?;
-        let in_bounds = |total: u64| {
-            iago::check_bounded_slice(offset, len, total)
-                .map_err(|_| ShieldError::FileTampered(format!("{path}: range out of bounds")))
-        };
-        if meta.policy == Policy::Passthrough {
-            return self.store.shield_view(path, |stored| {
-                let stored = stored.ok_or_else(not_found)?;
-                in_bounds(stored.len() as u64)?;
-                Ok(stored[offset as usize..(offset + len) as usize].to_vec())
-            })?;
-        }
-        in_bounds(meta.len)?;
+        iago::check_bounded_slice(offset, len, meta.len)
+            .map_err(|_| ShieldError::FileTampered(format!("{path}: range out of bounds")))?;
         if len == 0 {
             return Ok(Vec::new());
         }
@@ -1209,13 +1071,14 @@ impl FsShield {
         Ok(meta.is_some() || had)
     }
 
-    /// Whether `path` currently exists (written through this shield or
-    /// host-visible for passthrough paths).
+    /// Whether `path` currently exists: written through this shield, or
+    /// present on the host (where a [`FsShield::read`] of it fails as
+    /// tampered).
     pub fn exists(&self, path: &str) -> bool {
         self.meta.contains_key(path) || self.store.contains(path)
     }
 
-    /// Returns the committed version of a protected file: it moves at a
+    /// Returns the committed version of a file: it moves at a
     /// write's commit point, so a write that failed with the version
     /// moved is durable.
     pub fn version(&self, path: &str) -> Option<u64> {
@@ -1223,23 +1086,6 @@ impl FsShield {
     }
 
     // ---- crash consistency: manifest + journal ------------------------
-
-    fn policy_tag(policy: Policy) -> u8 {
-        match policy {
-            Policy::EncryptAuth => 0,
-            Policy::AuthOnly => 1,
-            Policy::Passthrough => 2,
-        }
-    }
-
-    fn policy_from_tag(tag: u8) -> Option<Policy> {
-        match tag {
-            0 => Some(Policy::EncryptAuth),
-            1 => Some(Policy::AuthOnly),
-            2 => Some(Policy::Passthrough),
-            _ => None,
-        }
-    }
 
     fn manifest_aad(&self) -> Vec<u8> {
         let mut aad = self.manifest_base.clone().into_bytes();
@@ -1249,16 +1095,12 @@ impl FsShield {
 
     /// Deterministic encoding of the whole metadata table (files sorted
     /// by path), prefixed by the format magic and the generation it
-    /// claims.
+    /// claims; [`decode_manifest`] reads it.
     fn encode_manifest(&self, generation: u64) -> Vec<u8> {
         let mut out = MANIFEST_MAGIC.to_vec();
         put_u64(&mut out, generation);
         put_u64(&mut out, self.next_file_id);
-        put_u32(&mut out, self.policies.len() as u32);
-        for p in &self.policies {
-            put_len_prefixed(&mut out, p.prefix.as_bytes());
-            out.push(Self::policy_tag(p.policy));
-        }
+        put_u32(&mut out, 0); // reserved
         let mut files: Vec<(&String, &FileMeta)> = self.meta.iter().collect();
         files.sort_by_key(|(path, _)| *path);
         put_u32(&mut out, files.len() as u32);
@@ -1302,7 +1144,8 @@ impl FsShield {
     /// Parses a commit record, after its MAC has authenticated it: `None`
     /// for a torn, forged or malformed record (the transaction never
     /// happened), [`ShieldError::UnsupportedFormat`] for an authentic one
-    /// without the v2 magic, which this build cannot roll forward.
+    /// without the v2 magic or with a reserved field set, which this
+    /// build cannot roll forward.
     fn decode_commit(&self, bytes: &[u8]) -> Result<Option<(String, FileMeta)>, ShieldError> {
         let Some((body, mac)) = bytes.split_last_chunk::<32>() else {
             return Ok(None);
@@ -1316,8 +1159,11 @@ impl FsShield {
                 "fs commit record is not STFJRNL2",
             ));
         }
-        let entry = read_file_entry(&mut r, self.epoch);
-        Ok(entry.ok().filter(|_| r.finish().is_ok()))
+        match read_file_entry(&mut r, self.epoch) {
+            Ok(entry) => Ok(r.finish().is_ok().then_some(entry)),
+            Err(e @ ShieldError::UnsupportedFormat(_)) => Err(e),
+            Err(_) => Ok(None),
+        }
     }
 
     /// Remounts a store after a crash: loads the newest counter-fresh
@@ -1335,8 +1181,9 @@ impl FsShield {
     ///   (whole-store rollback or destruction).
     /// * [`ShieldError::UnsupportedFormat`] — also fail closed, counted in
     ///   `shield.fs.format_rejections` — if an authentic manifest or commit
-    ///   record is not in the v2 format (`STFMAN02` / `STFJRNL2`): a store
-    ///   written before mount epochs existed.
+    ///   record is not in the v2 format (`STFMAN02` / `STFJRNL2`), as in a
+    ///   store written before mount epochs existed, or sets one of its
+    ///   reserved fields.
     /// * [`ShieldError::HostCrashed`] if the host is still down.
     pub fn recover(
         enclave: Arc<Enclave>,
@@ -1403,9 +1250,6 @@ impl FsShield {
                 shield.manifest_generation = m.generation;
                 shield.next_file_id = m.next_file_id;
                 shield.meta = m.meta;
-                for p in m.policies {
-                    shield.add_policy(p);
-                }
             }
             None if counter_value == 0 => {
                 // Nothing was ever published: a fresh mount.
@@ -1525,7 +1369,7 @@ impl FsShield {
             let Some(record) = self.store.shield_get(&Self::staged_chunk_path(dir, k))? else {
                 return Ok(false);
             };
-            if record.len() != meta.chunk_len(k) + meta.tag_len() {
+            if record.len() != meta.chunk_len(k) + TAG_LEN {
                 return Ok(false);
             }
             // Authenticate a scratch copy: the blob keeps the record as
@@ -1551,19 +1395,6 @@ impl FsShield {
         self.manifest_generation
     }
 
-    /// Fraction of range-read chunk lookups served from the in-enclave
-    /// cache since this shield was created (0.0 when nothing was read).
-    /// Counted locally, so it works even when telemetry is disabled.
-    pub fn chunk_cache_hit_rate(&self) -> f64 {
-        let cache = self.chunk_cache.lock();
-        let total = cache.hits + cache.misses;
-        if total == 0 {
-            0.0
-        } else {
-            cache.hits as f64 / total as f64
-        }
-    }
-
     /// The enclave this shield is bound to.
     pub fn enclave(&self) -> &Arc<Enclave> {
         &self.enclave
@@ -1576,7 +1407,22 @@ mod tests {
     use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
 
     fn setup() -> (FsShield, UntrustedStore) {
-        let platform = Platform::builder().build();
+        shield_on(Platform::builder().build())
+    }
+
+    /// [`setup`] on a platform with telemetry on, for tests that read
+    /// the shield's counters.
+    fn setup_with_telemetry() -> (FsShield, UntrustedStore) {
+        let clock = securetf_tee::SimClock::new();
+        shield_on(
+            Platform::builder()
+                .telemetry(clock.telemetry())
+                .clock(clock)
+                .build(),
+        )
+    }
+
+    fn shield_on(platform: Platform) -> (FsShield, UntrustedStore) {
         let enclave = platform
             .create_enclave(
                 &EnclaveImage::builder().code(b"fs test").build(),
@@ -1584,11 +1430,17 @@ mod tests {
             )
             .unwrap();
         let store = UntrustedStore::new();
-        let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
-        shield.add_policy(PathPolicy::new("/auth/", Policy::AuthOnly));
-        shield.add_policy(PathPolicy::new("/plain/", Policy::Passthrough));
-        (shield, store)
+        (FsShield::new(enclave, store.clone()), store)
+    }
+
+    /// `(hits, misses)` of the chunk cache so far, as the shield's
+    /// counters tally them.
+    fn cache_tallies(shield: &FsShield) -> (u64, u64) {
+        let t = shield.enclave().telemetry();
+        (
+            t.counter("shield.fs.chunk_cache_hits").get(),
+            t.counter("shield.fs.chunk_cache_misses").get(),
+        )
     }
 
     #[test]
@@ -1608,26 +1460,35 @@ mod tests {
     }
 
     #[test]
-    fn auth_only_stores_plaintext_but_detects_tamper() {
+    fn every_path_is_encrypted_and_authenticated() {
         let (mut shield, store) = setup();
-        shield.write("/auth/log", b"plainly readable").unwrap();
-        let raw = store.raw_contents("/auth/log").unwrap();
-        assert!(raw.windows(16).any(|w| w == b"plainly readable"));
-        // Flip a plaintext byte -> detected.
-        store.corrupt("/auth/log", 12);
-        assert!(matches!(
-            shield.read("/auth/log"),
-            Err(ShieldError::FileTampered(_))
-        ));
+        let secret = b"plainly readable";
+        for path in ["/secure/a", "/auth/log", "/plain/notes", "/"] {
+            shield.write(path, secret).unwrap();
+            let raw = store.raw_contents(path).unwrap();
+            assert!(!raw.windows(secret.len()).any(|w| w == secret), "{path}");
+            store.corrupt(path, 12);
+            assert!(
+                matches!(shield.read(path), Err(ShieldError::FileTampered(_))),
+                "{path}"
+            );
+        }
     }
 
     #[test]
-    fn passthrough_is_unprotected() {
+    fn a_host_file_without_metadata_reads_as_tampered() {
         let (mut shield, store) = setup();
-        shield.write("/plain/notes", b"public").unwrap();
-        store.corrupt("/plain/notes", 0);
-        // No protection: corrupted data is returned as-is.
-        assert_ne!(shield.read("/plain/notes").unwrap(), b"public");
+        store.raw_put("/plain/notes", b"public".to_vec());
+        assert!(shield.exists("/plain/notes"));
+        assert!(matches!(
+            shield.read("/plain/notes"),
+            Err(ShieldError::FileTampered(_))
+        ));
+        assert!(shield.delete("/plain/notes").unwrap());
+        assert!(matches!(
+            shield.read("/plain/notes"),
+            Err(ShieldError::FileNotFound(_))
+        ));
     }
 
     #[test]
@@ -1744,15 +1605,6 @@ mod tests {
     }
 
     #[test]
-    fn longest_prefix_policy_wins() {
-        let (mut shield, _store) = setup();
-        shield.add_policy(PathPolicy::new("/secure/public/", Policy::Passthrough));
-        assert_eq!(shield.policy_for("/secure/a"), Policy::EncryptAuth);
-        assert_eq!(shield.policy_for("/secure/public/a"), Policy::Passthrough);
-        assert_eq!(shield.policy_for("/unmatched"), Policy::EncryptAuth);
-    }
-
-    #[test]
     fn version_increments_per_write() {
         let (mut shield, _store) = setup();
         shield.write("/secure/v", b"1").unwrap();
@@ -1862,7 +1714,6 @@ mod tests {
             )
             .unwrap();
         let mut shield = FsShield::new(enclave, UntrustedStore::new());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         let big: Vec<u8> = (0..3 * CHUNK_SIZE).map(|i| (i % 241) as u8).collect();
         shield.write("/secure/model", &big).unwrap();
 
@@ -1904,7 +1755,7 @@ mod tests {
 
     #[test]
     fn chunk_cache_eviction_keeps_reads_correct() {
-        let (mut shield, _store) = setup();
+        let (mut shield, _store) = setup_with_telemetry();
         // More chunks than the cache holds: every read stays correct as
         // older entries are evicted.
         let chunks = CHUNK_CACHE_CAP + 4;
@@ -1923,12 +1774,12 @@ mod tests {
         }
         // A cycle longer than the cache is LRU's worst case: each chunk was
         // evicted before its turn came round again.
-        assert_eq!(shield.chunk_cache_hit_rate(), 0.0);
+        assert_eq!(cache_tallies(&shield), (0, 2 * chunks as u64));
     }
 
     #[test]
     fn hot_chunk_survives_any_number_of_cold_inserts() {
-        let (mut shield, _store) = setup();
+        let (mut shield, _store) = setup_with_telemetry();
         let chunks = 2 * CHUNK_CACHE_CAP + 3;
         let big: Vec<u8> = (0..chunks * CHUNK_SIZE).map(|i| (i % 233) as u8).collect();
         shield.write("/secure/big", &big).unwrap();
@@ -1946,9 +1797,7 @@ mod tests {
             );
         }
         // One miss per distinct chunk, one hit per revisit of chunk 0.
-        let hits = (chunks - 1) as f64;
-        let expect = hits / (hits + chunks as f64);
-        assert!((shield.chunk_cache_hit_rate() - expect).abs() < 1e-9);
+        assert_eq!(cache_tallies(&shield), (chunks as u64 - 1, chunks as u64));
         // Rewrite and delete still drop the hot chunk.
         shield.write("/secure/big", &vec![7u8; CHUNK_SIZE]).unwrap();
         assert_eq!(
@@ -1960,45 +1809,43 @@ mod tests {
     }
 
     /// Offset in the stored blob of the first byte of record `i`'s chunk.
-    fn record_body_at(i: usize, tag_len: usize) -> usize {
-        8 + i * (4 + CHUNK_SIZE + tag_len) + 4
+    fn record_body_at(i: usize) -> usize {
+        8 + i * (4 + CHUNK_SIZE + TAG_LEN) + 4
     }
 
     #[test]
     fn pooled_read_is_identical_for_any_worker_count() {
         let worker_counts = [1usize, 2, 3, 8];
-        for (dir, tag_len) in [("/secure/", 16usize), ("/auth/", 32)] {
-            for len in [0usize, 1, 2 * CHUNK_SIZE, 3 * CHUNK_SIZE + 123] {
-                let (mut shield, store) = setup();
-                let path = format!("{dir}f{len}");
-                let data: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
-                shield.write(&path, &data).unwrap();
-                for workers in worker_counts {
-                    shield.set_worker_pool(WorkerPool::new(workers));
-                    assert_eq!(
-                        shield.read(&path).unwrap(),
-                        data,
-                        "{path}, {workers} workers"
-                    );
-                }
-                if len <= 3 * CHUNK_SIZE {
-                    continue;
-                }
-                // Two tampered chunks: every worker count reports the lower.
-                assert!(store.corrupt(&path, record_body_at(3, tag_len) + 100));
-                assert!(store.corrupt(&path, record_body_at(1, tag_len) + 7));
-                let mut errors = Vec::new();
-                for workers in worker_counts {
-                    shield.set_worker_pool(WorkerPool::new(workers));
-                    errors.push(shield.read(&path).unwrap_err());
-                }
-                assert!(
-                    matches!(&errors[0], ShieldError::FileTampered(what) if what.contains("chunk 1 ")),
-                    "{:?}",
-                    errors[0]
+        for len in [0usize, 1, 2 * CHUNK_SIZE, 3 * CHUNK_SIZE + 123] {
+            let (mut shield, store) = setup();
+            let path = format!("/secure/f{len}");
+            let data: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
+            shield.write(&path, &data).unwrap();
+            for workers in worker_counts {
+                shield.set_worker_pool(WorkerPool::new(workers));
+                assert_eq!(
+                    shield.read(&path).unwrap(),
+                    data,
+                    "{path}, {workers} workers"
                 );
-                assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
             }
+            if len <= 3 * CHUNK_SIZE {
+                continue;
+            }
+            // Two tampered chunks: every worker count reports the lower.
+            assert!(store.corrupt(&path, record_body_at(3) + 100));
+            assert!(store.corrupt(&path, record_body_at(1) + 7));
+            let mut errors = Vec::new();
+            for workers in worker_counts {
+                shield.set_worker_pool(WorkerPool::new(workers));
+                errors.push(shield.read(&path).unwrap_err());
+            }
+            assert!(
+                matches!(&errors[0], ShieldError::FileTampered(what) if what.contains("chunk 1 ")),
+                "{:?}",
+                errors[0]
+            );
+            assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
         }
     }
 
@@ -2039,16 +1886,17 @@ mod tests {
 
     #[test]
     fn chunk_cache_hit_rate_reflects_hits_and_misses() {
-        let (mut shield, _store) = setup();
+        let (mut shield, _store) = setup_with_telemetry();
         let data: Vec<u8> = (0..CHUNK_SIZE).map(|i| (i % 227) as u8).collect();
         shield.write("/secure/f", &data).unwrap();
-        assert_eq!(shield.chunk_cache_hit_rate(), 0.0);
+        shield.read("/secure/f").unwrap(); // a full read bypasses the cache
+        assert_eq!(cache_tallies(&shield), (0, 0));
         shield.read_range("/secure/f", 0, 8).unwrap(); // miss
-        assert_eq!(shield.chunk_cache_hit_rate(), 0.0);
+        assert_eq!(cache_tallies(&shield), (0, 1));
         shield.read_range("/secure/f", 0, 8).unwrap(); // hit
-        assert_eq!(shield.chunk_cache_hit_rate(), 0.5);
+        assert_eq!(cache_tallies(&shield), (1, 1));
         shield.read_range("/secure/f", 100, 8).unwrap(); // hit (same chunk)
-        assert!((shield.chunk_cache_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(cache_tallies(&shield), (2, 1));
     }
 
     #[test]
@@ -2067,8 +1915,6 @@ mod tests {
             .unwrap();
         let store = UntrustedStore::new();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
-
         shield.write("/secure/a", b"twelve bytes").unwrap();
         assert_eq!(shield.read("/secure/a").unwrap(), b"twelve bytes");
         assert_eq!(telemetry.counter("shield.fs.writes").get(), 1);
@@ -2127,7 +1973,6 @@ mod tests {
         let decode = |bytes: &[u8]| decode_manifest(bytes, shield.epoch + 1);
         let decoded = decode(&plain).unwrap();
         assert_eq!(decoded.generation, 7);
-        assert_eq!(decoded.policies.len(), 3);
         let meta = &decoded.meta["/secure/a"];
         assert_eq!(
             (meta.chunks(), meta.tags.len(), meta.epoch),
@@ -2155,13 +2000,25 @@ mod tests {
         }
         // The entry is only readable by a later mount.
         assert!(decode_manifest(&plain, shield.epoch).is_err());
+        // The reserved fields: the table's, after `next_file_id`, and the
+        // entry's, after its path. Set, they are a format this build
+        // does not read.
+        let entry_at = 32 + 4 + "/secure/a".len();
+        for at in [24, entry_at] {
+            assert_eq!(plain[at], 0);
+            let mut set = plain.clone();
+            set[at] = 1;
+            assert!(
+                matches!(decode(&set), Err(ShieldError::UnsupportedFormat(_))),
+                "reserved byte {at}"
+            );
+        }
     }
 
     #[test]
     fn journaled_write_reclaims_all_staging() {
         let (_p, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield
             .write("/secure/f", &vec![3u8; 2 * CHUNK_SIZE + 9])
             .unwrap();
@@ -2183,29 +2040,24 @@ mod tests {
         let big: Vec<u8> = (0..2 * CHUNK_SIZE + 77).map(|i| (i % 251) as u8).collect();
         {
             let mut shield = FsShield::new(enclave, store.clone());
-            shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
-            shield.add_policy(PathPolicy::new("/auth/", Policy::AuthOnly));
             shield.write("/secure/model", &big).unwrap();
-            shield.write("/auth/log", b"append only").unwrap();
+            shield.write("/secure/log", b"append only").unwrap();
             shield.write("/secure/small", b"x").unwrap();
         } // enclave process dies; in-memory metadata is gone
         let (recovered, report) =
             FsShield::recover(restart_enclave(&platform), store).unwrap();
         assert_eq!(recovered.read("/secure/model").unwrap(), big);
-        assert_eq!(recovered.read("/auth/log").unwrap(), b"append only");
+        assert_eq!(recovered.read("/secure/log").unwrap(), b"append only");
         assert_eq!(recovered.read("/secure/small").unwrap(), b"x");
         assert_eq!(report.files, 3);
         assert_eq!(report.rolled_forward, 0);
         assert_eq!(report.discarded, 0);
-        // Policies came back with the manifest.
-        assert_eq!(recovered.policy_for("/auth/x"), Policy::AuthOnly);
     }
 
     #[test]
     fn crash_before_commit_aborts_and_preserves_old_content() {
         let (platform, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/f", b"old contents").unwrap();
         // Multi-chunk overwrite, crash on the very first staging put.
         store.fail_after_ops(0);
@@ -2222,7 +2074,6 @@ mod tests {
     fn crash_after_commit_rolls_forward_to_new_content() {
         let (platform, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/f", b"old contents").unwrap();
         let new: Vec<u8> = (0..2 * CHUNK_SIZE).map(|i| (i % 13) as u8).collect();
         // 2 chunks: ops 1-2 staging, op 3 the commit, then crash.
@@ -2240,7 +2091,6 @@ mod tests {
     fn aborted_write_burns_its_version_so_the_retry_gets_a_fresh_nonce() {
         let (_p, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/f", &[0x55u8; 64]).unwrap();
         // One-chunk overwrite: the staged record lands, the commit does not.
         store.fail_after_ops(1);
@@ -2264,7 +2114,7 @@ mod tests {
         // the installed one. Under one nonce they would XOR to the XOR of
         // their plaintexts, 0x11 ^ 0x77 on every byte.
         let installed = store.raw_contents("/secure/f").unwrap();
-        let installed = &installed[record_body_at(0, 16)..][..64];
+        let installed = &installed[record_body_at(0)..][..64];
         let keystream_reused = staged[..64]
             .iter()
             .zip(installed)
@@ -2283,7 +2133,6 @@ mod tests {
         // epoch's subkey.
         let (platform, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/f", &[0x55u8; 64]).unwrap();
         store.fail_after_ops(1);
         assert!(shield.write("/secure/f", &[0x11u8; 64]).is_err());
@@ -2304,7 +2153,7 @@ mod tests {
         recovered.write("/secure/f", &[0x77u8; 64]).unwrap();
         assert_eq!(recovered.version("/secure/f"), Some(2), "same version");
         let installed = store.raw_contents("/secure/f").unwrap();
-        let installed = &installed[record_body_at(0, 16)..][..64];
+        let installed = &installed[record_body_at(0)..][..64];
         assert!(
             !staged[..64]
                 .iter()
@@ -2351,7 +2200,6 @@ mod tests {
         for (what, offset_in_record) in [("body", 5usize), ("tag", CHUNK_SIZE + 3)] {
             let (platform, enclave, store) = crash_setup();
             let mut shield = FsShield::new(enclave, store.clone());
-            shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
             shield.write("/secure/f", b"old contents").unwrap();
             // One full chunk: op 1 stages it, op 2 commits, then crash.
             store.fail_after_ops(2);
@@ -2439,7 +2287,6 @@ mod tests {
     fn torn_final_put_is_discarded_not_applied() {
         let (platform, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/f", b"old contents").unwrap();
         // Crash on the commit put itself, landing only 7 bytes of it: the
         // commit record is torn, so the transaction never happened.
@@ -2457,7 +2304,6 @@ mod tests {
     fn reads_fail_while_host_is_down_then_work_after_restart() {
         let (_p, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/f", b"data").unwrap();
         store.fail_after_ops(0);
         assert!(matches!(
@@ -2478,7 +2324,6 @@ mod tests {
     fn whole_store_rollback_fails_closed_on_recovery() {
         let (platform, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/f", b"generation 1").unwrap();
         let old_disk = store.snapshot();
         shield.write("/secure/f", b"generation 2").unwrap();
@@ -2509,7 +2354,6 @@ mod tests {
             .unwrap();
         let store = UntrustedStore::new();
         let mut shield = FsShield::new(enclave, store.clone());
-        shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
         shield.write("/secure/a", b"durable").unwrap();
         assert_eq!(telemetry.counter("shield.fs.writes").get(), 1);
         assert_eq!(telemetry.counter("shield.fs.bytes_written").get(), 7);
@@ -2537,7 +2381,6 @@ mod tests {
                 .create_enclave(&image, ExecutionMode::Hardware)
                 .unwrap();
             let mut shield = FsShield::new(enclave, store.clone());
-            shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
             shield.write("/secure/f", &vec![1u8; CHUNK_SIZE]).unwrap();
         }
         let enclave = platform

@@ -4,14 +4,14 @@
 //! environment that lets unmodified TensorFlow run inside an enclave:
 //!
 //! * [`fs`] — the **file-system shield**: transparent chunked authenticated
-//!   encryption of files with per-path policies; chunk metadata lives
-//!   inside the enclave, so the untrusted host can neither read nor
-//!   undetectably modify protected files.
+//!   encryption of every file; chunk metadata lives inside the enclave,
+//!   so the untrusted host can neither read nor undetectably modify or
+//!   roll back a file.
 //! * [`net`] — the **network shield**: wraps sockets in a TLS-like secure
 //!   channel (X25519 ECDHE handshake, ChaCha20-Poly1305 records, replay
 //!   protection) so no plaintext ever leaves the enclave.
-//! * [`iago`] — **Iago-attack sanitization**: bounds and pointer checks on
-//!   values returned by the untrusted OS.
+//! * [`iago`] — **Iago-attack sanitization**: the bounds check on
+//!   offsets and lengths that cross into the enclave.
 //!
 //! The controller's third part, user-level threading with exit-less
 //! system calls, has no module here. An exit-less call is
@@ -24,7 +24,7 @@
 //! # Examples
 //!
 //! ```
-//! use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
+//! use securetf_shield::fs::{FsShield, UntrustedStore};
 //! use securetf_tee::{Platform, EnclaveImage, ExecutionMode};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +35,6 @@
 //! )?;
 //! let store = UntrustedStore::new();
 //! let mut shield = FsShield::new(enclave, store.clone());
-//! shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
 //!
 //! shield.write("/secure/model.bin", b"weights")?;
 //! assert_eq!(shield.read("/secure/model.bin")?, b"weights");

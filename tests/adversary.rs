@@ -2,7 +2,7 @@
 //! storage and network; every manipulation must be detected — and none
 //! may ever corrupt results silently.
 
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
+use securetf_shield::fs::{FsShield, UntrustedStore};
 use securetf_shield::net::{duplex, Adversary, Role, SecureChannel, Tamper, Transport};
 use securetf_shield::ShieldError;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
@@ -101,7 +101,6 @@ fn handshake_mitm_changes_transcripts() {
 fn storage_adversary_cannot_fool_the_shield() {
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(enclave(b"storage victim"), store.clone());
-    shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
     shield.write("/data/a", b"alpha contents").expect("write");
     shield.write("/data/b", b"beta contents").expect("write");
 
@@ -133,7 +132,6 @@ fn whole_store_rollback_rejected_within_session() {
     // the stale ciphertext fail authentication.
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(enclave(b"rollback victim"), store.clone());
-    shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
     shield.write("/data/a", b"epoch 1").expect("write");
     let old_image = store.snapshot();
     shield.write("/data/a", b"epoch 2").expect("write");
@@ -158,14 +156,12 @@ fn truncation_attack_rejected_at_any_length() {
     let raw_len = {
         let store = UntrustedStore::new();
         let mut shield = FsShield::new(enclave(b"truncation victim"), store.clone());
-        shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
         shield.write("/data/f", &payload).expect("write");
         store.raw_contents("/data/f").expect("stored").len()
     };
     for keep in [0, 1, 8, raw_len / 2, raw_len - 1] {
         let store = UntrustedStore::new();
         let mut shield = FsShield::new(enclave(b"truncation victim"), store.clone());
-        shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
         shield.write("/data/f", &payload).expect("write");
         assert!(
             store.truncate("/data/f", keep),

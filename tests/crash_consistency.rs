@@ -9,7 +9,7 @@
 //! per possible crash point (clean and torn) and check the invariant at
 //! each one.
 
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore, CHUNK_SIZE};
+use securetf_shield::fs::{FsShield, UntrustedStore, CHUNK_SIZE};
 use securetf_shield::ShieldError;
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform};
 use std::sync::Arc;
@@ -25,18 +25,12 @@ fn enclave_on(platform: &Platform) -> Arc<Enclave> {
         .expect("enclave boots")
 }
 
-fn shield_on(platform: &Platform, store: &UntrustedStore) -> FsShield {
-    let mut shield = FsShield::new(enclave_on(platform), store.clone());
-    shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
-    shield
-}
-
 /// Host ops consumed by one fault-free journaled overwrite of `PATH`
 /// from `pre` to `post`.
 fn ops_per_write(pre: &[u8], post: &[u8]) -> u64 {
     let platform = Platform::builder().build();
     let store = UntrustedStore::new();
-    let mut shield = shield_on(&platform, &store);
+    let mut shield = FsShield::new(enclave_on(&platform), store.clone());
     shield.write(PATH, pre).expect("pre write");
     let before = store.op_count();
     shield.write(PATH, post).expect("post write");
@@ -49,7 +43,7 @@ fn ops_per_write(pre: &[u8], post: &[u8]) -> u64 {
 fn state_after_crash(pre: &[u8], post: &[u8], k: u64, torn: Option<usize>) -> Vec<u8> {
     let platform = Platform::builder().build();
     let store = UntrustedStore::new();
-    let mut shield = shield_on(&platform, &store);
+    let mut shield = FsShield::new(enclave_on(&platform), store.clone());
     shield.write(PATH, pre).expect("pre write");
     match torn {
         Some(bytes) => store.fail_after_ops_torn(k, bytes),
@@ -128,7 +122,7 @@ fn every_crash_point_of_a_fresh_file_write_is_consistent() {
     let total = {
         let platform = Platform::builder().build();
         let store = UntrustedStore::new();
-        let mut shield = shield_on(&platform, &store);
+        let mut shield = FsShield::new(enclave_on(&platform), store.clone());
         let before = store.op_count();
         shield.write(PATH, &post).expect("write");
         store.op_count() - before
@@ -136,7 +130,7 @@ fn every_crash_point_of_a_fresh_file_write_is_consistent() {
     for k in 0..total {
         let platform = Platform::builder().build();
         let store = UntrustedStore::new();
-        let mut shield = shield_on(&platform, &store);
+        let mut shield = FsShield::new(enclave_on(&platform), store.clone());
         store.fail_after_ops(k);
         assert!(shield.write(PATH, &post).is_err());
         store.host_restart();
@@ -162,7 +156,7 @@ fn repeated_crashes_across_restarts_converge() {
     // state and eventually the txn residue is reclaimed.
     let platform = Platform::builder().build();
     let store = UntrustedStore::new();
-    let mut shield = shield_on(&platform, &store);
+    let mut shield = FsShield::new(enclave_on(&platform), store.clone());
     let pre = b"generation zero".to_vec();
     let post: Vec<u8> = (0..2 * CHUNK_SIZE).map(|i| (i % 7) as u8).collect();
     shield.write(PATH, &pre).expect("pre write");

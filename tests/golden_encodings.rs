@@ -2,16 +2,18 @@
 //! `samples/`: a SHA-256 per format, recorded at commit 4d8bed6 (before
 //! the decoders and writers moved onto `securetf_tensor::bytes`). A
 //! digest changes only when a byte format changes, which needs a
-//! versioned magic and a reviewed update of this table. The two
-//! protected fs rows were re-recorded once for the v2 store (`STFMAN02`
-//! manifest, `STFJRNL2` journal, chunks under a per-file, per-mount-epoch
-//! subkey with pinned AEAD tags; DESIGN.md §13); the other 13 are the
-//! original digests.
+//! versioned magic and a reviewed update of this table. The fs row was
+//! re-recorded for the v2 store (`STFMAN02` manifest, `STFJRNL2` journal,
+//! chunks under a per-file, per-mount-epoch subkey with pinned AEAD tags;
+//! DESIGN.md §13), and once more when the sample stopped adding a `/data/`
+//! path policy to its manifest: it is the host image of a default shield,
+//! whose bytes the removal of path policies did not move. The other 12
+//! are the original digests.
 
 mod samples;
 
 use securetf_crypto::sha256::{self, Sha256};
-use securetf_shield::fs::{Policy, UntrustedStore};
+use securetf_shield::fs::UntrustedStore;
 
 fn hex(digest: [u8; 32]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -33,8 +35,7 @@ fn store_digest(store: &UntrustedStore) -> [u8; 32] {
 
 #[test]
 fn encoder_output_is_pinned() {
-    let fs = |policy| store_digest(&samples::fs_image(policy).2);
-    let table: [(&str, [u8; 32], &str); 15] = [
+    let table: [(&str, [u8; 32], &str); 13] = [
         (
             "export_graph",
             sha256::digest(&samples::graph()),
@@ -96,19 +97,9 @@ fn encoder_output_is_pinned() {
             "0c7820141e9f1c7261a8ea6c12955330ea5e9b3e9d985cce189258e27dc0b986",
         ),
         (
-            "FsShield::write EncryptAuth",
-            fs(Policy::EncryptAuth),
-            "4242c992befec677346cbc1a3ca2b5757992f6052047b5b75873e6a305d81536",
-        ),
-        (
-            "FsShield::write AuthOnly",
-            fs(Policy::AuthOnly),
-            "c425a83c6f62c53f078209d9651c16a2377f56df786edd8e987787acf3da617d",
-        ),
-        (
-            "FsShield::write Passthrough",
-            fs(Policy::Passthrough),
-            "d9704c0cb80a3dcbb67bde942365ed9eaa3f41d299c4bdfe12476b421471253d",
+            "FsShield::write",
+            store_digest(&samples::fs_image().2),
+            "9dce1fe1756ba497b55386dbfc66fffe830d8481970496fa40a1dd3ed2b85834",
         ),
     ];
     let mut wrong = Vec::new();

@@ -25,9 +25,10 @@ use securetf_cas::policy::ServicePolicy;
 use securetf_crypto::hmac::hmac_sha256;
 use securetf_data::Dataset;
 use securetf_distrib::wire;
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
+use securetf_shield::fs::{FsShield, UntrustedStore};
 use securetf_shield::ShieldError;
-use securetf_tee::{MrEnclave, Platform};
+use securetf_tee::sealing::SealPolicy;
+use securetf_tee::{MrEnclave, Platform, SimClock};
 use securetf_tensor::bytes::{put_shape, Reader};
 use securetf_tensor::freeze::import_graph;
 use securetf_tflite::model::LiteModel;
@@ -331,12 +332,11 @@ fn codecs_reject_hostile_bytes_without_panicking_or_overallocating() {
 
 // ---- the fs shield's three host-visible objects -------------------------------
 
-/// A shield that has written `plaintext` to `path` under `policy`, and
-/// the store it wrote to.
-fn mount(path: &str, policy: Policy, plaintext: &[u8]) -> (FsShield, UntrustedStore) {
+/// A shield that has written `plaintext` to `path`, and the store it
+/// wrote to.
+fn mount(path: &str, plaintext: &[u8]) -> (FsShield, UntrustedStore) {
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(fs_enclave(&fs_platform()), store.clone());
-    shield.add_policy(PathPolicy::new("/data/", policy));
     shield.write(path, plaintext).unwrap();
     (shield, store)
 }
@@ -350,13 +350,12 @@ fn mount(path: &str, policy: Policy, plaintext: &[u8]) -> (FsShield, UntrustedSt
 /// working as designed.
 fn blob_formats(
     path: &'static str,
-    policy: Policy,
     plaintext: Vec<u8>,
     remount: bool,
     stride: usize,
 ) -> [Format; 2] {
     let plaintext = Rc::new(plaintext);
-    let mounted = Rc::new(RefCell::new(mount(path, policy, &plaintext)));
+    let mounted = Rc::new(RefCell::new(mount(path, &plaintext)));
     let blob = mounted.borrow().1.raw_contents(path).unwrap();
     // u64 plaintext length | record 0 (len-prefixed) | record 1 …
     let second = 12 + Reader::new(&blob[8..]).u32().unwrap() as usize;
@@ -386,7 +385,7 @@ fn blob_formats(
         Format::new(name, blob.clone(), decode)
             .prepare(move || {
                 if remount {
-                    *on.borrow_mut() = mount(path, policy, &plain);
+                    *on.borrow_mut() = mount(path, &plain);
                 }
             })
             .lengths(&lengths)
@@ -396,23 +395,21 @@ fn blob_formats(
 
 #[test]
 fn fs_blobs_reject_hostile_bytes_through_read_and_read_range() {
-    // A one-record blob small enough to flip every bit of, under both
-    // protected policies, and the 3-chunk sample sparsely.
+    // A one-record blob small enough to flip every bit of, and the
+    // 3-chunk sample sparsely.
     let small = b"a small protected file".to_vec();
-    for policy in [Policy::EncryptAuth, Policy::AuthOnly] {
-        for format in blob_formats("/data/small", policy, small.clone(), true, 1) {
-            format.check();
-        }
+    for format in blob_formats("/data/small", small, true, 1) {
+        format.check();
     }
     let large = samples::fs_plaintext();
-    for format in blob_formats(FS_PATH, Policy::EncryptAuth, large, false, 1009) {
+    for format in blob_formats(FS_PATH, large, false, 1009) {
         format.check();
     }
 }
 
 #[test]
 fn read_range_rejects_an_overflowing_range() {
-    let (_platform, shield, _store) = samples::fs_image(Policy::EncryptAuth);
+    let (_platform, shield, _store) = samples::fs_image();
     let err = shield.read_range(FS_PATH, u64::MAX, 2).unwrap_err();
     assert!(
         matches!(err, securetf_shield::ShieldError::FileTampered(_)),
@@ -424,7 +421,7 @@ fn read_range_rejects_an_overflowing_range() {
 /// fresh enclave remounts. Accepted = the remount knows the file.
 #[test]
 fn fs_manifest_rejects_hostile_bytes_through_recover() {
-    let (platform, shield, store) = samples::fs_image(Policy::EncryptAuth);
+    let (platform, shield, store) = samples::fs_image();
     drop(shield);
     let slot = store
         .paths()
@@ -445,10 +442,9 @@ fn fs_manifest_rejects_hostile_bytes_through_recover() {
 
 /// A store where the host died right after the commit point of a rewrite
 /// of `/data/small` from `old` to `new`: one staged chunk and the commit
-/// record landed, the blob did not. Returns the platform to remount on,
+/// record landed, the blob did not. Returns `platform` to remount on,
 /// the store and the commit record's path.
-fn crashed_rewrite() -> (Platform, UntrustedStore, String) {
-    let platform = fs_platform();
+fn crashed_rewrite(platform: Platform) -> (Platform, UntrustedStore, String) {
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(fs_enclave(&platform), store.clone());
     shield.write("/data/small", b"old").unwrap();
@@ -478,10 +474,12 @@ fn remount_with_commit(
     }
 }
 
-// `STFJRNL2 | len(path) "/data/small" | u8 policy | u64 version | u64 len
+// `STFJRNL2 | len(path) "/data/small" | u8 reserved | u64 version | u64 len
 // | u64 file_id | u64 epoch | u32 n | tag16 × n`, then (on the host) an
-// HMAC-SHA256: the `u32` path length and tag count, and the epoch.
+// HMAC-SHA256: the `u32` path length and tag count, the reserved byte and
+// the epoch.
 const COMMIT_LENGTHS: [usize; 2] = [8, 56];
+const COMMIT_RESERVED_AT: usize = 23;
 const COMMIT_EPOCH_AT: usize = 48;
 
 /// The MAC'd `STFJRNL2` commit record via `recover`, as the host holds
@@ -490,7 +488,7 @@ const COMMIT_EPOCH_AT: usize = 48;
 /// fail every mount.
 #[test]
 fn fs_commit_record_rejects_hostile_bytes_through_recover() {
-    let crashed = Rc::new(RefCell::new(crashed_rewrite()));
+    let crashed = Rc::new(RefCell::new(crashed_rewrite(fs_platform())));
     let record = {
         let crashed = crashed.borrow();
         crashed.1.raw_contents(&crashed.2).unwrap()
@@ -500,7 +498,7 @@ fn fs_commit_record_rejects_hostile_bytes_through_recover() {
         remount_with_commit(&crashed.borrow(), b).expect("recoverable")
     })
     // Recovery consumes the journal: every decode needs its own crash.
-    .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite())
+    .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite(fs_platform()))
     .lengths(&COMMIT_LENGTHS)
     .check();
 }
@@ -512,7 +510,7 @@ fn fs_commit_record_rejects_hostile_bytes_through_recover() {
 /// staged chunk authenticates under it and the write rolls back.
 #[test]
 fn fs_commit_entry_rejects_hostile_bytes_behind_the_mac() {
-    let crashed = Rc::new(RefCell::new(crashed_rewrite()));
+    let crashed = Rc::new(RefCell::new(crashed_rewrite(fs_platform())));
     let body = {
         let crashed = crashed.borrow();
         let record = crashed.1.raw_contents(&crashed.2).unwrap();
@@ -535,7 +533,7 @@ fn fs_commit_entry_rejects_hostile_bytes_behind_the_mac() {
             verdict => verdict.expect("recoverable"),
         }
     })
-    .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite())
+    .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite(fs_platform()))
     .lengths(&COMMIT_LENGTHS);
     row.check();
 
@@ -547,4 +545,70 @@ fn fs_commit_entry_rejects_hostile_bytes_behind_the_mac() {
         moved[COMMIT_EPOCH_AT..][..8].copy_from_slice(&epoch.to_le_bytes());
         row.rejects(&moved, &|| format!("epoch {epoch} (written in {written})"));
     }
+}
+
+/// Where the store once recorded per-path protections, v2 keeps two
+/// reserved fields at zero: a `u32` in the manifest after `next_file_id`,
+/// and a `u8` in every file entry after its path. An authentic manifest
+/// or commit record that sets one is a format this build cannot read: the
+/// mount fails closed with `UnsupportedFormat`, and
+/// `shield.fs.format_rejections` counts it.
+#[test]
+fn fs_reserved_fields_fail_the_mount_closed() {
+    let counted_platform = || {
+        let clock = SimClock::new();
+        Platform::builder()
+            .telemetry(clock.telemetry())
+            .clock(clock)
+            .build()
+    };
+    let rejections = |platform: &Platform| {
+        platform
+            .telemetry()
+            .counter("shield.fs.format_rejections")
+            .get()
+    };
+
+    // The manifest after one write, resealed as only the enclave could:
+    // `STFMAN02 | generation | next_file_id | reserved u32 | u32 n |
+    // len(path) "/data/small" | reserved u8 | …`.
+    for at in [24, 36 + "/data/small".len()] {
+        let platform = counted_platform();
+        let enclave = fs_enclave(&platform);
+        let store = UntrustedStore::new();
+        let mut shield = FsShield::new(enclave.clone(), store.clone());
+        shield.write("/data/small", b"old").unwrap();
+        let slot = store.paths().into_iter().find(|p| p.contains("/manifest-"));
+        let slot = slot.expect("one manifest slot after one write");
+        let aad = format!("{}/manifest", slot.rsplit_once('/').unwrap().0);
+        let sealed = store.raw_contents(&slot).unwrap();
+        let mut plain = enclave
+            .unseal(SealPolicy::Measurement, &sealed, aad.as_bytes())
+            .unwrap();
+        assert_eq!(plain[at], 0, "manifest byte {at}");
+        plain[at] = 1;
+        let resealed = enclave.seal(SealPolicy::Measurement, &plain, aad.as_bytes());
+        store.raw_put(&slot, resealed);
+        let err = FsShield::recover(fs_enclave(&platform), store).unwrap_err();
+        assert!(
+            matches!(err, ShieldError::UnsupportedFormat(_)),
+            "manifest byte {at}: {err:?}"
+        );
+        assert_eq!(rejections(&platform), 1, "manifest byte {at}");
+    }
+
+    // The commit record's entry, re-MAC'd under the journal key.
+    let crashed = crashed_rewrite(counted_platform());
+    let (platform, store, commit_path) = &crashed;
+    let mut body = store.raw_contents(commit_path).unwrap();
+    body.truncate(body.len() - 32);
+    assert_eq!(body[COMMIT_RESERVED_AT], 0);
+    body[COMMIT_RESERVED_AT] = 1;
+    let file_key = fs_enclave(platform).derived_key(b"fs-shield-v1");
+    let journal_key = hmac_sha256(file_key.as_bytes(), b"journal-mac-v1");
+    let mac = hmac_sha256(&journal_key, &body);
+    body.extend_from_slice(&mac);
+    let err = remount_with_commit(&crashed, &body).unwrap_err();
+    assert!(matches!(err, ShieldError::UnsupportedFormat(_)), "{err:?}");
+    assert_eq!(rejections(platform), 1);
 }

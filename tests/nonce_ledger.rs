@@ -13,9 +13,11 @@
 //! plaintext, under `Supervisor::remount` after seeded chaos, over two
 //! shields sharing one file key, and over the other state that reaches
 //! the host through the shield: `SecureSession` checkpoints across an
-//! enclave respawn and the CAS policy store across a CAS restart.
-//! Everything is test-side: the shield has no hook, feature or knob for
-//! it.
+//! enclave respawn and the CAS policy store across a CAS restart. One
+//! more case records blobs sealed under a key that outlives every
+//! enclave: the distributed trainer's checkpoints, handed from one
+//! cluster to the next. Everything is test-side: the shield has no hook,
+//! feature or knob for it.
 
 use securetf::secure_session::SecureSession;
 use securetf_cas::kvstore::KvStore;
@@ -26,7 +28,8 @@ use securetf_distrib::cluster::{Cluster, ClusterConfig};
 use securetf_distrib::faults::{FaultEvent, FaultPlan};
 use securetf_distrib::supervisor::{Supervisor, SupervisorConfig};
 use securetf_distrib::trainer::DistributedTrainer;
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore, CHUNK_SIZE};
+use securetf_distrib::wire;
+use securetf_shield::fs::{FsShield, UntrustedStore, CHUNK_SIZE};
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, Telemetry};
 use securetf_tensor::layers::{self, Classifier};
 use securetf_tensor::optimizer::Sgd;
@@ -102,9 +105,11 @@ fn host_records(store: &UntrustedStore) -> Vec<(String, bool, usize, Vec<u8>)> {
 }
 
 /// What the test knows of the plaintext of a record it has not seen
-/// before: `(is_staged, chunk)` -> known bytes, or `None` if the call
-/// that just returned cannot have produced such a record.
-type Source<'a> = &'a dyn Fn(bool, usize) -> Option<Known>;
+/// before: `(is_staged, chunk)` -> every plaintext the record may hold
+/// (one right candidate is enough to catch a repeat, and a wrong one
+/// matches by chance with probability 2⁻¹²⁸), or none if the call that
+/// just returned cannot have produced such a record.
+type Source<'a> = &'a dyn Fn(bool, usize) -> Vec<Known>;
 
 /// Every record the host was ever handed.
 #[derive(Default)]
@@ -121,39 +126,51 @@ impl Ledger {
             if !self.seen.insert(record.clone()) {
                 continue;
             }
-            let plain = source(staged, chunk)
-                .unwrap_or_else(|| panic!("{at}: a record this call cannot have written"));
-            let mut cipher = record;
-            cipher.truncate(plain.len());
-            let entry = Entry {
-                plain: plain[..cipher.len()].to_vec(),
-                cipher,
-                at,
-            };
-            for old in &self.entries {
-                assert!(
-                    !same_keystream(old, &entry),
-                    "keystream reuse: {} and {} XOR to the XOR of their plaintexts",
-                    old.at,
-                    entry.at
-                );
+            let candidates = source(staged, chunk);
+            assert!(
+                !candidates.is_empty(),
+                "{at}: a record this call cannot have written"
+            );
+            // One entry per candidate: entries of one record never match
+            // each other, their ciphertexts being equal.
+            for plain in candidates {
+                self.record(&at, &record, plain);
             }
-            self.entries.push(entry);
         }
+    }
+
+    /// Checks a record the host holds, `cipher` over the known plaintext
+    /// `plain`, against every record before it, and keeps it.
+    fn record(&mut self, at: &str, cipher: &[u8], plain: Known) {
+        let cipher = cipher[..cipher.len().min(plain.len())].to_vec();
+        let entry = Entry {
+            plain: plain[..cipher.len()].to_vec(),
+            cipher,
+            at: at.to_string(),
+        };
+        for old in &self.entries {
+            assert!(
+                !same_keystream(old, &entry),
+                "keystream reuse: {} and {} XOR to the XOR of their plaintexts",
+                old.at,
+                entry.at
+            );
+        }
+        self.entries.push(entry);
     }
 
     /// After a call that wrote `data`: a new record is chunk `k` of it.
     fn after_write(&mut self, store: &UntrustedStore, data: &[u8]) {
         self.observe(store, &|_, k| {
             let chunk = data.chunks(CHUNK_SIZE).nth(k).unwrap_or_default();
-            Some(chunk.iter().copied().map(Some).collect())
+            vec![chunk.iter().copied().map(Some).collect()]
         });
     }
 
     /// After a call that wrote nothing new (a read, a recovery: a
     /// roll-forward installs records the host already held).
     fn after_other(&mut self, store: &UntrustedStore) {
-        self.observe(store, &|_, _| None);
+        self.observe(store, &|_, _| Vec::new());
     }
 }
 
@@ -170,11 +187,6 @@ fn enclave_on(platform: &Platform, code: &[u8]) -> Arc<Enclave> {
         .expect("enclave boots")
 }
 
-fn with_policy(mut shield: FsShield) -> FsShield {
-    shield.add_policy(PathPolicy::new("/secure/", Policy::EncryptAuth));
-    shield
-}
-
 fn ramp(len: usize, step: usize) -> Vec<u8> {
     (0..len).map(|i| (i * step % 251) as u8).collect()
 }
@@ -186,10 +198,7 @@ fn crash_remount_retry(pre: Option<&[u8]>, post: &[u8], k: u64, torn: Option<usi
     let platform = Platform::builder().build();
     let store = UntrustedStore::new();
     let mut ledger = Ledger::default();
-    let mut shield = with_policy(FsShield::new(
-        enclave_on(&platform, b"ledger"),
-        store.clone(),
-    ));
+    let mut shield = FsShield::new(enclave_on(&platform, b"ledger"), store.clone());
     if let Some(pre) = pre {
         shield.write(PATH, pre).expect("pre write");
         ledger.after_write(&store, pre);
@@ -206,10 +215,9 @@ fn crash_remount_retry(pre: Option<&[u8]>, post: &[u8], k: u64, torn: Option<usi
     let retry = ramp(post.len(), 7);
     let again = ramp(post.len() + 3, 11);
     for data in [&retry, &again] {
-        let (shield, _) = FsShield::recover(enclave_on(&platform, b"ledger"), store.clone())
+        let (mut shield, _) = FsShield::recover(enclave_on(&platform, b"ledger"), store.clone())
             .expect("recovery after a crash point");
         ledger.after_other(&store);
-        let mut shield = with_policy(shield);
         shield.write(PATH, data).expect("retry after remount");
         ledger.after_write(&store, data);
         assert_eq!(&shield.read(PATH).expect("read back"), data);
@@ -222,10 +230,7 @@ fn sweep(pre: Option<&[u8]>, post: &[u8]) {
     let ops = {
         let platform = Platform::builder().build();
         let store = UntrustedStore::new();
-        let mut shield = with_policy(FsShield::new(
-            enclave_on(&platform, b"ledger"),
-            store.clone(),
-        ));
+        let mut shield = FsShield::new(enclave_on(&platform, b"ledger"), store.clone());
         if let Some(pre) = pre {
             shield.write(PATH, pre).expect("pre write");
         }
@@ -268,13 +273,7 @@ fn no_keystream_repeats_between_shields_sharing_one_key() {
         let mut ledger = Ledger::default();
         let mut shields: Vec<FsShield> = codes
             .iter()
-            .map(|code| {
-                with_policy(FsShield::with_key(
-                    enclave_on(&platform, code),
-                    store.clone(),
-                    key.clone(),
-                ))
-            })
+            .map(|code| FsShield::with_key(enclave_on(&platform, code), store.clone(), key.clone()))
             .collect();
         for (i, shield) in shields.iter_mut().enumerate() {
             let data = ramp(3 * CHUNK_SIZE / 2, 3 + 2 * i);
@@ -420,24 +419,34 @@ fn trainer() -> DistributedTrainer {
     DistributedTrainer::new(cluster, model, data, 100, 0.2).expect("trainer")
 }
 
-/// What the test knows of a checkpoint record: its first chunk starts
-/// with the supervisor's `u64 generation`, then the trainer's checkpoint
-/// nonce `u32 0xC4EC | u64 step` (DESIGN.md §18) — below 2¹⁶ both, so 16
-/// bytes are known. The rest is the trainer's own ciphertext.
-fn checkpoint_header(_staged: bool, chunk: usize) -> Option<Known> {
-    let mut known = vec![None; CHUNK_SIZE + 32];
-    if chunk == 0 {
-        for (j, byte) in known.iter_mut().enumerate().take(20) {
-            *byte = match j {
-                2..=7 | 14..=19 => Some(0),
-                8 => Some(0xEC),
-                9 => Some(0xC4),
-                10 | 11 => Some(0),
-                _ => None,
-            };
-        }
-    }
-    Some(known)
+/// Observes the host after a supervisor call. A checkpoint record holds
+/// part of the supervisor's payload `u64 generation | trainer blob`: the
+/// generation is below 2¹⁶, and the blob is what `checkpoint_bytes`
+/// seals for the record's slot now — the supervisor checkpoints at the
+/// end of a step, and a blob is a function of weights, path and key (its
+/// nonce is synthetic). The slot is not known, so each offers one
+/// candidate.
+fn observe_checkpoints(supervisor: &Supervisor, ledger: &mut Ledger) {
+    let payloads: Vec<Known> = (0..2)
+        .map(|slot| {
+            let path = format!("{}/gen-{slot}", SupervisorConfig::default().checkpoint_path);
+            let blob = supervisor
+                .trainer()
+                .checkpoint_bytes(&path)
+                .expect("fs-key");
+            let mut known = vec![None, None];
+            known.extend([Some(0); 6]);
+            known.extend(blob.into_iter().map(Some));
+            known
+        })
+        .collect();
+    ledger.observe(supervisor.store(), &|_, chunk| {
+        payloads
+            .iter()
+            .filter_map(|payload| payload.get(chunk * CHUNK_SIZE..))
+            .map(<[_]>::to_vec)
+            .collect()
+    });
 }
 
 /// The seeded plan without its `ChunkCorruption` events: a bit the host
@@ -460,7 +469,7 @@ fn plan_without_corruption(seed: u64, steps: u64) -> FaultPlan {
 fn supervised(supervisor: &mut Supervisor, steps: u64, ledger: &mut Ledger) {
     for _ in 0..steps {
         supervisor.train_steps(1).expect("survivable plan");
-        ledger.observe(supervisor.store(), &checkpoint_header);
+        observe_checkpoints(supervisor, ledger);
     }
 }
 
@@ -477,7 +486,7 @@ fn no_keystream_repeats_across_supervisor_remounts() {
             let plan = plan_without_corruption(seed, 6);
             let mut supervisor = Supervisor::new(trainer(), plan, config.clone(), store.clone())
                 .expect("supervisor boots");
-            ledger.observe(&store, &checkpoint_header);
+            observe_checkpoints(&supervisor, &mut ledger);
             supervised(&mut supervisor, 6, &mut ledger);
             // The supervisor process dies with the storage host; the
             // machines survive. With `wipe`, the host also destroys
@@ -492,10 +501,50 @@ fn no_keystream_repeats_across_supervisor_remounts() {
             let mut supervisor =
                 Supervisor::remount(trainer, FaultPlan::none(), config.clone(), store.clone())
                     .expect("remount");
-            ledger.observe(&store, &checkpoint_header);
+            observe_checkpoints(&supervisor, &mut ledger);
             supervised(&mut supervisor, 4, &mut ledger);
         }
     }
+}
+
+// ---- trainer checkpoints across clusters -------------------------------------
+
+/// The plaintext `checkpoint_bytes` seals: the PS's variables, wire
+/// encoded.
+fn checkpoint_plaintext(trainer: &DistributedTrainer) -> Known {
+    let entries: Vec<(u32, Tensor)> = trainer
+        .ps_session()
+        .variables()
+        .iter()
+        .map(|(id, t)| (id.index() as u32, (*t).clone()))
+        .collect();
+    wire::encode(&entries).into_iter().map(Some).collect()
+}
+
+#[test]
+fn no_keystream_repeats_between_trainer_checkpoints_of_two_clusters() {
+    // The CAS-provisioned `fs-key` outlives every cluster, so a blob one
+    // cluster seals meets the blobs its successor seals. Cluster A trains
+    // six steps and checkpoints after three and six; cluster B restores
+    // A's step-3 checkpoint and trains six steps of its own before it
+    // checkpoints. Both have then taken six steps, with other weights.
+    // A blob is `nonce | ciphertext | tag`, and the host keeps them all.
+    const AAD: &str = "/ckpt/global";
+    let mut ledger = Ledger::default();
+    let mut checkpoint = |trainer: &DistributedTrainer, at: &str| {
+        let blob = trainer.checkpoint_bytes(AAD).expect("fs-key");
+        ledger.record(at, &blob[aead::NONCE_LEN..], checkpoint_plaintext(trainer));
+        blob
+    };
+    let mut a = trainer();
+    a.train_steps(3).expect("train");
+    let at_three = checkpoint(&a, "cluster A, step 3");
+    a.train_steps(3).expect("train");
+    checkpoint(&a, "cluster A, step 6");
+    let mut b = trainer();
+    b.restore_checkpoint_bytes(&at_three, AAD).expect("restore");
+    b.train_steps(6).expect("train");
+    checkpoint(&b, "cluster B, step 6");
 }
 
 #[test]

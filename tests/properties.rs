@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use securetf_crypto::aead::{self, Key, Nonce};
 use securetf_crypto::hkdf;
 use securetf_crypto::x25519::{PublicKey, StaticSecret};
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
+use securetf_shield::fs::{FsShield, UntrustedStore};
 use securetf_tee::sealing::SealPolicy;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
 use securetf_tensor::freeze;
@@ -94,7 +94,6 @@ proptest! {
     ) {
         let store = UntrustedStore::new();
         let mut shield = FsShield::new(enclave(b"prop fs"), store);
-        shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
         shield.write("/f", &contents).unwrap();
         prop_assert_eq!(shield.read("/f").unwrap(), contents);
     }
@@ -106,7 +105,6 @@ proptest! {
     ) {
         let store = UntrustedStore::new();
         let mut shield = FsShield::new(enclave(b"prop fs tamper"), store.clone());
-        shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
         shield.write("/f", &contents).unwrap();
         let stored_len = store.raw_contents("/f").unwrap().len();
         store.corrupt("/f", position.index(stored_len));

@@ -6,7 +6,7 @@
 
 use securetf_cas::kvstore::KvStore;
 use securetf_cas::CasError;
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
+use securetf_shield::fs::{FsShield, UntrustedStore};
 use securetf_shield::ShieldError;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
 use std::sync::Arc;
@@ -25,7 +25,6 @@ fn enclave(code: &[u8]) -> Arc<securetf_tee::Enclave> {
 fn fs_shield_detects_file_rollback_within_session() {
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(enclave(b"fs rollback"), store.clone());
-    shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
     shield.write("/ckpt", b"epoch 1 weights").expect("write");
     let old = store.raw_contents("/ckpt").expect("stored");
     shield.write("/ckpt", b"epoch 2 weights").expect("write");
@@ -57,7 +56,6 @@ fn fs_shield_detects_manifest_replay_across_enclave_restart() {
     let store = UntrustedStore::new();
     {
         let mut shield = FsShield::new(make_enclave(), store.clone());
-        shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
         shield.write("/ckpt", b"epoch 1 weights").expect("write");
     }
     let old_image = store.snapshot();
@@ -82,7 +80,6 @@ fn fs_shield_detects_manifest_replay_across_enclave_restart() {
     let honest = UntrustedStore::new();
     {
         let mut shield = FsShield::new(make_enclave(), honest.clone());
-        shield.add_policy(PathPolicy::new("/", Policy::EncryptAuth));
         shield.write("/ckpt", b"fresh weights").expect("write");
     }
     let (recovered, _) = FsShield::recover(make_enclave(), honest).expect("honest recovery");

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use securetf::serving::{encode_request, encode_response, Request, Response};
 use securetf_data::{resize, synthetic_mnist};
 use securetf_distrib::wire::{self, Codec};
-use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore, CHUNK_SIZE};
+use securetf_shield::fs::{FsShield, UntrustedStore, CHUNK_SIZE};
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform};
 use securetf_tensor::freeze::export_graph;
 use securetf_tensor::graph::{Graph, Padding};
@@ -160,14 +160,13 @@ pub fn fs_platform() -> Platform {
     Platform::builder().id(0x5ec0_7e7f).build()
 }
 
-/// One journaled write of [`fs_plaintext`] under `policy` on a fresh
-/// pinned platform; returns the platform (to remount on), the shield and
-/// the host-visible store.
-pub fn fs_image(policy: Policy) -> (Platform, FsShield, UntrustedStore) {
+/// One journaled write of [`fs_plaintext`] on a fresh pinned platform;
+/// returns the platform (to remount on), the shield and the host-visible
+/// store.
+pub fn fs_image() -> (Platform, FsShield, UntrustedStore) {
     let platform = fs_platform();
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(fs_enclave(&platform), store.clone());
-    shield.add_policy(PathPolicy::new("/data/", policy));
     shield.write(FS_PATH, &fs_plaintext()).expect("write");
     (platform, shield, store)
 }

@@ -4,7 +4,7 @@
 //! crash point of one journaled overwrite, remounts the shield with
 //! [`FsShield::recover`] at each point and validates the crash-
 //! consistency invariant (the recovered file is exactly the pre- or the
-//! post-write state, with the boundary at the commit record). Any
+//! post-write state, with the boundary at the commit). Any
 //! violation fails the run — CI uses this binary as a smoke gate. The
 //! report records recovery virtual time per checkpoint size, split by
 //! whether the crash point required a journal roll-forward.
@@ -45,9 +45,9 @@ fn sweep_size(size: usize) -> SizeResult {
     let pre = payload(size, 0x5a);
     let post = payload(size, 0xa5);
     let chunks = size.div_ceil(CHUNK_SIZE) as u64;
-    // Journal shape: m staging puts, commit, blob, manifest, commit
-    // delete, m staged deletes.
-    let total_ops = 2 * chunks + 4;
+    // Journal shape: m staging puts, the commit (a one-file store seals a
+    // checkpoint on every write), blob, m staged deletes.
+    let total_ops = 2 * chunks + 2;
     let mut result = SizeResult {
         crash_points: total_ops,
         rolled_forward: 0,

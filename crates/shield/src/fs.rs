@@ -16,15 +16,23 @@
 //! The host can die at *any* operation boundary (SGX-LKL's host interface
 //! makes no atomicity promises), so every protected write is a two-phase
 //! journaled transaction: chunk records are staged under a per-transaction
-//! directory, a MAC'd commit record carrying the metadata delta is
-//! appended (the commit point), and only then is the final blob installed
-//! and the staging reclaimed. The shield's whole metadata table is
-//! persisted as a sealed manifest versioned by a platform monotonic
-//! counter, and [`FsShield::recover`] lets a *fresh* enclave remount the
-//! store after a crash: committed transactions roll forward, torn or
-//! uncommitted staging is discarded, and a manifest older than the
-//! counter fails closed as a rollback. Paths under `!fs/` are reserved
-//! for this machinery (manifest slots and journal staging).
+//! directory, one object carrying the metadata delta lands (the commit
+//! point), and only then is the final blob installed and the staging
+//! reclaimed.
+//!
+//! The metadata table persists as a *manifest*: a sealed checkpoint of
+//! the whole table plus a log of one-entry deltas written since, each
+//! record MAC'd and linked to its predecessor, and every commit advances
+//! a platform monotonic counter. A write's commit object is its log
+//! record, so it costs its chunks plus one small MAC'd record; only when
+//! the log would outgrow the checkpoint does a commit seal the whole
+//! table as the next checkpoint instead. [`FsShield::recover`] lets a
+//! *fresh* enclave remount the store after a crash: the freshest
+//! checkpoint plus its log up to the counter is the table, committed
+//! transactions roll forward, torn or uncommitted staging is discarded,
+//! and a missing, stale or out-of-chain record fails closed as a
+//! rollback. Paths under `!fs/` are reserved for this machinery
+//! (checkpoint slots, log records and journal staging).
 //!
 //! # One authentication per chunk
 //!
@@ -281,7 +289,7 @@ impl UntrustedStore {
     }
 
     /// [`UntrustedStore::shield_view`] for callers that need the whole
-    /// object anyway (manifest slots and journal records).
+    /// object anyway (checkpoint slots, log records and staged chunks).
     pub(crate) fn shield_get(&self, path: &str) -> Result<Option<Vec<u8>>, ShieldError> {
         self.shield_view(path, |stored| stored.map(<[u8]>::to_vec))
     }
@@ -343,30 +351,24 @@ impl FileMeta {
     }
 }
 
-/// Magic prefix of journal commit records.
-const COMMIT_MAGIC: &[u8; 8] = b"STFJRNL2";
+/// Magic prefix of a manifest log record.
+const LOG_MAGIC: &[u8; 8] = b"STFLOG01";
 
-/// Magic prefix of the manifest plaintext.
-const MANIFEST_MAGIC: &[u8; 8] = b"STFMAN02";
+/// Magic prefix of a manifest checkpoint's plaintext.
+const CHECKPOINT_MAGIC: &[u8; 8] = b"STFMAN03";
 
-/// Checks a reserved v2 field, where the store once recorded weaker
-/// per-path protections: it is written as zero, and anything else is
-/// authentic state this build cannot read.
-fn reserved_zero(value: u32) -> Result<(), ShieldError> {
-    if value != 0 {
-        return Err(ShieldError::UnsupportedFormat(
-            "fs store sets a reserved field",
-        ));
-    }
-    Ok(())
-}
+/// Size of the HMAC-SHA256 that closes a log record, and of the link to
+/// its predecessor a record carries.
+const MAC_LEN: usize = 32;
 
-/// One file's entry — `path | reserved u8 = 0 | version | len | file_id |
-/// epoch | n | tag × n` — as the manifest lists it and a commit record
-/// carries it.
+/// Log record kinds: a write's new file entry, or a delete's tombstone.
+const RECORD_PUT: u8 = 0;
+const RECORD_TOMBSTONE: u8 = 1;
+
+/// One file's entry — `path | version | len | file_id | epoch | n | tag ×
+/// n` — as a checkpoint lists it and a log record carries it.
 fn put_file_entry(out: &mut Vec<u8>, path: &str, meta: &FileMeta) {
     put_len_prefixed(out, path.as_bytes());
-    out.push(0);
     put_u64(out, meta.version);
     put_u64(out, meta.len);
     put_u64(out, meta.file_id);
@@ -379,7 +381,6 @@ fn put_file_entry(out: &mut Vec<u8>, path: &str, meta: &FileMeta) {
 /// `mount_epoch`: every entry it can meet was sealed by an earlier mount.
 fn read_file_entry(r: &mut Reader, mount_epoch: u64) -> Result<(String, FileMeta), ShieldError> {
     let path = r.str()?.to_string();
-    reserved_zero(r.u8()?.into())?;
     let version = r.u64()?;
     let len = r.u64()?;
     let file_id = r.u64()?;
@@ -408,39 +409,131 @@ fn read_file_entry(r: &mut Reader, mount_epoch: u64) -> Result<(String, FileMeta
     Ok((path, meta))
 }
 
-/// A decoded (unsealed) manifest.
-struct DecodedManifest {
+/// A decoded (unsealed) checkpoint.
+struct DecodedCheckpoint {
     generation: u64,
     next_file_id: u64,
     meta: HashMap<String, FileMeta>,
 }
 
-/// Decodes a manifest plaintext — `STFMAN02 | generation | next_file_id |
-/// reserved u32 = 0 | n | entry × n` — for a shield mounted in
-/// `mount_epoch`. Anything but the v2 magic up front, or a reserved field
-/// that is not zero, is [`ShieldError::UnsupportedFormat`]: authentic, but
-/// not a manifest this build can read.
-fn decode_manifest(bytes: &[u8], mount_epoch: u64) -> Result<DecodedManifest, ShieldError> {
+/// Decodes a checkpoint plaintext — `STFMAN03 | generation | next_file_id
+/// | n | entry × n` — for a shield mounted in `mount_epoch`. Anything but
+/// the v3 magic up front is [`ShieldError::UnsupportedFormat`]: authentic,
+/// but not a manifest this build can read (a v1 or v2 store).
+fn decode_checkpoint(bytes: &[u8], mount_epoch: u64) -> Result<DecodedCheckpoint, ShieldError> {
     let mut r = Reader::new(bytes);
-    if r.array::<8>().ok().as_ref() != Some(MANIFEST_MAGIC) {
+    if r.array::<8>().ok().as_ref() != Some(CHECKPOINT_MAGIC) {
         return Err(ShieldError::UnsupportedFormat(
-            "fs manifest is not STFMAN02",
+            "fs manifest is not STFMAN03",
         ));
     }
     let generation = r.u64()?;
     let next_file_id = r.u64()?;
-    reserved_zero(r.u32()?)?;
     let mut meta = HashMap::new();
     for _ in 0..r.u32()? {
         let (path, file) = read_file_entry(&mut r, mount_epoch)?;
         meta.insert(path, file);
     }
     r.finish()?;
-    Ok(DecodedManifest {
+    Ok(DecodedCheckpoint {
         generation,
         next_file_id,
         meta,
     })
+}
+
+/// The body of a log record — `STFLOG01 | generation | prev | u8 kind |
+/// entry` for a write, `… | u8 kind | len(path)` for a delete's
+/// tombstone — to which [`seal_record`] appends the MAC.
+fn record_body(
+    generation: u64,
+    prev: &[u8; MAC_LEN],
+    path: &str,
+    meta: Option<&FileMeta>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + path.len() + meta.map_or(0, |m| m.tags.len()));
+    out.extend_from_slice(LOG_MAGIC);
+    put_u64(&mut out, generation);
+    out.extend_from_slice(prev);
+    match meta {
+        Some(meta) => {
+            out.push(RECORD_PUT);
+            put_file_entry(&mut out, path, meta);
+        }
+        None => {
+            out.push(RECORD_TOMBSTONE);
+            put_len_prefixed(&mut out, path.as_bytes());
+        }
+    }
+    out
+}
+
+/// Closes a record body with its HMAC under `log_key` and returns that
+/// MAC, which the next record links to.
+fn seal_record(log_key: &Key, body: &mut Vec<u8>) -> [u8; MAC_LEN] {
+    let mac = hmac_sha256(log_key.as_bytes(), body);
+    body.extend_from_slice(&mac);
+    mac
+}
+
+/// A MAC-valid log record.
+struct LogRecord {
+    generation: u64,
+    prev: [u8; MAC_LEN],
+    path: String,
+    /// The file's new entry; `None` for a tombstone.
+    meta: Option<FileMeta>,
+    mac: [u8; MAC_LEN],
+}
+
+/// Reads a log record for a shield mounted in `mount_epoch`, after its
+/// MAC under `log_key` has authenticated it: `None` for a torn, forged or
+/// malformed record (it never committed), [`ShieldError::UnsupportedFormat`]
+/// for an authentic one without the v3 magic.
+fn decode_record(
+    log_key: &Key,
+    bytes: &[u8],
+    mount_epoch: u64,
+) -> Result<Option<LogRecord>, ShieldError> {
+    let Some((body, mac)) = bytes.split_last_chunk::<MAC_LEN>() else {
+        return Ok(None);
+    };
+    if !ct::eq(&hmac_sha256(log_key.as_bytes(), body), mac) {
+        return Ok(None);
+    }
+    let mut r = Reader::new(body);
+    if r.array::<8>().ok().as_ref() != Some(LOG_MAGIC) {
+        return Err(ShieldError::UnsupportedFormat(
+            "fs log record is not STFLOG01",
+        ));
+    }
+    let read = |r: &mut Reader| -> Result<LogRecord, ShieldError> {
+        let generation = r.u64()?;
+        let prev = r.array::<MAC_LEN>()?;
+        let (path, meta) = match r.u8()? {
+            RECORD_PUT => {
+                let (path, meta) = read_file_entry(r, mount_epoch)?;
+                (path, Some(meta))
+            }
+            RECORD_TOMBSTONE => (r.str()?.to_string(), None),
+            _ => return Err(ShieldError::IagoViolation("unknown log record kind")),
+        };
+        Ok(LogRecord {
+            generation,
+            prev,
+            path,
+            meta,
+            mac: *mac,
+        })
+    };
+    Ok(read(&mut r).ok().filter(|_| r.finish().is_ok()))
+}
+
+/// What the first record after a checkpoint links to: the MAC under
+/// `log_key` of the checkpoint's AEAD tag, which binds its whole sealed
+/// content, so a record follows exactly one checkpoint.
+fn checkpoint_link(log_key: &Key, sealed: &[u8]) -> [u8; MAC_LEN] {
+    hmac_sha256(log_key.as_bytes(), &sealed[sealed.len().saturating_sub(TAG_LEN)..])
 }
 
 /// The part of chunk `i` (`chunk_len` plaintext bytes) that lies inside
@@ -542,10 +635,47 @@ impl FsMetrics {
     }
 }
 
+/// A sealed checkpoint on the host: its generation, the slot (0 or 1) it
+/// sits in, and its sealed size.
+#[derive(Debug, Clone, Copy)]
+struct Checkpoint {
+    generation: u64,
+    slot: u64,
+    len: u64,
+}
+
+/// Where the manifest's log stands: the checkpoint it extends and the
+/// records appended since. Record `i` after the checkpoint (generation
+/// `checkpoint + 1 + i`) lives at log position `i`, so compaction deletes
+/// nothing: the next checkpoint's log overwrites the old one in place.
+#[derive(Debug, Default)]
+struct Log {
+    /// `None` until this shield has sealed or loaded a checkpoint.
+    checkpoint: Option<Checkpoint>,
+    records: u64,
+    bytes: u64,
+    /// What the next record links to: the newest record's MAC, or the
+    /// checkpoint's link when there is none.
+    head: [u8; MAC_LEN],
+}
+
+impl Log {
+    /// Whether a `len`-byte record of `generation` can be appended: the
+    /// log extends a checkpoint, no other shield of this identity took a
+    /// generation since, and the log stays no larger than the checkpoint
+    /// (the compaction rule).
+    fn takes(&self, generation: u64, len: u64) -> bool {
+        self.checkpoint.is_some_and(|c| {
+            c.generation + self.records + 1 == generation && self.bytes + len <= c.len
+        })
+    }
+}
+
 /// What a mount-time [`FsShield::recover`] scan found and did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Manifest generation the shield resumed from (0 = fresh mount).
+    /// Generation of the newest commit the shield resumed at: the
+    /// checkpoint's plus the log records replayed (0 = fresh mount).
     pub generation: u64,
     /// Protected files known after recovery.
     pub files: usize,
@@ -569,17 +699,23 @@ pub struct FsShield {
     store: UntrustedStore,
     meta: HashMap<String, FileMeta>,
     key: Key,
-    /// MAC key for journal commit records, derived from the file key so
-    /// shields sharing a file key can recover each other's journals.
-    journal_key: Key,
+    /// MAC key for log records, derived from the file key *and* from
+    /// this identity on this platform: shields of one identity sharing a
+    /// file key read each other's logs, and another enclave holding the
+    /// same file key can neither forge a record nor move one of its own
+    /// into this identity's namespace.
+    log_key: Key,
     /// Reserved store namespace for this identity's manifest and journal
     /// (derived from the enclave measurement, so two different enclave
     /// identities sharing one disk never clash).
     manifest_base: String,
-    /// Platform monotonic counter pinning the manifest generation.
+    /// Platform monotonic counter pinning the manifest generation: one
+    /// step per commit.
     counter: CounterId,
-    /// Generation of the newest persisted manifest.
-    manifest_generation: u64,
+    /// Generation of this shield's newest commit, made or recovered (0
+    /// before either).
+    generation: u64,
+    log: Log,
     /// This instance's mount epoch: the value it took from the platform
     /// counter `fs-epoch:<mr8>` at construction, and so shared with no
     /// other shield of this identity on this platform, before or after.
@@ -611,10 +747,14 @@ impl FsShield {
     /// enclaves, e.g. encrypted models provisioned by CAS).
     ///
     /// Every construction — and so every [`FsShield::recover`] — takes the
-    /// next mount epoch from the platform counter `fs-epoch:<mr8>`.
+    /// next mount epoch from the platform counter `fs-epoch:<mr8>`. A
+    /// shield built this way reads nothing from `store`: it starts from an
+    /// empty table with no checkpoint to extend, so its first write seals
+    /// one.
     pub fn with_key(enclave: Arc<Enclave>, store: UntrustedStore, key: Key) -> Self {
         let metrics = FsMetrics::for_enclave(&enclave);
-        let journal_key = Key::from_bytes(hmac_sha256(key.as_bytes(), b"journal-mac-v1"));
+        let identity_key = enclave.derived_key(b"fs-journal-v2");
+        let log_key = Key::from_bytes(hmac_sha256(identity_key.as_bytes(), key.as_bytes()));
         let mr8: String = enclave.measurement().as_bytes()[..8]
             .iter()
             .map(|b| format!("{b:02x}"))
@@ -634,10 +774,11 @@ impl FsShield {
             store,
             meta: HashMap::new(),
             key,
-            journal_key,
+            log_key,
             manifest_base: base,
             counter,
-            manifest_generation: 0,
+            generation: 0,
+            log: Log::default(),
             epoch,
             next_file_id: 1,
             metrics,
@@ -698,12 +839,12 @@ impl FsShield {
         format!("{txn}/c{chunk:06}")
     }
 
-    fn commit_path(txn: &str) -> String {
-        format!("{txn}/commit")
+    fn manifest_slot(base: &str, slot: u64) -> String {
+        format!("{base}/manifest-{slot}")
     }
 
-    fn manifest_slot(base: &str, generation: u64) -> String {
-        format!("{base}/manifest-{}", generation % 2)
+    fn log_path(base: &str, position: u64) -> String {
+        format!("{base}/log/{position:016x}")
     }
 
     /// Assembles the on-disk blob for a file from its chunk records:
@@ -723,19 +864,20 @@ impl FsShield {
     /// Writes `data` to `path`, encrypted and authenticated.
     ///
     /// Every write is a two-phase journaled transaction: chunk
-    /// records are staged under `!fs/<id>/txn/…`, then a MAC'd commit
-    /// record carrying the metadata delta lands — the commit point —
-    /// and only then is the final blob installed, the sealed manifest
-    /// republished and the staging reclaimed. A crash at any host-op
-    /// boundary leaves the store recoverable to exactly the pre-write or
+    /// records are staged under `!fs/<id>/txn/…`, then the file's new
+    /// entry is committed to the manifest — one MAC'd log record, or a
+    /// sealed checkpoint when the log is due for compaction — and only
+    /// then is the final blob installed and the staging reclaimed: `2m +
+    /// 2` host operations for `m` chunks. A crash at any host-op boundary
+    /// leaves the store recoverable to exactly the pre-write or
     /// post-write state (see [`FsShield::recover`]).
     ///
     /// # Errors
     ///
     /// [`ShieldError::HostCrashed`] if the host dies mid-transaction
-    /// (crash injection). If the commit record had already landed the
-    /// write *is* durable and a recovery scan will surface it; otherwise
-    /// it is aborted and counted in `shield.fs.aborted_writes`.
+    /// (crash injection). If the commit had already landed the write *is*
+    /// durable and a recovery scan will surface it; otherwise it is
+    /// aborted and counted in `shield.fs.aborted_writes`.
     pub fn write(&mut self, path: &str, data: &[u8]) -> Result<(), ShieldError> {
         self.enclave.charge_syscall();
         if let Some(old) = self.meta.get(path) {
@@ -792,12 +934,15 @@ impl FsShield {
         };
         let txn = Self::txn_dir(&self.manifest_base, file_id, version);
 
-        // Phase 1: stage every chunk record (ops 1..=m).
-        for (k, record) in records.iter().enumerate() {
+        // Phase 1: stage every chunk record (ops 1..=m). The blob is
+        // assembled first so the records can move to the host, not be
+        // copied there: a 1 MiB write holds one copy of its records fewer.
+        let stored = Self::assemble_blob(data.len() as u64, &records);
+        for (k, record) in records.into_iter().enumerate() {
             self.enclave.charge_syscall();
             if let Err(e) = self
                 .store
-                .shield_put(&Self::staged_chunk_path(&txn, k), record.clone())
+                .shield_put(&Self::staged_chunk_path(&txn, k), record)
             {
                 return Err(self.abort_write(file_id, version, e));
             }
@@ -805,9 +950,7 @@ impl FsShield {
 
         // Phase 2: the commit point (op m+1). Before this lands, the
         // write never happened; after it, the write is durable.
-        let commit = self.encode_commit(path, &meta);
-        self.enclave.charge_syscall();
-        if let Err(e) = self.store.shield_put(&Self::commit_path(&txn), commit) {
+        if let Err(e) = self.commit(path, Some(&meta)) {
             return Err(self.abort_write(file_id, version, e));
         }
         self.meta.insert(path.to_string(), meta);
@@ -815,17 +958,13 @@ impl FsShield {
         self.metrics.bytes_written.add(data.len() as u64);
         self.metrics.journal_commits.inc();
 
-        // Phase 3: install the final blob, republish the manifest and
-        // reclaim the staging. A crash anywhere here still recovers to
-        // the post-write state (the commit record is the truth), but the
-        // host is down: surface that to the caller.
-        let stored = Self::assemble_blob(data.len() as u64, &records);
+        // Phase 3: install the final blob and reclaim the staging. A
+        // crash anywhere here still recovers to the post-write state (the
+        // manifest is the truth), but the host is down: surface that to
+        // the caller.
         self.enclave.charge_syscall();
         self.store.shield_put(path, stored)?;
-        self.persist_manifest()?;
-        self.enclave.charge_syscall();
-        self.store.shield_delete(&Self::commit_path(&txn))?;
-        for k in 0..records.len() {
+        for k in 0..total as usize {
             self.enclave.charge_syscall();
             self.store.shield_delete(&Self::staged_chunk_path(&txn, k))?;
         }
@@ -1053,7 +1192,8 @@ impl FsShield {
     /// Deletes a file from the store and the metadata table. Returns
     /// whether the path existed.
     ///
-    /// The manifest is republished *before* the host delete, so a crash
+    /// The removal is committed to the manifest (a tombstone record, or a
+    /// checkpoint without the file) *before* the host delete, so a crash
     /// in between recovers to the post-delete state (file forgotten; the
     /// orphaned blob is unreadable without metadata).
     ///
@@ -1062,13 +1202,14 @@ impl FsShield {
     /// [`ShieldError::HostCrashed`] if the host dies mid-operation.
     pub fn delete(&mut self, path: &str) -> Result<bool, ShieldError> {
         self.enclave.charge_syscall();
-        let meta = self.meta.remove(path);
-        if let Some(meta) = &meta {
-            self.chunk_cache.lock().invalidate_file(meta.file_id);
-            self.persist_manifest()?;
+        let known = self.meta.get(path).map(|m| m.file_id);
+        if let Some(file_id) = known {
+            self.chunk_cache.lock().invalidate_file(file_id);
+            self.commit(path, None)?;
+            self.meta.remove(path);
         }
         let had = self.store.shield_delete(path)?;
-        Ok(meta.is_some() || had)
+        Ok(known.is_some() || had)
     }
 
     /// Whether `path` currently exists: written through this shield, or
@@ -1093,82 +1234,83 @@ impl FsShield {
         aad
     }
 
-    /// Deterministic encoding of the whole metadata table (files sorted
-    /// by path), prefixed by the format magic and the generation it
-    /// claims; [`decode_manifest`] reads it.
-    fn encode_manifest(&self, generation: u64) -> Vec<u8> {
-        let mut out = MANIFEST_MAGIC.to_vec();
+    /// Deterministic encoding of the whole metadata table as of the next
+    /// commit — `path` changed to `meta`, or gone for `None` — with files
+    /// sorted by path, prefixed by the format magic and the generation it
+    /// claims; [`decode_checkpoint`] reads it.
+    fn encode_checkpoint(&self, generation: u64, path: &str, meta: Option<&FileMeta>) -> Vec<u8> {
+        let mut files: Vec<(&str, &FileMeta)> = self
+            .meta
+            .iter()
+            .map(|(p, m)| (p.as_str(), m))
+            .filter(|(p, _)| *p != path)
+            .chain(meta.map(|m| (path, m)))
+            .collect();
+        files.sort_unstable_by_key(|(p, _)| *p);
+        let mut out = CHECKPOINT_MAGIC.to_vec();
         put_u64(&mut out, generation);
         put_u64(&mut out, self.next_file_id);
-        put_u32(&mut out, 0); // reserved
-        let mut files: Vec<(&String, &FileMeta)> = self.meta.iter().collect();
-        files.sort_by_key(|(path, _)| *path);
         put_u32(&mut out, files.len() as u32);
-        for (path, meta) in files {
-            put_file_entry(&mut out, path, meta);
+        for (p, m) in files {
+            put_file_entry(&mut out, p, m);
         }
         out
     }
 
-    /// Seals the metadata table and publishes it to the generation's
-    /// slot, then advances the monotonic counter that pins it. Slot
-    /// `g % 2` keeps the previous generation intact until the new one
-    /// has fully landed.
-    fn persist_manifest(&mut self) -> Result<(), ShieldError> {
+    /// Commits one change to the table — `path`'s new entry, or its
+    /// removal for `None` — as the next generation, and advances the
+    /// monotonic counter that pins it. The change is one MAC'd record
+    /// appended to the log, unless the log cannot take it (see
+    /// [`Log::takes`]): then the whole table, change included, is sealed
+    /// as the next checkpoint, into the slot the current one is not in,
+    /// so the previous checkpoint and its log stay intact until the new
+    /// one has fully landed. Either put is the commit point.
+    fn commit(&mut self, path: &str, meta: Option<&FileMeta>) -> Result<(), ShieldError> {
         let generation = self.enclave.counters().lock().read(self.counter)? + 1;
-        let encoded = self.encode_manifest(generation);
-        let sealed = self
-            .enclave
-            .seal(SealPolicy::Measurement, &encoded, &self.manifest_aad());
+        let mut record = record_body(generation, &self.log.head, path, meta);
+        let len = (record.len() + MAC_LEN) as u64;
         self.enclave.charge_syscall();
-        self.store
-            .shield_put(&Self::manifest_slot(&self.manifest_base, generation), sealed)?;
+        if self.log.takes(generation, len) {
+            // The MAC, charged as the checkpoint seal it stands in for is.
+            self.enclave.charge_shield_crypto(len);
+            let mac = seal_record(&self.log_key, &mut record);
+            let at = Self::log_path(&self.manifest_base, self.log.records);
+            self.store.shield_put(&at, record)?;
+            self.log.records += 1;
+            self.log.bytes += len;
+            self.log.head = mac;
+        } else {
+            let slot = self.log.checkpoint.map_or(generation % 2, |c| 1 - c.slot);
+            let plain = self.encode_checkpoint(generation, path, meta);
+            let sealed = self
+                .enclave
+                .seal(SealPolicy::Measurement, &plain, &self.manifest_aad());
+            let checkpoint = Checkpoint {
+                generation,
+                slot,
+                len: sealed.len() as u64,
+            };
+            let head = checkpoint_link(&self.log_key, &sealed);
+            self.store
+                .shield_put(&Self::manifest_slot(&self.manifest_base, slot), sealed)?;
+            self.log = Log {
+                checkpoint: Some(checkpoint),
+                head,
+                ..Log::default()
+            };
+        }
         // NVRAM, not host storage: the increment cannot be lost to a
         // host crash once the put above has succeeded.
         self.enclave.counters().lock().increment(self.counter)?;
-        self.manifest_generation = generation;
+        self.generation = generation;
         Ok(())
     }
 
-    /// MAC'd commit record carrying the metadata delta of one journaled
-    /// write — the single host object whose presence decides whether the
-    /// transaction happened.
-    fn encode_commit(&self, path: &str, meta: &FileMeta) -> Vec<u8> {
-        let mut out = COMMIT_MAGIC.to_vec();
-        put_file_entry(&mut out, path, meta);
-        let mac = hmac_sha256(self.journal_key.as_bytes(), &out);
-        out.extend_from_slice(&mac);
-        out
-    }
-
-    /// Parses a commit record, after its MAC has authenticated it: `None`
-    /// for a torn, forged or malformed record (the transaction never
-    /// happened), [`ShieldError::UnsupportedFormat`] for an authentic one
-    /// without the v2 magic or with a reserved field set, which this
-    /// build cannot roll forward.
-    fn decode_commit(&self, bytes: &[u8]) -> Result<Option<(String, FileMeta)>, ShieldError> {
-        let Some((body, mac)) = bytes.split_last_chunk::<32>() else {
-            return Ok(None);
-        };
-        if !ct::eq(&hmac_sha256(self.journal_key.as_bytes(), body), mac) {
-            return Ok(None);
-        }
-        let mut r = Reader::new(body);
-        if r.array::<8>().ok().as_ref() != Some(COMMIT_MAGIC) {
-            return Err(ShieldError::UnsupportedFormat(
-                "fs commit record is not STFJRNL2",
-            ));
-        }
-        match read_file_entry(&mut r, self.epoch) {
-            Ok(entry) => Ok(r.finish().is_ok().then_some(entry)),
-            Err(e @ ShieldError::UnsupportedFormat(_)) => Err(e),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// Remounts a store after a crash: loads the newest counter-fresh
-    /// sealed manifest, rolls committed journal transactions forward,
-    /// discards torn or uncommitted staging, and reclaims the journal.
+    /// Remounts a store after a crash: loads the freshest sealed
+    /// checkpoint and replays its log up to the counter, rolls committed
+    /// journal transactions forward, discards torn or uncommitted staging,
+    /// and reclaims the journal. It writes nothing else: a store with no
+    /// journal residue is mounted without a single host write.
     ///
     /// Keys derive from the enclave identity (like [`FsShield::new`]),
     /// so any enclave with the *same measurement on the same platform*
@@ -1176,14 +1318,16 @@ impl FsShield {
     ///
     /// # Errors
     ///
-    /// * [`ShieldError::FileTampered`] — fail closed — if the counter
-    ///   says manifests were published but none that fresh is on disk
-    ///   (whole-store rollback or destruction).
+    /// * [`ShieldError::FileTampered`] — fail closed, counted in
+    ///   `shield.fs.tamper_rejections` — if the counter says commits were
+    ///   made but no checkpoint survives, or a log record between the
+    ///   checkpoint and the counter is missing, stale or not linked to its
+    ///   predecessor (whole-store or partial rollback, a spliced record,
+    ///   or destruction).
     /// * [`ShieldError::UnsupportedFormat`] — also fail closed, counted in
-    ///   `shield.fs.format_rejections` — if an authentic manifest or commit
-    ///   record is not in the v2 format (`STFMAN02` / `STFJRNL2`), as in a
-    ///   store written before mount epochs existed, or sets one of its
-    ///   reserved fields.
+    ///   `shield.fs.format_rejections` — if an authentic checkpoint or log
+    ///   record is not in the v3 format (`STFMAN03` / `STFLOG01`), or the
+    ///   journal holds a commit record, which only v1 and v2 stores wrote.
     /// * [`ShieldError::HostCrashed`] if the host is still down.
     pub fn recover(
         enclave: Arc<Enclave>,
@@ -1208,67 +1352,26 @@ impl FsShield {
         let mut shield = Self::with_key(enclave, store, key);
         let counter_value = shield.enclave.counters().lock().read(shield.counter)?;
 
-        // Load the freshest acceptable manifest from the two slots. Only
-        // the generation the counter pins is live; one ahead is also
-        // accepted (crash between the manifest landing and the counter
-        // advancing). Anything older is a stale slot or a rollback.
-        let mut best: Option<DecodedManifest> = None;
-        for slot in 0..2u64 {
-            shield.enclave.charge_syscall();
-            let slot_path = format!("{}/manifest-{slot}", shield.manifest_base);
-            let Some(sealed) = shield.store.shield_get(&slot_path)? else {
-                continue;
-            };
-            let Ok(plain) =
-                shield
-                    .enclave
-                    .unseal(SealPolicy::Measurement, &sealed, &shield.manifest_aad())
-            else {
-                continue;
-            };
-            let m = match decode_manifest(&plain, shield.epoch) {
-                Ok(m) => m,
-                // Authentic but unreadable: neither skipped nor taken for
-                // a fresh mount.
-                Err(e @ ShieldError::UnsupportedFormat(_)) => return Err(shield.format_rejected(e)),
-                Err(_) => continue,
-            };
-            if m.generation != counter_value && m.generation != counter_value + 1 {
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| b.generation < m.generation) {
-                best = Some(m);
-            }
+        shield.load_checkpoint(counter_value)?;
+        if shield.log.checkpoint.is_some() {
+            shield.replay_log(counter_value)?;
+        } else if counter_value > 0 {
+            // The counter proves commits were made, and every store's
+            // first commit seals a checkpoint; none survived. Fail closed:
+            // this is a rollback attack (or total destruction), not a
+            // recoverable crash.
+            return Err(shield.rolled_back("fs manifest checkpoint rolled back or destroyed"));
         }
-        match best {
-            Some(m) => {
-                if m.generation == counter_value + 1 {
-                    // The manifest landed but the crash beat the counter
-                    // increment; catch the counter up to re-pin it.
-                    shield.enclave.counters().lock().increment(shield.counter)?;
-                }
-                shield.manifest_generation = m.generation;
-                shield.next_file_id = m.next_file_id;
-                shield.meta = m.meta;
-            }
-            None if counter_value == 0 => {
-                // Nothing was ever published: a fresh mount.
-            }
-            None => {
-                // The counter proves manifests existed; none survived
-                // fresh enough. Fail closed: this is a rollback attack
-                // (or total destruction), not a recoverable crash.
-                shield.metrics.tamper_rejections.inc();
-                return Err(ShieldError::FileTampered(
-                    "fs manifest rolled back or destroyed".to_string(),
-                ));
-            }
+        if shield.generation > counter_value {
+            // The commit landed but the crash beat the counter increment;
+            // catch the counter up to re-pin it.
+            shield.enclave.counters().lock().increment(shield.counter)?;
         }
 
-        // Journal scan: every transaction directory either has a MAC-valid
-        // commit record (roll it forward if the manifest predates it) or
-        // it is torn/uncommitted residue (discard — the write never
-        // happened).
+        // Journal scan: a transaction directory whose `(file_id, version)`
+        // the table holds committed is rolled forward unless its blob
+        // already landed; any other is torn or uncommitted residue
+        // (discard — the write never happened).
         let prefix = format!("{}/txn/", shield.manifest_base);
         shield.enclave.charge_syscall();
         let txn_paths: Vec<String> = shield
@@ -1277,57 +1380,12 @@ impl FsShield {
             .into_iter()
             .filter(|p| p.starts_with(&prefix))
             .collect();
-        let mut dirs: Vec<String> = txn_paths
-            .iter()
-            .filter_map(|p| p.rfind('/').map(|i| p[..i].to_string()))
-            .collect();
-        dirs.sort();
-        dirs.dedup();
-        let mut rolled_forward = 0usize;
-        let mut discarded = 0usize;
-        for dir in &dirs {
-            shield.enclave.charge_syscall();
-            let commit = match shield.store.shield_get(&Self::commit_path(dir))? {
-                Some(bytes) => shield
-                    .decode_commit(&bytes)
-                    .map_err(|e| shield.format_rejected(e))?,
-                None => None,
-            };
-            match commit {
-                Some((path, meta)) => {
-                    let already_current = shield
-                        .meta
-                        .get(&path)
-                        .is_some_and(|m| m.version >= meta.version);
-                    if already_current {
-                        // Residue of an interrupted cleanup: the manifest
-                        // already covers this commit.
-                    } else if shield.roll_forward(dir, &path, &meta)? {
-                        rolled_forward += 1;
-                    } else {
-                        // Committed, but the staged chunks were tampered
-                        // with or destroyed: detected, not silently
-                        // applied.
-                        shield.metrics.tamper_rejections.inc();
-                        discarded += 1;
-                    }
-                }
-                None => {
-                    // No commit record (or a forged one): the transaction
-                    // never happened. Discard the staging.
-                    shield.metrics.journal_rollbacks.inc();
-                    discarded += 1;
-                }
-            }
+        if txn_paths.iter().any(|p| p.ends_with("/commit")) {
+            return Err(shield.format_rejected(ShieldError::UnsupportedFormat(
+                "fs journal holds a v1 or v2 commit record",
+            )));
         }
-        // Persist the caught-up manifest BEFORE reclaiming the journal:
-        // if the host dies between the two, the commit records are still
-        // there and the next recovery repeats the (idempotent)
-        // roll-forward. The reverse order would strand a rolled-forward
-        // blob under a manifest that predates it.
-        if rolled_forward > 0 {
-            shield.persist_manifest()?;
-        }
+        let (rolled_forward, discarded) = shield.settle_journal(&txn_paths)?;
         for p in &txn_paths {
             shield.enclave.charge_syscall();
             shield.store.shield_delete(p)?;
@@ -1335,7 +1393,7 @@ impl FsShield {
         let recovery_ns = shield.enclave.clock().now_ns() - t0;
         shield.metrics.recovery_ns.add(recovery_ns);
         let report = RecoveryReport {
-            generation: shield.manifest_generation,
+            generation: shield.generation,
             files: shield.meta.len(),
             rolled_forward,
             discarded,
@@ -1352,16 +1410,196 @@ impl FsShield {
         e
     }
 
-    /// Applies one committed transaction from its staged chunks. Returns
-    /// false (without touching state) if any staged chunk is missing, is
-    /// not the record whose tag the commit pins, or fails to authenticate
-    /// — so a tampered staged chunk is rejected here, not at a later read.
-    fn roll_forward(
-        &mut self,
-        dir: &str,
-        path: &str,
-        meta: &FileMeta,
-    ) -> Result<bool, ShieldError> {
+    /// Counts a mount refused as a rollback and returns its error.
+    fn rolled_back(&self, what: &str) -> ShieldError {
+        self.metrics.tamper_rejections.inc();
+        ShieldError::FileTampered(what.to_string())
+    }
+
+    /// Adopts the freshest checkpoint in the two slots as the table. A
+    /// checkpoint ahead of the counter by more than one generation (the
+    /// crash may beat the increment by one) was not sealed on this
+    /// platform's count and is skipped, as is one that does not unseal or
+    /// decode; whether the one adopted is fresh enough is the log's to
+    /// say.
+    fn load_checkpoint(&mut self, counter_value: u64) -> Result<(), ShieldError> {
+        let mut best: Option<(DecodedCheckpoint, Checkpoint, Vec<u8>)> = None;
+        for slot in 0..2u64 {
+            self.enclave.charge_syscall();
+            let slot_path = Self::manifest_slot(&self.manifest_base, slot);
+            let Some(sealed) = self.store.shield_get(&slot_path)? else {
+                continue;
+            };
+            let Ok(plain) = self
+                .enclave
+                .unseal(SealPolicy::Measurement, &sealed, &self.manifest_aad())
+            else {
+                continue;
+            };
+            let decoded = match decode_checkpoint(&plain, self.epoch) {
+                Ok(decoded) => decoded,
+                // Authentic but unreadable: neither skipped nor taken for
+                // a fresh mount.
+                Err(e @ ShieldError::UnsupportedFormat(_)) => return Err(self.format_rejected(e)),
+                Err(_) => continue,
+            };
+            let fresher = best
+                .as_ref()
+                .is_none_or(|(b, ..)| b.generation < decoded.generation);
+            if decoded.generation <= counter_value + 1 && fresher {
+                let at = Checkpoint {
+                    generation: decoded.generation,
+                    slot,
+                    len: sealed.len() as u64,
+                };
+                best = Some((decoded, at, sealed));
+            }
+        }
+        if let Some((decoded, at, sealed)) = best {
+            let head = checkpoint_link(&self.log_key, &sealed);
+            self.generation = decoded.generation;
+            self.next_file_id = decoded.next_file_id;
+            self.meta = decoded.meta;
+            self.log = Log {
+                checkpoint: Some(at),
+                head,
+                ..Log::default()
+            };
+        }
+        Ok(())
+    }
+
+    /// Replays the log after the adopted checkpoint: every generation up
+    /// to the counter must be the next record, MAC-valid and linked to its
+    /// predecessor, or the mount fails closed. One generation past the
+    /// counter is applied if such a record is there (the crash beat the
+    /// counter increment); anything else in its place is a write that
+    /// never committed.
+    fn replay_log(&mut self, counter_value: u64) -> Result<(), ShieldError> {
+        while self.generation <= counter_value {
+            let generation = self.generation + 1;
+            self.enclave.charge_syscall();
+            let at = Self::log_path(&self.manifest_base, self.log.records);
+            // A record names its generation up front, so one an older log
+            // left at this position is passed over unread. Passing over a
+            // record fails the mount closed or leaves a write uncommitted,
+            // as a forged one would after its MAC check.
+            let named = generation.to_le_bytes();
+            let bytes = self.store.shield_view(&at, |stored| {
+                let stored = stored.filter(|b| b.get(8..16) == Some(&named[..]));
+                stored.map(<[u8]>::to_vec)
+            })?;
+            let record = match bytes {
+                Some(bytes) => {
+                    self.enclave.charge_shield_crypto(bytes.len() as u64);
+                    decode_record(&self.log_key, &bytes, self.epoch)
+                        .map_err(|e| self.format_rejected(e))?
+                        .map(|record| (record, bytes.len() as u64))
+                }
+                None => None,
+            };
+            let linked = record
+                .filter(|(r, _)| r.generation == generation && ct::eq(&r.prev, &self.log.head));
+            let Some((record, len)) = linked else {
+                if generation > counter_value {
+                    break;
+                }
+                let what = "fs manifest log record missing, stale or out of chain";
+                return Err(self.rolled_back(what));
+            };
+            self.log.records += 1;
+            self.log.bytes += len;
+            self.log.head = record.mac;
+            self.generation = generation;
+            match record.meta {
+                Some(meta) => {
+                    self.next_file_id = self.next_file_id.max(meta.file_id.saturating_add(1));
+                    self.meta.insert(record.path, meta);
+                }
+                None => {
+                    self.meta.remove(&record.path);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Settles the journal's transaction directories against the
+    /// recovered table; returns how many were rolled forward and how many
+    /// discarded. Every staged object is reclaimed by the caller.
+    fn settle_journal(&self, txn_paths: &[String]) -> Result<(usize, usize), ShieldError> {
+        // `<txn>/c<k>`, sorted, so one transaction's objects are adjacent.
+        let mut dirs: Vec<&str> = txn_paths
+            .iter()
+            .filter_map(|p| p.rsplit_once('/').map(|(dir, _)| dir))
+            .collect();
+        dirs.dedup();
+        if dirs.is_empty() {
+            return Ok((0, 0));
+        }
+        // Each directory is named `<file_id:016x>-<version:016x>`; the
+        // table's entry for that file id says whether it committed.
+        let by_id: HashMap<u64, (&str, &FileMeta)> = self
+            .meta
+            .iter()
+            .map(|(p, m)| (m.file_id, (p.as_str(), m)))
+            .collect();
+        let (mut rolled_forward, mut discarded) = (0, 0);
+        for dir in dirs {
+            let named = dir
+                .rsplit_once('/')
+                .and_then(|(_, name)| name.split_once('-'))
+                .and_then(|(id, version)| {
+                    let id = u64::from_str_radix(id, 16).ok()?;
+                    Some((id, u64::from_str_radix(version, 16).ok()?))
+                });
+            let committed = named.and_then(|(id, version)| {
+                by_id.get(&id).filter(|(_, meta)| meta.version == version)
+            });
+            let Some(&(path, meta)) = committed else {
+                // Not a committed version: the transaction never happened.
+                self.metrics.journal_rollbacks.inc();
+                discarded += 1;
+                continue;
+            };
+            if self.blob_installed(path, meta)? {
+                // Residue of an interrupted cleanup: the blob landed.
+            } else if self.roll_forward(dir, path, meta)? {
+                rolled_forward += 1;
+            } else {
+                // Committed, but the staged chunks were tampered with or
+                // destroyed: detected here, and the file reads as
+                // tampered rather than silently rolled back.
+                self.metrics.tamper_rejections.inc();
+                discarded += 1;
+            }
+        }
+        Ok((rolled_forward, discarded))
+    }
+
+    /// Whether the host holds the blob `meta` describes at `path`: every
+    /// record where the metadata puts it, carrying its pinned tag.
+    /// Nothing is decrypted here; a read still authenticates each record.
+    fn blob_installed(&self, path: &str, meta: &FileMeta) -> Result<bool, ShieldError> {
+        self.enclave.charge_syscall();
+        self.store.shield_view(path, |stored| {
+            stored
+                .and_then(|blob| Self::records(path, meta, blob).ok())
+                .is_some_and(|records| {
+                    records
+                        .iter()
+                        .enumerate()
+                        .all(|(i, record)| ct::eq(&record[meta.chunk_len(i)..], meta.tag(i)))
+                })
+        })
+    }
+
+    /// Installs one committed transaction's blob from its staged chunks.
+    /// Returns false (without touching the host) if any staged chunk is
+    /// missing, is not the record whose tag the entry pins, or fails to
+    /// authenticate — so a tampered staged chunk is rejected here, not at
+    /// a later read.
+    fn roll_forward(&self, dir: &str, path: &str, meta: &FileMeta) -> Result<bool, ShieldError> {
         let key = self.chunk_key(meta.file_id, meta.epoch);
         let mut records = Vec::with_capacity(meta.chunks());
         for k in 0..meta.chunks() {
@@ -1384,15 +1622,14 @@ impl FsShield {
         let blob = Self::assemble_blob(meta.len, &records);
         self.enclave.charge_syscall();
         self.store.shield_put(path, blob)?;
-        self.meta.insert(path.to_string(), meta.clone());
         self.metrics.journal_commits.inc();
         Ok(true)
     }
 
-    /// Generation of the newest persisted manifest (0 before any
-    /// protected write).
+    /// Generation of the newest commit to the manifest this shield made
+    /// or recovered (0 before any): one per protected write and delete.
     pub fn manifest_generation(&self) -> u64 {
-        self.manifest_generation
+        self.generation
     }
 
     /// The enclave this shield is bound to.
@@ -1968,9 +2205,9 @@ mod tests {
         // but the original plaintext; check its bounds here.
         let (mut shield, _store) = setup();
         shield.write("/secure/a", &vec![1u8; CHUNK_SIZE + 1]).unwrap();
-        let plain = shield.encode_manifest(7);
+        let plain = shield.encode_checkpoint(7, "/secure/a", shield.meta.get("/secure/a"));
         // As the next mount reads it.
-        let decode = |bytes: &[u8]| decode_manifest(bytes, shield.epoch + 1);
+        let decode = |bytes: &[u8]| decode_checkpoint(bytes, shield.epoch + 1);
         let decoded = decode(&plain).unwrap();
         assert_eq!(decoded.generation, 7);
         let meta = &decoded.meta["/secure/a"];
@@ -1999,20 +2236,65 @@ mod tests {
             assert!(decode(&moved).is_err(), "epoch {hostile}");
         }
         // The entry is only readable by a later mount.
-        assert!(decode_manifest(&plain, shield.epoch).is_err());
-        // The reserved fields: the table's, after `next_file_id`, and the
-        // entry's, after its path. Set, they are a format this build
-        // does not read.
-        let entry_at = 32 + 4 + "/secure/a".len();
-        for at in [24, entry_at] {
-            assert_eq!(plain[at], 0);
-            let mut set = plain.clone();
-            set[at] = 1;
-            assert!(
-                matches!(decode(&set), Err(ShieldError::UnsupportedFormat(_))),
-                "reserved byte {at}"
-            );
+        assert!(decode_checkpoint(&plain, shield.epoch).is_err());
+        // The v2 magic is a format this build does not read.
+        let mut v2 = plain.clone();
+        v2[..8].copy_from_slice(b"STFMAN02");
+        assert!(matches!(
+            decode(&v2),
+            Err(ShieldError::UnsupportedFormat(_))
+        ));
+    }
+
+    #[test]
+    fn log_records_are_parsed_with_bounds() {
+        // A record's body is only parsed once its MAC verifies, so the
+        // harness in tests/hostile_input.rs reaches this decoder behind
+        // the MAC only by re-MACing; check the bounds here, re-MAC'd.
+        let (mut shield, _store) = setup();
+        shield.write("/secure/a", &vec![1u8; CHUNK_SIZE + 1]).unwrap();
+        let meta = shield.meta["/secure/a"].clone();
+        let decode = |body: &[u8]| {
+            let mut record = body.to_vec();
+            seal_record(&shield.log_key, &mut record);
+            decode_record(&shield.log_key, &record, shield.epoch + 1)
+        };
+        let head = [7u8; MAC_LEN];
+        for meta in [Some(&meta), None] {
+            let body = record_body(5, &head, "/secure/a", meta);
+            let record = decode(&body).unwrap().expect("well-formed");
+            assert_eq!((record.generation, record.prev), (5, head));
+            assert_eq!(record.path, "/secure/a");
+            assert_eq!(record.meta.map(|m| m.tags), meta.map(|m| m.tags.clone()));
+            let rejected = |bytes: &[u8]| decode(bytes).ok().flatten().is_none();
+            for cut in 0..body.len() {
+                assert!(rejected(&body[..cut]), "cut at {cut}");
+            }
+            let mut longer = body.clone();
+            longer.push(0);
+            assert!(rejected(&longer));
+            // An unknown kind, right after the link.
+            let mut kind = body.clone();
+            kind[48] = 9;
+            assert!(rejected(&kind));
         }
+        // Without its MAC, or under another key, a record is not one.
+        let mut body = record_body(5, &head, "/secure/a", Some(&meta));
+        assert!(decode_record(&shield.log_key, &body, shield.epoch + 1)
+            .unwrap()
+            .is_none());
+        seal_record(&Key::from_bytes([1; 32]), &mut body);
+        assert!(decode_record(&shield.log_key, &body, shield.epoch + 1)
+            .unwrap()
+            .is_none());
+        // An authentic record with another magic is a format this build
+        // does not read.
+        let mut v2 = record_body(5, &head, "/secure/a", Some(&meta));
+        v2[..8].copy_from_slice(b"STFJRNL2");
+        assert!(matches!(
+            decode(&v2),
+            Err(ShieldError::UnsupportedFormat(_))
+        ));
     }
 
     #[test]
@@ -2214,14 +2496,22 @@ mod tests {
             let (recovered, report) = FsShield::recover(restart_enclave(&platform), store).unwrap();
             assert_eq!(report.rolled_forward, 0, "tampered staged {what} applied");
             assert_eq!(report.discarded, 1);
-            assert_eq!(recovered.read("/secure/f").unwrap(), b"old contents");
+            // The write committed, so the old contents are a rollback:
+            // the file fails closed instead of serving them.
+            assert!(
+                matches!(
+                    recovered.read("/secure/f"),
+                    Err(ShieldError::FileTampered(_))
+                ),
+                "tampered staged {what}"
+            );
         }
     }
 
     /// `!fs/<mr8>` of the shield identity [`crash_setup`] runs as.
-    fn crash_base(platform: &Platform) -> (String, Key) {
+    fn crash_base(platform: &Platform) -> String {
         let shield = FsShield::new(restart_enclave(platform), UntrustedStore::new());
-        (shield.manifest_base.clone(), shield.journal_key.clone())
+        shield.manifest_base.clone()
     }
 
     #[test]
@@ -2236,51 +2526,60 @@ mod tests {
         let enclave = platform
             .create_enclave(&image, ExecutionMode::Hardware)
             .unwrap();
-        let (base, _) = crash_base(&platform);
+        let base = crash_base(&platform);
         // A v1 plaintext: `u64 generation | u64 next_file_id | u32
-        // policies | u32 files`, no magic — what the previous format
-        // sealed for an empty table.
+        // policies | u32 files`, no magic — what that format sealed for an
+        // empty table; and v2's, `STFMAN02` and then the same fields.
         let mut v1 = Vec::new();
         put_u64(&mut v1, 1);
         put_u64(&mut v1, 1);
         put_u32(&mut v1, 0);
         put_u32(&mut v1, 0);
+        let v2 = [&b"STFMAN02"[..], &v1].concat();
         let aad = format!("{base}/manifest");
-        let sealed = enclave.seal(SealPolicy::Measurement, &v1, aad.as_bytes());
-        let store = UntrustedStore::new();
-        store.raw_put(&format!("{base}/manifest-1"), sealed);
-        assert!(matches!(
-            FsShield::recover(enclave, store),
-            Err(ShieldError::UnsupportedFormat(_))
-        ));
-        assert_eq!(telemetry.counter("shield.fs.format_rejections").get(), 1);
+        for (rejected, plain) in [v1, v2].iter().enumerate() {
+            let sealed = enclave.seal(SealPolicy::Measurement, plain, aad.as_bytes());
+            let store = UntrustedStore::new();
+            store.raw_put(&format!("{base}/manifest-1"), sealed);
+            assert!(matches!(
+                FsShield::recover(enclave.clone(), store),
+                Err(ShieldError::UnsupportedFormat(_))
+            ));
+            let counted = telemetry.counter("shield.fs.format_rejections").get();
+            assert_eq!(counted, rejected as u64 + 1);
+        }
     }
 
     #[test]
     fn a_v1_commit_record_fails_closed_with_a_typed_error() {
-        let (platform, enclave, store) = crash_setup();
-        let (base, journal_key) = crash_base(&platform);
-        // `STFJRNL1 | path | policy | version | len | file_id | n |
-        // digest32 × n | hmac32`, MAC-valid under the journal key.
-        let mut v1 = b"STFJRNL1".to_vec();
-        put_len_prefixed(&mut v1, b"/secure/f");
-        v1.push(0);
-        put_u64(&mut v1, 1);
-        put_u64(&mut v1, 3);
-        put_u64(&mut v1, 1);
-        put_u32(&mut v1, 1);
-        v1.extend_from_slice(&[0xab; 32]);
-        let mac = hmac_sha256(journal_key.as_bytes(), &v1);
-        v1.extend_from_slice(&mac);
-        let txn = FsShield::txn_dir(&base, 1, 1);
-        store.raw_put(&FsShield::staged_chunk_path(&txn, 0), vec![0; 19]);
-        store.raw_put(&FsShield::commit_path(&txn), v1);
-        assert!(matches!(
-            FsShield::recover(enclave, store.clone()),
-            Err(ShieldError::UnsupportedFormat(_))
-        ));
-        // Not skipped either: the record is still there for an operator.
-        assert!(store.contains(&FsShield::commit_path(&txn)));
+        // v1 and v2 journals committed with a `commit` record in the
+        // transaction directory (`STFJRNL1` / `STFJRNL2 | entry | hmac32`);
+        // this format commits through the manifest's log and writes none.
+        for magic in [b"STFJRNL1", b"STFJRNL2"] {
+            let clock = securetf_tee::SimClock::new();
+            let telemetry = clock.telemetry();
+            let platform = Platform::builder()
+                .clock(clock)
+                .telemetry(telemetry.clone())
+                .build();
+            let (enclave, store) = (restart_enclave(&platform), UntrustedStore::new());
+            let base = crash_base(&platform);
+            let mut record = magic.to_vec();
+            put_len_prefixed(&mut record, b"/secure/f");
+            record.extend_from_slice(&[0xab; 32 + 32]);
+            let txn = FsShield::txn_dir(&base, 1, 1);
+            let commit = format!("{txn}/commit");
+            store.raw_put(&FsShield::staged_chunk_path(&txn, 0), vec![0; 19]);
+            store.raw_put(&commit, record);
+            assert!(matches!(
+                FsShield::recover(enclave, store.clone()),
+                Err(ShieldError::UnsupportedFormat(_))
+            ));
+            assert_eq!(telemetry.counter("shield.fs.format_rejections").get(), 1);
+            // Not skipped either: the record is still there for an
+            // operator.
+            assert!(store.contains(&commit));
+        }
     }
 
     #[test]
@@ -2288,8 +2587,9 @@ mod tests {
         let (platform, enclave, store) = crash_setup();
         let mut shield = FsShield::new(enclave, store.clone());
         shield.write("/secure/f", b"old contents").unwrap();
-        // Crash on the commit put itself, landing only 7 bytes of it: the
-        // commit record is torn, so the transaction never happened.
+        // Crash on the commit put itself (in a one-file store, a new
+        // checkpoint), landing only 7 bytes of it: the commit is torn, so
+        // the transaction never happened.
         store.fail_after_ops_torn(1, 7);
         assert!(shield.write("/secure/f", b"new contents").is_err());
         store.host_restart();
@@ -2392,6 +2692,111 @@ mod tests {
             telemetry.counter("shield.fs.recovery_ns").get(),
             report.recovery_ns
         );
+    }
+
+    /// `Enclave::seal` calls on `enclave` so far, this probe's included:
+    /// the probe's nonce carries the per-instance seal count.
+    fn seals(enclave: &Enclave) -> u64 {
+        let probe = enclave.seal(SealPolicy::Measurement, &[], b"seal probe");
+        u64::from_le_bytes(probe[4..12].try_into().unwrap())
+    }
+
+    #[test]
+    fn a_small_write_between_compactions_seals_nothing_and_costs_four_host_ops() {
+        // The `store_write` table: 512 small files and 8 large ones (two
+        // chunks each here), ~37 KB of checkpoint.
+        let (platform, enclave, store) = crash_setup();
+        let mut shield = FsShield::new(enclave.clone(), store.clone());
+        let small = |i: usize| format!("/data/small/{:03}", i % 512);
+        for i in 0..512 {
+            shield.write(&small(i), &[i as u8; 4096]).unwrap();
+        }
+        for i in 0..8u8 {
+            let path = format!("/data/large/{i}");
+            shield.write(&path, &vec![i; 2 * CHUNK_SIZE]).unwrap();
+        }
+        let mut compactions = Vec::new();
+        for round in 0..600 {
+            let (sealed, ops) = (seals(&enclave), store.op_count());
+            shield.write(&small(round), &[round as u8; 4096]).unwrap();
+            // Stage, commit, install, reclaim: with or without compaction.
+            assert_eq!(store.op_count() - ops, 4, "write {round}");
+            match seals(&enclave) - sealed - 1 {
+                0 => {}
+                1 => compactions.push(round),
+                n => panic!("write {round} sealed {n} times"),
+            }
+        }
+        // ~150-byte records against the checkpoint: one seal per ~240
+        // writes, none in between.
+        let gaps: Vec<usize> = compactions.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(
+            !gaps.is_empty() && gaps.iter().all(|&gap| gap > 200),
+            "compacted at {compactions:?}"
+        );
+
+        // A remount with no journal residue writes nothing to the host.
+        drop(shield);
+        let ops = store.op_count();
+        let (recovered, report) =
+            FsShield::recover(restart_enclave(&platform), store.clone()).unwrap();
+        assert_eq!(store.op_count(), ops, "recover wrote to the host");
+        assert_eq!((report.files, report.generation), (520, 520 + 600));
+        assert_eq!(recovered.read(&small(599)).unwrap(), [(599 % 256) as u8; 4096]);
+    }
+
+    #[test]
+    fn another_identity_holding_the_file_key_cannot_forge_a_log_record() {
+        // Enclave A keeps its files under a CAS-shared file key K, and
+        // enclave B — another measurement on the same platform — was
+        // provisioned K too. With the host's help, B stages a chunk in A's
+        // namespace and appends the log record that commits it, keyed as
+        // B's own shield under K keys everything (A's measurement, which
+        // names the namespace, is public).
+        let platform = Platform::builder().build();
+        let spawn = |code: &[u8]| {
+            platform
+                .create_enclave(
+                    &EnclaveImage::builder().code(code).build(),
+                    ExecutionMode::Hardware,
+                )
+                .unwrap()
+        };
+        let k = Key::from_bytes([0x42; 32]);
+        let store = UntrustedStore::new();
+        let mut a = FsShield::with_key(spawn(b"A"), store.clone(), k.clone());
+        a.write("/model", b"the real model").unwrap();
+        let mut b = FsShield::with_key(spawn(b"B"), UntrustedStore::new(), k.clone());
+        b.manifest_base = a.manifest_base.clone();
+        let forged = b"attacker chosen bytes";
+        let (path, file_id, version) = ("/forged", 99, 1);
+        let nonce = FsShield::chunk_nonce(version, 0);
+        let aad = FsShield::chunk_aad(path, version, 0, 1);
+        let chunk = aead::seal(&b.chunk_key(file_id, b.epoch), &nonce, forged, &aad);
+        let meta = FileMeta {
+            version,
+            len: forged.len() as u64,
+            file_id,
+            epoch: b.epoch,
+            tags: chunk[chunk.len() - TAG_LEN..].to_vec(),
+        };
+        let txn = FsShield::txn_dir(&a.manifest_base, file_id, version);
+        store.raw_put(&FsShield::staged_chunk_path(&txn, 0), chunk);
+        // Generation 2, the first record after A's checkpoint.
+        let slot = a.log.checkpoint.expect("the first write compacts").slot;
+        let checkpoint = store
+            .raw_contents(&FsShield::manifest_slot(&a.manifest_base, slot))
+            .unwrap();
+        let link = checkpoint_link(&b.log_key, &checkpoint);
+        let mut record = record_body(2, &link, path, Some(&meta));
+        seal_record(&b.log_key, &mut record);
+        store.raw_put(&FsShield::log_path(&a.manifest_base, 0), record);
+        drop(a);
+
+        let (a, report) = FsShield::recover_with_key(spawn(b"A"), store, k).unwrap();
+        assert_eq!(report.rolled_forward, 0, "A rolled B's forgery forward");
+        assert!(matches!(a.read(path), Err(ShieldError::FileNotFound(_))));
+        assert_eq!(a.read("/model").unwrap(), b"the real model");
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub enum ShieldError {
     /// the storage interface refuses further I/O until the host restarts.
     HostCrashed(&'static str),
     /// Authentic host-stored state in a format this build does not read
-    /// (an fs store written before the v2 manifest and journal): the
-    /// mount fails closed instead of skipping it or starting fresh.
+    /// (an fs store written before the v3 checkpoint and log): the mount
+    /// fails closed instead of skipping it or starting fresh.
     UnsupportedFormat(&'static str),
     /// An underlying TEE error.
     Tee(securetf_tee::TeeError),

@@ -5,10 +5,11 @@
 //! versioned magic and a reviewed update of this table. The fs row was
 //! re-recorded for the v2 store (`STFMAN02` manifest, `STFJRNL2` journal,
 //! chunks under a per-file, per-mount-epoch subkey with pinned AEAD tags;
-//! DESIGN.md §13), and once more when the sample stopped adding a `/data/`
-//! path policy to its manifest: it is the host image of a default shield,
-//! whose bytes the removal of path policies did not move. The other 12
-//! are the original digests.
+//! DESIGN.md §13), once more when the sample stopped adding a `/data/`
+//! path policy to its manifest, and once more for the v3 manifest: the
+//! sample's one write seals an `STFMAN03` checkpoint, which has no
+//! reserved fields (its blob did not move). The other 12 are the
+//! original digests.
 
 mod samples;
 
@@ -99,7 +100,7 @@ fn encoder_output_is_pinned() {
         (
             "FsShield::write",
             store_digest(&samples::fs_image().2),
-            "9dce1fe1756ba497b55386dbfc66fffe830d8481970496fa40a1dd3ed2b85834",
+            "3575e9f80e3f6e758c652f17f17c6ee0855afec126275618caf32b297f8cfd43",
         ),
     ];
     let mut wrong = Vec::new();

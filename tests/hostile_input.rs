@@ -28,7 +28,7 @@ use securetf_distrib::wire;
 use securetf_shield::fs::{FsShield, UntrustedStore};
 use securetf_shield::ShieldError;
 use securetf_tee::sealing::SealPolicy;
-use securetf_tee::{MrEnclave, Platform, SimClock};
+use securetf_tee::{MrEnclave, Platform};
 use securetf_tensor::bytes::{put_shape, Reader};
 use securetf_tensor::freeze::import_graph;
 use securetf_tflite::model::LiteModel;
@@ -330,7 +330,7 @@ fn codecs_reject_hostile_bytes_without_panicking_or_overallocating() {
     }
 }
 
-// ---- the fs shield's three host-visible objects -------------------------------
+// ---- the fs shield's host-visible objects -------------------------------------
 
 /// A shield that has written `plaintext` to `path`, and the store it
 /// wrote to.
@@ -417,7 +417,7 @@ fn read_range_rejects_an_overflowing_range() {
     );
 }
 
-/// The sealed manifest via `recover`: the live slot is replaced and a
+/// The sealed checkpoint via `recover`: the live slot is replaced and a
 /// fresh enclave remounts. Accepted = the remount knows the file.
 #[test]
 fn fs_manifest_rejects_hostile_bytes_through_recover() {
@@ -440,52 +440,92 @@ fn fs_manifest_rejects_hostile_bytes_through_recover() {
     .check();
 }
 
+/// The checkpoint plaintext behind the seal: every mutation is resealed
+/// as only the enclave could, so the `STFMAN03` decoder — not the seal —
+/// must reject it. Accepted = the remount knows the file.
+#[test]
+fn fs_checkpoint_rejects_hostile_bytes_behind_the_seal() {
+    let (platform, shield, store) = samples::fs_image();
+    drop(shield);
+    let slot = store
+        .paths()
+        .into_iter()
+        .find(|p| p.contains("/manifest-"))
+        .expect("one manifest slot after one write");
+    let aad = format!("{}/manifest", slot.rsplit_once('/').unwrap().0);
+    let enclave = fs_enclave(&platform);
+    let sealed = store.raw_contents(&slot).unwrap();
+    let plain = enclave
+        .unseal(SealPolicy::Measurement, &sealed, aad.as_bytes())
+        .unwrap();
+    Format::new("fs checkpoint", plain, move |b| {
+        store.raw_put(&slot, enclave.seal(SealPolicy::Measurement, b, aad.as_bytes()));
+        match FsShield::recover(fs_enclave(&platform), store.clone()) {
+            Ok((shield, _)) => shield.version(FS_PATH) == Some(1),
+            Err(_) => false,
+        }
+    })
+    // `STFMAN03 | u64 generation | u64 next_file_id | u32 files |
+    // len(path) | u64 version, len, file_id, epoch | u32 tags | tag16 × 3`:
+    // the file count, the path length and the tag count.
+    .lengths(&[24, 28, 64 + FS_PATH.len()])
+    .check();
+}
+
 /// A store where the host died right after the commit point of a rewrite
-/// of `/data/small` from `old` to `new`: one staged chunk and the commit
-/// record landed, the blob did not. Returns `platform` to remount on,
-/// the store and the commit record's path.
+/// of `/data/small` from `old` to `new`: the staged chunk and the log
+/// record committing it landed, the blob did not. Eight other files in
+/// the checkpoint make the rewrite append a record rather than compact.
+/// Returns `platform` to remount on, the store and the record's path.
 fn crashed_rewrite(platform: Platform) -> (Platform, UntrustedStore, String) {
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(fs_enclave(&platform), store.clone());
+    for i in 0..8 {
+        shield.write(&format!("/data/filler/{i}"), b"filler").unwrap();
+    }
     shield.write("/data/small", b"old").unwrap();
+    let log = |store: &UntrustedStore| -> Vec<(String, Vec<u8>)> {
+        let paths = store.paths().into_iter().filter(|p| p.contains("/log/"));
+        paths.map(|p| (p.clone(), store.raw_contents(&p).unwrap())).collect()
+    };
+    let before = log(&store);
     store.fail_after_ops(2);
     shield.write("/data/small", b"new").unwrap_err();
     store.host_restart();
-    let commit_path = store.paths().into_iter().find(|p| p.ends_with("/commit"));
-    (platform, store, commit_path.expect("commit record landed"))
+    let record = log(&store).into_iter().find(|o| !before.contains(o));
+    let record = record.expect("the rewrite appended a log record").0;
+    (platform, store, record)
 }
 
-/// Remounts a [`crashed_rewrite`] store whose commit record is now
+/// Remounts a [`crashed_rewrite`] store whose newest log record is now
 /// `record`: `Ok(true)` if the rewrite was rolled forward, `Ok(false)` if
-/// it rolled back. Whether a failed mount is acceptable is the caller's
-/// call.
+/// `/data/small` reads as before it, the mount's or the read's error
+/// otherwise. Whether a failure is acceptable is the caller's call.
 fn remount_with_commit(
     crashed: &(Platform, UntrustedStore, String),
     record: &[u8],
 ) -> Result<bool, ShieldError> {
-    let (platform, store, commit_path) = crashed;
-    store.raw_put(commit_path, record.to_vec());
+    let (platform, store, record_path) = crashed;
+    store.raw_put(record_path, record.to_vec());
     let (shield, _) = FsShield::recover(fs_enclave(platform), store.clone())?;
-    let contents = shield.read("/data/small").expect("pre or post state");
-    match contents.as_slice() {
+    match shield.read("/data/small")?.as_slice() {
         b"new" => Ok(true),
         b"old" => Ok(false),
         other => panic!("neither pre nor post state: {other:?}"),
     }
 }
 
-// `STFJRNL2 | len(path) "/data/small" | u8 reserved | u64 version | u64 len
-// | u64 file_id | u64 epoch | u32 n | tag16 × n`, then (on the host) an
-// HMAC-SHA256: the `u32` path length and tag count, the reserved byte and
-// the epoch.
-const COMMIT_LENGTHS: [usize; 2] = [8, 56];
-const COMMIT_RESERVED_AT: usize = 23;
-const COMMIT_EPOCH_AT: usize = 48;
+// `STFLOG01 | u64 generation | prev32 | u8 kind | len(path) "/data/small"
+// | u64 version | u64 len | u64 file_id | u64 epoch | u32 n | tag16 × n`,
+// then (on the host) an HMAC-SHA256: the `u32` path length and tag count,
+// and the epoch.
+const RECORD_LENGTHS: [usize; 2] = [49, 96];
+const RECORD_EPOCH_AT: usize = 88;
 
-/// The MAC'd `STFJRNL2` commit record via `recover`, as the host holds
-/// it: every mutation breaks the MAC, so the write rolls back — and no
-/// such record may fail the mount, or one garbage file on the host would
-/// fail every mount.
+/// The MAC'd `STFLOG01` record via `recover`, as the host holds it. The
+/// record *is* the committed metadata (the counter has moved past it), so
+/// every mutation breaks its MAC and fails the mount closed: a rewrite
+/// that committed is never silently rolled back.
 #[test]
 fn fs_commit_record_rejects_hostile_bytes_through_recover() {
     let crashed = Rc::new(RefCell::new(crashed_rewrite(fs_platform())));
@@ -494,20 +534,25 @@ fn fs_commit_record_rejects_hostile_bytes_through_recover() {
         crashed.1.raw_contents(&crashed.2).unwrap()
     };
     let for_prepare = crashed.clone();
-    Format::new("fs commit record", record, move |b| {
-        remount_with_commit(&crashed.borrow(), b).expect("recoverable")
+    Format::new("fs log record", record, move |b| {
+        match remount_with_commit(&crashed.borrow(), b) {
+            Ok(true) => true,
+            Err(ShieldError::FileTampered(_)) => false,
+            other => panic!("a committed rewrite must read or fail closed: {other:?}"),
+        }
     })
     // Recovery consumes the journal: every decode needs its own crash.
     .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite(fs_platform()))
-    .lengths(&COMMIT_LENGTHS)
+    .lengths(&RECORD_LENGTHS)
     .check();
 }
 
-/// The v2 file entry behind the MAC: every mutation of the record body
-/// is re-MAC'd under the journal key (as only a key holder could), so the
-/// entry decoder and `roll_forward` — not the MAC — must reject it. A bit
-/// flip may still decode (another version, path or file id), but then no
-/// staged chunk authenticates under it and the write rolls back.
+/// The record body behind the MAC: every mutation is re-MAC'd under the
+/// log key (as only a key holder of this identity could), so the record
+/// decoder, the chain check and `roll_forward` — not the MAC — must
+/// reject it. A bit flip may still decode (another version, path or tag),
+/// but then no staged chunk authenticates under it and the rewrite does
+/// not read back.
 #[test]
 fn fs_commit_entry_rejects_hostile_bytes_behind_the_mac() {
     let crashed = Rc::new(RefCell::new(crashed_rewrite(fs_platform())));
@@ -516,99 +561,35 @@ fn fs_commit_entry_rejects_hostile_bytes_behind_the_mac() {
         let record = crashed.1.raw_contents(&crashed.2).unwrap();
         record[..record.len() - 32].to_vec()
     };
-    // The shield's `journal-mac-v1` key, derived from its file key.
-    let file_key = fs_enclave(&crashed.borrow().0).derived_key(b"fs-shield-v1");
-    let journal_key = hmac_sha256(file_key.as_bytes(), b"journal-mac-v1");
+    // The shield's log key: its file key, MAC'd under the identity's
+    // `fs-journal-v2` key.
+    let enclave = fs_enclave(&crashed.borrow().0);
+    let file_key = enclave.derived_key(b"fs-shield-v1");
+    let identity_key = enclave.derived_key(b"fs-journal-v2");
+    let log_key = hmac_sha256(identity_key.as_bytes(), file_key.as_bytes());
     let remac = move |body: &[u8]| {
         let mut record = body.to_vec();
-        record.extend_from_slice(&hmac_sha256(&journal_key, body));
+        record.extend_from_slice(&hmac_sha256(&log_key, body));
         record
     };
     let for_prepare = crashed.clone();
-    let row = Format::new("fs commit entry", body.clone(), move |b| {
+    let row = Format::new("fs log record body", body.clone(), move |b| {
         match remount_with_commit(&crashed.borrow(), &remac(b)) {
-            // An authentic record without the v2 magic fails the mount
-            // closed: rejected, not rolled forward.
-            Err(ShieldError::UnsupportedFormat(_)) => false,
-            verdict => verdict.expect("recoverable"),
+            Ok(rolled_forward) => rolled_forward,
+            Err(ShieldError::FileTampered(_) | ShieldError::UnsupportedFormat(_)) => false,
+            Err(e) => panic!("unexpected error {e:?}"),
         }
     })
     .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite(fs_platform()))
-    .lengths(&COMMIT_LENGTHS);
+    .lengths(&RECORD_LENGTHS);
     row.check();
 
     // The epoch: a file sealed by no earlier mount (0, this mount's own
     // epoch, or beyond) is rejected where it is decoded.
-    let written = u64::from_le_bytes(body[COMMIT_EPOCH_AT..][..8].try_into().unwrap());
+    let written = u64::from_le_bytes(body[RECORD_EPOCH_AT..][..8].try_into().unwrap());
     for epoch in [0, written + 1, written + 2, u64::MAX] {
         let mut moved = body.clone();
-        moved[COMMIT_EPOCH_AT..][..8].copy_from_slice(&epoch.to_le_bytes());
+        moved[RECORD_EPOCH_AT..][..8].copy_from_slice(&epoch.to_le_bytes());
         row.rejects(&moved, &|| format!("epoch {epoch} (written in {written})"));
     }
-}
-
-/// Where the store once recorded per-path protections, v2 keeps two
-/// reserved fields at zero: a `u32` in the manifest after `next_file_id`,
-/// and a `u8` in every file entry after its path. An authentic manifest
-/// or commit record that sets one is a format this build cannot read: the
-/// mount fails closed with `UnsupportedFormat`, and
-/// `shield.fs.format_rejections` counts it.
-#[test]
-fn fs_reserved_fields_fail_the_mount_closed() {
-    let counted_platform = || {
-        let clock = SimClock::new();
-        Platform::builder()
-            .telemetry(clock.telemetry())
-            .clock(clock)
-            .build()
-    };
-    let rejections = |platform: &Platform| {
-        platform
-            .telemetry()
-            .counter("shield.fs.format_rejections")
-            .get()
-    };
-
-    // The manifest after one write, resealed as only the enclave could:
-    // `STFMAN02 | generation | next_file_id | reserved u32 | u32 n |
-    // len(path) "/data/small" | reserved u8 | …`.
-    for at in [24, 36 + "/data/small".len()] {
-        let platform = counted_platform();
-        let enclave = fs_enclave(&platform);
-        let store = UntrustedStore::new();
-        let mut shield = FsShield::new(enclave.clone(), store.clone());
-        shield.write("/data/small", b"old").unwrap();
-        let slot = store.paths().into_iter().find(|p| p.contains("/manifest-"));
-        let slot = slot.expect("one manifest slot after one write");
-        let aad = format!("{}/manifest", slot.rsplit_once('/').unwrap().0);
-        let sealed = store.raw_contents(&slot).unwrap();
-        let mut plain = enclave
-            .unseal(SealPolicy::Measurement, &sealed, aad.as_bytes())
-            .unwrap();
-        assert_eq!(plain[at], 0, "manifest byte {at}");
-        plain[at] = 1;
-        let resealed = enclave.seal(SealPolicy::Measurement, &plain, aad.as_bytes());
-        store.raw_put(&slot, resealed);
-        let err = FsShield::recover(fs_enclave(&platform), store).unwrap_err();
-        assert!(
-            matches!(err, ShieldError::UnsupportedFormat(_)),
-            "manifest byte {at}: {err:?}"
-        );
-        assert_eq!(rejections(&platform), 1, "manifest byte {at}");
-    }
-
-    // The commit record's entry, re-MAC'd under the journal key.
-    let crashed = crashed_rewrite(counted_platform());
-    let (platform, store, commit_path) = &crashed;
-    let mut body = store.raw_contents(commit_path).unwrap();
-    body.truncate(body.len() - 32);
-    assert_eq!(body[COMMIT_RESERVED_AT], 0);
-    body[COMMIT_RESERVED_AT] = 1;
-    let file_key = fs_enclave(platform).derived_key(b"fs-shield-v1");
-    let journal_key = hmac_sha256(file_key.as_bytes(), b"journal-mac-v1");
-    let mac = hmac_sha256(&journal_key, &body);
-    body.extend_from_slice(&mac);
-    let err = remount_with_commit(&crashed, &body).unwrap_err();
-    assert!(matches!(err, ShieldError::UnsupportedFormat(_)), "{err:?}");
-    assert_eq!(rejections(platform), 1);
 }

@@ -374,6 +374,8 @@ fn main() {
         bench_matmul(1, 1024, 1024, workers, reps),
         bench_matmul(32, 10, 3136, workers, reps),
         bench_conv((2, 64, 64, 8), (3, 3, 16), workers, reps),
+        // The conv classifier's forward pass at its training shape.
+        bench_conv((32, 28, 28, 1), (3, 3, 16), workers, reps),
     ];
     // The conv classifier's backward at its training shape (batch 32 of
     // 28x28x1, 16 channels): `train_dist` runs the filter half only.

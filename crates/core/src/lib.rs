@@ -117,7 +117,8 @@ pub(crate) fn attribute_kernel_flops(
 /// pass the plan kept: gradients it has a slot for against nodes whose
 /// gradient is never computed because no variable is upstream of them
 /// (both 0 for an inference plan). `workspace_bytes` is the conv kernels'
-/// scratch (im2col and backward matrices): heap the executor keeps
+/// scratch (the padded image, its tap offsets and the input gradient's
+/// matrices): heap the executor keeps
 /// between runs that is in neither the plan nor the pool.
 pub(crate) fn export_memory_gauges(
     enclave: &securetf_tee::Enclave,

@@ -339,7 +339,9 @@ fn chunks_for(len: u64) -> u64 {
 /// says, so one (empty) for an empty file.
 fn chunks_mut(plain: &mut [u8]) -> impl Iterator<Item = &mut [u8]> {
     let whole_if_empty = plain.is_empty().then_some(&mut [][..]);
-    whole_if_empty.into_iter().chain(plain.chunks_mut(CHUNK_SIZE))
+    whole_if_empty
+        .into_iter()
+        .chain(plain.chunks_mut(CHUNK_SIZE))
 }
 
 impl FileMeta {
@@ -545,7 +547,10 @@ fn decode_record(
 /// `log_key` of the checkpoint's AEAD tag, which binds its whole sealed
 /// content, so a record follows exactly one checkpoint.
 fn checkpoint_link(log_key: &Key, sealed: &[u8]) -> [u8; MAC_LEN] {
-    hmac_sha256(log_key.as_bytes(), &sealed[sealed.len().saturating_sub(TAG_LEN)..])
+    hmac_sha256(
+        log_key.as_bytes(),
+        &sealed[sealed.len().saturating_sub(TAG_LEN)..],
+    )
 }
 
 /// The part of chunk `i` (`chunk_len` plaintext bytes) that lies inside
@@ -879,15 +884,11 @@ impl FsShield {
         if let Some(old) = self.meta.get(path) {
             self.chunk_cache.lock().invalidate_file(old.file_id);
         }
-        let file_id = self
-            .meta
-            .get(path)
-            .map(|m| m.file_id)
-            .unwrap_or_else(|| {
-                let id = self.next_file_id;
-                self.next_file_id += 1;
-                id
-            });
+        let file_id = self.meta.get(path).map(|m| m.file_id).unwrap_or_else(|| {
+            let id = self.next_file_id;
+            self.next_file_id += 1;
+            id
+        });
         let committed = self.meta.get(path).map_or(0, |m| m.version);
         let burned = self.burned_versions.get(&file_id).copied().unwrap_or(0);
         let version = committed.max(burned) + 1;
@@ -913,9 +914,11 @@ impl FsShield {
         // parallel sealing is a wall-clock optimization only.
         self.enclave.charge_shield_crypto(data.len() as u64);
         self.metrics.crypto_bytes_sealed.add(data.len() as u64);
-        self.metrics
-            .crypto_seal_ns
-            .record(self.enclave.cost_model().shield_crypto_ns(data.len() as u64));
+        self.metrics.crypto_seal_ns.record(
+            self.enclave
+                .cost_model()
+                .shield_crypto_ns(data.len() as u64),
+        );
 
         let meta = FileMeta {
             version,
@@ -1063,12 +1066,7 @@ impl FsShield {
         self.count_read(Self::read_range_inner(self, path, offset, len))
     }
 
-    fn read_range_inner(
-        &self,
-        path: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, ShieldError> {
+    fn read_range_inner(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, ShieldError> {
         self.enclave.charge_syscall();
         let meta = self
             .meta
@@ -1095,7 +1093,11 @@ impl FsShield {
                 let (src, at) = overlap(i, meta.chunk_len(i), offset, len);
                 let dst = &mut out[at..at + src.len()];
                 let cache_key = (meta.file_id, meta.version, i as u32);
-                if self.chunk_cache.lock().copy_range(cache_key, src.clone(), dst) {
+                if self
+                    .chunk_cache
+                    .lock()
+                    .copy_range(cache_key, src.clone(), dst)
+                {
                     // Verified and decrypted on a previous read; serving
                     // from the in-enclave copy charges no crypto time.
                     self.metrics.chunk_cache_hits.inc();
@@ -1368,9 +1370,9 @@ impl FsShield {
             let Some(sealed) = self.store.shield_get(&slot_path)? else {
                 continue;
             };
-            let Ok(plain) = self
-                .enclave
-                .unseal(SealPolicy::Measurement, &sealed, &self.manifest_aad())
+            let Ok(plain) =
+                self.enclave
+                    .unseal(SealPolicy::Measurement, &sealed, &self.manifest_aad())
             else {
                 continue;
             };
@@ -1787,7 +1789,9 @@ mod tests {
     #[test]
     fn read_range_bounds_and_tamper() {
         let (mut shield, store) = setup();
-        shield.write("/secure/f", &vec![1u8; 2 * CHUNK_SIZE]).unwrap();
+        shield
+            .write("/secure/f", &vec![1u8; 2 * CHUNK_SIZE])
+            .unwrap();
         assert!(shield
             .read_range("/secure/f", 2 * CHUNK_SIZE as u64 - 1, 2)
             .is_err());
@@ -1829,7 +1833,9 @@ mod tests {
 
         // First range read decrypts the two overlapping chunks.
         let range = (CHUNK_SIZE as u64 - 100, 200u64);
-        let first = shield.read_range("/secure/model", range.0, range.1).unwrap();
+        let first = shield
+            .read_range("/secure/model", range.0, range.1)
+            .unwrap();
         let crypto_ns = telemetry.counter("cost.crypto.ns").get();
         let crypto_events = telemetry.counter("cost.crypto.events").get();
         assert!(crypto_ns > 0);
@@ -1837,14 +1843,18 @@ mod tests {
 
         // The repeat — the model-load hot path — serves both chunks from
         // the in-enclave cache: same bytes, zero additional crypto time.
-        let second = shield.read_range("/secure/model", range.0, range.1).unwrap();
+        let second = shield
+            .read_range("/secure/model", range.0, range.1)
+            .unwrap();
         assert_eq!(first, second);
         assert_eq!(telemetry.counter("cost.crypto.ns").get(), crypto_ns);
         assert_eq!(telemetry.counter("cost.crypto.events").get(), crypto_events);
         assert_eq!(telemetry.counter("shield.fs.chunk_cache_hits").get(), 2);
 
         // A sub-range of a cached chunk is also free and correct.
-        let sub = shield.read_range("/secure/model", range.0 + 10, 50).unwrap();
+        let sub = shield
+            .read_range("/secure/model", range.0 + 10, 50)
+            .unwrap();
         assert_eq!(sub, &big[range.0 as usize + 10..range.0 as usize + 60]);
         assert_eq!(telemetry.counter("cost.crypto.ns").get(), crypto_ns);
     }
@@ -1854,11 +1864,17 @@ mod tests {
         let (mut shield, _store) = setup();
         let v1 = vec![1u8; 2 * CHUNK_SIZE];
         shield.write("/secure/m", &v1).unwrap();
-        assert_eq!(shield.read_range("/secure/m", 0, 16).unwrap(), vec![1u8; 16]);
+        assert_eq!(
+            shield.read_range("/secure/m", 0, 16).unwrap(),
+            vec![1u8; 16]
+        );
         // Rewrite: the next range read must see v2, not cached v1 chunks.
         let v2 = vec![2u8; 2 * CHUNK_SIZE];
         shield.write("/secure/m", &v2).unwrap();
-        assert_eq!(shield.read_range("/secure/m", 0, 16).unwrap(), vec![2u8; 16]);
+        assert_eq!(
+            shield.read_range("/secure/m", 0, 16).unwrap(),
+            vec![2u8; 16]
+        );
         assert!(shield.delete("/secure/m").unwrap());
         assert!(shield.read_range("/secure/m", 0, 16).is_err());
     }
@@ -2070,7 +2086,9 @@ mod tests {
         // tests/hostile_input.rs cannot reach this decoder with anything
         // but the original plaintext; check its bounds here.
         let (mut shield, _store) = setup();
-        shield.write("/secure/a", &vec![1u8; CHUNK_SIZE + 1]).unwrap();
+        shield
+            .write("/secure/a", &vec![1u8; CHUNK_SIZE + 1])
+            .unwrap();
         let plain = shield.encode_checkpoint(7, "/secure/a", shield.meta.get("/secure/a"));
         // As the next mount reads it.
         let decode = |bytes: &[u8]| decode_checkpoint(bytes, shield.epoch + 1);
@@ -2118,7 +2136,9 @@ mod tests {
         // harness in tests/hostile_input.rs reaches this decoder behind
         // the MAC only by re-MACing; check the bounds here, re-MAC'd.
         let (mut shield, _store) = setup();
-        shield.write("/secure/a", &vec![1u8; CHUNK_SIZE + 1]).unwrap();
+        shield
+            .write("/secure/a", &vec![1u8; CHUNK_SIZE + 1])
+            .unwrap();
         let meta = shield.meta["/secure/a"].clone();
         let decode = |body: &[u8]| {
             let mut record = body.to_vec();
@@ -2192,8 +2212,7 @@ mod tests {
             shield.write("/secure/log", b"append only").unwrap();
             shield.write("/secure/small", b"x").unwrap();
         } // enclave process dies; in-memory metadata is gone
-        let (recovered, report) =
-            FsShield::recover(restart_enclave(&platform), store).unwrap();
+        let (recovered, report) = FsShield::recover(restart_enclave(&platform), store).unwrap();
         assert_eq!(recovered.read("/secure/model").unwrap(), big);
         assert_eq!(recovered.read("/secure/log").unwrap(), b"append only");
         assert_eq!(recovered.read("/secure/small").unwrap(), b"x");
@@ -2212,8 +2231,7 @@ mod tests {
         let err = shield.write("/secure/f", &vec![9u8; 3 * CHUNK_SIZE]);
         assert!(matches!(err, Err(ShieldError::HostCrashed(_))));
         store.host_restart();
-        let (recovered, report) =
-            FsShield::recover(restart_enclave(&platform), store).unwrap();
+        let (recovered, report) = FsShield::recover(restart_enclave(&platform), store).unwrap();
         assert_eq!(recovered.read("/secure/f").unwrap(), b"old contents");
         assert_eq!(report.rolled_forward, 0);
     }
@@ -2229,8 +2247,7 @@ mod tests {
         let err = shield.write("/secure/f", &new);
         assert!(matches!(err, Err(ShieldError::HostCrashed(_))));
         store.host_restart();
-        let (recovered, report) =
-            FsShield::recover(restart_enclave(&platform), store).unwrap();
+        let (recovered, report) = FsShield::recover(restart_enclave(&platform), store).unwrap();
         assert_eq!(recovered.read("/secure/f").unwrap(), new);
         assert_eq!(report.rolled_forward, 1);
     }
@@ -2477,8 +2494,7 @@ mod tests {
         store.fail_after_ops_torn(1, 7);
         assert!(shield.write("/secure/f", b"new contents").is_err());
         store.host_restart();
-        let (recovered, report) =
-            FsShield::recover(restart_enclave(&platform), store).unwrap();
+        let (recovered, report) = FsShield::recover(restart_enclave(&platform), store).unwrap();
         assert_eq!(recovered.read("/secure/f").unwrap(), b"old contents");
         assert_eq!(report.rolled_forward, 0);
         assert!(report.discarded >= 1, "torn txn not discarded");
@@ -2645,7 +2661,10 @@ mod tests {
             FsShield::recover(restart_enclave(&platform), store.clone()).unwrap();
         assert_eq!(store.op_count(), ops, "recover wrote to the host");
         assert_eq!((report.files, report.generation), (520, 520 + 600));
-        assert_eq!(recovered.read(&small(599)).unwrap(), [(599 % 256) as u8; 4096]);
+        assert_eq!(
+            recovered.read(&small(599)).unwrap(),
+            [(599 % 256) as u8; 4096]
+        );
         assert_eq!(
             recovered.read(&large(550)).unwrap(),
             vec![(550 % 256) as u8; 1 << 20]

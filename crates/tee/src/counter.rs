@@ -54,7 +54,10 @@ impl CounterStore {
     ///
     /// Returns [`TeeError::CounterViolation`] for unknown counters.
     pub fn increment(&mut self, id: CounterId) -> Result<u64, TeeError> {
-        let entry = self.counters.get_mut(&id).ok_or(TeeError::CounterViolation)?;
+        let entry = self
+            .counters
+            .get_mut(&id)
+            .ok_or(TeeError::CounterViolation)?;
         entry.1 += 1;
         Ok(entry.1)
     }

@@ -3,7 +3,8 @@
 //! The naive triple loop reads and writes a row of C once per element of
 //! A. The micro-kernel ([`tile`]) instead holds up to [`MR`] rows × one
 //! vector of C columns in registers, adds [`KU`] consecutive rows of B
-//! into it and stores it once, so C traffic is `KU` times smaller and the
+//! into it (a panel's last group takes a shorter remainder along) and
+//! stores it once, so C traffic is `KU` times smaller and the
 //! multiply/add units, not the store port, set the pace. A is packed
 //! k-major per strip so the kernel reads it sequentially; B is **not**
 //! packed: it is streamed row-contiguously, `KU` rows at a time, and at
@@ -34,7 +35,9 @@
 //! enough panels that every worker gets a unit, which is what lets a
 //! batch of 8 rows use both cores. Each C element belongs to exactly one
 //! unit, and the `+bias[ → relu]` epilogue of the fused ops runs inside
-//! the unit, after its last k-panel.
+//! the unit, after its last k-panel. The grid ([`run_grid`]) and the
+//! instantiation seam ([`GridKernel`]) are shared with the direct
+//! convolution kernels, which is why [`gemm_cost`] prices those too.
 //!
 //! **Determinism rule**: tiling, packing, the vector width and the split
 //! change the *memory* order only, never the *arithmetic* order. For
@@ -57,7 +60,8 @@ const COL_ALIGN: usize = 16;
 const KC: usize = 256;
 /// Rows of the largest register tile, and of a packed strip.
 const MR: usize = 8;
-/// B rows a tile accumulates between loading and storing its C rows.
+/// B rows a tile accumulates between loading and storing its C rows
+/// (the last group of a k-panel up to `2 * KU - 1`).
 const KU: usize = 8;
 
 /// The instruction set the micro-kernel body is instantiated for.
@@ -80,10 +84,10 @@ impl Simd {
         Simd::Baseline
     }
 
-    /// Computes one unit: see [`unit`].
-    fn run_unit(self, op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+    /// Computes one unit of `kernel` on this instantiation.
+    fn run_unit<K: GridKernel>(self, kernel: &K, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
         match self {
-            Simd::Baseline => unit::<4>(op, i0, j0, rows),
+            Simd::Baseline => kernel.unit::<4>(i0, j0, rows),
             #[cfg(target_arch = "x86_64")]
             Simd::Avx2 => {
                 assert!(
@@ -92,10 +96,34 @@ impl Simd {
                 );
                 // SAFETY: the only requirement of `unit_avx2` is that the
                 // CPU supports AVX2, which the assertion above checked.
-                unsafe { unit_avx2(op, i0, j0, rows) }
+                unsafe { unit_avx2(kernel, i0, j0, rows) }
             }
         }
     }
+}
+
+/// A kernel whose output is a row-major `[m, n]` matrix computed unit by
+/// unit over the grid of [`run_grid`]: the GEMM, and the direct
+/// convolution's forward pass and filter gradient.
+pub(super) trait GridKernel: Sync {
+    /// Computes one unit with `L`-lane vectors: `rows[r]` is the part of
+    /// output row `i0 + r` that covers columns `j0..j0 + rows[r].len()`,
+    /// all of one length. Every element must be written, whatever it
+    /// held. Implementations are `#[inline(always)]`, so that the body is
+    /// compiled with the instruction set of whichever instantiation it
+    /// lands in.
+    fn unit<const L: usize>(&self, i0: usize, j0: usize, rows: &mut [&mut [f32]]);
+}
+
+/// [`GridKernel::unit`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn unit_avx2<K: GridKernel>(kernel: &K, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+    kernel.unit::<8>(i0, j0, rows);
 }
 
 /// How the left operand of a product is stored.
@@ -214,6 +242,31 @@ fn gemm_on(
         b,
         epilogue,
     };
+    run_grid(simd, pool, m, n, c, &op);
+    cost
+}
+
+/// Cuts the row-major `[m, n]` output `c` into the unit grid — row
+/// blocks of [`ROW_BLOCK`] rows × the [`column_panels`] — and computes
+/// every unit of `kernel` on `simd`, dealing units to the pool's workers
+/// by [`pool::partition`]. The split depends on `(m, n, workers)` only,
+/// which is what lets [`gemm_cost`] price any kernel run on it.
+pub(super) fn run_grid<K: GridKernel>(
+    simd: Simd,
+    pool: &WorkerPool,
+    m: usize,
+    n: usize,
+    c: &mut [f32],
+    kernel: &K,
+) {
+    assert!(
+        c.len() == m * n,
+        "grid: output holds {} elements, not {m}x{n}",
+        c.len()
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
     let panels = column_panels(pool.workers(), m, n);
     if panels.len() == 1 {
         // Units are whole row blocks, contiguous in C.
@@ -222,9 +275,9 @@ fn gemm_on(
             let mut block_rows = block.chunks_mut(n);
             let mut rows: [&mut [f32]; ROW_BLOCK] =
                 std::array::from_fn(|_| block_rows.next().unwrap_or_default());
-            simd.run_unit(&op, rb * ROW_BLOCK, 0, &mut rows[..count]);
+            simd.run_unit(kernel, rb * ROW_BLOCK, 0, &mut rows[..count]);
         });
-        return cost;
+        return;
     }
     // Columns are split, which `column_panels` only does while there are
     // fewer row blocks than workers: hand every unit the segments of its
@@ -243,13 +296,12 @@ fn gemm_on(
     }
     pool.run_items(&mut units, &|u, rows| {
         simd.run_unit(
-            &op,
+            kernel,
             u / panels.len() * ROW_BLOCK,
             panels[u % panels.len()].start,
             rows,
         );
     });
-    cost
 }
 
 /// The column ranges of the unit grid of an `[m, n]` output: one panel
@@ -273,7 +325,7 @@ fn column_panels(workers: usize, m: usize, n: usize) -> Vec<Range<usize>> {
 /// gives it the first and longest run of units, and in grid order only
 /// the last row block and the last panels are smaller than the rest, so
 /// no other worker's area is larger.
-fn gemm_cost(pool: &WorkerPool, m: usize, k: usize, n: usize, relu: bool) -> KernelCost {
+pub(super) fn gemm_cost(pool: &WorkerPool, m: usize, k: usize, n: usize, relu: bool) -> KernelCost {
     let panels = column_panels(pool.workers(), m, n);
     let per_block = panels.len().max(1);
     let critical = pool::critical_units(m.div_ceil(ROW_BLOCK) * panels.len(), pool.workers());
@@ -290,47 +342,38 @@ fn gemm_cost(pool: &WorkerPool, m: usize, k: usize, n: usize, relu: bool) -> Ker
     }
 }
 
-/// [`unit`] compiled for AVX2.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn unit_avx2(op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
-    unit::<8>(op, i0, j0, rows);
-}
-
-/// One work unit with `L`-lane tiles: `rows[r]` is the part of C row
-/// `i0 + r` that covers columns `j0..j0 + rows[r].len()`, all of one
-/// length. Everything below is `inline(always)` so that it is compiled
-/// with the instruction set of whichever instantiation it lands in.
-#[inline(always)]
-fn unit<const L: usize>(op: &Operands<'_>, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
-    let mut packed = [0.0f32; MR * KC];
-    for pc in (0..op.k).step_by(KC) {
-        let kc = KC.min(op.k - pc);
-        let mut ir = 0;
-        while ir < rows.len() {
-            let i = i0 + ir;
-            ir += match rows.len() - ir {
-                MR.. => strip::<MR, L>(op, i, pc, kc, j0, &mut rows[ir..ir + MR], &mut packed),
-                4.. => strip::<4, L>(op, i, pc, kc, j0, &mut rows[ir..ir + 4], &mut packed),
-                _ => strip::<1, L>(op, i, pc, kc, j0, &mut rows[ir..ir + 1], &mut packed),
-            };
+impl GridKernel for Operands<'_> {
+    /// One GEMM unit with `L`-lane tiles. Everything below is
+    /// `inline(always)` too.
+    #[inline(always)]
+    fn unit<const L: usize>(&self, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+        let mut packed = [0.0f32; MR * KC];
+        for pc in (0..self.k).step_by(KC) {
+            let kc = KC.min(self.k - pc);
+            let mut ir = 0;
+            while ir < rows.len() {
+                let i = i0 + ir;
+                ir += match rows.len() - ir {
+                    MR.. => {
+                        strip::<MR, L>(self, i, pc, kc, j0, &mut rows[ir..ir + MR], &mut packed)
+                    }
+                    4.. => strip::<4, L>(self, i, pc, kc, j0, &mut rows[ir..ir + 4], &mut packed),
+                    _ => strip::<1, L>(self, i, pc, kc, j0, &mut rows[ir..ir + 1], &mut packed),
+                };
+            }
         }
-    }
-    if let Some((bias, relu)) = op.epilogue {
-        for row in rows.iter_mut() {
-            let bias = &bias[j0..j0 + row.len()];
-            if relu {
-                for (v, b) in row.iter_mut().zip(bias) {
-                    *v += *b;
-                    *v = v.max(0.0);
-                }
-            } else {
-                for (v, b) in row.iter_mut().zip(bias) {
-                    *v += *b;
+        if let Some((bias, relu)) = self.epilogue {
+            for row in rows.iter_mut() {
+                let bias = &bias[j0..j0 + row.len()];
+                if relu {
+                    for (v, b) in row.iter_mut().zip(bias) {
+                        *v += *b;
+                        *v = v.max(0.0);
+                    }
+                } else {
+                    for (v, b) in row.iter_mut().zip(bias) {
+                        *v += *b;
+                    }
                 }
             }
         }
@@ -367,8 +410,11 @@ fn strip<const R: usize, const L: usize>(
             }
         }
     }
-    for pg in (0..kc).step_by(KU) {
-        let ku = KU.min(kc - pg);
+    let mut pg = 0;
+    while pg < kc {
+        // A remainder shorter than `KU` joins the group before it, so C is
+        // loaded and stored once less (k = 9 or 10 is one group, not two).
+        let ku = if kc - pg < 2 * KU { kc - pg } else { KU };
         let a_group = &packed[pg * R..(pg + ku) * R];
         let b_group = &op.b[(pc + pg) * op.n..(pc + pg + ku) * op.n];
         // The choice is made out here, once per group: inside `tile` it
@@ -378,6 +424,7 @@ fn strip<const R: usize, const L: usize>(
         } else {
             tile_row::<R, L, false>(rows, a_group, b_group, op.n, j0);
         }
+        pg += ku;
     }
     R
 }
@@ -407,7 +454,7 @@ fn tile_row<const R: usize, const L: usize, const FIRST: bool>(
 /// The micro-kernel: takes the `R × L` tile of C at segment column `j` —
 /// `0.0` for a unit's `FIRST` k-group, whatever C holds there being
 /// nobody's sum yet; loaded from C for every later one — adds
-/// `a_group.len() / R` (at most [`KU`]) consecutive B rows into it —
+/// `a_group.len() / R` (at most `2 * KU - 1`) consecutive B rows into it —
 /// `a_group` is k-major packed A, `b_group` whole rows of B, `jb` the
 /// tile's column in B — and stores it.
 #[inline(always)]

@@ -2,7 +2,8 @@
 //!
 //! This module is the framework's compute layer: a register-tiled GEMM
 //! (`gemm`, one body instantiated for the baseline target and for AVX2),
-//! im2col + GEMM convolution (`conv`), 2×2 max pooling forward and
+//! direct convolution over a padded copy of the image on the GEMM's unit
+//! grid and instantiations (`conv`), 2×2 max pooling forward and
 //! backward (`maxpool`, one lane body instantiated the same way), and the
 //! deterministic [`WorkerPool`] that splits kernels across disjoint parts
 //! of the output. The cardinal rule, enforced by property tests against
@@ -18,7 +19,7 @@
 pub mod pool;
 pub mod reference;
 
-mod conv;
+pub(crate) mod conv;
 mod gemm;
 mod maxpool;
 
@@ -32,19 +33,22 @@ use crate::TensorError;
 
 /// Reusable kernel scratch memory.
 ///
-/// Kernels that need intermediate buffers (the im2col column matrix, the
-/// backward-convolution `gcol` product and transposed filter) borrow them
-/// from here instead of heap-allocating per call. A `Workspace` is plain
-/// growable scratch: buffers are resized on each use, and re-zeroed only
-/// where the kernel relies on zeros it does not write itself (im2col's
-/// padded taps), so reuse never changes results — only allocation
-/// traffic. The memory plan does not see this heap;
+/// Kernels that need intermediate buffers (the convolution's padded
+/// image, the backward-convolution `gcol` product and transposed filter)
+/// borrow them from here instead of heap-allocating per call. A
+/// `Workspace` is plain growable scratch: buffers are resized on each use
+/// and every element a kernel reads is written by that kernel first, its
+/// padding zeros included, so reuse never changes results — only
+/// allocation traffic. The memory plan does not see this heap;
 /// [`Workspace::capacity_bytes`] reports it.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// im2col column matrix: `[positions, patch]` for the forward pass,
-    /// its transpose `[patch, positions]` for the filter gradient.
-    pub(crate) cols: Vec<f32>,
+    /// The convolution's zero-padded, channel-planar image `[b, cin, oh +
+    /// kh - 1, ow + kw - 1]`, read by the forward pass and the filter
+    /// gradient.
+    pub(crate) padded: Vec<f32>,
+    /// The offset in `padded` of each filter tap `(ky, kx, ci)`.
+    pub(crate) taps: Vec<usize>,
     /// Backward-conv `gcol = grad × filterᵀ` scratch, `[positions, patch]`.
     pub(crate) gcol: Vec<f32>,
     /// Backward-conv `filterᵀ`, `[cout, patch]`.
@@ -59,8 +63,8 @@ impl Workspace {
 
     /// Heap bytes the scratch buffers hold on to between calls.
     pub fn capacity_bytes(&self) -> u64 {
-        let floats = self.cols.capacity() + self.gcol.capacity() + self.filter_t.capacity();
-        floats as u64 * 4
+        let floats = self.padded.capacity() + self.gcol.capacity() + self.filter_t.capacity();
+        floats as u64 * 4 + (self.taps.capacity() * std::mem::size_of::<usize>()) as u64
     }
 }
 
@@ -282,8 +286,8 @@ pub fn matmul_bias_relu_with(
 }
 
 /// Fused `conv2d + bias[ → relu]` with caller-provided scratch and output
-/// buffer: [`conv2d_with`]'s im2col + GEMM with the per-channel bias/relu
-/// epilogue applied inside the GEMM's work units. Bit-identical to the
+/// buffer: [`conv2d_with`]'s direct kernel with the per-channel bias/relu
+/// epilogue applied as each tile is stored. Bit-identical to the
 /// unfused `conv2d → add_bias → relu` op sequence for any worker count.
 ///
 /// # Errors
@@ -303,8 +307,16 @@ pub fn conv2d_bias_relu_with(
     conv::conv2d_with(pool, ws, input, filter, padding, Some((bias, relu)), take)
 }
 
-/// im2col + GEMM forward convolution (NHWC input, `[kh,kw,cin,cout]`
-/// filter). Bit-identical to [`reference::naive_conv2d`].
+/// Direct forward convolution (NHWC input, `[kh,kw,cin,cout]` filter)
+/// over a zero-padded, channel-planar copy of the image, at the
+/// [`KernelCost`] of the `[positions, patch] × [patch, cout]` GEMM it
+/// replaced. Bit-identical to [`reference::naive_conv2d`].
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] unless `input` is NHWC, `filter` is
+/// `[kh, kw, cin, cout]` with the input's `cin` and `kh, kw >= 1`, and —
+/// under `Valid` padding — the kernel fits inside the image.
 pub fn conv2d(
     pool: &WorkerPool,
     input: &Tensor,
@@ -314,8 +326,8 @@ pub fn conv2d(
     conv::conv2d(pool, input, filter, padding)
 }
 
-/// [`conv2d`] with caller-provided scratch (`ws` holds the im2col column
-/// matrix) and output buffer (`take`). Bit-identical to [`conv2d`].
+/// [`conv2d`] with caller-provided scratch (`ws` holds the padded image)
+/// and output buffer (`take`). Bit-identical to [`conv2d`].
 ///
 /// # Errors
 ///
@@ -344,9 +356,9 @@ pub fn conv2d_grad(
     conv::conv2d_grad(pool, input, filter, grad, padding)
 }
 
-/// [`conv2d_grad`] with caller-provided scratch (`ws` holds the im2col
-/// and `gcol` matrices) and output buffers (`take` supplies `grad_input`
-/// and `grad_filter`). Bit-identical to [`conv2d_grad`].
+/// [`conv2d_grad`] with caller-provided scratch (`ws` holds the padded
+/// image and the `gcol` matrix) and output buffers (`take` supplies
+/// `grad_input` and `grad_filter`). Bit-identical to [`conv2d_grad`].
 ///
 /// # Errors
 ///
@@ -363,10 +375,11 @@ pub fn conv2d_grad_with(
     conv::conv2d_grad_with(pool, ws, input, filter, grad, padding, take)
 }
 
-/// The filter half of [`conv2d_grad_with`] alone: one GEMM,
-/// `colsᵀ × grad`, over a transposed im2col of `input`. The filter's
-/// values are not read, only its shape. Bit-identical to the filter
-/// gradient of [`reference::naive_conv2d_grad`].
+/// The filter half of [`conv2d_grad_with`] alone: a direct kernel over
+/// the padded image, vectorised over `cout`, at the [`KernelCost`] of the
+/// `[patch, positions] × [positions, cout]` GEMM it replaced. The
+/// filter's values are not read, only its shape. Bit-identical to the
+/// filter gradient of [`reference::naive_conv2d_grad`].
 ///
 /// # Errors
 ///

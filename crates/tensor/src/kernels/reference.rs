@@ -36,8 +36,8 @@ pub fn naive_matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f
 ///
 /// Padded taps contribute `0.0 * filter` (they are not skipped), so
 /// non-finite filter values propagate through `Same` padding exactly as
-/// in the im2col path; the per-element reduction is `(ky, kx, ci)`
-/// lexicographic, input-value-first.
+/// through the direct kernel's padded image; the per-element reduction
+/// is `(ky, kx, ci)` lexicographic, input-value-first.
 pub fn naive_conv2d(
     input: &Tensor,
     filter: &Tensor,

@@ -39,7 +39,7 @@
 
 use crate::autodiff::{self, Leaves, RunStats};
 use crate::graph::{Graph, NodeId, Op, Padding};
-use crate::kernels::{WorkerPool, Workspace};
+use crate::kernels::{conv, WorkerPool, Workspace};
 use crate::tensor::Tensor;
 use crate::TensorError;
 use std::collections::HashMap;
@@ -259,26 +259,8 @@ pub fn infer_shapes_from_leaves(
                 filter,
                 padding,
             } => {
-                let (si, sf) = (of(input), of(filter));
-                let (&[b, h, w, cin], &[kh, kw, fcin, cout]) = (si.as_slice(), sf.as_slice())
-                else {
-                    return Err(mismatch(format!("conv2d {si:?} * {sf:?}")));
-                };
-                if fcin != cin {
-                    return Err(mismatch(format!("conv2d channels {cin} vs {fcin}")));
-                }
-                let (oh, ow) = match padding {
-                    Padding::Same => (h, w),
-                    Padding::Valid => {
-                        if h < kh || w < kw {
-                            return Err(mismatch(format!(
-                                "conv2d input {h}x{w} smaller than kernel {kh}x{kw}"
-                            )));
-                        }
-                        (h - kh + 1, w - kw + 1)
-                    }
-                };
-                vec![b, oh, ow, cout]
+                let g = conv::geometry(&of(input), &of(filter), *padding)?;
+                vec![g.b, g.oh, g.ow, g.cout]
             }
             Op::MaxPool2(x) | Op::AvgPool2(x) => {
                 let sx = of(x);
@@ -346,31 +328,15 @@ pub fn infer_shapes_from_leaves(
                 padding,
                 ..
             } => {
-                let (si, sf, sc) = (of(input), of(filter), of(bias));
-                let (&[b, h, w, cin], &[kh, kw, fcin, cout]) = (si.as_slice(), sf.as_slice())
-                else {
-                    return Err(mismatch(format!("fused_conv2d {si:?} * {sf:?}")));
-                };
-                if fcin != cin {
-                    return Err(mismatch(format!("fused_conv2d channels {cin} vs {fcin}")));
-                }
-                if sc != [cout] {
+                let g = conv::geometry(&of(input), &of(filter), *padding)?;
+                let sc = of(bias);
+                if sc != [g.cout] {
                     return Err(mismatch(format!(
-                        "fused_conv2d bias {sc:?} vs channels {cout}"
+                        "fused_conv2d bias {sc:?} vs channels {}",
+                        g.cout
                     )));
                 }
-                let (oh, ow) = match padding {
-                    Padding::Same => (h, w),
-                    Padding::Valid => {
-                        if h < kh || w < kw {
-                            return Err(mismatch(format!(
-                                "fused_conv2d input {h}x{w} smaller than kernel {kh}x{kw}"
-                            )));
-                        }
-                        (h - kh + 1, w - kw + 1)
-                    }
-                };
-                vec![b, oh, ow, cout]
+                vec![g.b, g.oh, g.ow, g.cout]
             }
         };
         checked_elems(&shape)?;
@@ -388,8 +354,8 @@ fn backward_reads_input(op: &Op, position: usize) -> bool {
         Op::MatMul(..) | Op::Mul(..) => true,
         // Relu masks on its input; pooling argmax recomputes from it.
         Op::Relu(_) | Op::MaxPool2(_) => true,
-        // conv2d_grad rebuilds the im2col matrix from the input and
-        // multiplies by the filter.
+        // The filter gradient reads the input's values (through its
+        // padded copy), the input gradient the filter's.
         Op::Conv2d { .. } => true,
         // The loss gradients re-read both operands.
         Op::SoftmaxCrossEntropy { .. } | Op::MseLoss(..) => true,
@@ -806,8 +772,8 @@ pub struct MemoryStats {
     /// because no variable is upstream of them.
     pub grads_pruned: u64,
     /// Capacity of the executor's kernel scratch
-    /// ([`Workspace::capacity_bytes`]: the conv kernels' `cols`, `gcol`
-    /// and `filter_t`) — enclave heap the plan does not see.
+    /// ([`Workspace::capacity_bytes`]: the conv kernels' padded image,
+    /// `gcol` and `filter_t`) — enclave heap the plan does not see.
     pub workspace_bytes: u64,
 }
 
@@ -1492,9 +1458,10 @@ mod tests {
         assert!(loss_value.is_finite());
         assert!(grads.is_empty());
         let stats = executor.memory_stats();
-        assert_eq!((stats.grad_slots, stats.grads_pruned), (0, 5)); // loss, flat, conv, x, f
-                                                                    // The forward conv filled `cols`; neither backward kernel ran.
-        assert!(!executor.ws.cols.is_empty());
+        // Pruned: loss, flat, conv, x, f.
+        assert_eq!((stats.grad_slots, stats.grads_pruned), (0, 5));
+        // The forward conv padded its image; neither backward kernel ran.
+        assert_eq!(executor.ws.padded.len(), 6 * 6);
         assert!(executor.ws.gcol.is_empty() && executor.ws.filter_t.is_empty());
         // One slot write per forward value (x, t, conv, flat, loss) and
         // none for a gradient, the seed included.

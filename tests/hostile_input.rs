@@ -31,6 +31,9 @@ use securetf_tee::sealing::SealPolicy;
 use securetf_tee::{MrEnclave, Platform};
 use securetf_tensor::bytes::{put_shape, Reader};
 use securetf_tensor::freeze::import_graph;
+use securetf_tensor::graph::{Graph, Padding};
+use securetf_tensor::tensor::Tensor;
+use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::model::LiteModel;
 use securetf_tflite::optimize::QuantizedModel;
 
@@ -343,6 +346,36 @@ fn codecs_reject_hostile_bytes_without_panicking_or_overallocating() {
     }
 }
 
+// ---- shapes a decoded model declares ------------------------------------------
+
+/// A Lite model's bytes decode to shapes, and those are the host's too: a
+/// conv filter with an empty kernel is refused when the model is loaded
+/// or planned, and never panics or runs.
+#[test]
+fn a_lite_conv_with_an_empty_kernel_is_refused_without_panicking() {
+    for filter in [[0, 3, 1, 2], [3, 0, 1, 2]] {
+        for padding in [Padding::Same, Padding::Valid] {
+            let mut g = Graph::new();
+            let x = g.placeholder("input", &[0, 4, 4, 1]);
+            let f = g.constant("f", Tensor::zeros(&filter));
+            let y = g.conv2d(x, f, padding).unwrap();
+            let output = g.nodes()[y.index()].name.clone();
+            let bytes = LiteModel::convert(&g, "input", &output).unwrap().to_bytes();
+            let refused = catch_unwind(AssertUnwindSafe(|| match LiteModel::from_bytes(&bytes) {
+                Err(_) => true,
+                Ok(model) => Interpreter::new(model)
+                    .run(&Tensor::zeros(&[1, 4, 4, 1]))
+                    .is_err(),
+            }));
+            let what = format!("filter {filter:?} under {padding:?}");
+            assert!(
+                refused.unwrap_or_else(|_| panic!("{what} panicked")),
+                "{what} ran"
+            );
+        }
+    }
+}
+
 // ---- the fs shield's host-visible objects -------------------------------------
 
 /// A shield that has written `plaintext` to `path`, and the store it
@@ -472,7 +505,10 @@ fn fs_checkpoint_rejects_hostile_bytes_behind_the_seal() {
         .unseal(SealPolicy::Measurement, &sealed, aad.as_bytes())
         .unwrap();
     Format::new("fs checkpoint", plain, move |b| {
-        store.raw_put(&slot, enclave.seal(SealPolicy::Measurement, b, aad.as_bytes()));
+        store.raw_put(
+            &slot,
+            enclave.seal(SealPolicy::Measurement, b, aad.as_bytes()),
+        );
         match FsShield::recover(fs_enclave(&platform), store.clone()) {
             Ok((shield, _)) => shield.version(FS_PATH) == Some(1),
             Err(_) => false,
@@ -494,12 +530,16 @@ fn crashed_rewrite(platform: Platform) -> (Platform, UntrustedStore, String) {
     let store = UntrustedStore::new();
     let mut shield = FsShield::new(fs_enclave(&platform), store.clone());
     for i in 0..8 {
-        shield.write(&format!("/data/filler/{i}"), b"filler").unwrap();
+        shield
+            .write(&format!("/data/filler/{i}"), b"filler")
+            .unwrap();
     }
     shield.write("/data/small", b"old").unwrap();
     let log = |store: &UntrustedStore| -> Vec<(String, Vec<u8>)> {
         let paths = store.paths().into_iter().filter(|p| p.contains("/log/"));
-        paths.map(|p| (p.clone(), store.raw_contents(&p).unwrap())).collect()
+        paths
+            .map(|p| (p.clone(), store.raw_contents(&p).unwrap()))
+            .collect()
     };
     let before = log(&store);
     store.fail_after_ops(2);
@@ -547,13 +587,15 @@ fn fs_commit_record_rejects_hostile_bytes_through_recover() {
         crashed.1.raw_contents(&crashed.2).unwrap()
     };
     let for_prepare = crashed.clone();
-    Format::new("fs log record", record, move |b| {
-        match remount_with_commit(&crashed.borrow(), b) {
+    Format::new(
+        "fs log record",
+        record,
+        move |b| match remount_with_commit(&crashed.borrow(), b) {
             Ok(true) => true,
             Err(ShieldError::FileTampered(_)) => false,
             other => panic!("a committed rewrite must read or fail closed: {other:?}"),
-        }
-    })
+        },
+    )
     // Recovery consumes the journal: every decode needs its own crash.
     .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite(fs_platform()))
     .lengths(&RECORD_LENGTHS)
@@ -586,13 +628,15 @@ fn fs_commit_entry_rejects_hostile_bytes_behind_the_mac() {
         record
     };
     let for_prepare = crashed.clone();
-    let row = Format::new("fs log record body", body.clone(), move |b| {
-        match remount_with_commit(&crashed.borrow(), &remac(b)) {
+    let row = Format::new(
+        "fs log record body",
+        body.clone(),
+        move |b| match remount_with_commit(&crashed.borrow(), &remac(b)) {
             Ok(rolled_forward) => rolled_forward,
             Err(ShieldError::FileTampered(_) | ShieldError::UnsupportedFormat(_)) => false,
             Err(e) => panic!("unexpected error {e:?}"),
-        }
-    })
+        },
+    )
     .prepare(move || *for_prepare.borrow_mut() = crashed_rewrite(fs_platform()))
     .lengths(&RECORD_LENGTHS);
     row.check();

@@ -395,8 +395,8 @@ proptest! {
     #[test]
     fn pooled_fused_conv2d_is_bit_identical_to_the_unfused_ops(
         b in 1usize..3,
-        h in 1usize..8,
-        w in 1usize..8,
+        h in 1usize..20,
+        w in 1usize..20,
         cin in 1usize..4,
         cout in 1usize..40,
         kh in 1usize..4,
@@ -442,19 +442,25 @@ proptest! {
         .unwrap();
         prop_assert_eq!(fused.shape(), want.shape());
         prop_assert_eq!(first_difference(fused.data(), want.data()), None);
-        prop_assert!(cost.critical_flops <= cost.flops);
+        // Priced as the fused GEMM it replaced, `[positions, patch] ×
+        // [patch, cout]`.
+        let (positions, patch) = (fused.len() / cout, kh * kw * cin);
+        let cols = Tensor::zeros(&[positions, patch]);
+        let product = kernels::matmul_bias_relu(&pool, &cols, &filter.reshape(&[patch, cout]).unwrap(), &bias, relu).unwrap().1;
+        prop_assert_eq!(cost, product);
     }
 
     #[test]
     fn pooled_conv2d_forward_and_backward_are_bit_identical_to_naive(
         b in 1usize..3,
-        h in 1usize..8,
-        w in 1usize..8,
+        h in 1usize..20,
+        w in 1usize..20,
         cin in 1usize..4,
         cout in 1usize..4,
         kh in 1usize..4,
         kw in 1usize..4,
         same in any::<bool>(),
+        special in any::<bool>(),
         workers in 1usize..8,
         seed in any::<u64>(),
     ) {
@@ -466,34 +472,45 @@ proptest! {
         } else {
             (Padding::Valid, kh.min(h), kw.min(w))
         };
-        let input = Tensor::from_vec(&[b, h, w, cin], lcg_fill(seed, b * h * w * cin)).unwrap();
+        let fill = if special { lcg_fill_special } else { lcg_fill };
+        let input = Tensor::from_vec(&[b, h, w, cin], fill(seed, b * h * w * cin)).unwrap();
         let filter =
-            Tensor::from_vec(&[kh, kw, cin, cout], lcg_fill(seed ^ 0xABCD, kh * kw * cin * cout))
+            Tensor::from_vec(&[kh, kw, cin, cout], fill(seed ^ 0xABCD, kh * kw * cin * cout))
                 .unwrap();
         let pool = WorkerPool::new(workers);
 
         let naive_out = reference::naive_conv2d(&input, &filter, padding).unwrap();
         let (out, cost) = kernels::conv2d(&pool, &input, &filter, padding).unwrap();
         prop_assert_eq!(out.shape(), naive_out.shape());
-        prop_assert_eq!(bits(&out), bits(&naive_out));
+        prop_assert_eq!(first_difference(out.data(), naive_out.data()), None);
         prop_assert!(cost.flops > 0.0);
 
         let grad =
-            Tensor::from_vec(out.shape(), lcg_fill(seed ^ 0x5A5A, out.len())).unwrap();
+            Tensor::from_vec(out.shape(), fill(seed ^ 0x5A5A, out.len())).unwrap();
         let (naive_gi, naive_gf) =
             reference::naive_conv2d_grad(&input, &filter, &grad, padding).unwrap();
         let (gi, gf, gcost) =
             kernels::conv2d_grad(&pool, &input, &filter, &grad, padding).unwrap();
-        prop_assert_eq!(bits(&gi), bits(&naive_gi));
-        prop_assert_eq!(bits(&gf), bits(&naive_gf));
+        prop_assert_eq!(first_difference(gi.data(), naive_gi.data()), None);
+        prop_assert_eq!(first_difference(gf.data(), naive_gf.data()), None);
         prop_assert!(gcost.critical_flops <= gcost.flops);
+
+        // Priced, for every worker count, exactly as the GEMM it replaced,
+        // `[positions, patch] × [patch, cout]`.
+        let (positions, patch) = (out.len() / cout, kh * kw * cin);
+        let (cols, taps) = (Tensor::zeros(&[positions, patch]), Tensor::zeros(&[patch, cout]));
+        for workers in 1..=8 {
+            let pool = WorkerPool::new(workers);
+            let forward = kernels::conv2d(&pool, &input, &filter, padding).unwrap().1;
+            prop_assert_eq!(forward, kernels::matmul(&pool, &cols, &taps).unwrap().1, "workers={}", workers);
+        }
     }
 
     #[test]
     fn pooled_conv2d_grad_filter_and_input_each_match_their_half_of_naive(
         b in 1usize..3,
-        h in 1usize..7,
-        w in 1usize..7,
+        h in 1usize..20,
+        w in 1usize..20,
         cin_pick in 0usize..2,
         cout in 1usize..20,
         kernel_pick in 0usize..4,
@@ -551,6 +568,19 @@ proptest! {
         for cost in [gi_cost, gf_cost] {
             prop_assert!(cost.critical_flops <= cost.flops);
             prop_assert!(cost.critical_flops * workers as f64 >= cost.flops);
+        }
+        // The filter gradient is priced, for every worker count, exactly
+        // as the GEMM it replaced, `[patch, positions] × [positions,
+        // cout]` (up to 75 taps and 19 channels: row blocks and panels).
+        let (patch, positions) = (kh * kw * cin, b * oh * ow);
+        let cols_t = Tensor::zeros(&[patch, positions]);
+        let grad_rows = grad.reshape(&[positions, cout]).unwrap();
+        for workers in 1..=8 {
+            let pool = WorkerPool::new(workers);
+            let filter_grad = kernels::conv2d_grad_filter(
+                &pool, &mut ws, &input, filter.shape(), &grad, padding, &mut |len| vec![f32::NAN; len],
+            ).unwrap().1;
+            prop_assert_eq!(filter_grad, kernels::matmul(&pool, &cols_t, &grad_rows).unwrap().1, "workers={}", workers);
         }
     }
 

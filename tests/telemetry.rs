@@ -347,9 +347,10 @@ fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
     // No conv kernel ran, so the executor holds no scratch.
     assert_eq!(telemetry.gauge("memory.workspace_bytes").get(), 0);
 
-    // A conv model's im2col matrix is heap the plan does not see: one
-    // `[patch, positions]` matrix of f32 (the filter gradient's, as large
-    // as the forward one) — and nothing per pooled element.
+    // A conv model's padded image is heap the plan does not see: one
+    // `[b, cin, h + 2, w + 2]` copy of the batch for the 3x3 `Same`
+    // kernel (the forward pass and the filter gradient share it), its nine
+    // tap offsets — and nothing per pooled element.
     let enclave = platform
         .create_enclave(
             &EnclaveImage::builder().code(b"gauge conv trainer").build(),
@@ -364,9 +365,10 @@ fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
     session
         .train_step(Tensor::full(&[2, 8, 8, 1], 0.25), y, &mut sgd)
         .expect("step");
-    let (patch, positions) = (3 * 3, 2 * 8 * 8);
+    let padded = 2 * (8 + 2) * (8 + 2);
+    let taps = 3 * 3 * std::mem::size_of::<usize>() as i64;
     assert_eq!(
         telemetry.gauge("memory.workspace_bytes").get(),
-        patch * positions * 4
+        padded * 4 + taps
     );
 }

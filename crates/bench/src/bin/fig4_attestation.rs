@@ -42,11 +42,7 @@ fn main() {
     cas.register_policy(policy.clone()).expect("fresh policy");
 
     // IAS path.
-    let mut ias = IasAttestor::new(
-        platform.fleet_verifier(),
-        platform.cost_model().clone(),
-        platform.clock().clone(),
-    );
+    let mut ias = IasAttestor::new(&platform);
     ias.register_policy(policy);
 
     let worker = platform

@@ -10,8 +10,7 @@
 use crate::policy::ServicePolicy;
 use crate::service::{AttestationBreakdown, Provision};
 use crate::CasError;
-use securetf_tee::platform::FleetVerifier;
-use securetf_tee::{CostModel, Quote, SimClock};
+use securetf_tee::{CostCategory, Platform, Quote};
 use std::collections::HashMap;
 
 /// Approximate serialized size of an EPID quote (larger than a local
@@ -23,20 +22,18 @@ const EPID_QUOTE_WIRE_BYTES: u64 = 1116;
 /// provisions secrets itself afterwards.
 #[derive(Debug)]
 pub struct IasAttestor {
-    verifier: FleetVerifier,
-    model: CostModel,
-    clock: SimClock,
+    platform: Platform,
     policies: HashMap<String, ServicePolicy>,
 }
 
 impl IasAttestor {
-    /// Creates the baseline attestor. `clock` should be the cluster clock
-    /// so latencies are comparable with CAS.
-    pub fn new(verifier: FleetVerifier, model: CostModel, clock: SimClock) -> Self {
+    /// Creates the baseline attestor on the verifying party's machine: it
+    /// verifies quotes of `platform`'s fleet and spends its WAN and
+    /// service time on `platform` (the cluster's, so latencies are
+    /// comparable with CAS), as [`CostCategory::Attestation`].
+    pub fn new(platform: &Platform) -> Self {
         IasAttestor {
-            verifier,
-            model,
-            clock,
+            platform: platform.clone(),
             policies: HashMap::new(),
         }
     }
@@ -58,23 +55,24 @@ impl IasAttestor {
         quote: &Quote,
         service: &str,
     ) -> Result<Provision, CasError> {
-        let quote_generation_ns = self.model.quote_gen_ns;
+        let (model, clock) = (self.platform.cost_model(), self.platform.clock());
+        let spend = |ns| self.platform.spend(CostCategory::Attestation, ns);
+        let quote_generation_ns = model.quote_gen_ns;
 
         // Quote travels to the IAS endpoint over the WAN.
-        let quote_transfer_ns = self.model.ias_wan_one_way_ns
-            + (EPID_QUOTE_WIRE_BYTES as f64 / self.model.lan_bytes_per_sec * 1e9) as u64;
-        self.clock.advance(quote_transfer_ns);
+        let quote_transfer_ns = model.ias_wan_one_way_ns
+            + (EPID_QUOTE_WIRE_BYTES as f64 / model.lan_bytes_per_sec * 1e9) as u64;
+        spend(quote_transfer_ns);
 
         // IAS service time + the response WAN leg.
-        let verify_start = self.clock.now_ns();
-        self.clock.advance(self.model.ias_service_ns);
-        self.clock.advance(self.model.ias_wan_one_way_ns);
+        let verify_start = clock.now_ns();
+        spend(model.ias_service_ns + model.ias_wan_one_way_ns);
         let policy = self
             .policies
             .get(service)
             .ok_or_else(|| CasError::UnknownService(service.to_string()))?;
-        self.verifier
-            .verify(quote)
+        self.platform
+            .verify_quote(quote)
             .map_err(|_| CasError::QuoteRejected("signature"))?;
         if !policy.allows(&quote.mrenclave) {
             return Err(CasError::MeasurementNotAllowed);
@@ -85,40 +83,26 @@ impl IasAttestor {
                 required: policy.required_tcb_svn(),
             });
         }
-        let verification_ns = self.clock.now_ns() - verify_start;
+        let verification_ns = clock.now_ns() - verify_start;
 
         // The user then provisions keys themselves, over the LAN.
         let payload = policy.secrets_len() + 64;
-        let key_transfer_ns =
-            self.model.lan_transfer_ns(payload) + self.model.shield_crypto_ns(payload);
-        self.clock.advance(key_transfer_ns);
+        let key_transfer_ns = model.lan_transfer_ns(payload) + model.shield_crypto_ns(payload);
+        spend(key_transfer_ns);
 
         let secrets = policy
             .secrets()
             .map(|s| (s.name, s.value))
             .collect::<HashMap<_, _>>();
-        Ok(ProvisionBuilder {
+        Ok(Provision::from_parts(
             secrets,
-            breakdown: AttestationBreakdown {
+            AttestationBreakdown {
                 quote_generation_ns,
                 quote_transfer_ns,
                 verification_ns,
                 key_transfer_ns,
             },
-        }
-        .build())
-    }
-}
-
-/// Internal helper to construct a [`Provision`] from the IAS path.
-struct ProvisionBuilder {
-    secrets: HashMap<String, Vec<u8>>,
-    breakdown: AttestationBreakdown,
-}
-
-impl ProvisionBuilder {
-    fn build(self) -> Provision {
-        Provision::from_parts(self.secrets, self.breakdown)
+        ))
     }
 }
 
@@ -135,11 +119,7 @@ mod tests {
         let worker = platform
             .create_enclave(&image, ExecutionMode::Hardware)
             .unwrap();
-        let mut ias = IasAttestor::new(
-            platform.fleet_verifier(),
-            platform.cost_model().clone(),
-            platform.clock().clone(),
-        );
+        let mut ias = IasAttestor::new(&platform);
         ias.register_policy(
             ServicePolicy::new("svc")
                 .allow_measurement(image.measurement())
@@ -173,11 +153,7 @@ mod tests {
             .unwrap();
         let mut cas = CasService::new(cas_enclave, platform.fleet_verifier());
         cas.register_policy(policy.clone()).unwrap();
-        let mut ias = IasAttestor::new(
-            platform.fleet_verifier(),
-            platform.cost_model().clone(),
-            platform.clock().clone(),
-        );
+        let mut ias = IasAttestor::new(&platform);
         ias.register_policy(policy);
 
         let q1 = worker.quote(b"x").unwrap();
@@ -205,11 +181,7 @@ mod tests {
         let worker = platform
             .create_enclave(&rogue, ExecutionMode::Hardware)
             .unwrap();
-        let mut ias = IasAttestor::new(
-            platform.fleet_verifier(),
-            platform.cost_model().clone(),
-            platform.clock().clone(),
-        );
+        let mut ias = IasAttestor::new(&platform);
         ias.register_policy(ServicePolicy::new("svc").allow_measurement(image.measurement()));
         let quote = worker.quote(b"b").unwrap();
         assert_eq!(

@@ -14,7 +14,7 @@ use crate::kvstore::KvStore;
 use crate::policy::{Secret, ServicePolicy};
 use crate::CasError;
 use securetf_tee::platform::FleetVerifier;
-use securetf_tee::{Enclave, Quote, RetryPolicy};
+use securetf_tee::{CostCategory, Enclave, Quote, RetryPolicy};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -222,10 +222,10 @@ impl CasService {
         service: &str,
         policy: &RetryPolicy,
     ) -> Result<Provision, CasError> {
-        let clock = self.enclave.clock().clone();
+        let enclave = self.enclave.clone();
         policy
             .run(
-                &clock,
+                &enclave,
                 |_| self.attest_and_provision(quote, service),
                 CasError::is_transient,
             )
@@ -247,16 +247,15 @@ impl CasService {
         quote: &Quote,
         service: &str,
     ) -> Result<Provision, CasError> {
-        let clock = self.enclave.clock();
+        let (clock, model) = (self.enclave.clock(), self.enclave.cost_model());
+        let spend = |ns| self.enclave.spend(CostCategory::Attestation, ns);
         if clock.now_ns() < self.outage_until_ns {
             // The caller's connection attempt still costs a LAN timeout.
-            let model = self.enclave.cost_model();
-            clock.advance(model.lan_rtt_ns);
+            spend(model.lan_rtt_ns);
             return Err(CasError::Unavailable {
                 retry_after_ns: self.outage_until_ns.saturating_sub(clock.now_ns()),
             });
         }
-        let model = self.enclave.cost_model();
 
         // The quote was generated by the attesting enclave (already charged
         // to the shared clock by `Enclave::quote`); account it in the
@@ -265,7 +264,7 @@ impl CasService {
 
         // Quote travels over the local cluster network.
         let quote_transfer_ns = model.lan_transfer_ns(QUOTE_WIRE_BYTES);
-        clock.advance(quote_transfer_ns);
+        spend(quote_transfer_ns);
 
         // Local verification: HMAC check + policy lookup. Sub-millisecond
         // (the paper: "less than 1 ms").
@@ -293,7 +292,7 @@ impl CasService {
         // Secrets travel back over the (shielded) local network.
         let payload = policy.secrets_len() + 64;
         let key_transfer_ns = model.lan_transfer_ns(payload) + model.shield_crypto_ns(payload);
-        clock.advance(key_transfer_ns);
+        spend(key_transfer_ns);
 
         let secrets: HashMap<String, Vec<u8>> = policy
             .secrets()
@@ -624,7 +623,8 @@ mod tests {
         ));
         assert_eq!(s.cas.attestations_served(), 0);
         // Virtual time passes; the CAS comes back on its own.
-        s.cas.enclave().clock().advance(5_000_000);
+        let clock = s.cas.enclave().clock();
+        clock.idle_until(clock.now_ns() + 5_000_000);
         assert!(!s.cas.is_unavailable());
         assert!(s.cas.attest_and_provision(&quote, "svc").is_ok());
     }

@@ -254,11 +254,7 @@ fn cmd_attest_demo() -> Result<(), String> {
     let mut cas = CasService::new(cas_enclave, platform.fleet_verifier());
     cas.register_policy(policy.clone())
         .map_err(|e| e.to_string())?;
-    let mut ias = IasAttestor::new(
-        platform.fleet_verifier(),
-        platform.cost_model().clone(),
-        platform.clock().clone(),
-    );
+    let mut ias = IasAttestor::new(&platform);
     ias.register_policy(policy);
 
     let quote = worker.quote(b"demo").map_err(|e| e.to_string())?;

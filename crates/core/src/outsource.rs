@@ -41,7 +41,7 @@
 //! ```
 
 use crate::SecureTfError;
-use securetf_tee::Enclave;
+use securetf_tee::{CostCategory, Enclave};
 use securetf_tensor::tensor::Tensor;
 use std::sync::Arc;
 
@@ -117,7 +117,7 @@ impl UntrustedGpu {
         let flops = 2.0 * x.shape()[0] as f64 * x.shape()[1] as f64 * w.shape()[1] as f64;
         let model = enclave.cost_model();
         let gpu_ns = (flops / (model.native_flops * self.speedup) * 1e9) as u64;
-        enclave.clock().advance(gpu_ns);
+        enclave.spend(CostCategory::Compute, gpu_ns);
         Ok(out)
     }
 
@@ -217,9 +217,8 @@ impl OutsourcedMatMul {
 
         // 2. Ship to the GPU and back (PCIe transfers).
         let transfer_bytes = (blinded.byte_len() + (m * n * 4) as u64) as f64;
-        self.enclave
-            .clock()
-            .advance((transfer_bytes / PCIE_BYTES_PER_SEC * 1e9) as u64);
+        let pcie_ns = (transfer_bytes / PCIE_BYTES_PER_SEC * 1e9) as u64;
+        self.enclave.spend(CostCategory::Other, pcie_ns);
         let blinded_product = self.gpu.matmul(&self.enclave, &blinded, &self.weights)?;
 
         // 3. Unblind: y = y' − 1·(rᵀW). rᵀW costs O(k·n) in the enclave.

@@ -86,8 +86,8 @@ impl SecureSession {
                     _ => "compiler.pass",
                 };
                 let _span = telemetry.span(name);
-                self.enclave.clock().advance(pass.virtual_ns);
-                telemetry.charge(securetf_tee::CostCategory::Other, pass.virtual_ns);
+                self.enclave
+                    .spend(securetf_tee::CostCategory::Other, pass.virtual_ns);
             }
         }
     }

@@ -268,9 +268,9 @@ impl Cluster {
         if index >= self.workers.len() {
             return Err(DistribError::UnknownWorker(index));
         }
-        let clock = self.cas.enclave().clock().clone();
+        let cas = self.cas.enclave().clone();
         let node = policy
-            .run(&clock, |_| self.boot_node(), DistribError::is_transient)
+            .run(&cas, |_| self.boot_node(), DistribError::is_transient)
             .map_err(securetf_tee::retry::RetryError::into_inner)?;
         self.workers[index] = node;
         Ok(())
@@ -452,7 +452,7 @@ mod tests {
         let w0 = &cluster.workers[0];
         let w1 = &cluster.workers[1];
         let t1_before = w1.clock().now_ns();
-        w0.clock().advance(1000);
+        w0.enclave.spend(securetf_tee::CostCategory::Other, 1000);
         assert_eq!(w1.clock().now_ns(), t1_before);
     }
 }

@@ -426,12 +426,12 @@ mod tests {
     fn clock_mixing_is_deterministic_in_virtual_time() {
         let c1 = SimClock::new();
         let c2 = SimClock::new();
-        c1.advance(12_345);
-        c2.advance(12_345);
+        c1.idle_until(12_345);
+        c2.idle_until(12_345);
         let a = FaultPlan::generate_at(&c1, 9, 30, 2);
         let b = FaultPlan::generate_at(&c2, 9, 30, 2);
         assert_eq!(a.schedule_digest(), b.schedule_digest());
-        c2.advance(1);
+        c2.idle_until(12_346);
         let c = FaultPlan::generate_at(&c2, 9, 30, 2);
         assert_ne!(a.schedule_digest(), c.schedule_digest());
     }

@@ -93,10 +93,10 @@ pub fn federated_average_shielded(
 ) -> Result<Vec<u8>, DistribError> {
     for message in parties {
         aggregator.charge_syscall();
-        aggregator.charge_shield_crypto_as(message.len() as u64, CostCategory::Network);
+        spend_shield(aggregator, message.len());
     }
     let averaged = federated_average(parties)?;
-    aggregator.charge_shield_crypto_as(averaged.len() as u64, CostCategory::Network);
+    spend_shield(aggregator, averaged.len());
     Ok(averaged)
 }
 
@@ -120,7 +120,7 @@ pub fn federated_average_chunked(
     for chunks in parties {
         aggregator.charge_syscall();
         for chunk in chunks {
-            aggregator.charge_shield_crypto_as(chunk.len() as u64, CostCategory::Network);
+            spend_shield(aggregator, chunk.len());
         }
     }
     let decoded = parties
@@ -129,8 +129,14 @@ pub fn federated_average_chunked(
         .collect::<Result<Vec<_>, _>>()?;
     let averaged = average_entries(decoded)?;
     let out = wire::encode_frame(&averaged, Codec::Dense);
-    aggregator.charge_shield_crypto_as(out.len() as u64, CostCategory::Network);
+    spend_shield(aggregator, out.len());
     Ok(out)
+}
+
+/// The aggregator's network-shield crypto over `bytes`.
+fn spend_shield(aggregator: &Enclave, bytes: usize) {
+    let ns = aggregator.cost_model().shield_crypto_ns(bytes as u64);
+    aggregator.spend(CostCategory::Network, ns);
 }
 
 #[cfg(test)]

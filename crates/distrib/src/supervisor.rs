@@ -39,7 +39,7 @@ use securetf_shield::fs::{FsShield, StoreSnapshot, UntrustedStore};
 use securetf_shield::net::{duplex, Adversary, PipeEnd, Role, SecureChannel, Tamper, Transport};
 use securetf_shield::ShieldError;
 use securetf_tee::telemetry::Counter;
-use securetf_tee::{CostCategory, CostModel, Enclave, RetryPolicy, Telemetry};
+use securetf_tee::{CostCategory, Enclave, RetryPolicy, Telemetry};
 use securetf_tensor::bytes::Reader;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -95,8 +95,12 @@ pub struct SupervisorStats {
     /// Whole-store rollback attacks injected from the plan.
     pub storage_rollbacks: u64,
     /// Virtual time spent on supervision (probes, backoff, stalls), in
-    /// nanoseconds; added to the report's elapsed time.
+    /// nanoseconds. It is spent on the parameter server's clock, so the
+    /// trainer's composed time already counts it.
     pub supervision_ns: u64,
+    /// Storage recoveries that found no trustworthy store (lost or
+    /// rolled-back manifest) and remounted a fresh, empty shield.
+    pub fresh_remounts: u64,
 }
 
 /// Shared queue of adversary actions for one heartbeat link.
@@ -214,6 +218,7 @@ struct SupervisorMetrics {
     faults_injected: Counter,
     storage_recoveries: Counter,
     storage_rollbacks: Counter,
+    storage_fresh_remounts: Counter,
 }
 
 impl SupervisorMetrics {
@@ -229,6 +234,7 @@ impl SupervisorMetrics {
             faults_injected: t.counter("supervisor.faults_injected"),
             storage_recoveries: t.counter("supervisor.storage_recoveries"),
             storage_rollbacks: t.counter("supervisor.storage_rollbacks"),
+            storage_fresh_remounts: t.counter("supervisor.storage_fresh_remounts"),
         }
     }
 }
@@ -246,7 +252,6 @@ pub struct Supervisor {
     heartbeats: Vec<Heartbeat>,
     stats: SupervisorStats,
     metrics: SupervisorMetrics,
-    telemetry: Telemetry,
     step: u64,
     latest_generation: Option<u64>,
 }
@@ -316,8 +321,7 @@ impl Supervisor {
         store: UntrustedStore,
         shield: FsShield,
     ) -> Result<Self, DistribError> {
-        let telemetry = trainer.cluster().config().telemetry.clone();
-        let metrics = SupervisorMetrics::for_telemetry(&telemetry);
+        let metrics = SupervisorMetrics::for_telemetry(&trainer.cluster().config().telemetry);
         let mut supervisor = Supervisor {
             trainer,
             config,
@@ -328,7 +332,6 @@ impl Supervisor {
             heartbeats: Vec::new(),
             stats: SupervisorStats::default(),
             metrics,
-            telemetry,
             step: 0,
             latest_generation: None,
         };
@@ -359,7 +362,7 @@ impl Supervisor {
         Ok(TrainReport {
             steps: self.trainer.steps(),
             final_loss: last,
-            elapsed_ns: self.trainer.elapsed_ns() + self.stats.supervision_ns,
+            elapsed_ns: self.trainer.elapsed_ns(),
             samples: self.trainer.samples(),
         })
     }
@@ -402,9 +405,8 @@ impl Supervisor {
                         .fail_worker(worker % worker_count)?;
                 }
                 FaultEvent::PsStall { delay_ns } => {
-                    self.trainer.cluster().ps.clock().advance(delay_ns);
+                    self.ps().spend(CostCategory::Other, delay_ns);
                     self.stats.supervision_ns += delay_ns;
-                    self.telemetry.charge(CostCategory::Other, delay_ns);
                 }
                 FaultEvent::NetDrop { worker, records } => {
                     let queue = &self.heartbeats[worker % worker_count].tamper;
@@ -458,11 +460,15 @@ impl Supervisor {
         Ok(())
     }
 
+    /// The parameter server's enclave, which supervision spends time on.
+    fn ps(&self) -> &Enclave {
+        &self.trainer.cluster().ps.enclave
+    }
+
     /// Probes every worker and respawns the ones that fail.
     fn heal(&mut self) -> Result<(), DistribError> {
-        let model = self.trainer.cluster().ps.platform.cost_model().clone();
         for w in 0..self.trainer.cluster().workers.len() {
-            match self.probe(w, &model) {
+            match self.probe(w) {
                 Probe::Alive => {}
                 Probe::Dead => self.respawn(w)?,
                 Probe::Compromised => {
@@ -478,21 +484,19 @@ impl Supervisor {
     /// Ping/echo/ack over the worker's heartbeat channel, with bounded
     /// retries for *lost* records. Authentication failures fail closed
     /// immediately.
-    fn probe(&mut self, w: usize, model: &CostModel) -> Probe {
+    fn probe(&mut self, w: usize) -> Probe {
+        let rtt_ns = self.ps().cost_model().lan_rtt_ns;
         let policy = self.config.retry.clone();
         for attempt in 0..policy.max_attempts.max(1) {
             if attempt > 0 {
                 let backoff = policy.delay_ns(attempt - 1);
-                self.trainer.cluster().ps.clock().advance(backoff);
+                self.ps().spend(CostCategory::Other, backoff);
                 self.stats.supervision_ns += backoff;
-                self.telemetry.charge(CostCategory::Other, backoff);
             }
             self.stats.heartbeats += 1;
             self.metrics.heartbeats.inc();
-            self.trainer.cluster().ps.clock().advance(model.lan_rtt_ns);
-            self.stats.supervision_ns += model.lan_rtt_ns;
-            self.telemetry
-                .charge(CostCategory::Network, model.lan_rtt_ns);
+            self.ps().spend(CostCategory::Network, rtt_ns);
+            self.stats.supervision_ns += rtt_ns;
             let hb = &mut self.heartbeats[w];
             let ping = hb.seq.to_le_bytes();
             hb.seq += 1;
@@ -637,6 +641,8 @@ impl Supervisor {
         match FsShield::recover(enclave.clone(), self.store.clone()) {
             Ok((shield, _report)) => self.shield = shield,
             Err(_) => {
+                self.stats.fresh_remounts += 1;
+                self.metrics.storage_fresh_remounts.inc();
                 self.shield = FsShield::new(enclave, self.store.clone());
                 self.latest_generation = None;
             }
@@ -732,6 +738,10 @@ mod tests {
     }
 
     fn trainer(workers: usize) -> DistributedTrainer {
+        trainer_on(workers, Telemetry::disabled())
+    }
+
+    fn trainer_on(workers: usize, telemetry: Telemetry) -> DistributedTrainer {
         let cluster = Cluster::new(ClusterConfig {
             workers,
             parameter_servers: 1,
@@ -739,6 +749,7 @@ mod tests {
             network_shield: true,
             runtime_bytes: 8 * 1024 * 1024,
             heap_bytes: 16 * 1024 * 1024,
+            telemetry,
             ..ClusterConfig::default()
         })
         .unwrap();
@@ -870,19 +881,7 @@ mod tests {
     #[test]
     fn supervision_events_mirror_into_telemetry() {
         let telemetry = Telemetry::new(Arc::new(securetf_tee::SimClock::new()));
-        let cluster = Cluster::new(ClusterConfig {
-            workers: 2,
-            parameter_servers: 1,
-            mode: ExecutionMode::Simulation,
-            network_shield: true,
-            runtime_bytes: 8 * 1024 * 1024,
-            heap_bytes: 16 * 1024 * 1024,
-            telemetry: telemetry.clone(),
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        let data = securetf_data::synthetic_mnist(300, 5);
-        let trainer = DistributedTrainer::new(cluster, small_model(), data, 100, 0.2).unwrap();
+        let trainer = trainer_on(2, telemetry.clone());
         let plan = FaultPlan::none()
             .with_event(1, FaultEvent::WorkerCrash { worker: 0 })
             .with_event(2, FaultEvent::NetTamper { worker: 1 });
@@ -942,6 +941,7 @@ mod tests {
         let report = s.train_steps(4).unwrap();
         assert!(report.final_loss.is_finite());
         assert_eq!(s.stats().storage_recoveries, 1);
+        assert_eq!(s.stats().fresh_remounts, 0, "the crash kept the manifest");
         // Initial checkpoint + two cadence checkpoints all committed.
         assert_eq!(s.stats().checkpoints, 3);
         assert!(s.restore_latest().is_ok(), "newest generation restores");
@@ -1006,10 +1006,37 @@ mod tests {
         );
         assert_eq!(s2.latest_generation, Some(1), "init gen 0 + cadence gen 1");
         assert_eq!(s2.stats().storage_recoveries, 1);
+        assert_eq!(s2.stats().fresh_remounts, 0, "a crash is no rollback");
         // And training continues from there.
         let mut s2 = s2;
         let report = s2.train_steps(3).unwrap();
         assert!(report.final_loss.is_finite());
+    }
+
+    #[test]
+    fn a_rolled_back_store_remounts_fresh_and_counts_it() {
+        let telemetry = Telemetry::new(Arc::new(securetf_tee::SimClock::new()));
+        let config = SupervisorConfig {
+            checkpoint_every: 2,
+            ..Default::default()
+        };
+        let store = UntrustedStore::new();
+        let mut s = Supervisor::new(
+            trainer_on(1, telemetry.clone()),
+            FaultPlan::none(),
+            config.clone(),
+            store.clone(),
+        )
+        .unwrap();
+        let stale = store.snapshot();
+        s.train_steps(2).unwrap(); // the cadence checkpoint commits past `stale`
+        store.restore(&stale);
+        let s2 = Supervisor::remount(s.into_trainer(), FaultPlan::none(), config, store).unwrap();
+        assert_eq!(s2.stats().fresh_remounts, 1);
+        assert_eq!(
+            telemetry.counter("supervisor.storage_fresh_remounts").get(),
+            1
+        );
     }
 
     #[test]
@@ -1039,6 +1066,7 @@ mod tests {
         // No stored generation survives; the in-enclave model is re-sealed
         // as a fresh generation instead of trusting the empty host.
         assert_eq!(s2.latest_generation, Some(0));
+        assert_eq!(s2.stats().fresh_remounts, 1);
         assert_eq!(var_bits(s2.trainer()), live, "in-enclave state kept");
         assert!(!store.paths().is_empty(), "fresh checkpoint re-sealed");
     }

@@ -26,7 +26,7 @@ use crate::comm::{self, Chunk, CommConfig, CommMetrics, CommStats};
 use crate::wire::{self, Codec, Quantized};
 use crate::DistribError;
 use securetf_data::Dataset;
-use securetf_tee::{CostModel, ExecutionMode, RegionId};
+use securetf_tee::{CostCategory, CostModel, ExecutionMode, RegionId};
 use securetf_tensor::graph::{Graph, NodeId, Op};
 use securetf_tensor::kernels::WorkerPool;
 use securetf_tensor::layers::Classifier;
@@ -136,7 +136,8 @@ impl StepContext<'_> {
         let t0 = clock.now_ns();
         if self.shield {
             // Worker-side record processing of the weight broadcast.
-            clock.advance(self.cost.shield_net_ns(self.weight_bytes));
+            let ns = self.cost.shield_net_ns(self.weight_bytes);
+            node.enclave.spend(CostCategory::Network, ns);
         }
 
         // Fetch this worker's batch (wraps around its shard).
@@ -343,7 +344,10 @@ pub struct DistributedTrainer {
     /// Encoded dense entry body per variable, dropped when the PS apply
     /// changes the variable — unchanged variables are never re-encoded.
     weight_cache: HashMap<u32, Vec<u8>>,
+    /// The steps' broadcast and exchange time; [`Self::elapsed_ns`] adds
+    /// all PS-clock time since `ps_start_ns`.
     global_ns: u64,
+    ps_start_ns: u64,
     steps: u64,
     samples: u64,
 }
@@ -382,6 +386,7 @@ impl DistributedTrainer {
             .collect();
         let comm_metrics = CommMetrics::new(&cluster.config().telemetry);
         Ok(DistributedTrainer {
+            ps_start_ns: cluster.ps.clock().now_ns(),
             cluster,
             model,
             data,
@@ -629,14 +634,12 @@ impl DistributedTrainer {
         let hidden_ns = outcome.serial_comm_ns.saturating_sub(exposed_comm_ns);
         drop(exchange_span);
 
-        // 4. PS averages and applies (on the PS node's clock). Messages
-        //    are consumed in worker-index order regardless of arrival
-        //    order, and entries within a message in their fixed
-        //    descending-id order — the applied update is bit-identical
-        //    across overlap/shard settings.
+        // 4. PS averages and applies (on the PS clock, which `elapsed_ns`
+        //    counts whole). Messages are consumed in worker-index order
+        //    regardless of arrival order, and entries within a message in
+        //    their fixed descending-id order — the applied update is
+        //    bit-identical across overlap/shard settings.
         let apply_span = telemetry.span("distrib.apply");
-        let ps_clock = self.cluster.ps.clock().clone();
-        let t0 = ps_clock.now_ns();
         let scale = self.lr / live.len() as f32;
         let mut param_flops = 0.0f64;
         for push in &pushes {
@@ -667,15 +670,14 @@ impl DistributedTrainer {
             .enclave
             .charge_compute(param_flops / ps_count as f64);
         self.cluster.ps.enclave.touch_all(self.ps_params_region)?;
-        let ps_ns = ps_clock.now_ns() - t0;
         drop(apply_span);
 
         let comm_ns = broadcast_ns + exposed_comm_ns;
-        self.global_ns += broadcast_ns + exchange_ns + ps_ns;
+        self.global_ns += broadcast_ns + exchange_ns;
         self.steps += 1;
         self.samples += (self.batch * live.len()) as u64;
 
-        telemetry.charge(securetf_tee::CostCategory::Network, comm_ns);
+        telemetry.charge(CostCategory::Network, comm_ns);
         let bytes_sent = weight_bytes_total * live_count + push_bytes;
         let bytes_saved = push_dense_bytes.saturating_sub(push_bytes);
         self.comm_metrics.bytes_sent.add(bytes_sent);
@@ -709,7 +711,7 @@ impl DistributedTrainer {
         TrainReport {
             steps: self.steps,
             final_loss,
-            elapsed_ns: self.global_ns,
+            elapsed_ns: self.elapsed_ns(),
             samples: self.samples,
         }
     }
@@ -883,9 +885,11 @@ impl DistributedTrainer {
         &self.model
     }
 
-    /// Total virtual time spent so far.
+    /// Total virtual time spent so far: the steps' broadcast and exchange
+    /// plus everything charged to the PS clock — each step's apply, and
+    /// the checkpoints, restores and supervision between steps.
     pub fn elapsed_ns(&self) -> u64 {
-        self.global_ns
+        self.global_ns + (self.cluster.ps.clock().now_ns() - self.ps_start_ns)
     }
 
     /// Steps executed so far.
@@ -937,6 +941,32 @@ mod tests {
         let cluster = Cluster::new(config(workers, mode, shield)).unwrap();
         let data = securetf_data::synthetic_mnist(300, 5);
         DistributedTrainer::new(cluster, small_model(), data, 100, 0.2).unwrap()
+    }
+
+    #[test]
+    fn a_checkpoint_between_steps_joins_the_composed_time() {
+        use securetf_shield::fs::{FsShield, UntrustedStore};
+        // Two identical runs; only `with` writes a checkpoint between its
+        // first and second step.
+        let mut plain = trainer(2, ExecutionMode::Hardware, true);
+        let mut with = trainer(2, ExecutionMode::Hardware, true);
+        plain.step().unwrap();
+        with.step().unwrap();
+        let (plain0, with0) = (plain.elapsed_ns(), with.elapsed_ns());
+        assert_eq!(plain0, with0);
+
+        let ps_clock = with.cluster().ps.clock().clone();
+        let t0 = ps_clock.now_ns();
+        let bytes = with.checkpoint_bytes("/ckpt").unwrap();
+        let mut fs = FsShield::new(with.cluster().ps.enclave.clone(), UntrustedStore::new());
+        fs.write("/ckpt", &bytes).unwrap();
+        let write_ns = ps_clock.now_ns() - t0;
+        assert!(write_ns > 0);
+
+        plain.step().unwrap();
+        with.step().unwrap();
+        let plain_step = plain.elapsed_ns() - plain0;
+        assert_eq!(with.elapsed_ns() - with0, plain_step + write_ns);
     }
 
     #[test]

@@ -437,7 +437,8 @@ impl<T: Transport> Gateway<T> {
 
     /// Jumps the virtual clock to the next instant at which
     /// [`Gateway::batch_ready`] becomes true — the event-loop timer of
-    /// a simulation that must never sleep.
+    /// a simulation that must never sleep. The jump is idle time, so it is
+    /// charged to no cost category.
     fn advance_to_next_trigger(&self) {
         let now = self.clock.now_ns();
         let pending = self.tenants.iter().flat_map(|t| t.queue.iter());
@@ -449,7 +450,7 @@ impl<T: Transport> Gateway<T> {
             .map(|d| d.saturating_sub(self.config.batch_timeout_ns))
             .unwrap_or(u64::MAX);
         let trigger = timeout_at.min(deadline_at);
-        self.clock.advance(trigger.saturating_sub(now).max(1));
+        self.clock.idle_until(trigger.max(now + 1));
     }
 
     /// Assembles one batch (EDF anchor + deficit-round-robin fill),

@@ -332,16 +332,15 @@ impl<T: Transport> SecureChannel<T> {
         let record = aead::seal(&self.send_key, &nonce, plaintext, &aad);
         self.send_seq = next_seq;
         self.enclave.charge_syscall();
-        self.enclave
-            .charge_shield_crypto_as(plaintext.len() as u64, CostCategory::Network);
+        let crypto_ns = self
+            .enclave
+            .cost_model()
+            .shield_crypto_ns(plaintext.len() as u64);
+        self.enclave.spend(CostCategory::Network, crypto_ns);
         self.metrics.records_sent.inc();
         self.metrics.bytes_sent.add(plaintext.len() as u64);
         self.metrics.crypto_bytes_sealed.add(plaintext.len() as u64);
-        self.metrics.crypto_seal_ns.record(
-            self.enclave
-                .cost_model()
-                .shield_crypto_ns(plaintext.len() as u64),
-        );
+        self.metrics.crypto_seal_ns.record(crypto_ns);
         self.transport.send(record);
         Ok(())
     }
@@ -393,16 +392,15 @@ impl<T: Transport> SecureChannel<T> {
         });
         self.send_seq = end_seq;
         for (&chunk, record) in chunks.iter().zip(records) {
-            self.enclave
-                .charge_shield_crypto_as(chunk.len() as u64, CostCategory::Network);
+            let crypto_ns = self
+                .enclave
+                .cost_model()
+                .shield_crypto_ns(chunk.len() as u64);
+            self.enclave.spend(CostCategory::Network, crypto_ns);
             self.metrics.records_sent.inc();
             self.metrics.bytes_sent.add(chunk.len() as u64);
             self.metrics.crypto_bytes_sealed.add(chunk.len() as u64);
-            self.metrics.crypto_seal_ns.record(
-                self.enclave
-                    .cost_model()
-                    .shield_crypto_ns(chunk.len() as u64),
-            );
+            self.metrics.crypto_seal_ns.record(crypto_ns);
             self.transport.send(record);
         }
         Ok(())
@@ -475,8 +473,11 @@ impl<T: Transport> SecureChannel<T> {
                 if aead::open_in_place_detached(&self.recv_key, &nonce, buf, tag, &aad).is_ok() {
                     record.truncate(ct_len);
                     self.recv_seq = candidate + 1;
-                    self.enclave
-                        .charge_shield_crypto_as(record.len() as u64, CostCategory::Network);
+                    let crypto_ns = self
+                        .enclave
+                        .cost_model()
+                        .shield_crypto_ns(record.len() as u64);
+                    self.enclave.spend(CostCategory::Network, crypto_ns);
                     self.metrics.records_received.inc();
                     self.metrics.bytes_received.add(record.len() as u64);
                     self.metrics.crypto_bytes_opened.add(record.len() as u64);
@@ -538,10 +539,10 @@ impl<T: Transport> SecureChannel<T> {
         message: &[u8],
         policy: &RetryPolicy,
     ) -> Result<Vec<u8>, ShieldError> {
-        let clock = self.enclave.clock().clone();
+        let enclave = self.enclave.clone();
         policy
             .run(
-                &clock,
+                &enclave,
                 |_| self.request(message),
                 |e| matches!(e, ShieldError::ChannelClosed),
             )

@@ -10,13 +10,15 @@
 //! The default [`CostModel`] is parameterized with published SGXv1 numbers
 //! for the paper's testbed CPU (Xeon E3-1280 v6 @ 3.9 GHz).
 
+use securetf_telemetry::{CostCategory, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A monotone virtual clock counting nanoseconds.
 ///
 /// Cloning shares the underlying counter; per-node clocks are created by
-/// [`SimClock::new`].
+/// [`SimClock::new`]. A cost moves it only through `Enclave::spend` or
+/// `Platform::spend`, idle waiting only through [`SimClock::idle_until`].
 ///
 /// # Examples
 ///
@@ -24,7 +26,7 @@ use std::sync::Arc;
 /// use securetf_tee::SimClock;
 ///
 /// let clock = SimClock::new();
-/// clock.advance(1_500);
+/// clock.idle_until(1_500);
 /// assert_eq!(clock.now_ns(), 1_500);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -40,9 +42,15 @@ impl SimClock {
         }
     }
 
-    /// Advances the clock by `delta_ns` nanoseconds.
-    pub fn advance(&self, delta_ns: u64) {
-        self.ns.fetch_add(delta_ns, Ordering::Relaxed);
+    /// The one body that spends virtual time: advances by `ns`, charged to `category`.
+    pub(crate) fn spend(&self, telemetry: &Telemetry, category: CostCategory, ns: u64) {
+        self.ns.fetch_add(ns, Ordering::Relaxed);
+        telemetry.charge(category, ns);
+    }
+
+    /// Moves the clock forward to `t_ns` if behind: idle time, charged to no category.
+    pub fn idle_until(&self, t_ns: u64) {
+        self.ns.fetch_max(t_ns, Ordering::Relaxed);
     }
 
     /// Returns the current virtual time in nanoseconds.
@@ -65,8 +73,8 @@ impl SimClock {
     /// Creates an enabled telemetry handle driven by this clock. The
     /// handle shares the clock's counter, so spans and histograms measure
     /// the same virtual time every cost charge advances.
-    pub fn telemetry(&self) -> securetf_telemetry::Telemetry {
-        securetf_telemetry::Telemetry::new(Arc::new(self.clone()))
+    pub fn telemetry(&self) -> Telemetry {
+        Telemetry::new(Arc::new(self.clone()))
     }
 }
 
@@ -223,12 +231,16 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    fn advance(c: &SimClock, ns: u64) {
+        c.spend(&Telemetry::disabled(), CostCategory::Other, ns);
+    }
+
     #[test]
     fn clock_starts_at_zero_and_advances() {
         let c = SimClock::new();
         assert_eq!(c.now_ns(), 0);
-        c.advance(10);
-        c.advance(5);
+        advance(&c, 10);
+        advance(&c, 5);
         assert_eq!(c.now_ns(), 15);
     }
 
@@ -236,7 +248,7 @@ mod tests {
     fn clones_share_time() {
         let c = SimClock::new();
         let c2 = c.clone();
-        c.advance(100);
+        advance(&c, 100);
         assert_eq!(c2.now_ns(), 100);
     }
 
@@ -244,11 +256,19 @@ mod tests {
     fn measure_reports_elapsed() {
         let c = SimClock::new();
         let (value, elapsed) = c.measure(|| {
-            c.advance(42);
+            advance(&c, 42);
             "done"
         });
         assert_eq!(value, "done");
         assert_eq!(elapsed, 42);
+    }
+
+    #[test]
+    fn idle_until_only_moves_forward() {
+        let c = SimClock::new();
+        c.idle_until(50);
+        c.idle_until(20);
+        assert_eq!(c.now_ns(), 50);
     }
 
     #[test]

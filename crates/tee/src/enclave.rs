@@ -97,8 +97,7 @@ impl Enclave {
         if mode.has_runtime() {
             let pages = image_bytes.div_ceil(PAGE_SIZE as u64);
             let build_ns = model.cycles_to_ns(pages * model.create_page_cycles);
-            clock.advance(build_ns);
-            telemetry.charge(CostCategory::Other, build_ns);
+            clock.spend(&telemetry, CostCategory::Other, build_ns);
         }
         let mut epc = EpcManager::new(model.clone(), clock.clone(), mode.has_epc_limit());
         epc.attach_telemetry(&telemetry, &scope);
@@ -215,9 +214,7 @@ impl Enclave {
         if !self.mode.has_runtime() {
             return Err(TeeError::QuoteInvalid("no TEE in native mode"));
         }
-        self.clock.advance(self.model.quote_gen_ns);
-        self.telemetry
-            .charge(CostCategory::Attestation, self.model.quote_gen_ns);
+        self.spend(CostCategory::Attestation, self.model.quote_gen_ns);
         self.charge_transition();
         let rd: [u8; REPORT_DATA_LEN] = Quote::report_data_from(report_data);
         Ok(Quote::sign(
@@ -248,8 +245,7 @@ impl Enclave {
             return Err(TeeError::QuoteInvalid("no TEE in native mode"));
         }
         let report_ns = self.model.cycles_to_ns(3_000);
-        self.clock.advance(report_ns);
-        self.telemetry.charge(CostCategory::Attestation, report_ns);
+        self.spend(CostCategory::Attestation, report_ns);
         let rd = Quote::report_data_from(report_data);
         let key = self.report_key(target);
         let mut body = Vec::with_capacity(96);
@@ -307,9 +303,7 @@ impl Enclave {
     pub fn seal(&self, policy: SealPolicy, plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
         let key = sealing::sealing_key(&self.platform_secret, policy, &self.measurement);
         let nonce_seed = self.seal_nonce.fetch_add(1, Ordering::Relaxed);
-        let crypto_ns = self.model.shield_crypto_ns(plaintext.len() as u64);
-        self.clock.advance(crypto_ns);
-        self.telemetry.charge(CostCategory::Crypto, crypto_ns);
+        self.charge_shield_crypto(plaintext.len() as u64);
         sealing::seal(&key, nonce_seed, plaintext, aad)
     }
 
@@ -326,9 +320,7 @@ impl Enclave {
         aad: &[u8],
     ) -> Result<Vec<u8>, TeeError> {
         let key = sealing::sealing_key(&self.platform_secret, policy, &self.measurement);
-        let crypto_ns = self.model.shield_crypto_ns(sealed.len() as u64);
-        self.clock.advance(crypto_ns);
-        self.telemetry.charge(CostCategory::Crypto, crypto_ns);
+        self.charge_shield_crypto(sealed.len() as u64);
         sealing::unseal(&key, sealed, aad)
     }
 
@@ -425,13 +417,18 @@ impl Enclave {
 
     // ---- cost charges ------------------------------------------------------
 
+    /// Spends `ns` of virtual time on this enclave's clock and charges
+    /// them to `category` — the only way a cost moves an enclave's clock;
+    /// every `charge_*` below is a named `spend`.
+    pub fn spend(&self, category: CostCategory, ns: u64) {
+        self.clock.spend(&self.telemetry, category, ns);
+    }
+
     /// Charges one synchronous enclave transition (ecall/ocall pair).
     pub fn charge_transition(&self) {
         if self.mode.has_runtime() {
             self.transitions.inc();
-            let ns = self.model.transition_ns();
-            self.clock.advance(ns);
-            self.telemetry.charge(CostCategory::Transitions, ns);
+            self.spend(CostCategory::Transitions, self.model.transition_ns());
         }
     }
 
@@ -446,15 +443,15 @@ impl Enclave {
                 self.model.async_syscall_ns()
             }
         };
-        self.clock.advance(ns);
-        self.telemetry.charge(CostCategory::Syscalls, ns);
+        self.spend(CostCategory::Syscalls, ns);
     }
 
     /// Charges `flops` of single-core compute in the current mode.
     pub fn charge_compute(&self, flops: f64) {
-        let ns = self.model.compute_ns(flops, self.mode);
-        self.clock.advance(ns);
-        self.telemetry.charge(CostCategory::Compute, ns);
+        self.spend(
+            CostCategory::Compute,
+            self.model.compute_ns(flops, self.mode),
+        );
     }
 
     /// Charges a pool-parallel kernel execution: `total_flops` is the
@@ -472,9 +469,10 @@ impl Enclave {
         } else {
             total_flops
         };
-        let ns = self.model.compute_ns(critical, self.mode);
-        self.clock.advance(ns);
-        self.telemetry.charge(CostCategory::Compute, ns);
+        self.spend(
+            CostCategory::Compute,
+            self.model.compute_ns(critical, self.mode),
+        );
         self.telemetry
             .counter("kernel.pool.total_flops")
             .add(total_flops as u64);
@@ -483,18 +481,10 @@ impl Enclave {
             .add(critical as u64);
     }
 
-    /// Charges streaming-crypto time for `bytes` (file-system shield).
+    /// Charges streaming-crypto time for `bytes` (file-system shield,
+    /// sealing).
     pub fn charge_shield_crypto(&self, bytes: u64) {
-        self.charge_shield_crypto_as(bytes, CostCategory::Crypto);
-    }
-
-    /// Charges streaming-crypto time for `bytes`, attributing the span
-    /// cost to `category` — the network shield uses the same crypto rate
-    /// but its time belongs to [`CostCategory::Network`].
-    pub fn charge_shield_crypto_as(&self, bytes: u64, category: CostCategory) {
-        let ns = self.model.shield_crypto_ns(bytes);
-        self.clock.advance(ns);
-        self.telemetry.charge(category, ns);
+        self.spend(CostCategory::Crypto, self.model.shield_crypto_ns(bytes));
     }
 
     /// Returns boundary-crossing counters.

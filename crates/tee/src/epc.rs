@@ -326,9 +326,9 @@ impl EpcManager {
 
         self.metrics.faults.add(faults);
         let paging_ns = faults * self.model.page_swap_ns();
-        self.clock.advance(paging_ns);
         if paging_ns > 0 {
-            self.telemetry.charge(CostCategory::Paging, paging_ns);
+            self.clock
+                .spend(&self.telemetry, CostCategory::Paging, paging_ns);
         }
         Ok(())
     }

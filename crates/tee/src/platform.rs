@@ -33,7 +33,7 @@ use crate::quote::{self, Quote};
 use crate::{ExecutionMode, TeeError};
 use parking_lot::Mutex;
 use securetf_crypto::hmac::hmac_sha256;
-use securetf_telemetry::Telemetry;
+use securetf_telemetry::{CostCategory, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,8 +42,8 @@ static NEXT_PLATFORM_ID: AtomicU64 = AtomicU64::new(1);
 /// Default fleet secret shared by platforms unless overridden.
 const DEFAULT_FLEET_SECRET: [u8; 32] = [0x42; 32];
 
-/// A simulated machine capable of hosting enclaves.
-#[derive(Debug)]
+/// A simulated machine capable of hosting enclaves; a clone is another handle to it.
+#[derive(Debug, Clone)]
 pub struct Platform {
     id: u64,
     tcb_svn: u32,
@@ -85,6 +85,11 @@ impl Platform {
     /// (disabled unless set at build time).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// [`Enclave::spend`] for costs outside any enclave (the IAS baseline's WAN legs).
+    pub fn spend(&self, category: CostCategory, ns: u64) {
+        self.clock.spend(&self.telemetry, category, ns);
     }
 
     /// The platform's monotonic-counter store — the NVRAM analogue. It
@@ -318,7 +323,7 @@ mod tests {
         let clock = SimClock::new();
         let a = Platform::builder().clock(clock.clone()).build();
         let _b = Platform::builder().clock(clock.clone()).build();
-        a.clock().advance(5);
+        a.spend(CostCategory::Other, 5);
         assert_eq!(clock.now_ns(), 5);
     }
 }

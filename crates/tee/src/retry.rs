@@ -6,10 +6,11 @@
 //! fail closed. [`RetryPolicy`] captures the retry half: exponential
 //! backoff bounded by `max_delay` and `max_attempts`, with jitter drawn
 //! deterministically from a seed so every simulated run is
-//! reproducible. Waiting is charged to the [`SimClock`], never to wall
-//! time.
+//! reproducible. Waiting is spent on the enclave's clock as
+//! [`CostCategory::Other`], never on wall time.
 
-use crate::clock::SimClock;
+use crate::enclave::Enclave;
+use securetf_telemetry::CostCategory;
 
 /// A bounded exponential-backoff schedule with seeded jitter.
 ///
@@ -120,13 +121,13 @@ impl RetryPolicy {
     }
 
     /// Runs `op` until it succeeds, fails non-transiently, or attempts
-    /// are exhausted. Between attempts the backoff delay is charged to
-    /// `clock`, so outages with a virtual-time deadline expire during
-    /// the wait. `op` receives the 0-based attempt number;
+    /// are exhausted. Between attempts the backoff delay is spent on
+    /// `enclave` ([`CostCategory::Other`]), so outages with a virtual-time
+    /// deadline expire during the wait. `op` receives the 0-based attempt number;
     /// `is_transient` decides whether an error is worth retrying.
     pub fn run<T, E>(
         &self,
-        clock: &SimClock,
+        enclave: &Enclave,
         mut op: impl FnMut(u32) -> Result<T, E>,
         is_transient: impl Fn(&E) -> bool,
     ) -> Result<T, RetryError<E>> {
@@ -143,7 +144,7 @@ impl RetryPolicy {
                             last: e,
                         });
                     }
-                    clock.advance(self.delay_ns(attempt));
+                    enclave.spend(CostCategory::Other, self.delay_ns(attempt));
                     attempt += 1;
                 }
             }
@@ -154,6 +155,23 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EnclaveImage, ExecutionMode, Platform, SimClock};
+    use std::sync::Arc;
+
+    /// An enclave whose clock and telemetry the test reads.
+    fn enclave() -> (Arc<Enclave>, SimClock, crate::Telemetry) {
+        let clock = SimClock::new();
+        let telemetry = clock.telemetry();
+        let platform = Platform::builder()
+            .clock(clock.clone())
+            .telemetry(telemetry.clone())
+            .build();
+        let image = EnclaveImage::builder().code(b"retry").build();
+        let enclave = platform
+            .create_enclave(&image, ExecutionMode::Hardware)
+            .unwrap();
+        (enclave, clock, telemetry)
+    }
 
     #[test]
     fn delays_grow_and_cap() {
@@ -183,10 +201,11 @@ mod tests {
 
     #[test]
     fn run_retries_transient_until_success_and_charges_clock() {
-        let clock = SimClock::new();
+        let (enclave, clock, telemetry) = enclave();
+        let (t0, other0) = (clock.now_ns(), telemetry.counter("cost.other.ns").get());
         let p = RetryPolicy::with_seed(5, 1);
         let result = p.run(
-            &clock,
+            &enclave,
             |attempt| {
                 if attempt < 2 {
                     Err("flaky")
@@ -197,16 +216,19 @@ mod tests {
             |_| true,
         );
         assert_eq!(result.unwrap(), 2);
-        assert!(clock.now_ns() >= p.delay_ns(0) + p.delay_ns(1));
+        let waited = p.delay_ns(0) + p.delay_ns(1);
+        assert_eq!(clock.now_ns() - t0, waited);
+        assert_eq!(telemetry.counter("cost.other.ns").get() - other0, waited);
     }
 
     #[test]
     fn run_fails_closed_on_non_transient() {
-        let clock = SimClock::new();
+        let (enclave, clock, _) = enclave();
+        let t0 = clock.now_ns();
         let p = RetryPolicy::with_seed(5, 1);
         let mut calls = 0;
         let result: Result<(), _> = p.run(
-            &clock,
+            &enclave,
             |_| {
                 calls += 1;
                 Err("tampered")
@@ -215,14 +237,14 @@ mod tests {
         );
         assert!(matches!(result, Err(RetryError::Fatal("tampered"))));
         assert_eq!(calls, 1);
-        assert_eq!(clock.now_ns(), 0, "fatal errors must not wait");
+        assert_eq!(clock.now_ns(), t0, "fatal errors must not wait");
     }
 
     #[test]
     fn run_exhausts_after_max_attempts() {
-        let clock = SimClock::new();
+        let (enclave, _, _) = enclave();
         let p = RetryPolicy::with_seed(3, 1);
-        let result: Result<(), _> = p.run(&clock, |_| Err("down"), |_| true);
+        let result: Result<(), _> = p.run(&enclave, |_| Err("down"), |_| true);
         match result {
             Err(RetryError::Exhausted { attempts, last }) => {
                 assert_eq!(attempts, 3);

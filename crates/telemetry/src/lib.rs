@@ -32,14 +32,14 @@
 //! use std::sync::Arc;
 //! # use std::sync::atomic::{AtomicU64, Ordering};
 //! # #[derive(Default)] struct Clock(AtomicU64);
-//! # impl Clock { fn advance(&self, ns: u64) { self.0.fetch_add(ns, Ordering::Relaxed); } }
+//! # impl Clock { fn tick(&self, ns: u64) { self.0.fetch_add(ns, Ordering::Relaxed); } }
 //! # impl TimeSource for Clock { fn now_ns(&self) -> u64 { self.0.load(Ordering::Relaxed) } }
 //!
 //! let clock = Arc::new(Clock::default());
 //! let telemetry = Telemetry::new(clock.clone());
 //! {
 //!     let _span = telemetry.span("inference");
-//!     clock.advance(1_000);
+//!     clock.tick(1_000);
 //!     telemetry.charge(CostCategory::Paging, 400);
 //!     telemetry.counter("requests").inc();
 //! }
@@ -73,9 +73,9 @@ pub trait TimeSource: Send + Sync {
     fn now_ns(&self) -> u64;
 }
 
-/// Where a slice of virtual time went. Mirrors the cost model's charge
-/// sites: every `Enclave::charge_*` call attributes its nanoseconds to
-/// exactly one category of the innermost open span.
+/// Where a slice of virtual time went. A cost moves a clock only through
+/// `Enclave::spend` / `Platform::spend` (and the `Enclave::charge_*` built
+/// on it), which charge it to one category of the innermost open span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CostCategory {
@@ -87,13 +87,13 @@ pub enum CostCategory {
     Paging = 2,
     /// System calls (async queue ops or native kernel calls).
     Syscalls = 3,
-    /// Network-shield record processing and LAN transfer time.
+    /// Network-shield record processing, LAN transfer time and heartbeats.
     Network = 4,
     /// File-system-shield / sealing streaming crypto.
     Crypto = 5,
-    /// Quote generation and attestation round trips.
+    /// Quote generation and attestation round trips (CAS and IAS).
     Attestation = 6,
-    /// Everything else (enclave build, stalls, backoff).
+    /// Everything else (enclave build, stalls, backoff, compiler, PCIe).
     Other = 7,
 }
 
@@ -240,7 +240,7 @@ impl Telemetry {
 
     /// Attributes `ns` of already-charged virtual time to `category` on
     /// the innermost open span (and the global `cost.*` counters). The
-    /// clock itself is advanced by the cost model, never here.
+    /// clock itself is advanced by the TEE's `spend`, never here.
     pub fn charge(&self, category: CostCategory, ns: u64) {
         if let Some(inner) = &self.inner {
             inner.cost_ns[category as usize].add(ns);
@@ -386,7 +386,7 @@ mod tests {
     pub(crate) struct TestClock(pub AtomicU64);
 
     impl TestClock {
-        pub fn advance(&self, ns: u64) {
+        pub fn tick(&self, ns: u64) {
             self.0.fetch_add(ns, Ordering::Relaxed);
         }
     }
@@ -450,13 +450,13 @@ mod tests {
         let (t, clock) = enabled();
         {
             let _outer = t.span("outer");
-            clock.advance(100);
+            clock.tick(100);
             {
                 let _inner = t.span("inner");
-                clock.advance(40);
+                clock.tick(40);
                 t.charge(CostCategory::Paging, 25);
             }
-            clock.advance(10);
+            clock.tick(10);
             t.charge(CostCategory::Compute, 7);
         }
         let report = t.span_report();

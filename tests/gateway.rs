@@ -306,7 +306,7 @@ fn expired_deadlines_are_shed_not_served() {
     // A deadline that will already be stale once the gateway looks.
     let doomed = Request::with_deadline(9, demo_input(0, 0), clock.now_ns() + 1);
     clients[0].send(&encode_request(&doomed)).unwrap();
-    clock.advance(10); // the deadline passes before the gateway polls
+    clock.idle_until(clock.now_ns() + 10); // the deadline passes before the gateway polls
     gateway.flush().expect("flush");
     let responses = drain_client(&mut clients[0]);
     assert_eq!(responses.len(), 1);

@@ -1299,10 +1299,13 @@ fn trainer_trace(pool: usize, comm: CommConfig) -> TrainerTrace {
     let loss_bits = (0..3)
         .map(|_| trainer.step().expect("step").to_bits())
         .collect();
+    // The three steps' time: the checkpoint below is charged to the PS
+    // clock and so would join the trainer's composed time.
+    let elapsed_ns = trainer.elapsed_ns();
     TrainerTrace {
         loss_bits,
         checkpoint: trainer.checkpoint_bytes("/ckpt/crew").expect("checkpoint"),
-        elapsed_ns: trainer.elapsed_ns(),
+        elapsed_ns,
         comm: trainer.comm_stats(),
     }
 }

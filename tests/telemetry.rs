@@ -1,12 +1,15 @@
 //! Integration tests for the telemetry subsystem at the service layer:
-//! span coverage of an instrumented deployment, the sealed-export
-//! fail-closed contract, and the zero-overhead disabled mode.
+//! span coverage of an instrumented deployment, the conservation of
+//! virtual time across cost categories, the sealed-export fail-closed
+//! contract, and the zero-overhead disabled mode.
 
 use securetf::classifier::SecureClassifier;
 use securetf::deployment::Deployment;
 use securetf::profile::RuntimeProfile;
 use securetf_tee::telemetry::{ExportError, SealedSnapshot};
-use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock, Telemetry};
+use securetf_tee::{
+    CostCategory, EnclaveImage, ExecutionMode, Platform, RetryPolicy, SimClock, Telemetry,
+};
 use securetf_tensor::graph::Graph;
 use securetf_tensor::tensor::Tensor;
 use securetf_tflite::model::LiteModel;
@@ -68,6 +71,132 @@ fn span_tree_covers_the_whole_run_and_attributes_costs() {
     let rendered = report.render();
     assert!(rendered.contains("run:"));
     assert!(rendered.contains("serve:"));
+}
+
+/// Every nanosecond charged to a cost category so far.
+fn charged_ns(telemetry: &Telemetry) -> u64 {
+    CostCategory::ALL
+        .iter()
+        .map(|c| telemetry.counter(&format!("cost.{}.ns", c.name())).get())
+        .sum()
+}
+
+/// A platform whose clock and telemetry the conservation tests read.
+fn instrumented_platform() -> (Platform, SimClock, Telemetry) {
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    let platform = Platform::builder()
+        .clock(clock.clone())
+        .telemetry(telemetry.clone())
+        .build();
+    (platform, clock, telemetry)
+}
+
+// Conservation: on a single clock the categories add up to the time the
+// clock moved, exactly — no cost is left uncategorised.
+
+#[test]
+fn a_deployment_and_its_classifies_charge_every_nanosecond_to_a_category() {
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    let mut classifier = deploy_instrumented(&clock, &telemetry);
+    let input = Tensor::full(&[1, 8], 0.5);
+    for _ in 0..3 {
+        classifier.classify(&input).expect("classify");
+    }
+    assert_eq!(charged_ns(&telemetry), clock.now_ns());
+}
+
+#[test]
+fn a_cas_attestation_through_an_outage_charges_every_nanosecond_to_a_category() {
+    use securetf_cas::policy::ServicePolicy;
+    use securetf_cas::service::CasService;
+    let (platform, clock, telemetry) = instrumented_platform();
+    let image = EnclaveImage::builder().code(b"worker").build();
+    let worker = platform
+        .create_enclave(&image, ExecutionMode::Hardware)
+        .expect("worker");
+    let cas_enclave = platform
+        .create_enclave(
+            &EnclaveImage::builder().code(b"cas").build(),
+            ExecutionMode::Hardware,
+        )
+        .expect("cas");
+    let mut cas = CasService::new(cas_enclave, platform.fleet_verifier());
+    cas.register_policy(
+        ServicePolicy::new("svc")
+            .allow_measurement(image.measurement())
+            .with_secret("k", b"v"),
+    )
+    .expect("policy");
+    let quote = worker.quote(b"binding").expect("quote");
+    let policy = RetryPolicy::with_seed(3, 7);
+    // Down for no longer than the first backoff: the first attempt gets
+    // `Unavailable`, the second is served.
+    cas.inject_outage(policy.delay_ns(0));
+    let other = telemetry.counter("cost.other.ns").get();
+    cas.attest_and_provision_with_retry(&quote, "svc", &policy)
+        .expect("served after one backoff");
+    let backoff = telemetry.counter("cost.other.ns").get() - other;
+    assert_eq!(backoff, policy.delay_ns(0), "exactly one retry");
+    assert_eq!(charged_ns(&telemetry), clock.now_ns());
+}
+
+#[test]
+fn an_fs_shield_write_and_read_charge_every_nanosecond_to_a_category() {
+    use securetf_shield::fs::{FsShield, UntrustedStore};
+    let (platform, clock, telemetry) = instrumented_platform();
+    let enclave = platform
+        .create_enclave(
+            &EnclaveImage::builder().code(b"fs").build(),
+            ExecutionMode::Hardware,
+        )
+        .expect("enclave");
+    let mut fs = FsShield::new(enclave, UntrustedStore::new());
+    let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+    fs.write("/data/blob", &data).expect("write");
+    assert_eq!(fs.read("/data/blob").expect("read"), data);
+    assert_eq!(charged_ns(&telemetry), clock.now_ns());
+}
+
+#[test]
+fn a_gateway_round_charges_every_nanosecond_to_a_category() {
+    use securetf::serving::{encode_request, Request};
+    use securetf_gateway::chaos::{attested_pair, demo_input, demo_model};
+    use securetf_gateway::{Gateway, GatewayConfig};
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    let mut deployment =
+        Deployment::instrumented(ExecutionMode::Hardware, clock.clone(), telemetry.clone());
+    deployment
+        .publish_model("svc", "/m", &demo_model())
+        .expect("publish");
+    let classifier = deployment
+        .deploy_classifier("svc", "/m", RuntimeProfile::scone_lite())
+        .expect("deploy");
+    let frontend = Platform::builder()
+        .clock(clock.clone())
+        .telemetry(telemetry.clone())
+        .build()
+        .create_enclave(
+            &EnclaveImage::builder().code(b"frontend").build(),
+            ExecutionMode::Simulation,
+        )
+        .expect("frontend");
+    let config = GatewayConfig::default();
+    let mut gateway = Gateway::new(classifier, config.clone());
+    let (server, mut client) = attested_pair(frontend);
+    gateway.accept(server);
+    for id in 0..config.max_batch as u64 {
+        let request = encode_request(&Request::new(id, demo_input(0, id)));
+        client.send(&request).expect("send");
+    }
+    let (t0, charged0) = (clock.now_ns(), charged_ns(&telemetry));
+    let stats = gateway.pump().expect("pump");
+    assert_eq!(stats.batches, 1, "a full batch dispatches without a timer");
+    assert!(clock.now_ns() > t0);
+    assert_eq!(charged_ns(&telemetry) - charged0, clock.now_ns() - t0);
+    assert_eq!(charged_ns(&telemetry), clock.now_ns());
 }
 
 #[test]

@@ -16,9 +16,13 @@
 //!    backward loop by at least 3× at the training shape (release), and
 //! 3. the max-pool kernels beat the scalar loops they replaced at the
 //!    training shape — forward by 2×, backward (one pass from `(x, grad)`,
-//!    no index table) by 1.8× — (release), and
-//! 4. pooled outputs are bit-identical to serial ones, and the max-pool
-//!    and transposed-A rows to their references, in every build.
+//!    no index table) by 1.8× — (release),
+//! 4. on `serve_large`'s weight stream (a batch of 8 through ten distinct
+//!    1024² fused layers, 2 workers) weights packed in `kernels::Panels`
+//!    beat the same weights row-major by 1.2× (release), and
+//! 5. pooled outputs are bit-identical to serial ones, and the max-pool,
+//!    transposed-A and packed-weight rows to their references, in every
+//!    build.
 //!
 //! The `step` rows are medians, not best-ofs, of whole passes at the
 //! `train_dist` shape: the dense layer's weight gradient with and without
@@ -303,6 +307,73 @@ fn bench_matmul_grad_rhs(batch: usize, features: usize, classes: usize, reps: us
     }
 }
 
+/// The `serve_large` weight stream: a batch of `m` rows through
+/// `layers` fused `matmul → bias → relu` layers of distinct `width`²
+/// constants (40 MiB at 10 × 1024², more than the L2 of any core, so
+/// every layer reads its weights from L3 or DRAM), with each weight
+/// row-major against packed in [`kernels::Panels`]. The two sides
+/// alternate, one chain each, and each keeps its median.
+fn bench_weight_stream(
+    m: usize,
+    width: usize,
+    layers: usize,
+    workers: usize,
+    reps: usize,
+) -> VersusRow {
+    let weights: Vec<Tensor> = (0..layers)
+        .map(|l| {
+            // Scaled so that activations neither vanish nor blow up.
+            let data = fill(67 + l as u64, width * width);
+            Tensor::from_vec(&[width, width], data.iter().map(|v| v * 0.06).collect())
+                .expect("weight")
+        })
+        .collect();
+    let mut scratch = Vec::new();
+    let panels: Vec<kernels::Panels> = weights
+        .iter()
+        .map(|w| kernels::Panels::pack(w.clone(), &mut scratch).expect("rank 2"))
+        .collect();
+    let biases: Vec<Tensor> = (0..layers)
+        .map(|l| Tensor::from_vec(&[width], fill(71 + l as u64, width)).expect("bias"))
+        .collect();
+    let x = Tensor::from_vec(&[m, width], fill(73, m * width)).expect("x");
+    let pool = WorkerPool::new(workers);
+    let row_major = || {
+        biases.iter().zip(&weights).fold(x.clone(), |x, (bias, w)| {
+            kernels::matmul_bias_relu_with(&pool, &x, w, bias, true, &mut stale)
+                .expect("layer")
+                .0
+        })
+    };
+    let packed = || {
+        biases.iter().zip(&panels).fold(x.clone(), |x, (bias, w)| {
+            kernels::matmul_panels_with(&pool, &x, w, Some((bias, true)), &mut stale)
+                .expect("layer")
+                .0
+        })
+    };
+    let (want, got) = (row_major(), packed());
+    let (mut reference, mut kernel) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        std::hint::black_box(row_major());
+        reference.push(t0.elapsed().as_nanos() as u64);
+        let t0 = Instant::now();
+        std::hint::black_box(packed());
+        kernel.push(t0.elapsed().as_nanos() as u64);
+    }
+    let median = |mut samples: Vec<u64>| {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    };
+    VersusRow {
+        label: format!("weight_stream {m}x{width}x{width} x{layers} {workers}w"),
+        reference_ns: median(reference),
+        kernel_ns: median(kernel),
+        identical: bits(got.data()) == bits(want.data()),
+    }
+}
+
 /// Median nanoseconds of one relu over `len` elements through the
 /// executor (forward only, warmed arena).
 fn relu_ns(len: usize, reps: usize) -> u64 {
@@ -415,6 +486,8 @@ fn main() {
     // The other kernels of a training step, at its shape.
     let mut versus = Vec::from(bench_max_pool([32, 28, 28, 16], reps * 3));
     versus.push(bench_matmul_grad_rhs(32, 3136, 10, 50));
+    // The serving model's weights, row-major against panels.
+    versus.push(bench_weight_stream(8, 1024, 10, 2, 51));
     for row in &versus {
         println!(
             "{:<41} | {:>10} | {:>10} | {:>10} | {:>11} | {}",
@@ -498,11 +571,14 @@ fn main() {
             fmt_ns(filter_grad.blocked_ns),
             fmt_ns(filter_grad.naive_ns),
         );
-        // Tenths, so the gates stay integer arithmetic.
-        for (row, tenths) in [(&versus[0], 20), (&versus[1], 18)] {
+        // Tenths, so the gates stay integer arithmetic. The weight
+        // stream's gate is well below the ~1.9x it measures on the
+        // 2-vCPU VM: the row-major side moves +/-30 % with the host.
+        let stream = versus.last().expect("weight stream row");
+        for (row, tenths) in [(&versus[0], 20), (&versus[1], 18), (stream, 12)] {
             assert!(
                 row.kernel_ns * tenths <= row.reference_ns * 10,
-                "{} ({}) is not {}x faster than the scalar loop ({})",
+                "{} ({}) is not {}x faster than its reference ({})",
                 row.label,
                 fmt_ns(row.kernel_ns),
                 tenths as f64 / 10.0,

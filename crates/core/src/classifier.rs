@@ -318,9 +318,12 @@ impl SecureClassifier {
         &self.profile
     }
 
-    /// The loaded model.
-    pub fn model(&self) -> &LiteModel {
-        self.interpreter.model()
+    /// The loaded model as the Lite format holds it, every weight
+    /// row-major ([`LiteModel::unpacked`]): a copy, because the
+    /// interpreter keeps its matmul weights in panel order and no second
+    /// copy of them.
+    pub fn model(&self) -> LiteModel {
+        self.interpreter.model().unpacked()
     }
 
     /// Inferences served so far.

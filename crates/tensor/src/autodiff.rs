@@ -14,7 +14,7 @@
 //! differentiation in this module's tests.
 
 use crate::graph::{Graph, Node, NodeId, Op, Padding};
-use crate::kernels::{self, KernelCost, TakeBuffer, WorkerPool, Workspace};
+use crate::kernels::{self, KernelCost, Panels, TakeBuffer, WorkerPool, Workspace};
 use crate::memory::{ExecMemory, Feeds};
 use crate::tensor::Tensor;
 use crate::TensorError;
@@ -195,6 +195,16 @@ impl<'a, F: Feeds + ?Sized> Leaves<'a, F> {
         }
     }
 
+    /// The panels of [`Op::PackedConstant`] `id`, which only a matmul's
+    /// right operand reads, and only through here ([`Leaves::get`] has no
+    /// tensor for it).
+    fn panels(&self, id: NodeId) -> Option<&'a Panels> {
+        match &self.graph.nodes().get(id.0)?.op {
+            Op::PackedConstant(panels) => Some(panels),
+            _ => None,
+        }
+    }
+
     /// [`Leaves::get`] with the checks that belong to the leaf's own
     /// forward step.
     fn checked(&self, id: NodeId, node: &'a Node) -> Result<&'a Tensor, TensorError> {
@@ -258,9 +268,19 @@ pub(crate) fn forward<F: Feeds + ?Sized>(
                 mem.drop_dead_values(index, values);
                 continue;
             }
+            Op::PackedConstant(panels) => {
+                // Read in place by its one consumer, below; no slot.
+                stats.activation_bytes += panels.byte_len();
+                mem.drop_dead_values(index, values);
+                continue;
+            }
             Op::MatMul(a, b) => {
-                let (ta, tb) = (get(*a), get(*b));
-                let (out, cost) = kernels::matmul_with(pool, ta, tb, &mut |len| mem.take(len))?;
+                let ta = get(*a);
+                let take = &mut |len| mem.take(len);
+                let (out, cost) = match leaves.panels(*b) {
+                    Some(panels) => kernels::matmul_panels_with(pool, ta, panels, None, take)?,
+                    None => kernels::matmul_with(pool, ta, get(*b), take)?,
+                };
                 stats.charge_matmul(cost);
                 out
             }
@@ -345,11 +365,14 @@ pub(crate) fn forward<F: Feeds + ?Sized>(
                 bias,
                 relu,
             } => {
-                let (tl, tr, tb) = (get(*lhs), get(*rhs), get(*bias));
-                let (out, cost) =
-                    kernels::matmul_bias_relu_with(pool, tl, tr, tb, *relu, &mut |len| {
-                        mem.take(len)
-                    })?;
+                let (tl, tb) = (get(*lhs), get(*bias));
+                let take = &mut |len| mem.take(len);
+                let (out, cost) = match leaves.panels(*rhs) {
+                    Some(panels) => {
+                        kernels::matmul_panels_with(pool, tl, panels, Some((tb, *relu)), take)?
+                    }
+                    None => kernels::matmul_bias_relu_with(pool, tl, get(*rhs), tb, *relu, take)?,
+                };
                 stats.charge_matmul(cost);
                 out
             }
@@ -510,7 +533,10 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
             // Each rule evaluates to the gradient buffer it still owns,
             // or `None` once `flow_owned` has handed it on.
             let left = match &node.op {
-                Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => Some(grad),
+                Op::Placeholder { .. }
+                | Op::Variable { .. }
+                | Op::Constant(_)
+                | Op::PackedConstant(_) => Some(grad),
                 Op::MatMul(a, b) => {
                     flow(grads, mem, *a, |mem| {
                         matmul_grad_lhs(pool, mem, &grad, value_of(*b)?)

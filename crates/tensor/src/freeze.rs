@@ -105,6 +105,11 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
                 out.push(2);
                 put_tensor(&mut out, t);
             }
+            // The exchange format knows one constant, row-major.
+            Op::PackedConstant(panels) => {
+                out.push(2);
+                put_tensor(&mut out, &panels.unpack());
+            }
             Op::MatMul(a, b) => {
                 out.push(3);
                 put_u32(&mut out, a.0 as u32);
@@ -335,6 +340,7 @@ pub fn to_dot(graph: &Graph) -> String {
     for (index, node) in graph.nodes().iter().enumerate() {
         let label = match &node.op {
             Op::Constant(t) => format!("{} {:?}", node.name, t.shape()),
+            Op::PackedConstant(panels) => format!("{} {:?}", node.name, panels.shape()),
             Op::Variable { init } => format!("var {} {:?}", node.name, init.shape()),
             Op::Placeholder { shape } => format!("{} {:?}", node.name, shape),
             other => format!("{} ({})", node.name, other.kind()),

@@ -1,5 +1,6 @@
 //! Static dataflow graphs of operations (TensorFlow's GraphDef analogue).
 
+use crate::kernels::Panels;
 use crate::tensor::Tensor;
 use crate::TensorError;
 
@@ -38,6 +39,11 @@ pub enum Op {
     },
     /// Immutable embedded tensor.
     Constant(Tensor),
+    /// An immutable embedded `[k, n]` matrix whose one reader is the
+    /// right operand of a `MatMul` or `FusedMatMul`, stored in the GEMM's
+    /// panel order ([`crate::passes::pack_matmul_constants`]). Exports and
+    /// [`Graph::unpacked`] turn it back into the [`Op::Constant`] it was.
+    PackedConstant(Panels),
     /// `[m,k] × [k,n]` matrix product.
     MatMul(NodeId, NodeId),
     /// Adds a `[n]` bias row-broadcast onto `[m,n]`.
@@ -121,7 +127,10 @@ impl Op {
     /// The node ids this op consumes.
     pub fn inputs(&self) -> Vec<NodeId> {
         match self {
-            Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => vec![],
+            Op::Placeholder { .. }
+            | Op::Variable { .. }
+            | Op::Constant(_)
+            | Op::PackedConstant(_) => vec![],
             Op::MatMul(a, b)
             | Op::AddBias(a, b)
             | Op::Add(a, b)
@@ -154,7 +163,10 @@ impl Op {
     pub fn map_inputs(&self, f: impl Fn(NodeId) -> NodeId) -> Op {
         let mut op = self.clone();
         match &mut op {
-            Op::Placeholder { .. } | Op::Variable { .. } | Op::Constant(_) => {}
+            Op::Placeholder { .. }
+            | Op::Variable { .. }
+            | Op::Constant(_)
+            | Op::PackedConstant(_) => {}
             Op::MatMul(a, b)
             | Op::AddBias(a, b)
             | Op::Add(a, b)
@@ -207,6 +219,7 @@ impl Op {
             Op::Placeholder { .. } => "placeholder",
             Op::Variable { .. } => "variable",
             Op::Constant(_) => "const",
+            Op::PackedConstant(_) => "packed_const",
             Op::MatMul(..) => "matmul",
             Op::AddBias(..) => "add_bias",
             Op::Add(..) => "add",
@@ -604,9 +617,28 @@ impl Graph {
             .map(|n| match &n.op {
                 Op::Variable { init } => init.byte_len(),
                 Op::Constant(t) => t.byte_len(),
+                Op::PackedConstant(panels) => panels.byte_len(),
                 _ => 0,
             })
             .sum()
+    }
+
+    /// A copy of this graph with every [`Op::PackedConstant`] turned back
+    /// into the row-major [`Op::Constant`] it was packed from: what a
+    /// reader of constant tensors (quantization, pruning, export) takes.
+    pub fn unpacked(&self) -> Graph {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| Node {
+                op: match &node.op {
+                    Op::PackedConstant(panels) => Op::Constant(panels.unpack()),
+                    other => other.clone(),
+                },
+                name: node.name.clone(),
+            })
+            .collect();
+        Graph { nodes }
     }
 
     pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
@@ -637,6 +669,32 @@ impl Graph {
                 Ok(())
             }
             _ => Err(TensorError::InvalidGraph("node is not a constant")),
+        }
+    }
+
+    /// Stores the rank-2 constant `id` in panel order, in its own buffer
+    /// ([`Panels::pack`], with `scratch`).
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::UnknownNode`] for foreign ids, and
+    /// [`TensorError::InvalidGraph`] unless the node is a rank-2
+    /// constant; the node is unchanged then.
+    pub(crate) fn pack_constant(
+        &mut self,
+        id: NodeId,
+        scratch: &mut Vec<f32>,
+    ) -> Result<(), TensorError> {
+        let node = self.nodes.get_mut(id.0).ok_or(TensorError::UnknownNode)?;
+        match std::mem::replace(&mut node.op, Op::Constant(Tensor::zeros(&[0]))) {
+            Op::Constant(t) if t.shape().len() == 2 => {
+                node.op = Op::PackedConstant(Panels::pack(t, scratch)?);
+                Ok(())
+            }
+            other => {
+                node.op = other;
+                Err(TensorError::InvalidGraph("node is not a rank-2 constant"))
+            }
         }
     }
 

@@ -2,16 +2,22 @@
 //!
 //! The naive triple loop reads and writes a row of C once per element of
 //! A. The micro-kernel ([`tile`]) instead holds up to [`MR`] rows × one
-//! vector of C columns in registers, adds [`KU`] consecutive rows of B
-//! into it (a panel's last group takes a shorter remainder along) and
-//! stores it once, so C traffic is `KU` times smaller and the
+//! vector of C columns in registers, adds consecutive rows of B into it
+//! and stores it once, so C traffic is that many times smaller and the
 //! multiply/add units, not the store port, set the pace. A is packed
-//! k-major per strip so the kernel reads it sequentially; B is **not**
-//! packed: it is streamed row-contiguously, `KU` rows at a time, and at
-//! serving shapes (m = 8 against a 4 MB weight matrix) every byte of it
-//! is read exactly once, so a packing pass would double its traffic. The
-//! k dimension runs in [`KC`]-deep panels so that for large m the B rows
-//! a panel touches stay cache-resident across strips.
+//! k-major per strip so the kernel reads it sequentially. The k
+//! dimension runs in [`KC`]-deep panels so that for large m the B rows a
+//! panel touches stay cache-resident across strips.
+//!
+//! B comes in one of two layouts ([`BLayout`]). An operand that changes
+//! per call (training weights, activations) is row-major and streamed
+//! [`KU`] rows at a time (a k-panel's last group takes a shorter
+//! remainder along): every byte of it is read once per call, so packing
+//! it per call would double its traffic. A constant — a serving weight —
+//! is packed once, when the model is lowered, into [`NR`]-column panels
+//! stored k-contiguously ([`pack_panels`]); on those the tile keeps its C
+//! rows over a whole k-panel, each worker reads B in storage order, one
+//! sequential stream, and prefetches [`PREFETCH_AHEAD`] floats ahead.
 //!
 //! Because A is only ever read by the pack step, that step is also where
 //! its layout is resolved ([`ALayout`]): a product whose left operand is
@@ -60,9 +66,21 @@ const COL_ALIGN: usize = 16;
 const KC: usize = 256;
 /// Rows of the largest register tile, and of a packed strip.
 const MR: usize = 8;
-/// B rows a tile accumulates between loading and storing its C rows
-/// (the last group of a k-panel up to `2 * KU - 1`).
+/// Row-major B rows a tile accumulates between loading and storing its
+/// C rows (the last group of a k-panel up to `2 * KU - 1`).
 const KU: usize = 8;
+/// Columns of one panel of a packed B ([`BLayout::Panels`]): the AVX2
+/// tile's width.
+pub(crate) const NR: usize = 8;
+/// How far ahead of the row it multiplies a panel tile prefetches B, in
+/// floats (4 KiB: 128 rows of a full panel, half a k-panel).
+const PREFETCH_AHEAD: usize = 1024;
+
+/// B rows [`pack_panels`] moves into the panels at a time.
+const PACK_ROWS: usize = 64;
+
+// A unit's columns start on a panel boundary.
+const _: () = assert!(COL_ALIGN.is_multiple_of(NR));
 
 /// The instruction set the micro-kernel body is instantiated for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,6 +153,55 @@ pub(crate) enum ALayout {
     Transposed,
 }
 
+/// How the right operand of a product is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BLayout {
+    /// Row-major `[k, n]`: `B[p][j] = b[p * n + j]`.
+    RowMajor,
+    /// [`NR`]-column panels, each k-contiguous ([`pack_panels`]): panel
+    /// `q` covers columns `q * NR..q * NR + w`, `w = NR.min(n - q * NR)`
+    /// (only the last one can be narrower), and is the row-major `[k, w]`
+    /// matrix at `b[q * NR * k..]`. The same `k * n` floats, no padding.
+    Panels,
+}
+
+/// Rewrites row-major `b [k, n]` in place into the [`BLayout::Panels`]
+/// order, through a row-major copy in `scratch` (reused across calls, it
+/// is allocated once, not once per matrix). Blocks of
+/// [`PACK_ROWS`] rows at a time: a block's rows stay in cache while every
+/// panel takes its contiguous `PACK_ROWS * w` floats of it. Row by row,
+/// the 8 floats of each row would land a panel's length apart, and
+/// panels of 1024 rows are 32 KiB apart: every write would meet the
+/// previous 127 in the same cache set.
+pub(crate) fn pack_panels(k: usize, n: usize, b: &mut [f32], scratch: &mut Vec<f32>) {
+    assert_eq!(b.len(), k * n, "pack: B is not {k}x{n}");
+    scratch.clear();
+    scratch.extend_from_slice(b);
+    for (block, rows) in scratch.chunks(PACK_ROWS * n.max(1)).enumerate() {
+        let p0 = block * PACK_ROWS;
+        for q0 in (0..n).step_by(NR) {
+            let w = NR.min(n - q0);
+            let panel_rows = b[q0 * k + p0 * w..].chunks_exact_mut(w);
+            for (dst, row) in panel_rows.zip(rows.chunks_exact(n)) {
+                dst.copy_from_slice(&row[q0..q0 + w]);
+            }
+        }
+    }
+}
+
+/// The row-major `[k, n]` matrix whose [`pack_panels`] order `panels` is.
+pub(crate) fn unpack_panels(k: usize, n: usize, panels: &[f32]) -> Vec<f32> {
+    assert_eq!(panels.len(), k * n, "unpack: panels are not {k}x{n}");
+    let mut b = vec![0.0f32; k * n];
+    for (p, row) in b.chunks_exact_mut(n.max(1)).enumerate() {
+        for (q0, block) in (0..n).step_by(NR).zip(row.chunks_mut(NR)) {
+            let w = block.len();
+            block.copy_from_slice(&panels[q0 * k + p * w..][..w]);
+        }
+    }
+    b
+}
+
 /// The read-only side of one product, shared by every unit.
 struct Operands<'a> {
     m: usize,
@@ -143,6 +210,7 @@ struct Operands<'a> {
     a: &'a [f32],
     a_layout: ALayout,
     b: &'a [f32],
+    b_layout: BLayout,
     /// `(bias [n], relu)` of the fused ops.
     epilogue: Option<(&'a [f32], bool)>,
 }
@@ -169,13 +237,22 @@ pub(crate) fn gemm(
     c: &mut [f32],
     epilogue: Option<(&[f32], bool)>,
 ) -> KernelCost {
-    gemm_laid_out(pool, m, k, n, (a, ALayout::RowMajor), b, c, epilogue)
+    gemm_laid_out(
+        pool,
+        m,
+        k,
+        n,
+        (a, ALayout::RowMajor),
+        (b, BLayout::RowMajor),
+        c,
+        epilogue,
+    )
 }
 
-/// [`gemm`] with the left operand in either layout: for
-/// [`ALayout::Transposed`], `a` is the row-major `[k, m]` buffer of `Aᵀ`.
-/// Same result, bit for bit, and same cost as [`gemm`] on a materialised
-/// `A`.
+/// [`gemm`] with each operand in either layout: for
+/// [`ALayout::Transposed`], `a` is the row-major `[k, m]` buffer of `Aᵀ`;
+/// for [`BLayout::Panels`], `b` is the [`pack_panels`] order of `B`. Same
+/// result, bit for bit, and same cost as [`gemm`] on row-major operands.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_laid_out(
     pool: &WorkerPool,
@@ -183,7 +260,7 @@ pub(crate) fn gemm_laid_out(
     k: usize,
     n: usize,
     a: (&[f32], ALayout),
-    b: &[f32],
+    b: (&[f32], BLayout),
     c: &mut [f32],
     epilogue: Option<(&[f32], bool)>,
 ) -> KernelCost {
@@ -199,7 +276,7 @@ fn gemm_on(
     k: usize,
     n: usize,
     (a, a_layout): (&[f32], ALayout),
-    b: &[f32],
+    (b, b_layout): (&[f32], BLayout),
     c: &mut [f32],
     epilogue: Option<(&[f32], bool)>,
 ) -> KernelCost {
@@ -240,6 +317,7 @@ fn gemm_on(
         a,
         a_layout,
         b,
+        b_layout,
         epilogue,
     };
     run_grid(simd, pool, m, n, c, &op);
@@ -410,60 +488,105 @@ fn strip<const R: usize, const L: usize>(
             }
         }
     }
-    let mut pg = 0;
-    while pg < kc {
-        // A remainder shorter than `KU` joins the group before it, so C is
-        // loaded and stored once less (k = 9 or 10 is one group, not two).
-        let ku = if kc - pg < 2 * KU { kc - pg } else { KU };
-        let a_group = &packed[pg * R..(pg + ku) * R];
-        let b_group = &op.b[(pc + pg) * op.n..(pc + pg + ku) * op.n];
-        // The choice is made out here, once per group: inside `tile` it
-        // would sit in the loop the whole kernel exists to keep tight.
-        if pc + pg == 0 {
-            tile_row::<R, L, true>(rows, a_group, b_group, op.n, j0);
-        } else {
-            tile_row::<R, L, false>(rows, a_group, b_group, op.n, j0);
+    // The `FIRST` choice is made out here, once per group or panel:
+    // inside `tile` it would sit in the loop the whole kernel exists to
+    // keep tight.
+    match op.b_layout {
+        BLayout::RowMajor => {
+            let cols = rows[0].len();
+            let mut pg = 0;
+            while pg < kc {
+                // A remainder shorter than `KU` joins the group before it,
+                // so C is loaded and stored once less (k = 9 or 10 is one
+                // group, not two).
+                let ku = if kc - pg < 2 * KU { kc - pg } else { KU };
+                let a_group = &packed[pg * R..(pg + ku) * R];
+                let b_group = &op.b[(pc + pg) * op.n..(pc + pg + ku) * op.n];
+                if pc + pg == 0 {
+                    tile_row::<R, L, true, false>(rows, 0, cols, a_group, b_group, op.n, j0);
+                } else {
+                    tile_row::<R, L, false, false>(rows, 0, cols, a_group, b_group, op.n, j0);
+                }
+                pg += ku;
+            }
         }
-        pg += ku;
+        BLayout::Panels => {
+            // Panel by panel: the tile holds its C rows over the whole
+            // k-panel, and B is read in storage order, `kc` rows of one
+            // panel after another.
+            let a_panel = &packed[..kc * R];
+            let (mut j, cols) = (0, rows[0].len());
+            while j < cols {
+                let q0 = j0 + j;
+                let w = NR.min(op.n - q0);
+                let b_panel = &op.b[q0 * op.k + pc * w..][..kc * w];
+                if pc == 0 {
+                    tile_row::<R, L, true, true>(rows, j, w, a_panel, b_panel, w, 0);
+                } else {
+                    tile_row::<R, L, false, true>(rows, j, w, a_panel, b_panel, w, 0);
+                }
+                j += w;
+            }
+        }
     }
     R
 }
 
-/// One k-group across the strip's columns: `L`-lane tiles, then the
-/// `cols % L` remainder one column at a time.
+/// One k-group across `cols` columns of the strip from segment column
+/// `j0`: `L`-lane tiles, then the `cols % L` remainder one column at a
+/// time. `b_group` holds rows of `stride` floats, segment column `j0`
+/// being B's column `jb` in them.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_row<const R: usize, const L: usize, const FIRST: bool>(
+fn tile_row<const R: usize, const L: usize, const FIRST: bool, const PREFETCH: bool>(
     rows: &mut [&mut [f32]],
+    j0: usize,
+    cols: usize,
     a_group: &[f32],
     b_group: &[f32],
-    n: usize,
-    j0: usize,
+    stride: usize,
+    jb: usize,
 ) {
-    let cols = rows[0].len();
     let mut j = 0;
     while j + L <= cols {
-        tile::<R, L, FIRST>(rows, j, a_group, b_group, n, j0 + j);
+        tile::<R, L, FIRST, PREFETCH>(rows, j0 + j, a_group, b_group, stride, jb + j);
         j += L;
     }
     while j < cols {
-        tile::<R, 1, FIRST>(rows, j, a_group, b_group, n, j0 + j);
+        tile::<R, 1, FIRST, PREFETCH>(rows, j0 + j, a_group, b_group, stride, jb + j);
         j += 1;
     }
+}
+
+/// A hint to fetch the cache line holding `p`. It never faults, so any
+/// address will do.
+#[inline(always)]
+fn prefetch(p: *const f32) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE is part of the x86-64 baseline, and a prefetch reads
+    // nothing architecturally, whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// The micro-kernel: takes the `R × L` tile of C at segment column `j` —
 /// `0.0` for a unit's `FIRST` k-group, whatever C holds there being
 /// nobody's sum yet; loaded from C for every later one — adds
-/// `a_group.len() / R` (at most `2 * KU - 1`) consecutive B rows into it —
-/// `a_group` is k-major packed A, `b_group` whole rows of B, `jb` the
-/// tile's column in B — and stores it.
+/// `a_group.len() / R` consecutive B rows into it — `a_group` is k-major
+/// packed A, `b_group` rows of `stride` floats, `jb` the tile's column in
+/// them — and stores it. With `PREFETCH` it asks for the B line
+/// [`PREFETCH_AHEAD`] floats past each row it reads.
 #[inline(always)]
-fn tile<const R: usize, const L: usize, const FIRST: bool>(
+fn tile<const R: usize, const L: usize, const FIRST: bool, const PREFETCH: bool>(
     rows: &mut [&mut [f32]],
     j: usize,
     a_group: &[f32],
     b_group: &[f32],
-    n: usize,
+    stride: usize,
     jb: usize,
 ) {
     let mut acc = [[0.0f32; L]; R];
@@ -472,7 +595,10 @@ fn tile<const R: usize, const L: usize, const FIRST: bool>(
             acc[r].copy_from_slice(&rows[r][j..j + L]);
         }
     }
-    for (a, b_row) in a_group.chunks_exact(R).zip(b_group.chunks_exact(n)) {
+    for (a, b_row) in a_group.chunks_exact(R).zip(b_group.chunks_exact(stride)) {
+        if PREFETCH {
+            prefetch(b_row.as_ptr().wrapping_add(PREFETCH_AHEAD));
+        }
         let mut bv = [0.0f32; L];
         bv.copy_from_slice(&b_row[jb..jb + L]);
         for r in 0..R {
@@ -596,11 +722,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn panels_hold_each_column_block_k_contiguously() {
+        for (k, n) in [(1, 1), (3, 8), (5, 13), (2, 16), (4, 23), (0, 5), (6, 0)] {
+            let b: Vec<f32> = (0..k * n).map(|i| i as f32).collect();
+            let mut panels = b.clone();
+            // A scratch that held a larger matrix before.
+            let mut scratch = vec![f32::NAN; 100];
+            pack_panels(k, n, &mut panels, &mut scratch);
+            for p in 0..k {
+                for j in 0..n {
+                    let (q0, w) = (j / NR * NR, NR.min(n - j / NR * NR));
+                    assert_eq!(
+                        panels[q0 * k + p * w + j - q0],
+                        b[p * n + j],
+                        "k={k} n={n} p={p} j={j}"
+                    );
+                }
+            }
+            assert_eq!(unpack_panels(k, n, &panels), b, "k={k} n={n}");
+        }
+    }
+
     /// The shapes where the tiled kernel has edges: strip remainders and
     /// row-block boundaries in m, `KU` remainders and `KC` panel
-    /// boundaries in k, lane remainders and column-split boundaries in n.
-    /// C arrives NaN-filled — a recycled buffer nobody zeroed — and A in
-    /// either layout.
+    /// boundaries in k, lane remainders, the narrow last B panel (every
+    /// `n % NR`) and column-split boundaries in n. C arrives NaN-filled —
+    /// a recycled buffer nobody zeroed — A in either layout and B in
+    /// either layout; the 4-lane instantiation reads an 8-wide panel as
+    /// two halves.
     #[test]
     fn every_instantiation_matches_naive_at_the_edges() {
         let ms: Vec<usize> = (1..=17).chain(63..=65).chain(127..=130).collect();
@@ -630,25 +780,23 @@ mod tests {
             let plain = naive_matmul(m, k, n, &a, &b);
             let fused = naive_fused(m, k, n, &a, &b, &bias, relu);
             let a_t = transpose(m, k, &a);
+            let mut b_panels = b.clone();
+            pack_panels(k, n, &mut b_panels, &mut Vec::new());
             for simd in instantiations() {
                 let pool = WorkerPool::new(workers);
-                for (a, layout) in [(&a, ALayout::RowMajor), (&a_t, ALayout::Transposed)] {
-                    let what = format!("{simd:?} {layout:?} m={m} k={k} n={n} workers={workers}");
+                let a_sides = [(&a, ALayout::RowMajor), (&a_t, ALayout::Transposed)];
+                let b_sides = [(&b, BLayout::RowMajor), (&b_panels, BLayout::Panels)];
+                for (a, b) in a_sides.into_iter().flat_map(|a| b_sides.map(|b| (a, b))) {
+                    let (a, b) = ((a.0.as_slice(), a.1), (b.0.as_slice(), b.1));
+                    let what = format!(
+                        "{simd:?} {:?} {:?} m={m} k={k} n={n} workers={workers}",
+                        a.1, b.1
+                    );
                     let mut c = vec![f32::NAN; m * n];
-                    gemm_on(simd, &pool, m, k, n, (a, layout), &b, &mut c, None);
+                    gemm_on(simd, &pool, m, k, n, a, b, &mut c, None);
                     assert_same(&c, &plain, &what);
                     c.fill(f32::NAN);
-                    gemm_on(
-                        simd,
-                        &pool,
-                        m,
-                        k,
-                        n,
-                        (a, layout),
-                        &b,
-                        &mut c,
-                        Some((&bias, relu)),
-                    );
+                    gemm_on(simd, &pool, m, k, n, a, b, &mut c, Some((&bias, relu)));
                     assert_same(&c, &fused, &format!("{what} fused relu={relu}"));
                 }
             }

@@ -25,7 +25,7 @@ mod maxpool;
 
 pub use pool::WorkerPool;
 
-use gemm::ALayout;
+use gemm::{ALayout, BLayout};
 
 use crate::graph::Padding;
 use crate::tensor::Tensor;
@@ -131,7 +131,119 @@ pub fn matmul_with(
     rhs: &Tensor,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    matmul_epilogue_with(pool, (lhs, ALayout::RowMajor), rhs, None, take)
+    matmul_epilogue_with(pool, (lhs, ALayout::RowMajor), rhs.into(), None, take)
+}
+
+/// A constant `[k, n]` right-hand GEMM operand stored in 8-column panels,
+/// each k-contiguous: panel `q` holds columns `8q..8q + w` as the
+/// row-major `[k, w]` matrix starting at float `8qk`, where `w` is 8 for
+/// every panel but, when 8 does not divide `n`, the last. The same `k *
+/// n` floats as the row-major tensor, no padding, in the order the GEMM
+/// tile reads them, so multiplying by it streams B once, sequentially,
+/// per worker ([`matmul_panels_with`]).
+///
+/// It is not a [`Tensor`]: nothing that reads a tensor's data as
+/// row-major can be handed one. [`Panels::unpack`] gives the row-major
+/// tensor back, bit for bit.
+#[derive(Clone)]
+pub struct Panels {
+    shape: [usize; 2],
+    data: Vec<f32>,
+}
+
+impl Panels {
+    /// Packs a rank-2 `[k, n]` tensor, in its own buffer: `scratch` holds
+    /// a row-major copy meanwhile. Pass one `scratch` to every call of a
+    /// run of packs, so that it is allocated once, not once per weight.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] unless `t` is rank 2.
+    pub fn pack(t: Tensor, scratch: &mut Vec<f32>) -> Result<Panels, TensorError> {
+        let &[k, n] = t.shape() else {
+            return Err(TensorError::ShapeMismatch {
+                op: "pack",
+                detail: format!("{:?} (need rank 2)", t.shape()),
+            });
+        };
+        let mut data = t.into_data();
+        gemm::pack_panels(k, n, &mut data, scratch);
+        Ok(Panels {
+            shape: [k, n],
+            data,
+        })
+    }
+
+    /// The row-major `[k, n]` tensor these panels were packed from.
+    pub fn unpack(&self) -> Tensor {
+        let [k, n] = self.shape;
+        Tensor::from_vec(&self.shape, gemm::unpack_panels(k, n, &self.data))
+            .expect("k * n elements")
+    }
+
+    /// `[k, n]`, the shape of the matrix.
+    pub fn shape(&self) -> &[usize] {
+        &self.shape
+    }
+
+    /// The floats in panel order (for fingerprints: equal panels of
+    /// equal shape are equal matrices).
+    pub(crate) fn panel_data(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Bytes of the matrix (no padding: the same as its tensor's).
+    pub fn byte_len(&self) -> u64 {
+        self.data.len() as u64 * 4
+    }
+}
+
+/// The shape only: the data is not in an order a reader would expect.
+impl std::fmt::Debug for Panels {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Panels{:?}", self.shape)
+    }
+}
+
+/// The right operand of the one matmul entry: its shape, its data and
+/// how that data is laid out.
+struct Rhs<'a> {
+    shape: &'a [usize],
+    data: &'a [f32],
+    layout: BLayout,
+}
+
+impl<'a> From<&'a Tensor> for Rhs<'a> {
+    fn from(t: &'a Tensor) -> Rhs<'a> {
+        Rhs {
+            shape: t.shape(),
+            data: t.data(),
+            layout: BLayout::RowMajor,
+        }
+    }
+}
+
+/// `lhs × rhs[ + bias[ → relu]]` with the right operand in [`Panels`]:
+/// [`matmul_with`] (`epilogue = None`) or [`matmul_bias_relu_with`]
+/// (`Some((bias, relu))`) on [`Panels::unpack`], bit for bit and at the
+/// same [`KernelCost`], but reading B in storage order.
+///
+/// # Errors
+///
+/// Same conditions as [`matmul_bias_relu`].
+pub fn matmul_panels_with(
+    pool: &WorkerPool,
+    lhs: &Tensor,
+    rhs: &Panels,
+    epilogue: Option<(&Tensor, bool)>,
+    take: TakeBuffer<'_>,
+) -> Result<(Tensor, KernelCost), TensorError> {
+    let rhs = Rhs {
+        shape: &rhs.shape,
+        data: &rhs.data,
+        layout: BLayout::Panels,
+    };
+    matmul_epilogue_with(pool, (lhs, ALayout::RowMajor), rhs, epilogue, take)
 }
 
 /// The one matmul entry: shape checks, then the GEMM with the optional
@@ -140,14 +252,14 @@ pub fn matmul_with(
 fn matmul_epilogue_with(
     pool: &WorkerPool,
     (lhs, layout): (&Tensor, ALayout),
-    rhs: &Tensor,
+    rhs: Rhs<'_>,
     epilogue: Option<(&Tensor, bool)>,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    let (&[rows, columns], &[k2, n]) = (lhs.shape(), rhs.shape()) else {
+    let (&[rows, columns], &[k2, n]) = (lhs.shape(), rhs.shape) else {
         return Err(TensorError::ShapeMismatch {
             op: "matmul",
-            detail: format!("{:?} × {:?} (need rank 2)", lhs.shape(), rhs.shape()),
+            detail: format!("{:?} × {:?} (need rank 2)", lhs.shape(), rhs.shape),
         });
     };
     let (m, k1) = match layout {
@@ -168,7 +280,7 @@ fn matmul_epilogue_with(
         k1,
         n,
         (lhs.data(), layout),
-        rhs.data(),
+        (rhs.data, rhs.layout),
         &mut out,
         epilogue,
     );
@@ -191,7 +303,7 @@ pub fn matmul_lhs_t_with(
     rhs: &Tensor,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    matmul_epilogue_with(pool, (lhs_t, ALayout::Transposed), rhs, None, take)
+    matmul_epilogue_with(pool, (lhs_t, ALayout::Transposed), rhs.into(), None, take)
 }
 
 /// 2×2, stride-2 max pooling of an NHWC tensor into a buffer from `take`
@@ -279,7 +391,7 @@ pub fn matmul_bias_relu_with(
     matmul_epilogue_with(
         pool,
         (lhs, ALayout::RowMajor),
-        rhs,
+        rhs.into(),
         Some((bias, relu)),
         take,
     )

@@ -221,6 +221,7 @@ pub fn infer_shapes_from_leaves(
             Op::Placeholder { shape } => placeholder(id, &node.name, shape)?,
             Op::Variable { init } => variable(id, init)?,
             Op::Constant(t) => t.shape().to_vec(),
+            Op::PackedConstant(panels) => panels.shape().to_vec(),
             Op::MatMul(a, b) => {
                 let (sa, sb) = (of(a), of(b));
                 let (&[m, k1], &[k2, n]) = (sa.as_slice(), sb.as_slice()) else {
@@ -398,7 +399,10 @@ fn grad_inputs(op: &Op) -> Vec<NodeId> {
 /// owned by the session/graph (the EPC "params" region), not the
 /// activation arena.
 fn is_param(op: &Op) -> bool {
-    matches!(op, Op::Variable { .. } | Op::Constant(_))
+    matches!(
+        op,
+        Op::Variable { .. } | Op::Constant(_) | Op::PackedConstant(_)
+    )
 }
 
 struct Request {
@@ -962,6 +966,7 @@ fn plan_key<F: Feeds + ?Sized>(
             Op::Placeholder { .. } => feeds.feed(id).map(Tensor::shape),
             Op::Variable { .. } => vars.get(&id).map(Tensor::shape),
             Op::Constant(t) => Some(t.shape()),
+            Op::PackedConstant(panels) => Some(panels.shape()),
             _ => None,
         };
         if let Some(shape) = shape {

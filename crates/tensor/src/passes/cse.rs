@@ -43,6 +43,15 @@ fn structural_key(op: &Op) -> Option<Vec<u8>> {
                 key.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
+        Op::PackedConstant(panels) => {
+            for &d in panels.shape() {
+                key.extend_from_slice(&(d as u32).to_le_bytes());
+            }
+            key.push(0xFE);
+            for &v in panels.panel_data() {
+                key.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
         Op::Scale(_, factor) => key.extend_from_slice(&factor.to_bits().to_le_bytes()),
         Op::Reshape(_, shape) => {
             for &d in shape {

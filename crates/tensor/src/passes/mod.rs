@@ -12,7 +12,9 @@
 //!   the remaps and produces a [`PipelineReport`],
 //! * the four shipped passes: [`DeadCodeElimination`],
 //!   [`CommonSubexpressionElimination`], [`ConstantFolding`], and
-//!   [`OperatorFusion`].
+//!   [`OperatorFusion`],
+//! * and, after them, for serving only, [`pack_matmul_constants`]: the
+//!   weights in the GEMM's panel order (DESIGN.md §11).
 //!
 //! **Bit-identity is the contract.** Every pipeline output must evaluate
 //! bit-for-bit identically to the input graph — forward values,
@@ -44,11 +46,13 @@ mod cse;
 mod dce;
 mod fold;
 mod fuse;
+mod pack;
 
 pub use cse::CommonSubexpressionElimination;
 pub use dce::DeadCodeElimination;
 pub use fold::ConstantFolding;
 pub use fuse::OperatorFusion;
+pub use pack::pack_matmul_constants;
 
 use crate::graph::{Graph, NodeId};
 use crate::TensorError;

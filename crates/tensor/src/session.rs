@@ -73,6 +73,17 @@ fn compile_key(graph: &Graph, roots: &[NodeId], train: bool) -> u64 {
                     }
                 }
             }
+            Op::PackedConstant(panels) => {
+                for &d in panels.shape() {
+                    eat_usize(&mut eat, d);
+                }
+                eat(0xFE);
+                for &v in panels.panel_data() {
+                    for b in v.to_bits().to_le_bytes() {
+                        eat(b);
+                    }
+                }
+            }
             Op::Placeholder { shape } => {
                 for &d in shape {
                     eat_usize(&mut eat, d);

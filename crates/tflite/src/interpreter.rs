@@ -45,9 +45,12 @@ impl Interpreter {
     /// bit-identical for any pool; only the critical-path cost changes.
     ///
     /// The model is lowered through the shared inference pipeline
-    /// (DCE → CSE → fold → fuse) once, at construction; every run then
-    /// executes the lowered graph, whose outputs are bit-identical to the
-    /// model as given.
+    /// (DCE → CSE → fold → fuse) once, at construction, and every weight
+    /// whose one reader is a matmul's right operand is then stored in the
+    /// GEMM's panel order, in place of its row-major copy
+    /// ([`securetf_tensor::passes::pack_matmul_constants`]). Every run
+    /// executes that graph, whose outputs are bit-identical to the model
+    /// as given.
     ///
     /// Construction is infallible: if the pipeline rejects the model the
     /// rejection is stored and returned by every [`Interpreter::run`] —
@@ -58,7 +61,12 @@ impl Interpreter {
     /// for future passes rather than a reachable path.
     pub fn with_pool(model: LiteModel, pool: WorkerPool) -> Self {
         let (model, lowering) = match optimize_for_inference(&model) {
-            Ok((lowered, report)) => (lowered, Ok(report)),
+            Ok((lowered, report)) => {
+                // Dropped before packing, so that packing's one-weight
+                // scratch comes on top of one copy of the weights, not two.
+                drop(model);
+                (lowered.with_packed_weights(), Ok(report))
+            }
             Err(rejection) => (model, Err(rejection)),
         };
         Interpreter {
@@ -162,7 +170,10 @@ impl Interpreter {
         out.argmax_rows().map_err(LiteError::Exec)
     }
 
-    /// The model being interpreted.
+    /// The model being interpreted: lowered, its matmul weights packed.
+    /// Readers of its constants see no panel order: quantization,
+    /// pruning, [`LiteModel::to_bytes`] and the memory plan read the
+    /// weights row-major or by shape ([`LiteModel::unpacked`]).
     pub fn model(&self) -> &LiteModel {
         &self.model
     }
@@ -190,7 +201,9 @@ impl Interpreter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use securetf_tensor::graph::Graph;
+    use crate::arena::plan_memory;
+    use crate::optimize::{prune_magnitude, quantize};
+    use securetf_tensor::graph::{Graph, Op};
 
     fn tiny_model(declared: f64) -> LiteModel {
         let mut g = Graph::new();
@@ -206,6 +219,131 @@ mod tests {
         LiteModel::convert(&g, "input", &name)
             .unwrap()
             .with_declared_flops(declared)
+    }
+
+    /// A frozen dense stack, `matmul → bias → relu` per layer of `dims`
+    /// and a softmax head: every weight is a matmul's right operand.
+    fn dense_stack(dims: &[usize]) -> LiteModel {
+        let mut g = Graph::new();
+        let mut x = g.placeholder("input", &[0, dims[0]]);
+        for (l, pair) in dims.windows(2).enumerate() {
+            let (k, n) = (pair[0], pair[1]);
+            let values = (0..k * n).map(|i| ((i * 7 + l) % 19) as f32 * 0.05 - 0.45);
+            let w = g.constant(
+                &format!("w{l}"),
+                Tensor::from_vec(&[k, n], values.collect()).unwrap(),
+            );
+            let b = g.constant(&format!("b{l}"), Tensor::full(&[n], 0.01 * l as f32));
+            x = g.matmul(x, w).unwrap();
+            x = g.add_bias(x, b).unwrap();
+            x = g.relu(x).unwrap();
+        }
+        let out = g.softmax(x).unwrap();
+        let name = g.nodes()[out.index()].name.clone();
+        LiteModel::convert(&g, "input", &name).unwrap()
+    }
+
+    fn packed_count(model: &LiteModel) -> usize {
+        model
+            .graph()
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.op, Op::PackedConstant(_)))
+            .count()
+    }
+
+    fn stack_input(rows: usize, width: usize) -> Tensor {
+        let data = (0..rows * width).map(|i| (i % 23) as f32 * 0.1 - 1.0);
+        Tensor::from_vec(&[rows, width], data.collect()).unwrap()
+    }
+
+    #[test]
+    fn readers_of_constants_see_the_lowered_model_row_major() {
+        let model = dense_stack(&[37, 70, 29, 13]);
+        let interp = Interpreter::new(model.clone());
+        let (lowered, _) = optimize_for_inference(&model).unwrap();
+        // Every weight is packed; the biases are not matmul operands.
+        assert_eq!(packed_count(interp.model()), 3);
+        assert_eq!(packed_count(&lowered), 0);
+        assert_eq!(
+            quantize(interp.model()).to_bytes(),
+            quantize(&lowered).to_bytes()
+        );
+        let (pruned, report) = prune_magnitude(interp.model(), 0.4);
+        let (want, want_report) = prune_magnitude(&lowered, 0.4);
+        assert_eq!(report, want_report);
+        assert_eq!(pruned.to_bytes(), want.to_bytes());
+        assert_eq!(interp.model().to_bytes(), lowered.to_bytes());
+        assert_eq!(interp.model().unpacked().to_bytes(), lowered.to_bytes());
+        assert_eq!(interp.model().param_bytes(), lowered.param_bytes());
+        assert_eq!(
+            plan_memory(interp.model(), 9).unwrap(),
+            plan_memory(&lowered, 9).unwrap()
+        );
+        // The debug print names packed weights by shape, never by value.
+        let printed = format!("{interp:?}");
+        assert!(
+            printed.contains("PackedConstant(Panels[37, 70])"),
+            "{printed}"
+        );
+    }
+
+    #[test]
+    fn a_weight_with_a_second_reader_stays_row_major() {
+        let mut g = Graph::new();
+        let x = g.placeholder("input", &[0, 4]);
+        let values = (0..16).map(|i| i as f32 * 0.1 - 0.7).collect();
+        let shared = g.constant("shared", Tensor::from_vec(&[4, 4], values).unwrap());
+        let sole = g.constant("sole", Tensor::full(&[4, 3], 0.2));
+        let h = g.matmul(x, shared).unwrap();
+        let h = g.matmul(h, shared).unwrap();
+        let out = g.matmul(h, sole).unwrap();
+        // Bound by name, and "softmax" is the only one.
+        let out = g.softmax(out).unwrap();
+        let name = g.nodes()[out.index()].name.clone();
+        let model = LiteModel::convert(&g, "input", &name).unwrap();
+        let mut interp = Interpreter::new(model.clone());
+        let op_of = |name: &str| {
+            let id = interp.model().graph().by_name(name).unwrap();
+            interp.model().graph().nodes()[id.index()].op.clone()
+        };
+        assert!(matches!(op_of("shared"), Op::Constant(_)));
+        assert!(matches!(op_of("sole"), Op::PackedConstant(_)));
+        // A constant that is the model's output is the caller's, too.
+        let mut g = Graph::new();
+        g.placeholder("input", &[0, 4]);
+        g.constant("w", Tensor::full(&[4, 4], 0.5));
+        let bound = Interpreter::new(LiteModel::convert(&g, "input", "w").unwrap());
+        assert_eq!(packed_count(bound.model()), 0);
+
+        let x = stack_input(5, 4);
+        let mut unpacked = PlannedExecutor::new();
+        let (want, _) = unpacked
+            .run(
+                model.graph(),
+                &[(model.input(), &x)][..],
+                &HashMap::new(),
+                &[model.output()],
+                &WorkerPool::serial(),
+            )
+            .unwrap();
+        assert_eq!(interp.run(&x).unwrap().data(), want[0].data());
+    }
+
+    #[test]
+    fn the_lite_bytes_of_a_packed_model_serve_bit_identical_logits() {
+        let model = dense_stack(&[19, 1030, 21, 10]);
+        let x = stack_input(9, 19);
+        let mut interp = Interpreter::with_pool(model, WorkerPool::new(2));
+        let want = interp.run(&x).unwrap();
+        let bytes = interp.model().to_bytes();
+        let mut reloaded =
+            Interpreter::with_pool(LiteModel::from_bytes(&bytes).unwrap(), WorkerPool::new(2));
+        assert_eq!(packed_count(reloaded.model()), 3);
+        let got = reloaded.run(&x).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(reloaded.stats(), interp.stats());
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::LiteError;
 use securetf_tensor::bytes::{put_len_prefixed, put_u32, Reader};
 use securetf_tensor::freeze;
 use securetf_tensor::graph::{Graph, NodeId, Op};
+use securetf_tensor::passes;
 
 const LITE_MAGIC: &[u8; 5] = b"STFL1";
 
@@ -126,12 +127,33 @@ impl LiteModel {
         self.declared_flops
     }
 
+    /// This model with every weight whose one reader is a matmul's right
+    /// operand stored in the GEMM's panel order
+    /// ([`securetf_tensor::passes::pack_matmul_constants`]): what the
+    /// interpreter runs. Same outputs, bytes and size.
+    pub(crate) fn with_packed_weights(mut self) -> LiteModel {
+        passes::pack_matmul_constants(&mut self.graph, &[self.input, self.output]);
+        self
+    }
+
+    /// A copy of this model with every weight row-major again
+    /// ([`Graph::unpacked`]), as [`LiteModel::from_bytes`] would return
+    /// it.
+    pub fn unpacked(&self) -> LiteModel {
+        LiteModel {
+            graph: self.graph.unpacked(),
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
     /// Total parameter (constant) bytes — the "model size" of Figure 5.
     pub fn param_bytes(&self) -> u64 {
         self.graph.param_bytes()
     }
 
-    /// Serializes the model.
+    /// Serializes the model. Packed weights are written row-major: the
+    /// format has one kind of constant.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(LITE_MAGIC);

@@ -56,7 +56,8 @@ pub fn prune_magnitude(model: &LiteModel, fraction: f32) -> (LiteModel, PruneRep
         (0.0..=1.0).contains(&fraction),
         "fraction must be in [0, 1]"
     );
-    let mut graph = model.graph().clone();
+    // Row-major weights: pruning and quantization read their order.
+    let mut graph = model.graph().unpacked();
     let mut zeroed = 0usize;
     let mut total = 0usize;
     for index in 0..graph.len() {
@@ -168,7 +169,8 @@ const QUANT_MIN_ELEMENTS: usize = 65;
 
 /// Quantizes all large weight tensors of `model` to 8 bits.
 pub fn quantize(model: &LiteModel) -> QuantizedModel {
-    let mut graph = model.graph().clone();
+    // Row-major weights: pruning and quantization read their order.
+    let mut graph = model.graph().unpacked();
     let mut buffers = Vec::new();
     for index in 0..graph.len() {
         let id = graph.node_id(index).expect("in range");

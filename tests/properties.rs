@@ -1117,6 +1117,72 @@ proptest! {
         prop_assert!(report.nodes_fused() > widths.len() as u64);
         prop_assert!(optimized.model().graph().len() < lite.graph().len());
     }
+
+    // The interpreter packs every weight of a fused stack into panels;
+    // its logits and its charged cost are the unpacked executor's, bit
+    // for bit, at any batch up to three row blocks, across the narrow
+    // last panel, the k-panel boundaries and the column split.
+    #[test]
+    fn pooled_packed_interpreter_is_bit_identical_to_the_unpacked_executor(
+        m in 1usize..=130,
+        dims in prop::collection::vec(any::<prop::sample::Index>(), 2..4),
+        workers in 1usize..6,
+        special in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use securetf_tensor::graph::Op;
+        use securetf_tensor::kernels::WorkerPool;
+        use securetf_tensor::memory::PlannedExecutor;
+        use securetf_tflite::interpreter::Interpreter;
+        use securetf_tflite::model::LiteModel;
+        use securetf_tflite::optimize::optimize_for_inference;
+        use std::collections::HashMap;
+
+        let sizes: Vec<usize> = (1..=20).chain(255..=258).chain(511..=514).collect();
+        let dims: Vec<usize> = dims.iter().map(|i| sizes[i.index(sizes.len())]).collect();
+        let fill = if special { lcg_fill_special } else { lcg_fill };
+        let mut g = Graph::new();
+        let mut x = g.placeholder("input", &[0, dims[0]]);
+        for (l, pair) in dims.windows(2).enumerate() {
+            let (k, n) = (pair[0], pair[1]);
+            let w = g.constant(
+                &format!("l{l}/w"),
+                // Distinct above bit 0 (the fill ignores it), so CSE
+                // never merges two layers' weights.
+                Tensor::from_vec(&[k, n], fill(seed ^ ((l as u64 + 1) << 8), k * n)).unwrap(),
+            );
+            let b = g.constant(
+                &format!("l{l}/b"),
+                Tensor::from_vec(&[n], fill(seed ^ ((l as u64 + 1) << 16), n)).unwrap(),
+            );
+            x = g.matmul(x, w).unwrap();
+            x = g.add_bias(x, b).unwrap();
+            x = g.relu(x).unwrap();
+        }
+        // The one node named "softmax": the output binding is by name.
+        let out = g.softmax(x).unwrap();
+        let out_name = g.nodes()[out.index()].name.clone();
+        let lite = LiteModel::convert(&g, "input", &out_name).unwrap();
+        let input = Tensor::from_vec(&[m, dims[0]], fill(seed, m * dims[0])).unwrap();
+        let mut interpreter = Interpreter::with_pool(lite.clone(), WorkerPool::new(workers));
+        let packed = interpreter
+            .model()
+            .graph()
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.op, Op::PackedConstant(_)))
+            .count();
+        prop_assert_eq!(packed, dims.len() - 1);
+        let got = interpreter.run(&input).unwrap();
+
+        let (lowered, _) = optimize_for_inference(&lite).unwrap();
+        let feeds = HashMap::from([(lowered.input(), input.clone())]);
+        let (want, stats) = PlannedExecutor::new()
+            .run(lowered.graph(), &feeds, &HashMap::new(), &[lowered.output()], &WorkerPool::new(workers))
+            .unwrap();
+        prop_assert_eq!(first_difference(got.data(), want[0].data()), None, "dims={:?} m={}", &dims, m);
+        prop_assert_eq!(interpreter.stats(), stats);
+    }
 }
 
 // ---- parallel-sealing worker-count parity ---------------------------------

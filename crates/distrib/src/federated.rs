@@ -206,7 +206,7 @@ mod tests {
     fn legacy_tagless_message_rejected() {
         // Pre-frame messages start with a raw entry count, not a tag
         // byte; the aggregator must not guess.
-        let legacy = wire::encode(&[(0, Tensor::zeros(&[2]))]);
+        let legacy = wire::encode_frame(&[(0, Tensor::zeros(&[2]))], Codec::Dense)[1..].to_vec();
         assert!(federated_average(&[legacy]).is_err());
     }
 

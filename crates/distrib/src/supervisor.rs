@@ -16,18 +16,21 @@
 //!   *authentication* (tampering) is treated as a compromised node and
 //!   the worker is replaced immediately — tampering is never retried.
 //! * **Rollback** — the supervisor checkpoints the global model to
-//!   untrusted storage on a fixed cadence (two alternating generations,
-//!   each AEAD-sealed under the CAS-provisioned `fs-key`); if a step
-//!   fails mid-flight it rolls back to the newest checkpoint that still
-//!   authenticates and retries the step.
-//! * **Crash consistency** — checkpoints are written through the
-//!   [`FsShield`]'s journaled two-phase commit path, so a host crash at
-//!   any point during a checkpoint leaves either the old or the new
-//!   generation — never a torn hybrid. When the storage host dies
-//!   mid-operation ([`securetf_shield::ShieldError::HostCrashed`]) the
-//!   supervisor restarts it, re-attests the parameter server to CAS and
-//!   remounts the shield via [`FsShield::recover`]; a whole
-//!   supervisor-process restart resumes from the newest committed
+//!   untrusted storage on a fixed cadence, in two alternating generation
+//!   slots. A generation is the trainer's plaintext `freeze` checkpoint
+//!   behind its generation number, written through the [`FsShield`],
+//!   which encrypts and authenticates it on the way to the host (the one
+//!   seal; the trainer adds none). If a step fails mid-flight the
+//!   supervisor restores the newest generation that still authenticates
+//!   and restores, and retries the step.
+//! * **Crash consistency** — the shield's write path commits a
+//!   checkpoint atomically, so a host crash at any point during a
+//!   checkpoint leaves either the old or the new generation — never a
+//!   torn hybrid. When the storage host dies mid-operation
+//!   ([`securetf_shield::ShieldError::HostCrashed`]) the supervisor
+//!   restarts it, re-attests the parameter server to CAS and remounts the
+//!   shield via [`FsShield::recover`]; a whole supervisor-process restart
+//!   mounts the store the same way, once, and resumes from the newest
 //!   generation through [`Supervisor::remount`].
 
 use crate::cluster::TRAINING_SERVICE;
@@ -287,10 +290,10 @@ impl Supervisor {
 
     /// Rebuilds a supervisor after a whole supervisor-process restart:
     /// restarts the crashed storage host, re-attests the parameter
-    /// server, remounts the fs shield ([`FsShield::recover`]) and resumes
-    /// the trainer from the newest committed checkpoint generation. If no
-    /// generation survives (or the host destroyed the manifest), the
-    /// still-intact in-enclave model is re-sealed as a fresh generation.
+    /// server, mounts the fs shield once ([`FsShield::recover`]) and
+    /// resumes the trainer from the newest checkpoint generation that
+    /// restores. If none does (or the host destroyed the manifest), the
+    /// still-intact in-enclave model is saved as a fresh generation.
     ///
     /// The trainer must be backed by the same platforms as before the
     /// restart — sealing keys and the manifest's monotonic counter live
@@ -300,17 +303,15 @@ impl Supervisor {
     ///
     /// Returns handshake, attestation or checkpoint errors from setup.
     pub fn remount(
-        trainer: DistributedTrainer,
+        mut trainer: DistributedTrainer,
         plan: FaultPlan,
         config: SupervisorConfig,
         store: UntrustedStore,
     ) -> Result<Self, DistribError> {
-        let shield = FsShield::new(trainer.cluster().ps.enclave.clone(), store.clone());
+        let (shield, fresh) = mount_recovered(&mut trainer, &store, &config.retry)?;
         let mut supervisor = Self::build(trainer, plan, config, store, shield)?;
-        supervisor.recover_storage()?;
-        if !supervisor.restore_newest_generation() {
-            supervisor.save_generation()?;
-        }
+        supervisor.count_storage_recovery(fresh);
+        supervisor.restore_newest()?;
         Ok(supervisor)
     }
 
@@ -379,7 +380,7 @@ impl Supervisor {
                     self.stats.rollbacks += 1;
                     self.metrics.rollbacks.inc();
                     self.heal()?;
-                    self.restore_latest()?;
+                    self.restore_newest()?;
                 }
                 Err(e) => return Err(e),
             }
@@ -552,11 +553,11 @@ impl Supervisor {
         format!("{}/gen-{}", self.config.checkpoint_path, generation % 2)
     }
 
-    /// Seals the model as the next checkpoint generation and commits it
-    /// through the shield's journaled write path. The generation number
-    /// is prefixed to the sealed payload so a remount can tell which of
-    /// the two slots is newest. A host crash during the write is healed
-    /// once ([`Supervisor::recover_storage`]) and the write retried.
+    /// Writes the model as the next checkpoint generation through the
+    /// shield. The generation number is prefixed to the checkpoint so a
+    /// remount can tell which of the two slots is newest. A host crash
+    /// during the write is healed once ([`Supervisor::recover_storage`])
+    /// and the write retried.
     fn save_generation(&mut self) -> Result<(), DistribError> {
         for attempt in 0..2 {
             let generation = self.latest_generation.map(|g| g + 1).unwrap_or(0);
@@ -580,104 +581,69 @@ impl Supervisor {
         ))
     }
 
-    /// Restores the newest checkpoint generation that still
-    /// authenticates. If every generation has been corrupted, the
-    /// in-enclave model is still intact — re-seal it as a fresh
-    /// generation and continue from it.
-    fn restore_latest(&mut self) -> Result<(), DistribError> {
-        let Some(latest) = self.latest_generation else {
-            return self.save_generation();
-        };
-        let candidates = [latest, latest.saturating_sub(1)];
-        for (i, &generation) in candidates.iter().enumerate() {
-            let path = self.generation_path(generation);
-            let mut recovered = false;
-            let restored = loop {
-                match self.shield.read(&path) {
-                    Ok(payload) if payload.len() >= 8 => {
-                        break self
-                            .trainer
-                            .restore_checkpoint_bytes(&payload[8..], &path)
-                            .is_ok();
-                    }
-                    Ok(_) => break false,
-                    Err(ShieldError::HostCrashed(_)) if !recovered => {
-                        recovered = true;
-                        self.recover_storage()?;
-                    }
-                    Err(_) => break false,
-                }
-            };
-            if restored {
-                if i > 0 {
-                    self.stats.checkpoint_fallbacks += 1;
-                    self.metrics.checkpoint_fallbacks.inc();
-                }
-                return Ok(());
-            }
-        }
-        self.stats.checkpoint_fallbacks += 1;
-        self.metrics.checkpoint_fallbacks.inc();
-        self.save_generation()
-    }
-
-    /// Heals a crashed storage host: restart it, re-attest the parameter
-    /// server to CAS (riding out outages per the retry policy, exactly as
-    /// a freshly booted node would) and remount the fs shield from its
-    /// sealed manifest. If the host lost or rolled back the manifest the
-    /// shield fails closed on its contents — the supervisor remounts
-    /// fresh and re-seals from the intact in-enclave model.
-    fn recover_storage(&mut self) -> Result<(), DistribError> {
-        self.stats.storage_recoveries += 1;
-        self.metrics.storage_recoveries.inc();
-        self.store.host_restart();
-        let enclave = self.trainer.cluster().ps.enclave.clone();
-        let quote = enclave.quote(b"fs-shield remount")?;
-        self.trainer
-            .cluster_mut()
-            .cas_mut()
-            .attest_and_provision_with_retry(&quote, TRAINING_SERVICE, &self.config.retry)
-            .map_err(DistribError::Attestation)?;
-        match FsShield::recover(enclave.clone(), self.store.clone()) {
-            Ok((shield, _report)) => self.shield = shield,
-            Err(_) => {
-                self.stats.fresh_remounts += 1;
-                self.metrics.storage_fresh_remounts.inc();
-                self.shield = FsShield::new(enclave, self.store.clone());
-                self.latest_generation = None;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads both generation slots through the remounted shield and
-    /// restores the trainer from the newest payload that authenticates.
-    /// Returns whether any generation was restored.
-    fn restore_newest_generation(&mut self) -> bool {
-        // (generation, path, sealed checkpoint behind the generation prefix)
-        let mut candidates: Vec<(u64, String, Vec<u8>)> = Vec::new();
+    /// Reads both generation slots through the shield (healing one host
+    /// crash on the way) and restores the trainer from the newest
+    /// generation that authenticates and restores; restoring any but the
+    /// newest generation this supervisor committed is a fallback. If none
+    /// restores, the in-enclave model is still intact — save it as a
+    /// fresh generation and continue from it.
+    fn restore_newest(&mut self) -> Result<(), DistribError> {
+        let committed = self.latest_generation;
+        let mut recovered = false;
+        let mut candidates: Vec<(u64, Vec<u8>)> = Vec::new();
         for slot in 0..2u64 {
-            let path = format!("{}/gen-{}", self.config.checkpoint_path, slot);
-            if let Ok(payload) = self.shield.read(&path) {
+            let path = self.generation_path(slot);
+            let read = match self.shield.read(&path) {
+                Err(ShieldError::HostCrashed(_)) if !recovered => {
+                    recovered = true;
+                    self.recover_storage()?;
+                    self.shield.read(&path)
+                }
+                read => read,
+            };
+            if let Ok(payload) = read {
                 let mut r = Reader::new(&payload);
                 if let Ok(generation) = r.u64() {
-                    candidates.push((generation, path, r.rest().to_vec()));
+                    candidates.push((generation, r.rest().to_vec()));
                 }
             }
         }
         candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
-        for (generation, path, sealed) in candidates {
-            if self
-                .trainer
-                .restore_checkpoint_bytes(&sealed, &path)
-                .is_ok()
-            {
+        let restored = candidates
+            .into_iter()
+            .find(|(_, checkpoint)| self.trainer.restore_checkpoint_bytes(checkpoint).is_ok())
+            .map(|(generation, _)| generation);
+        if committed.is_some() && restored != committed {
+            self.stats.checkpoint_fallbacks += 1;
+            self.metrics.checkpoint_fallbacks.inc();
+        }
+        match restored {
+            Some(generation) => {
                 self.latest_generation = Some(generation);
                 self.snapshot = Some(self.store.snapshot());
-                return true;
+                Ok(())
             }
+            None => self.save_generation(),
         }
-        false
+    }
+
+    /// Heals a crashed storage host mid-run ([`mount_recovered`]). If the
+    /// shield had to mount fresh, no generation is committed any more.
+    fn recover_storage(&mut self) -> Result<(), DistribError> {
+        let (shield, fresh) = mount_recovered(&mut self.trainer, &self.store, &self.config.retry)?;
+        self.shield = shield;
+        self.count_storage_recovery(fresh);
+        Ok(())
+    }
+
+    fn count_storage_recovery(&mut self, fresh: bool) {
+        self.stats.storage_recoveries += 1;
+        self.metrics.storage_recoveries.inc();
+        if fresh {
+            self.stats.fresh_remounts += 1;
+            self.metrics.storage_fresh_remounts.inc();
+            self.latest_generation = None;
+        }
     }
 
     /// Counters describing what supervision did so far.
@@ -711,6 +677,31 @@ impl Supervisor {
     }
 }
 
+/// Restarts the crashed storage host, re-attests the parameter server to
+/// CAS (riding out outages per `retry`, exactly as a freshly booted node
+/// would) and mounts the fs shield from its sealed manifest. Returns the
+/// shield and whether it is fresh: if the host lost or rolled back the
+/// manifest, the shield fails closed on its contents and the store is
+/// mounted empty, to be re-saved from the intact in-enclave model.
+fn mount_recovered(
+    trainer: &mut DistributedTrainer,
+    store: &UntrustedStore,
+    retry: &RetryPolicy,
+) -> Result<(FsShield, bool), DistribError> {
+    store.host_restart();
+    let enclave = trainer.cluster().ps.enclave.clone();
+    let quote = enclave.quote(b"fs-shield remount")?;
+    trainer
+        .cluster_mut()
+        .cas_mut()
+        .attest_and_provision_with_retry(&quote, TRAINING_SERVICE, retry)
+        .map_err(DistribError::Attestation)?;
+    Ok(match FsShield::recover(enclave.clone(), store.clone()) {
+        Ok((shield, _report)) => (shield, false),
+        Err(_) => (FsShield::new(enclave, store.clone()), true),
+    })
+}
+
 /// Which step failures rollback-and-retry can plausibly fix. Integrity
 /// violations inside the step (bad messages between *our own* nodes
 /// would indicate a bug, but a tampered checkpoint restore surfaces the
@@ -742,10 +733,14 @@ mod tests {
     }
 
     fn trainer_on(workers: usize, telemetry: Telemetry) -> DistributedTrainer {
+        trainer_in(ExecutionMode::Simulation, workers, telemetry)
+    }
+
+    fn trainer_in(mode: ExecutionMode, workers: usize, telemetry: Telemetry) -> DistributedTrainer {
         let cluster = Cluster::new(ClusterConfig {
             workers,
             parameter_servers: 1,
-            mode: ExecutionMode::Simulation,
+            mode,
             network_shield: true,
             runtime_bytes: 8 * 1024 * 1024,
             heap_bytes: 16 * 1024 * 1024,
@@ -860,7 +855,7 @@ mod tests {
         let latest = s.latest_generation.unwrap();
         let path = s.generation_path(latest);
         assert!(s.store.corrupt(&path, 40));
-        s.restore_latest().unwrap();
+        s.restore_newest().unwrap();
         assert_eq!(s.stats().checkpoint_fallbacks, 1);
     }
 
@@ -944,7 +939,7 @@ mod tests {
         assert_eq!(s.stats().fresh_remounts, 0, "the crash kept the manifest");
         // Initial checkpoint + two cadence checkpoints all committed.
         assert_eq!(s.stats().checkpoints, 3);
-        assert!(s.restore_latest().is_ok(), "newest generation restores");
+        assert!(s.restore_newest().is_ok(), "newest generation restores");
     }
 
     #[test]
@@ -964,7 +959,7 @@ mod tests {
         let report = s.train_steps(4).unwrap();
         assert!(report.final_loss.is_finite());
         assert_eq!(s.stats().storage_recoveries, 1);
-        assert!(s.restore_latest().is_ok(), "torn bytes never restore");
+        assert!(s.restore_newest().is_ok(), "torn bytes never restore");
     }
 
     #[test]
@@ -1069,6 +1064,42 @@ mod tests {
         assert_eq!(s2.stats().fresh_remounts, 1);
         assert_eq!(var_bits(s2.trainer()), live, "in-enclave state kept");
         assert!(!store.paths().is_empty(), "fresh checkpoint re-sealed");
+    }
+
+    #[test]
+    fn a_native_cluster_checkpoints_rolls_back_and_restores() {
+        // The native baseline has no CAS-provisioned secrets; the shield
+        // keys its files to the enclave, as in every other mode.
+        let config = SupervisorConfig {
+            checkpoint_every: 2,
+            ..Default::default()
+        };
+        let trainer = trainer_in(ExecutionMode::Native, 1, Telemetry::disabled());
+        let mut s =
+            Supervisor::new(trainer, FaultPlan::none(), config, UntrustedStore::new()).unwrap();
+        s.train_steps(2).unwrap();
+        let at_checkpoint = var_bits(s.trainer());
+        s.train_steps(1).unwrap();
+        assert_ne!(var_bits(s.trainer()), at_checkpoint, "training moved on");
+        s.restore_newest().unwrap();
+        assert_eq!(var_bits(s.trainer()), at_checkpoint, "rolled back");
+        assert_eq!(s.stats().checkpoints, 2, "the initial and one cadence");
+        assert_eq!(s.stats().checkpoint_fallbacks, 0);
+        assert!(s.train_steps(1).unwrap().final_loss.is_finite());
+    }
+
+    #[test]
+    fn a_remount_takes_one_mount_epoch() {
+        let telemetry = Telemetry::new(Arc::new(securetf_tee::SimClock::new()));
+        let store = UntrustedStore::new();
+        let config = SupervisorConfig::default();
+        let trainer = trainer_on(1, telemetry.clone());
+        let s = Supervisor::new(trainer, FaultPlan::none(), config.clone(), store.clone()).unwrap();
+        let epoch = telemetry.gauge("shield.fs.mount_epoch").get();
+        assert!(epoch > 0);
+        let s2 = Supervisor::remount(s.into_trainer(), FaultPlan::none(), config, store).unwrap();
+        assert_eq!(s2.stats().fresh_remounts, 0);
+        assert_eq!(telemetry.gauge("shield.fs.mount_epoch").get(), epoch + 1);
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! Neither overlap nor sharding changes the training math: gradients are
 //! applied per variable in worker-index order whatever the arrival
 //! order, so the applied update is bit-identical across comm settings.
+//!
+//! A checkpoint of the global model is `freeze`'s plaintext `STFC1`
+//! snapshot of the PS variables, as `SecureSession` writes. The trainer
+//! seals nothing: the supervisor writes the checkpoint through the fs
+//! shield, the one layer that encrypts enclave state for the host.
 
 use crate::cluster::{Cluster, ClusterNode};
 use crate::comm::{self, Chunk, CommConfig, CommMetrics, CommStats};
@@ -27,6 +32,7 @@ use crate::wire::{self, Codec, Quantized};
 use crate::DistribError;
 use securetf_data::Dataset;
 use securetf_tee::{CostCategory, CostModel, ExecutionMode, RegionId};
+use securetf_tensor::freeze;
 use securetf_tensor::graph::{Graph, NodeId, Op};
 use securetf_tensor::kernels::WorkerPool;
 use securetf_tensor::layers::Classifier;
@@ -737,132 +743,27 @@ impl DistributedTrainer {
         Ok(correct as f64 / data.len() as f64)
     }
 
-    /// Serializes and encrypts the global model under the CAS-provisioned
-    /// `fs-key`, bound to `aad` (normally the destination path), without
-    /// writing it anywhere. The key outlives the cluster, so a *new*
-    /// cluster (fresh machines, same attested service) can restore the
-    /// blob; reaching the host is the fs shield's job (`Supervisor`
-    /// journals it).
-    ///
-    /// Because the key outlives every cluster, no counter a cluster keeps
-    /// can make the nonce unique: it is synthetic, the first 12 bytes of
-    /// HMAC-SHA256 under `HKDF-Expand(fs-key, "ckpt-siv-v1")` over
-    /// `u64 len(aad) | aad | plaintext`. Two checkpoints share a nonce
-    /// only if they share aad and plaintext, and then they are one blob.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistribError::BadMessage`] if the PS was provisioned
-    /// without an `fs-key` secret.
-    pub fn checkpoint_bytes(&self, aad: &str) -> Result<Vec<u8>, DistribError> {
-        let key = self.checkpoint_key()?;
-        let entries: Vec<(u32, Tensor)> = self
-            .ps_session
-            .variables()
-            .iter()
-            .map(|(id, t)| (id.index() as u32, (*t).clone()))
-            .collect();
-        let plaintext = wire::encode(&entries);
-        let siv_key = securetf_crypto::hkdf::expand(key.as_bytes(), b"ckpt-siv-v1", 32)
-            .expect("32 <= 255 * 32 bytes");
-        let mut mac = securetf_crypto::hmac::HmacSha256::new(&siv_key);
-        mac.update(&(aad.len() as u64).to_le_bytes());
-        mac.update(aad.as_bytes());
-        mac.update(&plaintext);
-        let nonce = securetf_crypto::aead::Nonce::from_bytes(
-            mac.finalize()[..securetf_crypto::aead::NONCE_LEN]
-                .try_into()
-                .expect("a digest is longer than a nonce"),
-        );
-        // The synthetic-nonce pass streams the plaintext once more.
-        self.cluster
-            .ps
-            .enclave
-            .charge_shield_crypto(plaintext.len() as u64);
-        // Single exactly-sized buffer: nonce || payload encrypted in
-        // place || detached tag — no intermediate ciphertext copy.
-        let mut sealed = Vec::with_capacity(
-            securetf_crypto::aead::NONCE_LEN + plaintext.len() + securetf_crypto::aead::TAG_LEN,
-        );
-        sealed.extend_from_slice(nonce.as_bytes());
-        sealed.extend_from_slice(&plaintext);
-        let tag = securetf_crypto::aead::seal_in_place_detached(
-            &key,
-            &nonce,
-            &mut sealed[securetf_crypto::aead::NONCE_LEN..],
-            aad.as_bytes(),
-        );
-        sealed.extend_from_slice(&tag);
-        self.cluster
-            .ps
-            .enclave
-            .charge_shield_crypto(plaintext.len() as u64);
-        Ok(sealed)
+    /// The global model as a [`freeze::save_checkpoint`] plaintext, not
+    /// written anywhere: the fs shield encrypts it on the way to the host,
+    /// as it does every file an enclave stores (`Supervisor` writes it
+    /// through one). `_path` is unused and the call never fails; both stay
+    /// for existing callers.
+    pub fn checkpoint_bytes(&self, _path: &str) -> Result<Vec<u8>, DistribError> {
+        Ok(freeze::save_checkpoint(&self.model.graph, &self.ps_session))
     }
 
-    /// Decrypts and applies a checkpoint blob produced by
-    /// [`DistributedTrainer::checkpoint_bytes`] with the same `aad`.
+    /// Installs a checkpoint produced by
+    /// [`DistributedTrainer::checkpoint_bytes`] as the global model.
     ///
     /// # Errors
     ///
-    /// * [`DistribError::BadMessage`] if the blob is truncated, tampered
-    ///   with, or the PS lacks the `fs-key` secret.
-    pub fn restore_checkpoint_bytes(
-        &mut self,
-        sealed: &[u8],
-        aad: &str,
-    ) -> Result<(), DistribError> {
-        let key = self.checkpoint_key()?;
-        if sealed.len() < securetf_crypto::aead::NONCE_LEN {
-            return Err(DistribError::BadMessage("checkpoint truncated"));
-        }
-        let (nonce_bytes, ciphertext) = sealed.split_at(securetf_crypto::aead::NONCE_LEN);
-        let nonce_bytes: [u8; securetf_crypto::aead::NONCE_LEN] = nonce_bytes
-            .try_into()
-            .map_err(|_| DistribError::BadMessage("checkpoint nonce malformed"))?;
-        let nonce = securetf_crypto::aead::Nonce::from_bytes(nonce_bytes);
-        if ciphertext.len() < securetf_crypto::aead::TAG_LEN {
-            return Err(DistribError::BadMessage("checkpoint truncated"));
-        }
-        let (body, tag) = ciphertext.split_at(ciphertext.len() - securetf_crypto::aead::TAG_LEN);
-        // Verify-then-decrypt in place on the single plaintext buffer.
-        let mut plaintext = body.to_vec();
-        securetf_crypto::aead::open_in_place_detached(
-            &key,
-            &nonce,
-            &mut plaintext,
-            tag,
-            aad.as_bytes(),
-        )
-        .map_err(|_| DistribError::BadMessage("checkpoint failed authentication"))?;
-        self.cluster
-            .ps
-            .enclave
-            .charge_shield_crypto(plaintext.len() as u64);
-        for (raw, tensor) in wire::decode(&plaintext)? {
-            let id = self
-                .model
-                .graph
-                .node_id(raw as usize)
-                .ok_or(DistribError::BadMessage("unknown variable in checkpoint"))?;
-            self.ps_session.set_variable(id, tensor)?;
-        }
+    /// Returns the [`freeze::restore_checkpoint`] error if `bytes` are not
+    /// a checkpoint of this model; nothing is installed then.
+    pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), DistribError> {
+        freeze::restore_checkpoint(&self.model.graph, &mut self.ps_session, bytes)?;
         // The restored weights invalidate every cached broadcast body.
         self.weight_cache.clear();
         Ok(())
-    }
-
-    fn checkpoint_key(&self) -> Result<securetf_crypto::aead::Key, DistribError> {
-        let secret = self
-            .cluster
-            .ps
-            .provision
-            .secret("fs-key")
-            .ok_or(DistribError::BadMessage("no fs-key provisioned"))?;
-        let bytes: [u8; 32] = secret
-            .try_into()
-            .map_err(|_| DistribError::BadMessage("fs-key has wrong length"))?;
-        Ok(securetf_crypto::aead::Key::from_bytes(bytes))
     }
 
     /// The underlying cluster (for fault injection / elastic scaling).
@@ -917,7 +818,10 @@ impl DistributedTrainer {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
+    use crate::faults::FaultPlan;
+    use crate::supervisor::{Supervisor, SupervisorConfig};
     use rand::SeedableRng;
+    use securetf_shield::fs::{FsShield, UntrustedStore};
     use securetf_tensor::layers;
 
     fn small_model() -> Classifier {
@@ -945,7 +849,6 @@ mod tests {
 
     #[test]
     fn a_checkpoint_between_steps_joins_the_composed_time() {
-        use securetf_shield::fs::{FsShield, UntrustedStore};
         // Two identical runs; only `with` writes a checkpoint between its
         // first and second step.
         let mut plain = trainer(2, ExecutionMode::Hardware, true);
@@ -1080,7 +983,7 @@ mod tests {
 
         // Cluster B: entirely new machines, same attested service.
         let mut b = trainer(2, ExecutionMode::Hardware, true);
-        b.restore_checkpoint_bytes(&blob, "/ckpt/global").unwrap();
+        b.restore_checkpoint_bytes(&blob).unwrap();
         let restored_vars: Vec<Vec<f32>> = b
             .ps_session()
             .variables()
@@ -1093,42 +996,71 @@ mod tests {
         assert!(resumed < first, "resumed {resumed} vs cold start {first}");
     }
 
+    /// A supervisor on a one-worker hardware cluster that has written
+    /// two checkpoint generations, and their slot paths, older first.
+    fn supervised_checkpoints() -> (Supervisor, UntrustedStore, [String; 2]) {
+        let store = UntrustedStore::new();
+        let config = SupervisorConfig {
+            checkpoint_every: 1,
+            ..SupervisorConfig::default()
+        };
+        let slots = ["0", "1"].map(|slot| format!("{}/gen-{slot}", config.checkpoint_path));
+        let mut s = Supervisor::new(
+            trainer(1, ExecutionMode::Hardware, true),
+            FaultPlan::none(),
+            config,
+            store.clone(),
+        )
+        .unwrap();
+        s.train_steps(1).unwrap();
+        (s, store, slots)
+    }
+
     #[test]
     fn tampered_checkpoint_rejected() {
-        let mut t = trainer(1, ExecutionMode::Hardware, true);
-        t.step().unwrap();
-        let blob = t.checkpoint_bytes("/ckpt/m").unwrap();
+        // The host edits the newest generation's object; a remounted
+        // shield refuses it and still reads the older one.
+        let (s, store, [older, newer]) = supervised_checkpoints();
+        let enclave = s.trainer().cluster().ps.enclave.clone();
+        let clean = store.snapshot();
+        let blob = store.raw_contents(&newer).unwrap();
         let mut flipped = blob.clone();
         flipped[50] ^= 1;
-        for (bytes, aad) in [
-            (&flipped[..], "/ckpt/m"),
-            (&blob[..blob.len() - 1], "/ckpt/m"),
-            (&blob[..4], "/ckpt/m"),
-            (&blob[..], "/ckpt/other"),
+        for (what, bytes) in [
+            ("a flipped bit", flipped),
+            ("a cut tail", blob[..blob.len() - 1].to_vec()),
+            ("a 4-byte stub", blob[..4].to_vec()),
+            (
+                "the other slot's object",
+                store.raw_contents(&older).unwrap(),
+            ),
         ] {
-            assert!(matches!(
-                t.restore_checkpoint_bytes(bytes, aad),
-                Err(DistribError::BadMessage(_))
-            ));
+            store.restore(&clean);
+            store.raw_put(&newer, bytes);
+            let (shield, _) = FsShield::recover(enclave.clone(), store.clone()).unwrap();
+            assert!(shield.read(&newer).is_err(), "{what} was accepted");
+            assert!(shield.read(&older).is_ok(), "{what}: the older slot");
         }
     }
 
     #[test]
     fn checkpoint_is_ciphertext_at_rest() {
-        let mut t = trainer(1, ExecutionMode::Hardware, true);
-        t.step().unwrap();
-        let raw = t.checkpoint_bytes("/ckpt/m").unwrap();
-        // The plaintext wire encoding of the variables must not appear.
-        let entries: Vec<(u32, Tensor)> = t
-            .ps_session()
-            .variables()
-            .iter()
-            .map(|(id, v)| (id.index() as u32, (*v).clone()))
-            .collect();
-        let plain = crate::wire::encode(&entries);
-        assert!(!raw
-            .windows(64.min(plain.len()))
-            .any(|w| plain.windows(64.min(plain.len())).next() == Some(w)));
+        // No 64-byte window of the checkpoint plaintext, at any of a few
+        // offsets, appears in any object the host holds.
+        let (s, store, _) = supervised_checkpoints();
+        let plain = s.trainer().checkpoint_bytes("").unwrap();
+        let paths = store.paths();
+        assert!(!paths.is_empty());
+        for at in [0, plain.len() / 2, plain.len() - 64] {
+            let window = &plain[at..at + 64];
+            for path in &paths {
+                let raw = store.raw_contents(path).unwrap();
+                assert!(
+                    !raw.windows(64).any(|w| w == window),
+                    "plaintext at {at} found in {path}"
+                );
+            }
+        }
     }
 
     #[test]

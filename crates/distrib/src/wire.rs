@@ -5,16 +5,13 @@
 //! strict: any truncation, trailing bytes or shape inconsistency is
 //! rejected (the network is untrusted; see §2.3).
 //!
-//! Two layers:
-//!
-//! * the *tagless* dense body ([`encode`]/[`decode`]) — what follows the
-//!   tag of a dense frame, and the plaintext of sealed checkpoints, whose
-//!   byte layout is pinned by AAD-bound ciphertexts;
-//! * tagged *frames* ([`encode_frame`]/[`decode_frame`]) used on every
-//!   live link: a `'D'` dense frame (the fallback) or a `'Q'` frame
-//!   carrying deterministic int8 linear quantization with one f32 scale
-//!   per tensor. Quantization uses no RNG — same input bytes always
-//!   produce the same frame — so same-seed runs stay digest-identical.
+//! Every message is a tagged *frame* ([`encode_frame`]/[`decode_frame`]):
+//! a `'D'` dense frame (the fallback) or a `'Q'` frame carrying
+//! deterministic int8 linear quantization with one f32 scale per tensor.
+//! Quantization uses no RNG — same input bytes always produce the same
+//! frame — so same-seed runs stay digest-identical. The body behind a
+//! tag has no public codec of its own; checkpoints are `freeze`'s
+//! format, not this one.
 
 use crate::DistribError;
 use securetf_tensor::bytes::{put_f32s, put_shape, put_u32, Reader};
@@ -145,21 +142,12 @@ fn put_dense_entry(out: &mut Vec<u8>, id: u32, tensor: &Tensor) {
     put_f32s(out, tensor.data());
 }
 
-/// The tagless dense body: an entry count, then the dense entries.
+/// A dense frame's body: an entry count, then the dense entries.
 fn put_dense_body(out: &mut Vec<u8>, entries: &[(u32, Tensor)]) {
     put_u32(out, entries.len() as u32);
     for (id, tensor) in entries {
         put_dense_entry(out, *id, tensor);
     }
-}
-
-/// Encodes `(variable index, tensor)` pairs as the tagless dense body:
-/// what follows the tag of a `'D'` frame, and the plaintext of a sealed
-/// checkpoint.
-pub fn encode(entries: &[(u32, Tensor)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_dense_body(&mut out, entries);
-    out
 }
 
 /// Walks `count (id rank dims… n payload)*`, the layout both codecs
@@ -193,15 +181,6 @@ fn decode_entries(
     }
     r.finish()?;
     Ok(entries)
-}
-
-/// Decodes a message produced by [`encode`].
-///
-/// # Errors
-///
-/// Returns [`DistribError::BadMessage`] on any structural violation.
-pub fn decode(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
-    decode_entries(bytes, |r, n| Ok(r.f32s(n)?))
 }
 
 /// A quantized entry's payload: one f32 scale, then `n` int8 values.
@@ -318,7 +297,7 @@ pub fn dense_frame_len(entries: &[(u32, Tensor)]) -> u64 {
 /// hostile length prefixes, non-finite or negative scales).
 pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
     match bytes.split_first() {
-        Some((&FRAME_DENSE, body)) => decode(body),
+        Some((&FRAME_DENSE, body)) => decode_entries(body, |r, n| Ok(r.f32s(n)?)),
         Some((&FRAME_QUANTIZED, body)) => decode_entries(body, quantized_payload),
         Some(_) => Err(DistribError::BadMessage("unknown frame tag")),
         None => Err(DistribError::BadMessage("empty frame")),
@@ -363,8 +342,8 @@ mod tests {
             ),
             (7u32, Tensor::from_vec(&[3], vec![-1., 0., 1.]).unwrap()),
         ];
-        let bytes = encode(&entries);
-        let decoded = decode(&bytes).unwrap();
+        let bytes = encode_frame(&entries, Codec::Dense);
+        let decoded = decode_frame(&bytes).unwrap();
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[0].0, 0);
         assert_eq!(decoded[0].1.data(), entries[0].1.data());
@@ -374,16 +353,16 @@ mod tests {
 
     #[test]
     fn empty_roundtrip() {
-        let bytes = encode(&[]);
-        assert!(decode(&bytes).unwrap().is_empty());
+        let bytes = encode_frame(&[], Codec::Dense);
+        assert!(decode_frame(&bytes).unwrap().is_empty());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = encode(&[(1, Tensor::zeros(&[2]))]);
+        let mut bytes = encode_frame(&[(1, Tensor::zeros(&[2]))], Codec::Dense);
         bytes.push(0);
         assert!(matches!(
-            decode(&bytes),
+            decode_frame(&bytes),
             Err(DistribError::BadMessage("trailing bytes"))
         ));
     }
@@ -392,8 +371,8 @@ mod tests {
     fn zero_length_entries_roundtrip() {
         // A rank-1 tensor with zero elements is structurally valid.
         let entries = vec![(3u32, Tensor::zeros(&[0]))];
-        let bytes = encode(&entries);
-        let decoded = decode(&bytes).unwrap();
+        let bytes = encode_frame(&entries, Codec::Dense);
+        let decoded = decode_frame(&bytes).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].1.len(), 0);
     }
@@ -402,7 +381,7 @@ mod tests {
     fn duplicate_variable_ids_rejected() {
         let entries = vec![(4u32, Tensor::zeros(&[2])), (4u32, Tensor::zeros(&[2]))];
         assert!(matches!(
-            decode(&encode(&entries)),
+            decode_frame(&encode_frame(&entries, Codec::Dense)),
             Err(DistribError::BadMessage("duplicate variable id"))
         ));
     }
@@ -564,7 +543,7 @@ mod tests {
 
     #[test]
     fn element_count_mismatch_rejected() {
-        let mut bytes = Vec::new();
+        let mut bytes = vec![FRAME_DENSE];
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&9u32.to_le_bytes()); // id
         bytes.extend_from_slice(&1u32.to_le_bytes()); // rank 1
@@ -572,7 +551,7 @@ mod tests {
         bytes.extend_from_slice(&2u32.to_le_bytes()); // but 2 elements
         bytes.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
-            decode(&bytes),
+            decode_frame(&bytes),
             Err(DistribError::BadMessage("element count mismatch"))
         ));
     }

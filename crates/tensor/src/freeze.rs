@@ -356,28 +356,40 @@ pub fn to_dot(graph: &Graph) -> String {
 
 /// Serializes the current variable values of `session` for `graph`.
 pub fn save_checkpoint(graph: &Graph, session: &Session) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(CKPT_MAGIC);
     let vars = graph.variables();
+    let untracked = Tensor::zeros(&[0]);
+    let values: Vec<&Tensor> = vars
+        .iter()
+        .map(|&var| session.variable(var).unwrap_or(&untracked))
+        .collect();
+    // Sized exactly: a checkpoint is as large as the model, and a buffer
+    // grown by doubling would hold up to twice that at its peak.
+    let entries: usize = values
+        .iter()
+        .map(|t| 12 + 4 * t.shape().len() + 4 * t.len())
+        .sum();
+    let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 4 + entries);
+    out.extend_from_slice(CKPT_MAGIC);
     put_u32(&mut out, vars.len() as u32);
-    for var in vars {
+    for (var, value) in vars.iter().zip(values) {
         put_u32(&mut out, var.0 as u32);
-        if let Some(value) = session.variable(var) {
-            put_tensor(&mut out, value);
-        } else {
-            put_tensor(&mut out, &Tensor::zeros(&[0]));
-        }
+        put_tensor(&mut out, value);
     }
     out
 }
 
 /// Restores variable values saved by [`save_checkpoint`] into `session`.
 ///
+/// The whole checkpoint is decoded and checked before any variable is
+/// installed, so a rejected checkpoint leaves `session` as it was.
+///
 /// # Errors
 ///
-/// Returns [`TensorError::MalformedModel`] on format violations, or
-/// [`TensorError::ShapeMismatch`] if a value's shape does not match the
-/// variable (checkpoint from a different graph).
+/// Returns [`TensorError::MalformedModel`] on format violations (bad
+/// magic, an id that is not a variable of `graph` or appears twice, a
+/// missing variable, trailing bytes), or [`TensorError::ShapeMismatch`]
+/// if a value's shape does not match the variable (checkpoint from a
+/// different graph).
 pub fn restore_checkpoint(
     graph: &Graph,
     session: &mut Session,
@@ -387,16 +399,31 @@ pub fn restore_checkpoint(
     if &r.array::<5>()? != CKPT_MAGIC {
         return Err(TensorError::MalformedModel("bad magic"));
     }
-    let count = r.u32()? as usize;
-    for _ in 0..count {
+    let vars = graph.variables();
+    let mut values: Vec<Option<Tensor>> = vars.iter().map(|_| None).collect();
+    for _ in 0..r.u32()? {
         let id = NodeId(r.u32()? as usize);
         let value = read_tensor(&mut r)?;
-        graph
-            .node(id)
+        let slot = vars
+            .binary_search(&id)
             .map_err(|_| TensorError::MalformedModel("unknown variable id"))?;
-        session.set_variable(id, value)?;
+        let current = session.variable(id).ok_or(TensorError::UnknownNode)?;
+        if current.shape() != value.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op: "restore_checkpoint",
+                detail: format!("{:?} vs {:?}", current.shape(), value.shape()),
+            });
+        }
+        if values[slot].replace(value).is_some() {
+            return Err(TensorError::MalformedModel("duplicate variable id"));
+        }
     }
     r.finish()?;
+    let values = Option::<Vec<Tensor>>::from_iter(values)
+        .ok_or(TensorError::MalformedModel("missing variable"))?;
+    for (id, value) in vars.into_iter().zip(values) {
+        session.set_variable(id, value)?;
+    }
     Ok(())
 }
 
@@ -638,6 +665,104 @@ mod tests {
         other.variable("w", Tensor::zeros(&[3, 3]));
         let mut other_session = Session::new(&other);
         assert!(restore_checkpoint(&other, &mut other_session, &ckpt).is_err());
+    }
+
+    /// `STFC1 | count | (id tensor)*` from hand-picked entries.
+    fn checkpoint_of(entries: &[(NodeId, Tensor)]) -> Vec<u8> {
+        let mut out = CKPT_MAGIC.to_vec();
+        put_u32(&mut out, entries.len() as u32);
+        for (id, value) in entries {
+            put_u32(&mut out, id.0 as u32);
+            put_tensor(&mut out, value);
+        }
+        out
+    }
+
+    fn variable_bits(g: &Graph, session: &Session) -> Vec<Vec<u32>> {
+        g.variables()
+            .into_iter()
+            .map(|id| {
+                let value = session.variable(id).unwrap();
+                value.data().iter().map(|x| x.to_bits()).collect()
+            })
+            .collect()
+    }
+
+    /// Each checkpoint is rejected, and not one variable moves.
+    fn rejected_without_a_trace(g: &Graph, checkpoints: &[(&str, Vec<u8>)]) {
+        for (what, bytes) in checkpoints {
+            let mut session = Session::new(g);
+            let before = variable_bits(g, &session);
+            assert!(
+                restore_checkpoint(g, &mut session, bytes).is_err(),
+                "{what} accepted"
+            );
+            assert_eq!(
+                variable_bits(g, &session),
+                before,
+                "{what} moved a variable"
+            );
+        }
+    }
+
+    fn trained_values(g: &Graph) -> (NodeId, Tensor, NodeId, Tensor) {
+        let w = Tensor::from_vec(&[2, 2], vec![9., 8., 7., 6.]).unwrap();
+        let b = Tensor::from_vec(&[2], vec![5., 4.]).unwrap();
+        (g.by_name("w").unwrap(), w, g.by_name("b").unwrap(), b)
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_trailing_byte_restores_nothing() {
+        let (g, ..) = sample_graph();
+        let (w, wv, b, bv) = trained_values(&g);
+        let mut bytes = checkpoint_of(&[(w, wv), (b, bv)]);
+        bytes.push(0);
+        rejected_without_a_trace(&g, &[("a trailing byte", bytes)]);
+    }
+
+    #[test]
+    fn a_checkpoint_listing_a_variable_twice_restores_nothing() {
+        let (g, ..) = sample_graph();
+        let (w, wv, b, bv) = trained_values(&g);
+        let twice = [(w, wv.clone()), (b, bv.clone()), (w, wv), (b, bv)];
+        rejected_without_a_trace(
+            &g,
+            &[
+                ("every entry twice", checkpoint_of(&twice)),
+                (
+                    "w twice, b missing",
+                    checkpoint_of(&[twice[0].clone(), twice[2].clone()]),
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_missing_a_variable_restores_nothing() {
+        let (g, ..) = sample_graph();
+        let (w, wv, b, bv) = trained_values(&g);
+        rejected_without_a_trace(
+            &g,
+            &[
+                ("no b", checkpoint_of(&[(w, wv)])),
+                ("no w", checkpoint_of(&[(b, bv)])),
+                ("no entries", checkpoint_of(&[])),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_shape_mismatch_mid_checkpoint_restores_nothing() {
+        let (g, ..) = sample_graph();
+        let (w, wv, b, _) = trained_values(&g);
+        let wide_b = Tensor::from_vec(&[3], vec![5., 4., 3.]).unwrap();
+        rejected_without_a_trace(
+            &g,
+            &[(
+                "b of the wrong shape",
+                checkpoint_of(&[(w, wv), (b, wide_b)]),
+            )],
+        );
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! sample's one write sealed an `STFMAN03` checkpoint, which has no
 //! reserved fields; its blob did not move), and once more for the v4
 //! store: the blob is the bare ciphertext, staged whole and renamed into
-//! place, and the checkpoint's magic is `STFMAN04`. The other 12 are the
-//! original digests.
+//! place, and the checkpoint's magic is `STFMAN04`. The
+//! `freeze::save_checkpoint` row replaced the tagless wire body's when
+//! that stopped being a checkpoint format of its own; the body is still
+//! pinned behind the dense frame's tag. The other 11 are the original
+//! digests.
 
 mod samples;
 
@@ -95,9 +98,9 @@ fn encoder_output_is_pinned() {
             "9fc4ebf95e1cceda97f4f32ba3fccc114b2887dbddc0c1428f403dcada8de081",
         ),
         (
-            "wire::encode",
-            sha256::digest(&samples::tagless_body()),
-            "0c7820141e9f1c7261a8ea6c12955330ea5e9b3e9d985cce189258e27dc0b986",
+            "freeze::save_checkpoint",
+            sha256::digest(&samples::checkpoint()),
+            "ee56cf42049c617cd57448e1aada9d851e6f9521b45618bbb4efc4a15275276f",
         ),
         (
             "FsShield::write",

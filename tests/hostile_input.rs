@@ -30,8 +30,9 @@ use securetf_shield::ShieldError;
 use securetf_tee::sealing::SealPolicy;
 use securetf_tee::{MrEnclave, Platform};
 use securetf_tensor::bytes::{put_shape, Reader};
-use securetf_tensor::freeze::import_graph;
+use securetf_tensor::freeze::{import_graph, restore_checkpoint};
 use securetf_tensor::graph::{Graph, Padding};
+use securetf_tensor::session::Session;
 use securetf_tensor::tensor::Tensor;
 use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::model::LiteModel;
@@ -315,11 +316,13 @@ fn codec_formats() -> Vec<Format> {
         })
         .lengths(&[1, 9, 13, 17, 21])
         .shapes(&[9]),
-        Format::new("tagless body", samples::tagless_body(), |b| {
-            wire::decode(b).is_ok()
+        // STFC1 | count | id rank dims(2) n f32 × 6 | id rank dims(1) n …
+        Format::new("checkpoint", samples::checkpoint(), |b| {
+            let g = samples::checkpoint_graph();
+            restore_checkpoint(&g, &mut Session::new(&g), b).is_ok()
         })
-        .lengths(&[0, 8, 12, 16, 20])
-        .shapes(&[8]),
+        .lengths(&[5, 13, 17, 21, 25, 57, 61, 65])
+        .shapes(&[13, 57]),
         // The one CAS decoder `CasService::with_store` runs on stored
         // bytes (behind the fs shield, so only a CAS build with another
         // encoding reaches it with anything but its own output):

@@ -13,11 +13,9 @@
 //! plaintext, under `Supervisor::remount` after seeded chaos, over two
 //! shields sharing one file key, and over the other state that reaches
 //! the host through the shield: `SecureSession` checkpoints across an
-//! enclave respawn and the CAS policy store across a CAS restart. One
-//! more case records blobs sealed under a key that outlives every
-//! enclave: the distributed trainer's checkpoints, handed from one
-//! cluster to the next. Everything is test-side: the shield has no hook,
-//! feature or knob for it.
+//! enclave respawn and the CAS policy store across a CAS restart.
+//! Everything is test-side: the shield has no hook, feature or knob for
+//! it.
 
 use securetf::secure_session::SecureSession;
 use securetf_cas::kvstore::KvStore;
@@ -28,7 +26,6 @@ use securetf_distrib::cluster::{Cluster, ClusterConfig};
 use securetf_distrib::faults::{FaultEvent, FaultPlan};
 use securetf_distrib::supervisor::{Supervisor, SupervisorConfig};
 use securetf_distrib::trainer::DistributedTrainer;
-use securetf_distrib::wire;
 use securetf_shield::fs::{FsShield, UntrustedStore, CHUNK_SIZE};
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, Telemetry};
 use securetf_tensor::layers::{self, Classifier};
@@ -407,31 +404,23 @@ fn trainer() -> DistributedTrainer {
 }
 
 /// Observes the host after a supervisor call. A checkpoint record holds
-/// part of the supervisor's payload `u64 generation | trainer blob`: the
-/// generation is below 2¹⁶, and the blob is what `checkpoint_bytes`
-/// seals for the record's slot now — the supervisor checkpoints at the
-/// end of a step, and a blob is a function of weights, path and key (its
-/// nonce is synthetic). The slot is not known, so each offers one
-/// candidate.
+/// part of the supervisor's payload `u64 generation | checkpoint`: the
+/// generation is below 2¹⁶, and the checkpoint is what `checkpoint_bytes`
+/// returns now — the supervisor checkpoints at the end of a step, and a
+/// checkpoint is a function of the weights alone.
 fn observe_checkpoints(supervisor: &Supervisor, ledger: &mut Ledger) {
-    let payloads: Vec<Known> = (0..2)
-        .map(|slot| {
-            let path = format!("{}/gen-{slot}", SupervisorConfig::default().checkpoint_path);
-            let blob = supervisor
-                .trainer()
-                .checkpoint_bytes(&path)
-                .expect("fs-key");
-            let mut known = vec![None, None];
-            known.extend([Some(0); 6]);
-            known.extend(blob.into_iter().map(Some));
-            known
-        })
-        .collect();
+    let checkpoint = supervisor
+        .trainer()
+        .checkpoint_bytes("")
+        .expect("checkpoint");
+    let mut payload: Known = vec![None, None];
+    payload.extend([Some(0); 6]);
+    payload.extend(checkpoint.into_iter().map(Some));
     ledger.observe(supervisor.store(), &|chunk| {
-        payloads
-            .iter()
-            .filter_map(|payload| payload.get(chunk * CHUNK_SIZE..))
+        payload
+            .get(chunk * CHUNK_SIZE..)
             .map(<[_]>::to_vec)
+            .into_iter()
             .collect()
     });
 }
@@ -492,46 +481,6 @@ fn no_keystream_repeats_across_supervisor_remounts() {
             supervised(&mut supervisor, 4, &mut ledger);
         }
     }
-}
-
-// ---- trainer checkpoints across clusters -------------------------------------
-
-/// The plaintext `checkpoint_bytes` seals: the PS's variables, wire
-/// encoded.
-fn checkpoint_plaintext(trainer: &DistributedTrainer) -> Known {
-    let entries: Vec<(u32, Tensor)> = trainer
-        .ps_session()
-        .variables()
-        .iter()
-        .map(|(id, t)| (id.index() as u32, (*t).clone()))
-        .collect();
-    wire::encode(&entries).into_iter().map(Some).collect()
-}
-
-#[test]
-fn no_keystream_repeats_between_trainer_checkpoints_of_two_clusters() {
-    // The CAS-provisioned `fs-key` outlives every cluster, so a blob one
-    // cluster seals meets the blobs its successor seals. Cluster A trains
-    // six steps and checkpoints after three and six; cluster B restores
-    // A's step-3 checkpoint and trains six steps of its own before it
-    // checkpoints. Both have then taken six steps, with other weights.
-    // A blob is `nonce | ciphertext | tag`, and the host keeps them all.
-    const AAD: &str = "/ckpt/global";
-    let mut ledger = Ledger::default();
-    let mut checkpoint = |trainer: &DistributedTrainer, at: &str| {
-        let blob = trainer.checkpoint_bytes(AAD).expect("fs-key");
-        ledger.record(at, &blob[aead::NONCE_LEN..], checkpoint_plaintext(trainer));
-        blob
-    };
-    let mut a = trainer();
-    a.train_steps(3).expect("train");
-    let at_three = checkpoint(&a, "cluster A, step 3");
-    a.train_steps(3).expect("train");
-    checkpoint(&a, "cluster A, step 6");
-    let mut b = trainer();
-    b.restore_checkpoint_bytes(&at_three, AAD).expect("restore");
-    b.train_steps(6).expect("train");
-    checkpoint(&b, "cluster B, step 6");
 }
 
 #[test]

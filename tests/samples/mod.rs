@@ -9,8 +9,9 @@ use securetf_data::{resize, synthetic_mnist};
 use securetf_distrib::wire::{self, Codec};
 use securetf_shield::fs::{FsShield, UntrustedStore, CHUNK_SIZE};
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform};
-use securetf_tensor::freeze::export_graph;
+use securetf_tensor::freeze::{export_graph, save_checkpoint};
 use securetf_tensor::graph::{Graph, Padding};
+use securetf_tensor::session::Session;
 use securetf_tensor::tensor::Tensor;
 use securetf_tflite::model::LiteModel;
 use securetf_tflite::optimize::quantize;
@@ -129,9 +130,21 @@ pub fn quantized_frame() -> Vec<u8> {
     wire::encode_frame(&entries(), Codec::Quantized)
 }
 
-/// The tagless dense body: checkpoint plaintext.
-pub fn tagless_body() -> Vec<u8> {
-    wire::encode(&entries())
+/// The graph behind [`checkpoint`]: two variables and a placeholder,
+/// which a checkpoint skips.
+pub fn checkpoint_graph() -> Graph {
+    let mut g = Graph::new();
+    g.placeholder("x", &[0, 2]);
+    g.variable("w", ramp(&[2, 3], 0.25));
+    g.variable("b", ramp(&[5], 0.5));
+    g
+}
+
+/// A training checkpoint, as the distributed trainer and `SecureSession`
+/// hand it to the fs shield.
+pub fn checkpoint() -> Vec<u8> {
+    let g = checkpoint_graph();
+    save_checkpoint(&g, &Session::new(&g))
 }
 
 /// Path of the one file [`fs_image`] writes.

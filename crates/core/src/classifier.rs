@@ -17,7 +17,7 @@ use securetf_shield::fs::UntrustedStore;
 use securetf_tee::{Enclave, ExecutionMode, Platform, RegionId, SimClock, Telemetry};
 use securetf_tensor::tensor::Tensor;
 use securetf_tensor::TensorError;
-use securetf_tflite::interpreter::Interpreter;
+use securetf_tflite::interpreter::{row_labels, Interpreter};
 use securetf_tflite::model::LiteModel;
 use securetf_tflite::LiteError;
 use std::sync::Arc;
@@ -127,6 +127,9 @@ impl SecureClassifier {
             }
         }
         let model = LiteModel::from_bytes(&plaintext)?;
+        // The parsed model holds the weights now: the plaintext goes
+        // before the lowering, so that deploy never holds two copies.
+        drop(plaintext);
 
         // The interpreter lowers the model through the shared compiler
         // pipeline at construction; size every region from the graph it
@@ -214,10 +217,12 @@ impl SecureClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`SecureTfError::Lite`] on execution failure.
+    /// Returns [`SecureTfError::Lite`] on execution failure, and with a
+    /// shape mismatch if the model answers with another number of rows
+    /// than `batch` has ([`row_labels`]).
     pub fn classify_batch(&mut self, batch: &Tensor) -> Result<(Vec<usize>, u64), SecureTfError> {
         let (out, ns) = self.charged_run(batch)?;
-        let labels = out.argmax_rows().map_err(LiteError::Exec)?;
+        let labels = row_labels(batch, &out)?;
         self.inferences += labels.len() as u64;
         Ok((labels, ns))
     }

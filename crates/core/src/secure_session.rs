@@ -234,7 +234,7 @@ impl SecureSession {
         let before_peak = securetf_tflite::arena::plan_memory(&converted, 1)
             .map(|p| p.peak_bytes)
             .unwrap_or(0);
-        let (optimized, report) = securetf_tflite::optimize::optimize_for_inference(&converted)?;
+        let (optimized, report) = securetf_tflite::optimize::optimize_for_inference(converted)?;
         let after_peak = securetf_tflite::arena::plan_memory(&optimized, 1)
             .map(|p| p.peak_bytes)
             .unwrap_or(0);

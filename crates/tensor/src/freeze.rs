@@ -9,6 +9,7 @@
 
 use crate::bytes::{put_f32s, put_len_prefixed, put_shape, put_u32, Reader};
 use crate::graph::{Graph, Node, NodeId, Op, Padding};
+use crate::kernels::Panels;
 use crate::session::Session;
 use crate::tensor::Tensor;
 use crate::TensorError;
@@ -52,6 +53,58 @@ fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
     put_f32s(out, t.data());
 }
 
+/// A packed matrix, written as `put_tensor` writes the row-major tensor
+/// it was packed from, read from the panels in place.
+fn put_panels(out: &mut Vec<u8>, panels: &Panels) {
+    put_shape(out, panels.shape());
+    let elements = (panels.byte_len() / 4) as usize;
+    put_u32(out, elements as u32);
+    let start = out.len();
+    out.resize(start + 4 * elements, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(panels.row_major()) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Bytes `put_tensor` writes for a tensor of `shape`.
+fn tensor_len(shape: &[usize]) -> usize {
+    8 + 4 * shape.len() + 4 * shape.iter().product::<usize>()
+}
+
+/// Bytes [`export_graph_into`] writes for `graph`: what a caller reserves
+/// so that the export is written once, into a buffer that never grows.
+pub fn exported_len(graph: &Graph) -> usize {
+    let node_len = |node: &Node| {
+        let payload = match &node.op {
+            Op::Placeholder { shape } => 4 + 4 * shape.len(),
+            Op::Variable { init: t } | Op::Constant(t) => tensor_len(t.shape()),
+            Op::PackedConstant(panels) => tensor_len(panels.shape()),
+            Op::Relu(_)
+            | Op::Softmax(_)
+            | Op::MaxPool2(_)
+            | Op::Flatten(_)
+            | Op::Sigmoid(_)
+            | Op::Tanh(_)
+            | Op::AvgPool2(_) => 4,
+            Op::MatMul(..)
+            | Op::AddBias(..)
+            | Op::Add(..)
+            | Op::Mul(..)
+            | Op::SoftmaxCrossEntropy { .. }
+            | Op::MseLoss(..)
+            | Op::Sub(..)
+            | Op::Scale(..)
+            | Op::ConcatCols(..) => 8,
+            Op::Conv2d { .. } => 9,
+            Op::Reshape(_, shape) => 8 + 4 * shape.len(),
+            Op::FusedMatMul { .. } => 13,
+            Op::FusedConv2d { .. } => 14,
+        };
+        4 + node.name.len() + 1 + payload
+    };
+    GRAPH_MAGIC.len() + 4 + graph.nodes().iter().map(node_len).sum::<usize>()
+}
+
 fn padding_tag(padding: Padding) -> u8 {
     match padding {
         Padding::Same => 0,
@@ -85,58 +138,69 @@ fn read_padding(r: &mut Reader) -> Result<Padding, TensorError> {
     })
 }
 
-/// Serializes a graph to the binary `GraphDef` format.
+/// Serializes a graph to the binary `GraphDef` format, into a buffer
+/// sized for it up front ([`exported_len`]).
 pub fn export_graph(graph: &Graph) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(exported_len(graph));
+    export_graph_into(&mut out, graph);
+    out
+}
+
+/// Appends `graph` in the binary `GraphDef` format to `out`: the
+/// [`export_graph`] bytes, behind whatever a container format put first.
+/// Packed weights are written row-major, read from their panels in
+/// place: the format has one kind of constant.
+pub fn export_graph_into(out: &mut Vec<u8>, graph: &Graph) {
+    let start = out.len();
     out.extend_from_slice(GRAPH_MAGIC);
-    put_u32(&mut out, graph.len() as u32);
+    put_u32(out, graph.len() as u32);
     for node in graph.nodes() {
-        put_len_prefixed(&mut out, node.name.as_bytes());
+        put_len_prefixed(out, node.name.as_bytes());
         match &node.op {
             Op::Placeholder { shape } => {
                 out.push(0);
-                put_shape(&mut out, shape);
+                put_shape(out, shape);
             }
             Op::Variable { init } => {
                 out.push(1);
-                put_tensor(&mut out, init);
+                put_tensor(out, init);
             }
             Op::Constant(t) => {
                 out.push(2);
-                put_tensor(&mut out, t);
+                put_tensor(out, t);
             }
             // The exchange format knows one constant, row-major.
             Op::PackedConstant(panels) => {
                 out.push(2);
-                put_tensor(&mut out, &panels.unpack());
+                put_panels(out, panels);
             }
             Op::MatMul(a, b) => {
                 out.push(3);
-                put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, b.0 as u32);
+                put_u32(out, a.0 as u32);
+                put_u32(out, b.0 as u32);
             }
             Op::AddBias(a, b) => {
                 out.push(4);
-                put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, b.0 as u32);
+                put_u32(out, a.0 as u32);
+                put_u32(out, b.0 as u32);
             }
             Op::Add(a, b) => {
                 out.push(5);
-                put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, b.0 as u32);
+                put_u32(out, a.0 as u32);
+                put_u32(out, b.0 as u32);
             }
             Op::Mul(a, b) => {
                 out.push(6);
-                put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, b.0 as u32);
+                put_u32(out, a.0 as u32);
+                put_u32(out, b.0 as u32);
             }
             Op::Relu(a) => {
                 out.push(7);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
             }
             Op::Softmax(a) => {
                 out.push(8);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
             }
             Op::Conv2d {
                 input,
@@ -144,59 +208,59 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
                 padding,
             } => {
                 out.push(9);
-                put_u32(&mut out, input.0 as u32);
-                put_u32(&mut out, filter.0 as u32);
+                put_u32(out, input.0 as u32);
+                put_u32(out, filter.0 as u32);
                 out.push(padding_tag(*padding));
             }
             Op::MaxPool2(a) => {
                 out.push(10);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
             }
             Op::Flatten(a) => {
                 out.push(11);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
             }
             Op::Reshape(a, shape) => {
                 out.push(12);
-                put_u32(&mut out, a.0 as u32);
-                put_shape(&mut out, shape);
+                put_u32(out, a.0 as u32);
+                put_shape(out, shape);
             }
             Op::SoftmaxCrossEntropy { logits, labels } => {
                 out.push(13);
-                put_u32(&mut out, logits.0 as u32);
-                put_u32(&mut out, labels.0 as u32);
+                put_u32(out, logits.0 as u32);
+                put_u32(out, labels.0 as u32);
             }
             Op::MseLoss(a, b) => {
                 out.push(14);
-                put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, b.0 as u32);
+                put_u32(out, a.0 as u32);
+                put_u32(out, b.0 as u32);
             }
             Op::Sub(a, b) => {
                 out.push(15);
-                put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, b.0 as u32);
+                put_u32(out, a.0 as u32);
+                put_u32(out, b.0 as u32);
             }
             Op::Scale(a, factor) => {
                 out.push(16);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
                 out.extend_from_slice(&factor.to_le_bytes());
             }
             Op::Sigmoid(a) => {
                 out.push(17);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
             }
             Op::Tanh(a) => {
                 out.push(18);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
             }
             Op::AvgPool2(a) => {
                 out.push(19);
-                put_u32(&mut out, a.0 as u32);
+                put_u32(out, a.0 as u32);
             }
             Op::ConcatCols(a, b) => {
                 out.push(20);
-                put_u32(&mut out, a.0 as u32);
-                put_u32(&mut out, b.0 as u32);
+                put_u32(out, a.0 as u32);
+                put_u32(out, b.0 as u32);
             }
             Op::FusedMatMul {
                 lhs,
@@ -205,9 +269,9 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
                 relu,
             } => {
                 out.push(21);
-                put_u32(&mut out, lhs.0 as u32);
-                put_u32(&mut out, rhs.0 as u32);
-                put_u32(&mut out, bias.0 as u32);
+                put_u32(out, lhs.0 as u32);
+                put_u32(out, rhs.0 as u32);
+                put_u32(out, bias.0 as u32);
                 out.push(u8::from(*relu));
             }
             Op::FusedConv2d {
@@ -218,15 +282,15 @@ pub fn export_graph(graph: &Graph) -> Vec<u8> {
                 relu,
             } => {
                 out.push(22);
-                put_u32(&mut out, input.0 as u32);
-                put_u32(&mut out, filter.0 as u32);
-                put_u32(&mut out, bias.0 as u32);
+                put_u32(out, input.0 as u32);
+                put_u32(out, filter.0 as u32);
+                put_u32(out, bias.0 as u32);
                 out.push(padding_tag(*padding));
                 out.push(u8::from(*relu));
             }
         }
     }
-    out
+    debug_assert_eq!(out.len() - start, exported_len(graph));
 }
 
 /// Deserializes a graph exported by [`export_graph`].
@@ -364,10 +428,7 @@ pub fn save_checkpoint(graph: &Graph, session: &Session) -> Vec<u8> {
         .collect();
     // Sized exactly: a checkpoint is as large as the model, and a buffer
     // grown by doubling would hold up to twice that at its peak.
-    let entries: usize = values
-        .iter()
-        .map(|t| 12 + 4 * t.shape().len() + 4 * t.len())
-        .sum();
+    let entries: usize = values.iter().map(|t| 4 + tensor_len(t.shape())).sum();
     let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 4 + entries);
     out.extend_from_slice(CKPT_MAGIC);
     put_u32(&mut out, vars.len() as u32);
@@ -496,7 +557,7 @@ mod tests {
         let logits = g.add_bias(mm, b).unwrap();
         let out = g.softmax(logits).unwrap();
 
-        let optimized = Pipeline::inference().run(&g, &[x, out]).unwrap();
+        let optimized = Pipeline::inference().run(g.clone(), &[x, out]).unwrap();
         assert!(optimized.report.nodes_fused() >= 2);
         let fused_out = optimized.target(out).unwrap();
         let fused_x = optimized.target(x).unwrap();

@@ -158,11 +158,11 @@ impl Op {
         }
     }
 
-    /// Returns a copy of this op with every input id rewritten by `f`
-    /// (used by graph-transformation passes).
-    pub fn map_inputs(&self, f: impl Fn(NodeId) -> NodeId) -> Op {
-        let mut op = self.clone();
-        match &mut op {
+    /// This op with every input id rewritten by `f` (used by
+    /// graph-transformation passes). It moves: a constant's tensor goes
+    /// along, uncopied.
+    pub fn map_inputs(mut self, f: impl Fn(NodeId) -> NodeId) -> Op {
+        match &mut self {
             Op::Placeholder { .. }
             | Op::Variable { .. }
             | Op::Constant(_)
@@ -210,7 +210,7 @@ impl Op {
                 *bias = f(*bias);
             }
         }
-        op
+        self
     }
 
     /// A short mnemonic for serialization and debugging.
@@ -573,6 +573,12 @@ impl Graph {
     /// All nodes in topological order.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
+    }
+
+    /// The nodes in topological order, by value: what a pass that
+    /// rewrites the graph moves into its output.
+    pub fn into_nodes(self) -> Vec<Node> {
+        self.nodes
     }
 
     /// The node for `id`.

@@ -186,6 +186,19 @@ impl Panels {
         &self.shape
     }
 
+    /// The matrix in row-major order, read in place: row 0's slice of
+    /// every panel, left to right, then row 1's, and so on. What an
+    /// exporter writes without unpacking a copy first.
+    pub(crate) fn row_major(&self) -> impl Iterator<Item = &f32> {
+        let [k, n] = self.shape;
+        (0..k).flat_map(move |p| {
+            (0..n).step_by(gemm::NR).flat_map(move |q0| {
+                let w = gemm::NR.min(n - q0);
+                &self.data[q0 * k + p * w..][..w]
+            })
+        })
+    }
+
     /// The floats in panel order (for fingerprints: equal panels of
     /// equal shape are equal matrices).
     pub(crate) fn panel_data(&self) -> &[f32] {

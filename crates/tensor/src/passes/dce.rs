@@ -20,7 +20,7 @@ impl Pass for DeadCodeElimination {
         "dce"
     }
 
-    fn run(&self, graph: &Graph, roots: &[NodeId]) -> Result<PassOutcome, TensorError> {
+    fn run(&self, graph: Graph, roots: &[NodeId]) -> Result<PassOutcome, TensorError> {
         let mut needed = vec![false; graph.len()];
         let mut stack: Vec<NodeId> = Vec::with_capacity(roots.len());
         for &root in roots {
@@ -34,9 +34,11 @@ impl Pass for DeadCodeElimination {
             needed[id.index()] = true;
             stack.extend(graph.nodes()[id.index()].op.inputs());
         }
+        let before = graph.len();
         let mut out = Graph::new();
-        let mut remap: Vec<Option<NodeId>> = vec![None; graph.len()];
-        for (index, node) in graph.nodes().iter().enumerate() {
+        let mut remap: Vec<Option<NodeId>> = vec![None; before];
+        // A dead node is dropped here, its tensor with it.
+        for (index, node) in graph.into_nodes().into_iter().enumerate() {
             if !needed[index] {
                 continue;
             }
@@ -46,12 +48,12 @@ impl Pass for DeadCodeElimination {
             let new_id = out
                 .append_node(Node {
                     op,
-                    name: node.name.clone(),
+                    name: node.name,
                 })
                 .expect("remapped inputs exist");
             remap[index] = Some(new_id);
         }
-        let eliminated = (graph.len() - out.len()) as u64;
+        let eliminated = (before - out.len()) as u64;
         Ok(PassOutcome {
             graph: out,
             remap,

@@ -36,7 +36,7 @@ impl Pass for OperatorFusion {
         "fuse"
     }
 
-    fn run(&self, graph: &Graph, roots: &[NodeId]) -> Result<PassOutcome, TensorError> {
+    fn run(&self, graph: Graph, roots: &[NodeId]) -> Result<PassOutcome, TensorError> {
         let n = graph.len();
         let mut is_root = vec![false; n];
         for &root in roots {
@@ -115,17 +115,18 @@ impl Pass for OperatorFusion {
 
         let mut out = Graph::new();
         let mut remap: Vec<Option<NodeId>> = vec![None; n];
-        for (index, node) in graph.nodes().iter().enumerate() {
-            let op = match &actions[index] {
+        let nodes = graph.into_nodes().into_iter().zip(actions);
+        for (index, (node, action)) in nodes.enumerate() {
+            let op = match action {
                 Action::Skip => continue,
-                Action::Emit => node.op.clone(),
-                Action::Fuse(fused_op) => fused_op.clone(),
+                Action::Emit => node.op,
+                Action::Fuse(fused_op) => fused_op,
             };
             let op = op.map_inputs(|old| remap[old.index()].expect("inputs precede node"));
             let new_id = out
                 .append_node(Node {
                     op,
-                    name: node.name.clone(),
+                    name: node.name,
                 })
                 .expect("remapped inputs exist");
             remap[index] = Some(new_id);

@@ -6,8 +6,8 @@
 //! touches, and shield-charged memory traffic at once. This module is
 //! the shared optimization layer both engines run through:
 //!
-//! * [`Pass`] — one graph-to-graph rewrite returning the new graph plus
-//!   an old-id → new-id remap,
+//! * [`Pass`] — one graph-to-graph rewrite that takes the graph by
+//!   value and returns the new graph plus an old-id → new-id remap,
 //! * [`Pipeline`] — a fixed, deterministic pass sequence that composes
 //!   the remaps and produces a [`PipelineReport`],
 //! * the four shipped passes: [`DeadCodeElimination`],
@@ -41,6 +41,14 @@
 //! Pass timing is *virtual*: [`PassStats::virtual_ns`] is derived from
 //! node counts alone (never wall clock), so same-seed telemetry digests
 //! stay deterministic.
+//!
+//! **A pass consumes its graph.** Nodes move from the input into the
+//! output; a surviving constant keeps its buffer, an eliminated one is
+//! dropped where the pass skips it, and nothing copies a weight. So a
+//! lowering costs time in node count plus one read of every weight (the
+//! CSE content hash), and memory in node count on top of the graph it
+//! was handed. A caller that still needs the graph it lowers clones it
+//! at the call site.
 
 mod cse;
 mod dce;
@@ -80,10 +88,10 @@ pub struct PassOutcome {
 
 impl PassOutcome {
     /// An outcome that leaves `graph` untouched (identity remap).
-    pub fn unchanged(graph: &Graph) -> PassOutcome {
+    pub fn unchanged(graph: Graph) -> PassOutcome {
         PassOutcome {
-            graph: graph.clone(),
             remap: (0..graph.len()).map(|i| Some(NodeId(i))).collect(),
+            graph,
             eliminated: 0,
             fused: 0,
         }
@@ -95,18 +103,20 @@ impl PassOutcome {
 /// A pass must be pure (same input graph + roots → same output), must
 /// keep every root alive (roots may be remapped but never dropped), and
 /// must preserve bit-identical evaluation as described in the module
-/// docs.
+/// docs. It takes the graph by value and moves the nodes it keeps into
+/// its output ([`Graph::into_nodes`], [`crate::graph::Op::map_inputs`]),
+/// so no weight is copied on the way through.
 pub trait Pass {
     /// Short name used in reports and telemetry span attribution.
     fn name(&self) -> &'static str;
 
-    /// Rewrites `graph`; `roots` are the ids that must survive
-    /// (fetches, the loss, exported outputs).
+    /// Rewrites `graph`, consuming it; `roots` are the ids that must
+    /// survive (fetches, the loss, exported outputs).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::UnknownNode`] for out-of-range roots.
-    fn run(&self, graph: &Graph, roots: &[NodeId]) -> Result<PassOutcome, TensorError>;
+    fn run(&self, graph: Graph, roots: &[NodeId]) -> Result<PassOutcome, TensorError>;
 }
 
 /// Per-pass statistics of one pipeline run.
@@ -220,22 +230,23 @@ impl Pipeline {
         ])
     }
 
-    /// Runs every pass in order, composing the id remaps.
+    /// Runs every pass in order on `graph`, which each hands on to the
+    /// next by value, composing the id remaps.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::UnknownNode`] for out-of-range roots.
-    pub fn run(&self, graph: &Graph, roots: &[NodeId]) -> Result<Optimized, TensorError> {
+    pub fn run(&self, graph: Graph, roots: &[NodeId]) -> Result<Optimized, TensorError> {
         for &root in roots {
             graph.node(root)?;
         }
-        let mut current = graph.clone();
         let mut remap: Vec<Option<NodeId>> = (0..graph.len()).map(|i| Some(NodeId(i))).collect();
+        let mut current = graph;
         let mut live_roots: Vec<NodeId> = roots.to_vec();
         let mut report = PipelineReport::default();
         for pass in &self.passes {
             let before = current.len();
-            let outcome = pass.run(&current, &live_roots)?;
+            let outcome = pass.run(current, &live_roots)?;
             for slot in &mut remap {
                 *slot = slot.and_then(|mid| outcome.remap.get(mid.index()).copied().flatten());
             }
@@ -290,7 +301,7 @@ mod tests {
         let dead_w = g.constant("dead_w", Tensor::full(&[4, 16], 0.3));
         let _ = dead_w;
         let before = g.len();
-        let outcome = DeadCodeElimination.run(&g, &[o]).unwrap();
+        let outcome = DeadCodeElimination.run(g, &[o]).unwrap();
         assert_eq!(outcome.eliminated, 1);
         assert_eq!(outcome.graph.len(), before - 1);
         assert!(outcome.remap[o.index()].is_some());
@@ -301,7 +312,7 @@ mod tests {
     fn dce_rejects_foreign_roots() {
         let (g, ..) = mlp_graph();
         assert!(matches!(
-            DeadCodeElimination.run(&g, &[NodeId(g.len() + 3)]),
+            DeadCodeElimination.run(g.clone(), &[NodeId(g.len() + 3)]),
             Err(TensorError::UnknownNode)
         ));
     }
@@ -316,7 +327,7 @@ mod tests {
         let s = g.add(m1, m2).unwrap();
         let d = g.scale(m1, 2.0).unwrap(); // distinct (scale payload)
         let e = g.scale(m1, 3.0).unwrap();
-        let outcome = CommonSubexpressionElimination.run(&g, &[s, d, e]).unwrap();
+        let outcome = CommonSubexpressionElimination.run(g, &[s, d, e]).unwrap();
         assert_eq!(outcome.eliminated, 1, "only the duplicate matmul merges");
         // m2 now maps to m1's surviving id.
         assert_eq!(outcome.remap[m2.index()], outcome.remap[m1.index()]);
@@ -333,7 +344,7 @@ mod tests {
         let v2 = g.variable("v2", Tensor::zeros(&[2]));
         let s = g.add(a, b).unwrap();
         let outcome = CommonSubexpressionElimination
-            .run(&g, &[s, v1, v2])
+            .run(g.clone(), &[s, v1, v2])
             .unwrap();
         assert_eq!(outcome.eliminated, 0);
         assert_eq!(outcome.graph.len(), g.len());
@@ -347,14 +358,69 @@ mod tests {
         let c3 = g.constant("c3", Tensor::full(&[3], 1.5 + 1e-7));
         let s = g.add(c1, c2).unwrap();
         let t = g.add(s, c3).unwrap();
-        let outcome = CommonSubexpressionElimination.run(&g, &[t]).unwrap();
+        let outcome = CommonSubexpressionElimination.run(g, &[t]).unwrap();
         assert_eq!(outcome.eliminated, 1, "only the bitwise-equal pair merges");
+    }
+
+    /// For each of `constants`, CSE'd as roots of one graph, the index of
+    /// the first constant it shares a node with.
+    fn cse_survivors(constants: Vec<Tensor>) -> Vec<usize> {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = constants
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| g.constant(&format!("c{i}"), t))
+            .collect();
+        let outcome = CommonSubexpressionElimination.run(g, &ids).unwrap();
+        ids.iter()
+            .map(|id| {
+                let kept = outcome.remap[id.index()];
+                ids.iter()
+                    .position(|other| outcome.remap[other.index()] == kept)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cse_keeps_signed_zeros_and_nan_payloads_apart() {
+        let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
+        let constants = vec![
+            Tensor::full(&[5], 0.0),
+            Tensor::full(&[5], -0.0),
+            Tensor::full(&[5], nan(1)),
+            Tensor::full(&[5], nan(2)),
+            Tensor::full(&[5], nan(1)),
+            Tensor::full(&[5], -0.0),
+        ];
+        // `==` would merge the zeros and never merge a NaN; bits decide.
+        assert_eq!(cse_survivors(constants), vec![0, 1, 2, 3, 2, 1]);
+    }
+
+    #[test]
+    fn cse_merges_equal_multi_mib_constants_and_not_a_last_element_apart() {
+        // Not a multiple of the hash's 8-float block: the tail counts.
+        let len = (1 << 20) + 3;
+        let values: Vec<f32> = (0..len).map(|i| (i % 251) as f32 * 0.125 - 9.0).collect();
+        let mut last = values.clone();
+        *last.last_mut().unwrap() += 1.0;
+        let mut first = values.clone();
+        first[0] = -first[0];
+        let tensor = |data: Vec<f32>| Tensor::from_vec(&[len], data).unwrap();
+        let constants = vec![
+            tensor(values.clone()),
+            tensor(last),
+            tensor(values.clone()),
+            tensor(first),
+            Tensor::from_vec(&[1, len], values).unwrap(),
+        ];
+        assert_eq!(cse_survivors(constants), vec![0, 1, 0, 3, 4]);
     }
 
     #[test]
     fn fusion_rewrites_matmul_bias_relu_chains() {
         let (g, _x, o) = mlp_graph();
-        let outcome = OperatorFusion.run(&g, &[o]).unwrap();
+        let outcome = OperatorFusion.run(g, &[o]).unwrap();
         // Layer 1 (matmul+bias+relu) absorbs 2 nodes, layer 2
         // (matmul+bias, no relu) absorbs 1.
         assert_eq!(outcome.fused, 3);
@@ -376,7 +442,7 @@ mod tests {
         let _r = g.relu(ab).unwrap();
         // The matmul intermediate is itself fetched: fusing it away
         // would lose the fetch, so the chain must stay unfused.
-        let outcome = OperatorFusion.run(&g, &[_r, mm]).unwrap();
+        let outcome = OperatorFusion.run(g, &[_r, mm]).unwrap();
         assert_eq!(outcome.fused, 0);
 
         // Fan-out blocks fusion too: the bias output feeds two readers,
@@ -389,7 +455,7 @@ mod tests {
         let ab2 = g2.add_bias(mm2, b2).unwrap();
         let r2 = g2.relu(ab2).unwrap();
         let s2 = g2.sigmoid(ab2).unwrap();
-        let outcome2 = OperatorFusion.run(&g2, &[r2, s2]).unwrap();
+        let outcome2 = OperatorFusion.run(g2, &[r2, s2]).unwrap();
         assert_eq!(outcome2.fused, 1, "matmul absorbs; relu must not");
         let kinds: Vec<&str> = outcome2.graph.nodes().iter().map(|n| n.op.kind()).collect();
         assert!(kinds.contains(&"fused_matmul_bias"));
@@ -405,7 +471,7 @@ mod tests {
         let c = g.conv2d(x, f, Padding::Same).unwrap();
         let c = g.add_bias(c, b).unwrap();
         let c = g.relu(c).unwrap();
-        let outcome = OperatorFusion.run(&g, &[c]).unwrap();
+        let outcome = OperatorFusion.run(g, &[c]).unwrap();
         assert_eq!(outcome.fused, 2);
         assert!(outcome
             .graph
@@ -423,7 +489,7 @@ mod tests {
         let sum = g.add(c1, c2).unwrap();
         let w = g.relu(sum).unwrap();
         let out = g.matmul(x, w).unwrap();
-        let outcome = ConstantFolding.run(&g, &[out]).unwrap();
+        let outcome = ConstantFolding.run(g, &[out]).unwrap();
         assert_eq!(outcome.eliminated, 2, "add and relu fold");
         assert!(matches!(
             outcome.graph.nodes()[w.index()].op,
@@ -437,7 +503,7 @@ mod tests {
     fn pipeline_composes_remaps_and_reports() {
         let (mut g, _x, o) = mlp_graph();
         g.constant("dead", Tensor::zeros(&[64]));
-        let optimized = Pipeline::training().run(&g, &[o]).unwrap();
+        let optimized = Pipeline::training().run(g.clone(), &[o]).unwrap();
         // dead constant DCE'd; both layers fused.
         assert_eq!(optimized.report.nodes_eliminated(), 1);
         assert_eq!(optimized.report.nodes_fused(), 3);
@@ -450,7 +516,7 @@ mod tests {
         assert!(new_o.index() < optimized.graph.len());
         // The report's virtual time is a pure function of node counts:
         // running again gives the identical report.
-        let again = Pipeline::training().run(&g, &[o]).unwrap();
+        let again = Pipeline::training().run(g, &[o]).unwrap();
         assert_eq!(optimized.report, again.report);
     }
 
@@ -462,9 +528,9 @@ mod tests {
         let m1 = g.matmul(x, w).unwrap();
         let m2 = g.matmul(x, w).unwrap();
         let s = g.add(m1, m2).unwrap();
-        let train = Pipeline::training().run(&g, &[s]).unwrap();
+        let train = Pipeline::training().run(g.clone(), &[s]).unwrap();
         assert_eq!(train.graph.len(), g.len(), "duplicates kept for training");
-        let infer = Pipeline::inference().run(&g, &[s]).unwrap();
+        let infer = Pipeline::inference().run(g.clone(), &[s]).unwrap();
         assert_eq!(
             infer.graph.len(),
             g.len() - 1,

@@ -188,7 +188,8 @@ impl Session {
             } else {
                 Pipeline::inference()
             };
-            let optimized = pipeline.run(graph, roots)?;
+            // The graph is the caller's: the pipeline lowers a copy.
+            let optimized = pipeline.run(graph.clone(), roots)?;
             // Bound the cache: sessions normally see a handful of
             // distinct (graph, fetch-set) pairs; a runaway caller
             // resets rather than grows without limit.

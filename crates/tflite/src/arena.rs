@@ -192,7 +192,7 @@ mod tests {
 
         // What the serving enclave plans is the lowered graph: strictly
         // fewer nodes, so strictly fewer buffers to place.
-        let (lowered, report) = crate::optimize::optimize_for_inference(&inception).unwrap();
+        let (lowered, report) = crate::optimize::optimize_for_inference(inception).unwrap();
         assert!(report.nodes_after() < report.nodes_before());
         assert_eq!(lowered.graph().len(), report.nodes_after());
         let lowered_plan = plan_memory(&lowered, 1).unwrap();

@@ -20,6 +20,31 @@ fn not_one_row(detail: String) -> LiteError {
     })
 }
 
+/// The argmax label of each row of `output`, the model's answer to
+/// `input`: one label per input row. An output with another row count
+/// (a model whose output does not follow its input's rows) is a typed
+/// error, never a shorter or longer list that a caller would index by
+/// request.
+///
+/// # Errors
+///
+/// [`LiteError::Exec`] with a shape mismatch if the row counts differ,
+/// or if `output` is not rank 2.
+pub fn row_labels(input: &Tensor, output: &Tensor) -> Result<Vec<usize>, LiteError> {
+    let rows = |t: &Tensor| t.shape().first().copied();
+    if rows(input) != rows(output) {
+        return Err(LiteError::Exec(TensorError::ShapeMismatch {
+            op: "classify_batch",
+            detail: format!(
+                "input {:?} answered by output {:?}, not one row each",
+                input.shape(),
+                output.shape()
+            ),
+        }));
+    }
+    output.argmax_rows().map_err(LiteError::Exec)
+}
+
 /// Runs inference over a [`LiteModel`].
 ///
 /// See the crate-level example.
@@ -45,29 +70,30 @@ impl Interpreter {
     /// bit-identical for any pool; only the critical-path cost changes.
     ///
     /// The model is lowered through the shared inference pipeline
-    /// (DCE → CSE → fold → fuse) once, at construction, and every weight
-    /// whose one reader is a matmul's right operand is then stored in the
-    /// GEMM's panel order, in place of its row-major copy
-    /// ([`securetf_tensor::passes::pack_matmul_constants`]). Every run
+    /// (DCE → CSE → fold → fuse) once, at construction, where it lies:
+    /// [`optimize_for_inference`] consumes it and moves every weight into
+    /// the lowered graph. Every weight whose one reader is a matmul's
+    /// right operand is then stored in the GEMM's panel order, in its
+    /// own buffer ([`securetf_tensor::passes::pack_matmul_constants`],
+    /// the one step that rewrites weights, through one scratch). So
+    /// construction holds one copy of the weights plus that scratch, and
+    /// takes time in node count plus one read of every weight. Every run
     /// executes that graph, whose outputs are bit-identical to the model
     /// as given.
     ///
     /// Construction is infallible: if the pipeline rejects the model the
     /// rejection is stored and returned by every [`Interpreter::run`] —
-    /// an un-lowered graph is never executed. No [`LiteModel`] that the
-    /// public API can build is rejected today (`convert`, `rebound` and
-    /// `from_bytes` all validate the input/output bindings and the op
-    /// set, which is everything the pipeline checks), so this is a guard
-    /// for future passes rather than a reachable path.
+    /// an un-lowered graph is never executed, and [`Interpreter::model`]
+    /// is then a lone placeholder. No [`LiteModel`] that the public API
+    /// can build is rejected today (`convert`, `rebound` and `from_bytes`
+    /// all validate the input/output bindings and the op set, which is
+    /// everything the pipeline checks), so this is a guard for future
+    /// passes rather than a reachable path.
     pub fn with_pool(model: LiteModel, pool: WorkerPool) -> Self {
-        let (model, lowering) = match optimize_for_inference(&model) {
-            Ok((lowered, report)) => {
-                // Dropped before packing, so that packing's one-weight
-                // scratch comes on top of one copy of the weights, not two.
-                drop(model);
-                (lowered.with_packed_weights(), Ok(report))
-            }
-            Err(rejection) => (model, Err(rejection)),
+        let shell = model.shell();
+        let (model, lowering) = match optimize_for_inference(model) {
+            Ok((lowered, report)) => (lowered.with_packed_weights(), Ok(report)),
+            Err(rejection) => (shell, Err(rejection)),
         };
         Interpreter {
             model,
@@ -158,16 +184,18 @@ impl Interpreter {
     }
 
     /// Classifies a stacked `[batch, …]` input in one pass, returning one
-    /// argmax label per output row. Every kernel computes each output row
-    /// from its own input row with a fixed reduction order, so per-row
-    /// labels are bit-identical to running the rows one at a time.
+    /// argmax label per input row ([`row_labels`]). Every kernel computes
+    /// each output row from its own input row with a fixed reduction
+    /// order, so per-row labels are bit-identical to running the rows one
+    /// at a time.
     ///
     /// # Errors
     ///
-    /// Returns [`LiteError::Exec`] on shape or graph errors.
+    /// Returns [`LiteError::Exec`] on shape or graph errors, and with a
+    /// shape mismatch if the output's row count is not the input's.
     pub fn classify_batch(&mut self, input: &Tensor) -> Result<Vec<usize>, LiteError> {
         let out = self.run(input)?;
-        out.argmax_rows().map_err(LiteError::Exec)
+        row_labels(input, &out)
     }
 
     /// The model being interpreted: lowered, its matmul weights packed.
@@ -261,7 +289,7 @@ mod tests {
     fn readers_of_constants_see_the_lowered_model_row_major() {
         let model = dense_stack(&[37, 70, 29, 13]);
         let interp = Interpreter::new(model.clone());
-        let (lowered, _) = optimize_for_inference(&model).unwrap();
+        let (lowered, _) = optimize_for_inference(model).unwrap();
         // Every weight is packed; the biases are not matmul operands.
         assert_eq!(packed_count(interp.model()), 3);
         assert_eq!(packed_count(&lowered), 0);
@@ -373,6 +401,26 @@ mod tests {
             Err(LiteError::Exec(TensorError::ShapeMismatch { .. }))
         ));
         assert_eq!(interp.runs(), 1);
+    }
+
+    #[test]
+    fn a_batch_must_come_back_one_row_per_input_row() {
+        // The output is a constant row, whatever is fed.
+        let mut g = Graph::new();
+        g.placeholder("input", &[0, 4]);
+        g.constant("w", Tensor::from_vec(&[1, 3], vec![0.1, 0.9, 0.3]).unwrap());
+        let mut interp = Interpreter::new(LiteModel::convert(&g, "input", "w").unwrap());
+        assert_eq!(
+            interp.classify_batch(&Tensor::zeros(&[1, 4])).unwrap(),
+            vec![1]
+        );
+        assert!(matches!(
+            interp.classify_batch(&Tensor::zeros(&[3, 4])),
+            Err(LiteError::Exec(TensorError::ShapeMismatch {
+                op: "classify_batch",
+                ..
+            }))
+        ));
     }
 
     #[test]

@@ -67,6 +67,9 @@ pub enum LiteError {
     MissingNode(String),
     /// Model (de)serialization failed.
     MalformedModel(&'static str),
+    /// The input binding names a node of this kind, not a placeholder:
+    /// a fed tensor would replace a weight or a computed value.
+    InputNotPlaceholder(&'static str),
     /// An execution error from the underlying kernels.
     Exec(securetf_tensor::TensorError),
 }
@@ -77,6 +80,9 @@ impl fmt::Display for LiteError {
             LiteError::UnsupportedOp(op) => write!(f, "op not supported by lite runtime: {op}"),
             LiteError::MissingNode(name) => write!(f, "node not found: {name}"),
             LiteError::MalformedModel(why) => write!(f, "malformed lite model: {why}"),
+            LiteError::InputNotPlaceholder(kind) => {
+                write!(f, "lite model input is a {kind}, not a placeholder")
+            }
             LiteError::Exec(e) => write!(f, "execution error: {e}"),
         }
     }

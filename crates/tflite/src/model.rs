@@ -28,6 +28,16 @@ fn op_supported(op: &Op) -> Result<(), LiteError> {
     }
 }
 
+/// The input binding must be a placeholder: a feed bound to anything
+/// else would stand in for a weight or a computed value, and its rows
+/// need not become the output's rows.
+fn input_is_placeholder(graph: &Graph, input: NodeId) -> Result<(), LiteError> {
+    match &graph.nodes()[input.index()].op {
+        Op::Placeholder { .. } => Ok(()),
+        other => Err(LiteError::InputNotPlaceholder(other.kind())),
+    }
+}
+
 impl LiteModel {
     /// Converts a frozen graph (no variables) into a Lite model with the
     /// named input placeholder and output node.
@@ -37,6 +47,7 @@ impl LiteModel {
     /// * [`LiteError::UnsupportedOp`] if the graph contains training-only
     ///   ops (freeze it first).
     /// * [`LiteError::MissingNode`] if `input`/`output` are not found.
+    /// * [`LiteError::InputNotPlaceholder`] if `input` names another op.
     pub fn convert(graph: &Graph, input: &str, output: &str) -> Result<LiteModel, LiteError> {
         for node in graph.nodes() {
             op_supported(&node.op)?;
@@ -47,6 +58,7 @@ impl LiteModel {
         let output = graph
             .by_name(output)
             .ok_or_else(|| LiteError::MissingNode(output.to_string()))?;
+        input_is_placeholder(graph, input)?;
         Ok(LiteModel {
             graph: graph.clone(),
             input,
@@ -65,6 +77,7 @@ impl LiteModel {
     ///
     /// * [`LiteError::UnsupportedOp`] if `graph` contains training-only ops.
     /// * [`LiteError::MalformedModel`] if `input`/`output` are out of range.
+    /// * [`LiteError::InputNotPlaceholder`] if `input` is another op.
     pub fn rebound(
         &self,
         graph: Graph,
@@ -77,6 +90,7 @@ impl LiteModel {
         if input.index() >= graph.len() || output.index() >= graph.len() {
             return Err(LiteError::MalformedModel("binding out of range"));
         }
+        input_is_placeholder(&graph, input)?;
         Ok(LiteModel {
             graph,
             input,
@@ -127,6 +141,28 @@ impl LiteModel {
         self.declared_flops
     }
 
+    /// Moves the graph out, leaving an empty one: for a lowering that
+    /// consumes the graph and then rebinds its result onto this model's
+    /// metadata ([`LiteModel::rebound`]).
+    pub(crate) fn take_graph(&mut self) -> Graph {
+        std::mem::take(&mut self.graph)
+    }
+
+    /// A model with this one's name and declared FLOPs whose graph is a
+    /// lone input placeholder, bound as the output too: what stands in
+    /// for a model whose graph a failed lowering consumed.
+    pub(crate) fn shell(&self) -> LiteModel {
+        let mut graph = Graph::new();
+        let input = graph.placeholder("input", &[0]);
+        LiteModel {
+            graph,
+            input,
+            output: input,
+            name: self.name.clone(),
+            declared_flops: self.declared_flops,
+        }
+    }
+
     /// This model with every weight whose one reader is a matmul's right
     /// operand stored in the GEMM's panel order
     /// ([`securetf_tensor::passes::pack_matmul_constants`]): what the
@@ -152,16 +188,18 @@ impl LiteModel {
         self.graph.param_bytes()
     }
 
-    /// Serializes the model. Packed weights are written row-major: the
-    /// format has one kind of constant.
+    /// Serializes the model, written once into a buffer of its exact
+    /// length. Packed weights are written row-major, read from their
+    /// panels in place: the format has one kind of constant.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let header = LITE_MAGIC.len() + 4 + 4 + 8 + 4 + self.name.len();
+        let mut out = Vec::with_capacity(header + freeze::exported_len(&self.graph));
         out.extend_from_slice(LITE_MAGIC);
         put_u32(&mut out, self.input.index() as u32);
         put_u32(&mut out, self.output.index() as u32);
         out.extend_from_slice(&self.declared_flops.to_le_bytes());
         put_len_prefixed(&mut out, self.name.as_bytes());
-        out.extend_from_slice(&freeze::export_graph(&self.graph));
+        freeze::export_graph_into(&mut out, &self.graph);
         out
     }
 
@@ -169,9 +207,10 @@ impl LiteModel {
     ///
     /// # Errors
     ///
-    /// Returns [`LiteError::MalformedModel`] on corruption, or
+    /// Returns [`LiteError::MalformedModel`] on corruption,
     /// [`LiteError::UnsupportedOp`] if the embedded graph is not
-    /// inference-only.
+    /// inference-only, or [`LiteError::InputNotPlaceholder`] if the input
+    /// binding is not a placeholder.
     pub fn from_bytes(bytes: &[u8]) -> Result<LiteModel, LiteError> {
         let mut r = Reader::new(bytes);
         if &r.array::<5>()? != LITE_MAGIC {
@@ -193,6 +232,7 @@ impl LiteModel {
         let output = graph
             .node_id(output)
             .ok_or(LiteError::MalformedModel("output binding out of range"))?;
+        input_is_placeholder(&graph, input)?;
         Ok(LiteModel {
             graph,
             input,
@@ -265,6 +305,24 @@ mod tests {
             LiteModel::convert(&g, "input", "nope"),
             Err(LiteError::MissingNode(_))
         ));
+    }
+
+    #[test]
+    fn the_input_binding_must_be_a_placeholder() {
+        let g = inference_graph();
+        let model = LiteModel::convert(&g, "input", "softmax").unwrap();
+        let w = g.by_name("w").unwrap();
+        assert_eq!(
+            LiteModel::convert(&g, "w", "softmax").unwrap_err(),
+            LiteError::InputNotPlaceholder("const")
+        );
+        assert_eq!(
+            model.rebound(g.clone(), w, model.output()).unwrap_err(),
+            LiteError::InputNotPlaceholder("const")
+        );
+        // The output may be anything, the input itself included.
+        let input = model.input();
+        assert!(model.rebound(g, input, input).is_ok());
     }
 
     #[test]

@@ -99,16 +99,24 @@ pub fn prune_magnitude(model: &LiteModel, fraction: f32) -> (LiteModel, PruneRep
 /// `matmul/conv → add_bias[ → relu]` chains become fused single-kernel
 /// nodes (fewer arena slots, fewer EPC page touches).
 ///
+/// It consumes `model`: the pipeline moves the graph's nodes, weights
+/// included, into the lowered model, so the lowering copies no weight
+/// and holds one copy of them at any time. A caller that keeps the
+/// model passes a clone.
+///
 /// # Errors
 ///
 /// Returns [`LiteError::Exec`] if the pipeline rejects the graph.
-pub fn optimize_for_inference(model: &LiteModel) -> Result<(LiteModel, PipelineReport), LiteError> {
-    let optimized = Pipeline::inference().run(model.graph(), &[model.input(), model.output()])?;
+pub fn optimize_for_inference(
+    mut model: LiteModel,
+) -> Result<(LiteModel, PipelineReport), LiteError> {
+    let roots = [model.input(), model.output()];
+    let optimized = Pipeline::inference().run(model.take_graph(), &roots)?;
     let input = optimized
-        .target(model.input())
+        .target(roots[0])
         .ok_or(LiteError::MalformedModel("input eliminated"))?;
     let output = optimized
-        .target(model.output())
+        .target(roots[1])
         .ok_or(LiteError::MalformedModel("output eliminated"))?;
     let lite = model.rebound(optimized.graph, input, output)?;
     Ok((lite, optimized.report))
@@ -323,6 +331,57 @@ mod tests {
             (0..48).map(|i| ((i % 9) as f32 - 4.0) * 0.2).collect(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn the_densenet_lowering_keeps_its_node_ids() {
+        let model = crate::models::build(crate::models::DENSENET);
+        let before = model.graph().len();
+        let (lowered, report) = optimize_for_inference(model).unwrap();
+        // `input`, then per layer its weight, its bias and the fused
+        // product that took the relu's place, then the tail layer (no
+        // relu) and the softmax. `models::build`'s biases repeat every seven
+        // layers, so CSE merges those of layers 7 to 9 into those of
+        // layers 0 to 2; nothing else merges, nothing is reordered.
+        let mut want = vec!["0 placeholder input []".to_string()];
+        let (mut x, mut biases) = (0, Vec::new());
+        for layer in 0..=10 {
+            let w = want.len();
+            want.push(format!("{w} const layer{layer}/w []"));
+            let b = if (7..10).contains(&layer) {
+                biases[layer - 7]
+            } else {
+                want.push(format!("{} const layer{layer}/b []", w + 1));
+                w + 1
+            };
+            biases.push(b);
+            let (kind, name) = if layer < 10 {
+                ("fused_matmul_bias_relu", "relu")
+            } else {
+                ("fused_matmul_bias", "add_bias")
+            };
+            let fused = want.len();
+            want.push(format!("{fused} {kind} {name} [{x}, {w}, {b}]"));
+            x = fused;
+        }
+        want.push(format!("{} softmax softmax [{x}]", x + 1));
+        let got: Vec<String> = lowered
+            .graph()
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let inputs: Vec<usize> = n.op.inputs().iter().map(|id| id.index()).collect();
+                format!("{i} {} {} {inputs:?}", n.op.kind(), n.name)
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            (lowered.input().index(), lowered.output().index()),
+            (0, x + 1)
+        );
+        assert_eq!((before, report.nodes_before()), (56, 56));
+        assert_eq!((report.nodes_eliminated(), report.nodes_fused()), (3, 21));
     }
 
     #[test]

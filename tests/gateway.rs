@@ -413,6 +413,34 @@ fn a_request_of_several_rows_is_refused_not_flattened() {
 }
 
 #[test]
+fn a_batch_answered_with_one_row_is_refused_not_indexed_past() {
+    // The output is a constant row, whatever the input: a batch of three
+    // requests comes back as one row of logits, so there are not three
+    // labels to hand out.
+    let mut g = Graph::new();
+    g.placeholder("input", &[0, 4]);
+    g.constant("w", Tensor::from_vec(&[1, 3], vec![0.1, 0.9, 0.3]).unwrap());
+    let model = LiteModel::convert(&g, "input", "w").unwrap();
+    let (mut gateway, mut clients, _clock) =
+        gateway_with_clients(&model, GatewayConfig::default(), 1);
+    for id in 0..3 {
+        let request = Request::new(id, Tensor::full(&[1, 4], 0.5));
+        clients[0].send(&encode_request(&request)).unwrap();
+    }
+    gateway.flush().expect("flush");
+    let responses = drain_client(&mut clients[0]);
+    let ids: Vec<u64> = responses
+        .iter()
+        .map(|response| match response {
+            Response::Error { id, .. } => *id,
+            other => panic!("a batch of three got {other:?}"),
+        })
+        .collect();
+    assert_eq!(ids, vec![0, 1, 2]);
+    assert_eq!(gateway.report().batches, 1);
+}
+
+#[test]
 fn gateway_telemetry_counts_batches_and_queue_wait() {
     let model = demo_model();
     let config = GatewayConfig {

@@ -37,6 +37,7 @@ use securetf_tensor::tensor::Tensor;
 use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::model::LiteModel;
 use securetf_tflite::optimize::QuantizedModel;
+use securetf_tflite::LiteError;
 
 // ---- peak-allocation meter --------------------------------------------------
 
@@ -377,6 +378,35 @@ fn a_lite_conv_with_an_empty_kernel_is_refused_without_panicking() {
             );
         }
     }
+}
+
+/// The host can point a Lite model's input binding at any node. Bound to
+/// a weight or a computed value, a fed batch would stand in for it and
+/// need not come back one row per request (a constant `w` answers three
+/// rows with one), so the model is refused as it is decoded, and the
+/// converter refuses to write one.
+#[test]
+fn a_lite_model_whose_input_is_not_a_placeholder_is_refused() {
+    let mut g = Graph::new();
+    let x = g.placeholder("input", &[0, 4]);
+    let w = g.constant("w", Tensor::full(&[4, 3], 0.5));
+    let y = g.matmul(x, w).unwrap();
+    let output = g.nodes()[y.index()].name.clone();
+    let bytes = LiteModel::convert(&g, "input", &output).unwrap().to_bytes();
+    assert!(LiteModel::from_bytes(&bytes).is_ok());
+    // STFL1 | input | output | …
+    for (node, kind) in [(w, "const"), (y, "matmul")] {
+        let mut hostile = bytes.clone();
+        hostile[5..9].copy_from_slice(&(node.index() as u32).to_le_bytes());
+        assert_eq!(
+            LiteModel::from_bytes(&hostile).unwrap_err(),
+            LiteError::InputNotPlaceholder(kind),
+        );
+    }
+    assert_eq!(
+        LiteModel::convert(&g, "w", &output).unwrap_err(),
+        LiteError::InputNotPlaceholder("const"),
+    );
 }
 
 // ---- the fs shield's host-visible objects -------------------------------------

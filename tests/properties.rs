@@ -1175,7 +1175,7 @@ proptest! {
         prop_assert_eq!(packed, dims.len() - 1);
         let got = interpreter.run(&input).unwrap();
 
-        let (lowered, _) = optimize_for_inference(&lite).unwrap();
+        let (lowered, _) = optimize_for_inference(lite).unwrap();
         let feeds = HashMap::from([(lowered.input(), input.clone())]);
         let (want, stats) = PlannedExecutor::new()
             .run(lowered.graph(), &feeds, &HashMap::new(), &[lowered.output()], &WorkerPool::new(workers))

@@ -509,5 +509,5 @@ fn main() {
             );
         }
     }
-    report.emit();
+    report.emit(&securetf_bench::report::dir_from_env());
 }

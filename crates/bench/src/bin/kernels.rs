@@ -586,5 +586,5 @@ fn main() {
             );
         }
     }
-    report.emit();
+    report.emit(&securetf_bench::report::dir_from_env());
 }

@@ -1,13 +1,11 @@
-//! Shared support for the figure-regeneration binaries.
-//!
-//! Each `fig*` binary regenerates one table/figure of the paper's
-//! evaluation (§5) and prints the series the paper reports, plus the
-//! paper's own numbers for comparison. Latencies in these bins are
-//! **virtual time** from the TEE cost model (see `DESIGN.md` §4), so runs
-//! are deterministic; only the `kernels` and `crypto` bins read a wall
-//! clock. The repo's wall-clock end-to-end benchmark is `e2e`, in its own
-//! workspace under `e2ebench/` (declared by `BENCHMARK.json`).
+//! The paper's evaluation as a library: [`figures`] measures each figure
+//! in **virtual time** from the TEE cost model (`DESIGN.md` §4), so runs
+//! are deterministic; the `figures` binary prints them and writes their
+//! reports. Only the `kernels` and `crypto` binaries read a wall clock.
+//! The wall-clock end-to-end benchmark is `e2e`, in its own workspace
+//! under `e2ebench/` (declared by `BENCHMARK.json`).
 
+pub mod figures;
 pub mod report;
 
 /// Formats nanoseconds as adaptive human units.

@@ -1,16 +1,18 @@
 //! Machine-readable benchmark reports.
 //!
-//! Every `fig*` binary prints a human table *and* writes a
-//! `BENCH_<experiment>.json` file next to it, so CI can archive the
-//! numbers as artifacts and diff runs over time. All latencies are
-//! virtual nanoseconds from the TEE cost model, so two runs of the same
-//! binary produce byte-identical reports.
+//! Every figure prints a human table *and* yields a
+//! `BENCH_<experiment>.json` report. The figures' latencies are virtual
+//! nanoseconds from the TEE cost model, so two runs produce
+//! byte-identical reports: they are committed under
+//! `crates/bench/reports/` and the `paper_figures` test checks them
+//! against a fresh run. The wall-clock `kernels` and `crypto` reports
+//! are CI artifacts only.
 //!
 //! The JSON is hand-rolled (the workspace builds offline, without serde);
 //! [`JsonValue`] covers the handful of shapes the reports need.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A JSON value, sufficient for benchmark reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,30 +178,35 @@ impl BenchReport {
         format!("BENCH_{}.json", self.experiment)
     }
 
-    /// Writes the report to the current directory (or `$SECURETF_BENCH_DIR`
-    /// when set) and returns the path written.
+    /// Writes the report into `dir` and returns the path written.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from the write.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = std::env::var_os("SECURETF_BENCH_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."));
+    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
         let path = dir.join(self.file_name());
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
 
-    /// Writes the report and prints the path, swallowing (but reporting)
-    /// filesystem errors — a benchmark table is still useful when the
-    /// working directory is read-only.
-    pub fn emit(&self) {
-        match self.write() {
+    /// Writes the report into `dir` and prints the path, swallowing (but
+    /// reporting) filesystem errors — a benchmark table is still useful
+    /// when the directory is read-only.
+    pub fn emit(&self, dir: &Path) {
+        match self.write_to(dir) {
             Ok(path) => println!("\nwrote {}", path.display()),
             Err(e) => eprintln!("could not write {}: {e}", self.file_name()),
         }
     }
+}
+
+/// The directory a bench binary writes its reports to:
+/// `$SECURETF_BENCH_DIR` when set, else the current directory. Each
+/// binary reads it once, in `main`.
+pub fn dir_from_env() -> PathBuf {
+    std::env::var_os("SECURETF_BENCH_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."))
 }
 
 #[cfg(test)]
@@ -262,11 +269,8 @@ mod tests {
     fn write_honors_bench_dir() {
         let dir = std::env::temp_dir().join("securetf-bench-report-test");
         std::fs::create_dir_all(&dir).unwrap();
-        // Serialize access to the env var within this test only.
-        std::env::set_var("SECURETF_BENCH_DIR", &dir);
         let report = BenchReport::new("unit_test").mode("sim");
-        let path = report.write().unwrap();
-        std::env::remove_var("SECURETF_BENCH_DIR");
+        let path = report.write_to(&dir).unwrap();
         assert_eq!(path, dir.join("BENCH_unit_test.json"));
         let contents = std::fs::read_to_string(&path).unwrap();
         assert!(contents.contains("\"experiment\":\"unit_test\""));

@@ -66,7 +66,6 @@
 
 pub mod classifier;
 pub mod deployment;
-pub mod outsource;
 pub mod profile;
 pub mod secure_session;
 pub mod serving;
@@ -163,9 +162,6 @@ pub enum SecureTfError {
     Distrib(securetf_distrib::DistribError),
     /// Model integrity check failed at load time.
     ModelIntegrity(&'static str),
-    /// An outsourced computation failed its verification check
-    /// (a cheating or faulty accelerator).
-    OutsourceVerification(&'static str),
 }
 
 impl fmt::Display for SecureTfError {
@@ -178,7 +174,6 @@ impl fmt::Display for SecureTfError {
             SecureTfError::Lite(e) => write!(f, "lite: {e}"),
             SecureTfError::Distrib(e) => write!(f, "distrib: {e}"),
             SecureTfError::ModelIntegrity(why) => write!(f, "model integrity: {why}"),
-            SecureTfError::OutsourceVerification(why) => write!(f, "outsourcing: {why}"),
         }
     }
 }
@@ -192,7 +187,7 @@ impl Error for SecureTfError {
             SecureTfError::Tensor(e) => Some(e),
             SecureTfError::Lite(e) => Some(e),
             SecureTfError::Distrib(e) => Some(e),
-            SecureTfError::ModelIntegrity(_) | SecureTfError::OutsourceVerification(_) => None,
+            SecureTfError::ModelIntegrity(_) => None,
         }
     }
 }

@@ -58,9 +58,13 @@ fn pattern_weights(rows: usize, cols: usize, seed: usize) -> Tensor {
     // Deterministic mixed-sign weights with ~unit spectral scale; cheap to
     // generate at tens of MB.
     let scale = 1.0 / (rows as f32).sqrt();
+    // The offset alone repeats every 13 layers, so the multiplier moves
+    // with `seed / 13`: no two layers are bit-equal, and the lowering's
+    // CSE has nothing to merge.
+    let mul = 2654435761 + seed / 13;
     let data: Vec<f32> = (0..rows * cols)
         .map(|i| {
-            let v = ((i.wrapping_mul(2654435761).wrapping_add(seed * 97)) % 13) as f32 - 6.0;
+            let v = ((i.wrapping_mul(mul).wrapping_add(seed * 97)) % 13) as f32 - 6.0;
             v * scale / 6.0
         })
         .collect();
@@ -174,6 +178,19 @@ mod tests {
         let cols = out.shape()[1];
         let s: f32 = out.data()[..cols].iter().sum();
         assert!((s - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn the_lowered_inception_v4_keeps_its_weights() {
+        // Bit-equal layers would merge under CSE: the model the enclave
+        // holds, and the EPC pages, would be smaller than the paper's.
+        let interp = Interpreter::new(build(INCEPTION_V4));
+        let kept = interp.model().param_bytes();
+        assert!(
+            kept * 100 >= INCEPTION_V4.bytes * 99,
+            "lowered {kept} of {} bytes",
+            INCEPTION_V4.bytes
+        );
     }
 
     #[test]

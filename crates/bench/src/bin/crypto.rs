@@ -15,7 +15,10 @@
 //!    64 KiB (release builds, when `sha256::backend()` is `"sha-ni"`),
 //!    plus
 //! 4. a fig6-style fs-shield write/read comparison showing what parallel
-//!    chunk sealing and opening buy end to end.
+//!    chunk sealing and opening buy end to end, and the data owner's
+//!    42 MiB model file hashed and sealed, and copied, opened and hashed,
+//!    one lane after the other against `model_blob`'s two lanes (checked
+//!    byte for byte, timed, not gated).
 //!
 //! Reported, not gated: open beside seal, the record sizes the network
 //! shield moves (13 / 64 / 280 B; sub-microsecond timings on a shared VM
@@ -23,9 +26,10 @@
 //! and where the four-way Poly1305 body overtakes the portable one — the
 //! measurement `poly1305::VECTOR_MIN_BLOCKS` was read off.
 
+use securetf::model_blob;
 use securetf_bench::report::{BenchReport, JsonValue};
 use securetf_bench::{fmt_ns, fmt_ratio, header};
-use securetf_crypto::aead::{self, AeadCtx, Key, Nonce};
+use securetf_crypto::aead::{self, AeadCtx, Key, Nonce, TAG_LEN};
 use securetf_crypto::chacha20::{self, ChaCha20};
 use securetf_crypto::{poly1305, sha256};
 use securetf_shield::fs::{FsShield, UntrustedStore};
@@ -181,6 +185,84 @@ fn bench_sha256(len: usize, reps: usize) -> ShaRow {
         portable_ns,
         dispatched_ns,
         identical: portable == dispatched,
+    }
+}
+
+struct BlobRow {
+    seal_one_lane_ns: u64,
+    seal_two_lanes_ns: u64,
+    open_one_lane_ns: u64,
+    open_two_lanes_ns: u64,
+    identical: bool,
+}
+
+/// Best-of-`reps` nanoseconds of `op` on `buf` holding a copy of
+/// `plaintext` (the copy is not timed), and what the last call left.
+fn time_on_copy<R>(
+    reps: usize,
+    plaintext: &[u8],
+    buf: &mut Vec<u8>,
+    mut op: impl FnMut(&mut Vec<u8>) -> R,
+) -> (u64, R) {
+    let mut best = u64::MAX;
+    let mut last = None;
+    for _ in 0..reps.max(1) {
+        buf.clear();
+        buf.extend_from_slice(plaintext);
+        let t0 = Instant::now();
+        last = Some(op(buf));
+        best = best.min(t0.elapsed().as_nanos() as u64);
+    }
+    (best, last.expect("at least one rep"))
+}
+
+/// The data owner's model file at `len` bytes: publish's hash and seal
+/// and deploy's host copy, open and hash, one lane after the other (the
+/// primitives composed in sequence) against `model_blob`'s two lanes,
+/// with the sealed bytes, digests and plaintexts compared.
+fn bench_model_blob(len: usize, reps: usize) -> BlobRow {
+    const PATH: &str = "/models/m";
+    let key = model_blob::owner_key("bench", PATH);
+    let nonce = model_blob::nonce();
+    let plaintext = fill(23, len);
+    let mut buf = Vec::with_capacity(len + TAG_LEN);
+
+    let (seal_one_lane_ns, one_digest) = time_on_copy(reps, &plaintext, &mut buf, |buf| {
+        let digest = sha256::digest(buf);
+        let tag = aead::seal_in_place_detached(&key, &nonce, buf, PATH.as_bytes());
+        buf.extend_from_slice(&tag);
+        digest
+    });
+    let one_sealed = buf.clone();
+    let (seal_two_lanes_ns, two_digest) = time_on_copy(reps, &plaintext, &mut buf, |buf| {
+        model_blob::seal(&key, PATH, buf)
+    });
+
+    let store = UntrustedStore::new();
+    store.raw_put(PATH, one_sealed.clone());
+    let (open_one_lane_ns, one_opened) = time_ns(reps, || {
+        let mut opened = store.raw_contents(PATH).expect("stored");
+        let tag = opened.split_off(len);
+        aead::open_in_place_detached(&key, &nonce, &mut opened, &tag, PATH.as_bytes()).map(|()| {
+            let digest = sha256::digest(&opened);
+            (opened, digest)
+        })
+    });
+    let (open_two_lanes_ns, two_opened) =
+        time_ns(reps, || model_blob::open(&store, &key, PATH, len + TAG_LEN));
+
+    let digest = sha256::digest(&plaintext);
+    let identical = one_digest == digest
+        && two_digest == digest
+        && one_sealed == buf
+        && one_opened.is_ok_and(|opened| opened == (plaintext.clone(), digest))
+        && two_opened.is_ok_and(|opened| opened == (plaintext, digest));
+    BlobRow {
+        seal_one_lane_ns,
+        seal_two_lanes_ns,
+        open_one_lane_ns,
+        open_two_lanes_ns,
+        identical,
     }
 }
 
@@ -413,6 +495,55 @@ fn main() {
             .ratio(
                 &format!("{key}.speedup"),
                 row.portable_ns as f64 / row.dispatched_ns.max(1) as f64,
+            );
+    }
+
+    // The data owner's model file at the Densenet stand-in's size.
+    let blob_len = 42 << 20;
+    let blob = bench_model_blob(blob_len, reps);
+    all_identical &= blob.identical;
+    println!();
+    header(
+        &format!(
+            "Model file, {}: one lane after the other vs two lanes",
+            fmt_len(blob_len)
+        ),
+        &[
+            "op             ",
+            "one lane  ",
+            "two lanes ",
+            "speedup",
+            "bit-identical",
+        ],
+    );
+    for (op, key, one_ns, two_ns) in [
+        (
+            "hash+seal",
+            "hash_seal",
+            blob.seal_one_lane_ns,
+            blob.seal_two_lanes_ns,
+        ),
+        (
+            "copy+open+hash",
+            "copy_open_hash",
+            blob.open_one_lane_ns,
+            blob.open_two_lanes_ns,
+        ),
+    ] {
+        println!(
+            "{:<15} | {:>10} | {:>10} | {:>7} | {}",
+            op,
+            fmt_ns(one_ns),
+            fmt_ns(two_ns),
+            fmt_ratio(one_ns, two_ns),
+            blob.identical
+        );
+        report = report
+            .latency_ns(&format!("model_blob.{key}.one_lane_ns"), one_ns)
+            .latency_ns(&format!("model_blob.{key}.two_lanes_ns"), two_ns)
+            .ratio(
+                &format!("model_blob.{key}.speedup"),
+                one_ns as f64 / two_ns.max(1) as f64,
             );
     }
 

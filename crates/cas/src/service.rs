@@ -315,6 +315,11 @@ impl CasService {
         self.attestations_served
     }
 
+    /// Whether a policy named `name` is registered.
+    pub fn has_service(&self, name: &str) -> bool {
+        self.policies.contains_key(name)
+    }
+
     /// Names of registered services.
     pub fn services(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.policies.keys().map(String::as_str).collect();

@@ -8,11 +8,11 @@
 //! workspace, and the syscall/threading model.
 
 use crate::deployment::{service_image, MODEL_DIGEST_SECRET, MODEL_KEY_SECRET};
+use crate::model_blob;
 use crate::profile::RuntimeProfile;
 use crate::SecureTfError;
 use securetf_cas::service::CasService;
-use securetf_crypto::aead::{self, Key, Nonce};
-use securetf_crypto::sha256;
+use securetf_crypto::aead::Key;
 use securetf_shield::fs::UntrustedStore;
 use securetf_tee::{Enclave, ExecutionMode, Platform, RegionId, SimClock, Telemetry};
 use securetf_tensor::tensor::Tensor;
@@ -95,36 +95,20 @@ impl SecureClassifier {
             (Key::from_bytes(key_bytes), Some(digest))
         } else {
             // Native baseline still needs the key to read the stored file.
-            let mut key_bytes = [0u8; 32];
-            key_bytes.copy_from_slice(&sha256::digest(
-                format!("owner-model-key:{service}:{path}").as_bytes(),
-            ));
-            (Key::from_bytes(key_bytes), None)
+            (model_blob::owner_key(service, path), None)
         };
 
-        // Load the encrypted model from untrusted storage.
+        // Load the encrypted model from untrusted storage: copied, opened
+        // and hashed in one pass, and parsed only once the tag and the
+        // digest both match.
         enclave.charge_syscall();
-        let sealed = store
-            .raw_contents(path)
+        let len = store
+            .raw_len(path)
             .ok_or(SecureTfError::ModelIntegrity("model file missing"))?;
-        let nonce = Nonce::from_counter(0x4d4f_4445, 1);
-        enclave.charge_shield_crypto(sealed.len() as u64);
-        // Verify-then-decrypt the stored blob in its own buffer: the
-        // ciphertext read from the host becomes the plaintext in place.
-        let mut plaintext = sealed;
-        let tag: [u8; aead::TAG_LEN] = plaintext
-            .len()
-            .checked_sub(aead::TAG_LEN)
-            .and_then(|tag_start| plaintext.split_off(tag_start).try_into().ok())
-            .ok_or(SecureTfError::ModelIntegrity(
-                "decryption/authentication failed",
-            ))?;
-        aead::open_in_place_detached(&key, &nonce, &mut plaintext, &tag, path.as_bytes())
-            .map_err(|_| SecureTfError::ModelIntegrity("decryption/authentication failed"))?;
-        if let Some(digest) = expected_digest {
-            if sha256::digest(&plaintext) != digest {
-                return Err(SecureTfError::ModelIntegrity("digest mismatch"));
-            }
+        enclave.charge_shield_crypto(len as u64);
+        let (plaintext, digest) = model_blob::open(store, &key, path, len)?;
+        if expected_digest.is_some_and(|expected| expected != digest) {
+            return Err(SecureTfError::ModelIntegrity("digest mismatch"));
         }
         let model = LiteModel::from_bytes(&plaintext)?;
         // The parsed model holds the weights now: the plaintext goes

@@ -5,12 +5,12 @@
 //! enclaves on untrusted machines attest to CAS and receive the keys.
 
 use crate::classifier::SecureClassifier;
+use crate::model_blob;
 use crate::profile::RuntimeProfile;
 use crate::SecureTfError;
 use securetf_cas::policy::ServicePolicy;
 use securetf_cas::service::CasService;
-use securetf_crypto::aead::{self, Key, Nonce};
-use securetf_crypto::sha256;
+use securetf_cas::CasError;
 use securetf_shield::fs::UntrustedStore;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock, Telemetry};
 use securetf_tflite::model::LiteModel;
@@ -42,6 +42,9 @@ pub struct Deployment {
     service_image: EnclaveImage,
     clock: Option<SimClock>,
     telemetry: Telemetry,
+    /// Every `(service, path)` a model file was sealed under and stored
+    /// for: each names a key, and the nonce is fixed.
+    sealed: Vec<(String, String)>,
 }
 
 impl Deployment {
@@ -89,6 +92,7 @@ impl Deployment {
             service_image,
             clock,
             telemetry,
+            sealed: Vec::new(),
         }
     }
 
@@ -107,30 +111,45 @@ impl Deployment {
         self.mode
     }
 
-    /// Data-owner operation: registers a CAS policy named `service`
-    /// carrying the model's decryption key and expected digest, then
-    /// encrypts `model` and stores it at `path` on the untrusted store.
+    /// Data-owner operation: encrypts `model` and stores it at `path` on
+    /// the untrusted store, and registers a CAS policy named `service`
+    /// carrying the model's decryption key and expected digest.
+    ///
+    /// The serialized model is hashed and sealed in place in one pass on
+    /// two lanes ([`model_blob::seal`]), and the policy is registered
+    /// after it: the store sees the ciphertext only once the policy is in
+    /// force, and a refused policy drops the ciphertext.
     ///
     /// # Errors
     ///
-    /// Returns [`SecureTfError::Cas`] if the service name is taken; the
-    /// store is then left as it was, so a live service keeps its model
-    /// and no second ciphertext is sealed under its key and nonce.
+    /// * [`SecureTfError::Cas`] if the service name is taken (checked
+    ///   before anything is sealed) or the policy is refused.
+    /// * [`SecureTfError::ModelAlreadySealed`] if this deployment sealed
+    ///   a model for `service` at `path` before, even under a policy since
+    ///   removed: the key derives from the pair and the nonce is fixed, so
+    ///   a second seal would hand the host two plaintexts under one
+    ///   keystream.
+    ///
+    /// On every error the store is left as it was, so a live service
+    /// keeps its model.
     pub fn publish_model(
         &mut self,
         service: &str,
         path: &str,
         model: &LiteModel,
     ) -> Result<(), SecureTfError> {
-        let plaintext = model.to_bytes();
-        let digest = sha256::digest(&plaintext);
-        let mut key_bytes = [0u8; 32];
-        // The owner's key derives from the service identity in this
-        // simulation; a real owner draws it from an HSM or CSPRNG.
-        key_bytes.copy_from_slice(&sha256::digest(
-            format!("owner-model-key:{service}:{path}").as_bytes(),
-        ));
-        let key = Key::from_bytes(key_bytes);
+        if self.cas.has_service(service) {
+            return Err(CasError::DuplicateService(service.to_string()).into());
+        }
+        if self.sealed.iter().any(|(s, p)| s == service && p == path) {
+            return Err(SecureTfError::ModelAlreadySealed {
+                service: service.to_string(),
+                path: path.to_string(),
+            });
+        }
+        let key = model_blob::owner_key(service, path);
+        let mut sealed = model.to_bytes();
+        let digest = model_blob::seal(&key, path, &mut sealed);
         // Allow every runtime profile's enclave identity: the data owner
         // reviews and approves each runtime build it trusts.
         let mut policy = ServicePolicy::new(service)
@@ -144,26 +163,24 @@ impl Deployment {
             policy = policy.allow_measurement(service_image(profile.runtime_bytes).measurement());
         }
         self.cas.register_policy(policy)?;
-        // Encrypt the serialized model in place and append the detached
-        // tag: one buffer end to end, no ciphertext copy.
-        let nonce = Nonce::from_counter(0x4d4f_4445, 1);
-        let mut sealed = plaintext;
-        sealed.reserve_exact(aead::TAG_LEN);
-        let tag = aead::seal_in_place_detached(&key, &nonce, &mut sealed, path.as_bytes());
-        sealed.extend_from_slice(&tag);
+        self.sealed.push((service.to_string(), path.to_string()));
         self.store.raw_put(path, sealed);
         Ok(())
     }
 
     /// Boots a classifier service on a fresh machine: creates the enclave,
     /// attests to CAS, fetches the model key, loads and verifies the
-    /// encrypted model.
+    /// encrypted model. The model file is copied from the host, opened
+    /// and hashed in one pass on two lanes ([`model_blob::open`]), and
+    /// parsed only once both its tag and its digest match.
     ///
     /// # Errors
     ///
     /// * [`SecureTfError::Cas`] on attestation/policy failure.
     /// * [`SecureTfError::ModelIntegrity`] if the stored model was
-    ///   tampered with or substituted.
+    ///   tampered with or substituted: `"model file missing"`, `"model
+    ///   file shorter than a tag"`, `"model file changed while read"`,
+    ///   `"decryption/authentication failed"` or `"digest mismatch"`.
     pub fn deploy_classifier(
         &mut self,
         service: &str,

@@ -66,6 +66,7 @@
 
 pub mod classifier;
 pub mod deployment;
+pub mod model_blob;
 pub mod profile;
 pub mod secure_session;
 pub mod serving;
@@ -162,6 +163,14 @@ pub enum SecureTfError {
     Distrib(securetf_distrib::DistribError),
     /// Model integrity check failed at load time.
     ModelIntegrity(&'static str),
+    /// The deployment sealed a model file for this service and path
+    /// before: their key and nonce would seal a second plaintext.
+    ModelAlreadySealed {
+        /// The service the model was published for.
+        service: String,
+        /// Where the model file lives on the untrusted store.
+        path: String,
+    },
 }
 
 impl fmt::Display for SecureTfError {
@@ -174,6 +183,10 @@ impl fmt::Display for SecureTfError {
             SecureTfError::Lite(e) => write!(f, "lite: {e}"),
             SecureTfError::Distrib(e) => write!(f, "distrib: {e}"),
             SecureTfError::ModelIntegrity(why) => write!(f, "model integrity: {why}"),
+            SecureTfError::ModelAlreadySealed { service, path } => write!(
+                f,
+                "model file {path} of {service} is sealed already: another seal would reuse its key and nonce"
+            ),
         }
     }
 }
@@ -187,7 +200,7 @@ impl Error for SecureTfError {
             SecureTfError::Tensor(e) => Some(e),
             SecureTfError::Lite(e) => Some(e),
             SecureTfError::Distrib(e) => Some(e),
-            SecureTfError::ModelIntegrity(_) => None,
+            SecureTfError::ModelIntegrity(_) | SecureTfError::ModelAlreadySealed { .. } => None,
         }
     }
 }

@@ -227,7 +227,7 @@ impl SecureSession {
             .name
             .clone();
         let converted =
-            securetf_tflite::model::LiteModel::convert(&inference, &input_name, &output_name)?;
+            securetf_tflite::model::LiteModel::from_graph(inference, &input_name, &output_name)?;
         // Lower through the full shared pipeline (DCE + CSE + fold +
         // fuse): the exported artifact is what the serving enclave keeps
         // resident in EPC, so every eliminated node shrinks that region.

@@ -4,7 +4,7 @@
 //! file-system shield, the network shield record layer, EPC page sealing
 //! and the CAS secret database all encrypt through this module.
 //!
-//! Three API tiers share one wire format (`ciphertext || tag`):
+//! Four API tiers share one wire format (`ciphertext || tag`):
 //!
 //! * **in-place detached** ([`seal_in_place_detached`] /
 //!   [`open_in_place_detached`], also on [`AeadCtx`]) — encrypts the
@@ -13,6 +13,10 @@
 //!   keystream from a single ChaCha20 key schedule (block 0 → one-time
 //!   key, blocks 1.. → payload) — for a record of up to 448 bytes, from a
 //!   single engine call,
+//! * **chunked** ([`Sealer`] / [`Opener`]) — one long record a chunk at
+//!   a time, in place, tag at the end: the bytes and tag of the in-place
+//!   tier for every chunking, so a caller can hand each chunk to another
+//!   pass (a digest, a copy) while the next one is in flight,
 //! * **allocating wrappers** ([`seal`] / [`open`]) — the original
 //!   convenience API, now thin shims over the in-place core with output
 //!   capacity reserved up front, and
@@ -316,6 +320,178 @@ impl AeadCtx {
                 Err(e)
             }
         }
+    }
+}
+
+/// The running state of one record sealed or opened a chunk at a time:
+/// the payload keystream from block 1 on, the authenticator keyed by
+/// block 0 with the padded AAD already absorbed, and the keystream left
+/// over from a block the last chunk ended inside, so that any chunking
+/// of the record meets the same keystream and MAC input as
+/// [`seal_in_place_detached`] does in one call.
+struct Stream {
+    cipher: ChaCha20,
+    mac: Poly1305,
+    /// The last block drawn from `cipher`; its bytes before `used` are spent.
+    spare: [u8; 64],
+    used: usize,
+    aad_len: u64,
+    len: u64,
+}
+
+impl Stream {
+    fn new(key: &Key, nonce: &Nonce, aad: &[u8]) -> Self {
+        let mut cipher = ChaCha20::new(&key.0, &nonce.0, 0);
+        let block0 = cipher.next_block();
+        let mut mac = Poly1305::new(block0.first_chunk().expect("a block is longer than a key"));
+        mac.update_padded(aad);
+        Stream {
+            cipher,
+            mac,
+            spare: [0; 64],
+            used: 64,
+            aad_len: aad.len() as u64,
+            len: 0,
+        }
+    }
+
+    /// XORs the next `buf.len()` keystream bytes into `buf`: what is left
+    /// of the spare block, the whole blocks on the wide engines, and a
+    /// tail from one fresh block whose rest is kept for the next chunk.
+    fn keystream(&mut self, buf: &mut [u8]) {
+        let (head, rest) = buf.split_at_mut((64 - self.used).min(buf.len()));
+        xor_into(head, &self.spare[self.used..]);
+        self.used += head.len();
+        let (whole, tail) = rest.split_at_mut(rest.len() / 64 * 64);
+        if !whole.is_empty() {
+            self.cipher.apply_keystream(whole);
+        }
+        if !tail.is_empty() {
+            self.spare = self.cipher.next_block();
+            xor_into(tail, &self.spare);
+            self.used = tail.len();
+        }
+    }
+
+    /// Absorbs the next ciphertext bytes into the tag.
+    fn absorb(&mut self, ciphertext: &[u8]) {
+        self.mac.update(ciphertext);
+        self.len += ciphertext.len() as u64;
+    }
+
+    /// The RFC 7539 tag over everything absorbed: the ciphertext's
+    /// `pad16`, then the two lengths.
+    fn tag(mut self) -> [u8; TAG_LEN] {
+        let partial = (self.len % 16) as usize;
+        if partial != 0 {
+            self.mac.update(&[0u8; 16][partial..]);
+        }
+        let mut lens = [0u8; 16];
+        lens[..8].copy_from_slice(&self.aad_len.to_le_bytes());
+        lens[8..].copy_from_slice(&self.len.to_le_bytes());
+        self.mac.update_padded(&lens);
+        self.mac.finalize()
+    }
+}
+
+/// Seals one long record a chunk at a time, in place, with the tag at the
+/// end: for every way of cutting the record into chunks, the ciphertext
+/// and tag are those of [`seal_in_place_detached`] on the whole record.
+/// Long records only — it starts its keystream with a block of its own
+/// instead of the one engine call a short record takes in one piece.
+///
+/// ```
+/// use securetf_crypto::aead::{seal_in_place_detached, Key, Nonce, Sealer};
+///
+/// let (key, nonce) = (Key::from_bytes([3; 32]), Nonce::from_counter(1, 1));
+/// let mut whole = vec![7u8; 1000];
+/// let tag = seal_in_place_detached(&key, &nonce, &mut whole, b"aad");
+/// let mut chunked = vec![7u8; 1000];
+/// let mut sealer = Sealer::new(&key, &nonce, b"aad");
+/// for chunk in chunked.chunks_mut(300) {
+///     sealer.seal_chunk(chunk);
+/// }
+/// assert_eq!((chunked, sealer.finish()), (whole, tag));
+/// ```
+pub struct Sealer(Stream);
+
+impl std::fmt::Debug for Sealer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Sealer(..)")
+    }
+}
+
+impl Sealer {
+    /// Starts a record under `key` and `nonce` with associated data `aad`.
+    pub fn new(key: &Key, nonce: &Nonce, aad: &[u8]) -> Self {
+        Sealer(Stream::new(key, nonce, aad))
+    }
+
+    /// Encrypts the record's next bytes in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if the record outgrows the 32-bit
+    /// block counter (256 GiB under one nonce).
+    pub fn seal_chunk(&mut self, chunk: &mut [u8]) {
+        self.0.keystream(chunk);
+        self.0.absorb(chunk);
+    }
+
+    /// The record's detached tag.
+    pub fn finish(self) -> [u8; TAG_LEN] {
+        self.0.tag()
+    }
+}
+
+/// Opens one long record a chunk at a time, the counterpart of
+/// [`Sealer`]: each chunk is authenticated, then decrypted where it lies.
+/// The plaintext counts for nothing until [`Opener::finish`] has checked
+/// the tag — it takes the buffer the chunks were decrypted in and hands
+/// it back only if the tag verifies, and drops it otherwise.
+pub struct Opener(Stream);
+
+impl std::fmt::Debug for Opener {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Opener(..)")
+    }
+}
+
+impl Opener {
+    /// Starts a record under `key` and `nonce` with associated data `aad`.
+    pub fn new(key: &Key, nonce: &Nonce, aad: &[u8]) -> Self {
+        Opener(Stream::new(key, nonce, aad))
+    }
+
+    /// Absorbs the record's next ciphertext bytes, then decrypts them in
+    /// place.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sealer::seal_chunk`].
+    pub fn open_chunk(&mut self, chunk: &mut [u8]) {
+        self.0.absorb(chunk);
+        self.0.keystream(chunk);
+    }
+
+    /// Checks `tag` over every chunk opened, and returns `plaintext` —
+    /// the buffer those chunks were decrypted in — if it verifies.
+    ///
+    /// # Errors
+    ///
+    /// * [`CryptoError::TruncatedInput`] if `tag` is not [`TAG_LEN`] bytes
+    ///   or `plaintext` is not as long as the chunks opened.
+    /// * [`CryptoError::TagMismatch`] if authentication fails.
+    ///
+    /// `plaintext` is dropped on every error.
+    pub fn finish(self, tag: &[u8], plaintext: Vec<u8>) -> Result<Vec<u8>, CryptoError> {
+        if tag.len() != TAG_LEN || plaintext.len() as u64 != self.0.len {
+            return Err(CryptoError::TruncatedInput);
+        }
+        if !ct::eq(&self.0.tag(), tag) {
+            return Err(CryptoError::TagMismatch);
+        }
+        Ok(plaintext)
     }
 }
 

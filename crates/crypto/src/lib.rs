@@ -16,8 +16,9 @@
 //!   body on 26-bit limbs ([`poly1305::backend`])
 //! * [`aead`] — ChaCha20-Poly1305 AEAD (RFC 7539), with zero-allocation
 //!   in-place detached seal/open on a reusable [`aead::AeadCtx`] (one
-//!   ChaCha20 engine call per short record) plus the original allocating
-//!   and reference paths for A/B comparison
+//!   ChaCha20 engine call per short record), one long record sealed or
+//!   opened a chunk at a time ([`aead::Sealer`] / [`aead::Opener`]), plus
+//!   the original allocating and reference paths for A/B comparison
 //! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748)
 //! * [`drbg`] — a deterministic HMAC-DRBG (NIST SP 800-90A style)
 //! * [`ct`] — constant-time comparison helpers

@@ -2,10 +2,12 @@
 //! detached, context append — must produce bytes identical to the
 //! retained reference implementation across arbitrary payload lengths
 //! and every AAD alignment, and the multi-block ChaCha20 fast path must
-//! emit the reference keystream.
+//! emit the reference keystream. The chunked tier ([`aead::Sealer`] /
+//! [`aead::Opener`]) must give the in-place tier's bytes and tag for any
+//! cut of a record up to a mebibyte, and refuse any flipped bit.
 
 use proptest::prelude::*;
-use securetf_crypto::aead::{self, AeadCtx, Key, Nonce, TAG_LEN};
+use securetf_crypto::aead::{self, AeadCtx, Key, Nonce, Opener, Sealer, TAG_LEN};
 use securetf_crypto::chacha20::ChaCha20;
 
 // The record sizes where seal / open change path: nothing to encrypt, one
@@ -56,6 +58,109 @@ fn short_path_boundaries_match_the_reference() {
                 .unwrap();
             assert_eq!(opened[1..], plaintext[..], "{case}: open_append");
         }
+    }
+}
+
+/// `buf` cut into consecutive chunks whose lengths cycle through `cuts`
+/// (each at least one byte), preceded by an empty one.
+fn cut<'a>(mut buf: &'a mut [u8], cuts: &[usize]) -> Vec<&'a mut [u8]> {
+    let mut chunks = vec![Default::default()];
+    for &len in cuts.iter().cycle() {
+        if buf.is_empty() {
+            break;
+        }
+        let len = len.clamp(1, buf.len());
+        let (chunk, rest) = std::mem::take(&mut buf).split_at_mut(len);
+        chunks.push(chunk);
+        buf = rest;
+    }
+    chunks
+}
+
+/// Opens `ciphertext` chunk by chunk along `cuts` and checks `tag`.
+fn open_chunked(
+    key: &Key,
+    nonce: &Nonce,
+    ciphertext: &[u8],
+    tag: &[u8],
+    aad: &[u8],
+    cuts: &[usize],
+) -> Result<Vec<u8>, securetf_crypto::CryptoError> {
+    let mut opener = Opener::new(key, nonce, aad);
+    let mut plaintext = ciphertext.to_vec();
+    for chunk in cut(&mut plaintext, cuts) {
+        opener.open_chunk(chunk);
+    }
+    opener.finish(tag, plaintext)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn chunked_seal_and_open_match_the_one_shot_record(
+        len in 0usize..(1 << 20) + 77,
+        scale in 0usize..3,
+        aad_len in 0usize..40,
+        cuts in prop::collection::vec((1usize..(1 << 18), 0usize..3), 1..6),
+        key_seed in any::<u8>(),
+        seq in any::<u64>(),
+        flip in any::<prop::sample::Index>(),
+    ) {
+        // A mebibyte, 16 KiB or 256 B scale, so short records and short
+        // chunks (off the 16- and 64-byte grids) come up as often as long.
+        let len = len >> (6 * scale);
+        let cuts: Vec<usize> = cuts.iter().map(|&(c, s)| c >> (6 * s)).collect();
+        let key = Key::from_bytes(std::array::from_fn(|i| key_seed ^ (i * 29) as u8));
+        let nonce = Nonce::from_counter(0x4d4f_4445, seq);
+        let plaintext: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(167) >> 3) as u8).collect();
+        let aad: Vec<u8> = (0..aad_len).map(|i| (i * 13 + 1) as u8).collect();
+
+        let mut whole = plaintext.clone();
+        let tag = aead::seal_in_place_detached(&key, &nonce, &mut whole, &aad);
+        let mut chunked = plaintext.clone();
+        let mut sealer = Sealer::new(&key, &nonce, &aad);
+        for chunk in cut(&mut chunked, &cuts) {
+            sealer.seal_chunk(chunk);
+        }
+        prop_assert!(chunked == whole, "chunked ciphertext diverged at len {}", len);
+        prop_assert_eq!(sealer.finish(), tag);
+
+        let opened = open_chunked(&key, &nonce, &whole, &tag, &aad, &cuts);
+        prop_assert!(opened.as_deref() == Ok(&plaintext[..]), "chunked open failed at len {}", len);
+
+        // One flipped bit anywhere in ciphertext, tag or AAD fails the open.
+        let (mut ciphertext, mut bad_tag, mut bad_aad) = (whole, tag, aad);
+        let bit = flip.index((len + TAG_LEN + aad_len) * 8);
+        let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+        if byte < len {
+            ciphertext[byte] ^= mask;
+        } else if byte < len + TAG_LEN {
+            bad_tag[byte - len] ^= mask;
+        } else {
+            bad_aad[byte - len - TAG_LEN] ^= mask;
+        }
+        prop_assert_eq!(
+            open_chunked(&key, &nonce, &ciphertext, &bad_tag, &bad_aad, &cuts),
+            Err(securetf_crypto::CryptoError::TagMismatch)
+        );
+    }
+}
+
+#[test]
+fn an_opener_refuses_a_short_tag_or_a_buffer_of_another_length() {
+    let (key, nonce) = (Key::from_bytes([5; 32]), Nonce::from_counter(2, 9));
+    let mut record = vec![0x5au8; 300];
+    let tag = aead::seal_in_place_detached(&key, &nonce, &mut record, b"");
+    for (tag, plaintext_len) in [(&tag[..15], 300), (&tag[..], 299)] {
+        let mut opener = Opener::new(&key, &nonce, b"");
+        let mut buf = record.clone();
+        opener.open_chunk(&mut buf);
+        buf.truncate(plaintext_len);
+        assert_eq!(
+            opener.finish(tag, buf),
+            Err(securetf_crypto::CryptoError::TruncatedInput)
+        );
     }
 }
 

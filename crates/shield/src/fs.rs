@@ -123,6 +123,24 @@ impl UntrustedStore {
         self.inner.lock().files.get(path).cloned()
     }
 
+    /// Host-side size of a stored file.
+    pub fn raw_len(&self, path: &str) -> Option<usize> {
+        self.inner.lock().files.get(path).map(Vec::len)
+    }
+
+    /// Host-side ranged read: copies the `out.len()` bytes at `offset`
+    /// into `out` under the store lock, the only work done there. Returns
+    /// false, and leaves `out` alone, if the file is missing or ends
+    /// before the range does.
+    pub fn raw_read_at(&self, path: &str, offset: usize, out: &mut [u8]) -> bool {
+        let state = self.inner.lock();
+        let range = state.files.get(path).and_then(|data| {
+            let end = offset.checked_add(out.len())?;
+            data.get(offset..end)
+        });
+        range.map(|bytes| out.copy_from_slice(bytes)).is_some()
+    }
+
     /// Whether the disk image holds `path` (host-side, like the other
     /// `raw_*` views; copies nothing).
     pub fn contains(&self, path: &str) -> bool {

@@ -40,7 +40,19 @@ fn input_is_placeholder(graph: &Graph, input: NodeId) -> Result<(), LiteError> {
 
 impl LiteModel {
     /// Converts a frozen graph (no variables) into a Lite model with the
-    /// named input placeholder and output node.
+    /// named input placeholder and output node, leaving `graph` to its
+    /// caller: [`LiteModel::from_graph`] on a clone of it.
+    ///
+    /// # Errors
+    ///
+    /// As [`LiteModel::from_graph`].
+    pub fn convert(graph: &Graph, input: &str, output: &str) -> Result<LiteModel, LiteError> {
+        Self::from_graph(graph.clone(), input, output)
+    }
+
+    /// Converts a frozen graph (no variables) into a Lite model with the
+    /// named input placeholder and output node. The model takes the graph
+    /// as it is: no node and no weight is copied.
     ///
     /// # Errors
     ///
@@ -48,7 +60,7 @@ impl LiteModel {
     ///   ops (freeze it first).
     /// * [`LiteError::MissingNode`] if `input`/`output` are not found.
     /// * [`LiteError::InputNotPlaceholder`] if `input` names another op.
-    pub fn convert(graph: &Graph, input: &str, output: &str) -> Result<LiteModel, LiteError> {
+    pub fn from_graph(graph: Graph, input: &str, output: &str) -> Result<LiteModel, LiteError> {
         for node in graph.nodes() {
             op_supported(&node.op)?;
         }
@@ -58,9 +70,9 @@ impl LiteModel {
         let output = graph
             .by_name(output)
             .ok_or_else(|| LiteError::MissingNode(output.to_string()))?;
-        input_is_placeholder(graph, input)?;
+        input_is_placeholder(&graph, input)?;
         Ok(LiteModel {
-            graph: graph.clone(),
+            graph,
             input,
             output,
             name: "converted".to_string(),

@@ -114,11 +114,9 @@ pub fn build(spec: ModelSpec) -> LiteModel {
     x = g.add_bias(x, b).expect("nodes from this graph");
 
     let out = g.softmax(x).expect("nodes from this graph");
-    let _ = out;
-    // Rename the output node for stable lookup.
-    let out_id = g.node_id(g.len() - 1).expect("non-empty");
-    let name_of_out = g.nodes()[out_id.index()].name.clone();
-    LiteModel::convert(&g, "input", &name_of_out)
+    let name_of_out = g.nodes()[out.index()].name.clone();
+    // The model takes the graph by move: its weights are not copied.
+    LiteModel::from_graph(g, "input", &name_of_out)
         .expect("inference-only by construction")
         .with_name(spec.name)
         .with_declared_flops(spec.flops)

@@ -283,7 +283,7 @@ impl QuantizedModel {
         }
         let input_name = graph.nodes()[model.input().index()].name.clone();
         let output_name = graph.nodes()[model.output().index()].name.clone();
-        Ok(LiteModel::convert(&graph, &input_name, &output_name)?
+        Ok(LiteModel::from_graph(graph, &input_name, &output_name)?
             .with_name(model.name())
             .with_declared_flops(model.declared_flops()))
     }

@@ -1,5 +1,7 @@
-//! Counting-allocator proof that loading a model costs memory in nodes,
-//! not in weights: `Interpreter::new` lowers the model where it lies —
+//! Counting-allocator proof that building and loading a model cost
+//! memory in nodes, not in weights: `models::build` hands the graph it
+//! built to the model by move, so it allocates the weights once plus
+//! O(nodes) bytes; `Interpreter::new` lowers the model where it lies —
 //! the pass pipeline moves every weight from the model it is handed into
 //! the lowered graph — and packs the matmul weights through one scratch,
 //! so it allocates at most the largest weight plus O(nodes) bytes; and
@@ -64,8 +66,13 @@ fn loading_and_exporting_a_model_allocate_no_copy_of_its_weights() {
         bytes: 12 << 20,
         flops: 0.0,
     };
-    let model = models::build(spec);
+    let (model, bytes) = allocated(|| models::build(spec));
     let nodes = model.graph().len() as u64;
+    assert!(
+        bytes <= model.param_bytes() + nodes * PER_NODE,
+        "models::build allocated {bytes} bytes for {nodes} nodes and {} bytes of weights",
+        model.param_bytes()
+    );
     let largest = model
         .graph()
         .nodes()

@@ -13,11 +13,16 @@
 //! plaintext, under `Supervisor::remount` after seeded chaos, over two
 //! shields sharing one file key, and over the other state that reaches
 //! the host through the shield: `SecureSession` checkpoints across an
-//! enclave respawn and the CAS policy store across a CAS restart.
+//! enclave respawn and the CAS policy store across a CAS restart. The
+//! data owner's model file, sealed outside the shield under a key per
+//! service and path and a fixed nonce, is held to the same property
+//! across a republish.
 //! Everything is test-side: the shield has no hook, feature or knob for
 //! it.
 
+use securetf::deployment::Deployment;
 use securetf::secure_session::SecureSession;
+use securetf::SecureTfError;
 use securetf_cas::kvstore::KvStore;
 use securetf_cas::policy::ServicePolicy;
 use securetf_cas::service::CasService;
@@ -30,7 +35,8 @@ use securetf_shield::fs::{FsShield, UntrustedStore, CHUNK_SIZE};
 use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, Telemetry};
 use securetf_tensor::layers::{self, Classifier};
 use securetf_tensor::optimizer::Sgd;
-use securetf_tensor::{freeze, tensor::Tensor};
+use securetf_tensor::{freeze, graph::Graph, tensor::Tensor};
+use securetf_tflite::model::LiteModel;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -379,6 +385,52 @@ fn no_keystream_repeats_in_the_cas_store_across_a_cas_restart() {
     let serve = ServicePolicy::new("serve").with_secret("tls-key", &[0x44; 32]);
     cas.register_policy(serve.clone()).expect("register");
     ledger.after_write(&store, &cas_image(&[&serve, &train(0x33)]));
+}
+
+// ---- the data owner's model file across a republish ---------------------------
+
+fn lite_model(weight: f32) -> LiteModel {
+    let mut g = Graph::new();
+    let x = g.placeholder("input", &[0, 64]);
+    let w = g.constant("w", Tensor::full(&[64, 32], weight));
+    let y = g.matmul(x, w).expect("matmul");
+    let name = g.nodes()[y.index()].name.clone();
+    LiteModel::from_graph(g, "input", &name).expect("lite")
+}
+
+#[test]
+fn no_keystream_repeats_when_a_model_is_republished_at_its_path() {
+    // The owner takes a service down and publishes another model under
+    // the same service name at the same path. The key derives from the
+    // pair and the nonce is fixed, so a second seal would be the first
+    // one's keystream over other weights: the deployment refuses it and
+    // leaves the host's file alone.
+    let mut deployment = Deployment::new(ExecutionMode::Hardware);
+    let store = deployment.store().clone();
+    let mut ledger = Ledger::default();
+    let (first, second) = (lite_model(0.25), lite_model(-0.5));
+    deployment
+        .publish_model("svc", "/models/m", &first)
+        .expect("publish");
+    ledger.after_write(&store, &first.to_bytes());
+    let live = store.raw_contents("/models/m");
+    assert!(deployment.cas_mut().remove_policy("svc").expect("remove"));
+    let republished = deployment.publish_model("svc", "/models/m", &second);
+    ledger.after_write(&store, &second.to_bytes());
+    assert!(
+        matches!(
+            &republished,
+            Err(SecureTfError::ModelAlreadySealed { service, path })
+                if service == "svc" && path == "/models/m"
+        ),
+        "{republished:?}"
+    );
+    assert_eq!(store.raw_contents("/models/m"), live);
+    // Another path is another key.
+    deployment
+        .publish_model("svc", "/models/m2", &second)
+        .expect("publish elsewhere");
+    ledger.after_write(&store, &second.to_bytes());
 }
 
 // ---- supervised training across remounts ---------------------------------------

@@ -121,16 +121,7 @@ impl SecureClassifier {
         // the resident regions all describe the same (optimized) model.
         let interpreter = Interpreter::new(model);
         if let Some(report) = interpreter.pipeline_report() {
-            let telemetry = enclave.telemetry();
-            telemetry
-                .counter("compiler.nodes_eliminated")
-                .add(report.nodes_eliminated());
-            telemetry
-                .counter("compiler.nodes_fused")
-                .add(report.nodes_fused());
-            telemetry
-                .counter("compiler.pass_ns")
-                .add(report.virtual_ns());
+            crate::charge_compiler_report(&enclave, report);
         }
 
         // Model and workspace live in enclave memory. Single-pass

@@ -74,6 +74,43 @@ pub mod serving;
 use std::error::Error;
 use std::fmt;
 
+/// Records the compiler's work on telemetry and the enclave clock:
+/// `compiler.*` counters plus one `compiler.<pass>` span per executed
+/// pass, which spends the pass's *deterministic* virtual time (derived
+/// from node counts, never wall clock) as [`CostCategory::Other`]. A
+/// pipeline that changed nothing records nothing, so same-seed digests
+/// are unaffected when node counts are equal.
+///
+/// [`CostCategory::Other`]: securetf_tee::CostCategory::Other
+pub(crate) fn charge_compiler_report(
+    enclave: &securetf_tee::Enclave,
+    report: &securetf_tensor::passes::PipelineReport,
+) {
+    if !report.changed() {
+        return;
+    }
+    let telemetry = enclave.telemetry();
+    telemetry
+        .counter("compiler.nodes_eliminated")
+        .add(report.nodes_eliminated());
+    telemetry
+        .counter("compiler.nodes_fused")
+        .add(report.nodes_fused());
+    telemetry
+        .counter("compiler.pass_ns")
+        .add(report.virtual_ns());
+    for pass in &report.passes {
+        let name = match pass.name {
+            "dce" => "compiler.dce",
+            "fold" => "compiler.fold",
+            "fuse" => "compiler.fuse",
+            _ => "compiler.pass",
+        };
+        let _span = telemetry.span(name);
+        enclave.spend(securetf_tee::CostCategory::Other, pass.virtual_ns);
+    }
+}
+
 /// Records per-kernel-family flop and virtual-time counters
 /// (`kernel.<family>.flops` / `kernel.<family>.ns`) for a run's stats on
 /// the enclave's telemetry, using the enclave's own compute rate, and the

@@ -57,38 +57,11 @@ impl SecureSession {
         self.session.set_worker_pool(pool);
     }
 
-    /// Records the compiler's work on telemetry: `compiler.*` counters
-    /// plus one span per executed pass, charged with the pass's
-    /// *deterministic* virtual time (derived from node counts, never
-    /// wall clock). A pipeline that changed nothing records nothing, so
-    /// same-seed digests are unaffected when node counts are equal.
+    /// Charges the compiler's work for every graph compiled since the
+    /// last charge ([`crate::charge_compiler_report`]).
     fn charge_compiler_reports(&mut self) {
         for report in self.session.take_pipeline_reports() {
-            if !report.changed() {
-                continue;
-            }
-            let telemetry = self.enclave.telemetry();
-            telemetry
-                .counter("compiler.nodes_eliminated")
-                .add(report.nodes_eliminated());
-            telemetry
-                .counter("compiler.nodes_fused")
-                .add(report.nodes_fused());
-            telemetry
-                .counter("compiler.pass_ns")
-                .add(report.virtual_ns());
-            for pass in &report.passes {
-                let name = match pass.name {
-                    "dce" => "compiler.dce",
-                    "cse" => "compiler.cse",
-                    "fold" => "compiler.fold",
-                    "fuse" => "compiler.fuse",
-                    _ => "compiler.pass",
-                };
-                let _span = telemetry.span(name);
-                self.enclave
-                    .spend(securetf_tee::CostCategory::Other, pass.virtual_ns);
-            }
+            crate::charge_compiler_report(&self.enclave, &report);
         }
     }
 
@@ -228,8 +201,8 @@ impl SecureSession {
             .clone();
         let converted =
             securetf_tflite::model::LiteModel::from_graph(inference, &input_name, &output_name)?;
-        // Lower through the full shared pipeline (DCE + CSE + fold +
-        // fuse): the exported artifact is what the serving enclave keeps
+        // Lower through the compiler's pipeline (DCE + fold + fuse): the
+        // exported artifact is what the serving enclave keeps
         // resident in EPC, so every eliminated node shrinks that region.
         let before_peak = securetf_tflite::arena::plan_memory(&converted, 1)
             .map(|p| p.peak_bytes)

@@ -347,9 +347,6 @@ pub struct DistributedTrainer {
     comm: CommConfig,
     comm_stats: CommStats,
     comm_metrics: CommMetrics,
-    /// Encoded dense entry body per variable, dropped when the PS apply
-    /// changes the variable — unchanged variables are never re-encoded.
-    weight_cache: HashMap<u32, Vec<u8>>,
     /// The steps' broadcast and exchange time; [`Self::elapsed_ns`] adds
     /// all PS-clock time since `ps_start_ns`.
     global_ns: u64,
@@ -405,7 +402,6 @@ impl DistributedTrainer {
             comm: CommConfig::default(),
             comm_stats: CommStats::default(),
             comm_metrics,
-            weight_cache: HashMap::new(),
             global_ns: 0,
             steps: 0,
             samples: 0,
@@ -510,23 +506,22 @@ impl DistributedTrainer {
         }
 
         // 1. Broadcast current weights: one dense frame per shard,
-        //    assembled from cached entry bodies (only variables the last
-        //    apply actually changed are re-encoded). The broadcast stays
-        //    dense — workers must hold the exact global model.
+        //    encoded from the PS variables. The broadcast stays dense —
+        //    workers must hold the exact global model.
         let broadcast_span = telemetry.span("distrib.broadcast");
-        for (id, t) in self.ps_session.variables() {
-            let raw = id.index() as u32;
-            self.weight_cache
-                .entry(raw)
-                .or_insert_with(|| wire::encode_dense_entry(raw, t));
-        }
+        let entries: Vec<Vec<u8>> = self
+            .ps_session
+            .variables()
+            .into_iter()
+            .map(|(id, t)| wire::encode_dense_entry(id.index() as u32, t))
+            .collect();
         let mut shard_frames: Vec<Vec<u8>> = Vec::with_capacity(ps_count);
         for s in 0..ps_count {
-            let bodies: Vec<&[u8]> = var_meta
+            let bodies: Vec<&[u8]> = entries
                 .iter()
                 .zip(&shard_index)
                 .filter(|(_, &si)| si == s)
-                .map(|((raw, _), _)| self.weight_cache[raw].as_slice())
+                .map(|(entry, _)| entry.as_slice())
                 .collect();
             shard_frames.push(wire::assemble_dense_frame(&bodies));
         }
@@ -661,13 +656,7 @@ impl DistributedTrainer {
                     .ok_or(DistribError::BadMessage("gradient for non-variable"))?;
                 let updated = current.zip(&grad, |v, g| v - scale * g)?;
                 param_flops += 2.0 * updated.len() as f64;
-                if updated.data() == current.data() {
-                    // Update is a bit-level no-op (e.g. zero gradient):
-                    // keep the cached broadcast encoding.
-                    continue;
-                }
                 self.ps_session.set_variable(id, updated)?;
-                self.weight_cache.remove(&raw_id);
             }
         }
         // Shard application parallelizes across the PS nodes.
@@ -761,8 +750,6 @@ impl DistributedTrainer {
     /// a checkpoint of this model; nothing is installed then.
     pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), DistribError> {
         freeze::restore_checkpoint(&self.model.graph, &mut self.ps_session, bytes)?;
-        // The restored weights invalidate every cached broadcast body.
-        self.weight_cache.clear();
         Ok(())
     }
 

@@ -557,7 +557,7 @@ mod tests {
         let logits = g.add_bias(mm, b).unwrap();
         let out = g.softmax(logits).unwrap();
 
-        let optimized = Pipeline::inference().run(g.clone(), &[x, out]).unwrap();
+        let optimized = Pipeline::lowering().run(g.clone(), &[x, out]).unwrap();
         assert!(optimized.report.nodes_fused() >= 2);
         let fused_out = optimized.target(out).unwrap();
         let fused_x = optimized.target(x).unwrap();

@@ -1,4 +1,4 @@
-//! The graph compiler: a deterministic pass pipeline shared by the
+//! The graph compiler: one deterministic pass pipeline shared by the
 //! training executor and Lite inference (DESIGN.md §16).
 //!
 //! secureTF's cost driver is what the enclave executes: every node a
@@ -9,10 +9,10 @@
 //! * [`Pass`] — one graph-to-graph rewrite that takes the graph by
 //!   value and returns the new graph plus an old-id → new-id remap,
 //! * [`Pipeline`] — a fixed, deterministic pass sequence that composes
-//!   the remaps and produces a [`PipelineReport`],
-//! * the four shipped passes: [`DeadCodeElimination`],
-//!   [`CommonSubexpressionElimination`], [`ConstantFolding`], and
-//!   [`OperatorFusion`],
+//!   the remaps and produces a [`PipelineReport`]; every caller lowers
+//!   through [`Pipeline::lowering`],
+//! * the three shipped passes: [`DeadCodeElimination`],
+//!   [`ConstantFolding`], and [`OperatorFusion`],
 //! * and, after them, for serving only, [`pack_matmul_constants`]: the
 //!   weights in the GEMM's panel order (DESIGN.md §11).
 //!
@@ -32,11 +32,9 @@
 //!   that apply the same per-element epilogue in the same order, and the
 //!   fused backward uses the identical kernels and accumulation order as
 //!   the unfused sequence (see [`crate::kernels::matmul_bias_relu_with`]).
-//! * CSE merges structurally identical subexpressions. Forward values
-//!   are bit-identical (same computation), but merging changes how
-//!   float gradient contributions *accumulate* (`f'·(g₁+g₂)` is not
-//!   bitwise `f'·g₁ + f'·g₂`), so CSE is only part of
-//!   [`Pipeline::inference`], never [`Pipeline::training`].
+//!
+//! Every pass is gradient-safe, so training and inference lower through
+//! the same pipeline.
 //!
 //! Pass timing is *virtual*: [`PassStats::virtual_ns`] is derived from
 //! node counts alone (never wall clock), so same-seed telemetry digests
@@ -44,19 +42,16 @@
 //!
 //! **A pass consumes its graph.** Nodes move from the input into the
 //! output; a surviving constant keeps its buffer, an eliminated one is
-//! dropped where the pass skips it, and nothing copies a weight. So a
-//! lowering costs time in node count plus one read of every weight (the
-//! CSE content hash), and memory in node count on top of the graph it
-//! was handed. A caller that still needs the graph it lowers clones it
-//! at the call site.
+//! dropped where the pass skips it, and nothing copies or reads a
+//! weight that folding does not evaluate. So a lowering costs time and
+//! memory in node count on top of the graph it was handed. A caller
+//! that still needs the graph it lowers clones it at the call site.
 
-mod cse;
 mod dce;
 mod fold;
 mod fuse;
 mod pack;
 
-pub use cse::CommonSubexpressionElimination;
 pub use dce::DeadCodeElimination;
 pub use fold::ConstantFolding;
 pub use fuse::OperatorFusion;
@@ -79,7 +74,7 @@ pub struct PassOutcome {
     /// `remap[old.index()]` is the surviving id in `graph`, or `None`
     /// if the node was eliminated/absorbed.
     pub remap: Vec<Option<NodeId>>,
-    /// Nodes whose computation the pass removed (DCE'd, CSE-merged, or
+    /// Nodes whose computation the pass removed (DCE'd or
     /// constant-folded).
     pub eliminated: u64,
     /// Nodes absorbed into fused operators.
@@ -145,7 +140,7 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Total nodes eliminated (DCE + CSE + folded) across all passes.
+    /// Total nodes eliminated (DCE + folded) across all passes.
     pub fn nodes_eliminated(&self) -> u64 {
         self.passes.iter().map(|p| p.eliminated).sum()
     }
@@ -202,29 +197,15 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// A pipeline running exactly `passes`, in order.
-    pub fn new(passes: Vec<Box<dyn Pass>>) -> Pipeline {
+    fn new(passes: Vec<Box<dyn Pass>>) -> Pipeline {
         Pipeline { passes }
     }
 
-    /// The training pipeline: DCE → constant folding → fusion.
-    ///
-    /// CSE is deliberately absent: merging duplicate subexpressions
-    /// reroutes float gradient *accumulation* through a single node,
-    /// which is not bitwise-identical to summing the duplicates'
-    /// gradients separately.
-    pub fn training() -> Pipeline {
+    /// The pipeline every caller lowers through, training and inference
+    /// alike: DCE → constant folding → fusion.
+    pub fn lowering() -> Pipeline {
         Pipeline::new(vec![
             Box::new(DeadCodeElimination),
-            Box::new(ConstantFolding),
-            Box::new(OperatorFusion),
-        ])
-    }
-
-    /// The inference pipeline: DCE → CSE → constant folding → fusion.
-    pub fn inference() -> Pipeline {
-        Pipeline::new(vec![
-            Box::new(DeadCodeElimination),
-            Box::new(CommonSubexpressionElimination),
             Box::new(ConstantFolding),
             Box::new(OperatorFusion),
         ])
@@ -318,106 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn cse_merges_structural_duplicates_only() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", &[0, 2]);
-        let w = g.constant("w", Tensor::full(&[2, 2], 0.5));
-        let m1 = g.matmul(x, w).unwrap();
-        let m2 = g.matmul(x, w).unwrap(); // duplicate
-        let s = g.add(m1, m2).unwrap();
-        let d = g.scale(m1, 2.0).unwrap(); // distinct (scale payload)
-        let e = g.scale(m1, 3.0).unwrap();
-        let outcome = CommonSubexpressionElimination.run(g, &[s, d, e]).unwrap();
-        assert_eq!(outcome.eliminated, 1, "only the duplicate matmul merges");
-        // m2 now maps to m1's surviving id.
-        assert_eq!(outcome.remap[m2.index()], outcome.remap[m1.index()]);
-        // The two scales stay distinct.
-        assert_ne!(outcome.remap[d.index()], outcome.remap[e.index()]);
-    }
-
-    #[test]
-    fn cse_never_merges_placeholders_or_variables() {
-        let mut g = Graph::new();
-        let a = g.placeholder("a", &[0, 2]);
-        let b = g.placeholder("b", &[0, 2]);
-        let v1 = g.variable("v1", Tensor::zeros(&[2]));
-        let v2 = g.variable("v2", Tensor::zeros(&[2]));
-        let s = g.add(a, b).unwrap();
-        let outcome = CommonSubexpressionElimination
-            .run(g.clone(), &[s, v1, v2])
-            .unwrap();
-        assert_eq!(outcome.eliminated, 0);
-        assert_eq!(outcome.graph.len(), g.len());
-    }
-
-    #[test]
-    fn cse_merges_bit_identical_constants() {
-        let mut g = Graph::new();
-        let c1 = g.constant("c1", Tensor::full(&[3], 1.5));
-        let c2 = g.constant("c2", Tensor::full(&[3], 1.5));
-        let c3 = g.constant("c3", Tensor::full(&[3], 1.5 + 1e-7));
-        let s = g.add(c1, c2).unwrap();
-        let t = g.add(s, c3).unwrap();
-        let outcome = CommonSubexpressionElimination.run(g, &[t]).unwrap();
-        assert_eq!(outcome.eliminated, 1, "only the bitwise-equal pair merges");
-    }
-
-    /// For each of `constants`, CSE'd as roots of one graph, the index of
-    /// the first constant it shares a node with.
-    fn cse_survivors(constants: Vec<Tensor>) -> Vec<usize> {
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = constants
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| g.constant(&format!("c{i}"), t))
-            .collect();
-        let outcome = CommonSubexpressionElimination.run(g, &ids).unwrap();
-        ids.iter()
-            .map(|id| {
-                let kept = outcome.remap[id.index()];
-                ids.iter()
-                    .position(|other| outcome.remap[other.index()] == kept)
-                    .unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn cse_keeps_signed_zeros_and_nan_payloads_apart() {
-        let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
-        let constants = vec![
-            Tensor::full(&[5], 0.0),
-            Tensor::full(&[5], -0.0),
-            Tensor::full(&[5], nan(1)),
-            Tensor::full(&[5], nan(2)),
-            Tensor::full(&[5], nan(1)),
-            Tensor::full(&[5], -0.0),
-        ];
-        // `==` would merge the zeros and never merge a NaN; bits decide.
-        assert_eq!(cse_survivors(constants), vec![0, 1, 2, 3, 2, 1]);
-    }
-
-    #[test]
-    fn cse_merges_equal_multi_mib_constants_and_not_a_last_element_apart() {
-        // Not a multiple of the hash's 8-float block: the tail counts.
-        let len = (1 << 20) + 3;
-        let values: Vec<f32> = (0..len).map(|i| (i % 251) as f32 * 0.125 - 9.0).collect();
-        let mut last = values.clone();
-        *last.last_mut().unwrap() += 1.0;
-        let mut first = values.clone();
-        first[0] = -first[0];
-        let tensor = |data: Vec<f32>| Tensor::from_vec(&[len], data).unwrap();
-        let constants = vec![
-            tensor(values.clone()),
-            tensor(last),
-            tensor(values.clone()),
-            tensor(first),
-            Tensor::from_vec(&[1, len], values).unwrap(),
-        ];
-        assert_eq!(cse_survivors(constants), vec![0, 1, 0, 3, 4]);
-    }
-
-    #[test]
     fn fusion_rewrites_matmul_bias_relu_chains() {
         let (g, _x, o) = mlp_graph();
         let outcome = OperatorFusion.run(g, &[o]).unwrap();
@@ -503,7 +384,7 @@ mod tests {
     fn pipeline_composes_remaps_and_reports() {
         let (mut g, _x, o) = mlp_graph();
         g.constant("dead", Tensor::zeros(&[64]));
-        let optimized = Pipeline::training().run(g.clone(), &[o]).unwrap();
+        let optimized = Pipeline::lowering().run(g.clone(), &[o]).unwrap();
         // dead constant DCE'd; both layers fused.
         assert_eq!(optimized.report.nodes_eliminated(), 1);
         assert_eq!(optimized.report.nodes_fused(), 3);
@@ -516,25 +397,29 @@ mod tests {
         assert!(new_o.index() < optimized.graph.len());
         // The report's virtual time is a pure function of node counts:
         // running again gives the identical report.
-        let again = Pipeline::training().run(g, &[o]).unwrap();
+        let again = Pipeline::lowering().run(g, &[o]).unwrap();
         assert_eq!(optimized.report, again.report);
     }
 
     #[test]
-    fn training_pipeline_has_no_cse() {
+    fn the_pipeline_keeps_equal_subexpressions() {
+        // Equal computations and bit-equal constants are distinct nodes
+        // after lowering: the lowered graph holds every weight it was
+        // built with.
         let mut g = Graph::new();
         let x = g.placeholder("x", &[0, 2]);
         let w = g.variable("w", Tensor::full(&[2, 2], 0.5));
+        let c1 = g.constant("c1", Tensor::full(&[2], 1.5));
+        let c2 = g.constant("c2", Tensor::full(&[2], 1.5));
         let m1 = g.matmul(x, w).unwrap();
         let m2 = g.matmul(x, w).unwrap();
         let s = g.add(m1, m2).unwrap();
-        let train = Pipeline::training().run(g.clone(), &[s]).unwrap();
-        assert_eq!(train.graph.len(), g.len(), "duplicates kept for training");
-        let infer = Pipeline::inference().run(g.clone(), &[s]).unwrap();
-        assert_eq!(
-            infer.graph.len(),
-            g.len() - 1,
-            "duplicates merged for inference"
-        );
+        let s = g.add_bias(s, c1).unwrap();
+        let s = g.add_bias(s, c2).unwrap();
+        let lowered = Pipeline::lowering().run(g.clone(), &[s]).unwrap();
+        assert_eq!(lowered.graph.len(), g.len());
+        assert_eq!(lowered.graph.param_bytes(), g.param_bytes());
+        assert_ne!(lowered.target(m1), lowered.target(m2));
+        assert_ne!(lowered.target(c1), lowered.target(c2));
     }
 }

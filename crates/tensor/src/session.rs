@@ -39,11 +39,12 @@ impl CompiledGraph {
 /// Structural fingerprint of a compilation request (FNV-1a). Covers
 /// every input that can change what the pipeline produces: op kinds,
 /// graph wiring, attribute payloads, constant *data* (folding bakes the
-/// values into the optimized graph), leaf shapes, the requested roots,
-/// and whether the training or inference pipeline applies. Variable
+/// values into the optimized graph), leaf shapes, and the requested
+/// roots. `run` and `train` lower through the same pipeline, so one
+/// compiled graph serves both for the same roots. Variable
 /// values are deliberately excluded — folding never evaluates them and
 /// execution reads them from the session's own state.
-fn compile_key(graph: &Graph, roots: &[NodeId], train: bool) -> u64 {
+fn compile_key(graph: &Graph, roots: &[NodeId]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |byte: u8| {
         hash ^= u64::from(byte);
@@ -54,7 +55,6 @@ fn compile_key(graph: &Graph, roots: &[NodeId], train: bool) -> u64 {
             h(b);
         }
     };
-    eat(u8::from(train));
     eat_usize(&mut eat, graph.len());
     for node in graph.nodes() {
         for &b in node.op.kind().as_bytes() {
@@ -175,21 +175,11 @@ impl Session {
 
     /// Compiles `graph` for the given roots if not already cached, and
     /// returns the cache key.
-    fn ensure_compiled(
-        &mut self,
-        graph: &Graph,
-        roots: &[NodeId],
-        train: bool,
-    ) -> Result<u64, TensorError> {
-        let key = compile_key(graph, roots, train);
+    fn ensure_compiled(&mut self, graph: &Graph, roots: &[NodeId]) -> Result<u64, TensorError> {
+        let key = compile_key(graph, roots);
         if !self.compiled.contains_key(&key) {
-            let pipeline = if train {
-                Pipeline::training()
-            } else {
-                Pipeline::inference()
-            };
             // The graph is the caller's: the pipeline lowers a copy.
-            let optimized = pipeline.run(graph.clone(), roots)?;
+            let optimized = Pipeline::lowering().run(graph.clone(), roots)?;
             // Bound the cache: sessions normally see a handful of
             // distinct (graph, fetch-set) pairs; a runaway caller
             // resets rather than grows without limit.
@@ -286,7 +276,7 @@ impl Session {
         for &fetch in fetches {
             graph.node(fetch)?;
         }
-        let key = self.ensure_compiled(graph, fetches, false)?;
+        let key = self.ensure_compiled(graph, fetches)?;
         let compiled = self.compiled.get(&key).expect("just compiled");
         let feed_map = compiled.translate_feeds(feeds);
         let new_fetches: Vec<NodeId> = fetches
@@ -348,7 +338,7 @@ impl Session {
         loss: NodeId,
     ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
         graph.node(loss)?;
-        let key = self.ensure_compiled(graph, &[loss], true)?;
+        let key = self.ensure_compiled(graph, &[loss])?;
         let compiled = self.compiled.get(&key).expect("just compiled");
         let new_loss = compiled.target(loss).ok_or(TensorError::UnknownNode)?;
         let new_feeds = compiled.translate_feeds(feeds);

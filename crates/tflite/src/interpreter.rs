@@ -69,15 +69,16 @@ impl Interpreter {
     /// Creates an interpreter whose kernels run on `pool`. Outputs are
     /// bit-identical for any pool; only the critical-path cost changes.
     ///
-    /// The model is lowered through the shared inference pipeline
-    /// (DCE → CSE → fold → fuse) once, at construction, where it lies:
+    /// The model is lowered through the compiler's one pipeline
+    /// (DCE → fold → fuse) once, at construction, where it lies:
     /// [`optimize_for_inference`] consumes it and moves every weight into
     /// the lowered graph. Every weight whose one reader is a matmul's
     /// right operand is then stored in the GEMM's panel order, in its
     /// own buffer ([`securetf_tensor::passes::pack_matmul_constants`],
     /// the one step that rewrites weights, through one scratch). So
     /// construction holds one copy of the weights plus that scratch, and
-    /// takes time in node count plus one read of every weight. Every run
+    /// takes time in node count plus the pack's one pass over the matmul
+    /// weights, the only step that reads them. Every run
     /// executes that graph, whose outputs are bit-identical to the model
     /// as given.
     ///

@@ -93,8 +93,8 @@ pub fn prune_magnitude(model: &LiteModel, fraction: f32) -> (LiteModel, PruneRep
     (pruned_model, PruneReport { zeroed, total })
 }
 
-/// Lowers a model through the full shared inference pipeline
-/// (DCE → CSE → constant folding → operator fusion). Outputs are
+/// Lowers a model through the compiler's one pipeline, the one training
+/// uses too (DCE → constant folding → operator fusion). Outputs are
 /// bit-identical to the unoptimized model; the graph shrinks and
 /// `matmul/conv → add_bias[ → relu]` chains become fused single-kernel
 /// nodes (fewer arena slots, fewer EPC page touches).
@@ -111,7 +111,7 @@ pub fn optimize_for_inference(
     mut model: LiteModel,
 ) -> Result<(LiteModel, PipelineReport), LiteError> {
     let roots = [model.input(), model.output()];
-    let optimized = Pipeline::inference().run(model.take_graph(), &roots)?;
+    let optimized = Pipeline::lowering().run(model.take_graph(), &roots)?;
     let input = optimized
         .target(roots[0])
         .ok_or(LiteError::MalformedModel("input eliminated"))?;
@@ -340,21 +340,15 @@ mod tests {
         let (lowered, report) = optimize_for_inference(model).unwrap();
         // `input`, then per layer its weight, its bias and the fused
         // product that took the relu's place, then the tail layer (no
-        // relu) and the softmax. `models::build`'s biases repeat every seven
-        // layers, so CSE merges those of layers 7 to 9 into those of
-        // layers 0 to 2; nothing else merges, nothing is reordered.
+        // relu) and the softmax. Nothing is eliminated, nothing is
+        // reordered.
         let mut want = vec!["0 placeholder input []".to_string()];
-        let (mut x, mut biases) = (0, Vec::new());
+        let mut x = 0;
         for layer in 0..=10 {
             let w = want.len();
             want.push(format!("{w} const layer{layer}/w []"));
-            let b = if (7..10).contains(&layer) {
-                biases[layer - 7]
-            } else {
-                want.push(format!("{} const layer{layer}/b []", w + 1));
-                w + 1
-            };
-            biases.push(b);
+            let b = w + 1;
+            want.push(format!("{b} const layer{layer}/b []"));
             let (kind, name) = if layer < 10 {
                 ("fused_matmul_bias_relu", "relu")
             } else {
@@ -381,7 +375,8 @@ mod tests {
             (0, x + 1)
         );
         assert_eq!((before, report.nodes_before()), (56, 56));
-        assert_eq!((report.nodes_eliminated(), report.nodes_fused()), (3, 21));
+        assert_eq!(lowered.graph().len(), 35);
+        assert_eq!((report.nodes_eliminated(), report.nodes_fused()), (0, 21));
     }
 
     #[test]

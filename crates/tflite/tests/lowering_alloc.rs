@@ -7,8 +7,8 @@
 //! so it allocates at most the largest weight plus O(nodes) bytes; and
 //! `LiteModel::to_bytes` writes once into a buffer of its exact length,
 //! so it allocates that length plus O(nodes) bytes. A pipeline that
-//! copied the graph, or keyed CSE by the weights' bytes, or an export
-//! into a growing buffer, allocates a multiple of the model instead.
+//! copied the graph, or an export into a growing buffer, allocates a
+//! multiple of the model instead.
 //! This file holds exactly one test so allocations from other tests in
 //! the same process can never pollute the counter.
 

@@ -906,8 +906,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // The graph-compiler pass pipeline (DESIGN.md §16): optimizing a
-    // graph (DCE, constant folding, fusion — plus CSE for inference)
-    // must be invisible in the numbers. For any model shape, batch size
+    // graph (DCE, constant folding, fusion) must be invisible in the
+    // numbers. For any model shape, batch size
     // and worker count, the lowered execution is bit-for-bit identical
     // to the raw graph on the same executor: same outputs, same
     // gradients, same loss trajectory.
@@ -1147,8 +1147,8 @@ proptest! {
             let (k, n) = (pair[0], pair[1]);
             let w = g.constant(
                 &format!("l{l}/w"),
-                // Distinct above bit 0 (the fill ignores it), so CSE
-                // never merges two layers' weights.
+                // Distinct above bit 0 (the fill ignores it), so no two
+                // layers' weights are equal.
                 Tensor::from_vec(&[k, n], fill(seed ^ ((l as u64 + 1) << 8), k * n)).unwrap(),
             );
             let b = g.constant(

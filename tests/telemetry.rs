@@ -108,6 +108,42 @@ fn a_deployment_and_its_classifies_charge_every_nanosecond_to_a_category() {
 }
 
 #[test]
+fn a_deploy_spends_the_compiler_time_it_counts() {
+    // A bias after the matmul, so the lowering fuses and has work to
+    // report.
+    let mut g = Graph::new();
+    let x = g.placeholder("input", &[0, 8]);
+    let w = g.constant("w", Tensor::full(&[8, 4], 0.1));
+    let b = g.constant("b", Tensor::full(&[4], 0.2));
+    let y = g.matmul(x, w).expect("matmul");
+    let y = g.add_bias(y, b).expect("add_bias");
+    let name = g.nodes()[y.index()].name.clone();
+    let model = LiteModel::convert(&g, "input", &name).expect("convert");
+
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    let mut deployment =
+        Deployment::instrumented(ExecutionMode::Hardware, clock.clone(), telemetry.clone());
+    deployment
+        .publish_model("svc", "/m", &model)
+        .expect("publish");
+    deployment
+        .deploy_classifier("svc", "/m", RuntimeProfile::scone_lite())
+        .expect("deploy");
+
+    let pass_ns = telemetry.counter("compiler.pass_ns").get();
+    assert!(pass_ns > 0, "the lowering reported no work");
+    let spent: u64 = telemetry
+        .span_report()
+        .nodes()
+        .iter()
+        .filter(|span| span.name.starts_with("compiler."))
+        .map(|span| span.costs[CostCategory::Other as usize])
+        .sum();
+    assert_eq!(spent, pass_ns);
+}
+
+#[test]
 fn a_cas_attestation_through_an_outage_charges_every_nanosecond_to_a_category() {
     use securetf_cas::policy::ServicePolicy;
     use securetf_cas::service::CasService;

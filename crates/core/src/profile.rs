@@ -188,20 +188,34 @@ mod tests {
 
     #[test]
     fn os_threads_pay_transitions() {
-        use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
+        use securetf_tee::telemetry::MetricValue;
+        use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock};
+        let clock = SimClock::new();
+        let telemetry = clock.telemetry();
         let enclave = Platform::builder()
+            .clock(clock)
+            .telemetry(telemetry.clone())
             .build()
             .create_enclave(
                 &EnclaveImage::builder().code(b"threading test").build(),
                 ExecutionMode::Hardware,
             )
             .unwrap();
+        // Panics on an absent name, so a typo cannot read as a zero.
+        let count = |name: &str| match telemetry.metrics().into_iter().find(|(n, _)| n == name) {
+            Some((_, MetricValue::Counter(n))) => n,
+            other => panic!("no counter named {name:?}: {other:?}"),
+        };
+        let crossings = || {
+            (
+                count("tee.enclave#0.async_syscalls"),
+                count("tee.enclave#0.transitions"),
+            )
+        };
         ThreadingModel::UserLevel.charge_syscall(&enclave);
-        let stats = enclave.syscall_stats();
-        assert_eq!((stats.async_syscalls, stats.transitions), (1, 0));
+        assert_eq!(crossings(), (1, 0));
         ThreadingModel::OsThreads.charge_syscall(&enclave);
-        let stats = enclave.syscall_stats();
-        assert_eq!((stats.async_syscalls, stats.transitions), (1, 1));
+        assert_eq!(crossings(), (1, 1));
     }
 
     #[test]

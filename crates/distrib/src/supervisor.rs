@@ -73,39 +73,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Counters describing what supervision did during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Heartbeat probes sent (including retries).
-    pub heartbeats: u64,
-    /// Probes that timed out (dropped records or dead workers).
-    pub missed_heartbeats: u64,
-    /// Probes that failed authentication (tampering; fail closed).
-    pub tampered_heartbeats: u64,
-    /// Workers replaced through CAS re-attestation.
-    pub respawns: u64,
-    /// Mid-flight step failures rolled back to a checkpoint.
-    pub rollbacks: u64,
-    /// Checkpoint generations written.
-    pub checkpoints: u64,
-    /// Restores that had to fall back past a corrupted generation.
-    pub checkpoint_fallbacks: u64,
-    /// Fault events injected from the plan.
-    pub faults_injected: u64,
-    /// Host-storage crashes healed: host restart, parameter-server
-    /// re-attestation and a shield remount via [`FsShield::recover`].
-    pub storage_recoveries: u64,
-    /// Whole-store rollback attacks injected from the plan.
-    pub storage_rollbacks: u64,
-    /// Virtual time spent on supervision (probes, backoff, stalls), in
-    /// nanoseconds. It is spent on the parameter server's clock, so the
-    /// trainer's composed time already counts it.
-    pub supervision_ns: u64,
-    /// Storage recoveries that found no trustworthy store (lost or
-    /// rolled-back manifest) and remounted a fresh, empty shield.
-    pub fresh_remounts: u64,
-}
-
 /// Shared queue of adversary actions for one heartbeat link.
 type TamperQueue = Arc<Mutex<VecDeque<Tamper>>>;
 
@@ -205,23 +172,46 @@ enum Probe {
     Compromised,
 }
 
-/// Telemetry mirror of [`SupervisorStats`], resolved once from the
-/// cluster's telemetry registry (no-op handles when disabled). The
-/// `SupervisorStats` struct stays the programmatic API; these counters
-/// put the same events into metrics digests and attested exports.
+/// What supervision counts, resolved once from the cluster's telemetry
+/// registry (no-op handles when it is disabled) under `supervisor.*`.
+/// Each event increments exactly one of these and nothing else keeps the
+/// count; read them by name from the registry.
 #[derive(Debug, Clone)]
 struct SupervisorMetrics {
+    /// `supervisor.heartbeats`: probes sent, retries included.
     heartbeats: Counter,
+    /// `supervisor.missed_heartbeats`: probes that timed out (dropped
+    /// records or dead workers).
     missed_heartbeats: Counter,
+    /// `supervisor.tampered_heartbeats`: probes that failed
+    /// authentication (tampering; fail closed).
     tampered_heartbeats: Counter,
+    /// `supervisor.respawns`: workers replaced through CAS
+    /// re-attestation.
     respawns: Counter,
+    /// `supervisor.rollbacks`: mid-flight step failures rolled back to a
+    /// checkpoint.
     rollbacks: Counter,
+    /// `supervisor.checkpoints`: checkpoint generations written.
     checkpoints: Counter,
+    /// `supervisor.checkpoint_fallbacks`: restores that fell back past a
+    /// corrupted generation.
     checkpoint_fallbacks: Counter,
+    /// `supervisor.faults_injected`: fault events injected from the plan.
     faults_injected: Counter,
+    /// `supervisor.storage_recoveries`: host-storage crashes healed (host
+    /// restart, parameter-server re-attestation, [`FsShield::recover`]).
     storage_recoveries: Counter,
+    /// `supervisor.storage_rollbacks`: whole-store rollback attacks
+    /// injected from the plan.
     storage_rollbacks: Counter,
+    /// `supervisor.storage_fresh_remounts`: storage recoveries that found
+    /// no trustworthy store and remounted a fresh, empty shield.
     storage_fresh_remounts: Counter,
+    /// `supervisor.supervision_ns`: virtual time spent on supervision
+    /// (probes, backoff, stalls). It is spent on the parameter server's
+    /// clock, so the trainer's composed time already counts it.
+    supervision_ns: Counter,
 }
 
 impl SupervisorMetrics {
@@ -238,6 +228,7 @@ impl SupervisorMetrics {
             storage_recoveries: t.counter("supervisor.storage_recoveries"),
             storage_rollbacks: t.counter("supervisor.storage_rollbacks"),
             storage_fresh_remounts: t.counter("supervisor.storage_fresh_remounts"),
+            supervision_ns: t.counter("supervisor.supervision_ns"),
         }
     }
 }
@@ -253,7 +244,6 @@ pub struct Supervisor {
     /// [`FaultEvent::StorageRollback`] rewinds the host to.
     snapshot: Option<StoreSnapshot>,
     heartbeats: Vec<Heartbeat>,
-    stats: SupervisorStats,
     metrics: SupervisorMetrics,
     step: u64,
     latest_generation: Option<u64>,
@@ -263,7 +253,6 @@ impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
             .field("step", &self.step)
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -331,7 +320,6 @@ impl Supervisor {
             shield,
             snapshot: None,
             heartbeats: Vec::new(),
-            stats: SupervisorStats::default(),
             metrics,
             step: 0,
             latest_generation: None,
@@ -377,7 +365,6 @@ impl Supervisor {
                 Ok(loss) => break loss,
                 Err(e) if recoveries < self.config.max_step_recoveries && recoverable(&e) => {
                     recoveries += 1;
-                    self.stats.rollbacks += 1;
                     self.metrics.rollbacks.inc();
                     self.heal()?;
                     self.restore_newest()?;
@@ -397,7 +384,6 @@ impl Supervisor {
         let events: Vec<FaultEvent> = self.plan.events_at(step).to_vec();
         let worker_count = self.trainer.cluster().workers.len().max(1);
         for event in events {
-            self.stats.faults_injected += 1;
             self.metrics.faults_injected.inc();
             match event {
                 FaultEvent::WorkerCrash { worker } => {
@@ -407,7 +393,7 @@ impl Supervisor {
                 }
                 FaultEvent::PsStall { delay_ns } => {
                     self.ps().spend(CostCategory::Other, delay_ns);
-                    self.stats.supervision_ns += delay_ns;
+                    self.metrics.supervision_ns.add(delay_ns);
                 }
                 FaultEvent::NetDrop { worker, records } => {
                     let queue = &self.heartbeats[worker % worker_count].tamper;
@@ -444,7 +430,6 @@ impl Supervisor {
                     self.store.fail_after_ops_torn(after_ops, torn_bytes);
                 }
                 FaultEvent::StorageRollback => {
-                    self.stats.storage_rollbacks += 1;
                     self.metrics.storage_rollbacks.inc();
                     if let Some(snapshot) = &self.snapshot {
                         self.store.restore(snapshot);
@@ -473,7 +458,6 @@ impl Supervisor {
                 Probe::Alive => {}
                 Probe::Dead => self.respawn(w)?,
                 Probe::Compromised => {
-                    self.stats.tampered_heartbeats += 1;
                     self.metrics.tampered_heartbeats.inc();
                     self.respawn(w)?;
                 }
@@ -492,12 +476,11 @@ impl Supervisor {
             if attempt > 0 {
                 let backoff = policy.delay_ns(attempt - 1);
                 self.ps().spend(CostCategory::Other, backoff);
-                self.stats.supervision_ns += backoff;
+                self.metrics.supervision_ns.add(backoff);
             }
-            self.stats.heartbeats += 1;
             self.metrics.heartbeats.inc();
             self.ps().spend(CostCategory::Network, rtt_ns);
-            self.stats.supervision_ns += rtt_ns;
+            self.metrics.supervision_ns.add(rtt_ns);
             let hb = &mut self.heartbeats[w];
             let ping = hb.seq.to_le_bytes();
             hb.seq += 1;
@@ -514,14 +497,12 @@ impl Supervisor {
                     match hb.ps_side.recv() {
                         Ok(_) => return Probe::Alive,
                         Err(ShieldError::ChannelClosed) => {
-                            self.stats.missed_heartbeats += 1;
                             self.metrics.missed_heartbeats.inc();
                         }
                         Err(_) => return Probe::Compromised,
                     }
                 }
                 Err(ShieldError::ChannelClosed) => {
-                    self.stats.missed_heartbeats += 1;
                     self.metrics.missed_heartbeats.inc();
                 }
                 Err(_) => return Probe::Compromised,
@@ -534,7 +515,6 @@ impl Supervisor {
     /// outages per the retry policy) and re-establishes its heartbeat
     /// channel.
     fn respawn(&mut self, w: usize) -> Result<(), DistribError> {
-        self.stats.respawns += 1;
         self.metrics.respawns.inc();
         self.trainer
             .cluster_mut()
@@ -567,7 +547,6 @@ impl Supervisor {
             match self.shield.write(&path, &payload) {
                 Ok(()) => {
                     self.latest_generation = Some(generation);
-                    self.stats.checkpoints += 1;
                     self.metrics.checkpoints.inc();
                     self.snapshot = Some(self.store.snapshot());
                     return Ok(());
@@ -614,7 +593,6 @@ impl Supervisor {
             .find(|(_, checkpoint)| self.trainer.restore_checkpoint_bytes(checkpoint).is_ok())
             .map(|(generation, _)| generation);
         if committed.is_some() && restored != committed {
-            self.stats.checkpoint_fallbacks += 1;
             self.metrics.checkpoint_fallbacks.inc();
         }
         match restored {
@@ -637,18 +615,11 @@ impl Supervisor {
     }
 
     fn count_storage_recovery(&mut self, fresh: bool) {
-        self.stats.storage_recoveries += 1;
         self.metrics.storage_recoveries.inc();
         if fresh {
-            self.stats.fresh_remounts += 1;
             self.metrics.storage_fresh_remounts.inc();
             self.latest_generation = None;
         }
-    }
-
-    /// Counters describing what supervision did so far.
-    pub fn stats(&self) -> SupervisorStats {
-        self.stats
     }
 
     /// The fault plan driving this run.
@@ -720,7 +691,8 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use rand::SeedableRng;
-    use securetf_tee::ExecutionMode;
+    use securetf_tee::telemetry::MetricValue;
+    use securetf_tee::{ExecutionMode, SimClock};
     use securetf_tensor::layers::{self, Classifier};
 
     fn small_model() -> Classifier {
@@ -729,7 +701,21 @@ mod tests {
     }
 
     fn trainer(workers: usize) -> DistributedTrainer {
-        trainer_on(workers, Telemetry::disabled())
+        trainer_on(workers, enabled())
+    }
+
+    fn enabled() -> Telemetry {
+        Telemetry::new(Arc::new(SimClock::new()))
+    }
+
+    /// The counter `name` in the registry `s` counts into; panics if it
+    /// has no such metric, so a misspelled name cannot pass as a zero.
+    fn count(s: &Supervisor, name: &str) -> u64 {
+        let telemetry = &s.trainer().cluster().config().telemetry;
+        match telemetry.metrics().into_iter().find(|(n, _)| n == name) {
+            Some((_, MetricValue::Counter(n))) => n,
+            other => panic!("no counter named {name:?}: {other:?}"),
+        }
     }
 
     fn trainer_on(workers: usize, telemetry: Telemetry) -> DistributedTrainer {
@@ -768,10 +754,13 @@ mod tests {
         let report = s.train_steps(8).unwrap();
         assert_eq!(report.steps, 8);
         assert!(report.final_loss.is_finite());
-        assert_eq!(s.stats().respawns, 0);
-        assert_eq!(s.stats().rollbacks, 0);
-        assert!(s.stats().heartbeats >= 16, "one probe per worker per step");
-        assert!(s.stats().supervision_ns > 0);
+        assert_eq!(count(&s, "supervisor.respawns"), 0);
+        assert_eq!(count(&s, "supervisor.rollbacks"), 0);
+        assert!(
+            count(&s, "supervisor.heartbeats") >= 16,
+            "one probe per worker per step"
+        );
+        assert!(count(&s, "supervisor.supervision_ns") > 0);
     }
 
     #[test]
@@ -783,7 +772,7 @@ mod tests {
         let mut s = supervisor(2, plan);
         let report = s.train_steps(6).unwrap();
         assert!(report.final_loss.is_finite());
-        assert_eq!(s.stats().respawns, 3);
+        assert_eq!(count(&s, "supervisor.respawns"), 3);
         // Every step ran with a full worker set.
         assert_eq!(report.samples, 6 * 2 * 100);
     }
@@ -799,7 +788,7 @@ mod tests {
         let mut s = supervisor(2, plan);
         let report = s.train_steps(4).unwrap();
         assert!(report.final_loss.is_finite());
-        assert_eq!(s.stats().respawns, 8);
+        assert_eq!(count(&s, "supervisor.respawns"), 8);
     }
 
     #[test]
@@ -815,7 +804,7 @@ mod tests {
         let mut s = supervisor(2, plan);
         let report = s.train_steps(5).unwrap();
         assert!(report.final_loss.is_finite());
-        assert_eq!(s.stats().respawns, 1);
+        assert_eq!(count(&s, "supervisor.respawns"), 1);
     }
 
     #[test]
@@ -829,8 +818,8 @@ mod tests {
         );
         let mut s = supervisor(2, plan);
         s.train_steps(3).unwrap();
-        assert!(s.stats().missed_heartbeats >= 1);
-        assert_eq!(s.stats().respawns, 0, "drops are transient");
+        assert!(count(&s, "supervisor.missed_heartbeats") >= 1);
+        assert_eq!(count(&s, "supervisor.respawns"), 0, "drops are transient");
     }
 
     #[test]
@@ -838,8 +827,12 @@ mod tests {
         let plan = FaultPlan::none().with_event(1, FaultEvent::NetTamper { worker: 1 });
         let mut s = supervisor(2, plan);
         s.train_steps(3).unwrap();
-        assert_eq!(s.stats().tampered_heartbeats, 1);
-        assert_eq!(s.stats().respawns, 1, "tampering is never retried");
+        assert_eq!(count(&s, "supervisor.tampered_heartbeats"), 1);
+        assert_eq!(
+            count(&s, "supervisor.respawns"),
+            1,
+            "tampering is never retried"
+        );
     }
 
     #[test]
@@ -856,7 +849,7 @@ mod tests {
         let path = s.generation_path(latest);
         assert!(s.store.corrupt(&path, 40));
         s.restore_newest().unwrap();
-        assert_eq!(s.stats().checkpoint_fallbacks, 1);
+        assert_eq!(count(&s, "supervisor.checkpoint_fallbacks"), 1);
     }
 
     #[test]
@@ -869,49 +862,38 @@ mod tests {
         );
         let mut s = supervisor(1, plan);
         let faulted = s.train_steps(2).unwrap();
-        let clean = supervisor(1, FaultPlan::none()).train_steps(2).unwrap();
-        assert!(faulted.elapsed_ns > clean.elapsed_ns + 7_000_000 - 1);
+        let mut clean = supervisor(1, FaultPlan::none());
+        let clean_report = clean.train_steps(2).unwrap();
+        assert!(faulted.elapsed_ns > clean_report.elapsed_ns + 7_000_000 - 1);
+        assert_eq!(
+            count(&s, "supervisor.supervision_ns") - count(&clean, "supervisor.supervision_ns"),
+            7_000_000
+        );
     }
 
     #[test]
     fn supervision_events_mirror_into_telemetry() {
-        let telemetry = Telemetry::new(Arc::new(securetf_tee::SimClock::new()));
-        let trainer = trainer_on(2, telemetry.clone());
         let plan = FaultPlan::none()
             .with_event(1, FaultEvent::WorkerCrash { worker: 0 })
             .with_event(2, FaultEvent::NetTamper { worker: 1 });
-        let mut s = Supervisor::new(
-            trainer,
-            plan,
-            SupervisorConfig::default(),
-            UntrustedStore::new(),
-        )
-        .unwrap();
+        let mut s = supervisor(2, plan);
         s.train_steps(4).unwrap();
-        let stats = s.stats();
+        assert_eq!(count(&s, "supervisor.faults_injected"), 2);
+        assert_eq!(count(&s, "supervisor.tampered_heartbeats"), 1);
         assert_eq!(
-            telemetry.counter("supervisor.heartbeats").get(),
-            stats.heartbeats
+            count(&s, "supervisor.respawns"),
+            2,
+            "crash + tamper both replace workers"
         );
-        assert_eq!(
-            telemetry.counter("supervisor.respawns").get(),
-            stats.respawns
+        assert_eq!(count(&s, "supervisor.checkpoints"), 1, "the initial one");
+        assert!(count(&s, "supervisor.heartbeats") >= 8);
+        // Probe RTTs were spent on the network cost category, and
+        // counted as supervision time.
+        let rtt_ns = s.ps().cost_model().lan_rtt_ns;
+        assert!(
+            count(&s, "supervisor.supervision_ns") >= count(&s, "supervisor.heartbeats") * rtt_ns
         );
-        assert_eq!(
-            telemetry.counter("supervisor.tampered_heartbeats").get(),
-            stats.tampered_heartbeats
-        );
-        assert_eq!(
-            telemetry.counter("supervisor.checkpoints").get(),
-            stats.checkpoints
-        );
-        assert_eq!(
-            telemetry.counter("supervisor.faults_injected").get(),
-            stats.faults_injected
-        );
-        assert!(stats.respawns >= 2, "crash + tamper both replace workers");
-        // Probe RTTs were attributed to the network cost category.
-        assert!(telemetry.counter("cost.network.ns").get() > 0);
+        assert!(count(&s, "cost.network.ns") > 0);
     }
 
     /// Bit-level image of every model variable, for state comparison.
@@ -935,10 +917,14 @@ mod tests {
         let mut s = Supervisor::new(trainer(1), plan, config, UntrustedStore::new()).unwrap();
         let report = s.train_steps(4).unwrap();
         assert!(report.final_loss.is_finite());
-        assert_eq!(s.stats().storage_recoveries, 1);
-        assert_eq!(s.stats().fresh_remounts, 0, "the crash kept the manifest");
+        assert_eq!(count(&s, "supervisor.storage_recoveries"), 1);
+        assert_eq!(
+            count(&s, "supervisor.storage_fresh_remounts"),
+            0,
+            "the crash kept the manifest"
+        );
         // Initial checkpoint + two cadence checkpoints all committed.
-        assert_eq!(s.stats().checkpoints, 3);
+        assert_eq!(count(&s, "supervisor.checkpoints"), 3);
         assert!(s.restore_newest().is_ok(), "newest generation restores");
     }
 
@@ -958,7 +944,7 @@ mod tests {
         let mut s = Supervisor::new(trainer(1), plan, config, UntrustedStore::new()).unwrap();
         let report = s.train_steps(4).unwrap();
         assert!(report.final_loss.is_finite());
-        assert_eq!(s.stats().storage_recoveries, 1);
+        assert_eq!(count(&s, "supervisor.storage_recoveries"), 1);
         assert!(s.restore_newest().is_ok(), "torn bytes never restore");
     }
 
@@ -972,7 +958,7 @@ mod tests {
         let mut s = Supervisor::new(trainer(1), plan, config, UntrustedStore::new()).unwrap();
         let report = s.train_steps(6).unwrap();
         assert!(report.final_loss.is_finite());
-        assert_eq!(s.stats().storage_rollbacks, 1);
+        assert_eq!(count(&s, "supervisor.storage_rollbacks"), 1);
     }
 
     #[test]
@@ -992,6 +978,9 @@ mod tests {
         // Kill the supervisor process and the storage host; the machines
         // (platforms, counters, sealing keys) survive.
         store.fail_after_ops(0);
+        // Both supervisors count into the trainer's one registry.
+        let recoveries = count(&s, "supervisor.storage_recoveries");
+        let fresh = count(&s, "supervisor.storage_fresh_remounts");
         let trainer = s.into_trainer();
         let s2 = Supervisor::remount(trainer, FaultPlan::none(), config, store).unwrap();
         assert_eq!(
@@ -1000,8 +989,12 @@ mod tests {
             "remount restores the newest committed generation"
         );
         assert_eq!(s2.latest_generation, Some(1), "init gen 0 + cadence gen 1");
-        assert_eq!(s2.stats().storage_recoveries, 1);
-        assert_eq!(s2.stats().fresh_remounts, 0, "a crash is no rollback");
+        assert_eq!(count(&s2, "supervisor.storage_recoveries") - recoveries, 1);
+        assert_eq!(
+            count(&s2, "supervisor.storage_fresh_remounts") - fresh,
+            0,
+            "a crash is no rollback"
+        );
         // And training continues from there.
         let mut s2 = s2;
         let report = s2.train_steps(3).unwrap();
@@ -1010,28 +1003,19 @@ mod tests {
 
     #[test]
     fn a_rolled_back_store_remounts_fresh_and_counts_it() {
-        let telemetry = Telemetry::new(Arc::new(securetf_tee::SimClock::new()));
         let config = SupervisorConfig {
             checkpoint_every: 2,
             ..Default::default()
         };
         let store = UntrustedStore::new();
-        let mut s = Supervisor::new(
-            trainer_on(1, telemetry.clone()),
-            FaultPlan::none(),
-            config.clone(),
-            store.clone(),
-        )
-        .unwrap();
+        let mut s =
+            Supervisor::new(trainer(1), FaultPlan::none(), config.clone(), store.clone()).unwrap();
         let stale = store.snapshot();
         s.train_steps(2).unwrap(); // the cadence checkpoint commits past `stale`
         store.restore(&stale);
+        let fresh = count(&s, "supervisor.storage_fresh_remounts");
         let s2 = Supervisor::remount(s.into_trainer(), FaultPlan::none(), config, store).unwrap();
-        assert_eq!(s2.stats().fresh_remounts, 1);
-        assert_eq!(
-            telemetry.counter("supervisor.storage_fresh_remounts").get(),
-            1
-        );
+        assert_eq!(count(&s2, "supervisor.storage_fresh_remounts") - fresh, 1);
     }
 
     #[test]
@@ -1050,6 +1034,7 @@ mod tests {
         for path in store.paths() {
             store.raw_delete(&path);
         }
+        let fresh = count(&s, "supervisor.storage_fresh_remounts");
         let trainer = s.into_trainer();
         let s2 = Supervisor::remount(
             trainer,
@@ -1061,7 +1046,7 @@ mod tests {
         // No stored generation survives; the in-enclave model is re-sealed
         // as a fresh generation instead of trusting the empty host.
         assert_eq!(s2.latest_generation, Some(0));
-        assert_eq!(s2.stats().fresh_remounts, 1);
+        assert_eq!(count(&s2, "supervisor.storage_fresh_remounts") - fresh, 1);
         assert_eq!(var_bits(s2.trainer()), live, "in-enclave state kept");
         assert!(!store.paths().is_empty(), "fresh checkpoint re-sealed");
     }
@@ -1074,7 +1059,7 @@ mod tests {
             checkpoint_every: 2,
             ..Default::default()
         };
-        let trainer = trainer_in(ExecutionMode::Native, 1, Telemetry::disabled());
+        let trainer = trainer_in(ExecutionMode::Native, 1, enabled());
         let mut s =
             Supervisor::new(trainer, FaultPlan::none(), config, UntrustedStore::new()).unwrap();
         s.train_steps(2).unwrap();
@@ -1083,22 +1068,27 @@ mod tests {
         assert_ne!(var_bits(s.trainer()), at_checkpoint, "training moved on");
         s.restore_newest().unwrap();
         assert_eq!(var_bits(s.trainer()), at_checkpoint, "rolled back");
-        assert_eq!(s.stats().checkpoints, 2, "the initial and one cadence");
-        assert_eq!(s.stats().checkpoint_fallbacks, 0);
+        assert_eq!(
+            count(&s, "supervisor.checkpoints"),
+            2,
+            "the initial and one cadence"
+        );
+        assert_eq!(count(&s, "supervisor.checkpoint_fallbacks"), 0);
         assert!(s.train_steps(1).unwrap().final_loss.is_finite());
     }
 
     #[test]
     fn a_remount_takes_one_mount_epoch() {
-        let telemetry = Telemetry::new(Arc::new(securetf_tee::SimClock::new()));
+        let telemetry = enabled();
         let store = UntrustedStore::new();
         let config = SupervisorConfig::default();
         let trainer = trainer_on(1, telemetry.clone());
         let s = Supervisor::new(trainer, FaultPlan::none(), config.clone(), store.clone()).unwrap();
         let epoch = telemetry.gauge("shield.fs.mount_epoch").get();
         assert!(epoch > 0);
+        let fresh = count(&s, "supervisor.storage_fresh_remounts");
         let s2 = Supervisor::remount(s.into_trainer(), FaultPlan::none(), config, store).unwrap();
-        assert_eq!(s2.stats().fresh_remounts, 0);
+        assert_eq!(count(&s2, "supervisor.storage_fresh_remounts") - fresh, 0);
         assert_eq!(telemetry.gauge("shield.fs.mount_epoch").get(), epoch + 1);
     }
 

@@ -554,7 +554,7 @@ impl<T: Transport> SecureChannel<T> {
 mod tests {
     use super::*;
     use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn enclave() -> Arc<Enclave> {
         let platform = Platform::builder().build();
@@ -644,11 +644,11 @@ mod tests {
 
     #[test]
     fn tampered_record_detected() {
-        let counter = Counter::new();
+        let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         // Let the 2 handshake messages pass, corrupt the 3rd.
         let adversary: Adversary = Arc::new(move |_msg| {
-            if c.fetch_inc() == 2 {
+            if c.fetch_add(1, Ordering::SeqCst) == 2 {
                 Tamper::FlipBit(5)
             } else {
                 Tamper::Pass
@@ -661,10 +661,10 @@ mod tests {
 
     #[test]
     fn replayed_record_detected() {
-        let counter = Counter::new();
+        let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         let adversary: Adversary = Arc::new(move |_msg| {
-            if c.fetch_inc() == 2 {
+            if c.fetch_add(1, Ordering::SeqCst) == 2 {
                 Tamper::Duplicate
             } else {
                 Tamper::Pass
@@ -679,10 +679,10 @@ mod tests {
 
     #[test]
     fn dropped_record_breaks_sequence() {
-        let counter = Counter::new();
+        let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         let adversary: Adversary = Arc::new(move |_msg| {
-            if c.fetch_inc() == 2 {
+            if c.fetch_add(1, Ordering::SeqCst) == 2 {
                 Tamper::Drop
             } else {
                 Tamper::Pass
@@ -734,11 +734,11 @@ mod tests {
 
     #[test]
     fn loss_window_skips_dropped_records_but_rejects_replays() {
-        let counter = Counter::new();
+        let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         // Handshake (0,1) passes; drop the first data record, replay the
         // second.
-        let adversary: Adversary = Arc::new(move |_msg| match c.fetch_inc() {
+        let adversary: Adversary = Arc::new(move |_msg| match c.fetch_add(1, Ordering::SeqCst) {
             2 => Tamper::Drop,
             3 => Tamper::Duplicate,
             _ => Tamper::Pass,
@@ -888,12 +888,12 @@ mod tests {
     fn request_with_retry_fails_closed_on_tamper() {
         use securetf_tee::RetryPolicy;
 
-        let counter = Counter::new();
+        let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         // Corrupt the reply record (message index 3: two handshake
         // messages, the request, then the reply).
         let adversary: Adversary = Arc::new(move |_msg| {
-            if c.fetch_inc() == 3 {
+            if c.fetch_add(1, Ordering::SeqCst) == 3 {
                 Tamper::FlipBit(7)
             } else {
                 Tamper::Pass
@@ -966,10 +966,10 @@ mod tests {
 
     #[test]
     fn tampered_record_increments_rejection_counter() {
-        let counter = Counter::new();
+        let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         let adversary: Adversary = Arc::new(move |_msg| {
-            if c.fetch_inc() == 2 {
+            if c.fetch_add(1, Ordering::SeqCst) == 2 {
                 Tamper::FlipBit(5)
             } else {
                 Tamper::Pass
@@ -1053,11 +1053,11 @@ mod tests {
 
     #[test]
     fn vectored_chunks_are_individually_tamper_protected() {
-        let counter = Counter::new();
+        let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         // Handshake (0,1) passes; corrupt the batch's second record.
         let adversary: Adversary = Arc::new(move |_msg| {
-            if c.fetch_inc() == 3 {
+            if c.fetch_add(1, Ordering::SeqCst) == 3 {
                 Tamper::FlipBit(4)
             } else {
                 Tamper::Pass

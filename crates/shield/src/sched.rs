@@ -11,8 +11,10 @@
 
 #[cfg(test)]
 mod tests {
+    use securetf_tee::telemetry::MetricValue;
     use securetf_tee::{
-        CostModel, Enclave, EnclaveImage, ExecutionMode, Platform, RegionId, TeeError, PAGE_SIZE,
+        CostModel, Enclave, EnclaveImage, ExecutionMode, Platform, RegionId, TeeError, Telemetry,
+        PAGE_SIZE,
     };
     use securetf_tensor::kernels::pool::critical_units;
     use std::sync::Arc;
@@ -46,6 +48,14 @@ mod tests {
             critical_units(tasks.len(), cores) as f64 * flops,
         );
         Ok(enclave.clock().now_ns() - start)
+    }
+
+    /// The counter `name`; panics if the registry has no such metric.
+    fn count(telemetry: &Telemetry, name: &str) -> u64 {
+        match telemetry.metrics().into_iter().find(|(n, _)| n == name) {
+            Some((_, MetricValue::Counter(n))) => n,
+            other => panic!("no counter named {name:?}: {other:?}"),
+        }
     }
 
     fn compute(flops: f64) -> Task {
@@ -167,7 +177,7 @@ mod tests {
         let ns = run_batch(&e, 2, &tasks).unwrap();
         assert!(ns > 0);
         // Every call is counted, and the crew ran two tasks per core.
-        assert_eq!(e.syscall_stats().async_syscalls, 12);
+        assert_eq!(count(&telemetry, "tee.enclave#0.async_syscalls"), 12);
         assert_eq!(
             telemetry.counter("kernel.pool.total_flops").get(),
             40_000_000

@@ -8,7 +8,7 @@
 
 use crate::clock::{CostModel, SimClock};
 use crate::counter::CounterStore;
-use crate::epc::{EpcManager, EpcStats, RegionId, PAGE_SIZE};
+use crate::epc::{EpcManager, RegionId, PAGE_SIZE};
 use crate::measurement::{EnclaveImage, MrEnclave};
 use crate::quote::{Quote, REPORT_DATA_LEN};
 use crate::sealing::{self, SealPolicy};
@@ -21,15 +21,6 @@ use securetf_telemetry::{
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Counters of TEE boundary crossings, for diagnostics and benchmarks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyscallStats {
-    /// Synchronous enclave transitions (ecall/ocall pairs).
-    pub transitions: u64,
-    /// Asynchronous (exit-less) system calls.
-    pub async_syscalls: u64,
-}
 
 /// A local (same-platform) attestation report, the `EREPORT` analogue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,8 +90,13 @@ impl Enclave {
             let build_ns = model.cycles_to_ns(pages * model.create_page_cycles);
             clock.spend(&telemetry, CostCategory::Other, build_ns);
         }
-        let mut epc = EpcManager::new(model.clone(), clock.clone(), mode.has_epc_limit());
-        epc.attach_telemetry(&telemetry, &scope);
+        let mut epc = EpcManager::new(
+            model.clone(),
+            clock.clone(),
+            mode.has_epc_limit(),
+            &telemetry,
+            &scope,
+        );
         if mode.has_runtime() {
             // The runtime image is pinned EPC: it is resident for the
             // enclave's lifetime and shrinks what the application can use.
@@ -112,10 +108,8 @@ impl Enclave {
         let mut seed = Vec::new();
         seed.extend_from_slice(image.measurement().as_bytes());
         seed.extend_from_slice(&platform_id.to_le_bytes());
-        let transitions = Counter::new();
-        let async_syscalls = Counter::new();
-        telemetry.register_counter(&format!("{scope}.transitions"), &transitions);
-        telemetry.register_counter(&format!("{scope}.async_syscalls"), &async_syscalls);
+        let transitions = telemetry.counter(&format!("{scope}.transitions"));
+        let async_syscalls = telemetry.counter(&format!("{scope}.async_syscalls"));
         Ok(Enclave {
             mode,
             measurement: image.measurement(),
@@ -410,11 +404,6 @@ impl Enclave {
         self.epc.lock().touch_all(region)
     }
 
-    /// Current EPC statistics.
-    pub fn epc_stats(&self) -> EpcStats {
-        self.epc.lock().stats()
-    }
-
     // ---- cost charges ------------------------------------------------------
 
     /// Spends `ns` of virtual time on this enclave's clock and charges
@@ -486,23 +475,22 @@ impl Enclave {
     pub fn charge_shield_crypto(&self, bytes: u64) {
         self.spend(CostCategory::Crypto, self.model.shield_crypto_ns(bytes));
     }
-
-    /// Returns boundary-crossing counters.
-    pub fn syscall_stats(&self) -> SyscallStats {
-        SyscallStats {
-            transitions: self.transitions.get(),
-            async_syscalls: self.async_syscalls.get(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::platform::Platform;
+    use crate::tests::{count, gauge};
 
+    /// An enclave named `t`, the first on its platform's enabled
+    /// registry, so its metrics are `tee.t#0.*`.
     fn enclave(mode: ExecutionMode) -> std::sync::Arc<Enclave> {
-        let platform = Platform::builder().build();
+        let clock = crate::SimClock::new();
+        let platform = Platform::builder()
+            .clock(clock.clone())
+            .telemetry(clock.telemetry())
+            .build();
         let image = EnclaveImage::builder().code(b"test app").name("t").build();
         platform.create_enclave(&image, mode).unwrap()
     }
@@ -586,7 +574,7 @@ mod tests {
         hw.charge_syscall();
         let hw_cost = hw.clock().now_ns() - t0;
         assert!(hw_cost > native_cost);
-        assert_eq!(hw.syscall_stats().async_syscalls, 1);
+        assert_eq!(count(hw.telemetry(), "tee.t#0.async_syscalls"), 1);
     }
 
     #[test]
@@ -595,7 +583,7 @@ mod tests {
         let t0 = e.clock().now_ns();
         e.charge_transition();
         assert_eq!(e.clock().now_ns(), t0);
-        assert_eq!(e.syscall_stats().transitions, 0);
+        assert_eq!(count(e.telemetry(), "tee.t#0.transitions"), 0);
     }
 
     #[test]
@@ -611,7 +599,7 @@ mod tests {
     fn image_is_pinned_in_hardware_mode() {
         let e = enclave(ExecutionMode::Hardware);
         // code is tiny but the default runtime is 4 MiB -> >1000 pages.
-        assert!(e.epc_stats().resident_pages > 1000);
+        assert!(gauge(e.telemetry(), "tee.t#0.epc.resident_pages").0 > 1000);
     }
 
     #[test]
@@ -770,11 +758,14 @@ mod tests {
     fn enclave_scope_metrics_registered() {
         let (e, telemetry) = telemetered_enclave();
         e.charge_transition();
-        let metrics = telemetry.metrics();
-        assert!(metrics
-            .iter()
-            .any(|(name, _)| name == "tee.t#0.transitions"));
-        assert!(metrics.iter().any(|(name, _)| name == "tee.t#0.epc.faults"));
+        assert_eq!(count(&telemetry, "tee.t#0.transitions"), 1);
+        assert_eq!(count(&telemetry, "tee.t#0.async_syscalls"), 0);
+        assert!(
+            count(&telemetry, "tee.t#0.epc.faults") > 0,
+            "the image faults in"
+        );
+        assert_eq!(count(&telemetry, "tee.t#0.epc.evictions"), 0);
+        assert!(gauge(&telemetry, "tee.t#0.epc.allocated_pages").0 > 1000);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! use securetf_tee::{CostModel, SimClock};
 //!
 //! let clock = SimClock::new();
-//! let mut epc = EpcManager::new(CostModel::default(), clock.clone(), true);
+//! let telemetry = clock.telemetry();
+//! let mut epc = EpcManager::new(CostModel::default(), clock.clone(), true, &telemetry, "app");
 //! let weights = epc.alloc("weights", 8 * 1024 * 1024);
 //! epc.touch(weights, 0, 8 * 1024 * 1024).unwrap();
-//! assert!(epc.stats().faults > 0);
+//! assert_eq!(telemetry.counter("app.epc.faults").get(), 2048);
 //! assert!(clock.now_ns() > 0);
 //! ```
 
@@ -40,68 +41,15 @@ pub const PAGE_SIZE: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(u64);
 
-/// Counters describing EPC behaviour so far.
-///
-/// Since the telemetry subsystem landed this is a *thin view*: the live
-/// state is a set of registry metrics (`EpcMetrics`) and this struct is
-/// a point-in-time copy built on [`EpcManager::stats`], kept for API
-/// compatibility with the benches and tests that predate the registry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpcStats {
-    /// Pages faulted in (each charged a page swap).
-    pub faults: u64,
-    /// Pages evicted to make room.
-    pub evictions: u64,
-    /// Currently resident pages.
-    pub resident_pages: u64,
-    /// High-water mark of resident pages.
-    pub peak_resident_pages: u64,
-    /// Total pages allocated across live regions.
-    pub allocated_pages: u64,
-}
-
-/// The registry-backed metric handles behind [`EpcStats`]. Always
-/// functional (the EPC must keep accurate counts even with telemetry
-/// disabled — tests and the paging model itself read them); when a
-/// [`Telemetry`] handle is enabled they are additionally *registered*
-/// under a scope so they appear in snapshots and the metrics digest.
-#[derive(Debug, Clone)]
+/// The registry handles the manager counts into, resolved once under
+/// its scope: `{scope}.epc.faults`, `.evictions`, `.resident_pages` and
+/// `.allocated_pages`.
+#[derive(Debug)]
 struct EpcMetrics {
     faults: Counter,
     evictions: Counter,
     resident_pages: Gauge,
     allocated_pages: Gauge,
-}
-
-impl EpcMetrics {
-    fn new() -> Self {
-        EpcMetrics {
-            faults: Counter::new(),
-            evictions: Counter::new(),
-            resident_pages: Gauge::new(),
-            allocated_pages: Gauge::new(),
-        }
-    }
-
-    fn register(&self, telemetry: &Telemetry, scope: &str) {
-        telemetry.register_counter(&format!("{scope}.epc.faults"), &self.faults);
-        telemetry.register_counter(&format!("{scope}.epc.evictions"), &self.evictions);
-        telemetry.register_gauge(&format!("{scope}.epc.resident_pages"), &self.resident_pages);
-        telemetry.register_gauge(
-            &format!("{scope}.epc.allocated_pages"),
-            &self.allocated_pages,
-        );
-    }
-
-    fn stats(&self) -> EpcStats {
-        EpcStats {
-            faults: self.faults.get(),
-            evictions: self.evictions.get(),
-            resident_pages: self.resident_pages.get() as u64,
-            peak_resident_pages: self.resident_pages.peak() as u64,
-            allocated_pages: self.allocated_pages.get() as u64,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -127,14 +75,26 @@ pub struct EpcManager {
     regions: HashMap<RegionId, Region>,
     next_id: u64,
     lru_tick: u64,
+    /// Resident pages across all regions: the paging model's own state,
+    /// which eviction decisions read. The `resident_pages` gauge only
+    /// reports it.
+    resident_pages: u64,
     metrics: EpcMetrics,
     telemetry: Telemetry,
 }
 
 impl EpcManager {
     /// Creates a manager. `limited` selects whether the EPC budget is
-    /// enforced (the paper's HW mode) or not (SIM mode).
-    pub fn new(model: CostModel, clock: SimClock, limited: bool) -> Self {
+    /// enforced (the paper's HW mode) or not (SIM mode). Its counts go to
+    /// `telemetry` under `scope` (e.g. `tee.worker#0.epc.faults`), and its
+    /// paging time to the [`CostCategory::Paging`] span category.
+    pub fn new(
+        model: CostModel,
+        clock: SimClock,
+        limited: bool,
+        telemetry: &Telemetry,
+        scope: &str,
+    ) -> Self {
         EpcManager {
             model,
             clock,
@@ -142,18 +102,21 @@ impl EpcManager {
             regions: HashMap::new(),
             next_id: 1,
             lru_tick: 0,
-            metrics: EpcMetrics::new(),
-            telemetry: Telemetry::disabled(),
+            resident_pages: 0,
+            metrics: EpcMetrics {
+                faults: telemetry.counter(&format!("{scope}.epc.faults")),
+                evictions: telemetry.counter(&format!("{scope}.epc.evictions")),
+                resident_pages: telemetry.gauge(&format!("{scope}.epc.resident_pages")),
+                allocated_pages: telemetry.gauge(&format!("{scope}.epc.allocated_pages")),
+            },
+            telemetry: telemetry.clone(),
         }
     }
 
-    /// Registers this manager's metrics with `telemetry` under `scope`
-    /// (e.g. `tee.worker#0`) and starts attributing paging time to the
-    /// [`CostCategory::Paging`] span category. Counts are kept regardless;
-    /// attachment only makes them visible to snapshots and the digest.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry, scope: &str) {
-        self.metrics.register(telemetry, scope);
-        self.telemetry = telemetry.clone();
+    /// Sets the resident-page total and reports it.
+    fn set_resident(&mut self, pages: u64) {
+        self.resident_pages = pages;
+        self.metrics.resident_pages.set(pages as i64);
     }
 
     /// Allocates a region of `bytes` bytes. Nothing is resident yet.
@@ -190,7 +153,7 @@ impl EpcManager {
     /// Returns [`TeeError::BadRegion`] for unknown ids.
     pub fn free(&mut self, id: RegionId) -> Result<(), TeeError> {
         let region = self.regions.remove(&id).ok_or(TeeError::BadRegion(id))?;
-        self.metrics.resident_pages.sub(region.resident as i64);
+        self.set_resident(self.resident_pages - region.resident);
         self.metrics.allocated_pages.sub(region.pages as i64);
         Ok(())
     }
@@ -232,7 +195,7 @@ impl EpcManager {
             let newly = touched.saturating_sub(region.resident);
             region.resident += newly;
             region.last_use = tick;
-            self.metrics.resident_pages.add(newly as i64);
+            self.set_resident(self.resident_pages + newly);
             return Ok(());
         }
 
@@ -273,15 +236,14 @@ impl EpcManager {
             // The pass displaced part of our own working set.
             let shrink = old_resident - target_resident;
             region.resident = target_resident;
-            self.metrics.resident_pages.sub(shrink as i64);
+            self.set_resident(self.resident_pages - shrink);
             self.metrics.evictions.add(shrink);
         } else {
             let growth = target_resident - old_resident;
             // Evict LRU victims *before* the faulted pages land, so the
-            // resident gauge (whose high-water mark backs
-            // `peak_resident_pages`) never exceeds the physical EPC.
-            let mut need_evict =
-                (self.metrics.resident_pages.get() as u64 + growth).saturating_sub(budget);
+            // resident total (and the gauge's high-water mark) never
+            // exceeds the physical EPC.
+            let mut need_evict = (self.resident_pages + growth).saturating_sub(budget);
             if need_evict > 0 {
                 let mut victims: Vec<(u64, RegionId)> = self
                     .regions
@@ -297,7 +259,7 @@ impl EpcManager {
                     let victim = self.regions.get_mut(&vid).expect("listed above");
                     let take = victim.resident.min(need_evict);
                     victim.resident -= take;
-                    self.metrics.resident_pages.sub(take as i64);
+                    self.set_resident(self.resident_pages - take);
                     self.metrics.evictions.add(take);
                     need_evict -= take;
                 }
@@ -307,9 +269,7 @@ impl EpcManager {
             // immediately written back, never settling as resident.
             let region = self.regions.get_mut(&id).expect("checked above");
             region.resident = target_resident - need_evict;
-            self.metrics
-                .resident_pages
-                .add((growth - need_evict) as i64);
+            self.set_resident(self.resident_pages + growth - need_evict);
             if need_evict > 0 {
                 self.metrics.evictions.add(need_evict);
             }
@@ -343,12 +303,6 @@ impl EpcManager {
         self.touch(id, 0, pages * PAGE_SIZE as u64)
     }
 
-    /// Returns current statistics (a point-in-time view of the registry
-    /// metrics backing this manager).
-    pub fn stats(&self) -> EpcStats {
-        self.metrics.stats()
-    }
-
     /// Returns the names and sizes (in pages) of live regions, for
     /// diagnostics.
     pub fn regions(&self) -> Vec<(&'static str, u64)> {
@@ -366,14 +320,34 @@ impl EpcManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{count, gauge};
 
+    /// A manager on a tiny (64-page) EPC, counting into an enabled
+    /// registry under the scope `t`.
     fn mgr(limited: bool) -> (EpcManager, SimClock) {
         let clock = SimClock::new();
+        (mgr_on(limited, &clock, &clock.telemetry()), clock)
+    }
+
+    fn mgr_on(limited: bool, clock: &SimClock, telemetry: &Telemetry) -> EpcManager {
         let model = CostModel {
             epc_bytes: 64 * PAGE_SIZE as u64, // tiny EPC for tests
             ..Default::default()
         };
-        (EpcManager::new(model, clock.clone(), limited), clock)
+        EpcManager::new(model, clock.clone(), limited, telemetry, "t")
+    }
+
+    fn faults(epc: &EpcManager) -> u64 {
+        count(&epc.telemetry, "t.epc.faults")
+    }
+
+    fn evictions(epc: &EpcManager) -> u64 {
+        count(&epc.telemetry, "t.epc.evictions")
+    }
+
+    /// The resident-pages gauge: `(value, peak)`.
+    fn resident(epc: &EpcManager) -> (i64, i64) {
+        gauge(&epc.telemetry, "t.epc.resident_pages")
     }
 
     #[test]
@@ -381,8 +355,8 @@ mod tests {
         let (mut epc, clock) = mgr(true);
         let r = epc.alloc("w", 10 * PAGE_SIZE as u64);
         epc.touch_all(r).unwrap();
-        assert_eq!(epc.stats().faults, 10);
-        assert_eq!(epc.stats().resident_pages, 10);
+        assert_eq!(faults(&epc), 10);
+        assert_eq!(resident(&epc).0, 10);
         assert_eq!(clock.now_ns(), 10 * CostModel::default().page_swap_ns());
     }
 
@@ -394,7 +368,7 @@ mod tests {
         let t = clock.now_ns();
         epc.touch_all(r).unwrap();
         assert_eq!(clock.now_ns(), t, "second touch should not fault");
-        assert_eq!(epc.stats().faults, 10);
+        assert_eq!(faults(&epc), 10);
     }
 
     #[test]
@@ -403,7 +377,7 @@ mod tests {
         let r = epc.alloc("w", 10 * PAGE_SIZE as u64);
         // 100 bytes starting near a page boundary spans 2 pages.
         epc.touch(r, PAGE_SIZE as u64 - 50, 100).unwrap();
-        assert_eq!(epc.stats().faults, 2);
+        assert_eq!(faults(&epc), 2);
     }
 
     #[test]
@@ -412,11 +386,11 @@ mod tests {
         // 100 pages in a 64-page EPC.
         let r = epc.alloc("big", 100 * PAGE_SIZE as u64);
         epc.touch_all(r).unwrap();
-        assert_eq!(epc.stats().faults, 100);
+        assert_eq!(faults(&epc), 100);
         epc.touch_all(r).unwrap();
         // LRU thrash: all 100 fault again.
-        assert_eq!(epc.stats().faults, 200);
-        assert!(epc.stats().resident_pages <= 64);
+        assert_eq!(faults(&epc), 200);
+        assert!(resident(&epc).0 <= 64);
     }
 
     #[test]
@@ -426,8 +400,8 @@ mod tests {
         epc.touch_all(r).unwrap();
         epc.touch_all(r).unwrap();
         assert_eq!(clock.now_ns(), 0);
-        assert_eq!(epc.stats().faults, 0);
-        assert_eq!(epc.stats().resident_pages, 1000);
+        assert_eq!(faults(&epc), 0);
+        assert_eq!(resident(&epc).0, 1000);
     }
 
     #[test]
@@ -437,12 +411,12 @@ mod tests {
         let b = epc.alloc("b", 40 * PAGE_SIZE as u64);
         epc.touch_all(a).unwrap();
         epc.touch_all(b).unwrap(); // evicts 16 pages of a
-        assert_eq!(epc.stats().evictions, 16);
-        assert!(epc.stats().resident_pages <= 64);
+        assert_eq!(evictions(&epc), 16);
+        assert!(resident(&epc).0 <= 64);
         // Touching a again re-faults the evicted pages.
-        let faults_before = epc.stats().faults;
+        let faults_before = faults(&epc);
         epc.touch_all(a).unwrap();
-        assert_eq!(epc.stats().faults - faults_before, 16);
+        assert_eq!(faults(&epc) - faults_before, 16);
     }
 
     #[test]
@@ -454,9 +428,9 @@ mod tests {
         epc.touch_all(big).unwrap();
         epc.touch_all(big).unwrap();
         // Pinned pages still resident: touching pin is free.
-        let faults_before = epc.stats().faults;
+        let faults_before = faults(&epc);
         epc.touch_all(pin).unwrap();
-        assert_eq!(epc.stats().faults, faults_before);
+        assert_eq!(faults(&epc), faults_before);
     }
 
     #[test]
@@ -470,7 +444,7 @@ mod tests {
         for _ in 0..3 {
             for &r in &regions {
                 epc.touch_all(r).unwrap();
-                assert!(epc.stats().resident_pages <= 64);
+                assert!(resident(&epc).0 <= 64);
             }
         }
     }
@@ -481,8 +455,8 @@ mod tests {
         let r = epc.alloc("w", 10 * PAGE_SIZE as u64);
         epc.touch_all(r).unwrap();
         epc.free(r).unwrap();
-        assert_eq!(epc.stats().resident_pages, 0);
-        assert_eq!(epc.stats().allocated_pages, 0);
+        assert_eq!(resident(&epc).0, 0);
+        assert_eq!(gauge(&epc.telemetry, "t.epc.allocated_pages").0, 0);
         assert_eq!(epc.free(r), Err(TeeError::BadRegion(r)));
     }
 
@@ -500,7 +474,7 @@ mod tests {
         let r = epc.alloc("w", 10 * PAGE_SIZE as u64);
         epc.touch(r, 0, 0).unwrap();
         assert_eq!(clock.now_ns(), 0);
-        assert_eq!(epc.stats().faults, 0);
+        assert_eq!(faults(&epc), 0);
     }
 
     #[test]
@@ -509,7 +483,39 @@ mod tests {
         let a = epc.alloc("a", 30 * PAGE_SIZE as u64);
         epc.touch_all(a).unwrap();
         epc.free(a).unwrap();
-        assert_eq!(epc.stats().resident_pages, 0);
-        assert_eq!(epc.stats().peak_resident_pages, 30);
+        assert_eq!(resident(&epc).0, 0);
+        assert_eq!(resident(&epc).1, 30);
+    }
+
+    #[test]
+    fn paging_is_the_same_with_telemetry_on_and_off() {
+        // Eviction reads the resident total, which must be the model's
+        // own state: a disabled registry drops every gauge update.
+        let (on_clock, off_clock) = (SimClock::new(), SimClock::new());
+        let mut on = mgr_on(true, &on_clock, &on_clock.telemetry());
+        let mut off = mgr_on(true, &off_clock, &Telemetry::disabled());
+        let sizes = [40u64, 30, 100, 10, 25];
+        let regions: Vec<_> = sizes
+            .iter()
+            .map(|&pages| {
+                let a = on.alloc("r", pages * PAGE_SIZE as u64);
+                let b = off.alloc("r", pages * PAGE_SIZE as u64);
+                (a, b)
+            })
+            .collect();
+        for (step, i) in [0, 1, 0, 2, 3, 1, 4, 2, 0, 3, 4, 1].into_iter().enumerate() {
+            let (a, b) = regions[i];
+            on.touch_all(a).unwrap();
+            off.touch_all(b).unwrap();
+            assert_eq!(on_clock.now_ns(), off_clock.now_ns(), "step {step}");
+            assert_eq!(on.resident_pages, off.resident_pages, "step {step}");
+        }
+        // Every fault is one page swap, and (nothing freed) every page
+        // faulted in is resident or was evicted.
+        let swaps = off_clock.now_ns() / CostModel::default().page_swap_ns();
+        assert_eq!(faults(&on), swaps);
+        assert_eq!(evictions(&on), swaps - off.resident_pages);
+        assert!(evictions(&on) > 0, "the sequence must thrash");
+        assert_eq!(resident(&on).0 as u64, off.resident_pages);
     }
 }

@@ -50,7 +50,7 @@ pub mod sealing;
 
 pub use clock::{CostModel, SimClock};
 pub use enclave::Enclave;
-pub use epc::{EpcStats, RegionId, PAGE_SIZE};
+pub use epc::{RegionId, PAGE_SIZE};
 pub use measurement::{EnclaveImage, MrEnclave};
 pub use platform::Platform;
 pub use quote::Quote;
@@ -128,3 +128,33 @@ impl fmt::Display for TeeError {
 }
 
 impl Error for TeeError {}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use securetf_telemetry::{MetricValue, Telemetry};
+
+    fn metric(telemetry: &Telemetry, name: &str) -> MetricValue {
+        telemetry
+            .metrics()
+            .into_iter()
+            .find_map(|(n, value)| (n == name).then_some(value))
+            .unwrap_or_else(|| panic!("no metric named {name:?}"))
+    }
+
+    /// The counter `name`; panics if the registry has no such metric, so
+    /// a misspelled name cannot pass as a zero count.
+    pub(crate) fn count(telemetry: &Telemetry, name: &str) -> u64 {
+        match metric(telemetry, name) {
+            MetricValue::Counter(n) => n,
+            other => panic!("{name:?} is not a counter: {other:?}"),
+        }
+    }
+
+    /// The gauge `name` as `(value, peak)`; panics like [`count`].
+    pub(crate) fn gauge(telemetry: &Telemetry, name: &str) -> (i64, i64) {
+        match metric(telemetry, name) {
+            MetricValue::Gauge { value, peak } => (value, peak),
+            other => panic!("{name:?} is not a gauge: {other:?}"),
+        }
+    }
+}

@@ -25,6 +25,15 @@
 //!    construction, and tampering with a sealed snapshot surfaces as a
 //!    typed [`ExportError::Integrity`] — fail closed.
 //!
+//! A count lives in one place, this registry. Only a [`Telemetry`] hands
+//! out metric handles ([`Telemetry::counter`], [`Telemetry::gauge`],
+//! [`Telemetry::histogram`]); a component resolves its handles once and
+//! keeps no typed copy of what they count, so a snapshot, a digest and a
+//! test all read the same number, by name. State a model computes with
+//! (the EPC's resident-page total, say) is a plain field of that model,
+//! set into a gauge for export and never read back, so virtual time is
+//! the same whether telemetry is on or off.
+//!
 //! # Examples
 //!
 //! ```
@@ -199,11 +208,6 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Reserves a deterministic numeric scope id (used to disambiguate
     /// per-enclave metric names: the k-th component registered against
     /// this handle always gets id k, so same-seed runs agree on names).
@@ -313,29 +317,6 @@ impl Telemetry {
         }
     }
 
-    /// Registers an externally owned counter under `name`, so components
-    /// that must count even when telemetry is off (e.g. the EPC manager,
-    /// whose `EpcStats` view predates this crate) surface their counters
-    /// in snapshots and the digest.
-    pub fn register_counter(&self, name: &str, counter: &Counter) {
-        if let Some(inner) = &self.inner {
-            inner
-                .registry
-                .lock()
-                .insert(name.to_string(), MetricHandle::Counter(counter.clone()));
-        }
-    }
-
-    /// Registers an externally owned gauge under `name`.
-    pub fn register_gauge(&self, name: &str, gauge: &Gauge) {
-        if let Some(inner) = &self.inner {
-            inner
-                .registry
-                .lock()
-                .insert(name.to_string(), MetricHandle::Gauge(gauge.clone()));
-        }
-    }
-
     /// A point-in-time copy of every registered metric, sorted by name.
     pub fn metrics(&self) -> Vec<(String, MetricValue)> {
         match &self.inner {
@@ -405,7 +386,6 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
-        assert!(!t.is_enabled());
         let c = t.counter("x");
         c.inc();
         assert_eq!(c.get(), 0);
@@ -425,7 +405,12 @@ mod tests {
 
     #[test]
     fn default_is_disabled() {
-        assert!(!Telemetry::default().is_enabled());
+        let t = Telemetry::default();
+        t.counter("x").inc();
+        assert!(
+            t.metrics().is_empty(),
+            "an enabled handle lists its cost.* counters"
+        );
     }
 
     #[test]

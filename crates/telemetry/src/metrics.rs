@@ -1,15 +1,14 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket latency
 //! histograms.
 //!
-//! Metric handles come in two flavours with one type: *attached* handles
-//! carry an `Arc` to shared atomic state and are what
-//! [`Telemetry`](crate::Telemetry) hands out; *no-op* handles (from
-//! `Counter::noop()` etc.) carry `None` and silently drop every update, so
-//! a disabled telemetry handle costs nothing. Components that must keep
-//! counting even when telemetry is off — the EPC manager's `EpcStats`
-//! view, for instance — construct attached handles directly with
-//! `Counter::new()` and *register* them into a `Telemetry` only when one
-//! is enabled.
+//! Only a [`Telemetry`](crate::Telemetry) hands out metric handles, and a
+//! handle it hands out is the one place its count lives: an enabled
+//! registry gives *attached* handles (an `Arc` to shared atomic state,
+//! registered under their name), a disabled one gives *no-op* handles
+//! that carry `None` and drop every update, so counting costs nothing
+//! when telemetry is off. No component keeps a second copy of a count;
+//! state a model computes with (the EPC's resident pages, say) is a plain
+//! field that is *set into* a gauge, never read back out of one.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,8 +37,8 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A functional, attached counter (not yet registered anywhere).
-    pub fn new() -> Self {
+    /// A functional, attached counter (registered by the caller).
+    pub(crate) fn new() -> Self {
         Counter {
             cell: Some(Arc::new(AtomicU64::new(0))),
         }
@@ -47,7 +46,7 @@ impl Counter {
 
     /// A counter that drops every update. This is what disabled telemetry
     /// hands out; it allocates nothing.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Counter { cell: None }
     }
 
@@ -62,17 +61,6 @@ impl Counter {
     pub fn add(&self, n: u64) {
         if let Some(cell) = &self.cell {
             cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Increments by one and returns the *previous* value, atomically —
-    /// the counting idiom event-sequenced test adversaries rely on. A
-    /// no-op counter always returns 0.
-    #[inline]
-    pub fn fetch_inc(&self) -> u64 {
-        match &self.cell {
-            Some(cell) => cell.fetch_add(1, Ordering::SeqCst),
-            None => 0,
         }
     }
 
@@ -100,15 +88,15 @@ struct GaugeCell {
 }
 
 impl Gauge {
-    /// A functional, attached gauge (not yet registered anywhere).
-    pub fn new() -> Self {
+    /// A functional, attached gauge (registered by the caller).
+    pub(crate) fn new() -> Self {
         Gauge {
             cell: Some(Arc::new(GaugeCell::default())),
         }
     }
 
     /// A gauge that drops every update.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Gauge { cell: None }
     }
 
@@ -196,15 +184,15 @@ impl HistogramSnapshot {
 }
 
 impl Histogram {
-    /// A functional, attached histogram (not yet registered anywhere).
-    pub fn new() -> Self {
+    /// A functional, attached histogram (registered by the caller).
+    pub(crate) fn new() -> Self {
         Histogram {
             cell: Some(Arc::new(HistogramCell::default())),
         }
     }
 
     /// A histogram that drops every observation.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Histogram { cell: None }
     }
 

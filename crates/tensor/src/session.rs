@@ -11,7 +11,7 @@ use crate::TensorError;
 use std::collections::HashMap;
 
 /// A pipeline-optimized graph cached by the session, keyed by the
-/// compile key of (graph structure, roots, training flag).
+/// compile key of (graph structure, roots).
 #[derive(Debug, Clone)]
 struct CompiledGraph {
     graph: Graph,

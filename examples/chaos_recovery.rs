@@ -17,7 +17,8 @@ use securetf_distrib::faults::FaultPlan;
 use securetf_distrib::supervisor::{Supervisor, SupervisorConfig};
 use securetf_distrib::trainer::DistributedTrainer;
 use securetf_shield::fs::UntrustedStore;
-use securetf_tee::ExecutionMode;
+use securetf_tee::telemetry::MetricValue;
+use securetf_tee::{ExecutionMode, SimClock};
 use securetf_tensor::layers;
 
 const WORKERS: usize = 3;
@@ -50,6 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    // The supervisor counts into this registry; its clock only stamps
+    // spans, so the run's virtual time is the same without it.
+    let telemetry = SimClock::new().telemetry();
     let cluster = Cluster::new(ClusterConfig {
         workers: WORKERS,
         parameter_servers: 1,
@@ -57,6 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         network_shield: true,
         runtime_bytes: 8 * 1024 * 1024,
         heap_bytes: 16 * 1024 * 1024,
+        telemetry: telemetry.clone(),
         ..ClusterConfig::default()
     })?;
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
@@ -71,7 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         UntrustedStore::new(),
     )?;
     let report = supervisor.train_steps(steps)?;
-    let stats = supervisor.stats();
+    let metrics = telemetry.metrics();
+    let count = |name: &str| match metrics.iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Counter(n))) => *n,
+        other => panic!("no counter named {name:?}: {other:?}"),
+    };
 
     println!();
     println!("training survived:");
@@ -88,20 +97,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!();
     println!("supervisor stats:");
-    println!("  faults injected    {}", stats.faults_injected);
+    println!(
+        "  faults injected    {}",
+        count("supervisor.faults_injected")
+    );
     println!(
         "  heartbeats         {} ({} missed, {} tampered)",
-        stats.heartbeats, stats.missed_heartbeats, stats.tampered_heartbeats
+        count("supervisor.heartbeats"),
+        count("supervisor.missed_heartbeats"),
+        count("supervisor.tampered_heartbeats")
     );
-    println!("  respawns           {}", stats.respawns);
-    println!("  rollbacks          {}", stats.rollbacks);
+    println!("  respawns           {}", count("supervisor.respawns"));
+    println!("  rollbacks          {}", count("supervisor.rollbacks"));
     println!(
         "  checkpoints        {} ({} fallbacks)",
-        stats.checkpoints, stats.checkpoint_fallbacks
+        count("supervisor.checkpoints"),
+        count("supervisor.checkpoint_fallbacks")
     );
     println!(
         "  supervision time   {:.3} ms",
-        stats.supervision_ns as f64 / 1e6
+        count("supervisor.supervision_ns") as f64 / 1e6
     );
     Ok(())
 }

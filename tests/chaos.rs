@@ -18,12 +18,13 @@ use securetf::profile::RuntimeProfile;
 use securetf::serving::{decode_response, encode_request, Request, Response};
 use securetf_distrib::cluster::{Cluster, ClusterConfig};
 use securetf_distrib::faults::{FaultEvent, FaultPlan};
-use securetf_distrib::supervisor::{Supervisor, SupervisorConfig, SupervisorStats};
+use securetf_distrib::supervisor::{Supervisor, SupervisorConfig};
 use securetf_distrib::trainer::DistributedTrainer;
 use securetf_gateway::chaos::{attested_pair, SwitchTransport};
 use securetf_gateway::{Gateway, GatewayConfig};
 use securetf_shield::fs::UntrustedStore;
 use securetf_shield::net::SecureChannel;
+use securetf_tee::telemetry::MetricValue;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock, Telemetry};
 use securetf_tensor::graph::Graph;
 use securetf_tensor::layers::{self, Classifier};
@@ -56,13 +57,40 @@ fn trainer_with_telemetry(telemetry: Telemetry) -> DistributedTrainer {
 }
 
 fn trainer() -> DistributedTrainer {
-    trainer_with_telemetry(Telemetry::disabled())
+    trainer_with_telemetry(Telemetry::new(std::sync::Arc::new(SimClock::new())))
+}
+
+/// The counter `name` in the registry `supervisor`'s trainer counts
+/// into; panics if there is no such metric, so a misspelled name cannot
+/// pass as a zero.
+fn count(supervisor: &Supervisor, name: &str) -> u64 {
+    let telemetry = &supervisor.trainer().cluster().config().telemetry;
+    match telemetry.metrics().into_iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Counter(n))) => n,
+        other => panic!("no counter named {name:?}: {other:?}"),
+    }
+}
+
+/// Every `supervisor.*` counter, by name.
+fn supervision_counts(supervisor: &Supervisor) -> Vec<(String, u64)> {
+    let telemetry = &supervisor.trainer().cluster().config().telemetry;
+    telemetry
+        .metrics()
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("supervisor."))
+        .map(|(name, value)| match value {
+            MetricValue::Counter(n) => (name, n),
+            other => panic!("{name:?} is not a counter: {other:?}"),
+        })
+        .collect()
 }
 
 struct ChaosRun {
     digest: u64,
     loss_bits: u32,
-    stats: SupervisorStats,
+    faults_injected: u64,
+    respawns: u64,
+    supervision: Vec<(String, u64)>,
 }
 
 fn run_seed(seed: u64) -> ChaosRun {
@@ -92,7 +120,9 @@ fn run_seed(seed: u64) -> ChaosRun {
     ChaosRun {
         digest,
         loss_bits: report.final_loss.to_bits(),
-        stats: supervisor.stats(),
+        faults_injected: count(&supervisor, "supervisor.faults_injected"),
+        respawns: count(&supervisor, "supervisor.respawns"),
+        supervision: supervision_counts(&supervisor),
     }
 }
 
@@ -102,8 +132,8 @@ fn training_survives_every_seeded_fault_plan() {
     let mut total_respawns = 0u64;
     for seed in SEEDS {
         let run = run_seed(seed);
-        total_faults += run.stats.faults_injected;
-        total_respawns += run.stats.respawns;
+        total_faults += run.faults_injected;
+        total_respawns += run.respawns;
     }
     // The matrix must actually exercise the fault machinery, not pass
     // vacuously on empty schedules.
@@ -121,7 +151,10 @@ fn identical_seed_reproduces_schedule_and_loss_bit_for_bit() {
             a.loss_bits, b.loss_bits,
             "seed {seed}: final loss diverged bit-wise"
         );
-        assert_eq!(a.stats, b.stats, "seed {seed}: recovery path diverged");
+        assert_eq!(
+            a.supervision, b.supervision,
+            "seed {seed}: recovery path diverged"
+        );
     }
 }
 
@@ -400,7 +433,7 @@ fn hand_written_worst_case_plan_is_survived() {
     .expect("supervisor boots");
     let report = supervisor.train_steps(6).expect("worst case survived");
     assert!(report.final_loss.is_finite());
-    assert_eq!(supervisor.stats().respawns, WORKERS as u64);
+    assert_eq!(count(&supervisor, "supervisor.respawns"), WORKERS as u64);
 }
 
 #[test]
@@ -432,12 +465,11 @@ fn hand_written_storage_crash_plan_is_survived() {
         .expect("storage chaos survived");
     assert!(report.final_loss.is_finite());
     assert_eq!(report.samples, STEPS * WORKERS as u64 * 100);
-    let stats = supervisor.stats();
     assert!(
-        stats.storage_recoveries >= 1,
+        count(&supervisor, "supervisor.storage_recoveries") >= 1,
         "a crash during a checkpoint write must trigger remount recovery"
     );
-    assert_eq!(stats.storage_rollbacks, 1);
+    assert_eq!(count(&supervisor, "supervisor.storage_rollbacks"), 1);
 }
 
 #[test]
@@ -460,7 +492,7 @@ fn storage_crash_plans_reproduce_bit_for_bit() {
         .expect("supervisor boots");
         let report = supervisor.train_steps(STEPS).expect("plan survived");
         assert!(
-            supervisor.stats().storage_recoveries >= 1,
+            count(&supervisor, "supervisor.storage_recoveries") >= 1,
             "seed {seed}: recovery path not exercised"
         );
         (

@@ -142,7 +142,9 @@ proptest! {
             ..CostModel::default()
         };
         let budget = model.epc_pages();
-        let mut epc = EpcManager::new(model, SimClock::new(), true);
+        let clock = SimClock::new();
+        let telemetry = clock.telemetry();
+        let mut epc = EpcManager::new(model, clock, true, &telemetry, "p");
         let regions: Vec<_> = sizes
             .iter()
             .map(|&pages| epc.alloc("r", pages * PAGE_SIZE as u64))
@@ -150,8 +152,18 @@ proptest! {
         for idx in touch_order {
             let region = regions[idx.index(regions.len())];
             epc.touch_all(region).unwrap();
-            prop_assert!(epc.stats().resident_pages <= budget);
         }
+        // The gauge's high-water mark covers every intermediate value.
+        let peak = telemetry
+            .metrics()
+            .into_iter()
+            .find_map(|(name, value)| match value {
+                securetf_tee::telemetry::MetricValue::Gauge { peak, .. }
+                    if name == "p.epc.resident_pages" => Some(peak),
+                _ => None,
+            })
+            .expect("the resident-pages gauge is registered");
+        prop_assert!(peak as u64 <= budget);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Integration tests for the telemetry subsystem at the service layer:
 //! span coverage of an instrumented deployment, the conservation of
 //! virtual time across cost categories, the sealed-export fail-closed
-//! contract, and the zero-overhead disabled mode.
+//! contract, the zero-overhead disabled mode, and the pinned set of
+//! metric names a deployment, the fs shield and a supervised run register.
 
 use securetf::classifier::SecureClassifier;
 use securetf::deployment::Deployment;
@@ -537,3 +538,195 @@ fn memory_gauges_cover_serving_and_training_and_the_pool_stays_flat() {
         padded * 4 + taps
     );
 }
+
+/// The counter `name`; panics if the registry has no such metric, so a
+/// misspelled name cannot pass as a zero.
+fn count(telemetry: &Telemetry, name: &str) -> u64 {
+    match telemetry.metrics().into_iter().find(|(n, _)| n == name) {
+        Some((_, securetf_tee::telemetry::MetricValue::Counter(n))) => n,
+        other => panic!("no counter named {name:?}: {other:?}"),
+    }
+}
+
+/// Every registered metric name, each enclave's `#<k>` scope id written
+/// as `#k`.
+fn metric_names(telemetry: &Telemetry) -> std::collections::BTreeSet<String> {
+    telemetry
+        .metrics()
+        .into_iter()
+        .map(|(name, _)| match name.split_once('#') {
+            Some((scope, rest)) => {
+                let id_len = rest
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(rest.len());
+                format!("{scope}#k{}", &rest[id_len..])
+            }
+            None => name,
+        })
+        .collect()
+}
+
+#[test]
+fn the_metric_names_are_pinned() {
+    use securetf_distrib::cluster::{Cluster, ClusterConfig};
+    use securetf_distrib::faults::{FaultEvent, FaultPlan};
+    use securetf_distrib::supervisor::{Supervisor, SupervisorConfig};
+    use securetf_distrib::trainer::DistributedTrainer;
+    use securetf_shield::fs::{FsShield, UntrustedStore};
+
+    let clock = SimClock::new();
+    let telemetry = clock.telemetry();
+    // Serving: publish, deploy and one batch.
+    let mut classifier = deploy_instrumented(&clock, &telemetry);
+    classifier
+        .classify_batch(&Tensor::full(&[2, 8], 0.5))
+        .expect("classify_batch");
+    // Storage: a write, a read and a remount.
+    let enclave = Platform::builder()
+        .clock(clock.clone())
+        .telemetry(telemetry.clone())
+        .build()
+        .create_enclave(
+            &EnclaveImage::builder().code(b"fs").name("fs").build(),
+            ExecutionMode::Hardware,
+        )
+        .expect("enclave");
+    let store = UntrustedStore::new();
+    let mut fs = FsShield::new(enclave.clone(), store.clone());
+    fs.write("/data/blob", b"golden names").expect("write");
+    assert_eq!(fs.read("/data/blob").expect("read"), b"golden names");
+    let (fs, _report) = FsShield::recover(enclave, store).expect("recover");
+    assert_eq!(fs.read("/data/blob").expect("read"), b"golden names");
+    // Training: two supervised steps, one worker respawned.
+    let cluster = Cluster::new(ClusterConfig {
+        workers: 2,
+        parameter_servers: 1,
+        mode: ExecutionMode::Simulation,
+        network_shield: true,
+        runtime_bytes: 8 * 1024 * 1024,
+        heap_bytes: 16 * 1024 * 1024,
+        telemetry: telemetry.clone(),
+        ..ClusterConfig::default()
+    })
+    .expect("cluster");
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+    let model = securetf_tensor::layers::mlp_classifier(784, &[32], 10, &mut rng).expect("model");
+    let data = securetf_data::synthetic_mnist(200, 5);
+    let trainer = DistributedTrainer::new(cluster, model, data, 100, 0.2).expect("trainer");
+    let plan = FaultPlan::none().with_event(1, FaultEvent::WorkerCrash { worker: 0 });
+    let mut supervisor = Supervisor::new(
+        trainer,
+        plan,
+        SupervisorConfig::default(),
+        UntrustedStore::new(),
+    )
+    .expect("supervisor");
+    supervisor.train_steps(2).expect("train");
+    assert_eq!(count(&telemetry, "supervisor.respawns"), 1);
+    assert_eq!(
+        count(&telemetry, "shield.fs.writes"),
+        2,
+        "the blob and a checkpoint"
+    );
+
+    let names = metric_names(&telemetry);
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    assert_eq!(names, GOLDEN_METRIC_NAMES);
+}
+
+/// What an operator's snapshot names after one deployment and batch, one
+/// fs-shield write / read / recover and a supervised run with a respawn.
+/// A counter renamed or dropped fails `the_metric_names_are_pinned`; one
+/// added is listed here in the same change.
+const GOLDEN_METRIC_NAMES: &[&str] = &[
+    "cost.attestation.events",
+    "cost.attestation.ns",
+    "cost.compute.events",
+    "cost.compute.ns",
+    "cost.crypto.events",
+    "cost.crypto.ns",
+    "cost.network.events",
+    "cost.network.ns",
+    "cost.other.events",
+    "cost.other.ns",
+    "cost.paging.events",
+    "cost.paging.ns",
+    "cost.syscalls.events",
+    "cost.syscalls.ns",
+    "cost.transitions.events",
+    "cost.transitions.ns",
+    "crypto.bytes_opened",
+    "crypto.bytes_sealed",
+    "crypto.seal_ns",
+    "distrib.comm.bytes_saved",
+    "distrib.comm.bytes_sent",
+    "distrib.comm.comm_ns",
+    "distrib.comm.compression_ratio",
+    "distrib.comm.overlap_hidden_ns",
+    "kernel.matmul.flops",
+    "kernel.matmul.ns",
+    "kernel.pool.critical_flops",
+    "kernel.pool.total_flops",
+    "kernel.simd",
+    "memory.arena_bytes_in_use",
+    "memory.grad_slots",
+    "memory.grads_pruned",
+    "memory.peak_planned_bytes",
+    "memory.pool_bytes",
+    "memory.workspace_bytes",
+    "shield.fs.aborted_writes",
+    "shield.fs.bytes_read",
+    "shield.fs.bytes_written",
+    "shield.fs.chunk_cache_hits",
+    "shield.fs.chunk_cache_misses",
+    "shield.fs.format_rejections",
+    "shield.fs.journal_commits",
+    "shield.fs.journal_rollbacks",
+    "shield.fs.mount_epoch",
+    "shield.fs.reads",
+    "shield.fs.recovery_ns",
+    "shield.fs.tamper_rejections",
+    "shield.fs.writes",
+    "shield.net.bytes_received",
+    "shield.net.bytes_sent",
+    "shield.net.records_received",
+    "shield.net.records_rejected",
+    "shield.net.records_sent",
+    "shield.net.vectored_sends",
+    "supervisor.checkpoint_fallbacks",
+    "supervisor.checkpoints",
+    "supervisor.faults_injected",
+    "supervisor.heartbeats",
+    "supervisor.missed_heartbeats",
+    "supervisor.respawns",
+    "supervisor.rollbacks",
+    "supervisor.storage_fresh_remounts",
+    "supervisor.storage_recoveries",
+    "supervisor.storage_rollbacks",
+    "supervisor.supervision_ns",
+    "supervisor.tampered_heartbeats",
+    "tee.cas#k.async_syscalls",
+    "tee.cas#k.epc.allocated_pages",
+    "tee.cas#k.epc.evictions",
+    "tee.cas#k.epc.faults",
+    "tee.cas#k.epc.resident_pages",
+    "tee.cas#k.transitions",
+    "tee.classifier#k.async_syscalls",
+    "tee.classifier#k.epc.allocated_pages",
+    "tee.classifier#k.epc.evictions",
+    "tee.classifier#k.epc.faults",
+    "tee.classifier#k.epc.resident_pages",
+    "tee.classifier#k.transitions",
+    "tee.fs#k.async_syscalls",
+    "tee.fs#k.epc.allocated_pages",
+    "tee.fs#k.epc.evictions",
+    "tee.fs#k.epc.faults",
+    "tee.fs#k.epc.resident_pages",
+    "tee.fs#k.transitions",
+    "tee.worker#k.async_syscalls",
+    "tee.worker#k.epc.allocated_pages",
+    "tee.worker#k.epc.evictions",
+    "tee.worker#k.epc.faults",
+    "tee.worker#k.epc.resident_pages",
+    "tee.worker#k.transitions",
+];

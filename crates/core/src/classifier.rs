@@ -126,20 +126,17 @@ impl SecureClassifier {
 
         // Model and workspace live in enclave memory. Single-pass
         // runtimes (the Lite interpreter) execute out of the planned
-        // arena, so the workspace is exactly the plan's peak; the full
+        // arena, so the workspace is exactly the plan's peak, and a model
+        // that cannot be planned cannot run: deploy refuses it. The full
         // framework's executor has no planner and keeps the
         // fraction-of-model heuristic.
         let model_bytes = interpreter.model().param_bytes();
-        let planned = if profile.memory_passes == 1 {
-            securetf_tflite::arena::plan_memory(interpreter.model(), 1)
-                .ok()
-                .map(|plan| plan.peak_bytes)
+        let workspace_bytes = if profile.memory_passes == 1 {
+            securetf_tflite::arena::plan_memory(interpreter.model(), 1)?.peak_bytes
         } else {
-            None
-        };
-        let workspace_bytes = planned
-            .unwrap_or((model_bytes as f64 * profile.workspace_fraction) as u64)
-            .max(512 * 1024);
+            (model_bytes as f64 * profile.workspace_fraction) as u64
+        }
+        .max(512 * 1024);
         let model_region = enclave.alloc("model", model_bytes);
         let workspace_region = enclave.alloc("workspace", workspace_bytes);
         // Cold load: fault the whole model in once (the paper warms up
@@ -251,15 +248,18 @@ impl SecureClassifier {
 
     /// Grows the planned workspace when a batch needs more rows than any
     /// seen so far. No-op for the heuristic (full-framework) workspace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SecureTfError::Lite`] if the model cannot be planned
+    /// for `rows`; the workspace is unchanged then.
     fn ensure_workspace_rows(&mut self, rows: usize) -> Result<(), SecureTfError> {
         let rows = rows.max(1);
         if self.profile.memory_passes != 1 || rows <= self.workspace_rows {
             return Ok(());
         }
+        let plan = securetf_tflite::arena::plan_memory(self.interpreter.model(), rows)?;
         self.workspace_rows = rows;
-        let Ok(plan) = securetf_tflite::arena::plan_memory(self.interpreter.model(), rows) else {
-            return Ok(());
-        };
         if plan.peak_bytes > self.workspace_bytes {
             self.enclave.free(self.workspace_region)?;
             self.workspace_region = self.enclave.alloc("workspace", plan.peak_bytes);

@@ -215,6 +215,8 @@ mod tests {
     use super::*;
     use securetf_tensor::graph::Graph;
     use securetf_tensor::tensor::Tensor;
+    use securetf_tensor::TensorError;
+    use securetf_tflite::LiteError;
 
     fn tiny_model() -> LiteModel {
         model_with_weight(0.3)
@@ -276,6 +278,27 @@ mod tests {
         let (label, ns) = c.classify(&Tensor::full(&[1, 4], 1.0)).unwrap();
         assert!(label < 2);
         assert!(ns > 0);
+    }
+
+    #[test]
+    fn a_model_that_cannot_be_planned_is_refused_at_deploy() {
+        // `[rows, 4] × [8, 3]`: no batch size plans, so no request could
+        // ever be classified.
+        let mut g = Graph::new();
+        let x = g.placeholder("input", &[0, 4]);
+        let w = g.constant("w", Tensor::full(&[8, 3], 0.1));
+        let y = g.matmul(x, w).unwrap();
+        let name = g.nodes()[y.index()].name.clone();
+        let model = LiteModel::convert(&g, "input", &name).unwrap();
+        let mut d = Deployment::new(ExecutionMode::Hardware);
+        d.publish_model("svc", "/models/m", &model).unwrap();
+        match d.deploy_classifier("svc", "/models/m", RuntimeProfile::scone_lite()) {
+            Err(SecureTfError::Lite(LiteError::Exec(TensorError::ShapeMismatch {
+                detail,
+                ..
+            }))) => assert!(detail.contains("inner dims 4 vs 8"), "{detail}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

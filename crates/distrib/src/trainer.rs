@@ -509,22 +509,18 @@ impl DistributedTrainer {
         //    encoded from the PS variables. The broadcast stays dense —
         //    workers must hold the exact global model.
         let broadcast_span = telemetry.span("distrib.broadcast");
-        let entries: Vec<Vec<u8>> = self
-            .ps_session
-            .variables()
-            .into_iter()
-            .map(|(id, t)| wire::encode_dense_entry(id.index() as u32, t))
+        let variables = self.ps_session.variables();
+        let shard_frames: Vec<Vec<u8>> = (0..ps_count)
+            .map(|s| {
+                let entries: Vec<(u32, &Tensor)> = variables
+                    .iter()
+                    .zip(&shard_index)
+                    .filter(|(_, &si)| si == s)
+                    .map(|(&(id, t), _)| (id.index() as u32, t))
+                    .collect();
+                wire::encode_dense_frame(&entries)
+            })
             .collect();
-        let mut shard_frames: Vec<Vec<u8>> = Vec::with_capacity(ps_count);
-        for s in 0..ps_count {
-            let bodies: Vec<&[u8]> = entries
-                .iter()
-                .zip(&shard_index)
-                .filter(|(_, &si)| si == s)
-                .map(|(entry, _)| entry.as_slice())
-                .collect();
-            shard_frames.push(wire::assemble_dense_frame(&bodies));
-        }
         // Each shard's NIC serializes the LAN send of its frame to every
         // live worker; the per-link record sealing runs on the shield's
         // async crypto threads (one per link), so a single record-

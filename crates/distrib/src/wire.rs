@@ -136,18 +136,9 @@ fn put_entry_header(out: &mut Vec<u8>, id: u32, tensor: &Tensor) {
     put_u32(out, tensor.len() as u32);
 }
 
-/// One dense entry: the header, then the `n` values as f32.
-fn put_dense_entry(out: &mut Vec<u8>, id: u32, tensor: &Tensor) {
-    put_entry_header(out, id, tensor);
-    put_f32s(out, tensor.data());
-}
-
-/// A dense frame's body: an entry count, then the dense entries.
-fn put_dense_body(out: &mut Vec<u8>, entries: &[(u32, Tensor)]) {
-    put_u32(out, entries.len() as u32);
-    for (id, tensor) in entries {
-        put_dense_entry(out, *id, tensor);
-    }
+/// Bytes of one dense entry: the header, then the `n` values as f32.
+fn dense_entry_len(tensor: &Tensor) -> u64 {
+    12 + 4 * tensor.shape().len() as u64 + 4 * tensor.len() as u64
 }
 
 /// Walks `count (id rank dims… n payload)*`, the layout both codecs
@@ -195,39 +186,12 @@ fn quantized_payload(r: &mut Reader, n: usize) -> Result<Vec<f32>, DistribError>
         .collect())
 }
 
-/// Encodes one dense entry body — the per-entry layout
-/// `(id, rank, dims…, n, f32 data…)` without any frame header.
-///
-/// The broadcast path caches these bodies per variable so unchanged
-/// variables are never re-encoded; [`assemble_dense_frame`] stitches
-/// cached bodies into a full tagged frame.
-pub fn encode_dense_entry(id: u32, tensor: &Tensor) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + 4 * tensor.shape().len() + 4 * tensor.len());
-    put_dense_entry(&mut out, id, tensor);
-    out
-}
-
-/// Stitches pre-encoded dense entry bodies (from [`encode_dense_entry`])
-/// into a tagged dense frame decodable by [`decode_frame`].
-pub fn assemble_dense_frame(bodies: &[&[u8]]) -> Vec<u8> {
-    let total: usize = bodies.iter().map(|b| b.len()).sum();
-    let mut out = Vec::with_capacity(5 + total);
-    out.push(FRAME_DENSE);
-    put_u32(&mut out, bodies.len() as u32);
-    for body in bodies {
-        out.extend_from_slice(body);
-    }
-    out
-}
-
 /// Encodes entries as a tagged frame with the chosen codec.
 pub fn encode_frame(entries: &[(u32, Tensor)], codec: Codec) -> Vec<u8> {
     match codec {
         Codec::Dense => {
-            let mut out = Vec::with_capacity(dense_frame_len(entries) as usize);
-            out.push(FRAME_DENSE);
-            put_dense_body(&mut out, entries);
-            out
+            let entries: Vec<_> = entries.iter().map(|(id, t)| (*id, t)).collect();
+            encode_dense_frame(&entries)
         }
         Codec::Quantized => {
             let quantized: Vec<Quantized> =
@@ -240,6 +204,21 @@ pub fn encode_frame(entries: &[(u32, Tensor)], codec: Codec) -> Vec<u8> {
             encode_quantized_frame(&entries)
         }
     }
+}
+
+/// Encodes a `'D'` frame of borrowed tensors: [`encode_frame`] with
+/// [`Codec::Dense`] for a sender that does not own its entries — the
+/// parameter server broadcasts its variables where they live.
+pub(crate) fn encode_dense_frame(entries: &[(u32, &Tensor)]) -> Vec<u8> {
+    let payload: u64 = entries.iter().map(|(_, t)| dense_entry_len(t)).sum();
+    let mut out = Vec::with_capacity(5 + payload as usize);
+    out.push(FRAME_DENSE);
+    put_u32(&mut out, entries.len() as u32);
+    for &(id, tensor) in entries {
+        put_entry_header(&mut out, id, tensor);
+        put_f32s(&mut out, tensor.data());
+    }
+    out
 }
 
 /// Encodes a `'Q'` frame of tensors the sender has already quantized — a
@@ -278,14 +257,11 @@ pub fn encode_quantized_frame(entries: &[(u32, &Tensor, &Quantized)]) -> Vec<u8>
 /// Used to account `bytes_saved` by the quantized codec without
 /// materializing the dense bytes.
 pub fn dense_frame_len(entries: &[(u32, Tensor)]) -> u64 {
-    5 + entries
-        .iter()
-        .map(|(_, t)| 12 + 4 * t.shape().len() as u64 + 4 * t.len() as u64)
-        .sum::<u64>()
+    5 + entries.iter().map(|(_, t)| dense_entry_len(t)).sum::<u64>()
 }
 
 /// Decodes a tagged frame produced by [`encode_frame`] or
-/// [`assemble_dense_frame`]. The receiver reconstructs exact f32 values
+/// [`encode_quantized_frame`]. The receiver reconstructs exact f32 values
 /// — for quantized frames those are `q * scale`, which is also what the
 /// sender's error-feedback residual subtracts, so sender and receiver
 /// agree bit-for-bit on what was transmitted.
@@ -400,23 +376,6 @@ mod tests {
         assert_eq!(frame.len() as u64, dense_frame_len(&entries));
         let decoded = decode_frame(&frame).unwrap();
         assert_eq!(decoded, entries);
-    }
-
-    #[test]
-    fn assembled_frame_matches_encode_frame() {
-        let entries = vec![
-            (2u32, Tensor::from_vec(&[2], vec![0.5, -0.5]).unwrap()),
-            (9u32, Tensor::zeros(&[3])),
-        ];
-        let bodies: Vec<Vec<u8>> = entries
-            .iter()
-            .map(|(id, t)| encode_dense_entry(*id, t))
-            .collect();
-        let body_refs: Vec<&[u8]> = bodies.iter().map(|b| b.as_slice()).collect();
-        assert_eq!(
-            assemble_dense_frame(&body_refs),
-            encode_frame(&entries, Codec::Dense)
-        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::kernels::Panels;
 use crate::tensor::Tensor;
 use crate::TensorError;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a node within one graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -238,8 +239,9 @@ impl Op {
             Op::Tanh(_) => "tanh",
             Op::AvgPool2(_) => "avg_pool2",
             Op::ConcatCols(..) => "concat_cols",
-            // The relu flag is part of the kind so plan/pipeline cache
-            // keys never collide across the two epilogues.
+            // The relu flag is part of the kind so an op histogram
+            // (`securetf inspect`) and error messages tell the two
+            // epilogues apart.
             Op::FusedMatMul { relu: false, .. } => "fused_matmul_bias",
             Op::FusedMatMul { relu: true, .. } => "fused_matmul_bias_relu",
             Op::FusedConv2d { relu: false, .. } => "fused_conv2d_bias",
@@ -257,13 +259,45 @@ pub struct Node {
     pub name: String,
 }
 
+/// Where every [`Graph`] version is drawn: one counter for the process,
+/// so no two graphs built or edited apart ever share a version.
+/// `Relaxed` is enough: the counter publishes no other data, and a
+/// read-modify-write never hands one value out twice.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A static computation graph.
 ///
 /// Nodes only reference earlier nodes, so the node order is already a
 /// topological order.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Fresh on construction and on every edit of a node; kept by
+    /// `Clone`, whose copy holds the same nodes. Two graphs with one
+    /// version therefore hold the same nodes, which is all the compile
+    /// and plan caches compare.
+    version: u64,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph {
+            nodes: Vec::new(),
+            version: fresh_version(),
+        }
+    }
+}
+
+// By hand, so that the version — an allocation counter, not content —
+// never reaches debug output.
+impl std::fmt::Debug for Graph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Graph").field("nodes", &self.nodes).finish()
+    }
 }
 
 impl Graph {
@@ -272,13 +306,16 @@ impl Graph {
         Graph::default()
     }
 
+    /// Identifies this graph's nodes: equal versions mean equal nodes.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
     fn push(&mut self, name: &str, op: Op) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
+        self.push_node(Node {
             op,
             name: name.to_string(),
-        });
-        id
+        })
     }
 
     fn check(&self, id: NodeId) -> Result<(), TensorError> {
@@ -644,12 +681,16 @@ impl Graph {
                 name: node.name.clone(),
             })
             .collect();
-        Graph { nodes }
+        Graph {
+            nodes,
+            version: fresh_version(),
+        }
     }
 
     pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(node);
+        self.version = fresh_version();
         id
     }
 
@@ -672,6 +713,7 @@ impl Graph {
         match &mut node.op {
             Op::Constant(t) => {
                 *t = value;
+                self.version = fresh_version();
                 Ok(())
             }
             _ => Err(TensorError::InvalidGraph("node is not a constant")),
@@ -692,6 +734,7 @@ impl Graph {
         scratch: &mut Vec<f32>,
     ) -> Result<(), TensorError> {
         let node = self.nodes.get_mut(id.0).ok_or(TensorError::UnknownNode)?;
+        self.version = fresh_version();
         match std::mem::replace(&mut node.op, Op::Constant(Tensor::zeros(&[0]))) {
             Op::Constant(t) if t.shape().len() == 2 => {
                 node.op = Op::PackedConstant(Panels::pack(t, scratch)?);
@@ -713,6 +756,7 @@ impl Graph {
     pub fn replace_with_constant(&mut self, id: NodeId, value: Tensor) -> Result<(), TensorError> {
         let node = self.nodes.get_mut(id.0).ok_or(TensorError::UnknownNode)?;
         node.op = Op::Constant(value);
+        self.version = fresh_version();
         Ok(())
     }
 
@@ -767,6 +811,29 @@ mod tests {
         let s = g.add(a, b).unwrap();
         assert_eq!(g.node(s).unwrap().op.inputs(), vec![a, b]);
         assert!(g.node(a).unwrap().op.inputs().is_empty());
+    }
+
+    #[test]
+    fn a_clone_keeps_the_version_and_an_edit_takes_a_fresh_one() {
+        let mut g = Graph::new();
+        let c = g.constant("c", Tensor::zeros(&[2]));
+        let copy = g.clone();
+        assert_eq!(copy.version(), g.version());
+        assert_ne!(Graph::new().version(), Graph::new().version());
+        assert_eq!(format!("{copy:?}"), format!("{g:?}"));
+
+        let mut seen = vec![g.version()];
+        g.replace_constant(c, Tensor::full(&[2], 1.0)).unwrap();
+        seen.push(g.version());
+        g.replace_with_constant(c, Tensor::zeros(&[1, 2])).unwrap();
+        seen.push(g.version());
+        g.pack_constant(c, &mut Vec::new()).unwrap();
+        seen.push(g.version());
+        g.placeholder("x", &[1]);
+        seen.push(g.version());
+        seen.dedup();
+        assert_eq!(seen.len(), 5, "an edit kept the version");
+        assert_eq!(copy.version(), seen[0]);
     }
 
     #[test]

@@ -199,12 +199,6 @@ impl Panels {
         })
     }
 
-    /// The floats in panel order (for fingerprints: equal panels of
-    /// equal shape are equal matrices).
-    pub(crate) fn panel_data(&self) -> &[f32] {
-        &self.data
-    }
-
     /// Bytes of the matrix (no padding: the same as its tensor's).
     pub fn byte_len(&self) -> u64 {
         self.data.len() as u64 * 4

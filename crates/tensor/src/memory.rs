@@ -38,7 +38,7 @@
 //! variable gradients — leaves the pool (pinned by `tests/no_alloc.rs`).
 
 use crate::autodiff::{self, Leaves, RunStats};
-use crate::graph::{Graph, NodeId, Op, Padding};
+use crate::graph::{Graph, NodeId, Op};
 use crate::kernels::{conv, WorkerPool, Workspace};
 use crate::tensor::Tensor;
 use crate::TensorError;
@@ -931,55 +931,16 @@ impl ExecMemory {
     }
 }
 
-/// Fingerprint of everything the plan depends on: graph structure (op
-/// kinds, wiring, and the one attribute that changes an output's shape,
-/// conv padding), feed and variable shapes, targets, and the training
-/// flag.
-fn plan_key<F: Feeds + ?Sized>(
-    graph: &Graph,
-    feeds: &F,
-    vars: &HashMap<NodeId, Tensor>,
-    targets: &[NodeId],
+/// What a memory plan was made for. A later run may reuse the plan when
+/// it asks for the same graph version, targets and mode, and its needed
+/// feeds and variables have the shapes the plan recorded: everything
+/// else a shape depends on is a node, and an edited node is a new
+/// version.
+#[derive(Debug, Clone)]
+struct PlanFor {
+    version: u64,
+    targets: Vec<NodeId>,
     train: bool,
-) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |value: u64| {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(graph.len() as u64);
-    eat(u64::from(train));
-    for (index, node) in graph.nodes().iter().enumerate() {
-        for byte in node.op.kind().bytes() {
-            eat(u64::from(byte));
-        }
-        for input in node.op.inputs() {
-            eat(input.0 as u64);
-        }
-        if let Op::Conv2d { padding, .. } | Op::FusedConv2d { padding, .. } = &node.op {
-            eat(u64::from(*padding == Padding::Same));
-        }
-        let id = NodeId(index);
-        let shape: Option<&[usize]> = match &node.op {
-            Op::Placeholder { .. } => feeds.feed(id).map(Tensor::shape),
-            Op::Variable { .. } => vars.get(&id).map(Tensor::shape),
-            Op::Constant(t) => Some(t.shape()),
-            Op::PackedConstant(panels) => Some(panels.shape()),
-            _ => None,
-        };
-        if let Some(shape) = shape {
-            eat(shape.len() as u64);
-            for &dim in shape {
-                eat(dim as u64);
-            }
-        }
-    }
-    for target in targets {
-        eat(target.0 as u64);
-    }
-    hash
 }
 
 /// The graph executor: caches the memory plan, the arena, and the values
@@ -990,8 +951,11 @@ fn plan_key<F: Feeds + ?Sized>(
 pub struct PlannedExecutor {
     ws: Workspace,
     values: Vec<Option<Tensor>>,
-    /// [`plan_key`] of the configuration `mem` was planned for.
-    key: Option<u64>,
+    /// The configuration `mem` was planned for.
+    planned: Option<PlanFor>,
+    /// [`autodiff::needed_set`] of that configuration: which nodes a run
+    /// evaluates.
+    needed: Vec<bool>,
     mem: ExecMemory,
 }
 
@@ -1003,7 +967,7 @@ impl PlannedExecutor {
 
     /// The arena size of the current plan, if any run has planned.
     pub fn planned_peak_bytes(&self) -> Option<u64> {
-        self.key.map(|_| self.mem.plan.peak_bytes)
+        self.planned.as_ref().map(|_| self.mem.plan.peak_bytes)
     }
 
     /// Current memory statistics (zeros before the first run).
@@ -1025,25 +989,45 @@ impl PlannedExecutor {
         self.mem.take_writes()
     }
 
-    /// Replans when the configuration differs from the cached one. A
-    /// configuration that cannot be planned leaves the cache as it was.
+    /// Replans unless the cached plan was made for this configuration
+    /// (see [`PlanFor`]). A configuration that cannot be planned leaves
+    /// the cache as it was.
     fn ensure_plan<F: Feeds + ?Sized>(
         &mut self,
         leaves: &Leaves<'_, F>,
-        needed: &[bool],
         targets: &[NodeId],
         loss: Option<NodeId>,
     ) -> Result<(), TensorError> {
         let Leaves { graph, feeds, vars } = *leaves;
-        let key = plan_key(graph, feeds, vars, targets, loss.is_some());
-        if self.key != Some(key) {
-            let shapes = infer_shapes(graph, needed, feeds, vars)?;
+        let (plan, needed) = (&self.mem.plan, &self.needed);
+        let reusable = self.planned.as_ref().is_some_and(|p| {
+            p.version == graph.version()
+                && p.targets == targets
+                && p.train == loss.is_some()
+                && graph.nodes().iter().enumerate().all(|(index, node)| {
+                    let id = NodeId(index);
+                    let leaf = match &node.op {
+                        Op::Placeholder { .. } => feeds.feed(id),
+                        Op::Variable { .. } => vars.get(&id),
+                        _ => return true,
+                    };
+                    !needed[index] || leaf.map(Tensor::shape) == Some(plan.shape(index))
+                })
+        });
+        if !reusable {
+            let needed = autodiff::needed_set(graph, targets)?;
+            let shapes = infer_shapes(graph, &needed, feeds, vars)?;
             let plan = match loss {
-                Some(loss) => plan_training(graph, shapes, needed, loss)?,
-                None => plan_inference(graph, shapes, needed, targets)?,
+                Some(loss) => plan_training(graph, shapes, &needed, loss)?,
+                None => plan_inference(graph, shapes, &needed, targets)?,
             };
             self.mem = ExecMemory::new(plan);
-            self.key = Some(key);
+            self.planned = Some(PlanFor {
+                version: graph.version(),
+                targets: targets.to_vec(),
+                train: loss.is_some(),
+            });
+            self.needed = needed;
         }
         Ok(())
     }
@@ -1068,13 +1052,12 @@ impl PlannedExecutor {
         pool: &WorkerPool,
     ) -> Result<(Vec<Tensor>, RunStats), TensorError> {
         let leaves = Leaves { graph, feeds, vars };
-        let needed = autodiff::needed_set(graph, targets)?;
-        self.ensure_plan(&leaves, &needed, targets, None)?;
-        let mem = &mut self.mem;
+        self.ensure_plan(&leaves, targets, None)?;
+        let (needed, mem) = (&self.needed, &mut self.mem);
         mem.begin_run();
         self.values.clear();
         self.values.resize(graph.len(), None);
-        let result = autodiff::forward(&leaves, &needed, pool, &mut self.ws, mem, &mut self.values)
+        let result = autodiff::forward(&leaves, needed, pool, &mut self.ws, mem, &mut self.values)
             .and_then(|stats| {
                 let outs = targets
                     .iter()
@@ -1108,13 +1091,12 @@ impl PlannedExecutor {
     ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
         let leaves = Leaves { graph, feeds, vars };
         let targets = [loss];
-        let needed = autodiff::needed_set(graph, &targets)?;
-        self.ensure_plan(&leaves, &needed, &targets, Some(loss))?;
-        let mem = &mut self.mem;
+        self.ensure_plan(&leaves, &targets, Some(loss))?;
+        let (needed, mem) = (&self.needed, &mut self.mem);
         mem.begin_run();
         self.values.clear();
         self.values.resize(graph.len(), None);
-        let result = autodiff::forward(&leaves, &needed, pool, &mut self.ws, mem, &mut self.values)
+        let result = autodiff::forward(&leaves, needed, pool, &mut self.ws, mem, &mut self.values)
             .and_then(|stats| {
                 let loss_value = leaves
                     .operand(&self.values, loss)
@@ -1132,6 +1114,7 @@ impl PlannedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Padding;
 
     #[test]
     fn slice_feeds_resolve_like_a_map_built_from_the_pairs() {
@@ -1174,9 +1157,9 @@ mod tests {
     fn a_value_that_outgrew_its_planned_slot_is_a_typed_error() {
         // Replaying a plan whose slots are not the size of what runs
         // would touch the wrong EPC pages; the executor refuses instead
-        // (in release builds too). The plan key covers everything a shape
-        // depends on, so the drift is made by hand: shrink the slot the
-        // cached plan gave the conv output.
+        // (in release builds too). A plan is reused only for the graph
+        // version and leaf shapes it was made for, so the drift is made
+        // by hand: shrink the slot the cached plan gave the conv output.
         let (graph, x, y) = one_conv(Padding::Valid);
         let feeds = HashMap::from([(x, Tensor::full(&[1, 4, 4, 1], 1.0))]);
         let (vars, pool) = (HashMap::new(), WorkerPool::serial());
@@ -1199,8 +1182,8 @@ mod tests {
     #[test]
     fn the_same_graph_with_the_other_padding_replans() {
         // Same op kinds, wiring, leaf shapes and targets: only the conv's
-        // padding — and with it the output's shape — differs, and that is
-        // part of the plan key.
+        // padding — and with it the output's shape — differs. Each graph
+        // has its own version, so the executor replans on every switch.
         let (valid, x, y) = one_conv(Padding::Valid);
         let (same, ..) = one_conv(Padding::Same);
         let feeds = HashMap::from([(x, Tensor::full(&[1, 4, 4, 1], 1.0))]);
@@ -1225,6 +1208,38 @@ mod tests {
             planned[0] < planned[1] && planned[0] == planned[2],
             "{planned:?}"
         );
+    }
+
+    /// `reshape(x, a) × reshape(y, b)` over two fed 12-vectors.
+    fn reshaped_matmul(a: [usize; 2], b: [usize; 2]) -> (Graph, [NodeId; 3]) {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[12]);
+        let y = g.placeholder("y", &[12]);
+        let xr = g.reshape(x, &a).unwrap();
+        let yr = g.reshape(y, &b).unwrap();
+        let out = g.matmul(xr, yr).unwrap();
+        (g, [x, y, out])
+    }
+
+    #[test]
+    fn the_same_graph_with_other_reshape_targets_replans() {
+        // Same op kinds, wiring, leaf shapes and targets: only the
+        // reshapes' target shapes differ, and with them the matmul's.
+        let ramp12 = |seed| Tensor::from_vec(&[12], (0..12).map(|i| (i * seed) as f32).collect());
+        let (vars, pool) = (HashMap::new(), WorkerPool::serial());
+        let mut executor = PlannedExecutor::new();
+        for (a, b, shape) in [
+            ([3, 4], [4, 3], [3, 3]),
+            ([6, 2], [2, 6], [6, 6]),
+            ([3, 4], [4, 3], [3, 3]),
+        ] {
+            let (graph, [x, y, out]) = reshaped_matmul(a, b);
+            let feeds = HashMap::from([(x, ramp12(1).unwrap()), (y, ramp12(3).unwrap())]);
+            let warm = executor.run(&graph, &feeds, &vars, &[out], &pool);
+            let fresh = PlannedExecutor::new().run(&graph, &feeds, &vars, &[out], &pool);
+            assert_eq!(warm, fresh, "{a:?} x {b:?}");
+            assert_eq!(warm.unwrap().0[0].shape(), &shape);
+        }
     }
 
     #[test]

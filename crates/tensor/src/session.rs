@@ -1,7 +1,7 @@
 //! Sessions: stateful graph execution (TensorFlow's `tf.Session`).
 
 use crate::autodiff::RunStats;
-use crate::graph::{Graph, NodeId, Op, Padding};
+use crate::graph::{Graph, NodeId, Op};
 use crate::kernels::WorkerPool;
 use crate::memory::{MemoryStats, PlannedExecutor, SlotWrite};
 use crate::optimizer::Optimizer;
@@ -10,10 +10,12 @@ use crate::tensor::Tensor;
 use crate::TensorError;
 use std::collections::HashMap;
 
-/// A pipeline-optimized graph cached by the session, keyed by the
-/// compile key of (graph structure, roots).
+/// A pipeline-optimized graph cached by the session, for the caller's
+/// graph at `version` lowered for `roots`.
 #[derive(Debug, Clone)]
 struct CompiledGraph {
+    version: u64,
+    roots: Vec<NodeId>,
     graph: Graph,
     /// Original-id → optimized-id map; `None` for eliminated nodes.
     remap: Vec<Option<NodeId>>,
@@ -36,92 +38,57 @@ impl CompiledGraph {
     }
 }
 
-/// Structural fingerprint of a compilation request (FNV-1a). Covers
-/// every input that can change what the pipeline produces: op kinds,
-/// graph wiring, attribute payloads, constant *data* (folding bakes the
-/// values into the optimized graph), leaf shapes, and the requested
-/// roots. `run` and `train` lower through the same pipeline, so one
-/// compiled graph serves both for the same roots. Variable
-/// values are deliberately excluded — folding never evaluates them and
-/// execution reads them from the session's own state.
-fn compile_key(graph: &Graph, roots: &[NodeId]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    let eat_usize = |h: &mut dyn FnMut(u8), v: usize| {
-        for b in (v as u64).to_le_bytes() {
-            h(b);
-        }
-    };
-    eat_usize(&mut eat, graph.len());
-    for node in graph.nodes() {
-        for &b in node.op.kind().as_bytes() {
-            eat(b);
-        }
-        eat(0xFF);
-        match &node.op {
-            Op::Constant(t) => {
-                for &d in t.shape() {
-                    eat_usize(&mut eat, d);
+/// The session's compiled graphs. An entry serves a request when the
+/// caller's graph has the version it was lowered from and the roots
+/// are the same, compared exactly: a graph's version changes with every
+/// edit of a node, so nothing that shapes the lowering can slip past
+/// the comparison. `run` and `train` lower through the same pipeline,
+/// so one compiled graph serves both for the same roots. Variable
+/// values are not part of the lowering — folding never evaluates them
+/// and execution reads them from the session's own state.
+#[derive(Debug, Clone, Default)]
+struct CompileCache {
+    entries: Vec<CompiledGraph>,
+    /// Index of the most recently used entry.
+    last: Option<usize>,
+    /// Reports of the lowerings since the last drain.
+    fresh_reports: Vec<PipelineReport>,
+}
+
+impl CompileCache {
+    /// The compiled form of `graph` for `roots`, lowered now if no entry
+    /// has it.
+    fn get(&mut self, graph: &Graph, roots: &[NodeId]) -> Result<&CompiledGraph, TensorError> {
+        let version = graph.version();
+        let hit = self
+            .entries
+            .iter()
+            .position(|c| c.version == version && c.roots == roots);
+        let index = match hit {
+            Some(index) => index,
+            None => {
+                // The graph is the caller's: the pipeline lowers a copy.
+                let optimized = Pipeline::lowering().run(graph.clone(), roots)?;
+                // Bound the cache: sessions normally see a handful of
+                // distinct (graph, fetch-set) pairs; a runaway caller
+                // resets rather than grows without limit.
+                if self.entries.len() >= 16 {
+                    self.entries.clear();
                 }
-                eat(0xFE);
-                for &v in t.data() {
-                    for b in v.to_bits().to_le_bytes() {
-                        eat(b);
-                    }
-                }
-            }
-            Op::PackedConstant(panels) => {
-                for &d in panels.shape() {
-                    eat_usize(&mut eat, d);
-                }
-                eat(0xFE);
-                for &v in panels.panel_data() {
-                    for b in v.to_bits().to_le_bytes() {
-                        eat(b);
-                    }
-                }
-            }
-            Op::Placeholder { shape } => {
-                for &d in shape {
-                    eat_usize(&mut eat, d);
-                }
-            }
-            Op::Variable { init } => {
-                for &d in init.shape() {
-                    eat_usize(&mut eat, d);
-                }
-            }
-            Op::Scale(_, factor) => {
-                for b in factor.to_bits().to_le_bytes() {
-                    eat(b);
-                }
-            }
-            Op::Reshape(_, shape) => {
-                for &d in shape {
-                    eat_usize(&mut eat, d);
-                }
-            }
-            Op::Conv2d { padding, .. } | Op::FusedConv2d { padding, .. } => {
-                eat(match padding {
-                    Padding::Same => 0,
-                    Padding::Valid => 1,
+                self.fresh_reports.push(optimized.report.clone());
+                self.entries.push(CompiledGraph {
+                    version,
+                    roots: roots.to_vec(),
+                    graph: optimized.graph,
+                    remap: optimized.remap,
+                    report: optimized.report,
                 });
+                self.entries.len() - 1
             }
-            _ => {}
-        }
-        eat(0xFF);
-        for input in node.op.inputs() {
-            eat_usize(&mut eat, input.index());
-        }
+        };
+        self.last = Some(index);
+        Ok(&self.entries[index])
     }
-    eat(0xFD);
-    for &root in roots {
-        eat_usize(&mut eat, root.index());
-    }
-    hash
 }
 
 /// Owns variable state and runs graphs.
@@ -131,9 +98,7 @@ pub struct Session {
     stats: RunStats,
     pool: WorkerPool,
     planner: PlannedExecutor,
-    compiled: HashMap<u64, CompiledGraph>,
-    last_key: Option<u64>,
-    fresh_reports: Vec<PipelineReport>,
+    compiled: CompileCache,
 }
 
 impl Session {
@@ -152,52 +117,22 @@ impl Session {
             stats: RunStats::default(),
             pool: WorkerPool::serial(),
             planner: PlannedExecutor::new(),
-            compiled: HashMap::new(),
-            last_key: None,
-            fresh_reports: Vec::new(),
+            compiled: CompileCache::default(),
         }
     }
 
     /// The pipeline report of the most recently used compiled graph,
     /// if the session has optimized anything yet.
     pub fn pipeline_report(&self) -> Option<&PipelineReport> {
-        self.last_key
-            .and_then(|key| self.compiled.get(&key))
-            .map(|c| &c.report)
+        let compiled = &self.compiled;
+        compiled.last.map(|index| &compiled.entries[index].report)
     }
 
     /// Drains the reports of pipeline runs performed since the last
     /// call (one per newly compiled graph; cache hits produce none).
     /// The TEE layer turns these into `compiler.*` telemetry.
     pub fn take_pipeline_reports(&mut self) -> Vec<PipelineReport> {
-        std::mem::take(&mut self.fresh_reports)
-    }
-
-    /// Compiles `graph` for the given roots if not already cached, and
-    /// returns the cache key.
-    fn ensure_compiled(&mut self, graph: &Graph, roots: &[NodeId]) -> Result<u64, TensorError> {
-        let key = compile_key(graph, roots);
-        if !self.compiled.contains_key(&key) {
-            // The graph is the caller's: the pipeline lowers a copy.
-            let optimized = Pipeline::lowering().run(graph.clone(), roots)?;
-            // Bound the cache: sessions normally see a handful of
-            // distinct (graph, fetch-set) pairs; a runaway caller
-            // resets rather than grows without limit.
-            if self.compiled.len() >= 16 {
-                self.compiled.clear();
-            }
-            self.fresh_reports.push(optimized.report.clone());
-            self.compiled.insert(
-                key,
-                CompiledGraph {
-                    graph: optimized.graph,
-                    remap: optimized.remap,
-                    report: optimized.report,
-                },
-            );
-        }
-        self.last_key = Some(key);
-        Ok(key)
+        std::mem::take(&mut self.compiled.fresh_reports)
     }
 
     /// Moves the session's variable values into the optimized graph's
@@ -276,8 +211,7 @@ impl Session {
         for &fetch in fetches {
             graph.node(fetch)?;
         }
-        let key = self.ensure_compiled(graph, fetches)?;
-        let compiled = self.compiled.get(&key).expect("just compiled");
+        let compiled = self.compiled.get(graph, fetches)?;
         let feed_map = compiled.translate_feeds(feeds);
         let new_fetches: Vec<NodeId> = fetches
             .iter()
@@ -338,8 +272,7 @@ impl Session {
         loss: NodeId,
     ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
         graph.node(loss)?;
-        let key = self.ensure_compiled(graph, &[loss])?;
-        let compiled = self.compiled.get(&key).expect("just compiled");
+        let compiled = self.compiled.get(graph, &[loss])?;
         let new_loss = compiled.target(loss).ok_or(TensorError::UnknownNode)?;
         let new_feeds = compiled.translate_feeds(feeds);
         let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
@@ -755,6 +688,55 @@ mod tests {
         assert!(large.1 > small.1, "plan did not grow with the batch");
         assert_eq!(large, observe(&mut Session::new(&g), 7));
         assert_eq!(small, observe(&mut long_lived, 4));
+    }
+
+    #[test]
+    fn a_warm_session_runs_a_reshaped_graph_like_a_fresh_one() {
+        // Two graphs alike but for the reshapes' target shapes, through
+        // one session: the second lowers and plans on its own.
+        let reshaped = |a: &[usize], b: &[usize]| {
+            let mut g = Graph::new();
+            let x = g.placeholder("x", &[12]);
+            let y = g.placeholder("y", &[12]);
+            let xr = g.reshape(x, a).unwrap();
+            let yr = g.reshape(y, b).unwrap();
+            let out = g.matmul(xr, yr).unwrap();
+            let ramp = |step| (0..12).map(|i| (i * step) as f32).collect();
+            let feeds = vec![
+                (x, Tensor::from_vec(&[12], ramp(1)).unwrap()),
+                (y, Tensor::from_vec(&[12], ramp(3)).unwrap()),
+            ];
+            (g, feeds, out)
+        };
+        let (square, square_feeds, square_out) = reshaped(&[3, 4], &[4, 3]);
+        let (wide, wide_feeds, wide_out) = reshaped(&[6, 2], &[2, 6]);
+        let mut session = Session::new(&square);
+        let out = session.run(&square, &square_feeds, &[square_out]).unwrap();
+        assert_eq!(out[0].shape(), &[3, 3]);
+        let warm = session.run(&wide, &wide_feeds, &[wide_out]);
+        let fresh = Session::new(&wide).run(&wide, &wide_feeds, &[wide_out]);
+        assert_eq!(warm, fresh);
+        assert_eq!(warm.unwrap()[0].shape(), &[6, 6]);
+    }
+
+    #[test]
+    fn a_constant_replaced_in_place_is_seen_by_the_next_run() {
+        // `x + 2c`: lowering folds `2c` into a new constant, so a stale
+        // compiled graph would keep the old values.
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 3]);
+        let c = g.constant("c", Tensor::full(&[3], 1.0));
+        let doubled = g.scale(c, 2.0).unwrap();
+        let y = g.add_bias(x, doubled).unwrap();
+        let feeds = [(x, Tensor::full(&[2, 3], 0.5))];
+        let mut session = Session::new(&g);
+        assert_eq!(session.run(&g, &feeds, &[y]).unwrap()[0].data(), &[2.5; 6]);
+
+        g.replace_constant(c, Tensor::from_vec(&[3], vec![1.0, -1.0, 4.0]).unwrap())
+            .unwrap();
+        let warm = session.run(&g, &feeds, &[y]).unwrap();
+        assert_eq!(warm, Session::new(&g).run(&g, &feeds, &[y]).unwrap());
+        assert_eq!(warm[0].data(), &[2.5, -1.5, 8.5, 2.5, -1.5, 8.5]);
     }
 
     #[test]

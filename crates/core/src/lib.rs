@@ -115,14 +115,15 @@ pub(crate) fn charge_compiler_report(
 /// (`kernel.<family>.flops` / `kernel.<family>.ns`) for a run's stats on
 /// the enclave's telemetry, using the enclave's own compute rate, and the
 /// gauge `kernel.simd`: the instruction set the GEMM runs on here (0 =
-/// baseline, 2 = AVX2). The virtual clock does not depend on it, the wall
-/// clock does, so it is what tells an operator why one host serves the
-/// same model at half the rate of another.
+/// baseline, 2 = AVX2, 3 = AVX-512). The virtual clock does not depend
+/// on it, the wall clock does, so it is what tells an operator why one
+/// host serves the same model at half the rate of another.
 pub(crate) fn attribute_kernel_flops(
     enclave: &securetf_tee::Enclave,
     stats: &securetf_tensor::autodiff::RunStats,
 ) {
     let simd = match securetf_tensor::kernels::simd_level() {
+        "avx512" => 3,
         "avx2" => 2,
         _ => 0,
     };

@@ -233,7 +233,7 @@ impl StepContext<'_> {
                 cum += entry.1.byte_len().max(1);
                 let ready = pre_ns
                     + ((u128::from(compute_ns) * u128::from(cum)) / u128::from(total_bytes)) as u64;
-                let frame = push_frame(std::slice::from_ref(entry), quantized.get(i).as_slice());
+                let frame = push_frame(&[(entry.0, &entry.1)], quantized.get(i).as_slice());
                 let len = frame.len() as u64;
                 chunks.push(Chunk {
                     shard: self.shard_of[&entry.0],
@@ -266,8 +266,10 @@ impl StepContext<'_> {
                 if owned.is_empty() {
                     continue;
                 }
-                let shard_entries: Vec<(u32, Tensor)> =
-                    owned.iter().map(|&i| entries[i].clone()).collect();
+                let shard_entries: Vec<(u32, &Tensor)> = owned
+                    .iter()
+                    .map(|&i| (entries[i].0, &entries[i].1))
+                    .collect();
                 let shard_quantized: Vec<&Quantized> =
                     owned.iter().filter_map(|&i| quantized.get(i)).collect();
                 let frame = push_frame(&shard_entries, &shard_quantized);
@@ -287,7 +289,7 @@ impl StepContext<'_> {
                         0
                     },
                 });
-                push_dense_bytes += wire::dense_frame_len(&shard_entries);
+                push_dense_bytes += wire::dense_frame_len_of(shard_entries.iter().map(|e| e.1));
                 frames.push(frame);
             }
         }
@@ -302,14 +304,14 @@ impl StepContext<'_> {
 
 /// The push frame of `entries`: `quantized` holds their int8 forms, in
 /// order, under the quantized codec and nothing under the dense one.
-fn push_frame(entries: &[(u32, Tensor)], quantized: &[&Quantized]) -> Vec<u8> {
+fn push_frame(entries: &[(u32, &Tensor)], quantized: &[&Quantized]) -> Vec<u8> {
     if quantized.is_empty() {
-        return wire::encode_frame(entries, Codec::Dense);
+        return wire::encode_dense_frame(entries);
     }
     let entries: Vec<_> = entries
         .iter()
         .zip(quantized)
-        .map(|((id, tensor), q)| (*id, tensor, *q))
+        .map(|(&(id, tensor), q)| (id, tensor, *q))
         .collect();
     wire::encode_quantized_frame(&entries)
 }

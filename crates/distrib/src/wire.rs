@@ -257,7 +257,13 @@ pub fn encode_quantized_frame(entries: &[(u32, &Tensor, &Quantized)]) -> Vec<u8>
 /// Used to account `bytes_saved` by the quantized codec without
 /// materializing the dense bytes.
 pub fn dense_frame_len(entries: &[(u32, Tensor)]) -> u64 {
-    5 + entries.iter().map(|(_, t)| dense_entry_len(t)).sum::<u64>()
+    dense_frame_len_of(entries.iter().map(|(_, t)| t))
+}
+
+/// [`dense_frame_len`] of borrowed tensors, for a sender that does not
+/// own its entries.
+pub(crate) fn dense_frame_len_of<'a>(tensors: impl Iterator<Item = &'a Tensor>) -> u64 {
+    5 + tensors.map(dense_entry_len).sum::<u64>()
 }
 
 /// Decodes a tagged frame produced by [`encode_frame`] or

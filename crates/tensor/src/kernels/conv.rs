@@ -680,15 +680,6 @@ mod tests {
             .collect()
     }
 
-    /// Every instantiation this CPU can run; a missing AVX2 is printed.
-    fn instantiations() -> Vec<Simd> {
-        if Simd::detected() == Simd::Baseline {
-            eprintln!("conv: CPU has no AVX2, the 8-lane instantiation was SKIPPED");
-            return vec![Simd::Baseline];
-        }
-        vec![Simd::Baseline, Simd::detected()]
-    }
-
     /// Bit-equal, except that any NaN equals any NaN.
     fn assert_same(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}");
@@ -752,7 +743,7 @@ mod tests {
             let grad = Tensor::from_vec(want.shape(), fill(seed + 3, want.len(), special)).unwrap();
             let (_, want_gf) = naive_conv2d_grad(&input, &filter, &grad, padding).unwrap();
             let pool = WorkerPool::new(workers);
-            for simd in instantiations() {
+            for simd in Simd::supported("conv") {
                 let what = format!(
                     "{simd:?} {:?} {filter_shape:?} {padding:?} workers={workers}",
                     input.shape()

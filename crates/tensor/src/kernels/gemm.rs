@@ -31,9 +31,14 @@
 //! and nobody zero-fills it first. That is bit-identical to accumulating
 //! into a zeroed C — the load returned `0.0`.
 //!
-//! The one body is compiled twice ([`Simd`]): for the build's baseline
-//! target (4 lanes) and, on x86-64, under `target_feature(enable =
-//! "avx2")` (8 lanes), chosen per call from what the CPU reports.
+//! The one body is compiled for three instruction sets ([`Simd`]),
+//! chosen per call from what the CPU reports: the build's baseline
+//! target (4 lanes) and, on x86-64, `target_feature(enable = "avx2")` (8
+//! lanes) and `target_feature(enable = "avx512f")`. The last runs 16
+//! lanes on packed panels only ([`GridKernel::wide`]), through a tile of
+//! explicit intrinsics ([`tile_avx512`]): the body on 16-lane arrays
+//! runs a tenth as fast as on 8. Every other kernel runs its AVX2 body
+//! there.
 //!
 //! Work is split into units of ([`ROW_BLOCK`] rows) × (column panel).
 //! With at least as many row blocks as workers there is one panel; with
@@ -69,11 +74,11 @@ const MR: usize = 8;
 /// Row-major B rows a tile accumulates between loading and storing its
 /// C rows (the last group of a k-panel up to `2 * KU - 1`).
 const KU: usize = 8;
-/// Columns of one panel of a packed B ([`BLayout::Panels`]): the AVX2
-/// tile's width.
-pub(crate) const NR: usize = 8;
+/// Columns of one panel of a packed B ([`BLayout::Panels`]): the
+/// AVX-512 tile's width, two AVX2 tiles or four baseline ones.
+pub(crate) const NR: usize = 16;
 /// How far ahead of the row it multiplies a panel tile prefetches B, in
-/// floats (4 KiB: 128 rows of a full panel, half a k-panel).
+/// floats (4 KiB: 64 rows of a full panel, a quarter of a k-panel).
 const PREFETCH_AHEAD: usize = 1024;
 
 /// B rows [`pack_panels`] moves into the panels at a time.
@@ -90,16 +95,51 @@ pub(crate) enum Simd {
     /// AVX2, detected at run time: 8 lanes.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// AVX-512F (and AVX2), detected at run time: 16 lanes for a kernel
+    /// with a wide body ([`GridKernel::wide`]), the [`Simd::Avx2`]
+    /// instantiation for every other.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Simd {
     /// The widest instantiation this CPU can run.
     pub(crate) fn detected() -> Simd {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Simd::Avx2;
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("avx512f") {
+                return Simd::Avx512;
+            }
+            if has!("avx2") {
+                return Simd::Avx2;
+            }
         }
         Simd::Baseline
+    }
+
+    /// Every instantiation this CPU can run, narrowest first. Each one it
+    /// cannot is printed as SKIPPED, so that a test over this list does
+    /// not pass vacuously on a narrower CPU; `kernel` names the caller.
+    #[cfg(test)]
+    pub(super) fn supported(kernel: &str) -> Vec<Simd> {
+        #[allow(unused_mut)]
+        let mut all = vec![Simd::Baseline];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            for (simd, detected) in [
+                (Simd::Avx2, has!("avx2")),
+                (Simd::Avx512, has!("avx2") && has!("avx512f")),
+            ] {
+                if detected {
+                    all.push(simd);
+                } else {
+                    eprintln!("{kernel}: the {simd:?} instantiation was SKIPPED, the CPU does not have it");
+                }
+            }
+        }
+        all
     }
 
     /// Computes one unit of `kernel` on this instantiation.
@@ -107,7 +147,18 @@ impl Simd {
         match self {
             Simd::Baseline => kernel.unit::<4>(i0, j0, rows),
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => {
+            Simd::Avx512 if kernel.wide() => {
+                assert!(
+                    std::arch::is_x86_feature_detected!("avx512f"),
+                    "AVX-512 kernel on a CPU without AVX-512F"
+                );
+                // SAFETY: the only requirement of `unit_avx512` is that
+                // the CPU supports AVX-512F, which the assertion above
+                // checked.
+                unsafe { unit_avx512(kernel, i0, j0, rows) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx2 | Simd::Avx512 => {
                 assert!(
                     std::arch::is_x86_feature_detected!("avx2"),
                     "AVX2 kernel on a CPU without AVX2"
@@ -129,8 +180,17 @@ pub(super) trait GridKernel: Sync {
     /// all of one length. Every element must be written, whatever it
     /// held. Implementations are `#[inline(always)]`, so that the body is
     /// compiled with the instruction set of whichever instantiation it
-    /// lands in.
+    /// lands in. `L` is 4, 8 or, for a [`wide`](GridKernel::wide) unit,
+    /// 16; only [`unit_avx512`] runs `L = 16`, and a body may use
+    /// AVX-512F there.
     fn unit<const L: usize>(&self, i0: usize, j0: usize, rows: &mut [&mut [f32]]);
+
+    /// Whether this kernel has a 16-lane body for [`Simd::Avx512`] to
+    /// run. A kernel without one runs its 8-lane body there, compiled
+    /// for AVX2: the same body compiled for AVX-512F is slower.
+    fn wide(&self) -> bool {
+        false
+    }
 }
 
 /// [`GridKernel::unit`] compiled for AVX2.
@@ -142,6 +202,17 @@ pub(super) trait GridKernel: Sync {
 #[target_feature(enable = "avx2")]
 unsafe fn unit_avx2<K: GridKernel>(kernel: &K, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
     kernel.unit::<8>(i0, j0, rows);
+}
+
+/// [`GridKernel::unit`] compiled for AVX-512F, at 16 lanes.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn unit_avx512<K: GridKernel>(kernel: &K, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+    kernel.unit::<16>(i0, j0, rows);
 }
 
 /// How the left operand of a product is stored.
@@ -170,9 +241,9 @@ pub(crate) enum BLayout {
 /// is allocated once, not once per matrix). Blocks of
 /// [`PACK_ROWS`] rows at a time: a block's rows stay in cache while every
 /// panel takes its contiguous `PACK_ROWS * w` floats of it. Row by row,
-/// the 8 floats of each row would land a panel's length apart, and
-/// panels of 1024 rows are 32 KiB apart: every write would meet the
-/// previous 127 in the same cache set.
+/// the 16 floats of each row would land a panel's length apart, and
+/// panels of 1024 rows are 64 KiB apart: every write would meet the
+/// previous 63 in the same cache set.
 pub(crate) fn pack_panels(k: usize, n: usize, b: &mut [f32], scratch: &mut Vec<f32>) {
     assert_eq!(b.len(), k * n, "pack: B is not {k}x{n}");
     scratch.clear();
@@ -421,6 +492,11 @@ pub(super) fn gemm_cost(pool: &WorkerPool, m: usize, k: usize, n: usize, relu: b
 }
 
 impl GridKernel for Operands<'_> {
+    /// Packed panels are [`NR`] = 16 columns wide: the 16-lane tile's.
+    fn wide(&self) -> bool {
+        self.b_layout == BLayout::Panels
+    }
+
     /// One GEMM unit with `L`-lane tiles. Everything below is
     /// `inline(always)` too.
     #[inline(always)]
@@ -533,9 +609,10 @@ fn strip<const R: usize, const L: usize>(
 }
 
 /// One k-group across `cols` columns of the strip from segment column
-/// `j0`: `L`-lane tiles, then the `cols % L` remainder one column at a
-/// time. `b_group` holds rows of `stride` floats, segment column `j0`
-/// being B's column `jb` in them.
+/// `j0`: `L`-lane tiles, then — at 16 lanes, where only a narrow last
+/// panel leaves `cols % 16` columns — one 8-lane tile if 8 are left,
+/// then the rest one column at a time. `b_group` holds rows of `stride`
+/// floats, segment column `j0` being B's column `jb` in them.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tile_row<const R: usize, const L: usize, const FIRST: bool, const PREFETCH: bool>(
@@ -551,6 +628,10 @@ fn tile_row<const R: usize, const L: usize, const FIRST: bool, const PREFETCH: b
     while j + L <= cols {
         tile::<R, L, FIRST, PREFETCH>(rows, j0 + j, a_group, b_group, stride, jb + j);
         j += L;
+    }
+    if L > 8 && j + 8 <= cols {
+        tile::<R, 8, FIRST, PREFETCH>(rows, j0 + j, a_group, b_group, stride, jb + j);
+        j += 8;
     }
     while j < cols {
         tile::<R, 1, FIRST, PREFETCH>(rows, j0 + j, a_group, b_group, stride, jb + j);
@@ -579,7 +660,8 @@ fn prefetch(p: *const f32) {
 /// `a_group.len() / R` consecutive B rows into it — `a_group` is k-major
 /// packed A, `b_group` rows of `stride` floats, `jb` the tile's column in
 /// them — and stores it. With `PREFETCH` it asks for the B line
-/// [`PREFETCH_AHEAD`] floats past each row it reads.
+/// [`PREFETCH_AHEAD`] floats past each row it reads. At 16 lanes it is
+/// [`tile_avx512`].
 #[inline(always)]
 fn tile<const R: usize, const L: usize, const FIRST: bool, const PREFETCH: bool>(
     rows: &mut [&mut [f32]],
@@ -589,6 +671,13 @@ fn tile<const R: usize, const L: usize, const FIRST: bool, const PREFETCH: bool>
     stride: usize,
     jb: usize,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if L == 16 {
+        // SAFETY: 16 lanes run only inside `unit_avx512`, whose caller
+        // has checked that the CPU supports AVX-512F.
+        unsafe { tile_avx512::<R, FIRST, PREFETCH>(rows, j, a_group, b_group, stride, jb) };
+        return;
+    }
     let mut acc = [[0.0f32; L]; R];
     if !FIRST {
         for r in 0..R {
@@ -609,6 +698,49 @@ fn tile<const R: usize, const L: usize, const FIRST: bool, const PREFETCH: bool>
     }
     for r in 0..R {
         rows[r][j..j + L].copy_from_slice(&acc[r]);
+    }
+}
+
+/// [`tile`] at 16 lanes, one `__m512` per C row, in the intrinsics the
+/// rule allows: unaligned loads and stores, broadcasts, and a separate
+/// multiply and add per B row (never a fused multiply-add), so each sum
+/// takes the same steps as the array body's.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_avx512<const R: usize, const FIRST: bool, const PREFETCH: bool>(
+    rows: &mut [&mut [f32]],
+    j: usize,
+    a_group: &[f32],
+    b_group: &[f32],
+    stride: usize,
+    jb: usize,
+) {
+    use std::arch::x86_64::{__m512, _mm512_storeu_ps};
+    use std::arch::x86_64::{_mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps};
+    // SAFETY (every block below): the CPU supports AVX-512F (this
+    // function's contract), and each unaligned load or store covers the
+    // 16 floats of a bounds-checked slice.
+    let mut acc: [__m512; R] = [unsafe { _mm512_set1_ps(0.0) }; R];
+    if !FIRST {
+        for r in 0..R {
+            acc[r] = unsafe { _mm512_loadu_ps(rows[r][j..j + 16].as_ptr()) };
+        }
+    }
+    for (a, b_row) in a_group.chunks_exact(R).zip(b_group.chunks_exact(stride)) {
+        if PREFETCH {
+            prefetch(b_row.as_ptr().wrapping_add(PREFETCH_AHEAD));
+        }
+        let bv = unsafe { _mm512_loadu_ps(b_row[jb..jb + 16].as_ptr()) };
+        for r in 0..R {
+            acc[r] = unsafe { _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(a[r]), bv)) };
+        }
+    }
+    for r in 0..R {
+        unsafe { _mm512_storeu_ps(rows[r][j..j + 16].as_mut_ptr(), acc[r]) };
     }
 }
 
@@ -641,15 +773,6 @@ mod tests {
             }
         }
         data
-    }
-
-    /// Every instantiation this CPU can run.
-    fn instantiations() -> Vec<Simd> {
-        let mut all = vec![Simd::Baseline];
-        if Simd::detected() != Simd::Baseline {
-            all.push(Simd::detected());
-        }
-        all
     }
 
     /// Bit-equal, except that any NaN equals any NaN: which operand's
@@ -722,9 +845,15 @@ mod tests {
         }
     }
 
+    /// The widths where a 16-column panel has edges: one column short of
+    /// a panel, a panel, one past it, two panels one short and one past,
+    /// and `serve_large`'s 501 (31 full panels and a 5-wide one).
+    const PANEL_WIDTHS: [usize; 6] = [15, 16, 17, 31, 33, 501];
+
     #[test]
     fn panels_hold_each_column_block_k_contiguously() {
-        for (k, n) in [(1, 1), (3, 8), (5, 13), (2, 16), (4, 23), (0, 5), (6, 0)] {
+        let widths = [(1, 1), (3, 8), (5, 13), (2, 16), (4, 23), (0, 5), (6, 0)];
+        for (k, n) in widths.into_iter().chain(PANEL_WIDTHS.map(|n| (7, n))) {
             let b: Vec<f32> = (0..k * n).map(|i| i as f32).collect();
             let mut panels = b.clone();
             // A scratch that held a larger matrix before.
@@ -741,6 +870,11 @@ mod tests {
                 }
             }
             assert_eq!(unpack_panels(k, n, &panels), b, "k={k} n={n}");
+            // The same through `Panels`: read in place, and unpacked.
+            let t = crate::tensor::Tensor::from_vec(&[k, n], b.clone()).unwrap();
+            let packed = crate::kernels::Panels::pack(t, &mut scratch).unwrap();
+            assert!(packed.row_major().eq(&b), "row_major k={k} n={n}");
+            assert_eq!(packed.unpack().data(), b, "unpack k={k} n={n}");
         }
     }
 
@@ -749,13 +883,13 @@ mod tests {
     /// boundaries in k, lane remainders, the narrow last B panel (every
     /// `n % NR`) and column-split boundaries in n. C arrives NaN-filled —
     /// a recycled buffer nobody zeroed — A in either layout and B in
-    /// either layout; the 4-lane instantiation reads an 8-wide panel as
-    /// two halves.
+    /// either layout; the 8- and 4-lane instantiations read a 16-wide
+    /// panel as two or four parts.
     #[test]
     fn every_instantiation_matches_naive_at_the_edges() {
         let ms: Vec<usize> = (1..=17).chain(63..=65).chain(127..=130).collect();
         let ks: Vec<usize> = (1..=20).chain(255..=258).chain(511..=520).collect();
-        let ns: Vec<usize> = (1..=40).chain(1023..=1025).collect();
+        let ns: Vec<usize> = (1..=40).chain([501]).chain(1023..=1025).collect();
         // A walk that visits every value of each list, in combinations
         // that change from step to step (the strides are coprime to the
         // list lengths).
@@ -782,7 +916,7 @@ mod tests {
             let a_t = transpose(m, k, &a);
             let mut b_panels = b.clone();
             pack_panels(k, n, &mut b_panels, &mut Vec::new());
-            for simd in instantiations() {
+            for simd in Simd::supported("gemm") {
                 let pool = WorkerPool::new(workers);
                 let a_sides = [(&a, ALayout::RowMajor), (&a_t, ALayout::Transposed)];
                 let b_sides = [(&b, BLayout::RowMajor), (&b_panels, BLayout::Panels)];
@@ -798,6 +932,46 @@ mod tests {
                     c.fill(f32::NAN);
                     gemm_on(simd, &pool, m, k, n, a, b, &mut c, Some((&bias, relu)));
                     assert_same(&c, &fused, &format!("{what} fused relu={relu}"));
+                }
+            }
+        }
+    }
+
+    /// Each [`PANEL_WIDTHS`] on packed B, at one short k-group, at a
+    /// whole k-panel and across one and two k-panel boundaries, on every
+    /// instantiation: the 16-lane tile, its 8-lane step-down and the
+    /// columns left to the 1-lane one each start their sums in a
+    /// NaN-filled C and then add later k-panels to them.
+    #[test]
+    fn every_instantiation_matches_naive_on_packed_panel_widths() {
+        for (step, n) in PANEL_WIDTHS.into_iter().enumerate() {
+            for (m, k) in [(1, 3), (8, KC), (13, KC + 1), (5, 2 * KC + 7)] {
+                let seed = (step * 131 + k) as u64;
+                let (a, b, bias) = (
+                    fill_special(seed, m * k),
+                    fill(seed + 1, k * n),
+                    fill(seed + 2, n),
+                );
+                let plain = naive_matmul(m, k, n, &a, &b);
+                let fused = naive_fused(m, k, n, &a, &b, &bias, true);
+                let mut b_panels = b.clone();
+                pack_panels(k, n, &mut b_panels, &mut Vec::new());
+                let (a, b) = (
+                    (a.as_slice(), ALayout::RowMajor),
+                    (b_panels.as_slice(), BLayout::Panels),
+                );
+                let sides = [(None, &plain), (Some((bias.as_slice(), true)), &fused)];
+                for (simd, workers) in Simd::supported("gemm")
+                    .into_iter()
+                    .flat_map(|s| [(s, 1), (s, 2)])
+                {
+                    let pool = WorkerPool::new(workers);
+                    for (epilogue, want) in sides {
+                        let mut c = vec![f32::NAN; m * n];
+                        gemm_on(simd, &pool, m, k, n, a, b, &mut c, epilogue);
+                        let what = format!("{simd:?} m={m} k={k} n={n} workers={workers}");
+                        assert_same(&c, want, &format!("{what} fused={}", epilogue.is_some()));
+                    }
                 }
             }
         }

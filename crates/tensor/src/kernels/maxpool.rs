@@ -6,8 +6,8 @@
 //! `[u32; L]` arrays the compiler turns into compare-and-blend vector
 //! code: no intrinsics, the same source at 4 lanes (the build's baseline
 //! target), at 8 under `target_feature(enable = "avx2")` — chosen through
-//! the GEMM's [`Simd`] seam — and at `L = 1` for the `c % L` channels
-//! left over.
+//! the GEMM's [`Simd`] seam, which runs the AVX2 body on an AVX-512 CPU
+//! too — and at `L = 1` for the `c % L` channels left over.
 //!
 //! **Semantics are the scalar loop's, exactly** ([`super::reference`]): a
 //! window's search starts at `-inf`, taps are visited `(dy, dx)` =
@@ -73,7 +73,7 @@ pub(super) fn max_pool2_with(
     match simd {
         Simd::Baseline => forward::<4>(&d, x.data(), &mut out),
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 => {
+        Simd::Avx2 | Simd::Avx512 => {
             assert!(
                 std::arch::is_x86_feature_detected!("avx2"),
                 "AVX2 kernel on a CPU without AVX2"
@@ -103,7 +103,7 @@ pub(super) fn max_pool2_grad_with(
     match simd {
         Simd::Baseline => backward::<4>(&d, x.data(), grad.data(), &mut gx),
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 => {
+        Simd::Avx2 | Simd::Avx512 => {
             assert!(
                 std::arch::is_x86_feature_detected!("avx2"),
                 "AVX2 kernel on a CPU without AVX2"
@@ -272,16 +272,6 @@ mod tests {
     use crate::kernels::reference::{naive_max_pool2, naive_max_pool2_grad};
     use proptest::prelude::*;
 
-    /// Every instantiation this CPU can run. The AVX2 arm of a test must
-    /// not pass vacuously on a CPU without it, so its absence is printed.
-    fn instantiations() -> Vec<Simd> {
-        if Simd::detected() == Simd::Baseline {
-            eprintln!("max_pool2: CPU has no AVX2, the 8-lane instantiation was SKIPPED");
-            return vec![Simd::Baseline];
-        }
-        vec![Simd::Baseline, Simd::detected()]
-    }
-
     /// A recycled buffer: whatever it holds must not show in a result.
     fn poisoned(len: usize) -> Vec<f32> {
         vec![f32::NAN; len]
@@ -330,7 +320,7 @@ mod tests {
         .unwrap();
         let (want, _) = naive_max_pool2(&x).unwrap();
         let want_gx = naive_max_pool2_grad(&x, &grad).unwrap();
-        for simd in instantiations() {
+        for simd in Simd::supported("max_pool2") {
             let out = max_pool2_with(simd, &x, &mut poisoned).unwrap();
             assert_eq!(out.shape(), want.shape(), "{simd:?} {shape:?}");
             assert_eq!(bits(&out), bits(&want), "{simd:?} forward {shape:?}");
@@ -374,7 +364,7 @@ mod tests {
         )
         .unwrap();
         let grad = Tensor::from_vec(&[1, 1, 1, 4], vec![1.0, 2.0, 3.0, -0.0]).unwrap();
-        for simd in instantiations() {
+        for simd in Simd::supported("max_pool2") {
             let out = max_pool2_with(simd, &x, &mut poisoned).unwrap();
             assert_eq!(
                 bits(&out),

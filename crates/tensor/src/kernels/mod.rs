@@ -1,12 +1,13 @@
 //! Blocked, pool-parallel compute kernels (DESIGN.md §11).
 //!
 //! This module is the framework's compute layer: a register-tiled GEMM
-//! (`gemm`, one body instantiated for the baseline target and for AVX2),
-//! direct convolution over a padded copy of the image on the GEMM's unit
-//! grid and instantiations (`conv`), 2×2 max pooling forward and
-//! backward (`maxpool`, one lane body instantiated the same way), and the
-//! deterministic [`WorkerPool`] that splits kernels across disjoint parts
-//! of the output. The cardinal rule, enforced by property tests against
+//! (`gemm`, one body instantiated for the baseline target, for AVX2 and,
+//! on packed weights, for AVX-512F), direct convolution over a padded
+//! copy of the image on the GEMM's unit grid and instantiations (`conv`),
+//! 2×2 max pooling forward and backward (`maxpool`, one lane body
+//! instantiated for the baseline target and AVX2), and the deterministic
+//! [`WorkerPool`] that splits kernels across disjoint parts of the
+//! output. The cardinal rule, enforced by property tests against
 //! [`mod@reference`]: **tiling, vector width and parallelism never change
 //! the per-element reduction order**, so every kernel is bit-for-bit
 //! identical to its naive serial reference for any worker count.
@@ -95,14 +96,18 @@ impl KernelCost {
 }
 
 /// The instruction set the GEMM micro-kernel runs on in this process:
-/// `"avx2"` where the CPU reports AVX2, `"baseline"` (the build target's
-/// own, SSE2 on x86-64) otherwise. Results are bit-identical on both;
-/// throughput is not, so hosts that disagree here explain a 2× gap.
+/// `"avx512"` where the CPU reports AVX-512F (16 lanes on packed serving
+/// weights, the AVX2 body elsewhere), `"avx2"` where it reports AVX2,
+/// `"baseline"` (the build target's own, SSE2 on x86-64) otherwise.
+/// Results are bit-identical on all three; throughput is not, so hosts
+/// that disagree here explain a 1.4× to 2× gap.
 pub fn simd_level() -> &'static str {
     match gemm::Simd::detected() {
         gemm::Simd::Baseline => "baseline",
         #[cfg(target_arch = "x86_64")]
         gemm::Simd::Avx2 => "avx2",
+        #[cfg(target_arch = "x86_64")]
+        gemm::Simd::Avx512 => "avx512",
     }
 }
 
@@ -134,13 +139,15 @@ pub fn matmul_with(
     matmul_epilogue_with(pool, (lhs, ALayout::RowMajor), rhs.into(), None, take)
 }
 
-/// A constant `[k, n]` right-hand GEMM operand stored in 8-column panels,
-/// each k-contiguous: panel `q` holds columns `8q..8q + w` as the
-/// row-major `[k, w]` matrix starting at float `8qk`, where `w` is 8 for
-/// every panel but, when 8 does not divide `n`, the last. The same `k *
-/// n` floats as the row-major tensor, no padding, in the order the GEMM
-/// tile reads them, so multiplying by it streams B once, sequentially,
-/// per worker ([`matmul_panels_with`]).
+/// A constant `[k, n]` right-hand GEMM operand stored in 16-column
+/// panels, each k-contiguous: panel `q` holds columns `16q..16q + w` as
+/// the row-major `[k, w]` matrix starting at float `16qk`, where `w` is
+/// 16 for every panel but, when 16 does not divide `n`, the last. The
+/// same `k * n` floats as the row-major tensor, no padding, in the order
+/// the GEMM tile reads them, so multiplying by it streams B once,
+/// sequentially, per worker ([`matmul_panels_with`]). One layout serves
+/// every instruction set: the 16-lane tile reads a panel row as one
+/// vector, the 8- and 4-lane ones as two or four.
 ///
 /// It is not a [`Tensor`]: nothing that reads a tensor's data as
 /// row-major can be handed one. [`Panels::unpack`] gives the row-major

@@ -416,6 +416,7 @@ fn kernel_simd_gauge_names_the_instantiation_and_keeps_digests_equal() {
     let expected = match securetf_tensor::kernels::simd_level() {
         "baseline" => 0,
         "avx2" => 2,
+        "avx512" => 3,
         other => panic!("unknown instantiation {other:?}"),
     };
     assert_eq!(telemetry.gauge("kernel.simd").get(), expected);

@@ -38,6 +38,7 @@ use securetf_tensor::kernels::WorkerPool;
 use securetf_tensor::layers::Classifier;
 use securetf_tensor::session::Session;
 use securetf_tensor::tensor::Tensor;
+use securetf_tensor::TensorError;
 use std::collections::HashMap;
 
 /// Outcome of a training run.
@@ -189,29 +190,42 @@ impl StepContext<'_> {
         message.sort_by_key(|e| std::cmp::Reverse(e.0));
 
         // Error feedback: fold the residual the quantizer dropped
-        // last step into this step's gradient, then keep the new
-        // drop. The residual is derived from the decoder's exact
-        // arithmetic (q * scale), so worker and PS agree bit-for-bit
-        // on what was transmitted. Each gradient is quantized once,
-        // here; the frames below carry these values.
+        // last step into this step's gradient, in place, then keep the
+        // new drop in the same residual buffer. The residual is derived
+        // from the decoder's exact arithmetic (q * scale), so worker
+        // and PS agree bit-for-bit on what was transmitted. Each
+        // gradient is quantized once, here; the frames below carry
+        // these values.
         let mut entries: Vec<(u32, Tensor)> = Vec::with_capacity(message.len());
         let mut quantized: Vec<Quantized> = Vec::new();
-        for (raw, grad) in message {
-            let adjusted = if codec == Codec::Quantized {
-                let adjusted = match state.residuals.get(&raw) {
-                    Some(r) => grad.zip(r, |g, r| g + r)?,
-                    None => grad,
+        for (raw, mut grad) in message {
+            if codec == Codec::Quantized {
+                let q = match state.residuals.get_mut(&raw) {
+                    Some(residual) => {
+                        if residual.shape() != grad.shape() {
+                            return Err(TensorError::ShapeMismatch {
+                                op: "error_feedback",
+                                detail: format!(
+                                    "residual {:?} vs gradient {:?}",
+                                    residual.shape(),
+                                    grad.shape()
+                                ),
+                            }
+                            .into());
+                        }
+                        wire::quantize_with_feedback(grad.data_mut(), residual.data_mut())
+                    }
+                    None => {
+                        let (q, residual) = wire::quantize_with_residual(grad.data());
+                        state
+                            .residuals
+                            .insert(raw, Tensor::from_vec(grad.shape(), residual)?);
+                        q
+                    }
                 };
-                let (q, residual) = wire::quantize_with_residual(adjusted.data());
-                state
-                    .residuals
-                    .insert(raw, Tensor::from_vec(adjusted.shape(), residual)?);
                 quantized.push(q);
-                adjusted
-            } else {
-                grad
-            };
-            entries.push((raw, adjusted));
+            }
+            entries.push((raw, grad));
         }
 
         let mut frames: Vec<Vec<u8>> = Vec::new();

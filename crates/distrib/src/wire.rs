@@ -15,6 +15,7 @@
 
 use crate::DistribError;
 use securetf_tensor::bytes::{put_f32s, put_shape, put_u32, Reader};
+use securetf_tensor::kernels;
 use securetf_tensor::tensor::Tensor;
 
 /// Frame tag of the dense (exact f32) encoding.
@@ -59,47 +60,16 @@ impl Quantized {
     }
 }
 
-/// The quantization grid of one tensor.
-#[derive(Clone, Copy)]
-struct Grid {
-    /// `max_abs / 127` over the finite values; `0.0` when none of them is
-    /// non-zero.
-    scale: f32,
-    /// Whether anything but zero is representable.
-    live: bool,
-}
-
-impl Grid {
-    fn of(data: &[f32]) -> Grid {
-        let max_abs = data
-            .iter()
-            .filter(|v| v.is_finite())
-            .fold(0.0f32, |m, &v| m.max(v.abs()));
-        Grid {
-            scale: max_abs / 127.0,
-            live: max_abs != 0.0,
-        }
-    }
-
-    fn quantize(self, v: f32) -> i8 {
-        if self.live {
-            (v / self.scale).round().clamp(-127.0, 127.0) as i8
-        } else {
-            0
-        }
-    }
-}
-
-/// Deterministically quantizes `data` to int8 with a per-tensor scale.
-/// Non-finite inputs saturate through the clamp; no randomness is used
+/// Deterministically quantizes `data` to int8 with a per-tensor scale
+/// (`max |finite v| / 127`), rounding half away from zero. Non-finite
+/// inputs saturate through the clamp, NaN to `0`; no randomness is used
 /// (no stochastic rounding), so the result is a pure function of the
-/// input bits.
+/// input bits. The walk is the tensor crate's vector kernel,
+/// [`kernels::quantize_i8`].
 pub fn quantize(data: &[f32]) -> Quantized {
-    let grid = Grid::of(data);
-    Quantized {
-        scale: grid.scale,
-        values: data.iter().map(|&v| grid.quantize(v)).collect(),
-    }
+    let mut values = vec![0i8; data.len()];
+    let scale = kernels::quantize_i8(data, &mut values, None);
+    Quantized { scale, values }
 }
 
 /// [`quantize`] and, from the same walk, what it dropped: `data[i]` minus
@@ -107,21 +77,25 @@ pub fn quantize(data: &[f32]) -> Quantized {
 /// arithmetic, so a sender that feeds the residual back agrees with the
 /// receiver bit for bit on what was transmitted.
 pub fn quantize_with_residual(data: &[f32]) -> (Quantized, Vec<f32>) {
-    let grid = Grid::of(data);
-    let (values, residual) = data
-        .iter()
-        .map(|&v| {
-            let q = grid.quantize(v);
-            (q, v - q as f32 * grid.scale)
-        })
-        .unzip();
-    (
-        Quantized {
-            scale: grid.scale,
-            values,
-        },
-        residual,
-    )
+    let mut values = vec![0i8; data.len()];
+    let mut residual = vec![0.0f32; data.len()];
+    let scale = kernels::quantize_i8(data, &mut values, Some(&mut residual));
+    (Quantized { scale, values }, residual)
+}
+
+/// Error feedback in place: folds last step's `residual` into `data`
+/// (`data[i] += residual[i]`), quantizes the sum and writes what this
+/// quantization dropped over `residual`. The same bits as adding first
+/// and calling [`quantize_with_residual`], with no buffer but the values
+/// allocated.
+///
+/// # Panics
+///
+/// Panics unless `residual` holds one element per `data`.
+pub fn quantize_with_feedback(data: &mut [f32], residual: &mut [f32]) -> Quantized {
+    let mut values = vec![0i8; data.len()];
+    let scale = kernels::quantize_i8_folding(data, residual, &mut values);
+    Quantized { scale, values }
 }
 
 /// Entries per message and dims per tensor a decoder accepts.
@@ -451,6 +425,24 @@ mod tests {
             assert_eq!(
                 encode_quantized_frame(&[(5, &tensor, &q)]),
                 encode_frame(&[(5, tensor.clone())], Codec::Quantized)
+            );
+            // The next step folds that residual back in, in place: the
+            // bits of adding first and quantizing the sum.
+            let next: Vec<f32> = data.iter().map(|v| v * -0.5 + 0.25).collect();
+            let sum: Vec<f32> = next.iter().zip(&residual).map(|(g, r)| g + r).collect();
+            let (want, want_residual) = quantize_with_residual(&sum);
+            let (mut folded, mut kept) = (next, residual);
+            assert_eq!(quantize_with_feedback(&mut folded, &mut kept), want);
+            assert_eq!(
+                folded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                sum.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                kept.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want_residual
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
             );
         }
     }

@@ -302,6 +302,13 @@ struct FilterGrad<'a> {
 }
 
 impl GridKernel for FilterGrad<'_> {
+    /// The 16-lane body is faster than the 8-lane one at `cout` = 16
+    /// (the `train_dist` conv net's), unlike [`Forward`]'s, which runs
+    /// several times slower at 16 lanes and stays on AVX2.
+    fn wide(&self) -> bool {
+        true
+    }
+
     /// Output row by output row — the unit's sums stay in its rows of
     /// `gf` in between — `L`-channel strips, then single channels.
     #[inline(always)]

@@ -35,10 +35,12 @@
 //! chosen per call from what the CPU reports: the build's baseline
 //! target (4 lanes) and, on x86-64, `target_feature(enable = "avx2")` (8
 //! lanes) and `target_feature(enable = "avx512f")`. The last runs 16
-//! lanes on packed panels only ([`GridKernel::wide`]), through a tile of
-//! explicit intrinsics ([`tile_avx512`]): the body on 16-lane arrays
-//! runs a tenth as fast as on 8. Every other kernel runs its AVX2 body
-//! there.
+//! lanes for a kernel with a wide body ([`GridKernel::wide`]): the GEMM
+//! on packed panels, through a tile of explicit intrinsics
+//! ([`tile_avx512`]) — its body on 16-lane arrays runs a tenth as fast
+//! as on 8 — and the conv filter gradient, whose lane-array body is
+//! faster at 16 lanes. Every other kernel (the row-major GEMM, the conv
+//! forward, max-pool, the quantizer) runs its AVX2 body there.
 //!
 //! Work is split into units of ([`ROW_BLOCK`] rows) × (column panel).
 //! With at least as many row blocks as workers there is one panel; with
@@ -187,7 +189,11 @@ pub(super) trait GridKernel: Sync {
 
     /// Whether this kernel has a 16-lane body for [`Simd::Avx512`] to
     /// run. A kernel without one runs its 8-lane body there, compiled
-    /// for AVX2: the same body compiled for AVX-512F is slower.
+    /// for AVX2. Whether a body is faster at 16 lanes is measured, not
+    /// assumed: the conv filter gradient's lane arrays are (136 → ~105
+    /// µs at the `train_dist` shape), the conv forward's run ~4.5× slower
+    /// and the GEMM tile's a tenth as fast as at 8, which is why the
+    /// packed GEMM has intrinsics there.
     fn wide(&self) -> bool {
         false
     }

@@ -5,7 +5,9 @@
 //! on packed weights, for AVX-512F), direct convolution over a padded
 //! copy of the image on the GEMM's unit grid and instantiations (`conv`),
 //! 2×2 max pooling forward and backward (`maxpool`, one lane body
-//! instantiated for the baseline target and AVX2), and the deterministic
+//! instantiated for the baseline target and AVX2), the int8 gradient
+//! quantizer and its error-feedback fold (`quantize`, likewise), and the
+//! deterministic
 //! [`WorkerPool`] that splits kernels across disjoint parts of the
 //! output. The cardinal rule, enforced by property tests against
 //! [`mod@reference`]: **tiling, vector width and parallelism never change
@@ -23,6 +25,7 @@ pub mod reference;
 pub(crate) mod conv;
 mod gemm;
 mod maxpool;
+mod quantize;
 
 pub use pool::WorkerPool;
 
@@ -97,7 +100,8 @@ impl KernelCost {
 
 /// The instruction set the GEMM micro-kernel runs on in this process:
 /// `"avx512"` where the CPU reports AVX-512F (16 lanes on packed serving
-/// weights, the AVX2 body elsewhere), `"avx2"` where it reports AVX2,
+/// weights and in the conv filter gradient, the AVX2 body elsewhere),
+/// `"avx2"` where it reports AVX2,
 /// `"baseline"` (the build target's own, SSE2 on x86-64) otherwise.
 /// Results are bit-identical on all three; throughput is not, so hosts
 /// that disagree here explain a 1.4× to 2× gap.
@@ -350,6 +354,33 @@ pub fn max_pool2_grad_with(
     take: TakeBuffer<'_>,
 ) -> Result<Tensor, TensorError> {
     maxpool::max_pool2_grad_with(gemm::Simd::detected(), x, grad, take)
+}
+
+/// Deterministic int8 linear quantization of `data` into `values`,
+/// returning the scale: `scale = max |finite v| / 127` (`0.0` when no
+/// finite value is non-zero, and then every value is `0`), `values[i] =
+/// clamp(round(data[i] / scale), -127, 127)` rounded half away from zero,
+/// NaN to `0`. With a `residual`, also writes what the receiver will not
+/// reconstruct, `data[i] - values[i] * scale`, there. Bit-identical to
+/// that scalar definition on every instantiation (see the `quantize`
+/// module).
+///
+/// # Panics
+///
+/// Panics unless `values` (and `residual`) hold one element per `data`.
+pub fn quantize_i8(data: &[f32], values: &mut [i8], residual: Option<&mut [f32]>) -> f32 {
+    quantize::quantize_i8(gemm::Simd::detected(), data, values, residual)
+}
+
+/// Error feedback in place: `data[i] += residual[i]`, then
+/// [`quantize_i8`] of the sums, whose residual replaces the old one. The
+/// bits of adding first and quantizing the sum; nothing is allocated.
+///
+/// # Panics
+///
+/// Panics unless `residual` and `values` hold one element per `data`.
+pub fn quantize_i8_folding(data: &mut [f32], residual: &mut [f32], values: &mut [i8]) -> f32 {
+    quantize::quantize_i8_folding(gemm::Simd::detected(), data, residual, values)
 }
 
 /// Checks a fused op's bias against the `n` output columns (`what` names

@@ -238,6 +238,11 @@ impl QuantizedModel {
         for _ in 0..n_buffers {
             let (shape, elements) = r.shape(8)?;
             let scale = r.f32()?;
+            // A NaN, infinite or negative scale would dequantize every
+            // weight of the buffer to NaN, inf or a flipped sign.
+            if !scale.is_finite() || scale < 0.0 {
+                return Err(LiteError::MalformedModel("bad quantization scale"));
+            }
             if r.u32()? as usize != elements {
                 return Err(LiteError::MalformedModel("element count"));
             }
@@ -479,6 +484,30 @@ mod tests {
         let mut extended = bytes;
         extended.push(1);
         assert!(QuantizedModel::from_bytes(&extended).is_err());
+    }
+
+    #[test]
+    fn quantized_model_with_a_bad_scale_is_refused() {
+        let bytes = quantize(&test_model()).to_bytes();
+        // STFQ1 | skeleton (len-prefixed) | n_buffers | rank 2 | dims | scale
+        let skeleton = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let at = 9 + skeleton + 4 + 4 + 8;
+        for scale in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.5] {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 4].copy_from_slice(&scale.to_le_bytes());
+            assert_eq!(
+                QuantizedModel::from_bytes(&hostile).unwrap_err(),
+                LiteError::MalformedModel("bad quantization scale"),
+                "scale {scale}"
+            );
+        }
+        // The offset is the scale's: a finite one there still decodes.
+        let mut rescaled = bytes;
+        rescaled[at..at + 4].copy_from_slice(&0.25f32.to_le_bytes());
+        assert!(QuantizedModel::from_bytes(&rescaled)
+            .unwrap()
+            .dequantize()
+            .is_ok());
     }
 
     #[test]

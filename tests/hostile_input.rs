@@ -117,6 +117,9 @@ struct Format {
     lengths: Vec<usize>,
     /// Offsets of `rank dims…` shapes ([`Reader::shape`]).
     shapes: Vec<usize>,
+    /// Offsets of little-endian `f32` quantization scales: a NaN, an
+    /// infinite or a negative one must be rejected.
+    scales: Vec<usize>,
     /// Prefixes and bit flips are tried at every `stride`-th byte (and at
     /// every byte of the first 64).
     stride: usize,
@@ -133,6 +136,7 @@ impl Format {
             decode: Box::new(decode),
             lengths: Vec::new(),
             shapes: Vec::new(),
+            scales: Vec::new(),
             stride: 1,
             flips_rejected: false,
         }
@@ -150,6 +154,11 @@ impl Format {
 
     fn shapes(mut self, at: &[usize]) -> Self {
         self.shapes = at.to_vec();
+        self
+    }
+
+    fn scales(mut self, at: &[usize]) -> Self {
+        self.scales = at.to_vec();
         self
     }
 
@@ -250,6 +259,14 @@ impl Format {
             spliced.extend_from_slice(&self.sample[at + 4 + 4 * rank..]);
             self.rejects(&spliced, &|| format!("shape at {at} replaced by [256; 8]"));
         }
+
+        for &at in &self.scales {
+            for scale in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0] {
+                let mut corrupted = self.sample.clone();
+                corrupted[at..at + 4].copy_from_slice(&scale.to_le_bytes());
+                self.rejects(&corrupted, &|| format!("scale at {at} set to {scale}"));
+            }
+        }
     }
 }
 
@@ -282,7 +299,8 @@ fn codec_formats() -> Vec<Format> {
             QuantizedModel::from_bytes(b).is_ok()
         })
         .lengths(&[5, buffers, buffers + 4, buffers + 20])
-        .shapes(&[buffers + 4]),
+        .shapes(&[buffers + 4])
+        .scales(&[buffers + 16]),
         // height | width | channels | count | …
         Format::new("dataset", samples::dataset(), |b| {
             Dataset::from_bytes(b).is_ok()
@@ -312,11 +330,13 @@ fn codec_formats() -> Vec<Format> {
         })
         .lengths(&[1, 9, 13, 17, 21])
         .shapes(&[9]),
+        // tag | count | id rank dims(2) n scale …
         Format::new("quantized frame", samples::quantized_frame(), |b| {
             wire::decode_frame(b).is_ok()
         })
         .lengths(&[1, 9, 13, 17, 21])
-        .shapes(&[9]),
+        .shapes(&[9])
+        .scales(&[25]),
         // STFC1 | count | id rank dims(2) n f32 × 6 | id rank dims(1) n …
         Format::new("checkpoint", samples::checkpoint(), |b| {
             let g = samples::checkpoint_graph();

@@ -6,8 +6,9 @@
 //!
 //! 1. every fast path (multi-block ChaCha20, in-place detached AEAD,
 //!    dispatched SHA-256, parallel chunked sealing and opening) is
-//!    byte-identical to the retained reference implementation (asserted
-//!    in every build), and
+//!    byte-identical to the reference implementation (asserted in every
+//!    build), the crypto crate's test oracle in `crates/crypto/tests/oracle`,
+//!    and
 //! 2. the single-thread fast seal is at least 3.5x the reference at the
 //!    shield's 64 KiB chunk size when `poly1305::backend()` is `"avx2"`
 //!    (2x on the portable bodies; release builds only), and
@@ -37,6 +38,9 @@ use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
 use securetf_tensor::kernels::WorkerPool;
 use std::sync::Arc;
 use std::time::Instant;
+
+#[path = "../../../crypto/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Deterministic pseudo-random payload bytes.
 fn fill(seed: u64, len: usize) -> Vec<u8> {
@@ -102,10 +106,10 @@ fn bench_aead(len: usize, reps: usize) -> AeadRow {
     let plaintext = fill(len as u64 + 3, len);
 
     let (reference_seal_ns, reference) = time_ns(reps, || {
-        aead::seal_reference(&key, &nonce, &plaintext, &aad)
+        oracle::aead::seal_reference(&key, &nonce, &plaintext, &aad)
     });
     let (reference_open_ns, reopened) = time_ns(reps, || {
-        aead::open_reference(&key, &nonce, &reference, &aad)
+        oracle::aead::open_reference(&key, &nonce, &reference, &aad)
     });
 
     let ctx = AeadCtx::new(key);

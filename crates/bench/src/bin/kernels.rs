@@ -43,13 +43,19 @@ use rand::SeedableRng;
 use securetf_bench::report::{BenchReport, JsonValue};
 use securetf_bench::{fmt_ns, fmt_ratio, header};
 use securetf_tensor::graph::{Graph, Padding};
-use securetf_tensor::kernels::{self, reference, WorkerPool, Workspace};
+use securetf_tensor::kernels::{self, WorkerPool, Workspace};
 use securetf_tensor::layers;
 use securetf_tensor::memory::PlannedExecutor;
 use securetf_tensor::session::Session;
 use securetf_tensor::tensor::Tensor;
 use std::collections::HashMap;
 use std::time::Instant;
+
+// The naive kernels, the tensor crate's test oracles; this binary times
+// all but the quantizer.
+#[allow(dead_code)]
+#[path = "../../../tensor/tests/oracle/kernels.rs"]
+mod oracle;
 
 /// Deterministic pseudo-random fill in roughly [-1, 1].
 fn fill(seed: u64, len: usize) -> Vec<f32> {
@@ -122,7 +128,7 @@ fn bench_matmul(m: usize, k: usize, n: usize, workers: usize, reps: usize) -> Ma
     let b = fill(n as u64 * 11 + 3, k * n);
     let ta = Tensor::from_vec(&[m, k], a.clone()).expect("lhs");
     let tb = Tensor::from_vec(&[k, n], b.clone()).expect("rhs");
-    let (naive_ns, naive) = time_ns(reps, || reference::naive_matmul(m, k, n, &a, &b));
+    let (naive_ns, naive) = time_ns(reps, || oracle::naive_matmul(m, k, n, &a, &b));
     let serial = WorkerPool::serial();
     let (blocked_ns, blocked) =
         time_ns(reps, || kernels::matmul(&serial, &ta, &tb).expect("matmul"));
@@ -150,7 +156,7 @@ fn bench_conv(
     let filter =
         Tensor::from_vec(&[kh, kw, cin, cout], fill(23, kh * kw * cin * cout)).expect("filter");
     let (naive_ns, naive) = time_ns(reps, || {
-        reference::naive_conv2d(&input, &filter, Padding::Same).expect("conv")
+        oracle::naive_conv2d(&input, &filter, Padding::Same).expect("conv")
     });
     let serial = WorkerPool::serial();
     let (blocked_ns, blocked) = time_ns(reps, || {
@@ -187,7 +193,7 @@ fn bench_conv_grad(
         Tensor::from_vec(&[kh, kw, cin, cout], fill(31, kh * kw * cin * cout)).expect("filter");
     let grad = Tensor::from_vec(&[b, h, w, cout], fill(37, b * h * w * cout)).expect("grad");
     let (naive_ns, (naive_gi, naive_gf)) = time_ns(reps, || {
-        reference::naive_conv2d_grad(&input, &filter, &grad, Padding::Same).expect("conv grad")
+        oracle::naive_conv2d_grad(&input, &filter, &grad, Padding::Same).expect("conv grad")
     });
     let (serial, pool) = (WorkerPool::serial(), WorkerPool::new(workers));
     let both = |pool: &WorkerPool| {
@@ -257,12 +263,12 @@ fn bench_max_pool(shape: [usize; 4], reps: usize) -> [VersusRow; 2] {
     let grad =
         Tensor::from_vec(&[b, h / 2, w / 2, c], fill(43, b * (h / 2) * (w / 2) * c)).expect("grad");
     let (naive_fwd_ns, (naive_out, _)) =
-        time_ns(reps, || reference::naive_max_pool2(&x).expect("pool"));
+        time_ns(reps, || oracle::naive_max_pool2(&x).expect("pool"));
     let (fwd_ns, out) = time_ns(reps, || {
         kernels::max_pool2_with(&x, &mut stale).expect("pool")
     });
     let (naive_bwd_ns, naive_gx) = time_ns(reps, || {
-        reference::naive_max_pool2_grad(&x, &grad).expect("pool grad")
+        oracle::naive_max_pool2_grad(&x, &grad).expect("pool grad")
     });
     let (bwd_ns, gx) = time_ns(reps, || {
         kernels::max_pool2_grad_with(&x, &grad, &mut stale).expect("pool grad")

@@ -4,7 +4,7 @@
 //! file-system shield, the network shield record layer, EPC page sealing
 //! and the CAS secret database all encrypt through this module.
 //!
-//! Four API tiers share one wire format (`ciphertext || tag`):
+//! Three API tiers share one wire format (`ciphertext || tag`):
 //!
 //! * **in-place detached** ([`seal_in_place_detached`] /
 //!   [`open_in_place_detached`], also on [`AeadCtx`]) — encrypts the
@@ -16,14 +16,14 @@
 //! * **chunked** ([`Sealer`] / [`Opener`]) — one long record a chunk at
 //!   a time, in place, tag at the end: the bytes and tag of the in-place
 //!   tier for every chunking, so a caller can hand each chunk to another
-//!   pass (a digest, a copy) while the next one is in flight,
+//!   pass (a digest, a copy) while the next one is in flight, and
 //! * **allocating wrappers** ([`seal`] / [`open`]) — the original
 //!   convenience API, now thin shims over the in-place core with output
-//!   capacity reserved up front, and
-//! * **reference** ([`seal_reference`] / [`open_reference`]) — the
-//!   original correctness-first implementation (scalar one-block
-//!   ChaCha20, allocating pad path), retained for differential tests and
-//!   the `BENCH_crypto.json` A/B gate.
+//!   capacity reserved up front.
+//!
+//! The original correctness-first AEAD (scalar one-block ChaCha20,
+//! allocating pad path) is the tests' oracle and lives in the test tree
+//! (`tests/oracle/aead.rs`).
 //!
 //! # Examples
 //!
@@ -58,7 +58,7 @@
 
 use crate::chacha20::{xor_into, ChaCha20, PREFETCH};
 use crate::ct;
-use crate::poly1305::{Poly1305, ReferencePoly1305};
+use crate::poly1305::Poly1305;
 use crate::CryptoError;
 
 /// Length of the authentication tag appended to each ciphertext.
@@ -525,65 +525,10 @@ pub fn open(key: &Key, nonce: &Nonce, sealed: &[u8], aad: &[u8]) -> Result<Vec<u
     Ok(out)
 }
 
-/// The original correctness-first seal: scalar one-block ChaCha20 via
-/// [`ChaCha20::apply_keystream_reference`] and the allocating pad path.
-/// Retained as the A/B baseline — output is bit-identical to [`seal`].
-pub fn seal_reference(key: &Key, nonce: &Nonce, plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-    let mut out = plaintext.to_vec();
-    ChaCha20::new(&key.0, &nonce.0, 1).apply_keystream_reference(&mut out);
-    let mut c = ChaCha20::new(&key.0, &nonce.0, 0);
-    let block0 = c.next_block();
-    let mut pk = [0u8; 32];
-    pk.copy_from_slice(&block0[..32]);
-    let tag = compute_tag_reference(&pk, aad, &out);
-    out.extend_from_slice(&tag);
-    out
-}
-
-/// The original allocating open, counterpart of [`seal_reference`].
-///
-/// # Errors
-///
-/// Same contract as [`open`].
-pub fn open_reference(
-    key: &Key,
-    nonce: &Nonce,
-    sealed: &[u8],
-    aad: &[u8],
-) -> Result<Vec<u8>, CryptoError> {
-    if sealed.len() < TAG_LEN {
-        return Err(CryptoError::TruncatedInput);
-    }
-    let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let mut c = ChaCha20::new(&key.0, &nonce.0, 0);
-    let block0 = c.next_block();
-    let mut pk = [0u8; 32];
-    pk.copy_from_slice(&block0[..32]);
-    let expect = compute_tag_reference(&pk, aad, ciphertext);
-    if !ct::eq(&expect, tag) {
-        return Err(CryptoError::TagMismatch);
-    }
-    let mut out = ciphertext.to_vec();
-    ChaCha20::new(&key.0, &nonce.0, 1).apply_keystream_reference(&mut out);
-    Ok(out)
-}
-
-/// The original tag computation with heap-allocated pads, kept only so
-/// the reference path exercises the pre-optimization code shape.
-fn compute_tag_reference(pk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-    let mut mac = ReferencePoly1305::new(pk);
-    mac.update(aad);
-    mac.update(&vec![0u8; (16 - aad.len() % 16) % 16]);
-    mac.update(ciphertext);
-    mac.update(&vec![0u8; (16 - ciphertext.len() % 16) % 16]);
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(ciphertext.len() as u64).to_le_bytes());
-    mac.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::aead::{open_reference, seal_reference};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

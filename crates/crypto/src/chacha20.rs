@@ -12,9 +12,9 @@
 //!
 //! [`ChaCha20::apply_keystream`] runs whole chunks of the widest engine
 //! in place and the tail through the narrowest engine that covers it in
-//! one call; [`ChaCha20::apply_keystream_reference`] keeps the original
-//! one-block loop with byte-wise XOR for differential tests and A/B
-//! benchmarking (`BENCH_crypto.json`). All produce identical keystream.
+//! one call. All produce identical keystream; the tests also pin them
+//! against the original one-block loop with byte-wise XOR, which lives in
+//! the test tree (`tests/oracle/aead.rs`).
 //!
 //! # Block-counter exhaustion
 //!
@@ -469,7 +469,7 @@ impl ChaCha20 {
     /// XORs the keystream into `data` in place (encrypts or decrypts):
     /// whole chunks of the widest engine this CPU has in place, the tail
     /// through the narrowest engine that covers it in one call. Output is
-    /// bit-identical to [`ChaCha20::apply_keystream_reference`].
+    /// bit-identical to one [`ChaCha20::next_block`] after another.
     ///
     /// # Panics
     ///
@@ -512,22 +512,12 @@ impl ChaCha20 {
         self.state[12] += engine.blocks as u32;
         engine.blocks * BLOCK
     }
-
-    /// The original scalar keystream application — one block at a time,
-    /// byte-wise XOR — retained as the A/B reference for the fast path.
-    pub fn apply_keystream_reference(&mut self, data: &mut [u8]) {
-        for chunk in data.chunks_mut(64) {
-            let block = self.next_block();
-            for (byte, k) in chunk.iter_mut().zip(block.iter()) {
-                *byte ^= k;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::aead::apply_keystream_reference;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -610,7 +600,7 @@ offer you only one tip for the future, sunscreen would be it."
             let mut fast = original.clone();
             let mut slow = original.clone();
             ChaCha20::new(&[7u8; 32], &[4u8; 12], 3).apply_keystream(&mut fast);
-            ChaCha20::new(&[7u8; 32], &[4u8; 12], 3).apply_keystream_reference(&mut slow);
+            apply_keystream_reference(&mut ChaCha20::new(&[7u8; 32], &[4u8; 12], 3), &mut slow);
             assert_eq!(fast, slow, "len {len}");
         }
     }
@@ -622,7 +612,7 @@ offer you only one tip for the future, sunscreen would be it."
         let mut a = vec![0u8; 999];
         let mut b = vec![0u8; 999];
         fast.apply_keystream(&mut a);
-        slow.apply_keystream_reference(&mut b);
+        apply_keystream_reference(&mut slow, &mut b);
         assert_eq!(a, b);
         // Subsequent blocks agree: both engines consumed the same counters.
         assert_eq!(fast.next_block(), slow.next_block());
@@ -701,7 +691,7 @@ offer you only one tip for the future, sunscreen would be it."
             for counter in [0, 7, u32::MAX - blocks] {
                 let mut reference = ChaCha20::new(&[5u8; 32], &[8u8; 12], counter);
                 let mut expect = data.clone();
-                reference.apply_keystream_reference(&mut expect);
+                apply_keystream_reference(&mut reference, &mut expect);
                 for (name, engines) in forced() {
                     let mut cipher = ChaCha20::new(&[5u8; 32], &[8u8; 12], counter);
                     let mut got = data.clone();
@@ -731,7 +721,7 @@ offer you only one tip for the future, sunscreen would be it."
                 // Whatever the engine, the bytes are the stream's next ones
                 // and the cipher carries on right behind them.
                 let mut expect = vec![0u8; have + 200];
-                reference.apply_keystream_reference(&mut expect);
+                apply_keystream_reference(&mut reference, &mut expect);
                 let mut rest = [0u8; 200];
                 cipher.apply_keystream(&mut rest);
                 assert_eq!(

@@ -17,8 +17,8 @@
 //! * [`aead`] — ChaCha20-Poly1305 AEAD (RFC 7539), with zero-allocation
 //!   in-place detached seal/open on a reusable [`aead::AeadCtx`] (one
 //!   ChaCha20 engine call per short record), one long record sealed or
-//!   opened a chunk at a time ([`aead::Sealer`] / [`aead::Opener`]), plus
-//!   the original allocating and reference paths for A/B comparison
+//!   opened a chunk at a time ([`aead::Sealer`] / [`aead::Opener`]), and
+//!   the original allocating API as thin wrappers over the in-place core
 //! * [`x25519`] — Diffie-Hellman over Curve25519 (RFC 7748)
 //! * [`drbg`] — a deterministic HMAC-DRBG (NIST SP 800-90A style)
 //! * [`ct`] — constant-time comparison helpers
@@ -80,3 +80,11 @@ impl fmt::Display for CryptoError {
 }
 
 impl Error for CryptoError {}
+
+// The unit tests share the test tree's oracles with the integration tests
+// and the benches, which name the crate by its path.
+#[cfg(test)]
+extern crate self as securetf_crypto;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

@@ -306,9 +306,9 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// [`digest`] on the portable compression body whatever the CPU offers:
-/// the oracle the dispatched body is compared against (tests, and the
-/// `crypto` bench's SHA-256 row), like
-/// `ChaCha20::apply_keystream_reference`.
+/// the fallback, and the oracle the dispatched body is compared against
+/// (tests, and the `crypto` bench's SHA-256 row), as
+/// `poly1305::poly1305_portable` is for the four-way Poly1305.
 pub fn digest_portable(data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Sha256::with_body(Body::Portable);
     h.update(data);

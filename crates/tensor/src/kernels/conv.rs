@@ -665,7 +665,7 @@ pub(super) fn conv2d_grad_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::reference::{naive_conv2d, naive_conv2d_grad};
+    use crate::kernels::oracle::{naive_conv2d, naive_conv2d_grad};
 
     /// Values in [-1, 1); with `special`, about one in seven replaced by
     /// NaN, ±Inf or a signed zero.

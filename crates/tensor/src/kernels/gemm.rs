@@ -57,7 +57,7 @@
 //! every output element `C[i,j]` the additions run over `p = 0..k`
 //! strictly increasing, each a separate multiply and add (no FMA), like
 //! the naive loop, so every instantiation and every worker count is
-//! bit-for-bit identical to [`super::reference::naive_matmul`].
+//! bit-for-bit identical to `naive_matmul` (`tests/oracle/kernels.rs`).
 
 use std::ops::Range;
 
@@ -753,7 +753,7 @@ unsafe fn tile_avx512<const R: usize, const FIRST: bool, const PREFETCH: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::reference::naive_matmul;
+    use crate::kernels::oracle::naive_matmul;
 
     fn fill(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed | 1;

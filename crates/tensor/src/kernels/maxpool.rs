@@ -9,12 +9,12 @@
 //! the GEMM's [`Simd`] seam, which runs the AVX2 body on an AVX-512 CPU
 //! too — and at `L = 1` for the `c % L` channels left over.
 //!
-//! **Semantics are the scalar loop's, exactly** ([`super::reference`]): a
-//! window's search starts at `-inf`, taps are visited `(dy, dx)` =
-//! `(0,0) (0,1) (1,0) (1,1)` and a tap wins only if it compares *greater*
-//! — so the first of equal taps wins, a NaN never does, and a window with
-//! no tap above `-inf` pools to `-inf` and routes its gradient to its own
-//! first tap.
+//! **Semantics are the scalar loop's, exactly** (`naive_max_pool2` in
+//! `tests/oracle/kernels.rs`): a window's search starts at `-inf`, taps
+//! are visited `(dy, dx)` = `(0,0) (0,1) (1,0) (1,1)` and a tap wins only
+//! if it compares *greater* — so the first of equal taps wins, a NaN
+//! never does, and a window with no tap above `-inf` pools to `-inf` and
+//! routes its gradient to its own first tap.
 //!
 //! The backward pass keeps no record of the forward one. It recomputes
 //! each window's winning tap from `x` in registers and writes all four
@@ -269,7 +269,7 @@ fn backward<const L: usize>(d: &Dims, x: &[f32], grad: &[f32], gx: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::reference::{naive_max_pool2, naive_max_pool2_grad};
+    use crate::kernels::oracle::{naive_max_pool2, naive_max_pool2_grad};
     use proptest::prelude::*;
 
     /// A recycled buffer: whatever it holds must not show in a result.

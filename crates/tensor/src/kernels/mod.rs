@@ -9,10 +9,11 @@
 //! quantizer and its error-feedback fold (`quantize`, likewise), and the
 //! deterministic
 //! [`WorkerPool`] that splits kernels across disjoint parts of the
-//! output. The cardinal rule, enforced by property tests against
-//! [`mod@reference`]: **tiling, vector width and parallelism never change
-//! the per-element reduction order**, so every kernel is bit-for-bit
-//! identical to its naive serial reference for any worker count.
+//! output. The cardinal rule, enforced by property tests against the
+//! naive scalar loops in the test tree (`tests/oracle/kernels.rs`):
+//! **tiling, vector width and parallelism never change the per-element
+//! reduction order**, so every kernel is bit-for-bit identical to its
+//! naive serial reference for any worker count.
 //!
 //! Each entry point also returns a [`KernelCost`] — total flops plus the
 //! critical-path flops of the longest worker chain — which the TEE layer
@@ -20,7 +21,6 @@
 //! path, [`pool::critical_units`], is the LPT makespan.
 
 pub mod pool;
-pub mod reference;
 
 pub(crate) mod conv;
 mod gemm;
@@ -117,7 +117,7 @@ pub fn simd_level() -> &'static str {
 
 /// Blocked matrix product `lhs × rhs` for rank-2 tensors.
 ///
-/// Bit-identical to [`reference::naive_matmul`] for every worker count;
+/// Bit-identical to the oracle `naive_matmul` for every worker count;
 /// see the module docs for the determinism argument.
 pub fn matmul(
     pool: &WorkerPool,
@@ -328,8 +328,8 @@ pub fn matmul_lhs_t_with(
 /// (odd trailing rows and columns belong to no window). A window's value
 /// is its first tap that compares greater than everything before it,
 /// the search starting at `-inf` — so NaN taps are skipped and an
-/// all-NaN window pools to `-inf`. Bit-identical to
-/// [`reference::naive_max_pool2`] on every instantiation.
+/// all-NaN window pools to `-inf`. Bit-identical to the oracle
+/// `naive_max_pool2` on every instantiation.
 ///
 /// # Errors
 ///
@@ -341,8 +341,8 @@ pub fn max_pool2_with(x: &Tensor, take: TakeBuffer<'_>) -> Result<Tensor, Tensor
 /// The gradient of [`max_pool2_with`] with respect to `x`, recomputed
 /// from `x` itself: each window's gradient lands on the tap that won it
 /// (the first on ties; the window's first tap if none beat `-inf`), every
-/// other element is `0.0`. Bit-identical to
-/// [`reference::naive_max_pool2_grad`] on every instantiation.
+/// other element is `0.0`. Bit-identical to the oracle
+/// `naive_max_pool2_grad` on every instantiation.
 ///
 /// # Errors
 ///
@@ -362,8 +362,8 @@ pub fn max_pool2_grad_with(
 /// clamp(round(data[i] / scale), -127, 127)` rounded half away from zero,
 /// NaN to `0`. With a `residual`, also writes what the receiver will not
 /// reconstruct, `data[i] - values[i] * scale`, there. Bit-identical to
-/// that scalar definition on every instantiation (see the `quantize`
-/// module).
+/// that scalar definition, the oracle `naive_quantize_i8`, on every
+/// instantiation (see the `quantize` module).
 ///
 /// # Panics
 ///
@@ -467,7 +467,7 @@ pub fn conv2d_bias_relu_with(
 /// Direct forward convolution (NHWC input, `[kh,kw,cin,cout]` filter)
 /// over a zero-padded, channel-planar copy of the image, at the
 /// [`KernelCost`] of the `[positions, patch] × [patch, cout]` GEMM it
-/// replaced. Bit-identical to [`reference::naive_conv2d`].
+/// replaced. Bit-identical to the oracle `naive_conv2d`.
 ///
 /// # Errors
 ///
@@ -502,7 +502,7 @@ pub fn conv2d_with(
 
 /// Backward convolution: `(grad_input, grad_filter, cost)` — both of
 /// [`conv2d_grad_filter`] and [`conv2d_grad_input`]. Bit-identical to
-/// [`reference::naive_conv2d_grad`].
+/// the oracle `naive_conv2d_grad`.
 pub fn conv2d_grad(
     pool: &WorkerPool,
     input: &Tensor,
@@ -536,7 +536,7 @@ pub fn conv2d_grad_with(
 /// the padded image, vectorised over `cout`, at the [`KernelCost`] of the
 /// `[patch, positions] × [positions, cout]` GEMM it replaced. The
 /// filter's values are not read, only its shape. Bit-identical to the
-/// filter gradient of [`reference::naive_conv2d_grad`].
+/// filter gradient of the oracle `naive_conv2d_grad`.
 ///
 /// # Errors
 ///
@@ -556,7 +556,7 @@ pub fn conv2d_grad_filter(
 /// The input half of [`conv2d_grad_with`] alone: one GEMM,
 /// `grad × filterᵀ`, and the `col2im` scatter. The input's values are
 /// not read, only its shape. Bit-identical to the input gradient of
-/// [`reference::naive_conv2d_grad`].
+/// the oracle `naive_conv2d_grad`.
 ///
 /// # Errors
 ///
@@ -572,3 +572,7 @@ pub fn conv2d_grad_input(
 ) -> Result<(Tensor, KernelCost), TensorError> {
     conv::conv2d_grad_input(pool, ws, input_shape, filter, grad, padding, take)
 }
+
+#[cfg(test)]
+#[path = "../../tests/oracle/kernels.rs"]
+mod oracle;

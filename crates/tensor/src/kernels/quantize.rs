@@ -253,34 +253,7 @@ fn round_lanes<const L: usize, const RESIDUAL: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The scalar definition the kernel replaced, kept as the oracle:
-    /// `(scale, values, residual)` of `data`. It calls libm's rounding on
-    /// purpose — that is the definition.
-    fn oracle(data: &[f32]) -> (f32, Vec<i8>, Vec<f32>) {
-        let max_abs = data
-            .iter()
-            .filter(|v| v.is_finite())
-            .fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = max_abs / 127.0;
-        let live = max_abs != 0.0;
-        let values: Vec<i8> = data
-            .iter()
-            .map(|&v| {
-                if live {
-                    f32::round(v / scale).clamp(-127.0, 127.0) as i8
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let residual = data
-            .iter()
-            .zip(&values)
-            .map(|(&v, &q)| v - q as f32 * scale)
-            .collect();
-        (scale, values, residual)
-    }
+    use crate::kernels::oracle::naive_quantize_i8;
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -289,7 +262,7 @@ mod tests {
     /// Every way to run the kernel on `data` agrees with the oracle on
     /// every instantiation.
     fn check(data: &[f32], what: &str) {
-        let (scale, values, residual) = oracle(data);
+        let (scale, values, residual) = naive_quantize_i8(data);
         for simd in Simd::supported("quantize_i8") {
             let mut got = vec![i8::MIN; data.len()];
             let s = quantize_i8(simd, data, &mut got, None);
@@ -426,7 +399,7 @@ mod tests {
                     let mut values = vec![i8::MIN; len];
                     if step == 0 {
                         // The first step has nothing to fold.
-                        let (scale, want, dropped) = oracle(&grad);
+                        let (scale, want, dropped) = naive_quantize_i8(&grad);
                         residual = vec![f32::NAN; len];
                         let s = quantize_i8(simd, &grad, &mut values, Some(&mut residual));
                         assert_eq!(s.to_bits(), scale.to_bits(), "{what}");
@@ -435,7 +408,7 @@ mod tests {
                         continue;
                     }
                     let sum: Vec<f32> = grad.iter().zip(&residual).map(|(g, r)| g + r).collect();
-                    let (scale, want, dropped) = oracle(&sum);
+                    let (scale, want, dropped) = naive_quantize_i8(&sum);
                     let s = quantize_i8_folding(simd, &mut grad, &mut residual, &mut values);
                     assert_eq!(bits(&grad), bits(&sum), "{what}: the folded gradient");
                     assert_eq!(s.to_bits(), scale.to_bits(), "{what}: scale");

@@ -107,3 +107,8 @@ impl From<bytes::BytesError> for TensorError {
         TensorError::MalformedModel(e.reason())
     }
 }
+
+// The kernel tests share the test tree's oracles with the integration
+// tests and the benches, which name the crate by its path.
+#[cfg(test)]
+extern crate self as securetf_tensor;

@@ -1,14 +1,20 @@
-//! Naive scalar reference kernels.
+//! The tensor crate's kernel oracles: the naive scalar loops the
+//! blocked, vectorised and pooled kernels are tested — and benchmarked —
+//! against. They are the simplest possible loops, written so their
+//! per-element reduction order and operand order are *exactly* the ones
+//! the production kernels commit to: no zero-skips, no blocking, no
+//! threads.
 //!
-//! These are the ground truth the blocked/parallel kernels are tested —
-//! and benchmarked — against: the simplest possible loops, written so
-//! their per-element reduction order and operand order are *exactly* the
-//! ones the production kernels commit to. No zero-skips, no blocking, no
-//! threads. Kept `pub` so the bench binaries can time them.
+//! They live in the test tree, so the product carries one implementation
+//! of each kernel. The crate's unit tests, `tests/properties.rs` and the
+//! `kernels` bench binary each include this one copy with `#[path]`; it
+//! names the crate's types as `securetf_tensor::..` (the unit tests alias
+//! the crate to that name). A subdirectory, so it is no test target of
+//! its own.
 
-use crate::graph::Padding;
-use crate::tensor::Tensor;
-use crate::TensorError;
+use securetf_tensor::graph::Padding;
+use securetf_tensor::tensor::Tensor;
+use securetf_tensor::TensorError;
 
 /// Naive row-major `C = A × B` for `A [m,k]`, `B [k,n]`.
 ///
@@ -43,7 +49,7 @@ pub fn naive_conv2d(
     filter: &Tensor,
     padding: Padding,
 ) -> Result<Tensor, TensorError> {
-    let g = super::conv::geometry(input.shape(), filter.shape(), padding)?;
+    let g = geometry(input.shape(), filter.shape(), padding)?;
     let idata = input.data();
     let fdata = filter.data();
     let mut out = vec![0.0f32; g.positions * g.cout];
@@ -89,7 +95,7 @@ pub fn naive_conv2d_grad(
     grad: &Tensor,
     padding: Padding,
 ) -> Result<(Tensor, Tensor), TensorError> {
-    let g = super::conv::geometry(input.shape(), filter.shape(), padding)?;
+    let g = geometry(input.shape(), filter.shape(), padding)?;
     if grad.shape() != [g.b, g.oh, g.ow, g.cout] {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_grad",
@@ -205,4 +211,124 @@ pub fn naive_max_pool2_grad(x: &Tensor, grad: &Tensor) -> Result<Tensor, TensorE
         gx[src] += g;
     }
     Tensor::from_vec(x.shape(), gx)
+}
+
+/// The scalar int8 quantizer `kernels::quantize_i8` replaced:
+/// `(scale, values, residual)` of `data`. It calls libm's rounding on
+/// purpose — that is the definition.
+pub fn naive_quantize_i8(data: &[f32]) -> (f32, Vec<i8>, Vec<f32>) {
+    let max_abs = data
+        .iter()
+        .filter(|v| v.is_finite())
+        .fold(0.0f32, |m, &v| m.max(v.abs()));
+    let scale = max_abs / 127.0;
+    let live = max_abs != 0.0;
+    let values: Vec<i8> = data
+        .iter()
+        .map(|&v| {
+            if live {
+                f32::round(v / scale).clamp(-127.0, 127.0) as i8
+            } else {
+                0
+            }
+        })
+        .collect();
+    let residual = data
+        .iter()
+        .zip(&values)
+        .map(|(&v, &q)| v - q as f32 * scale)
+        .collect();
+    (scale, values, residual)
+}
+
+/// A convolution's dimensions, checked as the kernels check them.
+struct Geometry {
+    b: usize,
+    h: usize,
+    w: usize,
+    cin: usize,
+    kh: usize,
+    kw: usize,
+    cout: usize,
+    oh: usize,
+    ow: usize,
+    /// Top/left padding offsets.
+    ph: usize,
+    pw: usize,
+    /// Output positions: `b * oh * ow`.
+    positions: usize,
+}
+
+fn geometry(input: &[usize], filter: &[usize], padding: Padding) -> Result<Geometry, TensorError> {
+    let mismatch = |detail: String| TensorError::ShapeMismatch {
+        op: "conv2d",
+        detail,
+    };
+    let &[b, h, w, cin] = input else {
+        return Err(mismatch(format!("input {input:?} (need NHWC)")));
+    };
+    let &[kh, kw, fcin, cout] = filter else {
+        return Err(mismatch(format!(
+            "filter {filter:?} (need [kh,kw,cin,cout])"
+        )));
+    };
+    if fcin != cin {
+        return Err(mismatch(format!("input channels {cin} vs filter {fcin}")));
+    }
+    if kh == 0 || kw == 0 {
+        return Err(mismatch(format!(
+            "filter {filter:?} has an empty {kh}x{kw} kernel"
+        )));
+    }
+    let (oh, ow, ph, pw) = match padding {
+        Padding::Same => (h, w, (kh - 1) / 2, (kw - 1) / 2),
+        Padding::Valid => {
+            if h < kh || w < kw {
+                return Err(mismatch(format!(
+                    "input {h}x{w} smaller than kernel {kh}x{kw}"
+                )));
+            }
+            (h - kh + 1, w - kw + 1, 0, 0)
+        }
+    };
+    Ok(Geometry {
+        b,
+        h,
+        w,
+        cin,
+        kh,
+        kw,
+        cout,
+        oh,
+        ow,
+        ph,
+        pw,
+        positions: b * oh * ow,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // Hand-computed, so a later edit to an oracle cannot silently move
+    // the contract the kernels are held to.
+    #[test]
+    fn naive_matmul_computes_a_2x3x2_product_by_hand() {
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
+        assert_eq!(naive_matmul(2, 3, 2, &a, &b), [58.0, 64.0, 139.0, 154.0]);
+    }
+
+    #[test]
+    fn naive_max_pool2_gives_a_tie_to_the_first_tap() {
+        let x = Tensor::from_vec(&[1, 2, 2, 1], vec![3.0, 5.0, 5.0, 1.0]).unwrap();
+        let (pooled, indices) = naive_max_pool2(&x).unwrap();
+        assert_eq!(pooled.shape(), [1, 1, 1, 1]);
+        assert_eq!(pooled.data(), [5.0]);
+        assert_eq!(indices, [1]);
+        let grad = Tensor::from_vec(&[1, 1, 1, 1], vec![2.0]).unwrap();
+        let gx = naive_max_pool2_grad(&x, &grad).unwrap();
+        assert_eq!(gx.data(), [0.0, 2.0, 0.0, 0.0]);
+    }
 }

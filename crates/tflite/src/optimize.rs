@@ -21,6 +21,7 @@ use crate::model::LiteModel;
 use crate::LiteError;
 use securetf_tensor::bytes::{put_len_prefixed, put_shape, put_u32, Reader};
 use securetf_tensor::graph::{Graph, Op};
+use securetf_tensor::kernels;
 use securetf_tensor::passes::{Pipeline, PipelineReport};
 use securetf_tensor::tensor::Tensor;
 
@@ -138,21 +139,16 @@ struct QuantBuffer {
     values: Vec<i8>,
 }
 
+/// Per-tensor int8 quantization on the tensor crate's one int8 kernel:
+/// `scale = max |finite v| / 127`, so one non-finite weight cannot spoil
+/// the scale of the rest (an infinite weight lands on ±127, a NaN on 0).
 fn quantize_tensor(t: &Tensor) -> QuantBuffer {
-    let max_abs = t
-        .data()
-        .iter()
-        .fold(0.0f32, |acc, v| acc.max(v.abs()))
-        .max(f32::MIN_POSITIVE);
-    let scale = max_abs / 127.0;
+    let mut values = vec![0i8; t.len()];
+    let scale = kernels::quantize_i8(t.data(), &mut values, None);
     QuantBuffer {
         shape: t.shape().to_vec(),
         scale,
-        values: t
-            .data()
-            .iter()
-            .map(|v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-            .collect(),
+        values,
     }
 }
 
@@ -300,17 +296,18 @@ mod tests {
     use crate::interpreter::Interpreter;
     use securetf_tensor::graph::Graph;
 
+    fn test_w1() -> Vec<f32> {
+        (0..192).map(|i| ((i % 17) as f32 - 8.0) * 0.05).collect()
+    }
+
     fn test_model() -> LiteModel {
+        model_with_w1(test_w1())
+    }
+
+    fn model_with_w1(w1: Vec<f32>) -> LiteModel {
         let mut g = Graph::new();
         let x = g.placeholder("input", &[0, 16]);
-        let w1 = g.constant(
-            "w1",
-            Tensor::from_vec(
-                &[16, 12],
-                (0..192).map(|i| ((i % 17) as f32 - 8.0) * 0.05).collect(),
-            )
-            .unwrap(),
-        );
+        let w1 = g.constant("w1", Tensor::from_vec(&[16, 12], w1).unwrap());
         let b1 = g.constant("b1", Tensor::full(&[12], 0.05));
         let h = g.matmul(x, w1).unwrap();
         let h = g.add_bias(h, b1).unwrap();
@@ -508,6 +505,37 @@ mod tests {
             .unwrap()
             .dequantize()
             .is_ok());
+    }
+
+    #[test]
+    fn an_infinite_weight_leaves_the_others_finite() {
+        let mut w1 = test_w1();
+        w1[37] = f32::INFINITY;
+        let bytes = quantize(&model_with_w1(w1.clone())).to_bytes();
+        let restored = QuantizedModel::from_bytes(&bytes)
+            .unwrap()
+            .dequantize()
+            .unwrap();
+        let graph = restored.graph();
+        let got = graph
+            .nodes()
+            .iter()
+            .find_map(|node| match &node.op {
+                Op::Constant(t) if node.name == "w1" => Some(t.data()),
+                _ => None,
+            })
+            .unwrap();
+        // The scale comes from the largest finite weight, 0.4: every other
+        // weight is back within half a step, the infinite one clamped to
+        // the top of the range.
+        let step = 0.4f32 / 127.0;
+        for (i, (&want, &have)) in w1.iter().zip(got).enumerate() {
+            if i == 37 {
+                assert_eq!(have, 127.0 * step);
+            } else {
+                assert!((want - have).abs() <= step / 2.0, "w1[{i}]: {have}");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@ use securetf_tensor::graph::Graph;
 use securetf_tensor::tensor::Tensor;
 use std::sync::Arc;
 
+// The naive kernels the pooled ones are held to; this binary uses some.
+#[allow(dead_code)]
+#[path = "../crates/tensor/tests/oracle/kernels.rs"]
+mod oracle;
+
 fn enclave(code: &[u8]) -> Arc<securetf_tee::Enclave> {
     let platform = Platform::builder().build();
     platform
@@ -341,10 +346,10 @@ proptest! {
         workers in 1usize..8,
         seed in any::<u64>(),
     ) {
-        use securetf_tensor::kernels::{self, reference, WorkerPool};
+        use securetf_tensor::kernels::{self, WorkerPool};
         let a = lcg_fill(seed, m * k);
         let b = lcg_fill(seed ^ 0x9E3779B97F4A7C15, k * n);
-        let naive = reference::naive_matmul(m, k, n, &a, &b);
+        let naive = oracle::naive_matmul(m, k, n, &a, &b);
         let ta = Tensor::from_vec(&[m, k], a).unwrap();
         let tb = Tensor::from_vec(&[k, n], b).unwrap();
         let (out, cost) = kernels::matmul(&WorkerPool::new(workers), &ta, &tb).unwrap();
@@ -370,7 +375,7 @@ proptest! {
         special in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        use securetf_tensor::kernels::{self, reference, WorkerPool};
+        use securetf_tensor::kernels::{self, WorkerPool};
         let ms: Vec<usize> = (1..=17).chain(63..=65).chain(127..=130).collect();
         let ks: Vec<usize> = (1..=20).chain(255..=258).chain(511..=520).collect();
         let ns: Vec<usize> = (1..=40).chain(1023..=1025).collect();
@@ -378,7 +383,7 @@ proptest! {
         let fill = if special { lcg_fill_special } else { lcg_fill };
         let a = fill(seed, m * k);
         let b = fill(seed ^ 0x9E3779B97F4A7C15, k * n);
-        let naive = reference::naive_matmul(m, k, n, &a, &b);
+        let naive = oracle::naive_matmul(m, k, n, &a, &b);
         let ta = Tensor::from_vec(&[m, k], a).unwrap();
         let tb = Tensor::from_vec(&[k, n], b).unwrap();
         let tbias = Tensor::from_vec(&[n], fill(seed ^ 0xB1A5, n)).unwrap();
@@ -477,7 +482,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use securetf_tensor::graph::Padding;
-        use securetf_tensor::kernels::{self, reference, WorkerPool};
+        use securetf_tensor::kernels::{self, WorkerPool};
         // Valid padding requires the kernel to fit inside the input.
         let (padding, kh, kw) = if same {
             (Padding::Same, kh, kw)
@@ -491,7 +496,7 @@ proptest! {
                 .unwrap();
         let pool = WorkerPool::new(workers);
 
-        let naive_out = reference::naive_conv2d(&input, &filter, padding).unwrap();
+        let naive_out = oracle::naive_conv2d(&input, &filter, padding).unwrap();
         let (out, cost) = kernels::conv2d(&pool, &input, &filter, padding).unwrap();
         prop_assert_eq!(out.shape(), naive_out.shape());
         prop_assert_eq!(first_difference(out.data(), naive_out.data()), None);
@@ -500,7 +505,7 @@ proptest! {
         let grad =
             Tensor::from_vec(out.shape(), fill(seed ^ 0x5A5A, out.len())).unwrap();
         let (naive_gi, naive_gf) =
-            reference::naive_conv2d_grad(&input, &filter, &grad, padding).unwrap();
+            oracle::naive_conv2d_grad(&input, &filter, &grad, padding).unwrap();
         let (gi, gf, gcost) =
             kernels::conv2d_grad(&pool, &input, &filter, &grad, padding).unwrap();
         prop_assert_eq!(first_difference(gi.data(), naive_gi.data()), None);
@@ -533,7 +538,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use securetf_tensor::graph::Padding;
-        use securetf_tensor::kernels::{self, reference, WorkerPool, Workspace};
+        use securetf_tensor::kernels::{self, WorkerPool, Workspace};
         let cin = [1usize, 3][cin_pick];
         let kernel = [1usize, 2, 3, 5][kernel_pick];
         let workers = [1usize, 2, 3, 8][workers_pick];
@@ -550,7 +555,7 @@ proptest! {
             Tensor::from_vec(&[kh, kw, cin, cout], fill(seed ^ 0xABCD, kh * kw * cin * cout)).unwrap();
         let (oh, ow) = if same { (h, w) } else { (h - kh + 1, w - kw + 1) };
         let grad = Tensor::from_vec(&[b, oh, ow, cout], fill(seed ^ 0x5A5A, b * oh * ow * cout)).unwrap();
-        let (naive_gi, naive_gf) = reference::naive_conv2d_grad(&input, &filter, &grad, padding).unwrap();
+        let (naive_gi, naive_gf) = oracle::naive_conv2d_grad(&input, &filter, &grad, padding).unwrap();
 
         // Each kernel alone, on one workspace, in either order: neither
         // depends on what the other left behind.

@@ -27,9 +27,14 @@
 //!
 //! The `step` rows are medians, not best-ofs, of whole passes at the
 //! `train_dist` shape: the dense layer's weight gradient with and without
-//! a materialised `xᵀ`, one relu through the executor, and one
-//! `Session::gradients` of the conv classifier on a serial pool — the
-//! number the per-kernel rows have to add up to.
+//! a materialised `xᵀ`, its three products (`dense_*`: the forward and
+//! the weight gradient against the naive loop, the input gradient read
+//! from `w` against a materialised `wᵀ`), the max-pool gradient with the
+//! ReLU's mask inside against the two passes it replaced, one relu
+//! through the executor (with the copy of the output the run returns,
+//! timed on its own in the next row), and one `Session::gradients` of the
+//! conv classifier on a serial pool — the number the per-kernel rows have
+//! to add up to.
 //!
 //! A last `dispatch` row is what a pooled call pays before any kernel
 //! runs: an empty `run_items` over one item per worker, the number the
@@ -314,6 +319,95 @@ fn bench_matmul_grad_rhs(batch: usize, features: usize, classes: usize, reps: us
     }
 }
 
+/// The dense layer's three products at the `train_dist` shape (`x
+/// [batch, features]`, `w [features, classes]`, `grad [batch, classes]`),
+/// each through the GEMM against the same product on the operands it used
+/// to need: the forward `x × w` against the naive loop, the input
+/// gradient `grad × wᵀ` read from `w` against a materialised `wᵀ`, and the
+/// weight gradient `xᵀ × grad` read from `x` against the naive loop on
+/// `xᵀ`. Medians.
+fn bench_dense(batch: usize, features: usize, classes: usize, reps: usize) -> [VersusRow; 3] {
+    let x = Tensor::from_vec(&[batch, features], fill(79, batch * features)).expect("x");
+    let w = Tensor::from_vec(&[features, classes], fill(83, features * classes)).expect("w");
+    let grad = Tensor::from_vec(&[batch, classes], fill(89, batch * classes)).expect("grad");
+    let pool = WorkerPool::serial();
+    let (naive_fwd_ns, want_fwd) = median_ns(reps, || {
+        oracle::naive_matmul(batch, features, classes, x.data(), w.data())
+    });
+    let (fwd_ns, fwd) = median_ns(reps, || {
+        kernels::matmul_with(&pool, &x, &w, &mut stale)
+            .expect("fwd")
+            .0
+    });
+    let (copy_ns, want_lhs) = median_ns(reps, || {
+        let w_t = w.transpose().expect("rank 2");
+        kernels::matmul_with(&pool, &grad, &w_t, &mut stale)
+            .expect("grad_lhs")
+            .0
+    });
+    let (lhs_ns, lhs) = median_ns(reps, || {
+        kernels::matmul_rhs_t_with(&pool, &grad, &w, &mut stale)
+            .expect("grad_lhs")
+            .0
+    });
+    let x_t = x.transpose().expect("rank 2");
+    let (naive_rhs_ns, want_rhs) = median_ns(reps, || {
+        oracle::naive_matmul(features, batch, classes, x_t.data(), grad.data())
+    });
+    let (rhs_ns, rhs) = median_ns(reps, || {
+        kernels::matmul_lhs_t_with(&pool, &x, &grad, &mut stale)
+            .expect("grad_rhs")
+            .0
+    });
+    [
+        VersusRow {
+            label: format!("dense_fwd {batch}x{features}x{classes}"),
+            reference_ns: naive_fwd_ns,
+            kernel_ns: fwd_ns,
+            identical: bits(fwd.data()) == bits(&want_fwd),
+        },
+        VersusRow {
+            label: format!("dense_grad_lhs {batch}x{classes}x{features}"),
+            reference_ns: copy_ns,
+            kernel_ns: lhs_ns,
+            identical: bits(lhs.data()) == bits(want_lhs.data()),
+        },
+        VersusRow {
+            label: format!("dense_grad_rhs {features}x{batch}x{classes}"),
+            reference_ns: naive_rhs_ns,
+            kernel_ns: rhs_ns,
+            identical: bits(rhs.data()) == bits(&want_rhs),
+        },
+    ]
+}
+
+/// The max-pool gradient with the ReLU's mask applied inside it, against
+/// the two passes it replaced: the pool's gradient of `y = relu(x)`, then
+/// the mask `x > 0` over the result. Medians.
+fn bench_max_pool_relu(shape: [usize; 4], reps: usize) -> VersusRow {
+    let [b, h, w, c] = shape;
+    let x = Tensor::from_vec(&shape, fill(97, b * h * w * c)).expect("x");
+    let y = x.map(|v| v.max(0.0));
+    let grad = Tensor::from_vec(&[b, h / 2, w / 2, c], fill(101, b * (h / 2) * (w / 2) * c))
+        .expect("grad");
+    let (two_pass_ns, want) = median_ns(reps, || {
+        let mut g = kernels::max_pool2_grad_with(&y, &grad, &mut stale).expect("pool grad");
+        for (g, &v) in g.data_mut().iter_mut().zip(x.data()) {
+            *g = if v > 0.0 { *g } else { 0.0 };
+        }
+        g
+    });
+    let (fused_ns, got) = median_ns(reps, || {
+        kernels::max_pool2_relu_grad_with(&y, &grad, &mut stale).expect("pool grad")
+    });
+    VersusRow {
+        label: format!("max_pool2_grad+relu {b}x{h}x{w}x{c}"),
+        reference_ns: two_pass_ns,
+        kernel_ns: fused_ns,
+        identical: bits(got.data()) == bits(want.data()),
+    }
+}
+
 /// The `serve_large` weight stream: a batch of `m` rows through
 /// `layers` fused `matmul → bias → relu` layers of distinct `width`²
 /// constants (40 MiB at 10 × 1024², more than the L2 of any core, so
@@ -382,7 +476,8 @@ fn bench_weight_stream(
 }
 
 /// Median nanoseconds of one relu over `len` elements through the
-/// executor (forward only, warmed arena).
+/// executor (forward only, warmed arena). The relu is the run's target,
+/// so this also times the copy of it the run returns ([`clone_ns`]).
 fn relu_ns(len: usize, reps: usize) -> u64 {
     let mut g = Graph::new();
     let x = g.placeholder("x", &[len]);
@@ -397,6 +492,13 @@ fn relu_ns(len: usize, reps: usize) -> u64 {
             .expect("relu")
     })
     .0
+}
+
+/// Median nanoseconds of one copy of a tensor of `len` elements: what
+/// [`relu_ns`] spends returning its target.
+fn clone_ns(len: usize, reps: usize) -> u64 {
+    let value = Tensor::from_vec(&[len], fill(59, len)).expect("x");
+    median_ns(reps, || value.clone()).0
 }
 
 /// Median nanoseconds of one `Session::gradients` of the conv classifier
@@ -493,6 +595,8 @@ fn main() {
     // The other kernels of a training step, at its shape.
     let mut versus = Vec::from(bench_max_pool([32, 28, 28, 16], reps * 3));
     versus.push(bench_matmul_grad_rhs(32, 3136, 10, 50));
+    versus.extend(bench_dense(32, 3136, 10, 50));
+    versus.push(bench_max_pool_relu([32, 28, 28, 16], 50));
     // The serving model's weights, row-major against panels.
     versus.push(bench_weight_stream(8, 1024, 10, 2, 51));
     for row in &versus {
@@ -516,11 +620,19 @@ fn main() {
             );
     }
     let (relu, step) = (relu_ns(32 * 28 * 28 * 16, 200), session_step_ns(200));
+    let clone = clone_ns(32 * 28 * 28 * 16, 200);
     println!(
         "{:<41} | {:>10} | {:>10} | {:>10} |",
-        "relu 401408 (executor, median)",
+        "relu 401408 + output copy (executor, med)",
         "-",
         fmt_ns(relu),
+        "-"
+    );
+    println!(
+        "{:<41} | {:>10} | {:>10} | {:>10} |",
+        "output copy 401408 (clone, median)",
+        "-",
+        fmt_ns(clone),
         "-"
     );
     println!(
@@ -540,6 +652,7 @@ fn main() {
     );
     report = report
         .latency_ns("relu_401408.blocked_ns", relu)
+        .latency_ns("clone_401408.blocked_ns", clone)
         .latency_ns("session_step.blocked_ns", step)
         .latency_ns("dispatch.pooled_ns", dispatch)
         .value("parallel_bit_identical", JsonValue::Bool(all_identical));

@@ -656,19 +656,33 @@ impl DistributedTrainer {
         let scale = self.lr / live.len() as f32;
         let mut param_flops = 0.0f64;
         for push in &pushes {
-            for (raw_id, grad) in wire::decode_frames(&push.frames)? {
+            // Every frame of the push is checked before any of it lands;
+            // then each entry updates its variable where it lies.
+            for entry in wire::read_frames(&push.frames)? {
                 let id = self
                     .model
                     .graph
-                    .node_id(raw_id as usize)
+                    .node_id(entry.id() as usize)
                     .ok_or(DistribError::BadMessage("unknown variable"))?;
-                let current = self
+                let non_variable = || DistribError::BadMessage("gradient for non-variable");
+                let shape = self
                     .ps_session
                     .variable(id)
-                    .ok_or(DistribError::BadMessage("gradient for non-variable"))?;
-                let updated = current.zip(&grad, |v, g| v - scale * g)?;
-                param_flops += 2.0 * updated.len() as f64;
-                self.ps_session.set_variable(id, updated)?;
+                    .ok_or_else(non_variable)?
+                    .shape();
+                if shape != entry.shape() {
+                    return Err(TensorError::ShapeMismatch {
+                        op: "apply",
+                        detail: format!("{shape:?} vs {:?}", entry.shape()),
+                    }
+                    .into());
+                }
+                let values = self
+                    .ps_session
+                    .variable_values_mut(id)
+                    .ok_or_else(non_variable)?;
+                entry.update(values, |v, g| v - scale * g);
+                param_flops += 2.0 * values.len() as f64;
             }
         }
         // Shard application parallelizes across the PS nodes.

@@ -14,7 +14,7 @@
 //! format, not this one.
 
 use crate::DistribError;
-use securetf_tensor::bytes::{put_f32s, put_shape, put_u32, Reader};
+use securetf_tensor::bytes::{put_f32s, put_shape, put_u32, BytesError, Reader};
 use securetf_tensor::kernels;
 use securetf_tensor::tensor::Tensor;
 
@@ -115,15 +115,91 @@ fn dense_entry_len(tensor: &Tensor) -> u64 {
     12 + 4 * tensor.shape().len() as u64 + 4 * tensor.len() as u64
 }
 
+/// One decoded entry whose values still lie in the frame's bytes: the
+/// parameter server applies them where they lie ([`Entry::update`]),
+/// with no tensor built per variable.
+#[derive(Debug)]
+pub struct Entry<'a> {
+    id: u32,
+    shape: Vec<usize>,
+    values: Values<'a>,
+}
+
+/// Where an entry's `n` values lie in its frame.
+#[derive(Debug)]
+enum Values<'a> {
+    /// `4 * n` bytes of little-endian f32.
+    Dense(&'a [u8]),
+    /// `n` int8 values and the scale they are multiplied by.
+    Quantized { scale: f32, q: &'a [u8] },
+}
+
+impl Entry<'_> {
+    /// The variable id.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// The tensor's shape.
+    pub fn shape(&self) -> &[usize] {
+        &self.shape
+    }
+
+    /// Sets each `out[i]` to `f(out[i], value[i])`, `value[i]` the exact
+    /// f32 [`decode_frame`] reconstructs (`q * scale` for int8).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds one element per value.
+    pub fn update(&self, out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+        match self.values {
+            Values::Dense(raw) => {
+                let values = raw.as_chunks::<4>().0;
+                assert_eq!(out.len(), values.len(), "update of another shape");
+                for (o, v) in out.iter_mut().zip(values) {
+                    *o = f(*o, f32::from_le_bytes(*v));
+                }
+            }
+            Values::Quantized { scale, q } => {
+                assert_eq!(out.len(), q.len(), "update of another shape");
+                for (o, &b) in out.iter_mut().zip(q) {
+                    *o = f(*o, dequantize(b, scale));
+                }
+            }
+        }
+    }
+
+    /// The entry as an owned tensor.
+    fn to_tensor(&self) -> Result<(u32, Tensor), DistribError> {
+        let data = match self.values {
+            Values::Dense(raw) => raw
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .map(|v| f32::from_le_bytes(*v))
+                .collect(),
+            Values::Quantized { scale, q } => q.iter().map(|&b| dequantize(b, scale)).collect(),
+        };
+        let tensor = Tensor::from_vec(&self.shape, data)
+            .map_err(|_| DistribError::BadMessage("bad tensor"))?;
+        Ok((self.id, tensor))
+    }
+}
+
+/// The f32 an int8 value `b` of a quantized entry stands for.
+fn dequantize(b: u8, scale: f32) -> f32 {
+    (b as i8) as f32 * scale
+}
+
 /// Walks `count (id rank dims… n payload)*`, the layout both codecs
-/// share; `payload` reads one entry's `n` values. Hostile input is
+/// share; `payload` locates one entry's `n` values. Hostile input is
 /// rejected with a typed error, never a panic: truncation, trailing
 /// bytes, oversized counts and ranks, duplicate variable ids,
 /// shape/count mismatches and overflowing shape products.
-fn decode_entries(
-    bytes: &[u8],
-    payload: impl Fn(&mut Reader, usize) -> Result<Vec<f32>, DistribError>,
-) -> Result<Vec<(u32, Tensor)>, DistribError> {
+fn read_entries<'a>(
+    bytes: &'a [u8],
+    payload: impl Fn(&mut Reader<'a>, usize) -> Result<Values<'a>, DistribError>,
+) -> Result<Vec<Entry<'a>>, DistribError> {
     let mut r = Reader::new(bytes);
     let count = r.u32()? as usize;
     if count > MAX_ENTRIES {
@@ -140,24 +216,29 @@ fn decode_entries(
         if r.u32()? as usize != elements {
             return Err(DistribError::BadMessage("element count mismatch"));
         }
-        let tensor = Tensor::from_vec(&shape, payload(&mut r, elements)?)
-            .map_err(|_| DistribError::BadMessage("bad tensor"))?;
-        entries.push((id, tensor));
+        let values = payload(&mut r, elements)?;
+        entries.push(Entry { id, shape, values });
     }
     r.finish()?;
     Ok(entries)
 }
 
+/// A dense entry's payload: `n` f32 values.
+fn dense_payload<'a>(r: &mut Reader<'a>, n: usize) -> Result<Values<'a>, DistribError> {
+    let len = n.checked_mul(4).ok_or(BytesError::CountOverflows)?;
+    Ok(Values::Dense(r.take(len)?))
+}
+
 /// A quantized entry's payload: one f32 scale, then `n` int8 values.
-fn quantized_payload(r: &mut Reader, n: usize) -> Result<Vec<f32>, DistribError> {
+fn quantized_payload<'a>(r: &mut Reader<'a>, n: usize) -> Result<Values<'a>, DistribError> {
     let scale = r.f32()?;
     if !scale.is_finite() || scale < 0.0 {
         return Err(DistribError::BadMessage("bad quantization scale"));
     }
-    Ok(r.take(n)?
-        .iter()
-        .map(|&b| (b as i8) as f32 * scale)
-        .collect())
+    Ok(Values::Quantized {
+        scale,
+        q: r.take(n)?,
+    })
 }
 
 /// Encodes entries as a tagged frame with the chosen codec.
@@ -252,9 +333,14 @@ pub(crate) fn dense_frame_len_of<'a>(tensors: impl Iterator<Item = &'a Tensor>) 
 /// structural violation (truncation, trailing bytes, duplicate ids,
 /// hostile length prefixes, non-finite or negative scales).
 pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
+    read_frame(bytes)?.iter().map(Entry::to_tensor).collect()
+}
+
+/// [`decode_frame`] without copying the values out of the frame.
+fn read_frame(bytes: &[u8]) -> Result<Vec<Entry<'_>>, DistribError> {
     match bytes.split_first() {
-        Some((&FRAME_DENSE, body)) => decode_entries(body, |r, n| Ok(r.f32s(n)?)),
-        Some((&FRAME_QUANTIZED, body)) => decode_entries(body, quantized_payload),
+        Some((&FRAME_DENSE, body)) => read_entries(body, dense_payload),
+        Some((&FRAME_QUANTIZED, body)) => read_entries(body, quantized_payload),
         Some(_) => Err(DistribError::BadMessage("unknown frame tag")),
         None => Err(DistribError::BadMessage("empty frame")),
     }
@@ -270,14 +356,25 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(u32, Tensor)>, DistribError> {
 /// Returns [`DistribError::BadMessage`] if any chunk is malformed or a
 /// variable id repeats across chunks.
 pub fn decode_frames(frames: &[Vec<u8>]) -> Result<Vec<(u32, Tensor)>, DistribError> {
+    read_frames(frames)?.iter().map(Entry::to_tensor).collect()
+}
+
+/// [`decode_frames`] without copying the values out of the frames: every
+/// check has passed once this returns, and each entry's values are read
+/// where they lie ([`Entry::update`]).
+///
+/// # Errors
+///
+/// As [`decode_frames`].
+pub fn read_frames(frames: &[Vec<u8>]) -> Result<Vec<Entry<'_>>, DistribError> {
     let mut entries = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for frame in frames {
-        for (id, tensor) in decode_frame(frame)? {
-            if !seen.insert(id) {
+        for entry in read_frame(frame)? {
+            if !seen.insert(entry.id) {
                 return Err(DistribError::BadMessage("duplicate variable id"));
             }
-            entries.push((id, tensor));
+            entries.push(entry);
         }
     }
     Ok(entries)

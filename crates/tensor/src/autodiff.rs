@@ -597,9 +597,18 @@ pub(crate) fn backward<F: Feeds + ?Sized>(
                     Some(grad)
                 }
                 Op::MaxPool2(x) => {
-                    flow(grads, mem, *x, |mem| {
-                        kernels::max_pool2_grad_with(value_of(*x)?, &grad, &mut |len| mem.take(len))
-                    })?;
+                    // A pool that absorbed its ReLU's mask hands the
+                    // ReLU's input its gradient; the ReLU's rule never runs.
+                    match mem.plan().relu_absorbed(index) {
+                        Some(input) => flow(grads, mem, input, |mem| {
+                            let take: TakeBuffer<'_> = &mut |len| mem.take(len);
+                            kernels::max_pool2_relu_grad_with(value_of(*x)?, &grad, take)
+                        })?,
+                        None => flow(grads, mem, *x, |mem| {
+                            let take: TakeBuffer<'_> = &mut |len| mem.take(len);
+                            kernels::max_pool2_grad_with(value_of(*x)?, &grad, take)
+                        })?,
+                    }
                     Some(grad)
                 }
                 Op::Flatten(x) | Op::Reshape(x, _) => {
@@ -849,35 +858,15 @@ fn copy(mem: &mut ExecMemory, x: &Tensor) -> Tensor {
     out
 }
 
-/// Transpose of a rank-2 tensor.
-fn transposed(mem: &mut ExecMemory, x: &Tensor) -> Result<Tensor, TensorError> {
-    let &[m, n] = x.shape() else {
-        return Err(TensorError::ShapeMismatch {
-            op: "transpose",
-            detail: format!("{:?} (need rank 2)", x.shape()),
-        });
-    };
-    let mut out = mem.tensor(&[n, m]);
-    let (od, xd) = (out.data_mut(), x.data());
-    for i in 0..m {
-        for j in 0..n {
-            od[j * m + i] = xd[i * n + j];
-        }
-    }
-    Ok(out)
-}
-
 /// `grad × rhsᵀ`: a product's gradient with respect to its left operand.
+/// `rhs` is `rhsᵀ` stored transposed, which the GEMM reads as it lies.
 fn matmul_grad_lhs(
     pool: &WorkerPool,
     mem: &mut ExecMemory,
     grad: &Tensor,
     rhs: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    let rhs_t = transposed(mem, rhs)?;
-    let product = kernels::matmul_with(pool, grad, &rhs_t, &mut |len| mem.take(len));
-    mem.recycle(rhs_t);
-    Ok(product?.0)
+    Ok(kernels::matmul_rhs_t_with(pool, grad, rhs, &mut |len| mem.take(len))?.0)
 }
 
 /// `lhsᵀ × grad`: a product's gradient with respect to its right operand.

@@ -4,26 +4,35 @@
 //! A. The micro-kernel ([`tile`]) instead holds up to [`MR`] rows × one
 //! vector of C columns in registers, adds consecutive rows of B into it
 //! and stores it once, so C traffic is that many times smaller and the
-//! multiply/add units, not the store port, set the pace. A is packed
-//! k-major per strip so the kernel reads it sequentially. The k
+//! multiply/add units, not the store port, set the pace. Where column
+//! tiles reread a strip of A, it is packed k-major so the kernel reads it
+//! sequentially. The k
 //! dimension runs in [`KC`]-deep panels so that for large m the B rows a
 //! panel touches stay cache-resident across strips.
 //!
-//! B comes in one of two layouts ([`BLayout`]). An operand that changes
-//! per call (training weights, activations) is row-major and streamed
-//! [`KU`] rows at a time (a k-panel's last group takes a shorter
+//! B comes in one of three layouts ([`BLayout`]). An operand that
+//! changes per call (training weights, activations) is row-major and
+//! streamed [`KU`] rows at a time (a k-panel's last group takes a shorter
 //! remainder along): every byte of it is read once per call, so packing
 //! it per call would double its traffic. A constant — a serving weight —
 //! is packed once, when the model is lowered, into [`NR`]-column panels
 //! stored k-contiguously ([`pack_panels`]); on those the tile keeps its C
 //! rows over a whole k-panel, each worker reads B in storage order, one
-//! sequential stream, and prefetches [`PREFETCH_AHEAD`] floats ahead.
+//! sequential stream, and prefetches [`PREFETCH_AHEAD`] floats ahead. A
+//! B stored as its transpose (`grad × Wᵀ`, the dense layers' input
+//! gradient, reads `W` itself) is gathered [`NR`] columns at a time, once
+//! per k-panel, into the layout of a packed panel ([`gather`]).
 //!
-//! Because A is only ever read by the pack step, that step is also where
-//! its layout is resolved ([`ALayout`]): a product whose left operand is
-//! stored transposed (`lhsᵀ × grad`, the dense layers' weight gradient)
-//! packs straight from the `[k, m]` buffer — `R` contiguous floats per
-//! `p` — and no transposed copy of A is ever made.
+//! A is packed only where that pays: when several column tiles reread
+//! the strip. Where one tile covers a unit's columns — a row-major B of
+//! at most [`NR`] columns, the dense layer's forward and weight gradient
+//! with `n` = 10 classes — and on a gathered B, the tile instead reads A
+//! where it lies ([`direct_strips`]): a masked 16-lane tile on AVX-512,
+//! 8 lanes and a masked 8 on AVX2 ([`tile_direct`]). Either way A is
+//! read by one step that resolves its layout ([`ALayout`]): a product
+//! whose left operand is stored transposed (`lhsᵀ × grad`, the dense
+//! layers' weight gradient) reads the `[k, m]` buffer — `R` contiguous
+//! floats per `p` — and no transposed copy of A or B is ever made.
 //!
 //! C is written, never read: the first k-group of a unit starts its
 //! accumulators at `0.0` ([`tile`]'s `FIRST` instantiation) instead of
@@ -36,11 +45,13 @@
 //! target (4 lanes) and, on x86-64, `target_feature(enable = "avx2")` (8
 //! lanes) and `target_feature(enable = "avx512f")`. The last runs 16
 //! lanes for a kernel with a wide body ([`GridKernel::wide`]): the GEMM
-//! on packed panels, through a tile of explicit intrinsics
-//! ([`tile_avx512`]) — its body on 16-lane arrays runs a tenth as fast
-//! as on 8 — and the conv filter gradient, whose lane-array body is
-//! faster at 16 lanes. Every other kernel (the row-major GEMM, the conv
-//! forward, max-pool, the quantizer) runs its AVX2 body there.
+//! on packed panels, on a gathered B and on a row-major B of at most
+//! [`NR`] columns, through tiles of explicit intrinsics ([`tile_avx512`],
+//! [`tile_direct_avx512`]) — a body on 16-lane arrays runs a tenth as
+//! fast as on 8 — and the conv filter gradient, whose lane-array body is
+//! faster at 16 lanes. Every other kernel (the GEMM on a wider row-major
+//! B, the conv forward, max-pool, the quantizer) runs its AVX2 body
+//! there.
 //!
 //! Work is split into units of ([`ROW_BLOCK`] rows) × (column panel).
 //! With at least as many row blocks as workers there is one panel; with
@@ -52,8 +63,9 @@
 //! instantiation seam ([`GridKernel`]) are shared with the direct
 //! convolution kernels, which is why [`gemm_cost`] prices those too.
 //!
-//! **Determinism rule**: tiling, packing, the vector width and the split
-//! change the *memory* order only, never the *arithmetic* order. For
+//! **Determinism rule**: tiling, packing, gathering, masking, the vector
+//! width and the split change the *memory* order only, never the
+//! *arithmetic* order. For
 //! every output element `C[i,j]` the additions run over `p = 0..k`
 //! strictly increasing, each a separate multiply and add (no FMA), like
 //! the naive loop, so every instantiation and every worker count is
@@ -235,6 +247,10 @@ pub(crate) enum ALayout {
 pub(crate) enum BLayout {
     /// Row-major `[k, n]`: `B[p][j] = b[p * n + j]`.
     RowMajor,
+    /// Row-major storage of `Bᵀ`, `[n, k]`: `B[p][j] = b[j * k + p]` — a
+    /// dense layer's weight `W`, read as the `Wᵀ` of its input gradient
+    /// `grad × Wᵀ` where it lies.
+    Transposed,
     /// [`NR`]-column panels, each k-contiguous ([`pack_panels`]): panel
     /// `q` covers columns `q * NR..q * NR + w`, `w = NR.min(n - q * NR)`
     /// (only the last one can be narrower), and is the row-major `[k, w]`
@@ -498,29 +514,35 @@ pub(super) fn gemm_cost(pool: &WorkerPool, m: usize, k: usize, n: usize, relu: b
 }
 
 impl GridKernel for Operands<'_> {
-    /// Packed panels are [`NR`] = 16 columns wide: the 16-lane tile's.
+    /// Packed panels are [`NR`] = 16 columns wide: the 16-lane tile's. So
+    /// are a gathered [`BLayout::Transposed`] block and, with `n <= NR`,
+    /// a row-major B: one masked 16-lane tile covers all of its columns.
     fn wide(&self) -> bool {
-        self.b_layout == BLayout::Panels
+        self.b_layout != BLayout::RowMajor || self.n <= NR
     }
 
     /// One GEMM unit with `L`-lane tiles. Everything below is
     /// `inline(always)` too.
     #[inline(always)]
     fn unit<const L: usize>(&self, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
-        let mut packed = [0.0f32; MR * KC];
-        for pc in (0..self.k).step_by(KC) {
-            let kc = KC.min(self.k - pc);
-            let mut ir = 0;
-            while ir < rows.len() {
-                let i = i0 + ir;
-                ir += match rows.len() - ir {
-                    MR.. => {
-                        strip::<MR, L>(self, i, pc, kc, j0, &mut rows[ir..ir + MR], &mut packed)
-                    }
-                    4.. => strip::<4, L>(self, i, pc, kc, j0, &mut rows[ir..ir + 4], &mut packed),
-                    _ => strip::<1, L>(self, i, pc, kc, j0, &mut rows[ir..ir + 1], &mut packed),
-                };
+        let cols = rows[0].len();
+        match self.b_layout {
+            // One tile covers the unit's columns, so no column tile
+            // rereads a strip of A: the tile broadcasts it where it lies,
+            // over the whole of k.
+            BLayout::RowMajor if cols <= NR => {
+                direct_strips::<L, true>(
+                    self,
+                    i0,
+                    (0, self.k),
+                    rows,
+                    0,
+                    cols,
+                    (self.b, self.n, j0),
+                );
             }
+            BLayout::Transposed => self.gathered::<L>(i0, j0, rows),
+            BLayout::RowMajor | BLayout::Panels => self.packed::<L>(i0, j0, rows),
         }
         if let Some((bias, relu)) = self.epilogue {
             for row in rows.iter_mut() {
@@ -537,6 +559,374 @@ impl GridKernel for Operands<'_> {
                 }
             }
         }
+    }
+}
+
+impl Operands<'_> {
+    /// The unit's products with A packed strip by strip ([`strip`]), for
+    /// a B whose column tiles each reread the strip.
+    #[inline(always)]
+    fn packed<const L: usize>(&self, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+        let mut packed = [0.0f32; MR * KC];
+        for pc in (0..self.k).step_by(KC) {
+            let kc = KC.min(self.k - pc);
+            let mut ir = 0;
+            while ir < rows.len() {
+                let i = i0 + ir;
+                ir += match rows.len() - ir {
+                    MR.. => {
+                        strip::<MR, L>(self, i, pc, kc, j0, &mut rows[ir..ir + MR], &mut packed)
+                    }
+                    4.. => strip::<4, L>(self, i, pc, kc, j0, &mut rows[ir..ir + 4], &mut packed),
+                    _ => strip::<1, L>(self, i, pc, kc, j0, &mut rows[ir..ir + 1], &mut packed),
+                };
+            }
+        }
+    }
+
+    /// The unit's products on a [`BLayout::Transposed`] B: k-panel by
+    /// k-panel, each [`NR`]-column block of the unit is gathered once into
+    /// the layout of a packed panel (`[kc, w]` row-major), and every strip
+    /// of rows then multiplies it, A read where it lies.
+    #[inline(always)]
+    fn gathered<const L: usize>(&self, i0: usize, j0: usize, rows: &mut [&mut [f32]]) {
+        let mut block = [0.0f32; KC * NR];
+        let cols = rows[0].len();
+        for pc in (0..self.k).step_by(KC) {
+            let kc = KC.min(self.k - pc);
+            for jb in (0..cols).step_by(NR) {
+                let w = NR.min(cols - jb);
+                gather::<L>(self.b, self.k, j0 + jb, (pc, kc), w, &mut block);
+                let b = (&block[..kc * w], w, 0);
+                if pc == 0 {
+                    direct_strips::<L, true>(self, i0, (pc, kc), rows, jb, w, b);
+                } else {
+                    direct_strips::<L, false>(self, i0, (pc, kc), rows, jb, w, b);
+                }
+            }
+        }
+    }
+}
+
+/// Copies columns `j..j + w` of rows `p0..p0 + kc` of a
+/// [`BLayout::Transposed`] B (stored `[n, k]`) into `block` as the
+/// row-major `[kc, w]` of a packed panel. A whole [`NR`]-column block at 8
+/// and 16 lanes is one hardware gather per row ([`gather_avx512`],
+/// [`gather_avx2`]): the scalar loop, storing a column at a time, costs as
+/// much as the products it feeds at the dense layer's `k` of 10.
+#[inline(always)]
+fn gather<const L: usize>(
+    b: &[f32],
+    k: usize,
+    j: usize,
+    (p0, kc): (usize, usize),
+    w: usize,
+    block: &mut [f32],
+) {
+    let src = &b[j * k + p0..][..(w - 1) * k + kc];
+    let block = &mut block[..kc * w];
+    #[cfg(target_arch = "x86_64")]
+    if L >= 8 && w == NR && (NR - 1) * k <= i32::MAX as usize {
+        if L == 16 {
+            // SAFETY: 16 lanes run only inside `unit_avx512`, whose
+            // caller has checked that the CPU supports AVX-512F; `src`
+            // holds `(NR - 1) * k + kc` floats and `block` `kc * NR`, and
+            // the offsets fit an i32 (checked above).
+            unsafe { gather_avx512(src, k, block) };
+        } else {
+            // SAFETY: as above, with `unit_avx2` and AVX2.
+            unsafe { gather_avx2(src, k, block) };
+        }
+        return;
+    }
+    for l in 0..w {
+        for (p, &v) in src[l * k..][..kc].iter().enumerate() {
+            block[p * w + l] = v;
+        }
+    }
+}
+
+/// [`gather`] of a whole [`NR`]-column block with AVX-512F: row `p` of
+/// `block` is `src[l * k + p]` for `l` in `0..16`, one `vgatherdps`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, `block.len()` must be a multiple of
+/// [`NR`], `src` must hold `(NR - 1) * k + block.len() / NR` floats, and
+/// `(NR - 1) * k` must fit an `i32`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn gather_avx512(src: &[f32], k: usize, block: &mut [f32]) {
+    use std::arch::x86_64::{_mm512_i32gather_ps, _mm512_mullo_epi32, _mm512_set1_epi32};
+    use std::arch::x86_64::{_mm512_setr_epi32, _mm512_storeu_ps};
+    // SAFETY (every block below): the CPU supports AVX-512F; the gather
+    // of row `p` reads `src[p + l * k]`, `l < 16`, inside `src` by the
+    // contract, and each store writes one 16-float row of `block`.
+    let lanes = unsafe { _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15) };
+    let offsets = unsafe { _mm512_mullo_epi32(lanes, _mm512_set1_epi32(k as i32)) };
+    for (p, row) in block.chunks_exact_mut(NR).enumerate() {
+        unsafe {
+            let v = _mm512_i32gather_ps::<4>(offsets, src.as_ptr().add(p));
+            _mm512_storeu_ps(row.as_mut_ptr(), v);
+        }
+    }
+}
+
+/// [`gather_avx512`] with AVX2: two 8-lane `vgatherdps` per row.
+///
+/// # Safety
+///
+/// As [`gather_avx512`], with AVX2 for the CPU.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn gather_avx2(src: &[f32], k: usize, block: &mut [f32]) {
+    use std::arch::x86_64::{_mm256_i32gather_ps, _mm256_mullo_epi32, _mm256_set1_epi32};
+    use std::arch::x86_64::{_mm256_setr_epi32, _mm256_storeu_ps};
+    // SAFETY (every block below): as in `gather_avx512`, with AVX2; the
+    // second half of a row gathers from `src[8 * k..]`.
+    let lanes = unsafe { _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7) };
+    let offsets = unsafe { _mm256_mullo_epi32(lanes, _mm256_set1_epi32(k as i32)) };
+    let upper = 8 * k;
+    for (p, row) in block.chunks_exact_mut(NR).enumerate() {
+        unsafe {
+            let low = _mm256_i32gather_ps::<4>(src.as_ptr().add(p), offsets);
+            let high = _mm256_i32gather_ps::<4>(src.as_ptr().add(upper + p), offsets);
+            _mm256_storeu_ps(row.as_mut_ptr(), low);
+            _mm256_storeu_ps(row.as_mut_ptr().add(8), high);
+        }
+    }
+}
+
+/// Runs k-panel `p0..p0 + kc` of segment columns `j..j + cols` for all of
+/// `rows` (C rows from `i0`), in strips of [`MR`], 4 and 1 rows, with A
+/// read where it lies. `b` is `(rows, stride, jb)`: the panel's `kc` B
+/// rows of `stride` floats each, segment column `j` being column `jb` in
+/// them. `FIRST` starts the sums, otherwise they are added to C.
+#[inline(always)]
+fn direct_strips<const L: usize, const FIRST: bool>(
+    op: &Operands<'_>,
+    i0: usize,
+    k_panel: (usize, usize),
+    rows: &mut [&mut [f32]],
+    j: usize,
+    cols: usize,
+    b: (&[f32], usize, usize),
+) {
+    let mut ir = 0;
+    while ir < rows.len() {
+        let i = i0 + ir;
+        ir += match rows.len() - ir {
+            MR.. => {
+                direct_strip::<MR, L, FIRST>(op, i, k_panel, &mut rows[ir..ir + MR], j, cols, b)
+            }
+            4.. => direct_strip::<4, L, FIRST>(op, i, k_panel, &mut rows[ir..ir + 4], j, cols, b),
+            _ => direct_strip::<1, L, FIRST>(op, i, k_panel, &mut rows[ir..ir + 1], j, cols, b),
+        };
+    }
+}
+
+/// [`direct_strips`] for one strip of `R` rows from C row `i`: resolves
+/// where A's `R` values of each `p` lie — the only place that knows how A
+/// is stored on this path — and hands them to [`direct_row`]. Returns `R`.
+#[inline(always)]
+fn direct_strip<const R: usize, const L: usize, const FIRST: bool>(
+    op: &Operands<'_>,
+    i: usize,
+    (p0, kc): (usize, usize),
+    rows: &mut [&mut [f32]],
+    j: usize,
+    cols: usize,
+    b: (&[f32], usize, usize),
+) -> usize {
+    match op.a_layout {
+        ALayout::RowMajor => {
+            let a_rows: [&[f32]; R] = std::array::from_fn(|r| &op.a[(i + r) * op.k + p0..][..kc]);
+            direct_row::<R, L, FIRST>(rows, j, cols, &|p| std::array::from_fn(|r| a_rows[r][p]), b);
+        }
+        ALayout::Transposed => {
+            let a_at = |p: usize| -> [f32; R] {
+                let column = &op.a[(p0 + p) * op.m + i..][..R];
+                std::array::from_fn(|r| column[r])
+            };
+            direct_row::<R, L, FIRST>(rows, j, cols, &a_at, b);
+        }
+    }
+    R
+}
+
+/// Segment columns `j..j + cols` of a strip, [`tile_direct`] by tile: at
+/// 8 and 16 lanes (x86-64 only) a last narrower tile is masked, at 4
+/// lanes the columns left over run one at a time.
+#[inline(always)]
+fn direct_row<const R: usize, const L: usize, const FIRST: bool>(
+    rows: &mut [&mut [f32]],
+    j: usize,
+    cols: usize,
+    a_at: &impl Fn(usize) -> [f32; R],
+    b: (&[f32], usize, usize),
+) {
+    let mut t = 0;
+    if L >= 8 {
+        while t < cols {
+            let w = L.min(cols - t);
+            tile_direct::<R, L, FIRST>(rows, j + t, w, a_at, b, t);
+            t += w;
+        }
+        return;
+    }
+    while t + L <= cols {
+        tile_direct::<R, L, FIRST>(rows, j + t, L, a_at, b, t);
+        t += L;
+    }
+    while t < cols {
+        tile_direct::<R, 1, FIRST>(rows, j + t, 1, a_at, b, t);
+        t += 1;
+    }
+}
+
+/// The micro-kernel on A where it lies: the `R × w` tile of C at segment
+/// column `j` — `0.0` if `FIRST`, loaded from C otherwise — gets `a_at(p)
+/// [r] * B[p][..]` added for every row `p` of `b = (rows, stride, jb)`,
+/// in order, and is stored. B's tile starts at column `jb + t` of each
+/// row. At 8 and 16 lanes it is [`tile_direct_avx2`] /
+/// [`tile_direct_avx512`], `w <= L` lanes masked; otherwise `w == L`.
+#[inline(always)]
+fn tile_direct<const R: usize, const L: usize, const FIRST: bool>(
+    rows: &mut [&mut [f32]],
+    j: usize,
+    w: usize,
+    a_at: &impl Fn(usize) -> [f32; R],
+    (b, stride, jb): (&[f32], usize, usize),
+    t: usize,
+) {
+    let jb = jb + t;
+    assert!(
+        w <= L && jb + w <= stride,
+        "tile: {w} columns at {jb} of {stride}"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if L == 16 {
+        // SAFETY: 16 lanes run only inside `unit_avx512`, whose caller
+        // has checked that the CPU supports AVX-512F; the assertion above
+        // keeps every B row's `w` lanes inside the row.
+        unsafe { tile_direct_avx512::<R, FIRST>(rows, j, w, a_at, b, stride, jb) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if L == 8 {
+        // SAFETY: 8 lanes run only inside `unit_avx2`, whose caller has
+        // checked that the CPU supports AVX2; the assertion above keeps
+        // every B row's `w` lanes inside the row.
+        unsafe { tile_direct_avx2::<R, FIRST>(rows, j, w, a_at, b, stride, jb) };
+        return;
+    }
+    let mut acc = [[0.0f32; L]; R];
+    if !FIRST {
+        for r in 0..R {
+            acc[r].copy_from_slice(&rows[r][j..j + L]);
+        }
+    }
+    for (p, b_row) in b.chunks_exact(stride).enumerate() {
+        let mut bv = [0.0f32; L];
+        bv.copy_from_slice(&b_row[jb..jb + L]);
+        let a = a_at(p);
+        for r in 0..R {
+            for l in 0..L {
+                acc[r][l] += a[r] * bv[l];
+            }
+        }
+    }
+    for r in 0..R {
+        rows[r][j..j + L].copy_from_slice(&acc[r]);
+    }
+}
+
+/// [`tile_direct`] at 16 lanes: one `__m512` per C row, its lanes past
+/// `w` masked off in every load and store, a broadcast of A, and a
+/// separate multiply and add per B row (never a fused multiply-add).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `jb + w <= stride`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_direct_avx512<const R: usize, const FIRST: bool>(
+    rows: &mut [&mut [f32]],
+    j: usize,
+    w: usize,
+    a_at: &impl Fn(usize) -> [f32; R],
+    b: &[f32],
+    stride: usize,
+    jb: usize,
+) {
+    use std::arch::x86_64::{__m512, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps};
+    use std::arch::x86_64::{_mm512_mul_ps, _mm512_set1_ps};
+    let mask = ((1u32 << w) - 1) as u16;
+    // SAFETY (every block below): the CPU supports AVX-512F (this
+    // function's contract); each masked load or store touches only the
+    // `w` floats of a bounds-checked C segment, or of a B row from `jb`
+    // (`jb + w <= stride`, the contract).
+    let mut acc: [__m512; R] = [unsafe { _mm512_set1_ps(0.0) }; R];
+    if !FIRST {
+        for r in 0..R {
+            acc[r] = unsafe { _mm512_maskz_loadu_ps(mask, rows[r][j..j + w].as_ptr()) };
+        }
+    }
+    for (p, b_row) in b.chunks_exact(stride).enumerate() {
+        let bv = unsafe { _mm512_maskz_loadu_ps(mask, b_row.as_ptr().add(jb)) };
+        let a = a_at(p);
+        for r in 0..R {
+            acc[r] = unsafe { _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(a[r]), bv)) };
+        }
+    }
+    for r in 0..R {
+        unsafe { _mm512_mask_storeu_ps(rows[r][j..j + w].as_mut_ptr(), mask, acc[r]) };
+    }
+}
+
+/// [`tile_direct`] at 8 lanes: [`tile_direct_avx512`] on `__m256` rows,
+/// masked with AVX's masked moves.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `jb + w <= stride`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_direct_avx2<const R: usize, const FIRST: bool>(
+    rows: &mut [&mut [f32]],
+    j: usize,
+    w: usize,
+    a_at: &impl Fn(usize) -> [f32; R],
+    b: &[f32],
+    stride: usize,
+    jb: usize,
+) {
+    use std::arch::x86_64::{__m256, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_maskload_ps};
+    use std::arch::x86_64::{_mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32};
+    use std::arch::x86_64::{_mm256_set1_ps, _mm256_setr_epi32};
+    // SAFETY (every block below): as in `tile_direct_avx512`, with AVX2
+    // for the CPU.
+    let mask = unsafe {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(w as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    };
+    let mut acc: [__m256; R] = [unsafe { _mm256_set1_ps(0.0) }; R];
+    if !FIRST {
+        for r in 0..R {
+            acc[r] = unsafe { _mm256_maskload_ps(rows[r][j..j + w].as_ptr(), mask) };
+        }
+    }
+    for (p, b_row) in b.chunks_exact(stride).enumerate() {
+        let bv = unsafe { _mm256_maskload_ps(b_row.as_ptr().add(jb), mask) };
+        let a = a_at(p);
+        for r in 0..R {
+            acc[r] = unsafe { _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(a[r]), bv)) };
+        }
+    }
+    for r in 0..R {
+        unsafe { _mm256_maskstore_ps(rows[r][j..j + w].as_mut_ptr(), mask, acc[r]) };
     }
 }
 
@@ -592,6 +982,7 @@ fn strip<const R: usize, const L: usize>(
                 pg += ku;
             }
         }
+        BLayout::Transposed => unreachable!("a transposed B is gathered, not packed"),
         BLayout::Panels => {
             // Panel by panel: the tile holds its C rows over the whole
             // k-panel, and B is read in storage order, `kc` rows of one
@@ -770,12 +1161,26 @@ mod tests {
     /// [`fill`] with every 7th-or-so element replaced by a value whose
     /// handling a vectorised body could get wrong.
     fn fill_special(seed: u64, len: usize) -> Vec<f32> {
-        const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        fill_special_one_in(seed, len, 7)
+    }
+
+    /// [`fill_special`] at a rate of one special in about `one_in`
+    /// elements: over a long `k` one in 7 would make every sum NaN.
+    fn fill_special_one_in(seed: u64, len: usize, one_in: u64) -> Vec<f32> {
+        const SPECIAL: [f32; 7] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e-40,
+            -3e-39,
+        ];
         let mut data = fill(seed, len);
         for (i, v) in data.iter_mut().enumerate() {
             let h = (seed ^ i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 40;
-            if h.is_multiple_of(7) {
-                *v = SPECIAL[(h / 7) as usize % SPECIAL.len()];
+            if h.is_multiple_of(one_in) {
+                *v = SPECIAL[(h / one_in) as usize % SPECIAL.len()];
             }
         }
         data
@@ -796,7 +1201,8 @@ mod tests {
         }
     }
 
-    /// `a [m, k]` stored as its transpose `[k, m]`.
+    /// `a [m, k]` stored as its transpose `[k, m]` (and so `b [k, n]` as
+    /// `[n, k]`).
     fn transpose(m: usize, k: usize, a: &[f32]) -> Vec<f32> {
         let mut a_t = vec![0.0f32; k * m];
         for i in 0..m {
@@ -919,13 +1325,17 @@ mod tests {
             let relu = step % 2 == 0;
             let plain = naive_matmul(m, k, n, &a, &b);
             let fused = naive_fused(m, k, n, &a, &b, &bias, relu);
-            let a_t = transpose(m, k, &a);
+            let (a_t, b_t) = (transpose(m, k, &a), transpose(k, n, &b));
             let mut b_panels = b.clone();
             pack_panels(k, n, &mut b_panels, &mut Vec::new());
             for simd in Simd::supported("gemm") {
                 let pool = WorkerPool::new(workers);
                 let a_sides = [(&a, ALayout::RowMajor), (&a_t, ALayout::Transposed)];
-                let b_sides = [(&b, BLayout::RowMajor), (&b_panels, BLayout::Panels)];
+                let b_sides = [
+                    (&b, BLayout::RowMajor),
+                    (&b_t, BLayout::Transposed),
+                    (&b_panels, BLayout::Panels),
+                ];
                 for (a, b) in a_sides.into_iter().flat_map(|a| b_sides.map(|b| (a, b))) {
                     let (a, b) = ((a.0.as_slice(), a.1), (b.0.as_slice(), b.1));
                     let what = format!(
@@ -938,6 +1348,56 @@ mod tests {
                     c.fill(f32::NAN);
                     gemm_on(simd, &pool, m, k, n, a, b, &mut c, Some((&bias, relu)));
                     assert_same(&c, &fused, &format!("{what} fused relu={relu}"));
+                }
+            }
+        }
+    }
+
+    /// The products where one masked tile covers a unit's columns and A
+    /// is read where it lies, and the transposed B: every `n` up to one
+    /// column past a 16-lane tile, two tiles less one and two tiles; `m`
+    /// a multiple of neither 8 nor 16, also past a row block; `k` empty,
+    /// one, the dense layer's 10 classes and one less, one past a
+    /// k-panel and the dense layer's 3136 features. A and B carry NaN,
+    /// ±inf, -0.0 and subnormals, sparser as `k` grows so that not every
+    /// sum is NaN; A in either layout, B row-major and transposed, C
+    /// NaN-filled, pools of 1, 2 and 4 workers.
+    #[test]
+    fn every_instantiation_matches_naive_on_narrow_products() {
+        let ns: Vec<usize> = (1..=17).chain([31, 32]).collect();
+        let ks = [0, 1, 9, 10, 257, 3136];
+        let ms = [1, 3, 5, 7, 9, 13, 19, 33, 70];
+        // The lengths are coprime, so each `n` meets two `k`s and the
+        // walk meets every pair of `m` and `k` values in turn.
+        for step in 0..ns.len() * 2 {
+            let (m, k, n) = (
+                ms[step % ms.len()],
+                ks[step % ks.len()],
+                ns[step % ns.len()],
+            );
+            let seed = step as u64 * 613 + 5;
+            let one_in = 7 * k.max(1) as u64;
+            let (a, b) = (
+                fill_special_one_in(seed, m * k, one_in),
+                fill_special_one_in(seed + 1, k * n, one_in),
+            );
+            let want = naive_matmul(m, k, n, &a, &b);
+            let (a_t, b_t) = (transpose(m, k, &a), transpose(k, n, &b));
+            let a_sides = [(&a, ALayout::RowMajor), (&a_t, ALayout::Transposed)];
+            let b_sides = [(&b, BLayout::RowMajor), (&b_t, BLayout::Transposed)];
+            for simd in Simd::supported("gemm") {
+                for workers in [1, 2, 4] {
+                    let pool = WorkerPool::new(workers);
+                    for (a, b) in a_sides.into_iter().flat_map(|a| b_sides.map(|b| (a, b))) {
+                        let (a, b) = ((a.0.as_slice(), a.1), (b.0.as_slice(), b.1));
+                        let mut c = vec![f32::NAN; m * n];
+                        gemm_on(simd, &pool, m, k, n, a, b, &mut c, None);
+                        let what = format!(
+                            "{simd:?} {:?} {:?} m={m} k={k} n={n} workers={workers}",
+                            a.1, b.1
+                        );
+                        assert_same(&c, &want, &what);
+                    }
                 }
             }
         }

@@ -23,6 +23,14 @@
 //! every element of the result is written exactly once and nothing is
 //! zero-filled first, except the odd trailing row or column that belongs
 //! to no window.
+//!
+//! Where the pooled tensor is a ReLU's output `y` and nothing else reads
+//! it, the backward also applies the ReLU's mask ([`max_pool2_grad_with`]
+//! with `relu_mask`): the winner keeps its gradient only if its value is
+//! positive. `y = max(x, 0)` gives `y > 0 ⟺ x > 0`, so that is the
+//! ReLU rule's own test, and a masked winner is `0.0 + g` or `0.0`,
+//! exactly what routing and then masking wrote — in one pass over the
+//! input instead of two.
 
 use super::gemm::Simd;
 use super::TakeBuffer;
@@ -61,6 +69,10 @@ impl Dims {
     fn pooled(&self) -> [usize; 4] {
         [self.b, self.oh, self.ow, self.c]
     }
+
+    fn input(&self) -> [usize; 4] {
+        [self.b, self.h, self.w, self.c]
+    }
 }
 
 pub(super) fn max_pool2_with(
@@ -90,6 +102,7 @@ pub(super) fn max_pool2_grad_with(
     simd: Simd,
     x: &Tensor,
     grad: &Tensor,
+    relu_mask: bool,
     take: TakeBuffer<'_>,
 ) -> Result<Tensor, TensorError> {
     let d = Dims::of(x)?;
@@ -100,20 +113,22 @@ pub(super) fn max_pool2_grad_with(
         });
     }
     let mut gx = take(x.len());
-    match simd {
-        Simd::Baseline => backward::<4>(&d, x.data(), grad.data(), &mut gx),
+    let (x, g) = (x.data(), grad.data());
+    match (simd, relu_mask) {
+        (Simd::Baseline, false) => backward::<4, false>(&d, x, g, &mut gx),
+        (Simd::Baseline, true) => backward::<4, true>(&d, x, g, &mut gx),
         #[cfg(target_arch = "x86_64")]
-        Simd::Avx2 | Simd::Avx512 => {
+        (Simd::Avx2 | Simd::Avx512, _) => {
             assert!(
                 std::arch::is_x86_feature_detected!("avx2"),
                 "AVX2 kernel on a CPU without AVX2"
             );
             // SAFETY: the only requirement of `backward_avx2` is that the
             // CPU supports AVX2, which the assertion above checked.
-            unsafe { backward_avx2(&d, x.data(), grad.data(), &mut gx) }
+            unsafe { backward_avx2(&d, x, g, relu_mask, &mut gx) }
         }
     }
-    Tensor::from_vec(x.shape(), gx)
+    Tensor::from_vec(&d.input(), gx)
 }
 
 /// [`forward`] compiled for AVX2.
@@ -134,8 +149,12 @@ unsafe fn forward_avx2(d: &Dims, x: &[f32], out: &mut [f32]) {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn backward_avx2(d: &Dims, x: &[f32], grad: &[f32], gx: &mut [f32]) {
-    backward::<8>(d, x, grad, gx);
+unsafe fn backward_avx2(d: &Dims, x: &[f32], grad: &[f32], relu_mask: bool, gx: &mut [f32]) {
+    if relu_mask {
+        backward::<8, true>(d, x, grad, gx);
+    } else {
+        backward::<8, false>(d, x, grad, gx);
+    }
 }
 
 /// The four taps of window `ox` of an input row pair, each `c` channels.
@@ -199,9 +218,21 @@ fn forward<const L: usize>(d: &Dims, x: &[f32], out: &mut [f32]) {
 
 /// Routes channels `at..at + L` of one window's gradient `g`: one select
 /// loop per tap (a single loop over lanes and taps does not vectorise).
+/// With `MASK` a winner whose value is not positive gets `0.0` too.
 #[inline(always)]
-fn route<const L: usize>(taps: [&[f32]; 4], g: &[f32], dst: &mut [&mut [f32]; 4], at: usize) {
-    let code = winners::<L>(taps, at).1;
+fn route<const L: usize, const MASK: bool>(
+    taps: [&[f32]; 4],
+    g: &[f32],
+    dst: &mut [&mut [f32]; 4],
+    at: usize,
+) {
+    let (best, mut code) = winners::<L>(taps, at);
+    if MASK {
+        // No tap is numbered 4: a masked window routes to none.
+        for l in 0..L {
+            code[l] = if best[l] > 0.0 { code[l] } else { 4 };
+        }
+    }
     let mut gv = [0.0f32; L];
     gv.copy_from_slice(&g[at..at + L]);
     for (t, tap) in dst.iter_mut().enumerate() {
@@ -218,7 +249,7 @@ fn route<const L: usize>(taps: [&[f32]; 4], g: &[f32], dst: &mut [&mut [f32]; 4]
 
 /// Writes every element of `gx` (`[b, h, w, c]`) exactly once.
 #[inline(always)]
-fn backward<const L: usize>(d: &Dims, x: &[f32], grad: &[f32], gx: &mut [f32]) {
+fn backward<const L: usize, const MASK: bool>(d: &Dims, x: &[f32], grad: &[f32], gx: &mut [f32]) {
     let Dims {
         h, w, c, oh, ow, ..
     } = *d;
@@ -251,11 +282,11 @@ fn backward<const L: usize>(d: &Dims, x: &[f32], grad: &[f32], gx: &mut [f32]) {
                 let mut dst = [top_left, top_right, bottom_left, bottom_right];
                 let mut ci = 0;
                 while ci + L <= c {
-                    route::<L>(taps, g, &mut dst, ci);
+                    route::<L, MASK>(taps, g, &mut dst, ci);
                     ci += L;
                 }
                 while ci < c {
-                    route::<1>(taps, g, &mut dst, ci);
+                    route::<1, MASK>(taps, g, &mut dst, ci);
                     ci += 1;
                 }
             }
@@ -324,10 +355,101 @@ mod tests {
             let out = max_pool2_with(simd, &x, &mut poisoned).unwrap();
             assert_eq!(out.shape(), want.shape(), "{simd:?} {shape:?}");
             assert_eq!(bits(&out), bits(&want), "{simd:?} forward {shape:?}");
-            let gx = max_pool2_grad_with(simd, &x, &grad, &mut poisoned).unwrap();
+            let gx = max_pool2_grad_with(simd, &x, &grad, false, &mut poisoned).unwrap();
             assert_eq!(gx.shape(), x.shape(), "{simd:?} {shape:?}");
             assert_eq!(bits(&gx), bits(&want_gx), "{simd:?} backward {shape:?}");
         }
+        check_relu_masked(&x, &grad);
+    }
+
+    /// The unfused pair the masked backward replaces: the ReLU rule's
+    /// mask on its input `pre`, after the pool's gradient of `relu(pre)`.
+    fn relu_then_pool_grad(pre: &Tensor, grad: &Tensor) -> Tensor {
+        let y = pre.map(|v| v.max(0.0));
+        let mut g = naive_max_pool2_grad(&y, grad).unwrap();
+        for (g, &v) in g.data_mut().iter_mut().zip(pre.data()) {
+            *g = if v > 0.0 { *g } else { 0.0 };
+        }
+        g
+    }
+
+    /// Taking `pre` as the pre-activations: the masked backward on
+    /// `relu(pre)` against [`relu_then_pool_grad`], on every instantiation.
+    fn check_relu_masked(pre: &Tensor, grad: &Tensor) {
+        let y = pre.map(|v| v.max(0.0));
+        let want = relu_then_pool_grad(pre, grad);
+        for simd in Simd::supported("max_pool2") {
+            let gx = max_pool2_grad_with(simd, &y, grad, true, &mut poisoned).unwrap();
+            assert_eq!(gx.shape(), pre.shape(), "{simd:?}");
+            assert_eq!(
+                bits(&gx),
+                bits(&want),
+                "{simd:?} relu-masked {:?}",
+                pre.shape()
+            );
+        }
+    }
+
+    #[test]
+    fn max_pool_with_the_relu_mask_routes_only_to_positive_winners() {
+        let nan = f32::NAN;
+        // Odd H and W (3x3: one window, a trailing row and column), and
+        // per channel: a positive winner, an all-negative window (every
+        // y is 0.0, a tie won by tap 0, masked), NaN and -0.0
+        // pre-activations around a positive tie, and a window whose only
+        // positive tap is NaN-free but not first.
+        #[rustfmt::skip]
+        let pre = Tensor::from_vec(
+            &[1, 3, 3, 4],
+            vec![
+                1.0, -1.0, nan, -0.0, /**/ 2.0, -3.0, 5.0, -1.0, /**/ 9.0, 9.0, 9.0, 9.0,
+                0.5, -2.0, -0.0, -2.0, /**/ 2.0, -0.5, 5.0, 0.25, /**/ 9.0, 9.0, 9.0, 9.0,
+                9.0, 9.0, 9.0, 9.0, /**/ 9.0, 9.0, 9.0, 9.0, /**/ 9.0, 9.0, 9.0, 9.0,
+            ],
+        )
+        .unwrap();
+        let grad = Tensor::from_vec(&[1, 1, 1, 4], vec![1.5, -2.0, -0.0, 4.0]).unwrap();
+        let gx = relu_then_pool_grad(&pre, &grad);
+        let want: [f32; 36] = [
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            /**/ 1.5,
+            0.0,
+            -0.0 + 0.0,
+            0.0,
+            /**/ 0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            /**/ 0.0,
+            0.0,
+            0.0,
+            4.0,
+            /**/ 0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            /**/ 0.0,
+            0.0,
+            0.0,
+            0.0,
+            /**/ 0.0,
+            0.0,
+            0.0,
+            0.0,
+        ];
+        assert_eq!(bits(&gx), want.map(f32::to_bits));
+        check_relu_masked(&pre, &grad);
     }
 
     proptest! {
@@ -370,7 +492,7 @@ mod tests {
                 bits(&out),
                 [7.0f32, 9.0, f32::NEG_INFINITY, -0.0].map(f32::to_bits)
             );
-            let gx = max_pool2_grad_with(simd, &x, &grad, &mut poisoned).unwrap();
+            let gx = max_pool2_grad_with(simd, &x, &grad, false, &mut poisoned).unwrap();
             let want: [f32; 16] = [
                 0.0, 0.0, 3.0, 0.0, // tap 0: the dead window's gradient, and 0.0 + -0.0
                 1.0, 0.0, 0.0, 0.0, // tap 1: the first 7.0
@@ -394,7 +516,13 @@ mod tests {
         ));
         let x = Tensor::zeros(&[1, 4, 4, 2]);
         assert!(matches!(
-            max_pool2_grad_with(simd, &x, &Tensor::zeros(&[1, 2, 2, 3]), &mut poisoned),
+            max_pool2_grad_with(
+                simd,
+                &x,
+                &Tensor::zeros(&[1, 2, 2, 3]),
+                false,
+                &mut poisoned
+            ),
             Err(TensorError::ShapeMismatch {
                 op: "max_pool2_grad",
                 ..
@@ -407,8 +535,14 @@ mod tests {
             &[0, 2, 2, 2]
         );
         let thin = Tensor::zeros(&[2, 1, 5, 3]);
-        let gx =
-            max_pool2_grad_with(simd, &thin, &Tensor::zeros(&[2, 0, 2, 3]), &mut poisoned).unwrap();
+        let gx = max_pool2_grad_with(
+            simd,
+            &thin,
+            &Tensor::zeros(&[2, 0, 2, 3]),
+            true,
+            &mut poisoned,
+        )
+        .unwrap();
         assert_eq!(gx, thin);
     }
 }

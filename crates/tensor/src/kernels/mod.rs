@@ -266,7 +266,8 @@ pub fn matmul_panels_with(
 
 /// The one matmul entry: shape checks, then the GEMM with the optional
 /// `(bias, relu)` epilogue applied inside its work units. `lhs` comes
-/// with its layout: `[m, k]`, or `[k, m]` for a stored transpose.
+/// with its layout: `[m, k]`, or `[k, m]` for a stored transpose; `rhs`
+/// likewise `[k, n]`, or `[n, k]`.
 fn matmul_epilogue_with(
     pool: &WorkerPool,
     (lhs, layout): (&Tensor, ALayout),
@@ -274,7 +275,7 @@ fn matmul_epilogue_with(
     epilogue: Option<(&Tensor, bool)>,
     take: TakeBuffer<'_>,
 ) -> Result<(Tensor, KernelCost), TensorError> {
-    let (&[rows, columns], &[k2, n]) = (lhs.shape(), rhs.shape) else {
+    let (&[rows, columns], &[b_rows, b_columns]) = (lhs.shape(), rhs.shape) else {
         return Err(TensorError::ShapeMismatch {
             op: "matmul",
             detail: format!("{:?} × {:?} (need rank 2)", lhs.shape(), rhs.shape),
@@ -283,6 +284,10 @@ fn matmul_epilogue_with(
     let (m, k1) = match layout {
         ALayout::RowMajor => (rows, columns),
         ALayout::Transposed => (columns, rows),
+    };
+    let (k2, n) = match rhs.layout {
+        BLayout::RowMajor | BLayout::Panels => (b_rows, b_columns),
+        BLayout::Transposed => (b_columns, b_rows),
     };
     if k1 != k2 {
         return Err(TensorError::ShapeMismatch {
@@ -324,6 +329,30 @@ pub fn matmul_lhs_t_with(
     matmul_epilogue_with(pool, (lhs_t, ALayout::Transposed), rhs.into(), None, take)
 }
 
+/// `lhs × rhs_tᵀ` for rank-2 tensors, `rhs_t` being the `[n, k]` storage
+/// of the right operand's transpose: the dense layers' input gradient
+/// `grad × Wᵀ` read from the weight `W` itself (the GEMM gathers each
+/// 16-column block of B once). Bit-identical to [`matmul_with`] on the
+/// materialised transpose, at the same [`KernelCost`].
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] unless `lhs` is `[m, k]` and `rhs_t`
+/// `[n, k]`.
+pub fn matmul_rhs_t_with(
+    pool: &WorkerPool,
+    lhs: &Tensor,
+    rhs_t: &Tensor,
+    take: TakeBuffer<'_>,
+) -> Result<(Tensor, KernelCost), TensorError> {
+    let rhs = Rhs {
+        shape: rhs_t.shape(),
+        data: rhs_t.data(),
+        layout: BLayout::Transposed,
+    };
+    matmul_epilogue_with(pool, (lhs, ALayout::RowMajor), rhs, None, take)
+}
+
 /// 2×2, stride-2 max pooling of an NHWC tensor into a buffer from `take`
 /// (odd trailing rows and columns belong to no window). A window's value
 /// is its first tap that compares greater than everything before it,
@@ -353,7 +382,23 @@ pub fn max_pool2_grad_with(
     grad: &Tensor,
     take: TakeBuffer<'_>,
 ) -> Result<Tensor, TensorError> {
-    maxpool::max_pool2_grad_with(gemm::Simd::detected(), x, grad, take)
+    maxpool::max_pool2_grad_with(gemm::Simd::detected(), x, grad, false, take)
+}
+
+/// The gradient of `max_pool2(relu(x))` with respect to `x`, from the
+/// pooled input `y = relu(x)` itself: [`max_pool2_grad_with`] of `y`
+/// followed by the ReLU's mask, bit for bit, in one pass — a winner keeps
+/// its gradient only if its value is positive (`y > 0 ⟺ x > 0`).
+///
+/// # Errors
+///
+/// Same conditions as [`max_pool2_grad_with`].
+pub fn max_pool2_relu_grad_with(
+    y: &Tensor,
+    grad: &Tensor,
+    take: TakeBuffer<'_>,
+) -> Result<Tensor, TensorError> {
+    maxpool::max_pool2_grad_with(gemm::Simd::detected(), y, grad, true, take)
 }
 
 /// Deterministic int8 linear quantization of `data` into `values`,

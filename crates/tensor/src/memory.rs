@@ -77,6 +77,10 @@ pub struct MemoryPlan {
     /// Nodes the loss reaches whose gradient is not computed because no
     /// variable is upstream of them.
     grads_pruned: usize,
+    /// Per node: for a `MaxPool2` that applies its input ReLU's mask
+    /// ([`pool_absorbs_relu`]), the ReLU's input, which its rule hands
+    /// the gradient to.
+    relu_absorbed: Vec<Option<NodeId>>,
     /// For each timeline step, the nodes whose forward value dies there.
     value_drops: Vec<Vec<usize>>,
 }
@@ -99,6 +103,14 @@ impl MemoryPlan {
     /// it computes an operand's gradient.
     pub fn wants_grad(&self, index: usize) -> bool {
         self.wants_grad.get(index).copied().unwrap_or(false)
+    }
+
+    /// For the `MaxPool2` node `index`, the input of the ReLU whose mask
+    /// its backward applies ([`pool_absorbs_relu`]); `None` for a pool
+    /// that hands its gradient to its own input as usual, and for every
+    /// other node. The ReLU's gradient has no slot and is never formed.
+    pub(crate) fn relu_absorbed(&self, index: usize) -> Option<NodeId> {
+        self.relu_absorbed.get(index).copied().flatten()
     }
 
     /// The statically inferred shape of node `index` (empty for scalars
@@ -395,6 +407,29 @@ fn grad_inputs(op: &Op) -> Vec<NodeId> {
     }
 }
 
+/// Whether the backward of node `index`, a `MaxPool2` whose input is a
+/// `Relu`, applies the ReLU's mask itself and hands the gradient straight
+/// to the ReLU's input (returned): the ReLU is the node just before the
+/// pool, no other needed node reads it, and it is not the loss. Then the
+/// mask reads the pooled input the pool's rule reads anyway (`y > 0 ⟺
+/// x > 0`), and — no backward step running between the two — every
+/// gradient reaching the ReLU's input arrives in the order it did.
+fn pool_absorbs_relu(graph: &Graph, needed: &[bool], loss: usize, index: usize) -> Option<NodeId> {
+    let nodes = graph.nodes();
+    let Op::MaxPool2(relu) = nodes[index].op else {
+        return None;
+    };
+    let Op::Relu(input) = nodes[relu.0].op else {
+        return None;
+    };
+    let only_reader = (relu.0 + 1..nodes.len()).all(|j| {
+        j == index
+            || !needed.get(j).copied().unwrap_or(false)
+            || !nodes[j].op.inputs().contains(&relu)
+    });
+    (relu.0 + 1 == index && relu.0 != loss && only_reader).then_some(input)
+}
+
 /// Nodes that never live in the arena: variable and constant storage is
 /// owned by the session/graph (the EPC "params" region), not the
 /// activation arena.
@@ -527,6 +562,7 @@ fn build_plan(
         // An inference plan's answer; `plan_training` fills in its own.
         wants_grad: Vec::new(),
         grads_pruned: 0,
+        relu_absorbed: Vec::new(),
         value_drops,
     }
 }
@@ -624,12 +660,30 @@ pub fn plan_training(
         trainable[index] = is_needed(index)
             && (is_var(graph, index) || op.inputs().iter().any(|input| trainable[input.0]));
     }
-    let wants_grad: Vec<bool> = (0..graph.len())
+    let mut wants_grad: Vec<bool> = (0..graph.len())
         .map(|index| has_grad[index] && trainable[index])
         .collect();
     let grads_pruned = (0..graph.len())
         .filter(|&index| has_grad[index] && is_needed(index) && !trainable[index])
         .count();
+    // A pool that applies its ReLU's mask: the ReLU's gradient is never
+    // formed, so it gets no slot, and its rule no longer reads (and keeps
+    // alive) the ReLU's input.
+    let mut relu_absorbed: Vec<Option<NodeId>> = vec![None; graph.len()];
+    for index in 0..graph.len() {
+        if !wants_grad[index] {
+            continue;
+        }
+        if let Some(input) = pool_absorbs_relu(graph, needed, l, index) {
+            relu_absorbed[index] = Some(input);
+            wants_grad[index - 1] = false;
+        }
+    }
+    // The operands node `j`'s rule hands a gradient to.
+    let grad_targets = |j: usize| match relu_absorbed[j] {
+        Some(input) => vec![input],
+        None => grad_inputs(&graph.nodes()[j].op),
+    };
 
     let mut value_lives: Vec<Option<(usize, usize)>> = vec![None; graph.len()];
     for index in 0..=l {
@@ -674,9 +728,7 @@ pub fn plan_training(
             // Born when the highest-index contributing consumer runs.
             let birth = (index + 1..=l)
                 .rev()
-                .find(|&j| {
-                    wants_grad[j] && grad_inputs(&graph.nodes()[j].op).contains(&NodeId(index))
-                })
+                .find(|&j| wants_grad[j] && grad_targets(j).contains(&NodeId(index)))
                 .map(bstep);
             if let Some(birth) = birth {
                 grad_lives[index] = Some((birth, death));
@@ -687,6 +739,7 @@ pub fn plan_training(
     let mut plan = build_plan(graph, shapes, steps, &value_lives, &grad_lives);
     plan.wants_grad = wants_grad;
     plan.grads_pruned = grads_pruned;
+    plan.relu_absorbed = relu_absorbed;
     Ok(plan)
 }
 

@@ -319,6 +319,12 @@ impl Session {
         self.vars.get(&id)
     }
 
+    /// A variable's values, to update in place (the parameter server's
+    /// apply); its shape stays as it is.
+    pub fn variable_values_mut(&mut self, id: NodeId) -> Option<&mut [f32]> {
+        self.vars.get_mut(&id).map(Tensor::data_mut)
+    }
+
     /// Overwrites a variable's value (parameter-server weight install).
     ///
     /// # Errors
@@ -364,6 +370,8 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Padding;
+    use crate::layers::Classifier;
     use crate::optimizer::Sgd;
 
     fn xor_setup() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
@@ -388,6 +396,106 @@ mod tests {
     fn seeded_rng() -> impl rand::Rng {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(42)
+    }
+
+    /// `conv_classifier`'s graph node for node, with its weights, except
+    /// that the label placeholder is added between the ReLU and the pool:
+    /// the ReLU is then not the node the pool follows, so the pool does
+    /// not absorb its mask and the ReLU's own rule runs.
+    fn with_labels_after_the_relu(
+        c: &Classifier,
+        session: &Session,
+        [h, w, channels, classes]: [usize; 4],
+    ) -> Classifier {
+        let weight = |name: &str| {
+            let mut ids = c.graph.variables().into_iter();
+            let id = ids
+                .find(|&v| c.graph.node(v).unwrap().name == name)
+                .unwrap();
+            session.variable(id).unwrap().clone()
+        };
+        let mut g = Graph::new();
+        let input = g.placeholder("input", &[0, h, w, channels]);
+        let f = g.variable("conv/f", weight("conv/f"));
+        let conv = g.conv2d(input, f, Padding::Same).unwrap();
+        let act = g.relu(conv).unwrap();
+        let labels = g.placeholder("labels", &[0, classes]);
+        let pool = g.max_pool2(act).unwrap();
+        let flat = g.flatten(pool).unwrap();
+        let w = g.variable("logits/w", weight("logits/w"));
+        let b = g.variable("logits/b", weight("logits/b"));
+        let mm = g.matmul(flat, w).unwrap();
+        let logits = g.add_bias(mm, b).unwrap();
+        let probabilities = g.softmax(logits).unwrap();
+        let loss = g.softmax_cross_entropy(logits, labels).unwrap();
+        Classifier {
+            graph: g,
+            input,
+            labels,
+            logits,
+            probabilities,
+            loss,
+        }
+    }
+
+    /// The pool that applies its ReLU's mask: bit for bit the gradients
+    /// of the ReLU's own rule after the pool's, at the same forward
+    /// stats, on a plan with one gradient slot fewer. Odd H and W, and
+    /// pre-activations of both signs.
+    #[test]
+    fn a_pool_absorbing_the_relu_mask_changes_no_gradient_bit() {
+        let mut rng = seeded_rng();
+        let (h, w, channels, classes) = (9, 7, 2, 3);
+        let fused = crate::layers::conv_classifier(h, w, channels, 4, classes, &mut rng).unwrap();
+        let mut lcg = 17u64;
+        let images: Vec<f32> = (0..5 * h * w * channels)
+            .map(|_| {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((lcg >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+            })
+            .collect();
+        let images = Tensor::from_vec(&[5, h, w, channels], images).unwrap();
+        let mut labels = Tensor::zeros(&[5, classes]);
+        for row in 0..5 {
+            labels.data_mut()[row * classes + row % classes] = 1.0;
+        }
+        for workers in [1, 2] {
+            let mut sessions = [Session::new(&fused.graph), Session::new(&fused.graph)];
+            let blocked =
+                with_labels_after_the_relu(&fused, &sessions[0], [h, w, channels, classes]);
+            sessions[1] = Session::new(&blocked.graph);
+            let mut runs = Vec::new();
+            for (c, session) in [&fused, &blocked].into_iter().zip(&mut sessions) {
+                session.set_worker_pool(crate::kernels::WorkerPool::new(workers));
+                let feeds = [(c.input, images.clone()), (c.labels, labels.clone())];
+                let (loss, grads) = session.gradients(&c.graph, &feeds, c.loss).unwrap();
+                let bits: Vec<Vec<u32>> = c
+                    .graph
+                    .variables()
+                    .into_iter()
+                    .map(|v| grads[&v].data().iter().map(|g| g.to_bits()).collect())
+                    .collect();
+                runs.push((
+                    loss.to_bits(),
+                    bits,
+                    session.stats(),
+                    session.memory_stats(),
+                ));
+            }
+            let [(fused_loss, fused_grads, fused_stats, fused_mem), (loss, grads, stats, mem)] =
+                <[_; 2]>::try_from(runs).unwrap();
+            assert_eq!(fused_loss, loss, "workers={workers}");
+            assert_eq!(fused_grads, grads, "workers={workers}");
+            // What virtual time is charged from: the forward's stats.
+            assert_eq!(fused_stats.flops, stats.flops);
+            assert_eq!(fused_stats.critical_flops, stats.critical_flops);
+            assert_eq!(fused_stats.activation_bytes, stats.activation_bytes);
+            // The ReLU's gradient has no slot in the plan that absorbed it.
+            assert_eq!(fused_mem.grad_slots + 1, mem.grad_slots);
+            assert!(fused_mem.planned_peak_bytes <= mem.planned_peak_bytes);
+        }
     }
 
     fn xor_batch() -> (Tensor, Tensor) {
